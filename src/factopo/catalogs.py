@@ -5,10 +5,10 @@ factorizations route through, which is what lets a whole hom collection
 be verified inside one universe.
 """
 
-from .fincat import (FinCat, Functor, chain_category, delta_fragment,
-                     monoid_category, poset_category, terminal_category)
-from .finring import FinRing, gf, product_ring, zmod
-from .sset import (FinSSet, boundary, build_sset, delta, disjoint_union, horn,
+from .fincat import (FinCat, chain_category, monoid_category, poset_category,
+                     terminal_category)
+from .finring import gf, product_ring, zmod
+from .sset import (boundary, build_sset, delta, disjoint_union, horn,
                    subcomplex_of_delta)
 from .toposx import (FinGSet, FqVecSpace, cyclic_group, disjoint_union_gset,
                      regular_gset, symmetric_3, trivial_gset)
@@ -21,10 +21,6 @@ def ring_catalogue():
         zmod(8), zmod(9), zmod(12), gf(2, 3), gf(3, 2),
         product_ring([zmod(2), zmod(2)]), product_ring([zmod(2), zmod(4)]),
     ]
-
-
-def ring_catalogue_by_name():
-    return {R.name: R for R in ring_catalogue()}
 
 
 def fat_field_catalogue(bound=16):
@@ -73,10 +69,6 @@ def category_catalogue():
             span, cospan, square, z2, _ei_two_object_category()]
 
 
-def category_catalogue_by_name():
-    return {C.name: C for C in category_catalogue()}
-
-
 def _circle():
     return build_sset({"dim": 2, "name": "circle", "nondegenerate": {
         "0": ["v"],
@@ -111,10 +103,6 @@ def sset_corpus():
         subcomplex_of_delta(3, [(0, 1, 2), (1, 2, 3)], name="twotriangles"),
         subcomplex_of_delta(2, [(0, 1), (1, 2)], name="path2"),
     ]
-
-
-def sset_corpus_by_name():
-    return {X.name: X for X in sset_corpus()}
 
 
 def gset_catalogue():

@@ -84,16 +84,17 @@ def connected_components(C):
 
 def is_final(F):
     """Every d/F comma category is nonempty and zig-zag connected."""
-    for d in F.target.objects:
-        K = comma(F, d, "d/F").category
-        if len(connected_components(K)) != 1:
-            return False
-    return True
+    return _commas_connected(F, "d/F")
 
 
 def is_initial(F):
+    """Every F/d comma category is nonempty and zig-zag connected."""
+    return _commas_connected(F, "F/d")
+
+
+def _commas_connected(F, side):
     for d in F.target.objects:
-        K = comma(F, d, "F/d").category
+        K = comma(F, d, side).category
         if len(connected_components(K)) != 1:
             return False
     return True
@@ -101,28 +102,26 @@ def is_initial(F):
 
 def is_discrete_right_fibration(F):
     """Every arrow into an F-image has exactly one lift with the given target."""
-    E, C = F.source, F.target
-    for e in E.objects:
-        fe = F.on_obj(e)
-        for g in C.morphism_ids():
-            if C.tgt(g) != fe:
-                continue
-            lifts = [m for m in E.morphism_ids()
-                     if E.tgt(m) == e and F.on_mor(m) == g]
-            if len(lifts) != 1:
-                return False
-    return True
+    return _lifts_uniquely(F, "tgt")
 
 
 def is_discrete_left_fibration(F):
+    """Every arrow out of an F-image has exactly one lift with the given source."""
+    return _lifts_uniquely(F, "src")
+
+
+def _lifts_uniquely(F, end):
+    """Every arrow whose ``end`` ("src" or "tgt") is F(e) lifts to exactly
+    one arrow with that end at e."""
     E, C = F.source, F.target
+    end_E, end_C = getattr(E, end), getattr(C, end)
     for e in E.objects:
         fe = F.on_obj(e)
         for g in C.morphism_ids():
-            if C.src(g) != fe:
+            if end_C(g) != fe:
                 continue
             lifts = [m for m in E.morphism_ids()
-                     if E.src(m) == e and F.on_mor(m) == g]
+                     if end_E(m) == e and F.on_mor(m) == g]
             if len(lifts) != 1:
                 return False
     return True
@@ -131,11 +130,6 @@ def is_discrete_left_fibration(F):
 def has_terminal_object(C):
     return any(all(len(C.hom(x, t)) == 1 for x in C.objects)
                for t in C.objects)
-
-
-def has_initial_object(C):
-    return any(all(len(C.hom(i, x)) == 1 for x in C.objects)
-               for i in C.objects)
 
 
 def raw_local_status(C):
@@ -254,10 +248,7 @@ def comprehensive_factorize(F, side="right", budget=None):
         first_mor[h] = (first_obj[c], first_obj[c2], F.on_mor(h))
     first = Functor(C, cat, first_obj, first_mor,
                     name="unit-%s" % F.name, check=True)
-    if side == "right":
-        assert is_discrete_right_fibration(proj)
-    else:
-        assert is_discrete_left_fibration(proj)
+    assert _lifts_uniquely(proj, "tgt" if side == "right" else "src")
     composite = first.then(proj)
     assert composite.obj_map == F.obj_map
     assert composite.mor_map == F.mor_map

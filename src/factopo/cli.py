@@ -17,7 +17,6 @@ from .errors import (FactopoError, InvalidFamily, InvalidSpec, ParseError,
                      UsageError)
 from .fincat import is_orthogonal, validate_fincat
 
-RING_TOPOLOGIES = ("zar", "dom", "fin", "nfin")
 SSET_MODES = ("raw", "delta-nis")
 
 
@@ -50,6 +49,13 @@ def _need(raw, key, what):
     if not isinstance(raw, dict) or key not in raw:
         raise InvalidSpec("%s file needs a %r field" % (what, key))
     return raw[key]
+
+
+def _need_list(raw, key, what):
+    value = _need(raw, key, what)
+    if not isinstance(value, list):
+        raise InvalidSpec("%s field %r must be a list" % (what, key))
+    return value
 
 
 def _element(A, value):
@@ -91,7 +97,7 @@ def _hom_between(A, B, raw, what="hom"):
                 raise InvalidSpec("%s map misses an element of %s"
                                   % (what, A.name))
         else:
-            if len(table) != A.size:
+            if not isinstance(table, list) or len(table) != A.size:
                 raise InvalidSpec("%s map must list one image per element of %s"
                                   % (what, A.name))
             mapping = [_element(B, v) for v in table]
@@ -107,18 +113,27 @@ def build_hom(raw):
     return _hom_between(A, B, raw)
 
 
-def build_ring_family(A, raw, topology):
+def _check_declared(raw, topology):
     declared = raw.get("topology") if isinstance(raw, dict) else None
     if declared is not None and declared != topology:
         raise InvalidFamily("family file is for topology %r, command asked %r"
                             % (declared, topology))
+
+
+def build_ring_family(A, raw, topology):
+    _check_declared(raw, topology)
     if topology == "zar":
-        return [_element(A, v) for v in _need(raw, "elements", "family")]
+        return [_element(A, v) for v in _need_list(raw, "elements", "family")]
     if topology == "dom":
-        return [finring.ideal_generated(A, [_element(A, g) for g in gens])
-                for gens in _need(raw, "ideals", "family")]
+        ideals = []
+        for gens in _need_list(raw, "ideals", "family"):
+            if not isinstance(gens, list):
+                raise InvalidSpec("family ideals must be lists of generators")
+            ideals.append(finring.ideal_generated(
+                A, [_element(A, g) for g in gens]))
+        return ideals
     homs = []
-    for spec in _need(raw, "homs", "family"):
+    for spec in _need_list(raw, "homs", "family"):
         B = finring.build_ring(_need(spec, "target", "family hom"))
         homs.append(_hom_between(A, B, spec, what="family hom"))
     return homs
@@ -140,7 +155,7 @@ def build_smap(raw, target):
     D = sset.build_sset(_need(raw, "source", "map"))
     assignment = {}
     for dim_key, cells in _need(raw, "assignment", "map").items():
-        n = int(dim_key)
+        n = sset.parse_dim(dim_key, "map assignment")
         for label, value in cells.items():
             ref = _cell_ref(D, n, label)
             sigma = tuple(int(v) for v in value[0])
@@ -150,11 +165,8 @@ def build_smap(raw, target):
 
 
 def build_sset_family(X, raw, mode):
-    declared = raw.get("topology") if isinstance(raw, dict) else None
-    if declared is not None and declared != mode:
-        raise InvalidFamily("family file is for topology %r, command asked %r"
-                            % (declared, mode))
-    return [build_smap(spec, X) for spec in _need(raw, "maps", "family")]
+    _check_declared(raw, mode)
+    return [build_smap(spec, X) for spec in _need_list(raw, "maps", "family")]
 
 
 def _morphism_id(text, cat):
@@ -168,7 +180,11 @@ def _morphism_id(text, cat):
         return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
 
     value = tuplify(value)
-    if value not in cat.morphisms:
+    try:
+        known = value in cat.morphisms
+    except TypeError:  # a JSON object, or a list holding one, is unhashable
+        known = False
+    if not known:
         raise InvalidSpec("%s has no morphism %r" % (cat.name, text))
     return value
 
@@ -221,7 +237,7 @@ def _cmd_classify(args, budget):
 
 def _cmd_cover(args, budget):
     raw = load_json(args.family)
-    if args.topology in RING_TOPOLOGIES:
+    if args.topology in ringsys.TOPOLOGIES:
         if not args.base:
             raise UsageError("cover over %s needs --base" % args.topology)
         A = _build(finring.build_ring, load_json(args.base), args.base)
@@ -241,7 +257,7 @@ def _cmd_cover(args, budget):
 
 
 def _cmd_spectrum(args, budget):
-    if args.topology in RING_TOPOLOGIES:
+    if args.topology in ringsys.TOPOLOGIES:
         if not args.base:
             raise UsageError("spectrum over %s needs --base" % args.topology)
         A = _build(finring.build_ring, load_json(args.base), args.base)
@@ -327,7 +343,7 @@ def build_parser():
 
     p = subs.add_parser("cover", help="decide whether a family covers")
     p.add_argument("--topology", required=True,
-                   choices=RING_TOPOLOGIES + SSET_MODES)
+                   choices=ringsys.TOPOLOGIES + SSET_MODES)
     p.add_argument("--base", help="ring file, for ring topologies")
     p.add_argument("--object", help="simplicial set file, for raw/delta-nis")
     p.add_argument("--family", required=True, help="family file (JSON)")
@@ -335,7 +351,7 @@ def build_parser():
 
     p = subs.add_parser("spectrum", help="point poset of one object")
     p.add_argument("--topology", required=True,
-                   choices=RING_TOPOLOGIES + SSET_MODES + ("lines",))
+                   choices=ringsys.TOPOLOGIES + SSET_MODES + ("lines",))
     p.add_argument("--base", help="ring file, for ring topologies")
     p.add_argument("--object", help="simplicial set file, for raw/delta-nis")
     p.add_argument("--space", help="vector space file, for lines")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .budget import Budget, ensure_budget
+from .budget import ensure_budget
 from .errors import FactorizerContractViolation, NotACategory
 
 
@@ -152,6 +152,8 @@ def validate_fincat(raw, budget=None):
         compose_rows = list(raw["compose"])
     except (KeyError, TypeError) as exc:
         raise NotACategory("missing field: %s" % exc) from exc
+    for i, obj in enumerate(objects):
+        _hashable(obj, "objects[%d]" % i)
     # JSON forces string keys, so identities for non-string objects arrive
     # stringified; remap a key to the unique object it spells, if any
     by_repr = {}
@@ -161,12 +163,13 @@ def validate_fincat(raw, budget=None):
     for key, value in identities.items():
         if key not in objects and len(by_repr.get(key, ())) == 1:
             key = by_repr[key][0]
-        remapped[key] = value
+        remapped[key] = _hashable(value, "identities[%r]" % key)
     identities = remapped
     morphisms = {}
-    for row in morrows:
+    for i, row in enumerate(morrows):
         try:
-            mid, src, tgt = row["id"], row["src"], row["tgt"]
+            mid, src, tgt = (_hashable(row[k], "morphisms[%d].%s" % (i, k))
+                             for k in ("id", "src", "tgt"))
         except (KeyError, TypeError) as exc:
             raise NotACategory("morphism row %r needs id, src, tgt"
                                % (row,)) from exc
@@ -174,9 +177,9 @@ def validate_fincat(raw, budget=None):
             raise NotACategory("duplicate morphism id %r" % (mid,))
         morphisms[mid] = (src, tgt)
     compose = {}
-    for entry in compose_rows:
+    for i, entry in enumerate(compose_rows):
         try:
-            g, f, h = entry
+            g, f, h = (_hashable(v, "compose[%d]" % i) for v in entry)
         except (TypeError, ValueError) as exc:
             raise NotACategory("compose entry %r is not a [g, f, result] "
                                "triple" % (entry,)) from exc
@@ -185,6 +188,16 @@ def validate_fincat(raw, budget=None):
         compose[(g, f)] = h
     return FinCat(objects, morphisms, identities, compose,
                   name=str(raw.get("name", "")), budget=budget)
+
+
+def _hashable(value, where):
+    """Ids must be strings or numbers: a JSON list or object is refused."""
+    try:
+        hash(value)
+    except TypeError:
+        raise NotACategory("%s: id %r is not a string or number"
+                           % (where, value)) from None
+    return value
 
 
 class Functor:
@@ -229,11 +242,6 @@ class Functor:
                        {x: other.obj_map[y] for x, y in self.obj_map.items()},
                        {m: other.mor_map[n] for m, n in self.mor_map.items()},
                        name="%s;%s" % (self.name, other.name), check=False)
-
-    def is_identity(self):
-        return (self.source is self.target
-                and all(v == k for k, v in self.obj_map.items())
-                and all(v == k for k, v in self.mor_map.items()))
 
     def op(self):
         return Functor(self.source.op(), self.target.op(),
@@ -301,34 +309,6 @@ def monoid_category(elements, table, unit, name=""):
             compose[(("m", a), ("m", b))] = ("m", table[idx[a]][idx[b]])
     return FinCat([obj], morphisms, {obj: ("m", unit)}, compose,
                   name=name or "monoid")
-
-
-def delta_fragment(n_max, name=""):
-    """Full subcategory of finite nonempty ordinals [0]..[n_max]; morphisms are
-    monotone value tuples."""
-    objects = list(range(n_max + 1))
-    morphisms = {}
-    for a in objects:
-        for b in objects:
-            for values in monotone_maps(a, b):
-                morphisms[("d", b, values)] = (a, b)
-    identities = {a: ("d", a, tuple(range(a + 1))) for a in objects}
-    compose = {}
-    for g, (bs, c) in morphisms.items():
-        for f, (a, bt) in morphisms.items():
-            if bt == bs:
-                gv, fv = g[2], f[2]
-                compose[(g, f)] = ("d", c, tuple(gv[v] for v in fv))
-    return FinCat(objects, morphisms, identities, compose,
-                  name=name or "Delta<=%d" % n_max)
-
-
-def monotone_maps(a, b):
-    """All monotone maps [a] -> [b] as value tuples."""
-    out = []
-    for comb in itertools.combinations_with_replacement(range(b + 1), a + 1):
-        out.append(tuple(comb))
-    return out
 
 
 def concrete_category(objects, object_key, hom_fn, compose_fn, identity_fn,
@@ -484,14 +464,6 @@ class AxiomResult:
     checked: int = 0
     skipped: int = 0
 
-    def as_dict(self):
-        d = {"status": self.status, "checked": self.checked}
-        if self.skipped:
-            d["skipped"] = self.skipped
-        if self.counterexample is not None:
-            d["counterexample"] = repr(self.counterexample)
-        return d
-
 
 @dataclass
 class SystemReport:
@@ -503,9 +475,6 @@ class SystemReport:
 
     def failures(self):
         return {k: r for k, r in self.axioms.items() if r.status == FAIL}
-
-    def as_dict(self):
-        return {k: r.as_dict() for k, r in sorted(self.axioms.items())}
 
 
 def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
@@ -638,35 +607,6 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
             break
     report.axioms["middle-uniqueness"] = uniqueness
     return report
-
-
-def discrete_factorizer(C):
-    """Factor u as (identity, src, u); the left class is the isos."""
-    def fac(m):
-        return (C.identities[C.src(m)], C.src(m), m)
-    return fac
-
-
-def indiscrete_factorizer(C):
-    def fac(m):
-        return (m, C.tgt(m), C.identities[C.tgt(m)])
-    return fac
-
-
-# ---------------------------------------------------------------------------
-# generic topology coarsening
-
-def nisnevich_filter(covers, forcing, lifts):
-    """Keep the covering families through which every forcing object lifts.
-
-    ``lifts(obj, family)`` is the caller's lifting decision.  The result is
-    a subsequence of ``covers``, so forcing by a larger class only shrinks it.
-    """
-    kept = []
-    for fam in covers:
-        if all(lifts(obj, fam) for obj in forcing):
-            kept.append(fam)
-    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .budget import Budget, ensure_budget
+from .budget import ensure_budget
 from .errors import InvalidSpec, NotARing
 
 
@@ -291,9 +291,7 @@ def gf(p, k=1):
     mul = [[undigits(pmul(a, b)) for b in elems] for a in elems]
     names = [_poly_name(d) for d in elems]
     gens = (p,) if k > 1 else ()
-    ring = FinRing(names, add, mul, 0, 1, gens, name="F_%d" % n)
-    ring.modulus_poly = modpoly
-    return ring
+    return FinRing(names, add, mul, 0, 1, gens, name="F_%d" % n)
 
 
 def product_ring(factors):
@@ -323,19 +321,8 @@ def product_ring(factors):
     gens = tuple(dict.fromkeys(gens))
     # factors are already valid rings, so the componentwise tables are too;
     # skipping the n^3 recheck keeps large products affordable
-    ring = FinRing(names, add, mul, zero, one, gens,
+    return FinRing(names, add, mul, zero, one, gens,
                    name="x".join(f.name for f in factors), check=False)
-    ring.combos = combos
-    return ring
-
-
-def tuple_hom(homs, P):
-    """The pairing A -> P of homs with common source, P their product ring."""
-    A = homs[0].source
-    assert all(h.source is A for h in homs)
-    idx = {c: i for i, c in enumerate(P.combos)}
-    mapping = tuple(idx[tuple(h(a) for h in homs)] for a in range(A.size))
-    return RingHom(A, P, mapping)
 
 
 def table_ring(spec):
@@ -433,9 +420,6 @@ class RingHom:
         return frozenset(x for x in self.source.elements()
                          if self.mapping[x] == self.target.zero)
 
-    def image(self):
-        return frozenset(self.mapping)
-
     def is_injective(self):
         return len(set(self.mapping)) == self.source.size
 
@@ -444,10 +428,6 @@ class RingHom:
 
     def is_bijective(self):
         return self.is_injective() and self.is_surjective()
-
-    def is_identity(self):
-        return (self.source is self.target
-                and all(self.mapping[i] == i for i in range(len(self.mapping))))
 
     def then(self, other):
         """other after self."""
@@ -465,10 +445,6 @@ class RingHom:
 
 def identity_hom(A):
     return RingHom(A, A, tuple(range(A.size)))
-
-
-def compose_homs(g, f):
-    return f.then(g)
 
 
 def inverse_hom(h):
@@ -539,24 +515,6 @@ def ring_isomorphic(A, B, budget=None):
     return None
 
 
-def permuted_ring(A, perm, name=None):
-    """Relabel the carrier along a permutation; returns (ring, iso A -> ring)."""
-    n = A.size
-    if sorted(perm) != list(range(n)):
-        raise InvalidSpec("not a permutation of the carrier")
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    names = [A.names[inv[i]] for i in range(n)]
-    add = [[perm[A.add[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-    mul = [[perm[A.mul[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
-    ring = FinRing(names, add, mul, perm[A.zero], perm[A.one],
-                   tuple(perm[g] for g in A.generators),
-                   name=name or A.name + "~", check=False)
-    iso = RingHom(A, ring, tuple(perm))
-    return ring, iso
-
-
 # ---------------------------------------------------------------------------
 # ideals
 
@@ -577,9 +535,6 @@ class Ideal:
                 if A.mul[r][x] not in I:
                     raise InvalidSpec("ideal not absorbing")
         return self
-
-    def contains(self, x):
-        return x in self.elements
 
     def is_proper(self):
         return self.ring.one not in self.elements
@@ -735,13 +690,6 @@ def quotient_ring(A, I):
     return Q, RingHom(A, Q, tuple(coset_of))
 
 
-def units_and_nilpotents(A):
-    units = A.units()
-    nil = A.nilpotents()
-    assert nil == nilradical(A).elements
-    return units, nil
-
-
 def primitive_idempotents(A):
     """The complete orthogonal set of primitive idempotents; [] for the zero ring."""
     nonzero = [e for e in A.idempotents() if e != A.zero]
@@ -846,15 +794,22 @@ def field_catalogue(bound=16):
     """All finite fields of order <= bound, smallest first."""
     out = []
     for q in range(2, bound + 1):
-        p = smallest_prime_factor(q)
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        if m == 1:
-            out.append(gf(p, k))
+        pk = prime_power(q)
+        if pk:
+            out.append(gf(*pk))
     return out
+
+
+def prime_power(n):
+    """(p, k) with n == p**k and k >= 1, or None."""
+    if n < 2:
+        return None
+    p = smallest_prime_factor(n)
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 def smallest_prime_factor(n):

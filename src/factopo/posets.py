@@ -53,9 +53,6 @@ class Poset:
     def lt(self, x, y):
         return x != y and self.le(x, y)
 
-    def comparable(self, x, y):
-        return self.le(x, y) or self.le(y, x)
-
     def order_pairs(self):
         """All (x, y) with x <= y, reflexive pairs included, element order."""
         out = []
@@ -82,14 +79,6 @@ class Poset:
 
     def upset(self, x):
         return [y for y in self.elements if self.le(x, y)]
-
-    def minimal_elements(self):
-        return [x for x in self.elements
-                if not any(self.lt(y, x) for y in self.elements)]
-
-    def maximal_elements(self):
-        return [x for x in self.elements
-                if not any(self.lt(x, y) for y in self.elements)]
 
     def is_antichain(self):
         return all(not self.lt(x, y)

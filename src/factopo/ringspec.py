@@ -14,8 +14,8 @@ from .budget import ensure_budget
 from .errors import InvalidSpec, NotAPrime
 from .finring import (FinRing, Ideal, RingHom, all_ideals, gf,
                       ideal_generated, localization_at_element, localize,
-                      prime_ideals, product_ring, quotient_ring, radical,
-                      ring_isomorphic, zmod)
+                      prime_ideals, prime_power, product_ring, quotient_ring,
+                      radical, ring_isomorphic, zmod)
 from .posets import Poset, anti_isomorphism, poset_to_dot
 from .ringsys import (classify_ring, is_integral_map, is_localization_map,
                       points_of)
@@ -102,15 +102,7 @@ def recognize_ring(R, budget=None):
     n = R.size
     if n == 1:
         return "0"
-    cands = [zmod(n)]
-    p = smallest_prime(n)
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m == 1 and k > 1:
-        cands.append(gf(p, k))
+    cands = _local_candidates(n)
     for a in range(2, n):
         if n % a or a > n // a:
             continue
@@ -125,25 +117,12 @@ def recognize_ring(R, budget=None):
 
 
 def _local_candidates(n):
+    """Z/n, and F_n when n is a proper prime power."""
     out = [zmod(n)]
-    p = smallest_prime(n)
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m == 1 and k > 1:
-        out.append(gf(p, k))
+    pk = prime_power(n)
+    if pk and pk[1] > 1:
+        out.append(gf(*pk))
     return out
-
-
-def smallest_prime(n):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +156,6 @@ class SpecLattice:
     @property
     def size(self):
         return len(self.elements)
-
-    def bottom(self):
-        return min(self.poset.elements, key=lambda i: len(self.poset.downset(i)))
-
-    def top(self):
-        return min(self.poset.elements, key=lambda i: len(self.poset.upset(i)))
 
     def validate(self):
         """Lattice laws, order consistency, and distributivity, exhaustively."""

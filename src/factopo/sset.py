@@ -11,7 +11,6 @@ the factorization algorithm.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .budget import ensure_budget
@@ -68,32 +67,6 @@ def codegeneracy(n, j):
     return tuple(x if x <= j else x - 1 for x in range(n + 2))
 
 
-@dataclass(frozen=True)
-class SimplicialOperator:
-    """A monotone map into [target], given by its value tuple."""
-    target: int
-    values: tuple
-
-    def validate(self):
-        if any(v < 0 or v > self.target for v in self.values):
-            raise InvalidSpec("operator values leave the target range")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise InvalidSpec("operator is not monotone")
-        return self
-
-    @property
-    def source(self):
-        return len(self.values) - 1
-
-    def decompose(self):
-        """The unique injective-after-surjective split."""
-        delta, tau = epi_mono_split(self.values)
-        inj = SimplicialOperator(self.target, delta)
-        surj = SimplicialOperator(inj.source, tau)
-        assert compose_ops(inj.values, surj.values) == self.values
-        return inj, surj
-
-
 # ---------------------------------------------------------------------------
 # the simplicial sets themselves
 
@@ -101,10 +74,6 @@ class SimplicialOperator:
 class EZDecomposition:
     surjection: tuple
     nondeg: tuple          # (dim, index) of the nondegenerate cell
-
-    def verify(self, X, x):
-        assert X.apply_surjection(self.nondeg, self.surjection) == x
-        return self
 
 
 class FinSSet:
@@ -157,9 +126,6 @@ class FinSSet:
                 for j in range(len(self.labels[m])):
                     out.append((sigma, (m, j)))
         return out
-
-    def simplex_count(self, n):
-        return len(self.simplices(n))
 
     def is_nondeg_simplex(self, x):
         return is_identity_op(x[0])
@@ -376,12 +342,21 @@ def build_sset(spec):
         raw = spec["nondegenerate"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec("sset needs dim and nondegenerate: %s" % exc) from exc
+    if not isinstance(raw, dict):
+        raise InvalidSpec("nondegenerate must map dimensions to cell lists")
+    keys = sorted(raw, key=lambda key: parse_dim(key, "nondegenerate"))
     labels = {}
-    for key in sorted(raw, key=int):
+    for key in keys:
         n = int(key)
         entries = raw[key]
+        if not isinstance(entries, list):
+            raise InvalidSpec("nondegenerate[%r] must be a list of cells" % key)
         row = []
         for ent in entries:
+            if not isinstance(ent, str) and \
+                    not (isinstance(ent, dict) and "name" in ent):
+                raise InvalidSpec("nondegenerate[%r]: cell %r has no name"
+                                  % (key, ent))
             row.append(ent if isinstance(ent, str) else str(ent["name"]))
         if row:
             labels[n] = row
@@ -392,7 +367,7 @@ def build_sset(spec):
                 raise InvalidSpec("duplicate cell %r in dimension %d" % (s, n))
             lookup[(n, s)] = j
     faces = {}
-    for key in sorted(raw, key=int):
+    for key in keys:
         n = int(key)
         if n == 0:
             continue
@@ -401,12 +376,17 @@ def build_sset(spec):
                 raise InvalidSpec(
                     "cell %r above dimension 0 needs explicit faces" % ent)
             fl = ent.get("faces", [])
-            if len(fl) != n + 1:
-                raise InvalidSpec(
-                    "cell %r needs %d faces, got %d"
-                    % (ent.get("name"), n + 1, len(fl)))
-            for i, (opvals, target) in enumerate(fl):
-                opvals = tuple(int(v) for v in opvals)
+            if not isinstance(fl, list) or len(fl) != n + 1:
+                raise InvalidSpec("cell %r needs a list of %d faces"
+                                  % (ent.get("name"), n + 1))
+            for i, face in enumerate(fl):
+                try:
+                    opvals, target = face
+                    opvals = tuple(int(v) for v in opvals)
+                except (TypeError, ValueError):
+                    raise InvalidSpec(
+                        "face %d of %r is not [operator values, cell label]"
+                        % (i, ent.get("name"))) from None
                 if len(opvals) != n:
                     raise InvalidSpec(
                         "face %d of %r has an operator of the wrong length"
@@ -417,6 +397,15 @@ def build_sset(spec):
                         "face target %r missing in dimension %d" % (target, m))
                 faces[(n, j, i)] = (opvals, (m, lookup[(m, str(target))]))
     return FinSSet(dim, labels, faces, name=str(spec.get("name", "sset")))
+
+
+def parse_dim(key, where):
+    """A dimension key of an input file as an int, else InvalidSpec."""
+    try:
+        return int(key)
+    except ValueError:
+        raise InvalidSpec("%s: dimension key %r is not an integer"
+                          % (where, key)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -454,11 +443,6 @@ class SimplicialMap:
                     raise NotSimplicial(
                         "face %d of cell %r does not commute" % (i, ref))
         return self
-
-    def is_identity(self):
-        return self.source is self.target and all(
-            self.assignment[ref] == self.source.cell_simplex(ref)
-            for ref in self.source.cells())
 
     def then(self, other):
         assert other.source is self.target

@@ -9,13 +9,13 @@ import random
 
 from .budget import ensure_budget
 from .catalogs import (category_catalogue, gset_catalogue, ring_catalogue,
-                       sset_corpus, vspace_catalogue)
+                       sset_corpus)
 from .catfib import (all_slices_cover, comprehensive_factorize, is_final,
                      is_initial, is_discrete_left_fibration,
                      is_discrete_right_fibration, right_cover_check,
                      slice_factorize)
 from .errors import FactopoError
-from .fincat import all_functors, fincat_isomorphic, identity_functor
+from .fincat import all_functors
 from .finring import gf, prime_ideals, prime_ideals_bruteforce, product_ring, zmod
 from .ringspec import check_duality
 from .ringsys import SYSTEMS, classify_ring, points_of, verify_ring_system
@@ -26,8 +26,6 @@ from .toposx import (atoms_and_orbits, epi_mono_factorize_gset,
                      epi_mono_factorize_linear, gset_point_cover_check,
                      line_count, lines, orbit_inclusions, LinearMap,
                      FqVecSpace)
-
-SUITES = ("axioms", "ring-oracles", "duality", "ez", "catfib", "toposx", "all")
 
 
 def _check(checks, name, ok, counterexample=None):
@@ -262,6 +260,7 @@ _SUITE_FNS = {
     "catfib": suite_catfib,
     "toposx": suite_toposx,
 }
+SUITES = tuple(_SUITE_FNS) + ("all",)
 
 
 def run_suite(name, seed=0, budget=None):

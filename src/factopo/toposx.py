@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotEquivariant, NotLinear
-from .finring import gf, smallest_prime_factor
+from .finring import gf, prime_power
 from .posets import Poset, poset_to_dot
 from .ringsys import CoverResult
 
@@ -283,22 +283,11 @@ def gset_point_cover_check(X, family, budget=None):
 # ---------------------------------------------------------------------------
 # vector spaces over F_q
 
-def prime_power(q):
-    p = smallest_prime_factor(q)
-    if p is None:
-        return None
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return (p, k) if q == 1 else None
-
-
 class FqVecSpace:
     """F_q^n with vectors as index tuples over the field's element order."""
 
     def __init__(self, q, n, name=""):
-        pk = prime_power(q) if q >= 2 else None
+        pk = prime_power(q)
         if pk is None:
             raise InvalidSpec("%r is not a prime power" % (q,))
         if n < 0:
@@ -324,11 +313,6 @@ class FqVecSpace:
 
     def scale(self, c, v):
         return tuple(self.field.m(c, x) for x in v)
-
-    def dual(self):
-        """Same coordinates, read as functionals; simple quotients of the
-        original space appear as the lines here."""
-        return FqVecSpace(self.q, self.n, name=self.name + "*")
 
     def __repr__(self):
         return "FqVecSpace(%s)" % self.name

@@ -196,3 +196,65 @@ def test_timing_only_on_request(z6, capsys):
     assert "timing" not in json.loads(out)
     _code, out2, _err = run(capsys, "classify", "--ring", z6, "--timing")
     assert "timing" in json.loads(out2)
+
+
+DELTA1 = {"kind": "delta", "n": 1}
+SMALL_CAT = {"objects": ["a"],
+             "morphisms": [{"id": "ia", "src": "a", "tgt": "a"}],
+             "identities": {"a": "ia"}, "compose": [["ia", "ia", "ia"]]}
+EDGE_MAP = {"source": DELTA1, "assignment": {
+    "0": {"0": [[0], "0"], "1": [[0], "1"]}, "1": {"01": [[0, 1], "01"]}}}
+
+# each input raised a TypeError or ValueError out of the CLI before it was
+# refused where it is parsed; argv words in braces name the files written
+MALFORMED = {
+    "sset-nonint-dim-key": (
+        ["spectrum", "--topology", "raw", "--object", "{a}"],
+        {"a": {"dim": 2, "nondegenerate": {"0": ["v"], "x": []}}}),
+    "sset-nonpair-face": (
+        ["spectrum", "--topology", "raw", "--object", "{a}"],
+        {"a": {"dim": 2, "nondegenerate": {"0": ["v"], "1": [
+            {"name": "e", "faces": [[[0], "v"], 7]}]}}}),
+    "sset-nonlist-row": (
+        ["spectrum", "--topology", "raw", "--object", "{a}"],
+        {"a": {"dim": 2, "nondegenerate": {"0": ["v"], "1": 5}}}),
+    "cat-list-ids": (
+        ["orthogonal", "--category", "{a}", "--left", '["le","a","a"]',
+         "--right", '["le","a","a"]'],
+        {"a": {"objects": ["a"],
+               "morphisms": [{"id": ["le", "a", "a"], "src": "a",
+                              "tgt": "a"}],
+               "identities": {"a": ["le", "a", "a"]},
+               "compose": [[["le", "a", "a"]] * 3]}}),
+    "morphism-id-object": (
+        ["orthogonal", "--category", "{a}", "--left", '{"x": 1}',
+         "--right", "ia"],
+        {"a": SMALL_CAT}),
+    "zar-elements-scalar": (
+        ["cover", "--topology", "zar", "--base", "{a}", "--family", "{b}"],
+        {"a": {"kind": "zmod", "n": 6}, "b": {"elements": 3}}),
+    "dom-ideals-scalar": (
+        ["cover", "--topology", "dom", "--base", "{a}", "--family", "{b}"],
+        {"a": {"kind": "zmod", "n": 6}, "b": {"ideals": 3}}),
+    "family-hom-map-scalar": (
+        ["cover", "--topology", "fin", "--base", "{a}", "--family", "{b}"],
+        {"a": {"kind": "zmod", "n": 6},
+         "b": {"homs": [{"target": {"kind": "zmod", "n": 3}, "map": 5}]}}),
+    "map-nonint-dim-key": (
+        ["cover", "--topology", "raw", "--object", "{a}", "--family", "{b}"],
+        {"a": {"kind": "delta", "n": 2},
+         "b": {"maps": [dict(EDGE_MAP, assignment={
+             "x": EDGE_MAP["assignment"]["0"],
+             "1": EDGE_MAP["assignment"]["1"]})]}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_refused_with_one_error_line(case, tmp_path,
+                                                        capsys):
+    argv, files = MALFORMED[case]
+    paths = {k: write(tmp_path / (k + ".json"), v) for k, v in files.items()}
+    argv = [paths[a[1:-1]] if a in ("{a}", "{b}") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
