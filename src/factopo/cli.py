@@ -153,13 +153,25 @@ def build_smap(raw, target):
     label]; degenerate images are allowed, faces are checked on build.
     """
     D = sset.build_sset(_need(raw, "source", "map"))
+    table = _need(raw, "assignment", "map")
+    if not isinstance(table, dict) or \
+            not all(isinstance(cells, dict) for cells in table.values()):
+        raise InvalidSpec("map assignment must map dimensions to "
+                          "{cell label: image} tables")
     assignment = {}
-    for dim_key, cells in _need(raw, "assignment", "map").items():
-        n = sset.parse_dim(dim_key, "map assignment")
+    for dim_key, cells in table.items():
+        n = sset.parse_int(dim_key, "map assignment key")
         for label, value in cells.items():
             ref = _cell_ref(D, n, label)
-            sigma = tuple(int(v) for v in value[0])
-            assignment[ref] = (sigma, _cell_ref(target, max(sigma), value[1]))
+            try:
+                values, cell = value
+                sigma = tuple(int(v) for v in values)
+                m = max(sigma)
+            except (TypeError, ValueError):
+                raise InvalidSpec(
+                    "map assignment[%r][%r] is not [surjection values, "
+                    "target cell label]" % (dim_key, label)) from None
+            assignment[ref] = (sigma, _cell_ref(target, m, cell))
     return sset.SimplicialMap(D, target, assignment,
                               name=raw.get("name", ""))
 

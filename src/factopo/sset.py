@@ -70,12 +70,6 @@ def codegeneracy(n, j):
 # ---------------------------------------------------------------------------
 # the simplicial sets themselves
 
-@dataclass(frozen=True)
-class EZDecomposition:
-    surjection: tuple
-    nondeg: tuple          # (dim, index) of the nondegenerate cell
-
-
 class FinSSet:
     """A truncated simplicial set presented by nondegenerate cells.
 
@@ -171,6 +165,12 @@ class FinSSet:
     # -- validation ---------------------------------------------------------
 
     def validate(self):
+        """Check labels, stored faces and d_a d_b = d_{b-1} d_a on each cell.
+
+        Every simplex is a surjection applied to a nondegenerate cell, so
+        the face identities on the cells are the only simplicial identities
+        the stored data can break (Goerss-Jardine, I.1).
+        """
         for n, names in self.labels.items():
             if len(set(names)) != len(names):
                 raise InvalidSpec("duplicate cell labels in dimension %d" % n)
@@ -183,18 +183,16 @@ class FinSSet:
                         raise InvalidSpec(
                             "missing face %d of %s" % (i, names[j]))
                     self._check_simplex(fx, n - 1)
-        for n in range(self.dim + 1):
-            for x in self.simplices(n):
-                for alpha in self._elementary_ops(n):
-                    mid = self.act(x, alpha)
-                    k = len(alpha) - 1
-                    for beta in self._elementary_ops(k):
-                        lhs = self.act(mid, beta)
-                        rhs = self.act(x, compose_ops(alpha, beta))
-                        if lhs != rhs:
-                            raise IdentityViolation(
-                                "action not functorial at %r via %r then %r"
-                                % (x, alpha, beta))
+        for ref in self.cells():
+            n = ref[0]
+            if n < 2:
+                continue
+            faces = [self.face(self.cell_simplex(ref), i) for i in range(n + 1)]
+            for a, b in itertools.combinations(range(n + 1), 2):
+                if self.face(faces[b], a) != self.face(faces[a], b - 1):
+                    raise IdentityViolation(
+                        "d%d d%d != d%d d%d on %d-cell %s"
+                        % (a, b, b - 1, a, n, self.cell_label(ref)))
         return self
 
     def _elementary_ops(self, n):
@@ -217,27 +215,19 @@ class FinSSet:
 
     # -- decomposition -------------------------------------------------------
 
-    def eilenberg_zilber(self, x, audit=False):
+    def eilenberg_zilber(self, x):
         """The unique (surjection, nondegenerate cell) presentation of x.
 
-        With audit on, every candidate pair is pushed through the
-        degeneracy tables and exactly one must land on x.
+        Every candidate pair is pushed through the degeneracy tables and
+        exactly one must land on x.
         """
-        sigma, ref = x
-        dec = EZDecomposition(sigma, ref)
-        if audit:
-            n = len(sigma) - 1
-            hits = []
-            for m in sorted(self.labels):
-                if m > n:
-                    break
-                for s2 in surjective_ops(n, m):
-                    for j2 in range(len(self.labels[m])):
-                        if self.apply_surjection((m, j2), s2) == x:
-                            hits.append((s2, (m, j2)))
-            assert hits == [(sigma, ref)], \
-                "EZ pair not unique for %r: %r" % (x, hits)
-        return dec
+        n = len(x[0]) - 1
+        hits = [(s2, (m, j2)) for m in sorted(self.labels) if m <= n
+                for s2 in surjective_ops(n, m)
+                for j2 in range(len(self.labels[m]))
+                if self.apply_surjection((m, j2), s2) == x]
+        assert hits == [x], "EZ pair not unique for %r: %r" % (x, hits)
+        return hits[0]
 
     def __repr__(self):
         sizes = ",".join("%d:%d" % (n, len(v)) for n, v in self.labels.items())
@@ -294,6 +284,8 @@ def boundary(n, dim=None):
 
 def horn(n, k, dim=None):
     """Δ[n] minus the interior and the face opposite vertex k."""
+    if not 0 <= k <= n:
+        raise InvalidSpec("horn field 'k': %d is not in 0..%d" % (k, n))
     subs = [S for S in itertools.combinations(range(n + 1), n)
             if k in S]
     return subcomplex_of_delta(n, subs, dim=dim, name="horn%d_%d" % (n, k))
@@ -328,14 +320,18 @@ def build_sset(spec):
     """
     if isinstance(spec, dict) and "kind" in spec:
         kind = spec["kind"]
-        n = int(spec.get("n", 0))
-        dim = int(spec["dim"]) if "dim" in spec else None
+        n = parse_int(spec.get("n", 0), "sset field 'n'")
+        if n < 0:
+            raise InvalidSpec("sset field 'n': %d is negative" % n)
+        dim = parse_int(spec["dim"], "sset field 'dim'") \
+            if "dim" in spec else None
         if kind == "delta":
             return delta(n, dim=dim)
         if kind == "boundary":
             return boundary(n, dim=dim)
         if kind == "horn":
-            return horn(n, int(spec["k"]), dim=dim)
+            return horn(n, parse_int(spec.get("k"), "horn field 'k'"),
+                        dim=dim)
         raise InvalidSpec("unknown sset kind %r" % (kind,))
     try:
         dim = int(spec["dim"])
@@ -344,7 +340,7 @@ def build_sset(spec):
         raise InvalidSpec("sset needs dim and nondegenerate: %s" % exc) from exc
     if not isinstance(raw, dict):
         raise InvalidSpec("nondegenerate must map dimensions to cell lists")
-    keys = sorted(raw, key=lambda key: parse_dim(key, "nondegenerate"))
+    keys = sorted(raw, key=lambda key: parse_int(key, "nondegenerate key"))
     labels = {}
     for key in keys:
         n = int(key)
@@ -399,13 +395,12 @@ def build_sset(spec):
     return FinSSet(dim, labels, faces, name=str(spec.get("name", "sset")))
 
 
-def parse_dim(key, where):
-    """A dimension key of an input file as an int, else InvalidSpec."""
+def parse_int(value, where):
+    """An integer field or key of an input file, else InvalidSpec at where."""
     try:
-        return int(key)
-    except ValueError:
-        raise InvalidSpec("%s: dimension key %r is not an integer"
-                          % (where, key)) from None
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidSpec("%s: %r is not an integer" % (where, value)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -481,90 +476,56 @@ def classifying_map(X, x):
     return SimplicialMap(D, X, ass, name="classify-%s" % str(x))
 
 
-def all_simplicial_maps(Y, X, budget=None):
-    """Every simplicial map Y -> X, by face-constrained backtracking."""
-    budget = ensure_budget(budget)
+def _face_compatible(Y, X, candidates, budget):
+    """Every assignment of Y's cells to simplices of X that commutes with faces.
+
+    Cells are assigned in ``Y.cells()`` order, so the faces of a cell are
+    placed before it; each of ``candidates(ref, assignment)`` costs one
+    budget step.  Assignments are yielded in search order.
+    """
     cells = Y.cells()
-    out = []
     assignment = {}
 
     def extend(k):
         if k == len(cells):
-            out.append(SimplicialMap(Y, X, dict(assignment), check=False))
+            yield dict(assignment)
             return
         ref = cells[k]
-        n = ref[0]
-        for cand in X.simplices(n):
+        faces = [Y.face(Y.cell_simplex(ref), i) for i in range(ref[0] + 1)] \
+            if ref[0] > 0 else []
+        for cand in candidates(ref, assignment):
             budget.spend()
-            ok = True
-            if n > 0:
-                ys = Y.cell_simplex(ref)
-                for i in range(n + 1):
-                    fy = Y.face(ys, i)
-                    if fy[1] in assignment:
-                        rho, w = assignment[fy[1]]
-                        if (compose_ops(rho, fy[0]), w) != X.face(cand, i):
-                            ok = False
-                            break
-                    else:
-                        ok = False
-                        break
-            if ok:
+            if all((compose_ops(assignment[w][0], rho), assignment[w][1])
+                   == X.face(cand, i) for i, (rho, w) in enumerate(faces)):
                 assignment[ref] = cand
-                extend(k + 1)
+                yield from extend(k + 1)
                 del assignment[ref]
 
-    extend(0)
-    return out
+    return extend(0)
+
+
+def all_simplicial_maps(Y, X, budget=None):
+    """Every simplicial map Y -> X, by face-constrained backtracking."""
+    found = _face_compatible(Y, X, lambda ref, _ass: X.simplices(ref[0]),
+                             ensure_budget(budget))
+    return [SimplicialMap(Y, X, ass, check=False) for ass in found]
 
 
 def sset_isomorphic(X, Y, budget=None):
     """A dimension-wise bijection on cells preserving faces, or None."""
-    budget = ensure_budget(budget)
-    if sorted(X.labels) != sorted(Y.labels):
+    if sorted(X.labels) != sorted(Y.labels) or \
+            any(len(X.labels[n]) != len(Y.labels[n]) for n in X.labels):
         return None
-    for n in X.labels:
-        if len(X.labels[n]) != len(Y.labels[n]):
-            return None
-    cells = X.cells()
-    assignment = {}
-    used = set()
 
-    def extend(k):
-        if k == len(cells):
-            return True
-        ref = cells[k]
-        n = ref[0]
-        for j in range(len(Y.labels[n])):
-            if (n, j) in used:
-                continue
-            budget.spend()
-            ok = True
-            if n > 0:
-                for i in range(n + 1):
-                    fx = X.face(X.cell_simplex(ref), i)
-                    rho, w = fx
-                    if w not in assignment:
-                        ok = False
-                        break
-                    mapped = (rho, assignment[w])
-                    if Y.face(Y.cell_simplex((n, j)), i) != \
-                            (mapped[0], mapped[1]):
-                        ok = False
-                        break
-            if ok:
-                assignment[ref] = (n, j)
-                used.add((n, j))
-                if extend(k + 1):
-                    return True
-                del assignment[ref]
-                used.discard((n, j))
-        return False
+    def unused_cells(ref, assignment):
+        taken = set(assignment.values())
+        return [x for x in (Y.cell_simplex((ref[0], j))
+                            for j in range(len(Y.labels[ref[0]])))
+                if x not in taken]
 
-    if not extend(0):
-        return None
-    ass = {ref: Y.cell_simplex(assignment[ref]) for ref in cells}
-    return SimplicialMap(X, Y, ass, check=True)
+    ass = next(_face_compatible(X, Y, unused_cells, ensure_budget(budget)),
+               None)
+    return None if ass is None else SimplicialMap(X, Y, ass, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -774,56 +735,25 @@ def delta_nis_self_lift_decider(X, budget=None):
     """Whether the identity factors through a member of every cover.
 
     Because covers are closed under refinement by single cells, it is
-    enough to look for a section of one classifying map; retracts of a
-    standard simplex are again standard simplices.
+    enough to look for a section of one classifying map, inside its fibers;
+    retracts of a standard simplex are again standard simplices.
     """
     budget = ensure_budget(budget)
     for ref in reversed(X.cells()):
         gmap = classifying_map(X, X.cell_simplex(ref))
-        if _has_section(gmap, budget):
-            return True
+        fiber = {}
+        for n in range(X.dim + 1):
+            for z in gmap.source.simplices(n):
+                fiber.setdefault(gmap.apply(z), []).append(z)
+            if any(x not in fiber for x in X.simplices(n)):
+                break
+        else:
+            sections = _face_compatible(
+                X, gmap.source, lambda r, _ass: fiber[X.cell_simplex(r)],
+                budget)
+            if next(sections, None) is not None:
+                return True
     return False
-
-
-def _has_section(gmap, budget):
-    """A right inverse of gmap, found by searching inside its fibers."""
-    X = gmap.target
-    D = gmap.source
-    fibers = {}
-    for n in range(X.dim + 1):
-        fib = {}
-        for z in D.simplices(n):
-            fib.setdefault(gmap.apply(z), []).append(z)
-        if any(x not in fib for x in X.simplices(n)):
-            return False
-        fibers[n] = fib
-    cells = X.cells()
-    assignment = {}
-
-    def extend(k):
-        if k == len(cells):
-            return True
-        ref = cells[k]
-        n = ref[0]
-        xs = X.cell_simplex(ref)
-        for cand in fibers[n][xs]:
-            budget.spend()
-            ok = True
-            if n > 0:
-                for i in range(n + 1):
-                    rho, w = X.face(xs, i)
-                    sv = assignment[w]
-                    if (compose_ops(sv[0], rho), sv[1]) != D.face(cand, i):
-                        ok = False
-                        break
-            if ok:
-                assignment[ref] = cand
-                if extend(k + 1):
-                    return True
-                del assignment[ref]
-        return False
-
-    return extend(0)
 
 
 def is_standard_simplex(X, budget=None):

@@ -42,9 +42,10 @@ def suite_axioms(seed=0, budget=None):
     for system in SYSTEMS:
         report = verify_ring_system(system, rings, alt_seed=1 + seed,
                                     budget=budget)
-        fails = report.failures()
+        fails = list(report.failures().items())
         _check(checks, "axioms:%s" % system, report.ok(),
-               fails[0] if fails else None)
+               "%s: %s" % (fails[0][0], fails[0][1].counterexample)
+               if fails else None)
     return checks
 
 
@@ -113,7 +114,7 @@ def suite_ez(seed=0, budget=None):
                 budget.spend()
                 total += 1
                 try:
-                    X.eilenberg_zilber(x, audit=True)
+                    X.eilenberg_zilber(x)
                 except AssertionError as exc:
                     bad = "%s: %s" % (X.name, exc)
                     break

@@ -123,8 +123,7 @@ def test_unique_cell_presentation_and_face_lattice(corpus):
     for X in corpus:
         for n in range(X.dim + 1):
             for x in X.simplices(n):
-                decomposition = X.eilenberg_zilber(x, audit=True)
-                assert (decomposition.surjection, decomposition.nondeg) == x
+                assert X.eilenberg_zilber(x) == x
                 audited += 1
     assert audited > 900
     for n in range(5):

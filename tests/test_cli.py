@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from factopo import suites
 from factopo.cli import main
+from factopo.fincat import FAIL, AxiomResult, SystemReport
 
 
 def write(path, payload):
@@ -205,9 +207,36 @@ SMALL_CAT = {"objects": ["a"],
 EDGE_MAP = {"source": DELTA1, "assignment": {
     "0": {"0": [[0], "0"], "1": [[0], "1"]}, "1": {"01": [[0, 1], "01"]}}}
 
-# each input raised a TypeError or ValueError out of the CLI before it was
+SSET_SPECTRUM = ["spectrum", "--topology", "raw", "--object", "{a}"]
+MAP_COVER = ["cover", "--topology", "raw", "--object", "{a}", "--family",
+             "{b}"]
+
+
+def map_family(assignment):
+    return {"a": {"kind": "delta", "n": 2},
+            "b": {"maps": [dict(EDGE_MAP, assignment=assignment)]}}
+
+
+# each input escaped the CLI as a traceback, or exited 0, before it was
 # refused where it is parsed; argv words in braces name the files written
 MALFORMED = {
+    "horn-without-k": (SSET_SPECTRUM, {"a": {"kind": "horn", "n": 3}}),
+    "stock-n-word": (SSET_SPECTRUM, {"a": {"kind": "delta", "n": "x"}}),
+    "stock-n-list": (SSET_SPECTRUM, {"a": {"kind": "delta", "n": [2]}}),
+    "stock-n-negative": (SSET_SPECTRUM,
+                         {"a": {"kind": "boundary", "n": -1}}),
+    "stock-dim-word": (SSET_SPECTRUM,
+                       {"a": {"kind": "delta", "n": 2, "dim": "x"}}),
+    "horn-k-out-of-range": (SSET_SPECTRUM,
+                            {"a": {"kind": "horn", "n": 3, "k": 9}}),
+    "map-assignment-scalar": (MAP_COVER, map_family(5)),
+    "map-dimension-scalar": (MAP_COVER, map_family({"0": 5})),
+    "map-cell-scalar": (MAP_COVER, map_family({"0": {"0": 5}})),
+    "map-cell-no-label": (MAP_COVER, map_family({"0": {"0": [[0]]}})),
+    "map-cell-empty-operator": (MAP_COVER,
+                                map_family({"0": {"0": [[], "0"]}})),
+    "map-cell-word-operator": (MAP_COVER,
+                               map_family({"0": {"0": [["a"], "0"]}})),
     "sset-nonint-dim-key": (
         ["spectrum", "--topology", "raw", "--object", "{a}"],
         {"a": {"dim": 2, "nondegenerate": {"0": ["v"], "x": []}}}),
@@ -258,3 +287,15 @@ def test_malformed_input_is_refused_with_one_error_line(case, tmp_path,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_failing_axiom_is_reported(monkeypatch, capsys):
+    def one_failure(system, rings, alt_seed=1, budget=None):
+        return SystemReport({"orthogonality": AxiomResult(FAIL, "(a, b)")})
+
+    monkeypatch.setattr(suites, "verify_ring_system", one_failure)
+    code, out, _err = run(capsys, "verify", "--suite", "axioms")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    assert result["checks"][0]["counterexample"] == "orthogonality: (a, b)"

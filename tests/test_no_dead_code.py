@@ -1,9 +1,9 @@
 """Dead-code guard for ``src/factopo``, by an ``ast`` scan.
 
 Two things fail it: a name a module imports and never uses (``__future__``
-imports and the re-exports of ``__init__.py`` are exempt), and a public
-top-level function or class that no code in ``src``, ``tests`` or
-``bench`` refers to outside its own definition.
+imports and the re-exports of ``__init__.py`` are exempt), and a top-level
+function or class, ``_``-prefixed or not (dunders are exempt), that no code
+in ``src``, ``tests`` or ``bench`` refers to outside its own definition.
 """
 
 import ast
@@ -62,7 +62,8 @@ def test_every_public_definition_is_referenced():
     for path in MODULES:
         for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    not node.name.startswith("_") and \
+                    not (node.name.startswith("__") and
+                         node.name.endswith("__")) and \
                     all(p == path and n.lineno == node.lineno
                         for p, n in holders.get(node.name, ())):
                 dead.append("%s: %s" % (path.name, node.name))

@@ -82,8 +82,66 @@ def test_identity_violation_on_bad_faces():
               {"name": "e2", "faces": [[[0], "d"], [[0], "b"]]}],
         "2": [{"name": "t", "faces": [[[0, 1], "e2"], [[0, 1], "e1"],
                                       [[0, 1], "e0"]]}]}}
-    with pytest.raises(IdentityViolation):
+    with pytest.raises(IdentityViolation, match="2-cell t"):
         build_sset(spec)
+
+
+def functoriality_violation(X):
+    """The exhaustive oracle: X(beta) X(alpha) = X(alpha beta) on every simplex.
+
+    alpha and beta range over the elementary operators (cofaces, and
+    codegeneracies inside the truncation); returns the first failing
+    (x, alpha, beta), or None.
+    """
+    for n in range(X.dim + 1):
+        for x in X.simplices(n):
+            for alpha in X._elementary_ops(n):
+                mid = X.act(x, alpha)
+                for beta in X._elementary_ops(len(alpha) - 1):
+                    if X.act(mid, beta) != X.act(x, compose_ops(alpha, beta)):
+                        return x, alpha, beta
+    return None
+
+
+def identity_violation_raised(X):
+    try:
+        X.validate()
+    except IdentityViolation:
+        return True
+    return False
+
+
+def test_cell_identities_pass_where_the_oracle_does(corpus):
+    stock = [delta(n) for n in range(5)] + [boundary(n) for n in range(1, 5)] + \
+        [horn(n, k) for n in range(1, 5) for k in range(n + 1)]
+    named = {X.name: X for X in corpus + stock}
+    for X in named.values():
+        assert functoriality_violation(X) is None, X.name
+        assert not identity_violation_raised(X), X.name
+
+
+def test_cell_identities_agree_with_the_oracle_on_corrupted_faces(corpus):
+    # replace one or two stored faces by other well-formed simplices
+    def corruptible(X):
+        return [key for key in sorted(X.faces_tbl)
+                if len(X.simplices(key[0] - 1)) > 1]
+
+    # the oracle's cost grows steeply with the truncation dimension
+    pool = [X for X in corpus if X.dim <= 3 and corruptible(X)]
+    rng = random.Random(11)
+    verdicts = set()
+    for trial in range(1000):
+        X = pool[trial % len(pool)]
+        faces = dict(X.faces_tbl)
+        keys = corruptible(X)
+        for key in rng.sample(keys, rng.randint(1, min(2, len(keys)))):
+            faces[key] = rng.choice([x for x in X.simplices(key[0] - 1)
+                                     if x != faces[key]])
+        Y = FinSSet(X.dim, X.labels, faces, check=False)
+        broken = functoriality_violation(Y) is not None
+        assert identity_violation_raised(Y) == broken, (X.name, faces)
+        verdicts.add(broken)
+    assert verdicts == {False, True}
 
 
 # -- actions and the canonical pair ----------------------------------------
@@ -100,8 +158,7 @@ def test_canonical_pair_is_the_only_presentation():
     X = delta(2, dim=3)
     for n in range(X.dim + 1):
         for x in X.simplices(n):
-            dec = X.eilenberg_zilber(x, audit=True)
-            assert (dec.surjection, dec.nondeg) == x
+            assert X.eilenberg_zilber(x) == x
 
 
 def test_action_functoriality_randomized():
