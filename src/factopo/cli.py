@@ -45,6 +45,11 @@ def _build(builder, raw, path):
         raise err.__class__("%s: %s" % (path, err)) from err
 
 
+def _load_ring(path, budget):
+    return _build(lambda r: finring.build_ring(r, budget), load_json(path),
+                  path)
+
+
 def _need(raw, key, what):
     if not isinstance(raw, dict) or key not in raw:
         raise InvalidSpec("%s file needs a %r field" % (what, key))
@@ -107,9 +112,9 @@ def _hom_between(A, B, raw, what="hom"):
     raise InvalidSpec("%s file needs \"images\" or \"map\"" % what)
 
 
-def build_hom(raw):
-    A = finring.build_ring(_need(raw, "source", "hom"))
-    B = finring.build_ring(_need(raw, "target", "hom"))
+def build_hom(raw, budget=None):
+    A = finring.build_ring(_need(raw, "source", "hom"), budget)
+    B = finring.build_ring(_need(raw, "target", "hom"), budget)
     return _hom_between(A, B, raw)
 
 
@@ -120,7 +125,7 @@ def _check_declared(raw, topology):
                             % (declared, topology))
 
 
-def build_ring_family(A, raw, topology):
+def build_ring_family(A, raw, topology, budget=None):
     _check_declared(raw, topology)
     if topology == "zar":
         return [_element(A, v) for v in _need_list(raw, "elements", "family")]
@@ -134,7 +139,7 @@ def build_ring_family(A, raw, topology):
         return ideals
     homs = []
     for spec in _need_list(raw, "homs", "family"):
-        B = finring.build_ring(_need(spec, "target", "family hom"))
+        B = finring.build_ring(_need(spec, "target", "family hom"), budget)
         homs.append(_hom_between(A, B, spec, what="family hom"))
     return homs
 
@@ -222,7 +227,7 @@ def _flat_certificate(result):
 
 
 def _cmd_factorize(args, budget):
-    u = _build(build_hom, load_json(args.hom), args.hom)
+    u = _build(lambda r: build_hom(r, budget), load_json(args.hom), args.hom)
     if args.system == "triple":
         t = ringsys.triple_factorize(u, budget=budget)
         assert t.composite().mapping == u.mapping
@@ -243,7 +248,7 @@ def _cmd_factorize(args, budget):
 
 
 def _cmd_classify(args, budget):
-    A = _build(finring.build_ring, load_json(args.ring), args.ring)
+    A = _load_ring(args.ring, budget)
     return ringsys.classify_ring(A, budget=budget).as_dict(), None
 
 
@@ -252,9 +257,10 @@ def _cmd_cover(args, budget):
     if args.topology in ringsys.TOPOLOGIES:
         if not args.base:
             raise UsageError("cover over %s needs --base" % args.topology)
-        A = _build(finring.build_ring, load_json(args.base), args.base)
-        family = _build(lambda r: build_ring_family(A, r, args.topology),
-                        raw, args.family)
+        A = _load_ring(args.base, budget)
+        family = _build(
+            lambda r: build_ring_family(A, r, args.topology, budget),
+            raw, args.family)
         result = ringsys.cover_check(A, family, args.topology,
                                      field_bound=args.field_bound,
                                      budget=budget)
@@ -272,7 +278,7 @@ def _cmd_spectrum(args, budget):
     if args.topology in ringsys.TOPOLOGIES:
         if not args.base:
             raise UsageError("spectrum over %s needs --base" % args.topology)
-        A = _build(finring.build_ring, load_json(args.base), args.base)
+        A = _load_ring(args.base, budget)
         if args.lattice:
             if args.topology == "zar":
                 obj = ringspec.zar_lattice(A, budget=budget)
@@ -286,13 +292,13 @@ def _cmd_spectrum(args, budget):
         if not args.object:
             raise UsageError("spectrum over %s needs --object" % args.topology)
         X = _build(sset.build_sset, load_json(args.object), args.object)
-        obj = sset.spec_delta_nis(X) if args.topology == "delta-nis" \
-            else sset.spec_raw(X)
+        obj = sset.spec_delta_nis(X, budget) \
+            if args.topology == "delta-nis" else sset.spec_raw(X)
     else:
         if not args.space:
             raise UsageError("spectrum over lines needs --space")
         V = _build(toposx.build_vspace, load_json(args.space), args.space)
-        obj = toposx.simple_points(V)
+        obj = toposx.simple_points(V, budget)
     return obj.as_json(), obj.to_dot()
 
 

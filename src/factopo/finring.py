@@ -9,6 +9,7 @@ alongside for certificates and exports.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .budget import ensure_budget
@@ -187,9 +188,10 @@ class FinRing:
 # ---------------------------------------------------------------------------
 # constructors
 
-def zmod(n):
+def zmod(n, budget=None):
     if n < 1:
         raise InvalidSpec("zmod modulus must be >= 1")
+    ensure_budget(budget).spend(n * n)
     names = [str(i) for i in range(n)]
     add = [[(i + j) % n for j in range(n)] for i in range(n)]
     mul = [[(i * j) % n for j in range(n)] for i in range(n)]
@@ -252,13 +254,14 @@ def _poly_name(digits):
     return "+".join(terms) if terms else "0"
 
 
-def gf(p, k=1):
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
-        raise InvalidSpec("gf characteristic must be prime, got %r" % (p,))
+def gf(p, k=1, budget=None):
     if k < 1:
         raise InvalidSpec("gf degree must be >= 1")
-    modpoly = least_irreducible(p, k)
     n = p ** k
+    ensure_budget(budget).spend(n * n)
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise InvalidSpec("gf characteristic must be prime, got %r" % (p,))
+    modpoly = least_irreducible(p, k)
 
     def digits(i):
         out = []
@@ -294,9 +297,11 @@ def gf(p, k=1):
     return FinRing(names, add, mul, 0, 1, gens, name="F_%d" % n)
 
 
-def product_ring(factors):
+def product_ring(factors, budget=None):
     if not factors:
         raise InvalidSpec("empty product")
+    n = math.prod(f.size for f in factors)
+    ensure_budget(budget).spend(n * n)
     combos = list(itertools.product(*[range(f.size) for f in factors]))
     index = {c: i for i, c in enumerate(combos)}
 
@@ -363,20 +368,25 @@ def table_ring(spec):
     return ring
 
 
-def build_ring(spec):
-    """Construct a ring from a plain dict: zmod, gf, product, quotient or table."""
+def build_ring(spec, budget=None):
+    """Construct a ring from a plain dict: zmod, gf, product, quotient or table.
+
+    Constructors charge ``budget`` for their tables before allocating them.
+    """
     if not isinstance(spec, dict):
         raise InvalidSpec("ring spec must be a mapping")
     kind = spec.get("kind")
+    budget = ensure_budget(budget)
     try:
         if kind == "zmod":
-            return zmod(int(spec["n"]))
+            return zmod(int(spec["n"]), budget)
         if kind == "gf":
-            return gf(int(spec["p"]), int(spec.get("k", 1)))
+            return gf(int(spec["p"]), int(spec.get("k", 1)), budget)
         if kind == "product":
-            return product_ring([build_ring(s) for s in spec["factors"]])
+            return product_ring([build_ring(s, budget)
+                                 for s in spec["factors"]], budget)
         if kind == "quotient":
-            base = build_ring(spec["base"])
+            base = build_ring(spec["base"], budget)
             gens = [base.element_by_name(g) if isinstance(g, str) else int(g)
                     for g in spec["ideal_gens"]]
             ring, _ = quotient_ring(base, ideal_generated(base, gens))
@@ -575,55 +585,31 @@ def ideal_generated(A, gens):
     return Ideal(A, frozenset(out)).validate()
 
 
-def additive_subgroups(A, budget=None):
-    """All subgroups of the additive group, by closure-and-extend search."""
-    budget = ensure_budget(budget)
-
-    def closure(seed):
-        out = {A.zero}
-        frontier = list(seed)
-        for x in frontier:
-            out.add(x)
-        frontier = list(out)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                budget.spend()
-                y = A.neg[x]
-                if y not in out:
-                    out.add(y)
-                    nxt.append(y)
-                for z in list(out):
-                    s = A.add[x][z]
-                    if s not in out:
-                        out.add(s)
-                        nxt.append(s)
-            frontier = nxt
-        return frozenset(out)
-
-    base = closure(())
-    found = {base}
-    frontier = [base]
-    while frontier:
-        S = frontier.pop()
-        for a in A.elements():
-            if a in S:
-                continue
-            budget.spend()
-            T = closure(S | {a})
-            if T not in found:
-                found.add(T)
-                frontier.append(T)
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
 def all_ideals(A, budget=None):
-    """Every ideal, by filtering the additive subgroups for absorption."""
-    out = []
-    for S in additive_subgroups(A, budget=budget):
-        if all(A.mul[r][x] in S for x in S for r in A.elements()):
-            out.append(Ideal(A, S))
-    return out
+    """Every ideal, sorted by size and then elements.
+
+    Every ideal of a finite ring is a finite sum of principal ideals Ra, so
+    all of them grow from the zero ideal by I -> I + Ra; a sum of two
+    additive subgroups is already the set of pairwise sums.
+    """
+    budget = ensure_budget(budget)
+    # Ra is row a of the commutative multiplication table
+    principal = list(dict.fromkeys(frozenset(row) for row in A.mul))
+    zero = frozenset([A.zero])
+    found = {zero}
+    frontier = [zero]
+    while frontier:
+        I = frontier.pop()
+        for P in principal:
+            if P <= I:
+                continue
+            budget.spend(len(I) * len(P))
+            J = frozenset(A.add[i][x] for i in I for x in P)
+            if J not in found:
+                found.add(J)
+                frontier.append(J)
+    return [Ideal(A, S)
+            for S in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
 def radical(I):

@@ -8,14 +8,15 @@ spectrum amounts to at this scale, so that is what gets built and checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotAPrime
-from .finring import (FinRing, Ideal, RingHom, all_ideals, gf,
-                      ideal_generated, localization_at_element, localize,
-                      prime_ideals, prime_power, product_ring, quotient_ring,
-                      radical, ring_isomorphic, zmod)
+from .finring import (FinRing, Ideal, RingHom, all_ideals, ideal_generated,
+                      localization_at_element, localize, prime_ideals,
+                      prime_power, primitive_idempotents, quotient_ring,
+                      radical, smallest_prime_factor)
 from .posets import Poset, anti_isomorphism, poset_to_dot
 from .ringsys import (classify_ring, is_integral_map, is_localization_map,
                       points_of)
@@ -96,32 +97,61 @@ def canonical_tables(R):
 def recognize_ring(R, budget=None):
     """A familiar name for R's iso class, or a size-tagged fallback.
 
-    Tries Z/n, the small Galois fields, and binary products of those; the
-    rings arising as lattice elements and stalks here are all of that shape.
+    Tries Z/n, F_n, and binary products of those, in that order; the rings
+    arising as lattice elements and stalks here are all of that shape.  A
+    finite ring is the product of its local factors eR, one per primitive
+    idempotent e, uniquely up to isomorphism, so R matches a candidate
+    exactly when their local factors do.  A local factor is Z/m when e
+    generates it additively and F_m when it is a field; no other factor
+    occurs in a candidate.
     """
+    budget = ensure_budget(budget)
     n = R.size
     if n == 1:
         return "0"
+    types = sorted(_local_type(R, e, budget) for e in primitive_idempotents(R))
     cands = _local_candidates(n)
     for a in range(2, n):
         if n % a or a > n // a:
             continue
-        b = n // a
-        for fa in _local_candidates(a):
-            for fb in _local_candidates(b):
-                cands.append(product_ring([fa, fb]))
-    for C in cands:
-        if ring_isomorphic(R, C, budget=budget) is not None:
-            return C.name
+        for name_a, types_a in _local_candidates(a):
+            for name_b, types_b in _local_candidates(n // a):
+                cands.append(("%sx%s" % (name_a, name_b), types_a + types_b))
+    for name, cand_types in cands:
+        if sorted(cand_types) == types:
+            return name
     return "ring-of-order-%d" % n
 
 
+def _local_type(R, e, budget):
+    """("Z", |eR|) or ("F", |eR|) for the local factor eR, else ("?", |eR|)."""
+    budget.spend(R.size)
+    factor = set(R.mul[e])
+    order, x = 1, e
+    while x != R.zero:
+        x = R.add[x][e]
+        order += 1
+    if order == len(factor):
+        return ("Z", order)
+    if all(any(R.mul[x][y] == e for y in factor)
+           for x in factor if x != R.zero):
+        return ("F", len(factor))
+    return ("?", len(factor))
+
+
 def _local_candidates(n):
-    """Z/n, and F_n when n is a proper prime power."""
-    out = [zmod(n)]
+    """(name, local factor types) of Z/n, and of F_n when n is a proper
+    prime power."""
+    types, m = [], n
+    while m > 1:
+        # the full power of m's least prime that divides m
+        q = math.gcd(m, smallest_prime_factor(m) ** m)
+        types.append(("Z", q))
+        m //= q
+    out = [("Z/%d" % n, types)]
     pk = prime_power(n)
     if pk and pk[1] > 1:
-        out.append(gf(*pk))
+        out.append(("F_%d" % n, [("F", n)]))
     return out
 
 

@@ -792,8 +792,10 @@ class CellSpectrum:
             name=name)
 
 
-def spec_delta_nis(X):
-    """Cells ordered by iterated-face containment."""
+def spec_delta_nis(X, budget=None):
+    """Cells ordered by iterated-face containment; one budget step per
+    injective operator a cell pair may try."""
+    budget = ensure_budget(budget)
     refs = X.cells()
     pos = {r: i for i, r in enumerate(refs)}
     pairs = []
@@ -801,9 +803,11 @@ def spec_delta_nis(X):
         for r2 in refs:
             if r[0] > r2[0]:
                 continue
+            ops = injective_ops(r[0], r2[0])
+            budget.spend(len(ops))
             hit = any(
                 X.act(X.cell_simplex(r2), delta_vals) == X.cell_simplex(r)
-                for delta_vals in injective_ops(r[0], r2[0]))
+                for delta_vals in ops)
             if hit:
                 pairs.append((pos[r], pos[r2]))
     poset = Poset(list(range(len(refs))), pairs)

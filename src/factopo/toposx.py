@@ -297,7 +297,8 @@ class FqVecSpace:
         self.field = gf(*pk)
         self.name = name or "F%d^%d" % (q, n)
 
-    def vectors(self):
+    def vectors(self, budget=None):
+        ensure_budget(budget).spend(self.q ** self.n)
         return list(itertools.product(range(self.q), repeat=self.n))
 
     def zero_vector(self):
@@ -455,11 +456,11 @@ def line_count(q, n):
     return (q ** n - 1) // (q - 1)
 
 
-def lines(V):
+def lines(V, budget=None):
     """Canonical representatives: first nonzero coordinate scaled to one."""
     field = V.field
     reps = []
-    for v in V.vectors():
+    for v in V.vectors(budget):
         piv = next((i for i, c in enumerate(v) if c != field.zero), None)
         if piv is None:
             continue
@@ -499,9 +500,9 @@ class LineSpectrum:
                             name=name)
 
 
-def simple_points(V):
+def simple_points(V, budget=None):
     labels = ["0"]
-    for v in lines(V):
+    for v in lines(V, budget):
         labels.append("[" + ",".join(V.field.names[c] for c in v) + "]")
     pairs = [(0, i) for i in range(1, len(labels))]
     poset = Poset(list(range(len(labels))), pairs)

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from factopo.catalogs import (category_catalogue, gset_catalogue, ring_catalogue,
                               sset_corpus, vspace_catalogue)
+from factopo.finring import FinRing
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +30,28 @@ def gsets():
 @pytest.fixture(scope="session")
 def vspaces():
     return vspace_catalogue()
+
+
+def square_zero_ring(p, k):
+    """F_p[x_1..x_k]/(x_1..x_k)^2: local, neither Z/n nor a field, and its
+    maximal ideal is not principal once k >= 2."""
+    elems = list(itertools.product(range(p), repeat=k + 1))
+    index = {e: i for i, e in enumerate(elems)}
+    add = [[index[tuple((u + v) % p for u, v in zip(a, b))] for b in elems]
+           for a in elems]
+    mul = [[index[(a[0] * b[0] % p,) +
+                  tuple((a[0] * v + b[0] * u) % p
+                        for u, v in zip(a[1:], b[1:]))]
+            for b in elems] for a in elems]
+    names = ["".join(map(str, e)) for e in elems]
+    one = index[(1,) + (0,) * k]
+    gens = [index[(0,) + tuple(int(i == j) for j in range(k))]
+            for i in range(k)]
+    return FinRing(names, add, mul, 0, one, gens,
+                   name="F_%d[x_1..x_%d]/(x)^2" % (p, k))
+
+
+@pytest.fixture(scope="session")
+def square_zero():
+    return {(p, k): square_zero_ring(p, k)
+            for p, k in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3))}

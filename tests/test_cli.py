@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -278,15 +279,42 @@ MALFORMED = {
 }
 
 
+def run_files(capsys, tmp_path, argv, files):
+    paths = {k: write(tmp_path / (k + ".json"), v) for k, v in files.items()}
+    return run(capsys, *[paths[a[1:-1]] if a in ("{a}", "{b}") else a
+                         for a in argv])
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_is_refused_with_one_error_line(case, tmp_path,
                                                         capsys):
-    argv, files = MALFORMED[case]
-    paths = {k: write(tmp_path / (k + ".json"), v) for k, v in files.items()}
-    argv = [paths[a[1:-1]] if a in ("{a}", "{b}") else a for a in argv]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run_files(capsys, tmp_path, *MALFORMED[case])
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# the budget covers table allocation and vector enumeration, so each of
+# these stops before allocating what it cannot afford
+OVER_BUDGET = {
+    "zmod-100000": (["classify", "--ring", "{a}", "--budget", "1000"],
+                    {"a": {"kind": "zmod", "n": 100000}}),
+    "lines-2^40": (["spectrum", "--topology", "lines", "--space", "{a}",
+                    "--budget", "100"], {"a": {"q": 2, "n": 40}}),
+    "z8-budget-10": (["classify", "--ring", "{a}", "--budget", "10"],
+                     {"a": {"kind": "zmod", "n": 8}}),
+    "delta7-delta-nis": (["spectrum", "--topology", "delta-nis", "--object",
+                          "{a}", "--budget", "1"],
+                         {"a": {"kind": "delta", "n": 7}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_BUDGET))
+def test_over_budget_input_is_refused_at_once(case, tmp_path, capsys):
+    started = time.perf_counter()
+    code, out, err = run_files(capsys, tmp_path, *OVER_BUDGET[case])
+    assert time.perf_counter() - started < 2
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "budget" in err
 
 
 def test_failing_axiom_is_reported(monkeypatch, capsys):

@@ -108,6 +108,44 @@ def test_ideals_and_primes():
     assert sorted(p.label() for p in brute) == sorted(p.label() for p in primes)
 
 
+def ideals_by_subgroup_filter(A):
+    """Oracle: every additive subgroup, kept when it absorbs multiplication.
+
+    Subgroups grow from {0} by adding cyclic subgroups, since every subgroup
+    of a finite group is a sum of cyclic ones.
+    """
+    cyclic = []
+    for a in A.elements():
+        c, x = {A.zero}, a
+        while x not in c:
+            c.add(x)
+            x = A.add[x][a]
+        cyclic.append(frozenset(c))
+    zero = frozenset([A.zero])
+    found, todo = {zero}, [zero]
+    while todo:
+        S = todo.pop()
+        for C in cyclic:
+            if C <= S:
+                continue
+            T = frozenset(A.add[s][c] for s in S for c in C)
+            if T not in found:
+                found.add(T)
+                todo.append(T)
+    return [S for S in sorted(found, key=lambda s: (len(s), sorted(s)))
+            if all(A.mul[r][x] in S for x in S for r in A.elements())]
+
+
+def test_all_ideals_match_the_subgroup_filter(rings, square_zero):
+    extra = [gf(2, 6), product_ring([zmod(2)] * 5),
+             product_ring([zmod(4)] * 3), zmod(60), zmod(64),
+             product_ring([zmod(2), zmod(32)]), product_ring([zmod(2)] * 4),
+             product_ring([zmod(2), square_zero[2, 2]])]
+    for A in list(rings) + list(square_zero.values()) + extra:
+        assert [I.elements for I in all_ideals(A)] == \
+            ideals_by_subgroup_filter(A), A.name
+
+
 def test_prime_bruteforce_agreement(rings):
     for A in rings:
         fast = sorted(p.label() for p in prime_ideals(A))

@@ -1,4 +1,10 @@
-from factopo.finring import gf, prime_ideals, product_ring, ring_isomorphic, zmod
+import itertools
+import math
+
+from factopo.budget import Budget
+from factopo.finring import (FinRing, all_ideals, gf, localization_at_element,
+                             prime_ideals, prime_power, product_ring,
+                             quotient_ring, ring_isomorphic, zmod)
 from factopo.ringspec import (canonical_tables, check_duality, dom_lattice,
                               recognize_ring, spec_points, stalk, zar_lattice)
 
@@ -23,6 +29,63 @@ def test_recognize_ring_names():
     assert recognize_ring(zmod(9)) == "Z/9"
     assert recognize_ring(gf(2, 2)) == "F_4"
     assert recognize_ring(product_ring([zmod(2), zmod(3)])) == "Z/6"
+
+
+def subring(R, gens):
+    out = {R.zero, R.one, *gens}
+    while True:
+        grown = {t[x][y] for t in (R.add, R.mul)
+                 for x in out for y in out} - out
+        if not grown:
+            return out
+        out |= grown
+
+
+def recognize_bruteforce(R):
+    """Oracle: the first of Z/n, F_n and their binary products that
+    ring_isomorphic matches, searching homs out of a greedy generator set."""
+    n = R.size
+    if n == 1:
+        return "0"
+    gens, reached = [], subring(R, [])
+    for x in R.elements():
+        if x not in reached:
+            gens.append(x)
+            reached = subring(R, gens)
+    R = FinRing(R.names, R.add, R.mul, R.zero, R.one, gens, check=False)
+
+    def local(m):
+        pk = prime_power(m)
+        return [zmod(m)] + ([gf(*pk)] if pk and pk[1] > 1 else [])
+
+    cands = local(n)
+    for a in range(2, n):
+        if n % a == 0 and a <= n // a:
+            cands += [product_ring([fa, fb])
+                      for fa in local(a) for fb in local(n // a)]
+    for C in cands:
+        if ring_isomorphic(R, C, budget=Budget(10 ** 10)) is not None:
+            return C.name
+    return "ring-of-order-%d" % n
+
+
+def test_recognize_ring_matches_the_isomorphism_search(square_zero):
+    factors = [zmod(n) for n in range(2, 17)] + \
+        [gf(2, 2), gf(2, 3), gf(3, 2), gf(2, 4), square_zero[2, 1],
+         square_zero[3, 1]]
+    rings = []
+    for k in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(factors, k):
+            if math.prod(f.size for f in combo) <= 16:
+                rings.append(combo[0] if k == 1 else product_ring(list(combo)))
+    for A in (zmod(36), zmod(60), product_ring([zmod(4), zmod(4)])):
+        rings += [quotient_ring(A, I)[0] for I in all_ideals(A)]
+        rings += [localization_at_element(A, a)[0] for a in A.elements()]
+    # quotients and localizations repeat; one ring per set of tables
+    distinct = {(R.add, R.mul, R.one): R for R in rings}
+    assert len(distinct) > 50
+    for R in distinct.values():
+        assert recognize_ring(R) == recognize_bruteforce(R), R.name
 
 
 def test_zar_lattice_z12():
