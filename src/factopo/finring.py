@@ -17,8 +17,7 @@ from .errors import InvalidSpec, NotARing
 
 
 class FinRing:
-    def __init__(self, names, add, mul, zero, one, generators=(), name="",
-                 check=True):
+    def __init__(self, names, add, mul, zero, one, generators=(), name=""):
         self.names = tuple(str(s) for s in names)
         self.size = len(self.names)
         self.add = tuple(tuple(row) for row in add)
@@ -28,9 +27,8 @@ class FinRing:
         self.generators = tuple(generators)
         self.name = name or "ring%d" % self.size
         self._cache = {}
-        if check:
-            self.validate_axioms()
-        self.neg = tuple(self._find_neg(a) for a in range(self.size))
+        self.validate_axioms()
+        self.neg = tuple(row.index(zero) for row in self.add)
 
     # -- table plumbing ----------------------------------------------------
     def elements(self):
@@ -51,54 +49,93 @@ class FinRing:
             acc = self.mul[acc][x]
         return acc
 
-    def _find_neg(self, x):
-        for y in range(self.size):
-            if self.add[x][y] == self.zero:
-                return y
-        raise NotARing("element %s has no additive inverse" % self.names[x])
-
     def is_zero_ring(self):
         return self.size == 1
 
     def validate_axioms(self):
+        """Refuse tables that are not a commutative unital ring, naming a
+        counterexample; O(n^2 log n).
+
+        Associativity and distributivity are checked on S only: zero plus a
+        greedy generating set of (R, +), so |S| <= log2(n) + 1.
+        """
         n = self.size
         if n == 0:
             raise NotARing("empty carrier")
-        for table, label in ((self.add, "add"), (self.mul, "mul")):
+        A, M, names = self.add, self.mul, self.names
+        for table, label in ((A, "add"), (M, "mul")):
             if len(table) != n or any(len(row) != n for row in table):
                 raise NotARing("%s table is not %dx%d" % (label, n, n))
             for row in table:
-                for v in row:
-                    if not (0 <= v < n):
-                        raise NotARing("%s table entry %r out of range" % (label, v))
-        if not (0 <= self.zero < n) or not (0 <= self.one < n):
+                if min(row) < 0 or max(row) >= n:
+                    v = next(v for v in row if not 0 <= v < n)
+                    raise NotARing("%s table entry %r out of range" % (label, v))
+        zero, one = self.zero, self.one
+        if not (0 <= zero < n) or not (0 <= one < n):
             raise NotARing("zero or one out of range")
+        At, Mt = tuple(zip(*A)), tuple(zip(*M))
         for x in range(n):
-            if self.add[x][self.zero] != x:
-                raise NotARing("zero is not additively neutral at %s" % self.names[x])
-            if self.mul[x][self.one] != x:
-                raise NotARing("one is not multiplicatively neutral at %s" % self.names[x])
-            if not any(self.add[x][y] == self.zero for y in range(n)):
-                raise NotARing("no additive inverse for %s" % self.names[x])
+            if A[x][zero] != x:
+                raise NotARing("zero is not additively neutral at %s" % names[x])
+            if M[x][one] != x:
+                raise NotARing("one is not multiplicatively neutral at %s" % names[x])
+            if zero not in A[x]:
+                raise NotARing("no additive inverse for %s" % names[x])
+            if A[x] == At[x] and M[x] == Mt[x]:
+                continue
             for y in range(n):
-                if self.add[x][y] != self.add[y][x]:
+                if A[x][y] != A[y][x]:
                     raise NotARing("addition not commutative at (%s, %s)"
-                                   % (self.names[x], self.names[y]))
-                if self.mul[x][y] != self.mul[y][x]:
+                                   % (names[x], names[y]))
+                if M[x][y] != M[y][x]:
                     raise NotARing("multiplication not commutative at (%s, %s)"
-                                   % (self.names[x], self.names[y]))
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if self.add[self.add[x][y]][z] != self.add[x][self.add[y][z]]:
-                        raise NotARing("addition not associative at (%s, %s, %s)"
-                                       % (self.names[x], self.names[y], self.names[z]))
-                    if self.mul[self.mul[x][y]][z] != self.mul[x][self.mul[y][z]]:
-                        raise NotARing("multiplication not associative at (%s, %s, %s)"
-                                       % (self.names[x], self.names[y], self.names[z]))
-                    if self.mul[x][self.add[y][z]] != self.add[self.mul[x][y]][self.mul[x][z]]:
-                        raise NotARing("distributivity fails at (%s, %s, %s)"
-                                       % (self.names[x], self.names[y], self.names[z]))
+                                   % (names[x], names[y]))
+
+        def first_miss(lhs, rhs):
+            return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+
+        # Light's test: the a with (x+a)+y = x+(a+y) for all x, y form a
+        # submagma, which holds everything reachable from zero by adding
+        # members of S; zero passes as it is neutral.  Testing each member
+        # as it joins keeps |S| within its bound on any table.
+        S, reached = [zero], {zero}
+        for a in range(n):
+            if a in reached:
+                continue
+            Aa = A[a]
+            for x in range(n):
+                Ax = A[x]
+                rhs = tuple(map(Ax.__getitem__, Aa))
+                if A[Ax[a]] != rhs:
+                    raise NotARing("addition not associative at (%s, %s, %s)"
+                                   % (names[x], names[a],
+                                      names[first_miss(A[Ax[a]], rhs)]))
+            S.append(a)
+            todo = list(reached)
+            while todo:
+                r = A[todo.pop()]
+                for s in S:
+                    if r[s] not in reached:
+                        reached.add(r[s])
+                        todo.append(r[s])
+        # the s with x(s+z) = xs + xz for all x, z are closed under + once
+        # + is associative, so S covers R
+        for s in S:
+            As = A[s]
+            for x in range(n):
+                Mx = M[x]
+                lhs = tuple(map(Mx.__getitem__, As))
+                rhs = tuple(map(A[Mx[s]].__getitem__, Mx))
+                if lhs != rhs:
+                    raise NotARing("distributivity fails at (%s, %s, %s)"
+                                   % (names[x], names[s],
+                                      names[first_miss(lhs, rhs)]))
+        # a commutative biadditive product is associative when it is so on
+        # additive generators, since (xy)z - x(yz) is additive in each place
+        for x, y, z in itertools.product(S, repeat=3):
+            if M[M[x][y]][z] != M[x][M[y][z]]:
+                raise NotARing("multiplication not associative at (%s, %s, %s)"
+                               % (names[x], names[y], names[z]))
         for g in self.generators:
             if not (0 <= g < n):
                 raise NotARing("generator %r out of range" % (g,))
@@ -262,37 +299,27 @@ def gf(p, k=1, budget=None):
     if p < 2 or any(p % d == 0 for d in range(2, p)):
         raise InvalidSpec("gf characteristic must be prime, got %r" % (p,))
     modpoly = least_irreducible(p, k)
-
-    def digits(i):
-        out = []
-        for _ in range(k):
-            out.append(i % p)
-            i //= p
-        return tuple(out)
-
-    def undigits(ds):
-        v = 0
-        for c in reversed(ds):
-            v = v * p + c
-        return v
-
-    def padd(a, b):
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def pmul(a, b):
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        _, rem = _poly_divmod(tuple(prod), modpoly, p)
-        rem = rem + (0,) * (k - len(rem))
-        return rem[:k]
-
-    elems = [digits(i) for i in range(n)]
-    add = [[undigits(padd(a, b)) for b in elems] for a in elems]
-    mul = [[undigits(pmul(a, b)) for b in elems] for a in elems]
-    names = [_poly_name(d) for d in elems]
+    # element b = b0 + p*r stands for the polynomial b0 + x*r, so both
+    # tables follow by Horner's rule from rows of smaller elements
+    top = n // p
+    add = [list(range(n))]
+    for a in range(1, n):
+        lo = [(a % p + c) % p for c in range(p)]
+        add.append([c + p * h for h in add[a // p][:top] for c in lo])
+    scal = [[0] * n]
+    for c in range(1, p):
+        scal.append([add[v][a] for a, v in enumerate(scal[-1])])
+    # x^k reduced by the modulus, then x*c by one shift and one reduction
+    xk = sum((-m) % p * p ** i for i, m in enumerate(modpoly[:k]))
+    xmul = [add[p * (c % top)][scal[c // top][xk]] for c in range(n)]
+    mul = []
+    for a in range(n):
+        sa = [scal[c][a] for c in range(p)]
+        row = [0]
+        for b in range(1, n):
+            row.append(add[sa[b % p]][xmul[row[b // p]]])
+        mul.append(row)
+    names = [_poly_name([i // p ** j % p for j in range(k)]) for i in range(n)]
     gens = (p,) if k > 1 else ()
     return FinRing(names, add, mul, 0, 1, gens, name="F_%d" % n)
 
@@ -324,19 +351,18 @@ def product_ring(factors, budget=None):
             slot = tuple(g if j == i else h.zero for j, h in enumerate(factors))
             gens.append(index[slot])
     gens = tuple(dict.fromkeys(gens))
-    # factors are already valid rings, so the componentwise tables are too;
-    # skipping the n^3 recheck keeps large products affordable
     return FinRing(names, add, mul, zero, one, gens,
-                   name="x".join(f.name for f in factors), check=False)
+                   name="x".join(f.name for f in factors))
 
 
-def table_ring(spec):
+def table_ring(spec, budget=None):
     try:
         names = [str(s) for s in spec["elements"]]
         addrows = spec["add"]
         mulrows = spec["mul"]
     except (KeyError, TypeError) as exc:
         raise InvalidSpec("table ring needs elements/add/mul: %s" % exc) from exc
+    ensure_budget(budget).spend(len(names) ** 2)
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise InvalidSpec("duplicate element names")
@@ -392,7 +418,7 @@ def build_ring(spec, budget=None):
             ring, _ = quotient_ring(base, ideal_generated(base, gens))
             return ring
         if kind == "table":
-            return table_ring(spec)
+            return table_ring(spec, budget)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec("%s ring spec is malformed: %s" % (kind, exc)) from exc
     raise InvalidSpec("unknown ring kind %r" % (kind,))

@@ -305,6 +305,13 @@ OVER_BUDGET = {
     "delta7-delta-nis": (["spectrum", "--topology", "delta-nis", "--object",
                           "{a}", "--budget", "1"],
                          {"a": {"kind": "delta", "n": 7}}),
+    "table-z150-budget-1": (["classify", "--ring", "{a}", "--budget", "1"],
+                            {"a": {"kind": "table", "elements": list(range(150)),
+                                   "one": 1,
+                                   "add": [[(i + j) % 150 for j in range(150)]
+                                           for i in range(150)],
+                                   "mul": [[i * j % 150 for j in range(150)]
+                                           for i in range(150)]}}),
 }
 
 

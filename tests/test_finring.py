@@ -1,9 +1,14 @@
+import itertools
+import random
+import re
+
 import pytest
 
 from factopo.errors import InvalidSpec, NotARing
-from factopo.finring import (FinRing, RingHom, all_ideals, build_ring,
-                             enumerate_homs, gf, hom_from_images, ideal_generated,
-                             prime_ideals, prime_ideals_bruteforce, product_ring,
+from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
+                             build_ring, enumerate_homs, gf, hom_from_images,
+                             ideal_generated, least_irreducible, prime_ideals,
+                             prime_ideals_bruteforce, prime_power, product_ring,
                              quotient_ring, ring_isomorphic, smallest_prime_factor,
                              table_ring, zmod)
 
@@ -50,6 +55,173 @@ def test_table_ring_broken_distributivity():
     with pytest.raises(NotARing) as err:
         build_ring(spec)
     assert "distribut" in str(err.value)
+
+
+def test_table_ring_broken_additive_associativity():
+    # Z/5 with 1+2 bent to 4: still commutative, with zero neutral and every
+    # element invertible
+    add = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    add[1][2] = add[2][1] = 4
+    spec = {"kind": "table", "elements": list(range(5)), "zero": 0, "one": 1,
+            "add": add, "mul": [[i * j % 5 for j in range(5)] for i in range(5)]}
+    with pytest.raises(NotARing) as err:
+        build_ring(spec)
+    assert "addition not associative" in str(err.value)
+    assert witness_breaks(str(err.value), add, spec["mul"], [str(i) for i in range(5)])
+
+
+def test_nonassociative_algebra_is_refused():
+    # the F_2-algebra on 1, x, y with x^2 = y, xy = 1, y^2 = 0 is commutative
+    # and distributive, but (xx)y = 0 while x(xy) = x
+    basis = {(0, 0): (1, 0, 0), (0, 1): (0, 1, 0), (0, 2): (0, 0, 1),
+             (1, 1): (0, 0, 1), (1, 2): (1, 0, 0), (2, 2): (0, 0, 0)}
+    elems = list(itertools.product(range(2), repeat=3))
+
+    def times(u, v):
+        out = [0, 0, 0]
+        for i, j in itertools.product(range(3), repeat=2):
+            if u[i] and v[j]:
+                out = [(o + t) % 2 for o, t in zip(out, basis[min(i, j), max(i, j)])]
+        return elems.index(tuple(out))
+
+    add = [[elems.index(tuple((a + b) % 2 for a, b in zip(u, v))) for v in elems]
+           for u in elems]
+    mul = [[times(u, v) for v in elems] for u in elems]
+    names = ["".join(map(str, e)) for e in elems]
+    with pytest.raises(NotARing) as err:
+        FinRing(names, add, mul, 0, elems.index((1, 0, 0)))
+    assert "multiplication not associative" in str(err.value)
+    assert witness_breaks(str(err.value), add, mul, names)
+
+
+def axiom_violation_by_full_scan(names, add, mul, zero, one):
+    """Oracle: the first ring axiom the tables break, by the n^3 scan over
+    every triple, or None for a commutative unital ring."""
+    n = len(names)
+    for x in range(n):
+        if add[x][zero] != x:
+            return "zero is not additively neutral at %s" % names[x]
+        if mul[x][one] != x:
+            return "one is not multiplicatively neutral at %s" % names[x]
+        if zero not in add[x]:
+            return "no additive inverse for %s" % names[x]
+        for y in range(n):
+            if add[x][y] != add[y][x]:
+                return "addition not commutative at (%s, %s)" % (names[x], names[y])
+            if mul[x][y] != mul[y][x]:
+                return "multiplication not commutative at (%s, %s)" % (names[x], names[y])
+    for x, y, z in itertools.product(range(n), repeat=3):
+        at = " at (%s, %s, %s)" % (names[x], names[y], names[z])
+        if add[add[x][y]][z] != add[x][add[y][z]]:
+            return "addition not associative" + at
+        if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+            return "multiplication not associative" + at
+        if mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]:
+            return "distributivity fails" + at
+    return None
+
+
+def witness_breaks(message, add, mul, names):
+    """Whether the elements a refusal names really break its axiom."""
+    if re.match(r"zero is not|one is not|no additive inverse", message):
+        return True  # the oracle words these alike, checked by the caller
+    claim, _, at = message.partition(" at (")
+    w = [names.index(nm) for nm in at[:-1].split(", ")]
+    if claim == "addition not commutative":
+        x, y = w
+        return add[x][y] != add[y][x]
+    if claim == "multiplication not commutative":
+        x, y = w
+        return mul[x][y] != mul[y][x]
+    x, y, z = w
+    if claim == "addition not associative":
+        return add[add[x][y]][z] != add[x][add[y][z]]
+    if claim == "multiplication not associative":
+        return mul[mul[x][y]][z] != mul[x][mul[y][z]]
+    assert claim == "distributivity fails", message
+    return mul[x][add[y][z]] != add[mul[x][y]][mul[x][z]]
+
+
+def verdict(names, add, mul, zero, one):
+    try:
+        FinRing(names, add, mul, zero, one)
+    except NotARing as exc:
+        return str(exc)
+    return None
+
+
+def small_rings(square_zero):
+    """Rings of order at most 12: local, fields, products, and not Z/n."""
+    out = [zmod(n) for n in range(1, 13)] + [gf(2, 2), gf(2, 3), gf(3, 2)]
+    out += [product_ring([zmod(a), zmod(b)])
+            for a, b in ((2, 2), (2, 3), (2, 4), (2, 6), (3, 3), (3, 4))]
+    out += [product_ring([zmod(2)] * 3), product_ring([zmod(2), gf(2, 2)])]
+    return out + [R for R in square_zero.values() if R.size <= 12]
+
+
+def test_axiom_check_matches_the_full_scan(square_zero):
+    # the benchmark's ring ladder, orders 8 to 64
+    ladder = [zmod(n) for n in (8, 12, 16, 30, 36, 60, 64)] + \
+        [gf(2, k) for k in (3, 4, 5, 6)] + \
+        [product_ring(fs) for fs in ([zmod(2)] * 3, [zmod(2), gf(2, 2)],
+                                     [zmod(2)] * 4, [zmod(4)] * 2,
+                                     [zmod(2), zmod(8)], [zmod(2), zmod(32)],
+                                     [zmod(4)] * 3)]
+    for R in ladder:
+        assert axiom_violation_by_full_scan(
+            R.names, R.add, R.mul, R.zero, R.one) is None, R.name
+    rng = random.Random(5)
+    rings = small_rings(square_zero)
+    seen = {"refused": 0, "accepted": 0}
+    for _ in range(1200):
+        R = rng.choice(rings)
+        # relabel at random, so zero and the generators sit anywhere
+        perm = rng.sample(range(R.size), R.size)
+        names = [None] * R.size
+        tables = {"add": [[None] * R.size for _ in names],
+                  "mul": [[None] * R.size for _ in names]}
+        for x, y in itertools.product(R.elements(), repeat=2):
+            names[perm[x]] = R.names[x]
+            tables["add"][perm[x]][perm[y]] = perm[R.add[x][y]]
+            tables["mul"][perm[x]][perm[y]] = perm[R.mul[x][y]]
+        for _cell in range(rng.choice((1, 2))):
+            t = tables[rng.choice(("add", "mul"))]
+            x, y = rng.randrange(R.size), rng.randrange(R.size)
+            t[x][y] = t[y][x] = rng.randrange(R.size)
+        args = (names, tables["add"], tables["mul"], perm[R.zero], perm[R.one])
+        new, old = verdict(*args), axiom_violation_by_full_scan(*args)
+        assert (new is None) == (old is None), (R.name, tables, new, old)
+        if new is not None:
+            assert witness_breaks(new, tables["add"], tables["mul"], names), new
+            if re.match(r"zero is not|one is not|no additive inverse", new):
+                assert new == old
+        seen["refused" if new else "accepted"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_gf_tables_match_polynomial_arithmetic():
+    for q in range(2, 65):
+        pk = prime_power(q)
+        if pk is None:
+            continue
+        p, k = pk
+        modpoly = least_irreducible(p, k)
+        elems = [tuple(i // p ** j % p for j in range(k)) for i in range(q)]
+
+        def index(poly):
+            return sum(c * p ** j for j, c in enumerate(poly))
+
+        def times(a, b):
+            prod = [0] * (2 * k - 1)
+            for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+            return index(_poly_divmod(tuple(prod), modpoly, p)[1])
+
+        F = gf(p, k)
+        assert F.add == tuple(tuple(index((x + y) % p for x, y in zip(a, b))
+                                    for b in elems) for a in elems), q
+        assert F.mul == tuple(tuple(times(a, b) for b in elems)
+                              for a in elems), q
 
 
 def test_build_ring_kinds():

@@ -52,7 +52,7 @@ def recognize_bruteforce(R):
         if x not in reached:
             gens.append(x)
             reached = subring(R, gens)
-    R = FinRing(R.names, R.add, R.mul, R.zero, R.one, gens, check=False)
+    R = FinRing(R.names, R.add, R.mul, R.zero, R.one, gens)
 
     def local(m):
         pk = prime_power(m)
