@@ -297,7 +297,8 @@ def _cmd_spectrum(args, budget):
     else:
         if not args.space:
             raise UsageError("spectrum over lines needs --space")
-        V = _build(toposx.build_vspace, load_json(args.space), args.space)
+        V = _build(lambda r: toposx.build_vspace(r, budget),
+                   load_json(args.space), args.space)
         obj = toposx.simple_points(V, budget)
     return obj.as_json(), obj.to_dot()
 

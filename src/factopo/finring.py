@@ -119,8 +119,9 @@ class FinRing:
                         reached.add(r[s])
                         todo.append(r[s])
         # the s with x(s+z) = xs + xz for all x, z are closed under + once
-        # + is associative, so S covers R
-        for s in S:
+        # + is associative, so S covers R; zero needs no row, as any other
+        # member's row at z = zero gives xs = xs + x0, so x0 = 0
+        for s in S[1:]:
             As = A[s]
             for x in range(n):
                 Mx = M[x]
@@ -802,20 +803,23 @@ def factors_through_surjection(h, q):
     return RingHom(Q, B, tuple(mapping))
 
 
-def field_catalogue(bound=16):
+def field_catalogue(bound=16, budget=None):
     """All finite fields of order <= bound, smallest first."""
+    budget = ensure_budget(budget)
     out = []
     for q in range(2, bound + 1):
-        pk = prime_power(q)
+        pk = prime_power(q, budget)
         if pk:
-            out.append(gf(*pk))
+            out.append(gf(*pk, budget=budget))
     return out
 
 
-def prime_power(n):
-    """(p, k) with n == p**k and k >= 1, or None."""
+def prime_power(n, budget=None):
+    """(p, k) with n == p**k and k >= 1, or None; the up to n steps of
+    trial division are charged first."""
     if n < 2:
         return None
+    ensure_budget(budget).spend(n)
     p = smallest_prime_factor(n)
     k = 0
     while n % p == 0:

@@ -166,7 +166,8 @@ def poset_to_dot(P, label=str, name="poset"):
     lines = ["digraph %s {" % name, "  rankdir=BT;"]
     idx = {x: i for i, x in enumerate(P.elements)}
     for x in P.elements:
-        lines.append('  n%d [label="%s"];' % (idx[x], label(x)))
+        text = str(label(x)).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append('  n%d [label="%s"];' % (idx[x], text))
     for x, y in P.hasse_edges():
         lines.append("  n%d -> n%d;" % (idx[x], idx[y]))
     lines.append("}")

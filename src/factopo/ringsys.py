@@ -394,7 +394,7 @@ def cover_check(A, family, topology, field_bound=16, budget=None):
         if topology == "fin":
             return CoverResult("fin", True, {"fiber_member": assignment})
         factoring = {}
-        for K in field_catalogue(field_bound):
+        for K in field_catalogue(field_bound, budget):
             for h in enumerate_homs(A, K, budget=budget):
                 routed = None
                 for i, u in enumerate(homs):
@@ -419,12 +419,9 @@ def cover_check(A, family, topology, field_bound=16, budget=None):
 # ---------------------------------------------------------------------------
 # points
 
-def points_of(A, system="loc-cons"):
-    """The points of A for the given system or topology tag: one per prime
-    ideal, carried by its residue hom.  Every tag yields the same set; the
-    cross-tag agreement is what the point tests assert."""
-    if system not in SYSTEMS and system not in TOPOLOGIES:
-        raise InvalidSpec("unknown system %r" % (system,))
+def points_of(A):
+    """The points of A: one per prime ideal, carried by its residue hom.
+    Every system and topology has these same points."""
     out = []
     for p in prime_ideals(A):
         residue_field, res = quotient_ring(A, p)

@@ -1,11 +1,11 @@
 """Truncated simplicial sets with the collapse/nondegenerate system.
 
 Every simplex is stored as its Eilenberg-Zilber pair: a monotone surjection
-applied to a nondegenerate cell.  Face and degeneracy actions are computed
-from that representation plus the stored faces of nondegenerate cells, so
-the decomposition is canonical by construction and the interesting
-uniqueness checks happen where they are genuine: in the quotients built by
-the factorization algorithm.
+applied to a nondegenerate cell (Gabriel-Zisman, II).  Face and degeneracy
+actions are computed from that representation plus the stored faces of
+nondegenerate cells, so the pair is unique by construction; the ``ez``
+suite checks that the action rebuilds every pair.  Pairs are searched for,
+and checked unique, only in the quotients built by the factorization.
 """
 
 from __future__ import annotations
@@ -110,6 +110,11 @@ class FinSSet:
     def cell_simplex(self, ref):
         return (identity_op(ref[0]), ref)
 
+    def cell_faces(self, ref):
+        """The stored faces d_0 .. d_n of a nondegenerate n-cell."""
+        n, j = ref
+        return [self.faces_tbl[(n, j, i)] for i in range(n + 1)] if n else []
+
     def simplices(self, n):
         """Every n-simplex, nondegenerate or not, in a fixed order."""
         out = []
@@ -187,7 +192,7 @@ class FinSSet:
             n = ref[0]
             if n < 2:
                 continue
-            faces = [self.face(self.cell_simplex(ref), i) for i in range(n + 1)]
+            faces = self.cell_faces(ref)
             for a, b in itertools.combinations(range(n + 1), 2):
                 if self.face(faces[b], a) != self.face(faces[a], b - 1):
                     raise IdentityViolation(
@@ -216,18 +221,14 @@ class FinSSet:
     # -- decomposition -------------------------------------------------------
 
     def eilenberg_zilber(self, x):
-        """The unique (surjection, nondegenerate cell) presentation of x.
-
-        Every candidate pair is pushed through the degeneracy tables and
-        exactly one must land on x.
-        """
-        n = len(x[0]) - 1
-        hits = [(s2, (m, j2)) for m in sorted(self.labels) if m <= n
-                for s2 in surjective_ops(n, m)
-                for j2 in range(len(self.labels[m]))
-                if self.apply_surjection((m, j2), s2) == x]
-        assert hits == [x], "EZ pair not unique for %r: %r" % (x, hits)
-        return hits[0]
+        """The unique (surjection, nondegenerate cell) presentation of x,
+        which is how x is stored; asserts that the degeneracies rebuild x.
+        Run on every n-simplex, as the ``ez`` suite does, this makes pair ->
+        simplex the identity, which is where uniqueness is established."""
+        sigma, ref = x
+        hit = self.apply_surjection(ref, sigma)
+        assert hit == x, "EZ pair of %r rebuilds %r" % (x, hit)
+        return x
 
     def __repr__(self):
         sizes = ",".join("%d:%d" % (n, len(v)) for n, v in self.labels.items())
@@ -431,8 +432,8 @@ class SimplicialMap:
             self.target._check_simplex(img, n)
             if n == 0:
                 continue
-            for i in range(n + 1):
-                lhs = self.apply(self.source.face(self.source.cell_simplex(ref), i))
+            for i, fx in enumerate(self.source.cell_faces(ref)):
+                lhs = self.apply(fx)
                 rhs = self.target.face(img, i)
                 if lhs != rhs:
                     raise NotSimplicial(
@@ -491,8 +492,7 @@ def _face_compatible(Y, X, candidates, budget):
             yield dict(assignment)
             return
         ref = cells[k]
-        faces = [Y.face(Y.cell_simplex(ref), i) for i in range(ref[0] + 1)] \
-            if ref[0] > 0 else []
+        faces = Y.cell_faces(ref)
         for cand in candidates(ref, assignment):
             budget.spend()
             if all((compose_ops(assignment[w][0], rho), assignment[w][1])
@@ -616,32 +616,34 @@ def _quotient(M, pairs, budget=None):
     for a, b in pairs:
         union(a, b)
 
-    # the congruence must commute with every elementary operator
+    # group simplices by class; the congruence must commute with every
+    # elementary operator
+    classes, members = {}, {}
     for n in range(M.dim + 1):
+        row = {}
         for x in M.simplices(n):
             budget.spend()
             for alpha in M._elementary_ops(n):
                 assert find(M.act(x, alpha)) == find(M.act(find(x), alpha)), \
                     "congruence not stable under the simplicial action"
+            row.setdefault(find(x), []).append(x)
+        members.update(row)
+        classes[n] = sorted(row)
 
-    classes = {n: sorted({find(x) for x in M.simplices(n)})
-               for n in range(M.dim + 1)}
-
-    # degeneracy images of classes decide which classes stay nondegenerate
-    deg_hits = {n: set() for n in range(M.dim + 1)}
-    for n in range(M.dim):
-        for c in classes[n]:
-            for j in range(n + 1):
-                deg_hits[n + 1].add(find(M.degeneracy(c, j)))
+    # the class of each degeneracy of each class: the classes it hits are
+    # the degenerate ones, and it presents them below
+    deg = {(c, j): find(M.degeneracy(c, j))
+           for n in range(M.dim) for c in classes[n] for j in range(n + 1)}
+    deg_hits = set(deg.values())
 
     labels = {}
     ref_of_class = {}
     for n in range(M.dim + 1):
-        nd = [c for c in classes[n] if c not in deg_hits[n]]
         row = []
-        for c in nd:
-            members = [x for x in M.simplices(n) if find(x) == c]
-            named = sorted(M.cell_label(x[1]) for x in members
+        for c in classes[n]:
+            if c in deg_hits:
+                continue
+            named = sorted(M.cell_label(x[1]) for x in members[c]
                            if M.is_nondeg_simplex(x))
             assert named, "nondegenerate class with no nondegenerate member"
             ref_of_class[c] = (n, len(row))
@@ -650,33 +652,25 @@ def _quotient(M, pairs, budget=None):
             labels[n] = row
 
     # express every class as surjection . nondegenerate-class, uniquely
-    simplex_of_class = {}
-    for n in range(M.dim + 1):
-        for c in classes[n]:
-            if c in ref_of_class:
-                simplex_of_class[c] = (identity_op(n), ref_of_class[c])
-    for n in range(1, M.dim + 1):
-        for c in classes[n]:
-            if c in ref_of_class:
-                continue
-            results = set()
-            for j in range(n):
-                for c2 in classes[n - 1]:
-                    if find(M.degeneracy(c2, j)) == c:
-                        rho, w = simplex_of_class[c2]
-                        results.add((compose_ops(rho, codegeneracy(n - 1, j)), w))
-            assert len(results) == 1, \
-                "EZ presentation of a collapsed class is not unique: %r" % (results,)
-            simplex_of_class[c] = results.pop()
+    simplex_of_class = {c: (identity_op(r[0]), r)
+                        for c, r in ref_of_class.items()}
+    for n in range(M.dim):
+        results = {}
+        for c2 in classes[n]:
+            rho, w = simplex_of_class[c2]
+            for j in range(n + 1):
+                c = deg[(c2, j)]
+                if c not in ref_of_class:
+                    results.setdefault(c, set()).add(
+                        (compose_ops(rho, codegeneracy(n, j)), w))
+        for c, found in results.items():
+            assert len(found) == 1, \
+                "EZ presentation of a collapsed class is not unique: %r" % (found,)
+            simplex_of_class[c] = found.pop()
 
-    faces = {}
-    for n, row in labels.items():
-        if n == 0:
-            continue
-        for jj in range(len(row)):
-            c = next(k for k, v in ref_of_class.items() if v == (n, jj))
-            for i in range(n + 1):
-                faces[(n, jj, i)] = simplex_of_class[find(M.face(c, i))]
+    faces = {(n, jj, i): simplex_of_class[find(M.face(c, i))]
+             for c, (n, jj) in ref_of_class.items() if n
+             for i in range(n + 1)}
     M2 = FinSSet(M.dim, labels, faces, name=M.name + "/~", check=True)
 
     proj_ass = {}
@@ -793,23 +787,14 @@ class CellSpectrum:
 
 
 def spec_delta_nis(X, budget=None):
-    """Cells ordered by iterated-face containment; one budget step per
-    injective operator a cell pair may try."""
+    """Cells ordered by iterated-face containment, one budget step per
+    stored face: the closure of "the cell w of each stored face lies below
+    its cell", as a face s*(w) reaches w through a section of s."""
     budget = ensure_budget(budget)
     refs = X.cells()
     pos = {r: i for i, r in enumerate(refs)}
-    pairs = []
-    for r in refs:
-        for r2 in refs:
-            if r[0] > r2[0]:
-                continue
-            ops = injective_ops(r[0], r2[0])
-            budget.spend(len(ops))
-            hit = any(
-                X.act(X.cell_simplex(r2), delta_vals) == X.cell_simplex(r)
-                for delta_vals in ops)
-            if hit:
-                pairs.append((pos[r], pos[r2]))
+    pairs = [(pos[w], pos[r2]) for r2 in refs for _s, w in X.cell_faces(r2)]
+    budget.spend(len(pairs))
     poset = Poset(list(range(len(refs))), pairs)
     return CellSpectrum(X, "delta-nis", refs, poset)
 

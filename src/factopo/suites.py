@@ -60,7 +60,7 @@ def suite_ring_oracles(seed=0, budget=None):
         _check(checks, "primes-vs-bruteforce:%s" % A.name, ok,
                None if ok else "%d vs %d" % (len(primes), len(brute)))
         for t in ("zar", "dom", "fin"):
-            pts = points_of(A, t)
+            pts = points_of(A)
             _check(checks, "points-equal-primes:%s:%s" % (A.name, t),
                    len(pts) == len(primes),
                    "%d points, %d primes" % (len(pts), len(primes)))

@@ -286,19 +286,22 @@ def gset_point_cover_check(X, family, budget=None):
 class FqVecSpace:
     """F_q^n with vectors as index tuples over the field's element order."""
 
-    def __init__(self, q, n, name=""):
-        pk = prime_power(q)
+    def __init__(self, q, n, name="", budget=None):
+        budget = ensure_budget(budget)
+        pk = prime_power(q, budget)
         if pk is None:
             raise InvalidSpec("%r is not a prime power" % (q,))
         if n < 0:
             raise InvalidSpec("negative dimension")
         self.q = q
         self.n = n
-        self.field = gf(*pk)
+        self.field = gf(*pk, budget=budget)
         self.name = name or "F%d^%d" % (q, n)
 
     def vectors(self, budget=None):
-        ensure_budget(budget).spend(self.q ** self.n)
+        budget = ensure_budget(budget)
+        # q^e is over budget once 2^e > limit, so a huge n costs nothing
+        budget.spend(self.q ** min(self.n, budget.limit.bit_length()))
         return list(itertools.product(range(self.q), repeat=self.n))
 
     def zero_vector(self):
@@ -319,10 +322,10 @@ class FqVecSpace:
         return "FqVecSpace(%s)" % self.name
 
 
-def build_vspace(spec):
+def build_vspace(spec, budget=None):
     try:
         return FqVecSpace(int(spec["q"]), int(spec["n"]),
-                          name=str(spec.get("name", "")))
+                          name=str(spec.get("name", "")), budget=budget)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec("vector space needs q and n: %s" % exc) from exc
 

@@ -293,13 +293,30 @@ def test_malformed_input_is_refused_with_one_error_line(case, tmp_path,
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-# the budget covers table allocation and vector enumeration, so each of
-# these stops before allocating what it cannot afford
+# the budget covers table allocation, factoring a field order and vector
+# enumeration, so each of these stops before doing what it cannot afford
+NFIN_Z12 = {"a": {"kind": "zmod", "n": 12},
+            "b": {"homs": [{"images": {}, "target": {"kind": "zmod", "n": 4}},
+                           {"images": {}, "target": {"kind": "zmod", "n": 3}}]}}
 OVER_BUDGET = {
     "zmod-100000": (["classify", "--ring", "{a}", "--budget", "1000"],
                     {"a": {"kind": "zmod", "n": 100000}}),
     "lines-2^40": (["spectrum", "--topology", "lines", "--space", "{a}",
                     "--budget", "100"], {"a": {"q": 2, "n": 40}}),
+    "lines-2^1000000000": (["spectrum", "--topology", "lines", "--space",
+                            "{a}", "--budget", "100"],
+                           {"a": {"q": 2, "n": 1000000000}}),
+    "lines-q-2^61-1": (["spectrum", "--topology", "lines", "--space", "{a}",
+                        "--budget", "100"],
+                       {"a": {"q": 2305843009213693951, "n": 1}}),
+    "lines-q-1000003": (["spectrum", "--topology", "lines", "--space", "{a}",
+                         "--budget", "100"], {"a": {"q": 1000003, "n": 1}}),
+    "nfin-field-bound-1000": (["cover", "--topology", "nfin", "--base", "{a}",
+                               "--family", "{b}", "--field-bound", "1000",
+                               "--budget", "1000"], NFIN_Z12),
+    "nfin-field-bound-3000": (["cover", "--topology", "nfin", "--base", "{a}",
+                               "--family", "{b}", "--field-bound", "3000",
+                               "--budget", "1000"], NFIN_Z12),
     "z8-budget-10": (["classify", "--ring", "{a}", "--budget", "10"],
                      {"a": {"kind": "zmod", "n": 8}}),
     "delta7-delta-nis": (["spectrum", "--topology", "delta-nis", "--object",
@@ -321,7 +338,10 @@ def test_over_budget_input_is_refused_at_once(case, tmp_path, capsys):
     code, out, err = run_files(capsys, tmp_path, *OVER_BUDGET[case])
     assert time.perf_counter() - started < 2
     assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and "budget" in err
+    argv = OVER_BUDGET[case][0]
+    limit = argv[argv.index("--budget") + 1]
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "budget of %s steps exceeded" % limit in err
 
 
 def test_failing_axiom_is_reported(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from factopo.budget import Budget
 from factopo.errors import (IdentityViolation, InvalidSpec, NotSimplicial,
                             TruncationTooLow)
 from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps, boundary,
@@ -12,6 +13,7 @@ from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps, boundary,
                           is_nondegenerate_map, is_standard_simplex,
                           monotone_ops, spec_delta_nis, spec_raw, sset_cover_check,
                           sset_isomorphic, subcomplex_of_delta, surjective_ops)
+from factopo.suites import _ez_map_pool
 
 
 # -- operator algebra ------------------------------------------------------
@@ -161,6 +163,48 @@ def test_canonical_pair_is_the_only_presentation():
             assert X.eilenberg_zilber(x) == x
 
 
+def ez_hits_by_candidate_scan(X, x):
+    """The oracle: every (surjection, cell) pair the degeneracies send to x."""
+    n = len(x[0]) - 1
+    return [(s2, (m, j2)) for m in sorted(X.labels) if m <= n
+            for s2 in surjective_ops(n, m)
+            for j2 in range(len(X.labels[m]))
+            if X.apply_surjection((m, j2), s2) == x]
+
+
+def ez_verdicts(X, n):
+    """Whether the candidate scan and ``eilenberg_zilber`` each accept every
+    n-simplex of X."""
+    xs = X.simplices(n)
+    scan = all(ez_hits_by_candidate_scan(X, x) == [x] for x in xs)
+    try:
+        for x in xs:
+            X.eilenberg_zilber(x)
+    except AssertionError:
+        return scan, False
+    return scan, True
+
+
+class WrongDegeneracy(FinSSet):
+    """s_1 answers with s_0, so nondegenerate edges are mis-degenerated."""
+
+    def degeneracy(self, x, j):
+        return super().degeneracy(x, 0 if j == 1 else j)
+
+
+def test_ez_audit_matches_the_candidate_scan(corpus):
+    refused = 0
+    for X in corpus:
+        bent = WrongDegeneracy(X.dim, X.labels, X.faces_tbl, name=X.name)
+        for n in range(X.dim + 1):
+            assert ez_verdicts(X, n) == (True, True), (X.name, n)
+            scan, audit = ez_verdicts(bent, n)
+            assert scan == audit, (X.name, n)
+            refused += not audit
+    # every set with an edge is refused in dimension 2 at least
+    assert refused >= sum(1 in X.labels for X in corpus)
+
+
 def test_action_functoriality_randomized():
     rng = random.Random(5)
     X = boundary(3)
@@ -268,6 +312,25 @@ def test_factorization_of_identity_is_trivial():
     assert sset_isomorphic(fac.middle, boundary(2)) is not None
 
 
+def test_collapse_middles_are_the_expected_simplices():
+    # a map out of Delta[m] picks a simplex sigma*(w) with w nondegenerate;
+    # its middle is Delta[dim w], where dim w = max sigma
+    maps = [classifying_map(f.source, f.source.cell_simplex(ref)).then(f)
+            for f in _ez_map_pool(Budget()) for ref in f.source.cells()]
+    for m in range(3):
+        for k in range(3):
+            X = delta(k, dim=max(k, m) + 1)
+            top = X.cell_simplex((k, 0))
+            maps.extend(classifying_map(X, X.act(top, alpha))
+                        for alpha in monotone_ops(m, k))
+    for f in maps:
+        top = f.source.cell_simplex((f.source.top_dim, 0))
+        fac = deg_ndeg_factorize(f)
+        r = max(f.apply(top)[0])
+        assert sset_isomorphic(fac.middle, delta(r, dim=fac.middle.dim)) \
+            is not None, f
+
+
 def test_collapse_to_point():
     X = delta(1)
     f = SimplicialMap(X, delta(0, dim=2), {
@@ -320,6 +383,30 @@ def test_self_lift_matches_standard_simplex(corpus):
 
 
 # -- spectra ---------------------------------------------------------------
+
+def order_by_operator_scan(X):
+    """The oracle: cell r lies below r2 when some injective operator takes
+    r2 to r; the relation is already reflexive and transitive."""
+    refs = X.cells()
+    return [(i, i2) for i, r in enumerate(refs) for i2, r2 in enumerate(refs)
+            if r[0] <= r2[0] and any(
+                X.act(X.cell_simplex(r2), inj) == X.cell_simplex(r)
+                for inj in injective_ops(r[0], r2[0]))]
+
+
+def test_spec_order_matches_the_operator_scan(corpus):
+    stock = [delta(n) for n in range(7)] + [boundary(n) for n in range(1, 7)] + \
+        [horn(n, k) for n in range(1, 6) for k in range(n + 1)]
+    for X in corpus + stock:
+        assert spec_delta_nis(X).poset.order_pairs() == \
+            order_by_operator_scan(X), X.name
+
+
+def test_spec_delta_nis_charges_one_step_per_stored_face():
+    budget = Budget()
+    spec_delta_nis(delta(7), budget)
+    assert budget.used == len(delta(7).faces_tbl) == 1016
+
 
 def test_spec_delta_nis_sizes():
     assert [spec_delta_nis(delta(n)).size for n in range(4)] == [1, 3, 7, 15]
