@@ -10,8 +10,8 @@ from .fincat import (FinCat, chain_category, monoid_category, poset_category,
 from .finring import gf, product_ring, zmod
 from .sset import (boundary, build_sset, delta, disjoint_union, horn,
                    subcomplex_of_delta)
-from .toposx import (FinGSet, FqVecSpace, cyclic_group, disjoint_union_gset,
-                     regular_gset, symmetric_3, trivial_gset)
+from .toposx import (FinGSet, cyclic_group, disjoint_union_gset, regular_gset,
+                     symmetric_3, trivial_gset)
 
 
 def ring_catalogue():
@@ -21,19 +21,6 @@ def ring_catalogue():
         zmod(8), zmod(9), zmod(12), gf(2, 3), gf(3, 2),
         product_ring([zmod(2), zmod(2)]), product_ring([zmod(2), zmod(4)]),
     ]
-
-
-def fat_field_catalogue(bound=16):
-    """Catalogue members where every element is nilpotent or invertible."""
-    out = []
-    for R in ring_catalogue():
-        if R.is_zero_ring() or R.size > bound:
-            continue
-        units = set(R.units())
-        nilp = set(R.nilpotents())
-        if all(x in units or x in nilp for x in R.elements()):
-            out.append(R)
-    return out
 
 
 def _ei_two_object_category():
@@ -115,7 +102,3 @@ def gset_catalogue():
         rot3, disjoint_union_gset(rot3, trivial_gset(z3, 1)),
         regular_gset(symmetric_3()),
     ]
-
-
-def vspace_catalogue():
-    return [FqVecSpace(q, n) for q in (2, 3, 4) for n in range(5)]

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import InvalidFamily, InvalidSpec
-from .fincat import (FinCat, Functor, _key, all_functors, concrete_category,
-                     identity_functor, terminal_category)
-from .ringsys import CoverResult
+from .fincat import (CoverResult, FinCat, Functor, _key, all_functors,
+                     concrete_category, identity_functor, terminal_category)
 
 
 @dataclass
@@ -57,7 +56,7 @@ def comma(F, d, side):
     cat = FinCat(objects, morphisms, identities, compose,
                  name="%s%s%s" % (d, "/" if side == "d/F" else "\\", F.name))
     proj = Functor(cat, C, {o: o[0] for o in objects},
-                   {m: m[2] for m in morphisms}, name="proj", check=True)
+                   {m: m[2] for m in morphisms}, name="proj")
     return CommaCategory(F, d, side, cat, proj)
 
 
@@ -127,20 +126,6 @@ def _lifts_uniquely(F, end):
     return True
 
 
-def has_terminal_object(C):
-    return any(all(len(C.hom(x, t)) == 1 for x in C.objects)
-               for t in C.objects)
-
-
-def raw_local_status(C):
-    """'local' when a terminal object certifies it; otherwise 'unknown'.
-
-    Only the sufficient direction is decided; no claim is made about
-    categories without a terminal object.
-    """
-    return "local" if has_terminal_object(C) else "unknown"
-
-
 def slice_factorize(C, c, side="right"):
     """Route the object inclusion through its slice or coslice.
 
@@ -165,7 +150,7 @@ def slice_factorize(C, c, side="right"):
     T = terminal_category()
     first = Functor(T, cat, {0: apex},
                     {("le", 0, 0): cat.identities[apex]},
-                    name="pick-%s" % str(c), check=True)
+                    name="pick-%s" % str(c))
     return first, K, K.projection
 
 
@@ -237,7 +222,7 @@ def comprehensive_factorize(F, side="right", budget=None):
     cat = FinCat(objects, morphisms, identities, compose,
                  name="el(%s)" % F.name)
     proj = Functor(cat, D, {o: o[0] for o in objects},
-                   {m: m[2] for m in morphisms}, name="proj", check=True)
+                   {m: m[2] for m in morphisms}, name="proj")
     elem = ElementsCategory(D, side, values, action, cat, proj)
     first_obj = {}
     first_mor = {}
@@ -247,7 +232,7 @@ def comprehensive_factorize(F, side="right", budget=None):
     for h, (c, c2) in C.morphisms.items():
         first_mor[h] = (first_obj[c], first_obj[c2], F.on_mor(h))
     first = Functor(C, cat, first_obj, first_mor,
-                    name="unit-%s" % F.name, check=True)
+                    name="unit-%s" % F.name)
     assert _lifts_uniquely(proj, "tgt" if side == "right" else "src")
     composite = first.then(proj)
     assert composite.obj_map == F.obj_map
@@ -279,7 +264,7 @@ def all_slices_cover(C):
     return [slice_factorize(C, c, "right")[2] for c in C.objects]
 
 
-def cat_universe(cats, budget=None, name="cats"):
+def cat_universe(cats, budget=None):
     """Tabulate finitely many categories with all functors between them.
 
     Objects are named by each category's name (required unique); the
@@ -296,4 +281,4 @@ def cat_universe(cats, budget=None, name="cats"):
         hom_fn=lambda A, B: all_functors(A, B, budget=budget),
         compose_fn=lambda g, f: f.then(g),
         identity_fn=identity_functor,
-        name=name, budget=budget)
+        name="cats", budget=budget)

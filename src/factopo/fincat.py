@@ -477,6 +477,17 @@ class SystemReport:
         return {k: r for k, r in self.axioms.items() if r.status == FAIL}
 
 
+@dataclass
+class CoverResult:
+    topology: str
+    covers: bool
+    certificate: object = None
+
+    def as_dict(self):
+        return {"topology": self.topology, "covers": self.covers,
+                "certificate": self.certificate}
+
+
 def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
     """Check the factorisation-system axioms over every morphism of the universe.
 
@@ -646,74 +657,3 @@ def all_functors(C, D, budget=None):
         F.validate()
     return out
 
-
-def fincat_isomorphic(C, D, budget=None):
-    """An invertible functor C -> D, or None."""
-    budget = ensure_budget(budget)
-    if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
-        return None
-
-    def degree(cat, x):
-        ins = sum(len(cat.hom(y, x)) for y in cat.objects)
-        outs = sum(len(cat.hom(x, y)) for y in cat.objects)
-        return (ins, outs, len(cat.hom(x, x)))
-
-    cobj = sorted(C.objects, key=_key)
-    result = []
-
-    def extend_objects(i, obj_map, used):
-        if result:
-            return
-        if i == len(cobj):
-            match_morphisms(obj_map)
-            return
-        x = cobj[i]
-        for y in D.objects:
-            if y in used or degree(C, x) != degree(D, y):
-                continue
-            budget.spend()
-            obj_map[x] = y
-            used.add(y)
-            extend_objects(i + 1, obj_map, used)
-            del obj_map[x]
-            used.discard(y)
-
-    def match_morphisms(obj_map):
-        mor_ids = [m for m in C.morphism_ids() if not C.is_identity(m)]
-        mor_map = {C.identities[x]: D.identities[obj_map[x]] for x in C.objects}
-        used = set(mor_map.values())
-
-        def assign(i):
-            if result:
-                return
-            if i == len(mor_ids):
-                F = Functor(C, D, dict(obj_map), dict(mor_map), check=False)
-                try:
-                    F.validate()
-                except NotACategory:
-                    return
-                result.append(F)
-                return
-            m = mor_ids[i]
-            s, t = C.morphisms[m]
-            for cand in D.hom(obj_map[s], obj_map[t]):
-                if cand in used:
-                    continue
-                budget.spend()
-                mor_map[m] = cand
-                used.add(cand)
-                ok = True
-                for (g, f), h in C.compose_table.items():
-                    if g in mor_map and f in mor_map and h in mor_map:
-                        if D.compose(mor_map[g], mor_map[f]) != mor_map[h]:
-                            ok = False
-                            break
-                if ok:
-                    assign(i + 1)
-                used.discard(cand)
-                del mor_map[m]
-
-        assign(0)
-
-    extend_objects(0, {}, set())
-    return result[0] if result else None

@@ -43,12 +43,6 @@ class FinRing:
     def sub(self, x, y):
         return self.add[x][self.neg[y]]
 
-    def power(self, x, k):
-        acc = self.one
-        for _ in range(k):
-            acc = self.mul[acc][x]
-        return acc
-
     def is_zero_ring(self):
         return self.size == 1
 
@@ -297,7 +291,7 @@ def gf(p, k=1, budget=None):
         raise InvalidSpec("gf degree must be >= 1")
     n = p ** k
     ensure_budget(budget).spend(n * n)
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if p < 2 or smallest_prime_factor(p) != p:
         raise InvalidSpec("gf characteristic must be prime, got %r" % (p,))
     modpoly = least_irreducible(p, k)
     # element b = b0 + p*r stands for the polynomial b0 + x*r, so both
@@ -540,16 +534,6 @@ def enumerate_homs(A, B, budget=None):
             out.append(hom)
     uniq = {h.mapping: h for h in out}
     return [uniq[m] for m in sorted(uniq)]
-
-
-def ring_isomorphic(A, B, budget=None):
-    """A bijective hom A -> B, or None."""
-    if A.size != B.size:
-        return None
-    for h in enumerate_homs(A, B, budget=budget):
-        if h.is_bijective():
-            return h
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -815,11 +799,11 @@ def field_catalogue(bound=16, budget=None):
 
 
 def prime_power(n, budget=None):
-    """(p, k) with n == p**k and k >= 1, or None; the up to n steps of
-    trial division are charged first."""
+    """(p, k) with n == p**k and k >= 1, or None; the up to isqrt(n)
+    steps of trial division are charged first."""
     if n < 2:
         return None
-    ensure_budget(budget).spend(n)
+    ensure_budget(budget).spend(math.isqrt(n))
     p = smallest_prime_factor(n)
     k = 0
     while n % p == 0:
@@ -829,7 +813,10 @@ def prime_power(n, budget=None):
 
 
 def smallest_prime_factor(n):
-    for d in range(2, n + 1):
+    """The least prime dividing n >= 2, by trial division up to isqrt(n)."""
+    if n < 2:
+        raise InvalidSpec("no prime factor of %r" % (n,))
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return d
-    raise InvalidSpec("no prime factor of %r" % (n,))
+    return n

@@ -21,78 +21,6 @@ from .posets import Poset, anti_isomorphism, poset_to_dot
 from .ringsys import (classify_ring, is_integral_map, is_localization_map,
                       points_of)
 
-def canonical_tables(R):
-    """Least relabeled (add, mul) tables over generation-ordered carriers.
-
-    A labeling starts 0 -> 0, 1 -> 1, closes deterministically under both
-    operations, and branches only where closure stalls and a fresh
-    generator must be picked.  Isomorphic rings reach identical labeling
-    sets, so the minimum is an iso-class key; the key itself is the table
-    pair read in growth order (the border of each leading block), which is
-    what lets closed prefixes be compared early.
-    """
-    n = R.size
-    if n == 1:
-        return ((0,), (0,))
-    best = None
-
-    def close(order, pos):
-        while True:
-            grown = False
-            k = len(order)
-            for i in range(len(order)):
-                for j in range(len(order)):
-                    for t in (R.add, R.mul):
-                        v = t[order[i]][order[j]]
-                        if v not in pos:
-                            pos[v] = len(order)
-                            order.append(v)
-                            grown = True
-            if not grown and len(order) == k:
-                return
-
-    def border_key(order, pos):
-        out = []
-        for k in range(len(order)):
-            for t in (R.add, R.mul):
-                for j in range(k):
-                    out.append(pos[t[order[k]][order[j]]])
-                for i in range(k + 1):
-                    out.append(pos[t[order[i]][order[k]]])
-        return tuple(out)
-
-    def rec(order, pos):
-        nonlocal best
-        close(order, pos)
-        key = border_key(order, pos)
-        if best is not None and key > best[:len(key)]:
-            return
-        if len(order) == n:
-            if best is None or key < best:
-                best = key
-            return
-        for e in R.elements():
-            if e not in pos:
-                rec(list(order) + [e], {**pos, e: len(order)})
-
-    if R.zero == R.one:
-        raise InvalidSpec("zero ring handled above")
-    rec([R.zero, R.one], {R.zero: 0, R.one: 1})
-
-    # unfold the border layout back into plain row-major tables
-    add = [[None] * n for _ in range(n)]
-    mul = [[None] * n for _ in range(n)]
-    it = iter(best)
-    for k in range(n):
-        for t in (add, mul):
-            for j in range(k):
-                t[k][j] = next(it)
-            for i in range(k + 1):
-                t[i][k] = next(it)
-    flat_add = tuple(v for row in add for v in row)
-    flat_mul = tuple(v for row in mul for v in row)
-    return (flat_add, flat_mul)
-
 
 def recognize_ring(R, budget=None):
     """A familiar name for R's iso class, or a size-tagged fallback.

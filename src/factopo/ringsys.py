@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .budget import ensure_budget
 from .errors import InvalidFamily, InvalidSpec
+from .fincat import CoverResult, concrete_category
 from .finring import (FinRing, Ideal, RingHom, annihilator_kernel,
                       enumerate_homs, factors_through_surjection,
                       field_catalogue, identity_hom, ideal_generated, localize,
@@ -299,17 +300,6 @@ def classify_ring(A, budget=None):
 # ---------------------------------------------------------------------------
 # covering families
 
-@dataclass
-class CoverResult:
-    topology: str
-    covers: bool
-    certificate: object = None
-
-    def as_dict(self):
-        return {"topology": self.topology, "covers": self.covers,
-                "certificate": self.certificate}
-
-
 def zar_combination_certificate(A, elems):
     """Coefficients with sum(c_i * a_i) == 1, or None; first hit under an
     ascending scan so the certificate is reproducible."""
@@ -469,14 +459,13 @@ def dom_self_lift_decider(A, budget=None):
 # ---------------------------------------------------------------------------
 # axiom verification over an explicit universe
 
-def ring_universe(rings, budget=None, name="rings"):
+def ring_universe(rings, budget=None):
     """Hom-complete category on the given rings; arrows carry RingHom payloads.
 
     Names double as object keys, so they must be unique.  The ring list also
     needs to be closed under quotients up to isomorphism or the factorizer
     adapters will have nowhere to land their middles.
     """
-    from .fincat import concrete_category
     names = [R.name for R in rings]
     if len(set(names)) != len(names):
         raise InvalidSpec("universe rings must carry distinct names")
@@ -484,7 +473,7 @@ def ring_universe(rings, budget=None, name="rings"):
         rings, lambda R: R.name,
         lambda x, y: enumerate_homs(x, y, budget=budget),
         lambda g, f: f.then(g),
-        identity_hom, name=name, budget=budget)
+        identity_hom, name="rings", budget=budget)
     cat.rings = {R.name: R for R in rings}
     return cat
 

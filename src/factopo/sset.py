@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .budget import ensure_budget
 from .errors import (IdentityViolation, InvalidFamily, InvalidSpec,
                      NotSimplicial, TruncationTooLow)
+from .fincat import CoverResult
 from .posets import Poset, poset_to_dot
-from .ringsys import CoverResult
 
 
 # ---------------------------------------------------------------------------
@@ -31,10 +31,6 @@ def monotone_ops(k, n):
 
 def surjective_ops(k, n):
     return [v for v in monotone_ops(k, n) if len(set(v)) == n + 1]
-
-
-def injective_ops(k, n):
-    return [tuple(v) for v in itertools.combinations(range(n + 1), k + 1)]
 
 
 def identity_op(n):
@@ -525,7 +521,7 @@ def sset_isomorphic(X, Y, budget=None):
 
     ass = next(_face_compatible(X, Y, unused_cells, ensure_budget(budget)),
                None)
-    return None if ass is None else SimplicialMap(X, Y, ass, check=True)
+    return None if ass is None else SimplicialMap(X, Y, ass)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +578,7 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
             images = {g.apply(M.cell_simplex(r)) for r in carriers}
             assert len(images) == 1, "collapse identified cells with distinct images"
             g2ass[ref2] = images.pop()
-        g = SimplicialMap(M2, f.target, g2ass, check=True)
+        g = SimplicialMap(M2, f.target, g2ass)
         left = left.then(proj)
         M = M2
     assert is_nondegenerate_map(g)
@@ -671,12 +667,12 @@ def _quotient(M, pairs, budget=None):
     faces = {(n, jj, i): simplex_of_class[find(M.face(c, i))]
              for c, (n, jj) in ref_of_class.items() if n
              for i in range(n + 1)}
-    M2 = FinSSet(M.dim, labels, faces, name=M.name + "/~", check=True)
+    M2 = FinSSet(M.dim, labels, faces, name=M.name + "/~")
 
     proj_ass = {}
     for ref in M.cells():
         proj_ass[ref] = simplex_of_class[find(M.cell_simplex(ref))]
-    proj = SimplicialMap(M, M2, proj_ass, check=True)
+    proj = SimplicialMap(M, M2, proj_ass)
 
     for n in range(M.dim + 1):
         assert len(M2.simplices(n)) == len(classes[n]), \
@@ -718,11 +714,6 @@ def sset_cover_check(X, family, mode, budget=None):
                 lifted += 1
         return CoverResult("delta-nis", True, {"simplices_lifted": lifted})
     raise InvalidSpec("unknown sset cover mode %r" % (mode,))
-
-
-def finest_cell_cover(X):
-    """One classifying map per nondegenerate cell; always a delta-nis cover."""
-    return [classifying_map(X, X.cell_simplex(ref)) for ref in X.cells()]
 
 
 def delta_nis_self_lift_decider(X, budget=None):

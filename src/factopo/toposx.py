@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotEquivariant, NotLinear
+from .fincat import CoverResult
 from .finring import gf, prime_power
 from .posets import Poset, poset_to_dot
-from .ringsys import CoverResult
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +22,7 @@ from .ringsys import CoverResult
 class FinGroup:
     """A finite group by its multiplication table of element indices."""
 
-    def __init__(self, elements, table, name="G", check=True):
+    def __init__(self, elements, table, name="G"):
         self.names = tuple(str(s) for s in elements)
         self.size = len(self.names)
         self.table = tuple(tuple(row) for row in table)
@@ -33,8 +33,7 @@ class FinGroup:
                    for x in range(self.size)):
                 self.unit = e
                 break
-        if check:
-            self.validate()
+        self.validate()
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -79,14 +78,13 @@ def symmetric_3():
 class FinGSet:
     """A finite set with a right action, given as a carrier x group table."""
 
-    def __init__(self, group, carrier, action, name="X", check=True):
+    def __init__(self, group, carrier, action, name="X"):
         self.group = group
         self.carrier = tuple(str(s) for s in carrier)
         self.size = len(self.carrier)
         self.action = tuple(tuple(row) for row in action)
         self.name = name
-        if check:
-            self.validate()
+        self.validate()
 
     def act(self, x, g):
         return self.action[x][g]
@@ -155,13 +153,12 @@ def build_gset(spec):
 
 
 class EquivariantMap:
-    def __init__(self, source, target, mapping, name="", check=True):
+    def __init__(self, source, target, mapping, name=""):
         self.source = source
         self.target = target
         self.mapping = tuple(mapping)
         self.name = name
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if self.source.group is not self.target.group:
@@ -189,8 +186,7 @@ class EquivariantMap:
     def then(self, other):
         assert other.source is self.target
         return EquivariantMap(self.source, other.target,
-                              [other.mapping[v] for v in self.mapping],
-                              check=False)
+                              [other.mapping[v] for v in self.mapping])
 
     def __repr__(self):
         return "EquivariantMap(%s -> %s)" % (self.source.name, self.target.name)
@@ -340,13 +336,12 @@ def _inv(field, c):
 class LinearMap:
     """Determined by the rows: images of the source basis vectors."""
 
-    def __init__(self, source, target, rows, name="", check=True):
+    def __init__(self, source, target, rows, name=""):
         self.source = source
         self.target = target
         self.rows = tuple(tuple(r) for r in rows)
         self.name = name
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if self.source.q != self.target.q:
@@ -357,20 +352,6 @@ class LinearMap:
         if any(c not in range(self.target.q) for r in self.rows for c in r):
             raise NotLinear("row entry outside the field")
         return self
-
-    @classmethod
-    def from_mapping(cls, source, target, mapping, name=""):
-        """Accept a raw value table only if it is the linear extension of
-        its values on the basis."""
-        rows = [mapping[source.basis_vector(i)] for i in range(source.n)]
-        f = cls(source, target, rows, name=name)
-        for v, w in mapping.items():
-            if f.apply(v) != tuple(w):
-                raise NotLinear("table disagrees with the linear extension "
-                                "at %r" % (v,))
-        if len(mapping) != source.q ** source.n:
-            raise NotLinear("table does not cover the whole space")
-        return f
 
     def apply(self, v):
         out = self.target.zero_vector()
@@ -391,7 +372,7 @@ class LinearMap:
         assert other.source.q == self.target.q and \
             other.source.n == self.target.n
         return LinearMap(self.source, other.target,
-                         [other.apply(r) for r in self.rows], check=False)
+                         [other.apply(r) for r in self.rows])
 
     def __repr__(self):
         return "LinearMap(%s -> %s)" % (self.source.name, self.target.name)

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from factopo.catalogs import (category_catalogue, gset_catalogue, ring_catalogue,
-                              sset_corpus, vspace_catalogue)
+                              sset_corpus)
 from factopo.finring import FinRing
+from factopo.toposx import FqVecSpace
 
 
 @pytest.fixture(scope="session")
@@ -29,7 +30,7 @@ def gsets():
 
 @pytest.fixture(scope="session")
 def vspaces():
-    return vspace_catalogue()
+    return [FqVecSpace(q, n) for q in (2, 3, 4) for n in range(5)]
 
 
 def square_zero_ring(p, k):

@@ -4,11 +4,11 @@ from factopo.catfib import (all_slices_cover, cat_universe, comma,
                             comprehensive_factorize, connected_components,
                             identity_functor, is_discrete_left_fibration,
                             is_discrete_right_fibration, is_final, is_initial,
-                            raw_local_status, right_cover_check, slice_factorize)
+                            right_cover_check, slice_factorize)
 from factopo.errors import InvalidFamily
 from factopo.fincat import (Functor, all_functors, arrow_fingerprint,
-                            fincat_isomorphic, is_orthogonal, poset_category,
-                            terminal_category)
+                            is_orthogonal, poset_category, terminal_category)
+from oracles import fincat_isomorphic
 
 
 def chain(n):
@@ -113,13 +113,6 @@ def test_all_slices_cover_and_empty_family():
     with pytest.raises(InvalidFamily):
         right_cover_check(C, [Functor(C, C, {0: 0, 1: 0},
                                       {m: ("le", 0, 0) for m in C.morphisms})])
-
-
-def test_raw_local_status():
-    assert raw_local_status(chain(1)) == "local"
-    span = poset_category([0, 1, 2],
-                          [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)], name="span")
-    assert raw_local_status(span) == "unknown"
 
 
 def test_functor_orthogonality_detects_finality():

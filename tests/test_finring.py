@@ -4,13 +4,15 @@ import re
 
 import pytest
 
+from factopo.budget import Budget
 from factopo.errors import InvalidSpec, NotARing
 from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
                              build_ring, enumerate_homs, gf, hom_from_images,
                              ideal_generated, least_irreducible, prime_ideals,
                              prime_ideals_bruteforce, prime_power, product_ring,
-                             quotient_ring, ring_isomorphic, smallest_prime_factor,
-                             table_ring, zmod)
+                             quotient_ring, smallest_prime_factor, table_ring,
+                             zmod)
+from oracles import ring_isomorphic
 
 
 def test_zmod_basics():
@@ -342,4 +344,13 @@ def test_ideal_generated_is_smallest():
 
 
 def test_smallest_prime_factor():
-    assert [smallest_prime_factor(n) for n in (2, 9, 15, 49)] == [2, 3, 3, 7]
+    assert [smallest_prime_factor(n) for n in (2, 9, 15, 49, 9999991)] == \
+        [2, 3, 3, 7, 9999991]
+    with pytest.raises(InvalidSpec):
+        smallest_prime_factor(1)
+
+
+def test_prime_power_charges_trial_division_to_the_root():
+    budget = Budget()
+    assert prime_power(9999991, budget) == (9999991, 1)
+    assert budget.used <= 3163

