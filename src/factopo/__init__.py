@@ -7,7 +7,7 @@ spectra are all computed by exhaustive enumeration under a step budget.
 
 __version__ = "0.1.0"
 
-from .budget import Budget, default_limit
+from .budget import Budget
 from .errors import (EnumerationBudgetExceeded, FactopoError, FactorizerContractViolation,
                      IdentityViolation, InvalidFamily, InvalidSpec, NotACategory,
                      NotAPrime, NotARing, NotEquivariant, NotLinear, NotSimplicial,

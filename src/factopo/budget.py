@@ -4,30 +4,16 @@ A fresh budget is created per top-level call unless the caller threads its
 own through, so nested scans share one cap.
 """
 
-import os
-
 from .errors import EnumerationBudgetExceeded
 
 DEFAULT_STEPS = 10_000_000
-ENV_VAR = "FACTO_MAX_ENUM"
-
-
-def default_limit():
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return DEFAULT_STEPS
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_STEPS
-    return value if value > 0 else DEFAULT_STEPS
 
 
 class Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit=None):
-        self.limit = default_limit() if limit is None else limit
+        self.limit = DEFAULT_STEPS if limit is None else limit
         self.used = 0
 
     def spend(self, steps=1):

@@ -236,7 +236,7 @@ def _cmd_factorize(args, budget):
             "surjection": _hom_dict(t.surj),
             "mono_integral": _hom_dict(t.monoint),
             "integrally_closed": _hom_dict(t.intclo),
-        }, None
+        }
     f = ringsys.factorize(u, args.system, budget=budget)
     f.verify(u, budget=budget)
     return {
@@ -244,12 +244,12 @@ def _cmd_factorize(args, budget):
         "left": _hom_dict(f.left),
         "middle": {"name": f.middle.name, "size": f.middle.size},
         "right": _hom_dict(f.right),
-    }, None
+    }
 
 
 def _cmd_classify(args, budget):
     A = _load_ring(args.ring, budget)
-    return ringsys.classify_ring(A, budget=budget).as_dict(), None
+    return ringsys.classify_ring(A, budget=budget).as_dict()
 
 
 def _cmd_cover(args, budget):
@@ -271,36 +271,33 @@ def _cmd_cover(args, budget):
         family = _build(lambda r: build_sset_family(X, r, args.topology),
                         raw, args.family)
         result = sset.sset_cover_check(X, family, args.topology, budget=budget)
-    return _flat_certificate(result), None
+    return _flat_certificate(result)
 
 
 def _cmd_spectrum(args, budget):
+    """The point poset, or with --lattice the open lattice, as a Spectrum."""
+    if args.lattice and args.topology not in ("zar", "dom"):
+        raise UsageError("--lattice only applies to zar and dom")
     if args.topology in ringsys.TOPOLOGIES:
         if not args.base:
             raise UsageError("spectrum over %s needs --base" % args.topology)
         A = _load_ring(args.base, budget)
-        if args.lattice:
-            if args.topology == "zar":
-                obj = ringspec.zar_lattice(A, budget=budget)
-            elif args.topology == "dom":
-                obj = ringspec.dom_lattice(A, budget=budget)
-            else:
-                raise UsageError("--lattice only applies to zar and dom")
-        else:
-            obj = ringspec.spec_points(A, args.topology, budget=budget)
-    elif args.topology in SSET_MODES:
+        if not args.lattice:
+            return ringspec.spec_points(A, args.topology, budget=budget)
+        if args.topology == "zar":
+            return ringspec.zar_lattice(A, budget=budget)
+        return ringspec.dom_lattice(A, budget=budget)
+    if args.topology in SSET_MODES:
         if not args.object:
             raise UsageError("spectrum over %s needs --object" % args.topology)
         X = _build(sset.build_sset, load_json(args.object), args.object)
-        obj = sset.spec_delta_nis(X, budget) \
+        return sset.spec_delta_nis(X, budget) \
             if args.topology == "delta-nis" else sset.spec_raw(X)
-    else:
-        if not args.space:
-            raise UsageError("spectrum over lines needs --space")
-        V = _build(lambda r: toposx.build_vspace(r, budget),
-                   load_json(args.space), args.space)
-        obj = toposx.simple_points(V, budget)
-    return obj.as_json(), obj.to_dot()
+    if not args.space:
+        raise UsageError("spectrum over lines needs --space")
+    V = _build(lambda r: toposx.build_vspace(r, budget),
+               load_json(args.space), args.space)
+    return toposx.simple_points(V, budget)
 
 
 def _cmd_orthogonal(args, budget):
@@ -308,11 +305,11 @@ def _cmd_orthogonal(args, budget):
     left = _morphism_id(args.left, cat)
     right = _morphism_id(args.right, cat)
     ok = is_orthogonal(left, right, cat, budget=budget)
-    return {"left": args.left, "right": args.right, "orthogonal": ok}, None
+    return {"left": args.left, "right": args.right, "orthogonal": ok}
 
 
 def _cmd_verify(args, budget):
-    return suites.run_suite(args.suite, seed=args.seed, budget=budget), None
+    return suites.run_suite(args.suite, seed=args.seed, budget=budget)
 
 
 COMMANDS = {
@@ -330,8 +327,7 @@ COMMANDS = {
 
 def _add_common(sub):
     sub.add_argument("--budget", type=int, default=None,
-                     help="elementary step cap (default: FACTO_MAX_ENUM "
-                          "or 10^7; the flag wins over the environment)")
+                     help="elementary step cap (default 10^7)")
     sub.add_argument("--field-bound", type=int, default=16,
                      help="order bound for the field catalogue (default 16)")
     sub.add_argument("--seed", type=int, default=0,
@@ -397,19 +393,21 @@ def dispatch(args):
         raise UsageError("--budget must be positive")
     if args.field_bound < 2:
         raise UsageError("--field-bound must be at least 2")
-    budget = Budget(args.budget)
-    started = time.perf_counter()
-    payload, dot_text = COMMANDS[args.command](args, budget)
-    elapsed = time.perf_counter() - started
-
     if args.format == "dot":
-        if dot_text is None:
+        if args.command != "spectrum":
             raise UsageError("--format dot is only available for spectrum")
         if not args.out:
             raise UsageError("--format dot needs --out")
+    budget = Budget(args.budget)
+    started = time.perf_counter()
+    payload = COMMANDS[args.command](args, budget)
+    if args.format == "dot":
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot_text)
+            fh.write(payload.to_dot())
         return None
+    if args.command == "spectrum":
+        payload = payload.as_json()
+    elapsed = time.perf_counter() - started
 
     report = {
         "command": args.command,

@@ -1,6 +1,9 @@
-"""Finite posets: closure, Hasse diagrams, and (anti)isomorphism search."""
+"""Finite posets: closure, Hasse diagrams, (anti)isomorphism search, and
+the point spectra built on them."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from .budget import ensure_budget
 from .errors import InvalidSpec
@@ -172,3 +175,38 @@ def poset_to_dot(P, label=str, name="poset"):
         lines.append("  n%d -> n%d;" % (idx[x], idx[y]))
     lines.append("}")
     return "\n".join(lines)
+
+
+@dataclass
+class Spectrum:
+    """A point poset or lattice over the indices 0..n-1, with its report.
+
+    ``header`` holds the report's leading fields (``base``, and ``topology``,
+    ``kind`` or ``mode``), ``rows`` one JSON row per element (the report adds
+    its ``id``), ``labels`` one DOT label per element, and ``tables`` any
+    further report tables, such as a lattice's meet and join.  The DOT graph
+    is drawn only when asked for.
+    """
+
+    poset: Poset
+    header: dict
+    rows: list
+    labels: list
+    graph: str
+    tables: dict = field(default_factory=dict)
+
+    @property
+    def size(self):
+        return len(self.rows)
+
+    def as_json(self):
+        return {
+            **self.header,
+            "elements": [{"id": i, **row} for i, row in enumerate(self.rows)],
+            "order": [[i, j] for i, j in self.poset.order_pairs()],
+            **self.tables,
+        }
+
+    def to_dot(self):
+        return poset_to_dot(self.poset, label=self.labels.__getitem__,
+                            name=self.graph)

@@ -9,15 +9,14 @@ spectrum amounts to at this scale, so that is what gets built and checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotAPrime
-from .finring import (FinRing, Ideal, RingHom, all_ideals, ideal_generated,
+from .finring import (Ideal, all_ideals, ideal_generated,
                       localization_at_element, localize, prime_ideals,
                       prime_power, primitive_idempotents, quotient_ring,
                       radical, smallest_prime_factor)
-from .posets import Poset, anti_isomorphism, poset_to_dot
+from .posets import Poset, Spectrum, anti_isomorphism
 from .ringsys import (classify_ring, is_integral_map, is_localization_map,
                       points_of)
 
@@ -86,75 +85,38 @@ def _local_candidates(n):
 # ---------------------------------------------------------------------------
 # lattices
 
-@dataclass
-class SpecElement:
-    index: int
-    label: str
-    key: object
-    ring: FinRing
-    structural: RingHom
-    iso_name: str
+def check_lattice(P, meet, join):
+    """Lattice laws, order consistency, and distributivity, exhaustively."""
+    idx = P.elements
+    for x in idx:
+        assert meet[x, x] == x and join[x, x] == x
+        for y in idx:
+            assert meet[x, y] == meet[y, x]
+            assert join[x, y] == join[y, x]
+            assert join[x, meet[x, y]] == x
+            assert meet[x, join[x, y]] == x
+            assert P.le(x, y) == (meet[x, y] == x)
+            glb = P.meet(x, y)
+            lub = P.join(x, y)
+            assert glb == meet[x, y] and lub == join[x, y]
+            for z in idx:
+                assert meet[x, y] == meet[meet[x, y], meet[x, y]]
+                assert meet[meet[x, y], z] == meet[x, meet[y, z]]
+                assert join[join[x, y], z] == join[x, join[y, z]]
+                assert meet[x, join[y, z]] == join[meet[x, y], meet[x, z]]
 
-    def as_dict(self):
-        return {"id": self.index, "label": self.label, "ring": self.iso_name,
-                "size": self.ring.size}
 
-
-class SpecLattice:
-    """A finite lattice of spectrum elements with explicit meet/join tables."""
-
-    def __init__(self, kind, base, elements, poset, meet, join):
-        self.kind = kind
-        self.base = base
-        self.elements = elements
-        self.poset = poset
-        self.meet = meet
-        self.join = join
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-    def validate(self):
-        """Lattice laws, order consistency, and distributivity, exhaustively."""
-        idx = self.poset.elements
-        P = self.poset
-        for x in idx:
-            assert self.meet[x, x] == x and self.join[x, x] == x
-            for y in idx:
-                assert self.meet[x, y] == self.meet[y, x]
-                assert self.join[x, y] == self.join[y, x]
-                assert self.join[x, self.meet[x, y]] == x
-                assert self.meet[x, self.join[x, y]] == x
-                assert P.le(x, y) == (self.meet[x, y] == x)
-                glb = P.meet(x, y)
-                lub = P.join(x, y)
-                assert glb == self.meet[x, y] and lub == self.join[x, y]
-                for z in idx:
-                    assert self.meet[x, y] == self.meet[self.meet[x, y], self.meet[x, y]]
-                    assert self.meet[self.meet[x, y], z] == self.meet[x, self.meet[y, z]]
-                    assert self.join[self.join[x, y], z] == self.join[x, self.join[y, z]]
-                    assert self.meet[x, self.join[y, z]] == \
-                        self.join[self.meet[x, y], self.meet[x, z]]
-        return self
-
-    def as_json(self):
-        return {
-            "kind": self.kind,
-            "base": self.base.name,
-            "elements": [e.as_dict() for e in self.elements],
-            "order": [[i, j] for i, j in self.poset.order_pairs()],
-            "meet": [[i, j, self.meet[i, j]]
-                     for i in self.poset.elements for j in self.poset.elements],
-            "join": [[i, j, self.join[i, j]]
-                     for i in self.poset.elements for j in self.poset.elements],
-        }
-
-    def to_dot(self, name=None):
-        return poset_to_dot(
-            self.poset,
-            label=lambda i: self.elements[i].label,
-            name=name or ("%s_lattice" % self.kind))
+def _lattice(kind, A, labels, rings, names, order, meet, join):
+    """The checked lattice of ``kind``; element i is labels[i], rings[i]."""
+    poset = Poset(list(range(len(labels))), order)
+    check_lattice(poset, meet, join)
+    rows = [{"label": label, "ring": name, "size": R.size}
+            for label, R, name in zip(labels, rings, names)]
+    pairs = [(i, j) for i in poset.elements for j in poset.elements]
+    return Spectrum(poset, {"kind": kind, "base": A.name}, rows, labels,
+                    "%s_lattice" % kind,
+                    {"meet": [[i, j, meet[i, j]] for i, j in pairs],
+                     "join": [[i, j, join[i, j]] for i, j in pairs]})
 
 
 def zar_lattice(A, budget=None):
@@ -168,38 +130,35 @@ def zar_lattice(A, budget=None):
     """
     budget = ensure_budget(budget)
     idems = sorted(A.idempotents())
-    elements = []
+    labels, rings, homs, names = [], [], [], []
     by_kernel = {}
     for i, e in enumerate(idems):
         L, h = localization_at_element(A, e)
         kernel = frozenset(h.kernel_elements())
         assert kernel not in by_kernel, "distinct idempotents share a kernel"
-        elements.append(SpecElement(i, "invert(%s)" % A.names[e], e, L, h,
-                                    recognize_ring(L, budget=budget)))
+        labels.append("invert(%s)" % A.names[e])
+        rings.append(L)
+        homs.append(h)
+        names.append(recognize_ring(L, budget=budget))
         by_kernel[kernel] = i
-    order = []
-    for x in elements:
-        for y in elements:
-            if A.mul[x.key][y.key] == x.key:
-                order.append((x.index, y.index))
-    poset = Poset([e.index for e in elements], order)
+    order = [(x, y) for x, e in enumerate(idems) for y, f in enumerate(idems)
+             if A.mul[e][f] == e]
     meet = {}
     join = {}
-    for x in elements:
-        for y in elements:
-            e, f = x.key, y.key
+    for x, e in enumerate(idems):
+        for y, f in enumerate(idems):
             Lm, hm = localization_at_element(A, A.mul[e][f])
-            meet[x.index, y.index] = by_kernel[frozenset(hm.kernel_elements())]
-            ux, uy = x.structural, y.structural
+            meet[x, y] = by_kernel[frozenset(hm.kernel_elements())]
+            ux, uy = homs[x], homs[y]
             S = [a for a in A.elements()
-                 if ux(a) in x.ring.units() and uy(a) in y.ring.units()]
+                 if ux(a) in rings[x].units() and uy(a) in rings[y].units()]
             L, toL = localize(A, S)
             j = by_kernel.get(frozenset(toL.kernel_elements()))
             assert j is not None, "join middle is not a catalogued localization"
             ef = A.mul[e][f]
-            assert elements[j].key == A.sub(A.add[e][f], ef)
-            join[x.index, y.index] = j
-    return SpecLattice("zar", A, elements, poset, meet, join).validate()
+            assert idems[j] == A.sub(A.add[e][f], ef)
+            join[x, y] = j
+    return _lattice("zar", A, labels, rings, names, order, meet, join)
 
 
 def dom_lattice(A, budget=None):
@@ -208,29 +167,24 @@ def dom_lattice(A, budget=None):
     rads = [I for I in all_ideals(A, budget=budget)
             if radical(I).elements == I.elements]
     rads.sort(key=lambda I: (len(I.elements), I.sorted_elements()))
-    elements = []
+    labels, rings, names = [], [], []
     by_ideal = {}
     for i, I in enumerate(rads):
-        Q, h = quotient_ring(A, I)
-        el = SpecElement(i, "mod%s" % I.label(), I, Q, h,
-                         recognize_ring(Q, budget=budget))
-        elements.append(el)
+        Q, _h = quotient_ring(A, I)
+        labels.append("mod%s" % I.label())
+        rings.append(Q)
+        names.append(recognize_ring(Q, budget=budget))
         by_ideal[I.elements] = i
-    order = []
-    for x in elements:
-        for y in elements:
-            if y.key.elements <= x.key.elements:
-                order.append((x.index, y.index))
-    poset = Poset([e.index for e in elements], order)
+    order = [(x, y) for x, I in enumerate(rads) for y, J in enumerate(rads)
+             if J.elements <= I.elements]
     meet = {}
     join = {}
-    for x in elements:
-        for y in elements:
-            I, J = x.key, y.key
+    for x, I in enumerate(rads):
+        for y, J in enumerate(rads):
             s = ideal_generated(A, sorted(I.elements | J.elements))
-            meet[x.index, y.index] = by_ideal[radical(s).elements]
-            join[x.index, y.index] = by_ideal[I.elements & J.elements]
-    return SpecLattice("dom", A, elements, poset, meet, join).validate()
+            meet[x, y] = by_ideal[radical(s).elements]
+            join[x, y] = by_ideal[I.elements & J.elements]
+    return _lattice("dom", A, labels, rings, names, order, meet, join)
 
 
 def check_duality(A, budget=None):
@@ -243,41 +197,13 @@ def check_duality(A, budget=None):
     mapping = anti_isomorphism(zl.poset, dl.poset, budget=budget)
     if mapping is None:
         return False, None
-    witness = [(zl.elements[i].label, dl.elements[j].label)
+    witness = [(zl.labels[i], dl.labels[j])
                for i, j in sorted(mapping.items())]
     return True, witness
 
 
 # ---------------------------------------------------------------------------
 # points and stalks
-
-class SpecPoset:
-    """Primes under specialization, each carrying its stalk for a topology."""
-
-    def __init__(self, base, topology, points, poset):
-        self.base = base
-        self.topology = topology
-        self.points = points
-        self.poset = poset
-
-    @property
-    def size(self):
-        return len(self.points)
-
-    def as_json(self):
-        return {
-            "base": self.base.name,
-            "topology": self.topology,
-            "elements": [{"id": i, "prime": p.label(),
-                          "stalk": iso_name, "stalk_size": ring.size}
-                         for i, (p, ring, hom, iso_name) in enumerate(self.points)],
-            "order": [[i, j] for i, j in self.poset.order_pairs()],
-        }
-
-    def to_dot(self, name="points"):
-        labels = {i: self.points[i][0].label() for i in self.poset.elements}
-        return poset_to_dot(self.poset, label=lambda i: labels[i], name=name)
-
 
 def stalk(A, p, topology, budget=None):
     """The local form at a prime, with its structural hom, class-checked."""
@@ -307,15 +233,16 @@ def stalk(A, p, topology, budget=None):
 def spec_points(A, topology="zar", budget=None):
     """All primes with their stalks; the order is computed, then required
     discrete, which is where finite rings land every time."""
-    pts = []
+    primes, rows = [], []
     for p, _res in points_of(A):
-        ring, hom = stalk(A, p, topology, budget=budget)
-        pts.append((p, ring, hom, recognize_ring(ring, budget=budget)))
-    order = []
-    for i, (p, *_r) in enumerate(pts):
-        for j, (q, *_s) in enumerate(pts):
-            if p.elements <= q.elements:
-                order.append((i, j))
-    poset = Poset(list(range(len(pts))), order)
+        ring, _hom = stalk(A, p, topology, budget=budget)
+        primes.append(p)
+        rows.append({"prime": p.label(),
+                     "stalk": recognize_ring(ring, budget=budget),
+                     "stalk_size": ring.size})
+    order = [(i, j) for i, p in enumerate(primes) for j, q in enumerate(primes)
+             if p.elements <= q.elements]
+    poset = Poset(list(range(len(primes))), order)
     assert poset.is_antichain(), "specialization order is not discrete"
-    return SpecPoset(A, topology, pts, poset)
+    return Spectrum(poset, {"base": A.name, "topology": topology}, rows,
+                    [row["prime"] for row in rows], "points")

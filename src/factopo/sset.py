@@ -17,7 +17,7 @@ from .budget import ensure_budget
 from .errors import (IdentityViolation, InvalidFamily, InvalidSpec,
                      NotSimplicial, TruncationTooLow)
 from .fincat import CoverResult
-from .posets import Poset, poset_to_dot
+from .posets import Poset, Spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -748,33 +748,12 @@ def is_standard_simplex(X, budget=None):
     return False
 
 
-class CellSpectrum:
-    """Nondegenerate cells under the face order, or bare vertices for raw."""
-
-    def __init__(self, base, mode, refs, poset):
-        self.base = base
-        self.mode = mode
-        self.refs = refs
-        self.poset = poset
-
-    @property
-    def size(self):
-        return len(self.refs)
-
-    def as_json(self):
-        return {
-            "base": self.base.name,
-            "mode": self.mode,
-            "elements": [{"id": i, "dim": r[0], "cell": self.base.cell_label(r)}
-                         for i, r in enumerate(self.refs)],
-            "order": [[i, j] for i, j in self.poset.order_pairs()],
-        }
-
-    def to_dot(self, name="cells"):
-        return poset_to_dot(
-            self.poset,
-            label=lambda i: self.base.cell_label(self.refs[i]),
-            name=name)
+def _cell_spectrum(X, mode, refs, pairs):
+    poset = Poset(list(range(len(refs))), pairs)
+    labels = [X.cell_label(r) for r in refs]
+    rows = [{"dim": r[0], "cell": label} for r, label in zip(refs, labels)]
+    return Spectrum(poset, {"base": X.name, "mode": mode}, rows, labels,
+                    "cells")
 
 
 def spec_delta_nis(X, budget=None):
@@ -786,11 +765,9 @@ def spec_delta_nis(X, budget=None):
     pos = {r: i for i, r in enumerate(refs)}
     pairs = [(pos[w], pos[r2]) for r2 in refs for _s, w in X.cell_faces(r2)]
     budget.spend(len(pairs))
-    poset = Poset(list(range(len(refs))), pairs)
-    return CellSpectrum(X, "delta-nis", refs, poset)
+    return _cell_spectrum(X, "delta-nis", refs, pairs)
 
 
 def spec_raw(X):
-    refs = [r for r in X.cells() if r[0] == 0]
-    poset = Poset(list(range(len(refs))), [])
-    return CellSpectrum(X, "raw", refs, poset)
+    """Bare vertices, none comparable."""
+    return _cell_spectrum(X, "raw", [r for r in X.cells() if r[0] == 0], [])

@@ -13,7 +13,7 @@ from .budget import ensure_budget
 from .errors import InvalidSpec, NotEquivariant, NotLinear
 from .fincat import CoverResult
 from .finring import gf, prime_power
-from .posets import Poset, poset_to_dot
+from .posets import Poset, Spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +303,6 @@ class FqVecSpace:
     def zero_vector(self):
         return (self.field.zero,) * self.n
 
-    def basis_vector(self, i):
-        v = [self.field.zero] * self.n
-        v[i] = self.field.one
-        return tuple(v)
-
     def add(self, u, v):
         return tuple(self.field.a(a, b) for a, b in zip(u, v))
 
@@ -454,40 +449,17 @@ def lines(V, budget=None):
     return reps
 
 
-class LineSpectrum:
+def simple_points(V, budget=None):
     """Zero subobject below every line; nothing else comparable.
 
     The zero object is recorded as an ordinary bottom point even though
     it is not strictly initial in the abelian sense; that convention is
     deliberate and documented here.
     """
-
-    def __init__(self, base, labels, poset):
-        self.base = base
-        self.labels = labels
-        self.poset = poset
-
-    @property
-    def size(self):
-        return len(self.labels)
-
-    def as_json(self):
-        return {
-            "base": self.base.name,
-            "elements": [{"id": i, "label": s}
-                         for i, s in enumerate(self.labels)],
-            "order": [[i, j] for i, j in self.poset.order_pairs()],
-        }
-
-    def to_dot(self, name="lines"):
-        return poset_to_dot(self.poset, label=lambda i: self.labels[i],
-                            name=name)
-
-
-def simple_points(V, budget=None):
     labels = ["0"]
     for v in lines(V, budget):
         labels.append("[" + ",".join(V.field.names[c] for c in v) + "]")
     pairs = [(0, i) for i in range(1, len(labels))]
     poset = Poset(list(range(len(labels))), pairs)
-    return LineSpectrum(V, labels, poset)
+    return Spectrum(poset, {"base": V.name},
+                    [{"label": s} for s in labels], labels, "lines")

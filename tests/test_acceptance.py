@@ -145,7 +145,7 @@ def test_unique_cell_presentation_and_face_lattice(corpus):
         sp = spec_delta_nis(D)
         assert sp.size == 2 ** (n + 1) - 1
         # explicit order iso onto nonempty vertex subsets under inclusion
-        subsets = [frozenset(D.cell_label(r)) for r in sp.refs]
+        subsets = [frozenset(e["cell"]) for e in sp.as_json()["elements"]]
         assert len(set(subsets)) == sp.size
         order = set(sp.poset.order_pairs())
         for i in range(sp.size):

@@ -6,6 +6,7 @@ import pytest
 from factopo import suites
 from factopo.cli import main
 from factopo.fincat import FAIL, AxiomResult, SystemReport
+from factopo.posets import Poset
 
 
 def write(path, payload):
@@ -175,6 +176,46 @@ def test_usage_error_exit_two(tmp_path, z6, capsys):
                           "--base", z6, "--format", "dot")
     assert code == 2
     assert "--out" in err
+
+
+@pytest.mark.parametrize("topology, where", [
+    ("lines", "--space"), ("raw", "--object"), ("delta-nis", "--object"),
+    ("fin", "--base"), ("nfin", "--base")])
+def test_lattice_outside_zar_and_dom_is_refused(topology, where, capsys):
+    # refused before the input is read, so a missing file never shows
+    code, out, err = run(capsys, "spectrum", "--topology", topology,
+                         where, "nowhere.json", "--lattice")
+    assert (code, out) == (2, "")
+    assert err == "error: --lattice only applies to zar and dom\n"
+
+
+def test_format_dot_is_refused_before_the_command_runs(capsys):
+    code, out, err = run(capsys, "classify", "--ring", "nowhere.json",
+                         "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err == "error: --format dot is only available for spectrum\n"
+    code, out, err = run(capsys, "spectrum", "--topology", "zar",
+                         "--base", "nowhere.json", "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err == "error: --format dot needs --out\n"
+
+
+def test_json_spectra_draw_no_hasse_diagram(tmp_path, z6, monkeypatch,
+                                            capsys):
+    def no_diagram(self):
+        raise AssertionError("Hasse diagram drawn for a JSON report")
+
+    monkeypatch.setattr(Poset, "hasse_edges", no_diagram)
+    space = write(tmp_path / "v.json", {"q": 2, "n": 2})
+    obj = write(tmp_path / "d2.json", {"kind": "delta", "n": 2})
+    for argv in (["--topology", "zar", "--base", z6],
+                 ["--topology", "dom", "--base", z6, "--lattice"],
+                 ["--topology", "lines", "--space", space],
+                 ["--topology", "raw", "--object", obj],
+                 ["--topology", "delta-nis", "--object", obj]):
+        code, out, _err = run(capsys, "spectrum", *argv)
+        assert code == 0, argv
+        assert json.loads(out)["result"]["elements"], argv
 
 
 def test_missing_file(capsys):

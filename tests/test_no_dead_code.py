@@ -1,12 +1,16 @@
 """Dead-code guard for ``src/factopo``, by an ``ast`` scan.
 
 Two things fail it: a name a module imports and never uses (``__future__``
-imports and the re-exports of ``__init__.py`` are exempt), and a top-level
-function or class, ``_``-prefixed or not (dunders are exempt), that no code
-in ``src`` refers to outside its own definition.  A re-export from
-``__init__.py`` counts as a reference, because it makes the name public API;
-a reference from ``tests`` or ``bench`` does not, because code that only
-tests reach belongs in ``tests``.
+imports and the re-exports of ``__init__.py`` are exempt), and a function,
+class or method, ``_``-prefixed or not (dunders are exempt), that cannot be
+reached from the roots: ``cli.main``, the re-exports of ``__init__.py``,
+which make a name public API, and the module-level tables (``COMMANDS``,
+``SUITES`` and the like).  Reaching is by name: a reached body reaches
+every top-level definition and every method that carries a name it reads,
+and a reached class reaches its own dunder methods.  A reference from
+``tests`` or ``bench`` does not count, because code that only tests reach
+belongs in ``tests``; nor does a reference from a definition that is itself
+unreachable.
 """
 
 import ast
@@ -52,20 +56,48 @@ def test_every_import_is_used():
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
+def dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_public_definition_is_referenced():
-    # which top-level statements, anywhere, mention each name
-    holders = {}
+    # name -> the definitions carrying it: top-level functions and classes,
+    # and the non-dunder methods of those classes
+    defs = {}
+    roots = {"main"}
     for path in MODULES:
         for node in parse(path).body:
-            for name in names_used(node):
-                holders.setdefault(name, []).append((path, node))
-    dead = []
-    for path in MODULES:
-        for node in parse(path).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                    not (node.name.startswith("__") and
-                         node.name.endswith("__")) and \
-                    all(p == path and n.lineno == node.lineno
-                        for p, n in holders.get(node.name, ())):
-                dead.append("%s: %s" % (path.name, node.name))
-    assert not dead, "unreferenced definitions: " + ", ".join(dead)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(
+                    ("%s: %s" % (path.name, node.name), node))
+                methods = node.body if isinstance(node, ast.ClassDef) else ()
+                for item in methods:
+                    if isinstance(item, ast.FunctionDef) and \
+                            not dunder(item.name):
+                        defs.setdefault(item.name, []).append(
+                            ("%s: %s.%s" % (path.name, node.name, item.name),
+                             item))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if path.name == "__init__.py":
+                    roots |= names_used(node)
+            else:
+                roots |= names_used(node, aliases=False)
+    reached = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for _label, node in defs.get(name, ()):
+            if not isinstance(node, ast.ClassDef):
+                todo.extend(names_used(node))
+                continue
+            # a class reaches its bases, decorators, class-level statements
+            # and dunders; its other methods wait until their name is read
+            for part in node.bases + node.decorator_list + node.body:
+                if not isinstance(part, ast.FunctionDef) or dunder(part.name):
+                    todo.extend(names_used(part))
+    dead = [label for name, entries in defs.items() if name not in reached
+            and not dunder(name) for label, _node in entries]
+    assert not dead, "unreachable definitions: " + ", ".join(sorted(dead))

@@ -83,18 +83,18 @@ def test_recognize_ring_matches_the_isomorphism_search(square_zero):
 
 
 def test_zar_lattice_z12():
-    lat = zar_lattice(z12)
-    assert [e.label for e in lat.elements] == \
+    rows = zar_lattice(z12).as_json()["elements"]
+    assert [e["label"] for e in rows] == \
         ["invert(0)", "invert(1)", "invert(4)", "invert(9)"]
     # bottom is the zero ring, top the ring itself
-    sizes = sorted(e.ring.size for e in lat.elements)
+    sizes = sorted(e["size"] for e in rows)
     assert sizes == [1, 3, 4, 12]
 
 
 def test_dom_lattice_z12():
-    lat = dom_lattice(z12)
-    assert len(lat.elements) == 4
-    sizes = sorted(e.ring.size for e in lat.elements)
+    rows = dom_lattice(z12).as_json()["elements"]
+    assert len(rows) == 4
+    sizes = sorted(e["size"] for e in rows)
     assert sizes == [1, 2, 3, 6]
 
 
