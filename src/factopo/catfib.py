@@ -7,6 +7,7 @@ a functor through the category of elements of its connected-component
 presheaf.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .budget import ensure_budget
@@ -46,18 +47,27 @@ def comma(F, d, side):
                     ok = D.compose(g2, F.on_mor(h)) == g
                 if ok:
                     morphisms[((c, g), (c2, g2), h)] = ((c, g), (c2, g2))
-    identities = {(c, g): ((c, g), (c, g), C.identities[c])
-                  for (c, g) in objects}
+    cat, proj = _over(C, objects, morphisms, "%s%s%s" % (
+        d, "/" if side == "d/F" else "\\", F.name))
+    return CommaCategory(F, d, side, cat, proj)
+
+
+def _over(base, objects, morphisms, name):
+    """The category of ``objects`` (c, ...) and ``morphisms`` (s, t, h) over
+    ``base``, composing the h there, and its projection to ``base``."""
+    into = {}
+    for m1, (_s1, t1) in morphisms.items():
+        into.setdefault(t1, []).append(m1)
+    identities = {o: (o, o, base.identities[o[0]]) for o in objects}
     compose = {}
     for m2, (s2, t2) in morphisms.items():
-        for m1, (s1, t1) in morphisms.items():
-            if t1 == s2:
-                compose[(m2, m1)] = (s1, t2, C.compose(m2[2], m1[2]))
-    cat = FinCat(objects, morphisms, identities, compose,
-                 name="%s%s%s" % (d, "/" if side == "d/F" else "\\", F.name))
-    proj = Functor(cat, C, {o: o[0] for o in objects},
+        for m1 in into.get(s2, ()):
+            s1 = morphisms[m1][0]
+            compose[(m2, m1)] = (s1, t2, base.compose(m2[2], m1[2]))
+    cat = FinCat(objects, morphisms, identities, compose, name=name)
+    proj = Functor(cat, base, {o: o[0] for o in objects},
                    {m: m[2] for m in morphisms}, name="proj")
-    return CommaCategory(F, d, side, cat, proj)
+    return cat, proj
 
 
 def connected_components(C):
@@ -114,16 +124,9 @@ def _lifts_uniquely(F, end):
     one arrow with that end at e."""
     E, C = F.source, F.target
     end_E, end_C = getattr(E, end), getattr(C, end)
-    for e in E.objects:
-        fe = F.on_obj(e)
-        for g in C.morphism_ids():
-            if end_C(g) != fe:
-                continue
-            lifts = [m for m in E.morphism_ids()
-                     if end_E(m) == e and F.on_mor(m) == g]
-            if len(lifts) != 1:
-                return False
-    return True
+    lifts = Counter((end_E(m), F.on_mor(m)) for m in E.morphism_ids())
+    return all(lifts[(e, g)] == 1 for e in E.objects
+               for g in C.morphism_ids() if end_C(g) == F.on_obj(e))
 
 
 def slice_factorize(C, c, side="right"):
@@ -212,17 +215,7 @@ def comprehensive_factorize(F, side="right", budget=None):
                     ok = action[(m, x)] == x2
                 if ok:
                     morphisms[((d, x), (d2, x2), m)] = ((d, x), (d2, x2))
-    identities = {(d, x): ((d, x), (d, x), D.identities[d])
-                  for (d, x) in objects}
-    compose = {}
-    for m2, (s2, t2) in morphisms.items():
-        for m1, (s1, t1) in morphisms.items():
-            if t1 == s2:
-                compose[(m2, m1)] = (s1, t2, D.compose(m2[2], m1[2]))
-    cat = FinCat(objects, morphisms, identities, compose,
-                 name="el(%s)" % F.name)
-    proj = Functor(cat, D, {o: o[0] for o in objects},
-                   {m: m[2] for m in morphisms}, name="proj")
+    cat, proj = _over(D, objects, morphisms, "el(%s)" % F.name)
     elem = ElementsCategory(D, side, values, action, cat, proj)
     first_obj = {}
     first_mor = {}

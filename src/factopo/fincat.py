@@ -37,9 +37,19 @@ class FinCat:
         self.compose_table = dict(compose)
         self.payload = dict(payload) if payload else {}
         self.name = name
-        self._hom = {}
-        for m in sorted(self.morphisms, key=_key):
-            self._hom.setdefault(self.morphisms[m], []).append(m)
+        self._ids = tuple(sorted(self.morphisms, key=_key))
+        mors, hom = self.morphisms, {}
+        for m in self._ids:
+            hom.setdefault(mors[m], []).append(m)
+        self._hom = {xy: tuple(ms) for xy, ms in hom.items()}
+        # arrows out of (into) each object, by the rank of their other end
+        rank = {x: i for i, x in enumerate(self.objects)}
+        self._from, self._into = {}, {}
+        for end, index in ((1, self._from), (0, self._into)):
+            arrows = {}
+            for m in sorted(self._ids, key=lambda m: rank.get(mors[m][end], -1)):
+                arrows.setdefault(mors[m][1 - end], []).append(m)
+            index.update((x, tuple(ms)) for x, ms in arrows.items())
         if check:
             self.validate(budget=budget)
 
@@ -50,10 +60,10 @@ class FinCat:
         return self.morphisms[m][1]
 
     def hom(self, x, y):
-        return tuple(self._hom.get((x, y), ()))
+        return self._hom.get((x, y), ())
 
     def morphism_ids(self):
-        return sorted(self.morphisms, key=_key)
+        return self._ids
 
     def compose(self, g, f):
         """g after f; raises NotACategory if the pair is not composable."""
@@ -97,34 +107,51 @@ class FinCat:
                 raise NotACategory("compose entry for non-composable pair (%r, %r)" % (g, f))
             if mors[h] != (mors[f][0], mors[g][1]):
                 raise NotACategory("composite of (%r, %r) has wrong endpoints" % (g, f))
-        for f in self.morphism_ids():
-            ft = mors[f][1]
-            for y in self.objects:
-                for g in self.hom(ft, y):
-                    budget.spend()
-                    if (g, f) not in self.compose_table:
-                        raise NotACategory("compose undefined on composable pair (%r, %r)" % (g, f))
-        for f in self.morphism_ids():
+        comp = self.compose_table
+        for f in self._ids:
+            out = self._from.get(mors[f][1], ())
+            budget.spend(len(out))
+            for g in out:
+                if (g, f) not in comp:
+                    raise NotACategory("compose undefined on composable pair (%r, %r)" % (g, f))
+        for f in self._ids:
             s, t = mors[f]
-            if self.compose_table[(self.identities[t], f)] != f:
+            if comp[(self.identities[t], f)] != f:
                 raise NotACategory("left unit law fails at %r" % (f,))
-            if self.compose_table[(f, self.identities[s])] != f:
+            if comp[(f, self.identities[s])] != f:
                 raise NotACategory("right unit law fails at %r" % (f,))
-        # associativity over composable triples only
-        for f in self.morphism_ids():
-            for g in self.hom_from(mors[f][1]):
-                gf = self.compose_table[(g, f)]
-                for h in self.hom_from(mors[g][1]):
-                    budget.spend()
-                    if self.compose_table[(h, gf)] != self.compose_table[(self.compose_table[(h, g)], f)]:
+        # Light's test: the middles g with h(gf) = (hg)f for all composable
+        # h, f contain the identities (unit laws) and are closed under
+        # composition, so testing generators suffices: each morphism not yet
+        # reached becomes one, and left multiplication by them closes the rest.
+        reached = {self.identities[x] for x in self.objects}
+        reached_into = {x: [self.identities[x]] for x in self.objects}
+        gens_from = {x: [] for x in self.objects}
+        for g in self._ids:
+            if g in reached:
+                continue
+            s, t = mors[g]
+            after = [(h, comp[(h, g)]) for h in self.hom_from(t)]
+            for f in self._into.get(s, ()):
+                budget.spend(len(after))
+                gf = comp[(g, f)]
+                for h, hg in after:
+                    if comp[(h, gf)] != comp[(hg, f)]:
                         raise NotACategory(
                             "associativity fails on (%r, %r, %r)" % (h, g, f))
+            gens_from[s].append(g)
+            budget.spend(len(reached_into[s]))
+            fresh = [comp[(g, v)] for v in reached_into[s]]
+            while fresh:
+                w = fresh.pop()
+                if w not in reached:
+                    reached.add(w)
+                    reached_into[mors[w][1]].append(w)
+                    budget.spend(len(gens_from[mors[w][1]]))
+                    fresh.extend(comp[(g2, w)] for g2 in gens_from[mors[w][1]])
 
     def hom_from(self, x):
-        out = []
-        for y in self.objects:
-            out.extend(self.hom(x, y))
-        return out
+        return self._from.get(x, ())
 
     def op(self):
         mors = {m: (t, s) for m, (s, t) in self.morphisms.items()}
@@ -249,8 +276,9 @@ class Functor:
                        check=False)
 
     def fingerprint(self):
-        return (tuple(sorted(self.obj_map.items(), key=_key)),
-                tuple(sorted(self.mor_map.items(), key=_key)))
+        """The images, in the source's order of objects and morphisms."""
+        return (tuple(self.obj_map[x] for x in self.source.objects),
+                tuple(self.mor_map[m] for m in self.source.morphism_ids()))
 
     def __repr__(self):
         return "Functor(%s: %s -> %s)" % (self.name or "?",
@@ -339,18 +367,20 @@ def concrete_category(objects, object_key, hom_fn, compose_fn, identity_fn,
         if mid is None:
             raise NotACategory("identity of %r missing from hom enumeration" % (keys[x],))
         identities[keys[x]] = mid
+    into = {}
+    for mid in arrows:
+        into.setdefault(mid[1], []).append(mid)
     compose = {}
     for g in arrows:
-        for f in arrows:
-            if f[1] == g[0]:
-                budget.spend()
-                comp = compose_fn(arrows[g], arrows[f])
-                mid = lookup.get((f[0], g[1], arrow_fingerprint(comp)))
-                if mid is None:
-                    raise NotACategory(
-                        "composite of enumerated arrows missing from enumeration "
-                        "(%r after %r)" % (g, f))
-                compose[(g, f)] = mid
+        for f in into.get(g[0], ()):
+            budget.spend()
+            comp = compose_fn(arrows[g], arrows[f])
+            mid = lookup.get((f[0], g[1], arrow_fingerprint(comp)))
+            if mid is None:
+                raise NotACategory(
+                    "composite of enumerated arrows missing from enumeration "
+                    "(%r after %r)" % (g, f))
+            compose[(g, f)] = mid
     cat = FinCat([keys[x] for x in objects], morphisms, identities, compose,
                  payload=arrows, name=name, budget=budget)
     return cat
@@ -624,36 +654,69 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
 # functor search
 
 def all_functors(C, D, budget=None):
-    """Every functor C -> D, found by backtracking over morphism images."""
+    """Every functor C -> D, ordered by object images and then by the
+    hom-set positions of the images of the non-identity morphisms.
+
+    Backtracking gives those morphisms images one at a time, in
+    ``morphism_ids`` order, and fixes an object's image with the first of
+    them touching it; objects none touches are enumerated up front.  Each
+    compose entry of C is checked once, when its last member gets an image
+    (Ullmann 1976); entries among identities hold by D's unit laws.
+    """
     budget = ensure_budget(budget)
-    out = []
     mor_ids = [m for m in C.morphism_ids() if not C.is_identity(m)]
-    for objs in itertools.product(D.objects, repeat=len(C.objects)):
+    free = [x for x in C.objects
+            if not any(x in C.morphisms[m] for m in mor_ids)]
+    entries = {}
+    for (g, f), h in C.compose_table.items():
+        for m in {g, f, h}:
+            entries.setdefault(m, []).append((g, f, h))
+    steps, done = [], {C.identities[x] for x in free}
+    for m in mor_ids:
+        s, t = C.morphisms[m]
+        new = [x for x in dict.fromkeys((s, t)) if C.identities[x] not in done]
+        done.update([m] + [C.identities[x] for x in new])
+        steps.append((m, s, t, new, [e for e in entries.get(m, ())
+                                     if all(k in done for k in e)]))
+    endos = [c for c in D.morphism_ids() if D.src(c) == D.tgt(c)]
+    obj_map, mor_map, out = {}, {}, []
+    keys = [C.identities[x] for x in C.objects] + mor_ids
+
+    # every read of obj_map or mor_map at a step is of an entry set earlier
+    # on the current path, so backtracking only overwrites and never deletes
+    def assign(i):
+        if i == len(steps):
+            out.append(Functor(C, D, {x: obj_map[x] for x in C.objects},
+                               {m: mor_map[m] for m in keys}, check=False))
+            return
+        m, s, t, new, checks = steps[i]
+        if s in new and t in new:
+            pool = endos if s == t else D.morphism_ids()
+        elif s in new:
+            pool = D._into.get(obj_map[t], ())
+        elif t in new:
+            pool = D.hom_from(obj_map[s])
+        else:
+            pool = D.hom(obj_map[s], obj_map[t])
+        for cand in pool:
+            budget.spend()
+            mor_map[m] = cand
+            for x, y in zip((s, t), D.morphisms[cand]):
+                if x in new:
+                    obj_map[x] = y
+                    mor_map[C.identities[x]] = D.identities[y]
+            if all(D.compose_table[(mor_map[g], mor_map[f])] == mor_map[h]
+                   for g, f, h in checks):
+                assign(i + 1)
+
+    for images in itertools.product(D.objects, repeat=len(free)):
         budget.spend()
-        obj_map = dict(zip(C.objects, objs))
-        mor_map = {C.identities[x]: D.identities[obj_map[x]] for x in C.objects}
-
-        def assign(i):
-            if i == len(mor_ids):
-                out.append(Functor(C, D, dict(obj_map), dict(mor_map), check=False))
-                return
-            m = mor_ids[i]
-            s, t = C.morphisms[m]
-            for cand in D.hom(obj_map[s], obj_map[t]):
-                budget.spend()
-                mor_map[m] = cand
-                ok = True
-                for (g, f), h in C.compose_table.items():
-                    if g in mor_map and f in mor_map and h in mor_map:
-                        if D.compose(mor_map[g], mor_map[f]) != mor_map[h]:
-                            ok = False
-                            break
-                if ok:
-                    assign(i + 1)
-                del mor_map[m]
-
+        for x, y in zip(free, images):
+            obj_map[x] = y
+            mor_map[C.identities[x]] = D.identities[y]
         assign(0)
-    for F in out:
-        F.validate()
+    obj_rank = {y: i for i, y in enumerate(D.objects)}
+    hom_rank = {c: i for hom in D._hom.values() for i, c in enumerate(hom)}
+    out.sort(key=lambda F: ([obj_rank[F.obj_map[x]] for x in C.objects],
+                            [hom_rank[F.mor_map[m]] for m in mor_ids]))
     return out
-

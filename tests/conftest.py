@@ -4,6 +4,7 @@ import pytest
 
 from factopo.catalogs import (category_catalogue, gset_catalogue, ring_catalogue,
                               sset_corpus)
+from factopo.fincat import FinCat
 from factopo.finring import FinRing
 from factopo.toposx import FqVecSpace
 
@@ -16,6 +17,23 @@ def rings():
 @pytest.fixture(scope="session")
 def cats():
     return category_catalogue()
+
+
+@pytest.fixture(scope="session")
+def delta2():
+    """The ordinals [0], [1], [2] with every monotone map between them, each
+    map named by its target and its values, as the benchmark names them."""
+    maps = {"d%d:%s" % (b, "".join(map(str, v))): (a, b, v)
+            for a in range(3) for b in range(3)
+            for v in itertools.combinations_with_replacement(range(b + 1),
+                                                             a + 1)}
+    named = {(b, v): m for m, (_a, b, v) in maps.items()}
+    compose = {(g, f): named[(c, tuple(gv[i] for i in fv))]
+               for g, (b, c, gv) in maps.items()
+               for f, (_a, b2, fv) in maps.items() if b2 == b}
+    return FinCat(range(3), {m: (a, b) for m, (a, b, _v) in maps.items()},
+                  {a: named[(a, tuple(range(a + 1)))] for a in range(3)},
+                  compose, name="Delta<=2")
 
 
 @pytest.fixture(scope="session")

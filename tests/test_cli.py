@@ -139,6 +139,24 @@ def test_orthogonal(tmp_path, capsys):
     assert json.loads(out)["result"]["orthogonal"] is True
 
 
+def test_nonassociative_category_is_refused_with_one_error_line(tmp_path,
+                                                                capsys):
+    # unital, but a(bb) = aa = b while (ab)b = ab = a
+    names = ["e", "a", "b"]
+    table = [["e", "a", "b"], ["a", "b", "a"], ["b", "a", "a"]]
+    cat = write(tmp_path / "c.json", {
+        "objects": ["*"],
+        "morphisms": [{"id": x, "src": "*", "tgt": "*"} for x in names],
+        "identities": {"*": "e"},
+        "compose": [[x, y, xy] for x, row in zip(names, table)
+                    for y, xy in zip(names, row)]})
+    code, out, err = run(capsys, "orthogonal", "--category", cat,
+                         "--left", "a", "--right", "b")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "associativity fails on" in err
+
+
 def test_verify_suite_report(capsys):
     code, out, _err = run(capsys, "verify", "--suite", "axioms")
     assert code == 0

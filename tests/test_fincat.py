@@ -1,12 +1,20 @@
+import ast
+import random
+import time
+
 import pytest
 
-from factopo.errors import NotACategory
+from factopo.budget import Budget
+from factopo.catfib import (cat_universe, comma, comprehensive_factorize,
+                            slice_factorize)
+from factopo.errors import EnumerationBudgetExceeded, NotACategory
 from factopo.fincat import (FinCat, Functor, all_functors, is_orthogonal,
-                            poset_category, pushout, terminal_category,
-                            validate_fincat)
+                            monoid_category, poset_category, pushout,
+                            terminal_category, validate_fincat)
 from factopo.ringsys import verify_ring_system
 from factopo.finring import gf, zmod
-from oracles import fincat_isomorphic
+from oracles import (all_functors_by_backtracking,
+                     associativity_violation_by_full_scan, fincat_isomorphic)
 
 AXIOM_KEYS = ("class-membership", "composition-closure-left",
               "composition-closure-right", "intersection-isomorphisms",
@@ -117,3 +125,132 @@ def test_verify_ring_system_small_universe():
         report = verify_ring_system(system, rings)
         assert sorted(report.axioms) == sorted(AXIOM_KEYS), system
         assert report.ok(), (system, report.failures())
+
+
+# unital, but a(bb) = aa = b while (ab)b = ab = a
+NONASSOCIATIVE = (["e", "a", "b"], [["e", "a", "b"], ["a", "b", "a"],
+                                    ["b", "a", "a"]], "e")
+
+
+def test_nonassociative_category_is_refused():
+    with pytest.raises(NotACategory, match="associativity fails on"):
+        monoid_category(*NONASSOCIATIVE)
+
+
+def catfib_suite_categories(cats):
+    """The comma and elements categories that the catfib suite builds."""
+    out = [slice_factorize(C, c, side)[1].category
+           for C in cats for c in C.objects for side in ("right", "left")]
+    small = [C for C in cats if len(C.morphisms) <= 6]
+    pool = [F for A in small for B in small for F in all_functors(A, B)]
+    random.Random(0).shuffle(pool)
+    for F in pool[:30]:
+        out.append(comprehensive_factorize(F, "right")[1].category)
+        out.extend(comma(F, d, "d/F").category for d in F.target.objects)
+    return out
+
+
+def corrupted(C, rng):
+    """C with the composites of one or two pairs of non-identities moved to
+    another arrow of their hom set: endpoints, totality and the unit laws
+    still hold, so only associativity can fail."""
+    spots = [(g, f) for g, f in C.compose_table
+             if not C.is_identity(g) and not C.is_identity(f)
+             and len(C.hom(C.src(f), C.tgt(g))) > 1]
+    comp = dict(C.compose_table)
+    for _ in range(rng.choice((1, 2))):
+        g, f = rng.choice(spots)
+        comp[(g, f)] = rng.choice([m for m in C.hom(C.src(f), C.tgt(g))
+                                   if m != comp[(g, f)]])
+    return FinCat(C.objects, C.morphisms, C.identities, comp, name=C.name,
+                  check=False)
+
+
+def corruptions(cats, delta2, n=1000, seed=11):
+    """n seeded corruptions of the categories that have room for one."""
+    pool = [C for C in cats + [delta2] + catfib_suite_categories(cats)
+            if any(len(C.hom(C.src(f), C.tgt(g))) > 1
+                   for g, f in C.compose_table
+                   if not C.is_identity(g) and not C.is_identity(f))]
+    rng = random.Random(seed)
+    return [corrupted(rng.choice(pool), rng) for _ in range(n)]
+
+
+def refusal(C):
+    try:
+        C.validate()
+    except NotACategory as exc:
+        return str(exc)
+    return None
+
+
+def breaks_associativity(C, h, g, f):
+    comp = C.compose_table
+    return comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]
+
+
+def test_associativity_check_matches_the_full_scan(cats, delta2):
+    for C in cats + [delta2] + catfib_suite_categories(cats):
+        assert associativity_violation_by_full_scan(C) is None, C.name
+        assert refusal(C) is None, C.name
+    seen = {"refused": 0, "accepted": 0}
+    for C in corruptions(cats, delta2):
+        new, old = refusal(C), associativity_violation_by_full_scan(C)
+        assert (new is None) == (old is None), (C.name, new, old)
+        if new is not None:
+            claim, _, triple = new.partition(" on ")
+            assert claim == "associativity fails", new
+            assert breaks_associativity(C, *ast.literal_eval(triple)), new
+        seen["refused" if new else "accepted"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_associativity_is_tested_on_generating_middles_only(cats):
+    U = cat_universe(cats)
+    triples = sum(len(U.hom_from(U.tgt(g)))
+                  for f in U.morphism_ids() for g in U.hom_from(U.tgt(f)))
+    budget = Budget()
+    U.validate(budget=budget)
+    # 466 arrows, 2,550,904 composable triples, 100 generating middles
+    assert budget.used < triples // 5, (budget.used, triples)
+
+
+def functor_maps(functors):
+    return [(list(F.obj_map.items()), list(F.mor_map.items()))
+            for F in functors]
+
+
+def test_all_functors_matches_the_backtracker(cats, delta2):
+    for C in cats:
+        for D in cats:
+            assert functor_maps(all_functors(C, D)) == \
+                functor_maps(all_functors_by_backtracking(C, D)), (C, D)
+    assert functor_maps(all_functors(delta2, delta2)) == \
+        functor_maps(all_functors_by_backtracking(delta2, delta2))
+    assert len(all_functors(delta2, delta2)) == 14
+    survivors = {}
+    for C in corruptions(cats, delta2):
+        if refusal(C) is None:
+            survivors[frozenset(C.compose_table.items())] = C
+    assert survivors
+    small = [C for C in cats if len(C.morphisms) <= 3]
+    for S in survivors.values():
+        pairs = [(S, T) for T in small] + [(T, S) for T in small]
+        if len(S.morphisms) <= 6:
+            pairs.append((S, S))
+        for C, D in pairs:
+            assert functor_maps(all_functors(C, D)) == \
+                functor_maps(all_functors_by_backtracking(C, D)), (C, D)
+
+
+def test_budget_stops_the_category_layer_at_once(cats, delta2):
+    for run, budget in ((lambda b: all_functors(delta2, delta2, budget=b),
+                         Budget(1000)),
+                        (lambda b: cat_universe(cats, budget=b), Budget(10000))):
+        started = time.perf_counter()
+        with pytest.raises(EnumerationBudgetExceeded):
+            run(budget)
+        # the step that crossed the cap raised: nothing ran on past it
+        assert budget.used == budget.limit + 1
+        # a loose wall-clock bound, so a loaded host does not fail it
+        assert time.perf_counter() - started < 5
