@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, NotACategory
+from .posets import Poset
 
 
 def _key(x):
@@ -179,16 +180,18 @@ def validate_fincat(raw, budget=None):
         compose_rows = list(raw["compose"])
     except (KeyError, TypeError) as exc:
         raise NotACategory("missing field: %s" % exc) from exc
+    budget = ensure_budget(budget)
+    budget.spend(len(objects))
     for i, obj in enumerate(objects):
         _hashable(obj, "objects[%d]" % i)
     # JSON forces string keys, so identities for non-string objects arrive
     # stringified; remap a key to the unique object it spells, if any
-    by_repr = {}
+    objset, by_repr = set(objects), {}
     for obj in objects:
         by_repr.setdefault(str(obj), []).append(obj)
     remapped = {}
     for key, value in identities.items():
-        if key not in objects and len(by_repr.get(key, ())) == 1:
+        if key not in objset and len(by_repr.get(key, ())) == 1:
             key = by_repr[key][0]
         remapped[key] = _hashable(value, "identities[%r]" % key)
     identities = remapped
@@ -294,19 +297,9 @@ def identity_functor(C):
 # small builders used all over the test suites
 
 def poset_category(elements, le_pairs, name=""):
-    """Category of a poset; le_pairs need not be reflexively or transitively closed."""
-    le = {(x, x) for x in elements} | {tuple(p) for p in le_pairs}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(le):
-            for (c, d) in list(le):
-                if b == c and (a, d) not in le:
-                    le.add((a, d))
-                    changed = True
-    for (a, b) in le:
-        if a != b and (b, a) in le:
-            raise NotACategory("relation is not antisymmetric at (%r, %r)" % (a, b))
+    """Category of a poset; Poset closes le_pairs reflexively and
+    transitively, and refuses a cycle with InvalidSpec."""
+    le = Poset(elements, le_pairs).order_pairs()
     morphisms = {("le", a, b): (a, b) for (a, b) in le}
     identities = {x: ("le", x, x) for x in elements}
     compose = {}

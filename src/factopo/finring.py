@@ -27,7 +27,7 @@ class FinRing:
         self.generators = tuple(generators)
         self.name = name or "ring%d" % self.size
         self._cache = {}
-        self.validate_axioms()
+        self.additive_generators = self.validate_axioms()
         self.neg = tuple(row.index(zero) for row in self.add)
 
     # -- table plumbing ----------------------------------------------------
@@ -51,7 +51,7 @@ class FinRing:
         counterexample; O(n^2 log n).
 
         Associativity and distributivity are checked on S only: zero plus a
-        greedy generating set of (R, +), so |S| <= log2(n) + 1.
+        greedy generating set of (R, +), so |S| <= log2(n) + 1.  Returns S.
         """
         n = self.size
         if n == 0:
@@ -134,6 +134,7 @@ class FinRing:
         for g in self.generators:
             if not (0 <= g < n):
                 raise NotARing("generator %r out of range" % (g,))
+        return tuple(S)
 
     # -- derived element sets ----------------------------------------------
     def units(self):
@@ -320,31 +321,37 @@ def gf(p, k=1, budget=None):
 
 
 def product_ring(factors, budget=None):
+    """Tuples in lexicographic order: (c_1, ..., c_k) has the mixed-radix
+    index (...(c_1 n_2 + c_2) n_3 + ...) n_k + c_k."""
     if not factors:
         raise InvalidSpec("empty product")
     n = math.prod(f.size for f in factors)
     ensure_budget(budget).spend(n * n)
-    combos = list(itertools.product(*[range(f.size) for f in factors]))
-    index = {c: i for i, c in enumerate(combos)}
 
-    def zip_op(tables, a, b):
-        return index[tuple(t[x][y] for t, x, y in zip(tables, a, b))]
+    def index(slots):
+        i = 0
+        for f, c in zip(factors, slots):
+            i = i * f.size + c
+        return i
 
-    addt = [f.add for f in factors]
-    mult = [f.mul for f in factors]
-    add = [[zip_op(addt, a, b) for b in combos] for a in combos]
-    mul = [[zip_op(mult, a, b) for b in combos] for a in combos]
-    names = ["(%s)" % ",".join(f.names[c] for f, c in zip(factors, combo))
-             for combo in combos]
-    zero = index[tuple(f.zero for f in factors)]
-    one = index[tuple(f.one for f in factors)]
+    # fold in one factor at a time: cell (a m + c, b m + d) of the product
+    # with an m-element factor F is T[a][b] m + F[c][d]
+    add, mul = [[0]], [[0]]
+    for f in factors:
+        m = f.size
+        add = [[t * m + v for t in Ta for v in Fc] for Ta in add for Fc in f.add]
+        mul = [[t * m + v for t in Ta for v in Fc] for Ta in mul for Fc in f.mul]
+    names = ["(%s)" % ",".join(combo)
+             for combo in itertools.product(*[f.names for f in factors])]
+    zero = index([f.zero for f in factors])
+    one = index([f.one for f in factors])
     gens = []
     for i, f in enumerate(factors):
-        unit_slot = tuple(g.one if j == i else g.zero for j, g in enumerate(factors))
-        gens.append(index[unit_slot])
+        gens.append(index([g.one if j == i else g.zero
+                           for j, g in enumerate(factors)]))
         for g in f.generators:
-            slot = tuple(g if j == i else h.zero for j, h in enumerate(factors))
-            gens.append(index[slot])
+            gens.append(index([g if j == i else h.zero
+                               for j, h in enumerate(factors)]))
     gens = tuple(dict.fromkeys(gens))
     return FinRing(names, add, mul, zero, one, gens,
                    name="x".join(f.name for f in factors))
@@ -432,19 +439,28 @@ class RingHom:
         return self.mapping[x]
 
     def validate(self):
+        """Refuse a mapping that is not a unital hom, naming a counterexample.
+
+        f(x+s) = f(x)+f(s) and f(xs) = f(x)f(s) are tested for each x and
+        each s in the source's additive generating set S only, n |S| steps:
+        zero in S gives f(0) = 0, every y is a sum of members of S, so f is
+        additive, and f(xy) follows as the product is additive in y."""
         A, B, f = self.source, self.target, self.mapping
         if len(f) != A.size or any(not (0 <= v < B.size) for v in f):
             raise InvalidSpec("hom mapping has wrong shape")
         if f[A.one] != B.one:
             raise InvalidSpec("hom does not preserve 1")
-        for x in A.elements():
-            for y in A.elements():
-                if f[A.add[x][y]] != B.add[f[x]][f[y]]:
-                    raise InvalidSpec("hom breaks addition at (%s, %s)"
-                                      % (A.names[x], A.names[y]))
-                if f[A.mul[x][y]] != B.mul[f[x]][f[y]]:
-                    raise InvalidSpec("hom breaks multiplication at (%s, %s)"
-                                      % (A.names[x], A.names[y]))
+        for s in A.additive_generators:
+            # row s of a commutative table is its column s
+            for At, Bt, law in ((A.add, B.add, "addition"),
+                                (A.mul, B.mul, "multiplication")):
+                lhs = tuple(map(f.__getitem__, At[s]))
+                rhs = tuple(map(Bt[f[s]].__getitem__, f))
+                if lhs != rhs:
+                    x = next(x for x, (u, v) in enumerate(zip(lhs, rhs))
+                             if u != v)
+                    raise InvalidSpec("hom breaks %s at (%s, %s)"
+                                      % (law, A.names[x], A.names[s]))
         return self
 
     def kernel_elements(self):
@@ -490,7 +506,7 @@ def hom_from_images(A, B, images):
     """Extend generator images to a hom, or return None if no hom does that.
 
     ``images`` maps each generator of A to an element of B; the extension is
-    forced by the generation sequence and then fully verified.
+    forced by the generation sequence and then checked by RingHom.validate.
     """
     mapping = [None] * A.size
     for e, op in A.generation_sequence():
@@ -510,16 +526,10 @@ def hom_from_images(A, B, images):
             mapping[e] = B.add[mapping[op[1]]][mapping[op[2]]]
         else:
             mapping[e] = B.mul[mapping[op[1]]][mapping[op[2]]]
-    f = tuple(mapping)
-    for x in A.elements():
-        for y in A.elements():
-            if f[A.add[x][y]] != B.add[f[x]][f[y]]:
-                return None
-            if f[A.mul[x][y]] != B.mul[f[x]][f[y]]:
-                return None
-    if f[A.one] != B.one:
+    try:
+        return RingHom(A, B, tuple(mapping)).validate()
+    except InvalidSpec:
         return None
-    return RingHom(A, B, f)
 
 
 def enumerate_homs(A, B, budget=None):
@@ -528,7 +538,7 @@ def enumerate_homs(A, B, budget=None):
     gens = list(dict.fromkeys(A.generators))
     out = []
     for choice in itertools.product(range(B.size), repeat=len(gens)):
-        budget.spend(A.size * A.size)
+        budget.spend(A.size * len(A.additive_generators))
         hom = hom_from_images(A, B, dict(zip(gens, choice)))
         if hom is not None:
             out.append(hom)
@@ -593,7 +603,7 @@ def ideal_generated(A, gens):
                     out.add(s)
                     nxt.append(s)
         frontier = nxt
-    return Ideal(A, frozenset(out)).validate()
+    return Ideal(A, frozenset(out))
 
 
 def all_ideals(A, budget=None):
@@ -635,7 +645,7 @@ def radical(I):
                 out.add(x)
                 break
             p = A.mul[p][x]
-    return Ideal(A, frozenset(out)).validate()
+    return Ideal(A, frozenset(out))
 
 
 def nilradical(A):
@@ -660,10 +670,12 @@ def is_prime_ideal(I):
 def quotient_ring(A, I):
     """Quotient by an ideal; returns (ring, projection hom).
 
-    The zero ideal returns (A, identity) so factorizations of injective maps
-    stay literal.  Cosets are named after their least representative.
+    I must be an ideal of A, which is not re-checked here: the library's
+    constructors build ideals as such, and an ideal from elsewhere is
+    checked with Ideal.validate first.  The zero ideal returns (A, identity)
+    so factorizations of injective maps stay literal.  Cosets are named
+    after their least representative.
     """
-    I.validate()
     if I.is_zero():
         return A, identity_hom(A)
     coset_of = [None] * A.size
@@ -719,7 +731,7 @@ def prime_ideals(A):
                           if any(A.mul[x][y] == e for y in factor)}
         nonunits = [x for x in factor if x not in unit_in_factor]
         elems = {A.add[c][x] for c in comp for x in nonunits}
-        p = Ideal(A, frozenset(elems)).validate()
+        p = Ideal(A, frozenset(elems))
         assert is_prime_ideal(p), "constructed ideal is not prime"
         primes.append(p)
     uniq = {p.elements: p for p in primes}
@@ -753,7 +765,7 @@ def annihilator_kernel(A, S):
     Sbar = multiplicative_closure(A, S)
     elems = {a for a in A.elements()
              if any(A.mul[s][a] == A.zero for s in Sbar)}
-    return Ideal(A, frozenset(elems)).validate()
+    return Ideal(A, frozenset(elems))
 
 
 def localize(A, S):
@@ -764,10 +776,6 @@ def localize(A, S):
     for s in S:
         assert proj(s) in L.units(), "localization failed to invert %s" % A.names[s]
     return L, proj
-
-
-def localization_at_element(A, a):
-    return localize(A, [a])
 
 
 def factors_through_surjection(h, q):

@@ -12,10 +12,10 @@ import math
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotAPrime
-from .finring import (Ideal, all_ideals, ideal_generated,
-                      localization_at_element, localize, prime_ideals,
-                      prime_power, primitive_idempotents, quotient_ring,
-                      radical, smallest_prime_factor)
+from .finring import (Ideal, all_ideals, annihilator_kernel, ideal_generated,
+                      localize, prime_ideals, prime_power,
+                      primitive_idempotents, quotient_ring, radical,
+                      smallest_prime_factor)
 from .posets import Poset, Spectrum, anti_isomorphism
 from .ringsys import (classify_ring, is_integral_map, is_localization_map,
                       points_of)
@@ -124,16 +124,17 @@ def zar_lattice(A, budget=None):
 
     Meets invert the product.  Joins take the localization part of the map
     into the paired localization: its multiplicative set is the preimage of
-    the pair's units, computed componentwise so the product ring itself
-    never needs building, and the resulting kernel is matched back to an
-    idempotent.  The match must be e + f - ef, and is asserted to be.
+    the pair's units, computed componentwise.  A localization is the
+    quotient by its annihilator kernel, so meets and joins read that kernel
+    and build no ring; a join's kernel is matched back to an idempotent,
+    which must be e + f - ef, and is asserted to be.
     """
     budget = ensure_budget(budget)
     idems = sorted(A.idempotents())
     labels, rings, homs, names = [], [], [], []
     by_kernel = {}
     for i, e in enumerate(idems):
-        L, h = localization_at_element(A, e)
+        L, h = localize(A, [e])
         kernel = frozenset(h.kernel_elements())
         assert kernel not in by_kernel, "distinct idempotents share a kernel"
         labels.append("invert(%s)" % A.names[e])
@@ -147,15 +148,13 @@ def zar_lattice(A, budget=None):
     join = {}
     for x, e in enumerate(idems):
         for y, f in enumerate(idems):
-            Lm, hm = localization_at_element(A, A.mul[e][f])
-            meet[x, y] = by_kernel[frozenset(hm.kernel_elements())]
+            ef = A.mul[e][f]
+            meet[x, y] = by_kernel[annihilator_kernel(A, [ef]).elements]
             ux, uy = homs[x], homs[y]
             S = [a for a in A.elements()
                  if ux(a) in rings[x].units() and uy(a) in rings[y].units()]
-            L, toL = localize(A, S)
-            j = by_kernel.get(frozenset(toL.kernel_elements()))
+            j = by_kernel.get(annihilator_kernel(A, S).elements)
             assert j is not None, "join middle is not a catalogued localization"
-            ef = A.mul[e][f]
             assert idems[j] == A.sub(A.add[e][f], ef)
             join[x, y] = j
     return _lattice("zar", A, labels, rings, names, order, meet, join)

@@ -59,8 +59,8 @@ def suite_ring_oracles(seed=0, budget=None):
             sorted(p.sorted_elements() for p in brute)
         _check(checks, "primes-vs-bruteforce:%s" % A.name, ok,
                None if ok else "%d vs %d" % (len(primes), len(brute)))
+        pts = points_of(A)
         for t in ("zar", "dom", "fin"):
-            pts = points_of(A)
             _check(checks, "points-equal-primes:%s:%s" % (A.name, t),
                    len(pts) == len(primes),
                    "%d points, %d primes" % (len(pts), len(primes)))

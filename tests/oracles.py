@@ -68,3 +68,65 @@ def all_functors_by_backtracking(C, D):
     for F in out:
         F.validate()
     return out
+
+
+def is_hom_by_full_scan(A, B, f):
+    """Whether the tuple f is a unital hom A -> B, testing + and * on every
+    pair of elements of A."""
+    if len(f) != A.size or any(not (0 <= v < B.size) for v in f):
+        return False
+    if f[A.one] != B.one:
+        return False
+    return all(f[A.add[x][y]] == B.add[f[x]][f[y]] and
+               f[A.mul[x][y]] == B.mul[f[x]][f[y]]
+               for x in A.elements() for y in A.elements())
+
+
+def hom_mappings_by_full_scan(A, B):
+    """The sorted mappings of every unital hom A -> B: each choice of
+    generator images, extended along A's generation sequence, kept when the
+    full scan accepts it."""
+    gens = list(dict.fromkeys(A.generators))
+    out = set()
+    for choice in itertools.product(range(B.size), repeat=len(gens)):
+        images = dict(zip(gens, choice))
+        f = [None] * A.size
+        clash = False
+        for e, op in A.generation_sequence():
+            tag = op[0]
+            if tag == "zero":
+                f[e] = B.zero
+            elif tag == "one":
+                f[e] = B.one
+            elif tag == "gen":
+                clash = clash or f[e] not in (None, images[op[1]])
+                f[e] = images[op[1]]
+            elif tag == "neg":
+                f[e] = B.neg[f[op[1]]]
+            elif tag == "add":
+                f[e] = B.add[f[op[1]]][f[op[2]]]
+            else:
+                f[e] = B.mul[f[op[1]]][f[op[2]]]
+        if not clash and is_hom_by_full_scan(A, B, tuple(f)):
+            out.add(tuple(f))
+    return sorted(out)
+
+
+def product_tables_by_tuple_index(factors):
+    """(add, mul, names, zero, one) of the product ring, each cell found by
+    looking up the tuple of the factors' results in an index of all
+    element tuples."""
+    combos = list(itertools.product(*[range(f.size) for f in factors]))
+    index = {c: i for i, c in enumerate(combos)}
+
+    def zip_op(tables, a, b):
+        return index[tuple(t[x][y] for t, x, y in zip(tables, a, b))]
+
+    add = [[zip_op([f.add for f in factors], a, b) for b in combos]
+           for a in combos]
+    mul = [[zip_op([f.mul for f in factors], a, b) for b in combos]
+           for a in combos]
+    names = ["(%s)" % ",".join(f.names[c] for f, c in zip(factors, combo))
+             for combo in combos]
+    return (add, mul, names, index[tuple(f.zero for f in factors)],
+            index[tuple(f.one for f in factors)])

@@ -403,6 +403,24 @@ def test_over_budget_input_is_refused_at_once(case, tmp_path, capsys):
     assert "budget of %s steps exceeded" % limit in err
 
 
+def test_orthogonal_charges_the_category_to_its_budget(tmp_path, capsys):
+    # a discrete category on 10,000 objects, refused before its identity
+    # keys are matched to the objects
+    objects = ["o%d" % i for i in range(10000)]
+    cat = write(tmp_path / "discrete.json", {
+        "objects": objects,
+        "morphisms": [{"id": "id" + x, "src": x, "tgt": x} for x in objects],
+        "identities": {x: "id" + x for x in objects},
+        "compose": [["id" + x, "id" + x, "id" + x] for x in objects]})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "orthogonal", "--category", cat,
+                         "--left", "ido0", "--right", "ido0", "--budget", "10")
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "budget of 10 steps exceeded" in err
+
+
 def test_failing_axiom_is_reported(monkeypatch, capsys):
     def one_failure(system, rings, alt_seed=1, budget=None):
         return SystemReport({"orthogonality": AxiomResult(FAIL, "(a, b)")})

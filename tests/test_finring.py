@@ -3,16 +3,21 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factopo.budget import Budget
+from factopo.catalogs import ring_catalogue
 from factopo.errors import InvalidSpec, NotARing
 from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
-                             build_ring, enumerate_homs, gf, hom_from_images,
-                             ideal_generated, least_irreducible, prime_ideals,
+                             annihilator_kernel, build_ring, enumerate_homs,
+                             gf, hom_from_images, ideal_generated,
+                             least_irreducible, nilradical, prime_ideals,
                              prime_ideals_bruteforce, prime_power, product_ring,
-                             quotient_ring, smallest_prime_factor, table_ring,
-                             zmod)
-from oracles import ring_isomorphic
+                             quotient_ring, radical, smallest_prime_factor,
+                             table_ring, zmod)
+from oracles import (hom_mappings_by_full_scan, is_hom_by_full_scan,
+                     product_tables_by_tuple_index, ring_isomorphic)
 
 
 def test_zmod_basics():
@@ -254,6 +259,81 @@ def test_hom_validation():
         RingHom(zmod(4), zmod(2), (0, 1, 1, 0)).validate()  # breaks addition
 
 
+def hom_check_accepts(A, B, f):
+    try:
+        RingHom(A, B, f).validate()
+    except InvalidSpec:
+        return False
+    return True
+
+
+def test_hom_check_matches_the_full_scan(rings):
+    # every hom between catalogue rings, and each with one value changed
+    rng = random.Random(11)
+    seen = {True: 0, False: 0}
+    for A, B in itertools.product(rings, repeat=2):
+        for h in enumerate_homs(A, B):
+            f = h.mapping
+            cands = [f]
+            for x in rng.sample(range(A.size), min(3, A.size)):
+                cands.append(f[:x] + (rng.randrange(B.size),) + f[x + 1:])
+            for cand in cands:
+                verdict = hom_check_accepts(A, B, cand)
+                assert verdict == is_hom_by_full_scan(A, B, cand), \
+                    (A.name, B.name, cand)
+                seen[verdict] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_hom_check_names_a_broken_pair():
+    A, B = zmod(6), zmod(6)
+    for f in itertools.product(range(6), repeat=6):
+        if f[1] != 1 or is_hom_by_full_scan(A, B, f):
+            continue
+        with pytest.raises(InvalidSpec) as err:
+            RingHom(A, B, f).validate()
+        law, x, y = re.match(r"hom breaks (\w+) at \((\d+), (\d+)\)$",
+                             str(err.value)).groups()
+        table, op = (A.add, B.add) if law == "addition" else (A.mul, B.mul)
+        x, y = int(x), int(y)
+        assert f[table[x][y]] != op[f[x]][f[y]], (f, str(err.value))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_hom_check_agrees_with_the_full_scan_on_random_maps(data):
+    rings = [R for R in ring_catalogue() if R.size <= 16]
+    A = data.draw(st.sampled_from(rings), label="source")
+    B = data.draw(st.sampled_from(rings), label="target")
+    homs = enumerate_homs(A, B)
+    # random maps are almost never homs, so half the draws start from one
+    if homs and data.draw(st.booleans(), label="from a hom"):
+        f = list(data.draw(st.sampled_from(homs), label="hom").mapping)
+        for x in data.draw(st.lists(st.integers(0, A.size - 1), max_size=2),
+                           label="changed"):
+            f[x] = data.draw(st.integers(0, B.size - 1), label="value")
+    else:
+        f = data.draw(st.lists(st.integers(0, B.size - 1), min_size=A.size,
+                               max_size=A.size), label="map")
+    f = tuple(f)
+    assert hom_check_accepts(A, B, f) == is_hom_by_full_scan(A, B, f)
+
+
+def test_enumerate_homs_matches_the_full_scan(rings):
+    for A, B in itertools.product(rings, repeat=2):
+        assert [h.mapping for h in enumerate_homs(A, B)] == \
+            hom_mappings_by_full_scan(A, B), (A.name, B.name)
+
+
+def test_enumerate_homs_charges_the_generating_set():
+    F = gf(2, 4)
+    budget = Budget()
+    enumerate_homs(F, F, budget=budget)
+    # 16 images of the generator x, each checked against S = {0, 1, x, x^2, x^3}
+    assert F.additive_generators == (0, 1, 2, 4, 8)
+    assert budget.used == 16 * 16 * 5
+
+
 def test_enumerate_homs_counts():
     assert len(enumerate_homs(zmod(4), zmod(2))) == 1
     assert len(enumerate_homs(zmod(2), zmod(4))) == 0
@@ -325,6 +405,31 @@ def test_prime_bruteforce_agreement(rings):
         fast = sorted(p.label() for p in prime_ideals(A))
         slow = sorted(p.label() for p in prime_ideals_bruteforce(A))
         assert fast == slow, A.name
+
+
+def test_constructed_ideals_are_ideals(rings):
+    # quotient_ring trusts these constructors, so each must build an ideal
+    for A in rings:
+        made = [nilradical(A)] + prime_ideals(A)
+        for a, b in itertools.combinations_with_replacement(A.elements(), 2):
+            made += [ideal_generated(A, [a, b]), annihilator_kernel(A, [a, b])]
+        made += [radical(I) for I in all_ideals(A)]
+        for I in made:
+            assert I.validate() is I, (A.name, I)
+
+
+def test_product_tables_match_the_tuple_index(square_zero):
+    table = build_ring({"kind": "table", "elements": ["b", "a"], "zero": "b",
+                        "one": "a", "add": [["b", "a"], ["a", "b"]],
+                        "mul": [["b", "b"], ["b", "a"]]})
+    for factors in ([zmod(2), zmod(3)], [zmod(4), gf(2, 2), zmod(3)],
+                    [table, zmod(2), table], [square_zero[2, 2], zmod(3)],
+                    [zmod(1), zmod(5)], [zmod(6)]):
+        P = product_ring(factors)
+        add, mul, names, zero, one = product_tables_by_tuple_index(factors)
+        assert P.add == tuple(map(tuple, add)) and \
+            P.mul == tuple(map(tuple, mul))
+        assert (list(P.names), P.zero, P.one) == (names, zero, one)
 
 
 def test_quotient_ring():

@@ -2,9 +2,8 @@ import itertools
 import math
 
 from factopo.budget import Budget
-from factopo.finring import (FinRing, all_ideals, gf, localization_at_element,
-                             prime_ideals, prime_power, product_ring,
-                             quotient_ring, zmod)
+from factopo.finring import (FinRing, all_ideals, gf, localize, prime_ideals,
+                             prime_power, product_ring, quotient_ring, zmod)
 from factopo.ringspec import (check_duality, dom_lattice, recognize_ring,
                               spec_points, stalk, zar_lattice)
 from oracles import ring_isomorphic
@@ -74,7 +73,7 @@ def test_recognize_ring_matches_the_isomorphism_search(square_zero):
                 rings.append(combo[0] if k == 1 else product_ring(list(combo)))
     for A in (zmod(36), zmod(60), product_ring([zmod(4), zmod(4)])):
         rings += [quotient_ring(A, I)[0] for I in all_ideals(A)]
-        rings += [localization_at_element(A, a)[0] for a in A.elements()]
+        rings += [localize(A, [a])[0] for a in A.elements()]
     # quotients and localizations repeat; one ring per set of tables
     distinct = {(R.add, R.mul, R.one): R for R in rings}
     assert len(distinct) > 50
