@@ -14,7 +14,7 @@ import time
 from . import finring, ringspec, ringsys, sset, suites, toposx
 from .budget import Budget
 from .errors import (FactopoError, InvalidFamily, InvalidSpec, ParseError,
-                     UsageError)
+                     UsageError, parse_int)
 from .fincat import is_orthogonal, validate_fincat
 
 SSET_MODES = ("raw", "delta-nis")
@@ -63,22 +63,11 @@ def _need_list(raw, key, what):
     return value
 
 
-def _element(A, value):
-    if isinstance(value, bool):
-        raise InvalidSpec("element references must be names or indices")
-    if isinstance(value, int):
-        if not 0 <= value < A.size:
-            raise InvalidSpec("element index %d out of range for %s"
-                              % (value, A.name))
-        return value
-    return A.element_by_name(str(value))
-
-
 def _hom_between(A, B, raw, what="hom"):
     """A hom A -> B from either generator images or a full value table."""
     if "images" in raw:
         try:
-            images = {_element(A, k): _element(B, v)
+            images = {A.parse_element(k): B.parse_element(v)
                       for k, v in raw["images"].items()}
         except AttributeError:
             raise InvalidSpec("%s images must be a mapping" % what)
@@ -97,7 +86,7 @@ def _hom_between(A, B, raw, what="hom"):
         if isinstance(table, dict):
             mapping = [None] * A.size
             for k, v in table.items():
-                mapping[_element(A, k)] = _element(B, v)
+                mapping[A.parse_element(k)] = B.parse_element(v)
             if None in mapping:
                 raise InvalidSpec("%s map misses an element of %s"
                                   % (what, A.name))
@@ -105,7 +94,7 @@ def _hom_between(A, B, raw, what="hom"):
             if not isinstance(table, list) or len(table) != A.size:
                 raise InvalidSpec("%s map must list one image per element of %s"
                                   % (what, A.name))
-            mapping = [_element(B, v) for v in table]
+            mapping = [B.parse_element(v) for v in table]
         h = finring.RingHom(A, B, tuple(mapping))
         h.validate()
         return h
@@ -128,14 +117,14 @@ def _check_declared(raw, topology):
 def build_ring_family(A, raw, topology, budget=None):
     _check_declared(raw, topology)
     if topology == "zar":
-        return [_element(A, v) for v in _need_list(raw, "elements", "family")]
+        return [A.parse_element(v) for v in _need_list(raw, "elements", "family")]
     if topology == "dom":
         ideals = []
         for gens in _need_list(raw, "ideals", "family"):
             if not isinstance(gens, list):
                 raise InvalidSpec("family ideals must be lists of generators")
             ideals.append(finring.ideal_generated(
-                A, [_element(A, g) for g in gens]))
+                A, [A.parse_element(g) for g in gens]))
         return ideals
     homs = []
     for spec in _need_list(raw, "homs", "family"):
@@ -165,12 +154,12 @@ def build_smap(raw, target):
                           "{cell label: image} tables")
     assignment = {}
     for dim_key, cells in table.items():
-        n = sset.parse_int(dim_key, "map assignment key")
+        n = parse_int(dim_key, "map assignment key")
         for label, value in cells.items():
             ref = _cell_ref(D, n, label)
             try:
                 values, cell = value
-                sigma = tuple(int(v) for v in values)
+                sigma = tuple(parse_int(v, "surjection value") for v in values)
                 m = max(sigma)
             except (TypeError, ValueError):
                 raise InvalidSpec(
@@ -290,7 +279,7 @@ def _cmd_spectrum(args, budget):
             raise UsageError("spectrum over %s needs --object" % args.topology)
         X = _build(sset.build_sset, load_json(args.object), args.object)
         return sset.spec_delta_nis(X, budget) \
-            if args.topology == "delta-nis" else sset.spec_raw(X)
+            if args.topology == "delta-nis" else sset.spec_raw(X, budget)
     if not args.space:
         raise UsageError("spectrum over lines needs --space")
     V = _build(lambda r: toposx.build_vspace(r, budget),

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .budget import ensure_budget
-from .errors import InvalidSpec, NotARing
+from .errors import InvalidSpec, NotARing, parse_int
 
 
 class FinRing:
@@ -214,6 +214,17 @@ class FinRing:
                 return i
         raise InvalidSpec("no element named %r in %s" % (label, self.name))
 
+    def parse_element(self, value):
+        """An element given in an input file by its name or its index."""
+        if isinstance(value, bool):
+            raise InvalidSpec("element references must be names or indices")
+        if isinstance(value, int):
+            if not 0 <= value < self.size:
+                raise InvalidSpec("element index %d out of range for %s"
+                                  % (value, self.name))
+            return value
+        return self.element_by_name(value)
+
     def __repr__(self):
         return "FinRing(%s, order %d)" % (self.name, self.size)
 
@@ -407,16 +418,16 @@ def build_ring(spec, budget=None):
     budget = ensure_budget(budget)
     try:
         if kind == "zmod":
-            return zmod(int(spec["n"]), budget)
+            return zmod(parse_int(spec["n"], "zmod field 'n'"), budget)
         if kind == "gf":
-            return gf(int(spec["p"]), int(spec.get("k", 1)), budget)
+            return gf(parse_int(spec["p"], "gf field 'p'"),
+                      parse_int(spec.get("k", 1), "gf field 'k'"), budget)
         if kind == "product":
             return product_ring([build_ring(s, budget)
                                  for s in spec["factors"]], budget)
         if kind == "quotient":
             base = build_ring(spec["base"], budget)
-            gens = [base.element_by_name(g) if isinstance(g, str) else int(g)
-                    for g in spec["ideal_gens"]]
+            gens = [base.parse_element(g) for g in spec["ideal_gens"]]
             ring, _ = quotient_ring(base, ideal_generated(base, gens))
             return ring
         if kind == "table":

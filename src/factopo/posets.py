@@ -4,110 +4,111 @@ the point spectra built on them."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .budget import ensure_budget
 from .errors import InvalidSpec
 
 
 class Poset:
-    """A finite poset over hashable labels.
-
-    Built from a generating relation; the constructor takes the
-    reflexive-transitive closure and rejects cycles, so ``pairs`` may be any
-    subrelation whose closure is intended.
+    """A finite poset over hashable labels, built from a generating
+    relation: ``pairs`` may be any subrelation whose closure is intended,
+    and a cycle through two distinct elements is refused.  Element i keeps
+    its up-set and down-set as bitmasks ``_up[i]`` and ``_down[i]`` (bit j
+    of ``_up[i]`` is set when i <= j); every query reads them.  ``budget``
+    pays one step per element and generating pair before any allocation.
     """
 
-    def __init__(self, elements, pairs=()):
+    def __init__(self, elements, pairs=(), budget=None):
+        ensure_budget(budget).spend(len(elements) + len(pairs))
         self.elements = list(elements)
-        if len(set(self.elements)) != len(self.elements):
-            raise InvalidSpec("duplicate poset elements")
         pos = {x: i for i, x in enumerate(self.elements)}
-        n = len(self.elements)
-        rel = [[False] * n for _ in range(n)]
-        for i in range(n):
-            rel[i][i] = True
+        if len(pos) != len(self.elements):
+            raise InvalidSpec("duplicate poset elements")
+        above, below = [[] for _ in pos], [[] for _ in pos]
         for x, y in pairs:
             if x not in pos or y not in pos:
                 raise InvalidSpec("relation pair outside the element list")
-            rel[pos[x]][pos[y]] = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    row, rowk = rel[i], rel[k]
-                    for j in range(n):
-                        if rowk[j]:
-                            row[j] = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and rel[i][j] and rel[j][i]:
-                    raise InvalidSpec(
-                        "not antisymmetric: %r and %r compare both ways"
-                        % (self.elements[i], self.elements[j]))
+            if x != y:
+                above[pos[x]].append(pos[y])
+                below[pos[y]].append(pos[x])
+        try:
+            # every element after the elements directly above it
+            order = list(TopologicalSorter(dict(enumerate(above)))
+                         .static_order())
+        except CycleError as err:
+            i, j = err.args[1][:2]
+            raise InvalidSpec("not antisymmetric: %r and %r compare both ways"
+                              % (self.elements[i], self.elements[j])) from None
         self._pos = pos
-        self._rel = rel
+        self._up = _close(order, above)
+        self._down = _close(reversed(order), below)
 
     @property
     def size(self):
         return len(self.elements)
 
     def le(self, x, y):
-        return self._rel[self._pos[x]][self._pos[y]]
-
-    def lt(self, x, y):
-        return x != y and self.le(x, y)
+        return bool(self._up[self._pos[x]] >> self._pos[y] & 1)
 
     def order_pairs(self):
         """All (x, y) with x <= y, reflexive pairs included, element order."""
-        out = []
-        for i, x in enumerate(self.elements):
-            for j, y in enumerate(self.elements):
-                if self._rel[i][j]:
-                    out.append((x, y))
-        return out
+        els = self.elements
+        return [(x, els[j]) for x, up in zip(els, self._up) for j in _bits(up)]
 
     def hasse_edges(self):
-        """Covering pairs only: x < y with nothing strictly between."""
+        """Covering pairs only, x < y with nothing strictly between, in
+        element order: the transitive reduction of the up-set masks."""
+        els, up = self.elements, self._up
         out = []
-        for x in self.elements:
-            for y in self.elements:
-                if not self.lt(x, y):
-                    continue
-                if any(self.lt(x, z) and self.lt(z, y) for z in self.elements):
-                    continue
-                out.append((x, y))
+        for i, x in enumerate(els):
+            strict = up[i] ^ 1 << i
+            far = 0
+            for z in _bits(strict):
+                far |= up[z] ^ 1 << z
+            out.extend((x, els[j]) for j in _bits(strict & ~far))
         return out
-
-    def downset(self, x):
-        return [y for y in self.elements if self.le(y, x)]
-
-    def upset(self, x):
-        return [y for y in self.elements if self.le(x, y)]
-
-    def is_antichain(self):
-        return all(not self.lt(x, y)
-                   for x in self.elements for y in self.elements)
 
     def meet(self, x, y):
         """Greatest lower bound, or None when the pair has none."""
-        lower = [z for z in self.elements if self.le(z, x) and self.le(z, y)]
-        best = [z for z in lower if all(self.le(w, z) for w in lower)]
-        return best[0] if best else None
+        return self._top(self._down, x, y)
 
     def join(self, x, y):
-        upper = [z for z in self.elements if self.le(x, z) and self.le(y, z)]
-        best = [z for z in upper if all(self.le(z, w) for w in upper)]
-        return best[0] if best else None
+        return self._top(self._up, x, y)
+
+    def _top(self, masks, x, y):
+        # the common bound whose own mask is all of the common bounds
+        common = masks[self._pos[x]] & masks[self._pos[y]]
+        return next((self.elements[z] for z in _bits(common)
+                     if masks[z] == common), None)
 
     def op(self):
         flipped = Poset.__new__(Poset)
-        flipped.elements = list(self.elements)
-        flipped._pos = dict(self._pos)
-        n = len(self.elements)
-        flipped._rel = [[self._rel[j][i] for j in range(n)] for i in range(n)]
+        flipped.elements, flipped._pos = self.elements, self._pos
+        flipped._up, flipped._down = self._down, self._up
         return flipped
 
     def __repr__(self):
         return "Poset(%d elements)" % len(self.elements)
+
+
+def _close(order, succ):
+    """Purdom's closure: bit i OR'd with the masks of succ[i], built first."""
+    masks = [0] * len(succ)
+    for i in order:
+        mask = 1 << i
+        for j in succ[i]:
+            mask |= masks[j]
+        masks[i] = mask
+    return masks
+
+
+def _bits(mask):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def order_isomorphism(P, Q, budget=None):
@@ -121,14 +122,14 @@ def order_isomorphism(P, Q, budget=None):
     if P.size != Q.size:
         return None
 
-    def signature(poset, x):
-        return (len(poset.downset(x)), len(poset.upset(x)))
+    def signatures(poset):
+        return {x: (poset._down[i].bit_count(), poset._up[i].bit_count())
+                for x, i in poset._pos.items()}
 
-    psig = {x: signature(P, x) for x in P.elements}
-    qsig = {y: signature(Q, y) for y in Q.elements}
+    psig, qsig = signatures(P), signatures(Q)
     if sorted(psig.values()) != sorted(qsig.values()):
         return None
-    order = sorted(P.elements, key=lambda x: (psig[x], P.elements.index(x)))
+    order = sorted(P.elements, key=lambda x: (psig[x], P._pos[x]))
 
     assigned = {}
     used = set()
@@ -167,12 +168,11 @@ def anti_isomorphism(P, Q, budget=None):
 def poset_to_dot(P, label=str, name="poset"):
     """Hasse diagram only; edges point from smaller to larger."""
     lines = ["digraph %s {" % name, "  rankdir=BT;"]
-    idx = {x: i for i, x in enumerate(P.elements)}
-    for x in P.elements:
+    for i, x in enumerate(P.elements):
         text = str(label(x)).replace("\\", "\\\\").replace('"', '\\"')
-        lines.append('  n%d [label="%s"];' % (idx[x], text))
+        lines.append('  n%d [label="%s"];' % (i, text))
     for x, y in P.hasse_edges():
-        lines.append("  n%d -> n%d;" % (idx[x], idx[y]))
+        lines.append("  n%d -> n%d;" % (P._pos[x], P._pos[y]))
     lines.append("}")
     return "\n".join(lines)
 

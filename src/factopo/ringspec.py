@@ -17,8 +17,7 @@ from .finring import (Ideal, all_ideals, annihilator_kernel, ideal_generated,
                       primitive_idempotents, quotient_ring, radical,
                       smallest_prime_factor)
 from .posets import Poset, Spectrum, anti_isomorphism
-from .ringsys import (classify_ring, is_integral_map, is_localization_map,
-                      points_of)
+from .ringsys import classify_ring, is_integral_map, is_localization_map
 
 
 def recognize_ring(R, budget=None):
@@ -106,9 +105,9 @@ def check_lattice(P, meet, join):
                 assert meet[x, join[y, z]] == join[meet[x, y], meet[x, z]]
 
 
-def _lattice(kind, A, labels, rings, names, order, meet, join):
+def _lattice(kind, A, labels, rings, names, order, meet, join, budget):
     """The checked lattice of ``kind``; element i is labels[i], rings[i]."""
-    poset = Poset(list(range(len(labels))), order)
+    poset = Poset(list(range(len(labels))), order, budget)
     check_lattice(poset, meet, join)
     rows = [{"label": label, "ring": name, "size": R.size}
             for label, R, name in zip(labels, rings, names)]
@@ -157,7 +156,7 @@ def zar_lattice(A, budget=None):
             assert j is not None, "join middle is not a catalogued localization"
             assert idems[j] == A.sub(A.add[e][f], ef)
             join[x, y] = j
-    return _lattice("zar", A, labels, rings, names, order, meet, join)
+    return _lattice("zar", A, labels, rings, names, order, meet, join, budget)
 
 
 def dom_lattice(A, budget=None):
@@ -183,7 +182,7 @@ def dom_lattice(A, budget=None):
             s = ideal_generated(A, sorted(I.elements | J.elements))
             meet[x, y] = by_ideal[radical(s).elements]
             join[x, y] = by_ideal[I.elements & J.elements]
-    return _lattice("dom", A, labels, rings, names, order, meet, join)
+    return _lattice("dom", A, labels, rings, names, order, meet, join, budget)
 
 
 def check_duality(A, budget=None):
@@ -210,6 +209,11 @@ def stalk(A, p, topology, budget=None):
     if not isinstance(p, Ideal) or p.ring is not A or \
             all(p.elements != q.elements for q in primes):
         raise NotAPrime("%r is not a prime ideal of %s" % (p, A.name))
+    return _stalk(A, p, topology, budget)
+
+
+def _stalk(A, p, topology, budget):
+    """``stalk`` at p, which the caller knows to be a prime of A."""
     if topology == "zar":
         S = [x for x in A.elements() if x not in p.elements]
         L, h = localize(A, S)
@@ -232,16 +236,15 @@ def stalk(A, p, topology, budget=None):
 def spec_points(A, topology="zar", budget=None):
     """All primes with their stalks; the order is computed, then required
     discrete, which is where finite rings land every time."""
-    primes, rows = [], []
-    for p, _res in points_of(A):
-        ring, _hom = stalk(A, p, topology, budget=budget)
-        primes.append(p)
+    primes, rows = prime_ideals(A), []
+    for p in primes:
+        ring, _hom = _stalk(A, p, topology, budget)
         rows.append({"prime": p.label(),
                      "stalk": recognize_ring(ring, budget=budget),
                      "stalk_size": ring.size})
     order = [(i, j) for i, p in enumerate(primes) for j, q in enumerate(primes)
              if p.elements <= q.elements]
-    poset = Poset(list(range(len(primes))), order)
-    assert poset.is_antichain(), "specialization order is not discrete"
+    assert all(i == j for i, j in order), "specialization order is not discrete"
+    poset = Poset(list(range(len(primes))), order, budget)
     return Spectrum(poset, {"base": A.name, "topology": topology}, rows,
                     [row["prime"] for row in rows], "points")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import (IdentityViolation, InvalidFamily, InvalidSpec,
-                     NotSimplicial, TruncationTooLow)
+                     NotSimplicial, TruncationTooLow, parse_int)
 from .fincat import CoverResult
 from .posets import Poset, Spectrum
 
@@ -331,7 +331,7 @@ def build_sset(spec):
                         dim=dim)
         raise InvalidSpec("unknown sset kind %r" % (kind,))
     try:
-        dim = int(spec["dim"])
+        dim = parse_int(spec["dim"], "sset field 'dim'")
         raw = spec["nondegenerate"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec("sset needs dim and nondegenerate: %s" % exc) from exc
@@ -375,7 +375,7 @@ def build_sset(spec):
             for i, face in enumerate(fl):
                 try:
                     opvals, target = face
-                    opvals = tuple(int(v) for v in opvals)
+                    opvals = tuple(parse_int(v, "face value") for v in opvals)
                 except (TypeError, ValueError):
                     raise InvalidSpec(
                         "face %d of %r is not [operator values, cell label]"
@@ -390,14 +390,6 @@ def build_sset(spec):
                         "face target %r missing in dimension %d" % (target, m))
                 faces[(n, j, i)] = (opvals, (m, lookup[(m, str(target))]))
     return FinSSet(dim, labels, faces, name=str(spec.get("name", "sset")))
-
-
-def parse_int(value, where):
-    """An integer field or key of an input file, else InvalidSpec at where."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InvalidSpec("%s: %r is not an integer" % (where, value)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +740,8 @@ def is_standard_simplex(X, budget=None):
     return False
 
 
-def _cell_spectrum(X, mode, refs, pairs):
-    poset = Poset(list(range(len(refs))), pairs)
+def _cell_spectrum(X, mode, refs, pairs, budget):
+    poset = Poset(list(range(len(refs))), pairs, budget)
     labels = [X.cell_label(r) for r in refs]
     rows = [{"dim": r[0], "cell": label} for r, label in zip(refs, labels)]
     return Spectrum(poset, {"base": X.name, "mode": mode}, rows, labels,
@@ -757,17 +749,16 @@ def _cell_spectrum(X, mode, refs, pairs):
 
 
 def spec_delta_nis(X, budget=None):
-    """Cells ordered by iterated-face containment, one budget step per
-    stored face: the closure of "the cell w of each stored face lies below
-    its cell", as a face s*(w) reaches w through a section of s."""
-    budget = ensure_budget(budget)
+    """Cells ordered by iterated-face containment, one budget step per cell
+    and per stored face: the closure of "the cell w of each stored face lies
+    below its cell", as a face s*(w) reaches w through a section of s."""
     refs = X.cells()
     pos = {r: i for i, r in enumerate(refs)}
     pairs = [(pos[w], pos[r2]) for r2 in refs for _s, w in X.cell_faces(r2)]
-    budget.spend(len(pairs))
-    return _cell_spectrum(X, "delta-nis", refs, pairs)
+    return _cell_spectrum(X, "delta-nis", refs, pairs, budget)
 
 
-def spec_raw(X):
+def spec_raw(X, budget=None):
     """Bare vertices, none comparable."""
-    return _cell_spectrum(X, "raw", [r for r in X.cells() if r[0] == 0], [])
+    return _cell_spectrum(X, "raw", [r for r in X.cells() if r[0] == 0], [],
+                          budget)

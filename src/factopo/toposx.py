@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 
 from .budget import ensure_budget
-from .errors import InvalidSpec, NotEquivariant, NotLinear
+from .errors import InvalidSpec, NotEquivariant, NotLinear, parse_int
 from .fincat import CoverResult
 from .finring import gf, prime_power
 from .posets import Poset, Spectrum
@@ -315,7 +315,8 @@ class FqVecSpace:
 
 def build_vspace(spec, budget=None):
     try:
-        return FqVecSpace(int(spec["q"]), int(spec["n"]),
+        return FqVecSpace(parse_int(spec["q"], "vector space field 'q'"),
+                          parse_int(spec["n"], "vector space field 'n'"),
                           name=str(spec.get("name", "")), budget=budget)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSpec("vector space needs q and n: %s" % exc) from exc
@@ -460,6 +461,6 @@ def simple_points(V, budget=None):
     for v in lines(V, budget):
         labels.append("[" + ",".join(V.field.names[c] for c in v) + "]")
     pairs = [(0, i) for i in range(1, len(labels))]
-    poset = Poset(list(range(len(labels))), pairs)
+    poset = Poset(list(range(len(labels))), pairs, budget)
     return Spectrum(poset, {"base": V.name},
                     [{"label": s} for s in labels], labels, "lines")

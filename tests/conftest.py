@@ -1,12 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from factopo.catalogs import (category_catalogue, gset_catalogue, ring_catalogue,
                               sset_corpus)
 from factopo.fincat import FinCat
 from factopo.finring import FinRing
 from factopo.toposx import FqVecSpace
+
+# every property test replays the same examples, keeps no example database
+# on disk, and has no per-example deadline on a loaded machine
+settings.register_profile("factopo", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("factopo")
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ does not need, or that it replaced with faster ones."""
 
 import itertools
 
+from factopo.errors import InvalidSpec
 from factopo.fincat import Functor, all_functors
 from factopo.finring import enumerate_homs
 
@@ -130,3 +131,71 @@ def product_tables_by_tuple_index(factors):
              for combo in combos]
     return (add, mul, names, index[tuple(f.zero for f in factors)],
             index[tuple(f.one for f in factors)])
+
+
+class WarshallPoset:
+    """The poset of a generating relation on an n x n boolean matrix: a
+    Warshall closure, then a scan for antisymmetry; covers found by testing
+    every middle element, and bounds by scanning every element."""
+
+    def __init__(self, elements, pairs=()):
+        self.elements = list(elements)
+        if len(set(self.elements)) != len(self.elements):
+            raise InvalidSpec("duplicate poset elements")
+        pos = {x: i for i, x in enumerate(self.elements)}
+        n = len(self.elements)
+        rel = [[False] * n for _ in range(n)]
+        for i in range(n):
+            rel[i][i] = True
+        for x, y in pairs:
+            if x not in pos or y not in pos:
+                raise InvalidSpec("relation pair outside the element list")
+            rel[pos[x]][pos[y]] = True
+        for k in range(n):
+            for i in range(n):
+                if rel[i][k]:
+                    row, rowk = rel[i], rel[k]
+                    for j in range(n):
+                        if rowk[j]:
+                            row[j] = True
+        for i in range(n):
+            for j in range(n):
+                if i != j and rel[i][j] and rel[j][i]:
+                    raise InvalidSpec(
+                        "not antisymmetric: %r and %r compare both ways"
+                        % (self.elements[i], self.elements[j]))
+        self._pos = pos
+        self._rel = rel
+
+    def le(self, x, y):
+        return self._rel[self._pos[x]][self._pos[y]]
+
+    def lt(self, x, y):
+        return x != y and self.le(x, y)
+
+    def order_pairs(self):
+        return [(x, y) for i, x in enumerate(self.elements)
+                for j, y in enumerate(self.elements) if self._rel[i][j]]
+
+    def hasse_edges(self):
+        return [(x, y) for x in self.elements for y in self.elements
+                if self.lt(x, y) and
+                not any(self.lt(x, z) and self.lt(z, y) for z in self.elements)]
+
+    def meet(self, x, y):
+        lower = [z for z in self.elements if self.le(z, x) and self.le(z, y)]
+        best = [z for z in lower if all(self.le(w, z) for w in lower)]
+        return best[0] if best else None
+
+    def join(self, x, y):
+        upper = [z for z in self.elements if self.le(x, z) and self.le(y, z)]
+        best = [z for z in upper if all(self.le(z, w) for w in upper)]
+        return best[0] if best else None
+
+    def op(self):
+        flipped = WarshallPoset.__new__(WarshallPoset)
+        flipped.elements = list(self.elements)
+        flipped._pos = dict(self._pos)
+        n = len(self.elements)
+        flipped._rel = [[self._rel[j][i] for j in range(n)] for i in range(n)]
+        return flipped

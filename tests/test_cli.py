@@ -272,6 +272,14 @@ MAP_COVER = ["cover", "--topology", "raw", "--object", "{a}", "--family",
              "{b}"]
 
 
+RING_CLASSIFY = ["classify", "--ring", "{a}"]
+
+
+def quotient_z12(gen):
+    return {"kind": "quotient", "base": {"kind": "zmod", "n": 12},
+            "ideal_gens": [gen]}
+
+
 def map_family(assignment):
     return {"a": {"kind": "delta", "n": 2},
             "b": {"maps": [dict(EDGE_MAP, assignment=assignment)]}}
@@ -329,6 +337,29 @@ MALFORMED = {
         ["cover", "--topology", "fin", "--base", "{a}", "--family", "{b}"],
         {"a": {"kind": "zmod", "n": 6},
          "b": {"homs": [{"target": {"kind": "zmod", "n": 3}, "map": 5}]}}),
+    # numbers that were truncated, and ring elements read without a range
+    # check, before every numeric field went through one reader
+    "zmod-n-float": (RING_CLASSIFY, {"a": {"kind": "zmod", "n": 12.7}}),
+    "zmod-n-bool": (RING_CLASSIFY, {"a": {"kind": "zmod", "n": True}}),
+    "gf-k-float": (RING_CLASSIFY, {"a": {"kind": "gf", "p": 2, "k": 2.9}}),
+    "gf-p-float": (RING_CLASSIFY, {"a": {"kind": "gf", "p": 2.5}}),
+    "vspace-q-float": (["spectrum", "--topology", "lines", "--space", "{a}"],
+                       {"a": {"q": 2.5, "n": 2}}),
+    "vspace-n-bool": (["spectrum", "--topology", "lines", "--space", "{a}"],
+                      {"a": {"q": 2, "n": True}}),
+    "stock-n-float": (SSET_SPECTRUM, {"a": {"kind": "delta", "n": 2.9}}),
+    "sset-dim-float": (SSET_SPECTRUM,
+                       {"a": {"dim": 1.5, "nondegenerate": {"0": ["v"]}}}),
+    "sset-face-value-float": (
+        SSET_SPECTRUM,
+        {"a": {"dim": 2, "nondegenerate": {"0": ["v"], "1": [
+            {"name": "e", "faces": [[[0.5], "v"], [[0], "v"]]}]}}}),
+    "map-cell-float-operator": (MAP_COVER, map_family({
+        "0": {"0": [[0.5], "0"], "1": [[0], "1"]},
+        "1": {"01": [[0, 1], "01"]}})),
+    "quotient-gen-out-of-range": (RING_CLASSIFY, {"a": quotient_z12(99)}),
+    "quotient-gen-negative": (RING_CLASSIFY, {"a": quotient_z12(-1)}),
+    "quotient-gen-bool": (RING_CLASSIFY, {"a": quotient_z12(True)}),
     "map-nonint-dim-key": (
         ["cover", "--topology", "raw", "--object", "{a}", "--family", "{b}"],
         {"a": {"kind": "delta", "n": 2},
@@ -381,6 +412,9 @@ OVER_BUDGET = {
     "delta7-delta-nis": (["spectrum", "--topology", "delta-nis", "--object",
                           "{a}", "--budget", "1"],
                          {"a": {"kind": "delta", "n": 7}}),
+    "lines-2^13-budget-10000": (["spectrum", "--topology", "lines", "--space",
+                                 "{a}", "--budget", "10000"],
+                                {"a": {"q": 2, "n": 13}}),
     "table-z150-budget-1": (["classify", "--ring", "{a}", "--budget", "1"],
                             {"a": {"kind": "table", "elements": list(range(150)),
                                    "one": 1,

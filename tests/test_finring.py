@@ -299,7 +299,7 @@ def test_hom_check_names_a_broken_pair():
         assert f[table[x][y]] != op[f[x]][f[y]], (f, str(err.value))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_hom_check_agrees_with_the_full_scan_on_random_maps(data):
     rings = [R for R in ring_catalogue() if R.size <= 16]

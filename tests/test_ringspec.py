@@ -1,9 +1,14 @@
 import itertools
 import math
 
+import pytest
+
+from factopo import ringspec, ringsys
 from factopo.budget import Budget
-from factopo.finring import (FinRing, all_ideals, gf, localize, prime_ideals,
-                             prime_power, product_ring, quotient_ring, zmod)
+from factopo.errors import NotAPrime
+from factopo.finring import (FinRing, all_ideals, gf, ideal_generated,
+                             localize, prime_ideals, prime_power, product_ring,
+                             quotient_ring, zmod)
 from factopo.ringspec import (check_duality, dom_lattice, recognize_ring,
                               spec_points, stalk, zar_lattice)
 from oracles import ring_isomorphic
@@ -114,6 +119,8 @@ def test_stalks_of_z12_at_two():
     assert hom_zar.source is z12
     ring_dom, _hom = stalk(z12, p, "dom")
     assert ring_isomorphic(ring_dom, zmod(2)) is not None
+    with pytest.raises(NotAPrime):
+        stalk(z12, ideal_generated(z12, [z12.element_by_name("4")]), "zar")
 
 
 def test_stalk_classes(rings):
@@ -131,6 +138,23 @@ def test_spec_points_poset_is_discrete():
     data = sp.as_json()
     assert data["base"] == "Z/12"
     assert all(i == j for i, j in data["order"])
+
+
+def test_spec_points_finds_the_primes_once(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return prime_ideals(A)
+
+    # patched where each module reads it, so calls through points_of count
+    for module in (ringspec, ringsys):
+        monkeypatch.setattr(module, "prime_ideals", counted)
+    A = product_ring([zmod(2), zmod(3), zmod(5)])
+    for topology in ("zar", "dom", "fin", "nfin"):
+        calls.clear()
+        assert spec_points(A, topology).size == 3
+        assert len(calls) == 1, topology
 
 
 def test_spec_points_fin_topology():

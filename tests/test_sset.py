@@ -412,10 +412,12 @@ def test_spec_order_matches_the_operator_scan(corpus):
             order_by_operator_scan(X), X.name
 
 
-def test_spec_delta_nis_charges_one_step_per_stored_face():
+def test_spec_delta_nis_charges_one_step_per_cell_and_stored_face():
+    D = delta(7)
     budget = Budget()
-    spec_delta_nis(delta(7), budget)
-    assert budget.used == len(delta(7).faces_tbl) == 1016
+    spec_delta_nis(D, budget)
+    # 1,016 stored faces and 255 cells
+    assert budget.used == len(D.faces_tbl) + len(D.cells()) == 1271
 
 
 def test_spec_delta_nis_sizes():
