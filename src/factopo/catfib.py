@@ -227,9 +227,8 @@ def comprehensive_factorize(F, side="right", budget=None):
     first = Functor(C, cat, first_obj, first_mor,
                     name="unit-%s" % F.name)
     assert _lifts_uniquely(proj, "tgt" if side == "right" else "src")
-    composite = first.then(proj)
-    assert composite.obj_map == F.obj_map
-    assert composite.mor_map == F.mor_map
+    assert all(proj.on_obj(first.on_obj(c)) == F.on_obj(c) for c in C.objects)
+    assert all(proj.on_mor(first.on_mor(h)) == F.on_mor(h) for h in C.morphisms)
     return first, elem, proj
 
 
@@ -262,16 +261,26 @@ def cat_universe(cats, budget=None):
 
     Objects are named by each category's name (required unique); the
     payload carries the actual functors so lifting problems can be posed
-    with the generic orthogonality machinery.
+    with the generic orthogonality machinery.  A functor A -> B composes as
+    the positions, among B's objects and then B's ``morphism_ids``, of the
+    images of A's objects and morphisms.
     """
     budget = ensure_budget(budget)
     names = [C.name for C in cats]
     if len(set(names)) != len(names):
         raise InvalidSpec("categories need distinct names to form a universe")
+    places = {}
+    for C in cats:
+        objs = {x: i for i, x in enumerate(C.objects)}
+        places[C.name] = objs, {m: len(objs) + i
+                                for i, m in enumerate(C.morphism_ids())}
+
+    def positions(F):
+        objs, mors = places[F.target.name]
+        return ([objs[F.obj_map[x]] for x in F.source.objects]
+                + [mors[F.mor_map[m]] for m in F.source.morphism_ids()])
+
     return concrete_category(
-        list(cats),
-        object_key=lambda C: C.name,
-        hom_fn=lambda A, B: all_functors(A, B, budget=budget),
-        compose_fn=lambda g, f: f.then(g),
-        identity_fn=identity_functor,
+        list(cats), lambda C: C.name,
+        lambda A, B: all_functors(A, B, budget=budget), positions,
         name="cats", budget=budget)

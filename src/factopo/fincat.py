@@ -6,8 +6,6 @@ and factorisation systems are checked axiom by axiom inside an explicitly
 enumerated universe.
 """
 
-from __future__ import annotations
-
 import itertools
 from dataclasses import dataclass, field
 
@@ -38,6 +36,7 @@ class FinCat:
         self.compose_table = dict(compose)
         self.payload = dict(payload) if payload else {}
         self.name = name
+        self._isos = None
         self._ids = tuple(sorted(self.morphisms, key=_key))
         mors, hom = self.morphisms, {}
         for m in self._ids:
@@ -76,15 +75,17 @@ class FinCat:
         return self.identities.get(self.src(m)) == m and self.src(m) == self.tgt(m)
 
     def is_iso(self, m):
-        return self.inverse_of(m) is not None
+        return m in self._isomorphisms()
 
-    def inverse_of(self, m):
-        s, t = self.morphisms[m]
-        for g in self.hom(t, s):
-            if (self.compose_table[(g, m)] == self.identities[s]
-                    and self.compose_table[(m, g)] == self.identities[t]):
-                return g
-        return None
+    def _isomorphisms(self, budget=None):
+        """The m with some g composing with it to identities both ways,
+        found once, one step per compose entry."""
+        if self._isos is None:
+            ensure_budget(budget).spend(len(self.compose_table))
+            comp, ids = self.compose_table, set(self.identities.values())
+            self._isos = frozenset(m for (g, m), h in comp.items()
+                                   if h in ids and comp[(m, g)] in ids)
+        return self._isos
 
     def validate(self, budget=None):
         budget = ensure_budget(budget)
@@ -173,13 +174,15 @@ def validate_fincat(raw, budget=None):
     """
     if not isinstance(raw, dict):
         raise NotACategory("category data must be a mapping")
-    try:
-        objects = list(raw["objects"])
-        morrows = list(raw["morphisms"])
-        identities = dict(raw["identities"])
-        compose_rows = list(raw["compose"])
-    except (KeyError, TypeError) as exc:
-        raise NotACategory("missing field: %s" % exc) from exc
+    fields = {"objects": list, "morphisms": list, "identities": dict,
+              "compose": list}
+    for key, kind in fields.items():
+        if key not in raw:
+            raise NotACategory("missing field: %r" % key)
+        if not isinstance(raw[key], kind):
+            raise NotACategory("field %r must be a %s" % (
+                key, "list" if kind is list else "mapping"))
+    objects, morrows, identities, compose_rows = (raw[k] for k in fields)
     budget = ensure_budget(budget)
     budget.spend(len(objects))
     for i, obj in enumerate(objects):
@@ -242,8 +245,9 @@ class Functor:
 
     def validate(self):
         C, D = self.source, self.target
+        targets = set(D.objects)
         for x in C.objects:
-            if self.obj_map.get(x) not in set(D.objects):
+            if self.obj_map.get(x) not in targets:
                 raise NotACategory("functor misses object %r" % (x,))
         for m, (s, t) in C.morphisms.items():
             fm = self.mor_map.get(m)
@@ -264,24 +268,10 @@ class Functor:
     def on_mor(self, m):
         return self.mor_map[m]
 
-    def then(self, other):
-        """other after self."""
-        if other.source is not self.target:
-            raise NotACategory("functors are not composable")
-        return Functor(self.source, other.target,
-                       {x: other.obj_map[y] for x, y in self.obj_map.items()},
-                       {m: other.mor_map[n] for m, n in self.mor_map.items()},
-                       name="%s;%s" % (self.name, other.name), check=False)
-
     def op(self):
         return Functor(self.source.op(), self.target.op(),
                        self.obj_map, self.mor_map, name=self.name + "^op",
                        check=False)
-
-    def fingerprint(self):
-        """The images, in the source's order of objects and morphisms."""
-        return (tuple(self.obj_map[x] for x in self.source.objects),
-                tuple(self.mor_map[m] for m in self.source.morphism_ids()))
 
     def __repr__(self):
         return "Functor(%s: %s -> %s)" % (self.name or "?",
@@ -332,108 +322,77 @@ def monoid_category(elements, table, unit, name=""):
                   name=name or "monoid")
 
 
-def concrete_category(objects, object_key, hom_fn, compose_fn, identity_fn,
-                      name="", budget=None):
+def concrete_category(objects, object_key, hom_fn, positions, name="",
+                      budget=None):
     """Tabulate a category whose arrows are concrete maps.
 
-    ``hom_fn(x, y)`` lists the concrete arrows, ``compose_fn(g, f)`` composes
-    them, ``identity_fn(x)`` builds the identity.  Arrow ids are
-    (src_key, tgt_key, index) with a lookup by the arrow's own equality, so
-    compose results are matched back to enumerated arrows.
+    ``hom_fn(x, y)`` lists the arrows x -> y; ``positions(a)`` gives a as
+    the tuple of the positions that the source's places go to among the
+    target's, so g after f is f's tuple read through g's and an identity is
+    (0, 1, ..., k - 1).  A hom set listing one tuple twice is refused.
+    Arrow ids are (src_key, tgt_key, index); the payload keeps the arrows.
     """
     budget = ensure_budget(budget)
-    keys = {x: object_key(x) for x in objects}
-    arrows = {}
-    lookup = {}
-    for x in objects:
-        for y in objects:
-            homs = hom_fn(x, y)
-            for i, a in enumerate(homs):
-                mid = (keys[x], keys[y], i)
+    keys = [object_key(x) for x in objects]
+    arrows, images, homs = {}, {}, {}
+    for x, kx in zip(objects, keys):
+        for y, ky in zip(objects, keys):
+            hom = homs[(kx, ky)] = {}
+            for i, a in enumerate(hom_fn(x, y)):
+                mid = (kx, ky, i)
                 arrows[mid] = a
-                lookup[(keys[x], keys[y], arrow_fingerprint(a))] = mid
-    morphisms = {mid: (mid[0], mid[1]) for mid in arrows}
+                images[mid] = image = tuple(positions(a))
+                if hom.setdefault(image, mid) != mid:
+                    raise NotACategory("hom set %r -> %r lists one arrow "
+                                       "twice" % (kx, ky))
     identities = {}
-    for x in objects:
-        ident = identity_fn(x)
-        mid = lookup.get((keys[x], keys[x], arrow_fingerprint(ident)))
-        if mid is None:
-            raise NotACategory("identity of %r missing from hom enumeration" % (keys[x],))
-        identities[keys[x]] = mid
+    for k in keys:
+        hom = homs[(k, k)]
+        unit = tuple(range(len(next(iter(hom), ()))))
+        if unit not in hom:
+            raise NotACategory("identity of %r missing from hom enumeration"
+                               % (k,))
+        identities[k] = hom[unit]
     into = {}
     for mid in arrows:
         into.setdefault(mid[1], []).append(mid)
     compose = {}
-    for g in arrows:
+    for g, image in images.items():
+        place = image.__getitem__
         for f in into.get(g[0], ()):
             budget.spend()
-            comp = compose_fn(arrows[g], arrows[f])
-            mid = lookup.get((f[0], g[1], arrow_fingerprint(comp)))
+            mid = homs[(f[0], g[1])].get(tuple(map(place, images[f])))
             if mid is None:
                 raise NotACategory(
                     "composite of enumerated arrows missing from enumeration "
                     "(%r after %r)" % (g, f))
             compose[(g, f)] = mid
-    cat = FinCat([keys[x] for x in objects], morphisms, identities, compose,
-                 payload=arrows, name=name, budget=budget)
-    return cat
-
-
-def arrow_fingerprint(a):
-    fp = getattr(a, "fingerprint", None)
-    if fp is not None:
-        return fp() if callable(fp) else fp
-    return a
+    return FinCat(keys, morphisms={mid: mid[:2] for mid in arrows},
+                  identities=identities, compose=compose, payload=arrows,
+                  name=name, budget=budget)
 
 
 # ---------------------------------------------------------------------------
 # lifting problems
 
-@dataclass(frozen=True)
-class LiftingSquare:
-    """Commuting square bottom . u = f . top, asking for diagonals N -> U."""
-    ambient: FinCat
-    u: object
-    f: object
-    top: object
-    bottom: object
-
-    def validate(self):
-        C = self.ambient
-        if C.src(self.top) != C.src(self.u) or C.tgt(self.top) != C.src(self.f):
-            raise NotACategory("top leg endpoints do not match")
-        if C.src(self.bottom) != C.tgt(self.u) or C.tgt(self.bottom) != C.tgt(self.f):
-            raise NotACategory("bottom leg endpoints do not match")
-        if C.compose(self.f, self.top) != C.compose(self.bottom, self.u):
-            raise NotACategory("square does not commute")
-
-
-def enumerate_lifts(square, budget=None):
-    """All diagonals making both triangles commute; the empty list is a valid answer."""
-    square.validate()
-    budget = ensure_budget(budget)
-    C = square.ambient
-    out = []
-    for ell in C.hom(C.tgt(square.u), C.src(square.f)):
-        budget.spend()
-        if (C.compose(ell, square.u) == square.top
-                and C.compose(square.f, ell) == square.bottom):
-            out.append(ell)
-    return out
-
-
 def is_orthogonal(u, f, ambient, budget=None):
-    """True iff every commuting square from u to f has exactly one diagonal."""
+    """True iff every commuting square from u to f has exactly one diagonal:
+    for each top P -> U and bottom N -> X with f top = bottom u, exactly one
+    ell: N -> U has ell u = top and f ell = bottom."""
     budget = ensure_budget(budget)
-    P, N = ambient.src(u), ambient.tgt(u)
-    U, X = ambient.src(f), ambient.tgt(f)
-    for top in ambient.hom(P, U):
-        for bottom in ambient.hom(N, X):
+    C, comp = ambient, ambient.compose_table
+    P, N = C.src(u), C.tgt(u)
+    U, X = C.src(f), C.tgt(f)
+    for top in C.hom(P, U):
+        for bottom in C.hom(N, X):
             budget.spend()
-            if ambient.compose(f, top) != ambient.compose(bottom, u):
+            if comp[(f, top)] != comp[(bottom, u)]:
                 continue
-            sq = LiftingSquare(ambient, u, f, top, bottom)
-            if len(enumerate_lifts(sq, budget=budget)) != 1:
+            lifts = 0
+            for ell in C.hom(N, U):
+                budget.spend()
+                lifts += comp[(ell, u)] == top and comp[(f, ell)] == bottom
+            if lifts != 1:
                 return False
     return True
 
@@ -451,19 +410,19 @@ def pushout(C, f, g, budget=None):
     if C.src(f) != C.src(g):
         raise NotACategory("pushout legs must share their source")
     A, B = C.tgt(f), C.tgt(g)
-    cocones = []
+    comp, cocones = C.compose_table, []
     for P in C.objects:
         for iA in C.hom(A, P):
             for iB in C.hom(B, P):
                 budget.spend()
-                if C.compose(iA, f) == C.compose(iB, g):
+                if comp[(iA, f)] == comp[(iB, g)]:
                     cocones.append((P, iA, iB))
     for (P, iA, iB) in cocones:
         universal = True
         for (Q, jA, jB) in cocones:
             budget.spend()
             mediators = [m for m in C.hom(P, Q)
-                         if C.compose(m, iA) == jA and C.compose(m, iB) == jB]
+                         if comp[(m, iA)] == jA and comp[(m, iB)] == jB]
             if len(mediators) != 1:
                 universal = False
                 break
@@ -520,11 +479,14 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
     FactorizerContractViolation; everything else lands in the report.
     Passing ``fac_alt`` checks middle uniqueness against a second run
     (typically the same factorizer under a permuted enumeration order).
+    Composites of pairs drawn from hom sets are read off the compose table.
     """
     budget = ensure_budget(budget)
     C = universe
     report = SystemReport()
     mors = C.morphism_ids()
+    comp = C.compose_table
+    C._isomorphisms(budget)  # builds, on this budget, the set is_iso reads
     left_class = {}
     right_class = {}
     for m in mors:
@@ -565,7 +527,7 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
                     continue
                 budget.spend()
                 res.checked += 1
-                if not cls[C.compose(g, f)]:
+                if not cls[comp[(g, f)]]:
                     res.status = FAIL
                     res.counterexample = (g, f)
                     break
@@ -590,7 +552,7 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
             if not right_class[v]:
                 continue
             budget.spend()
-            if right_class[C.compose(v, u)]:
+            if right_class[comp[(v, u)]]:
                 cancel.checked += 1
                 if not right_class[u]:
                     cancel.status = FAIL
@@ -611,8 +573,8 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
         P, i1, i2 = po
         Y = C.tgt(a)
         mediators = [c for c in C.hom(P, Y)
-                     if C.compose(c, i1) == C.identities[Y]
-                     and C.compose(c, i2) == C.identities[Y]]
+                     if comp[(c, i1)] == C.identities[Y]
+                     and comp[(c, i2)] == C.identities[Y]]
         codiag.checked += 1
         if len(mediators) != 1 or not left_class[mediators[0]]:
             codiag.status = FAIL
@@ -632,7 +594,7 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
                 "alternate factorizer of %r does not compose to the input" % (m,))
         comparisons = [phi for phi in C.hom(mid, mid2)
                        if C.is_iso(phi)
-                       and C.compose(phi, a) == a2
+                       and comp[(phi, a)] == a2
                        and C.compose(b2, phi) == b]
         uniqueness.checked += 1
         if len(comparisons) != 1:
@@ -652,9 +614,13 @@ def all_functors(C, D, budget=None):
 
     Backtracking gives those morphisms images one at a time, in
     ``morphism_ids`` order, and fixes an object's image with the first of
-    them touching it; objects none touches are enumerated up front.  Each
-    compose entry of C is checked once, when its last member gets an image
-    (Ullmann 1976); entries among identities hold by D's unit laws.
+    them touching it; objects none touches are enumerated up front.  A
+    composite h = gf comes right after its pair, with F(g)F(f) its only
+    candidate.  Each compose entry of C is checked once, when its last
+    member gets an image (Ullmann 1976); entries among identities hold by
+    D's unit laws.  Looking ahead (Mackworth 1977), an entry with h and
+    one of g, f mapped needs a completion in D.  Every candidate and
+    every look-ahead test costs a step.
     """
     budget = ensure_budget(budget)
     mor_ids = [m for m in C.morphism_ids() if not C.is_identity(m)]
@@ -665,12 +631,31 @@ def all_functors(C, D, budget=None):
         for m in {g, f, h}:
             entries.setdefault(m, []).append((g, f, h))
     steps, done = [], {C.identities[x] for x in free}
-    for m in mor_ids:
+    todo = [(m, None) for m in reversed(mor_ids)]
+    while todo:
+        m, pair = todo.pop()
+        if m in done:
+            continue
         s, t = C.morphisms[m]
-        new = [x for x in dict.fromkeys((s, t)) if C.identities[x] not in done]
+        new = [x for x in dict.fromkeys((s, t))
+               if C.identities[x] not in done]
         done.update([m] + [C.identities[x] for x in new])
-        steps.append((m, s, t, new, [e for e in entries.get(m, ())
-                                     if all(k in done for k in e)]))
+        mine = entries.get(m, [])
+        checks = [e for e in mine
+                  if e[:2] != pair and all(k in done for k in e)]
+        # (0, f, h): some xF(f) is F(h); (1, g, h): some F(g)x is F(h)
+        ahead = [(0, f, h) if f in done else (1, g, h)
+                 for g, f, h in mine
+                 if g != f and h in done and len({g, f} - done) == 1]
+        steps.append((m, s, t, new, pair, checks, ahead))
+        # the composites this step forces come next
+        todo.extend((h, (g, f)) for g, f, h in mine
+                    if g in done and f in done and h not in done)
+    comp, solvable = D.compose_table, set()
+    if any(step[6] for step in steps):
+        for (x, y), z in comp.items():
+            budget.spend()
+            solvable.update(((0, y, z), (1, x, z)))
     endos = [c for c in D.morphism_ids() if D.src(c) == D.tgt(c)]
     obj_map, mor_map, out = {}, {}, []
     keys = [C.identities[x] for x in C.objects] + mor_ids
@@ -682,8 +667,10 @@ def all_functors(C, D, budget=None):
             out.append(Functor(C, D, {x: obj_map[x] for x in C.objects},
                                {m: mor_map[m] for m in keys}, check=False))
             return
-        m, s, t, new, checks = steps[i]
-        if s in new and t in new:
+        m, s, t, new, pair, checks, ahead = steps[i]
+        if pair is not None:
+            pool = (comp[(mor_map[pair[0]], mor_map[pair[1]])],)
+        elif s in new and t in new:
             pool = endos if s == t else D.morphism_ids()
         elif s in new:
             pool = D._into.get(obj_map[t], ())
@@ -698,8 +685,14 @@ def all_functors(C, D, budget=None):
                 if x in new:
                     obj_map[x] = y
                     mor_map[C.identities[x]] = D.identities[y]
-            if all(D.compose_table[(mor_map[g], mor_map[f])] == mor_map[h]
-                   for g, f, h in checks):
+            if not all(comp[(mor_map[g], mor_map[f])] == mor_map[h]
+                       for g, f, h in checks):
+                continue
+            for kind, k, h in ahead:
+                budget.spend()
+                if (kind, mor_map[k], mor_map[h]) not in solvable:
+                    break
+            else:
                 assign(i + 1)
 
     for images in itertools.product(D.objects, repeat=len(free)):

@@ -427,6 +427,8 @@ def build_ring(spec, budget=None):
                                  for s in spec["factors"]], budget)
         if kind == "quotient":
             base = build_ring(spec["base"], budget)
+            if not isinstance(spec["ideal_gens"], list):
+                raise InvalidSpec("quotient field 'ideal_gens' must be a list")
             gens = [base.parse_element(g) for g in spec["ideal_gens"]]
             ring, _ = quotient_ring(base, ideal_generated(base, gens))
             return ring
@@ -493,9 +495,6 @@ class RingHom:
             raise InvalidSpec("homs are not composable")
         return RingHom(self.source, other.target,
                        tuple(other.mapping[v] for v in self.mapping))
-
-    def fingerprint(self):
-        return self.mapping
 
     def __repr__(self):
         return "RingHom(%s -> %s)" % (self.source.name, self.target.name)

@@ -470,8 +470,7 @@ def ring_universe(rings, budget=None):
     cat = concrete_category(
         rings, lambda R: R.name,
         lambda x, y: enumerate_homs(x, y, budget=budget),
-        lambda g, f: f.then(g),
-        identity_hom, name="rings", budget=budget)
+        lambda h: h.mapping, name="rings", budget=budget)
     cat.rings = {R.name: R for R in rings}
     return cat
 
@@ -501,7 +500,7 @@ def system_factorizer(system, universe, seed=0, budget=None):
     """Adapt factorize() to the morphism-id protocol of verify_system."""
     from .finring import inverse_hom
     rings = list(universe.rings.values())
-    index = {(m[0], m[1], h.fingerprint()): m
+    index = {(m[0], m[1], h.mapping): m
              for m, h in universe.payload.items()}
 
     def fac(mor_id):
@@ -511,9 +510,9 @@ def system_factorizer(system, universe, seed=0, budget=None):
         left = F.left.then(iso)
         right = inverse_hom(iso).then(F.right)
         assert left.then(right).mapping == u.mapping
-        return (index[(u.source.name, C.name, left.fingerprint())],
+        return (index[(u.source.name, C.name, left.mapping)],
                 C.name,
-                index[(C.name, u.target.name, right.fingerprint())])
+                index[(C.name, u.target.name, right.mapping)])
 
     return fac
 

@@ -71,6 +71,49 @@ def all_functors_by_backtracking(C, D):
     return out
 
 
+def then(F, G):
+    """The functor G after F."""
+    return Functor(F.source, G.target,
+                   {x: G.obj_map[y] for x, y in F.obj_map.items()},
+                   {m: G.mor_map[n] for m, n in F.mor_map.items()},
+                   check=False)
+
+
+def fingerprint(a):
+    """A functor's images, in its source's order of objects and morphisms,
+    or a ring hom's mapping."""
+    if isinstance(a, Functor):
+        return (tuple(a.obj_map[x] for x in a.source.objects),
+                tuple(a.mor_map[m] for m in a.source.morphism_ids()))
+    return a.mapping
+
+
+def concrete_tables_by_composing_maps(objects, object_key, hom_fn, compose_fn,
+                                      identity_fn):
+    """(morphisms, identities, compose, payload) of a category of concrete
+    maps: every composable pair is composed as maps by ``compose_fn(g, f)``
+    and matched back to an enumerated arrow (src_key, tgt_key, index) by its
+    fingerprint, as is the map ``identity_fn(x)``."""
+    keys = {x: object_key(x) for x in objects}
+    arrows, lookup = {}, {}
+    for x in objects:
+        for y in objects:
+            for i, a in enumerate(hom_fn(x, y)):
+                mid = (keys[x], keys[y], i)
+                arrows[mid] = a
+                lookup[(keys[x], keys[y], fingerprint(a))] = mid
+    identities = {keys[x]: lookup[(keys[x], keys[x],
+                                   fingerprint(identity_fn(x)))]
+                  for x in objects}
+    compose = {}
+    for g in arrows:
+        for f in arrows:
+            if f[1] == g[0]:
+                h = compose_fn(arrows[g], arrows[f])
+                compose[(g, f)] = lookup[(f[0], g[1], fingerprint(h))]
+    return ({mid: mid[:2] for mid in arrows}, identities, compose, arrows)
+
+
 def is_hom_by_full_scan(A, B, f):
     """Whether the tuple f is a unital hom A -> B, testing + and * on every
     pair of elements of A."""

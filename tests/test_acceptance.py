@@ -27,7 +27,7 @@ from factopo.ringsys import (classify_ring, cover_check, dom_self_lift_decider,
 from factopo.sset import (delta, delta_nis_self_lift_decider, is_standard_simplex,
                           spec_delta_nis)
 from factopo.toposx import lines, orbit_partition
-from oracles import fincat_isomorphic, ring_isomorphic
+from oracles import fincat_isomorphic, ring_isomorphic, then
 
 
 def fat_field_catalogue(bound=16):
@@ -180,7 +180,7 @@ def test_comprehensive_factorisation_legs_and_slices(cats):
         first, elem, proj = comprehensive_factorize(F, "right")
         assert is_final(first)
         assert is_discrete_right_fibration(proj)
-        composite = first.then(proj)
+        composite = then(first, proj)
         assert composite.obj_map == F.obj_map
         assert composite.mor_map == F.mor_map
         if C is not None:

@@ -323,6 +323,21 @@ MALFORMED = {
                               "tgt": "a"}],
                "identities": {"a": ["le", "a", "a"]},
                "compose": [[["le", "a", "a"]] * 3]}}),
+    # fields of the wrong shape: a string of identities escaped as a
+    # ValueError, a string of objects or of ideal generators was read one
+    # character at a time
+    "cat-identities-string": (
+        ["orthogonal", "--category", "{a}", "--left", "ia", "--right", "ia"],
+        {"a": dict(SMALL_CAT, identities="ab")}),
+    "cat-objects-string": (
+        ["orthogonal", "--category", "{a}", "--left", "ia", "--right", "ia"],
+        {"a": {"objects": "ab",
+               "morphisms": [{"id": "ia", "src": "a", "tgt": "a"},
+                             {"id": "ib", "src": "b", "tgt": "b"}],
+               "identities": {"a": "ia", "b": "ib"},
+               "compose": [["ia", "ia", "ia"], ["ib", "ib", "ib"]]}}),
+    "quotient-gens-string": (RING_CLASSIFY, {"a": dict(quotient_z12("4"),
+                                                      ideal_gens="48")}),
     "morphism-id-object": (
         ["orthogonal", "--category", "{a}", "--left", '{"x": 1}',
          "--right", "ia"],

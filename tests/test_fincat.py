@@ -3,18 +3,23 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from factopo.budget import Budget
+from factopo.catalogs import category_catalogue
 from factopo.catfib import (cat_universe, comma, comprehensive_factorize,
                             slice_factorize)
 from factopo.errors import EnumerationBudgetExceeded, NotACategory
-from factopo.fincat import (FinCat, Functor, all_functors, is_orthogonal,
-                            monoid_category, poset_category, pushout,
-                            terminal_category, validate_fincat)
-from factopo.ringsys import verify_ring_system
-from factopo.finring import gf, zmod
+from factopo.fincat import (FinCat, Functor, all_functors, concrete_category,
+                            identity_functor, is_orthogonal, monoid_category,
+                            poset_category, pushout, terminal_category,
+                            validate_fincat)
+from factopo.ringsys import ring_universe, verify_ring_system
+from factopo.finring import enumerate_homs, gf, identity_hom, zmod
 from oracles import (all_functors_by_backtracking,
-                     associativity_violation_by_full_scan, fincat_isomorphic)
+                     associativity_violation_by_full_scan,
+                     concrete_tables_by_composing_maps, fincat_isomorphic,
+                     then)
 
 AXIOM_KEYS = ("class-membership", "composition-closure-left",
               "composition-closure-right", "intersection-isomorphisms",
@@ -243,6 +248,47 @@ def test_all_functors_matches_the_backtracker(cats, delta2):
                 functor_maps(all_functors_by_backtracking(C, D)), (C, D)
 
 
+@st.composite
+def dag_categories(draw):
+    """The poset category of a DAG on up to four points."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return poset_category(list(range(n)),
+                          [e for e, k in zip(pairs, keep) if k], name="dag")
+
+
+@st.composite
+def transformation_monoids(draw):
+    """The one-object category of the monoid that up to two self-maps of
+    {0, .., k - 1}, k <= 3, generate under composition; the test keeps
+    those of at most six elements, which the backtracker handles quickly."""
+    k = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * k),
+                         max_size=2))
+    elements = [tuple(range(k))]
+    for a in elements:
+        for g in gens:
+            ga = tuple(g[i] for i in a)
+            if ga not in elements:
+                elements.append(ga)
+    table = [[elements.index(tuple(a[i] for i in b)) for b in elements]
+             for a in elements]
+    return monoid_category(range(len(elements)), table, 0, name="monoid")
+
+
+small_categories = st.one_of(
+    dag_categories(),
+    transformation_monoids().filter(lambda C: len(C.morphisms) <= 6))
+
+
+@given(small_categories, small_categories)
+def test_all_functors_matches_the_backtracker_on_drawn_categories(C, D):
+    assert functor_maps(all_functors(C, D)) == \
+        functor_maps(all_functors_by_backtracking(C, D))
+
+
 def test_budget_stops_the_category_layer_at_once(cats, delta2):
     for run, budget in ((lambda b: all_functors(delta2, delta2, budget=b),
                          Budget(1000)),
@@ -254,3 +300,34 @@ def test_budget_stops_the_category_layer_at_once(cats, delta2):
         assert budget.used == budget.limit + 1
         # a loose wall-clock bound, so a loaded host does not fail it
         assert time.perf_counter() - started < 5
+
+
+def test_image_tuples_tabulate_what_composed_maps_do():
+    """The universe of the catalogue's categories, and the ring universe of
+    ``verify --suite axioms``, equal the tables built by composing the maps
+    themselves and matching each composite back by its fingerprint."""
+    def payloads(arrows):
+        return {m: (a.source.name, a.target.name, list(a.obj_map.items()),
+                    list(a.mor_map.items())) if isinstance(a, Functor) else a
+                for m, a in arrows.items()}
+
+    cats = category_catalogue()
+    rings = [zmod(1), zmod(2), zmod(3), zmod(4), zmod(6), gf(2, 2)]
+    for U, (mors, ids, comp, arrows) in (
+            (cat_universe(cats), concrete_tables_by_composing_maps(
+                cats, lambda C: C.name, all_functors,
+                lambda g, f: then(f, g), identity_functor)),
+            (ring_universe(rings), concrete_tables_by_composing_maps(
+                rings, lambda R: R.name, enumerate_homs,
+                lambda g, f: f.then(g), identity_hom))):
+        assert U.morphisms == mors and U.identities == ids
+        assert U.compose_table == comp
+        assert payloads(U.payload) == payloads(arrows)
+
+
+def test_a_hom_set_listing_one_arrow_twice_is_refused():
+    C = chain(1)
+    with pytest.raises(NotACategory, match="lists one arrow twice"):
+        concrete_category([C], lambda C: C.name,
+                          lambda A, B: all_functors(A, B) * 2,
+                          lambda F: [F.obj_map[x] for x in F.source.objects])
