@@ -144,9 +144,10 @@ def build_smap(raw, target):
     """A simplicial map into ``target`` from its nondegenerate-cell table.
 
     Each entry sends a named source cell to [surjection values, target cell
-    label]; degenerate images are allowed, faces are checked on build.
+    label]; degenerate images are allowed, faces are checked on build.  The
+    source charges its work to the target's budget.
     """
-    D = sset.build_sset(_need(raw, "source", "map"))
+    D = sset.build_sset(_need(raw, "source", "map"), target.budget)
     table = _need(raw, "assignment", "map")
     if not isinstance(table, dict) or \
             not all(isinstance(cells, dict) for cells in table.values()):
@@ -254,7 +255,8 @@ def _cmd_cover(args, budget):
     else:
         if not args.object:
             raise UsageError("cover over %s needs --object" % args.topology)
-        X = _build(sset.build_sset, load_json(args.object), args.object)
+        X = _build(lambda r: sset.build_sset(r, budget), load_json(args.object),
+                   args.object)
         family = _build(lambda r: build_sset_family(X, r, args.topology),
                         raw, args.family)
         result = sset.sset_cover_check(X, family, args.topology, budget=budget)
@@ -277,7 +279,8 @@ def _cmd_spectrum(args, budget):
     if args.topology in SSET_MODES:
         if not args.object:
             raise UsageError("spectrum over %s needs --object" % args.topology)
-        X = _build(sset.build_sset, load_json(args.object), args.object)
+        X = _build(lambda r: sset.build_sset(r, budget), load_json(args.object),
+                   args.object)
         return sset.spec_delta_nis(X, budget) \
             if args.topology == "delta-nis" else sset.spec_raw(X, budget)
     if not args.space:

@@ -43,7 +43,7 @@ def is_identity_op(values):
 
 def compose_ops(outer, inner):
     """outer . inner as value tuples; inner feeds positions of outer."""
-    return tuple(outer[v] for v in inner)
+    return tuple(map(outer.__getitem__, inner))
 
 
 def epi_mono_split(values):
@@ -76,11 +76,14 @@ class FinSSet:
     of top cells exist.
     """
 
-    def __init__(self, dim, labels, faces, name="sset", check=True):
+    def __init__(self, dim, labels, faces, name="sset", check=True,
+                 budget=None):
         self.dim = dim
         self.labels = {n: list(v) for n, v in sorted(labels.items()) if v}
         self.faces_tbl = dict(faces)
         self.name = name
+        self.budget = ensure_budget(budget)
+        self._action = {}
         if dim < 0:
             raise InvalidSpec("negative truncation")
         top = max(self.labels, default=-1)
@@ -128,21 +131,31 @@ class FinSSet:
     # -- the simplicial action --------------------------------------------
 
     def act(self, x, alpha):
-        """X(alpha) applied to x, for monotone alpha into [dim of x]."""
+        """X(alpha) applied to x, for monotone alpha into [dim of x].
+
+        X(alpha)(sigma*c) = (sigma.alpha)*c, so the answer depends only on
+        the cell c and beta = sigma.alpha.  It is read from a table keyed by
+        (c, beta), filled on demand at one budget step per entry: a miss
+        splits beta into a surjection after an injection and pushes the
+        injection down through the stored face opposite its largest missing
+        vertex, which fills the entries of the faces it passes on the way.
+        """
         sigma, ref = x
         beta = compose_ops(sigma, alpha)
-        delta, tau = epi_mono_split(beta)
-        rho, w = self._inj_act(ref, delta)
-        return (compose_ops(rho, tau), w)
-
-    def _inj_act(self, ref, delta):
-        m, j = ref
-        if is_identity_op(delta) and len(delta) == m + 1:
-            return (identity_op(m), ref)
-        missing = max(i for i in range(m + 1) if i not in delta)
-        face = self.faces_tbl[(m, j, missing)]
-        delta2 = tuple(v if v < missing else v - 1 for v in delta)
-        return self.act(face, delta2)
+        hit = self._action.get((ref, beta))
+        if hit is None:
+            self.budget.spend()
+            delta, tau = epi_mono_split(beta)
+            m, j = ref
+            if is_identity_op(delta) and len(delta) == m + 1:
+                rho, w = identity_op(m), ref
+            else:
+                missing = max(i for i in range(m + 1) if i not in delta)
+                rho, w = self.act(self.faces_tbl[(m, j, missing)],
+                                  tuple(v if v < missing else v - 1
+                                        for v in delta))
+            hit = self._action[ref, beta] = (compose_ops(rho, tau), w)
+        return hit
 
     def face(self, x, i):
         n = len(x[0]) - 1
@@ -234,12 +247,17 @@ class FinSSet:
 # ---------------------------------------------------------------------------
 # builders
 
-def subcomplex_of_delta(n, subsets, dim=None, name=None):
+def subcomplex_of_delta(n, subsets, dim=None, name=None, budget=None):
     """The union of the faces of Δ[n] spanned by the given vertex subsets.
 
     ``subsets`` lists nonempty subsets of {0..n}; the family is closed
     downward automatically.  Cells are labeled by their vertex strings.
+    The 2^(n+1) - 1 cells and (n+1)(2^n - 1) stored faces of Δ[n], which
+    bound those of any subcomplex, are charged to the budget before the
+    subsets are enumerated.
     """
+    budget = ensure_budget(budget)
+    budget.spend((1 << (n + 1)) - 1 + (n + 1) * ((1 << n) - 1))
     closed = set()
     for S in subsets:
         S = tuple(sorted(set(S)))
@@ -264,28 +282,32 @@ def subcomplex_of_delta(n, subsets, dim=None, name=None):
     top = max(by_dim, default=0)
     if dim is None:
         dim = top + 1
-    return FinSSet(dim, labels, faces, name=name or "sub-of-delta%d" % n)
+    return FinSSet(dim, labels, faces, name=name or "sub-of-delta%d" % n,
+                   budget=budget)
 
 
-def delta(n, dim=None, name=None):
+def delta(n, dim=None, name=None, budget=None):
     """The standard n-simplex, truncated with one dimension of headroom."""
     return subcomplex_of_delta(
-        n, [tuple(range(n + 1))], dim=dim, name=name or "delta%d" % n)
+        n, [tuple(range(n + 1))], dim=dim, name=name or "delta%d" % n,
+        budget=budget)
 
 
-def boundary(n, dim=None):
+def boundary(n, dim=None, budget=None):
     """All proper faces of Δ[n]."""
     subs = list(itertools.combinations(range(n + 1), n))
-    return subcomplex_of_delta(n, subs, dim=dim, name="boundary%d" % n)
+    return subcomplex_of_delta(n, subs, dim=dim, name="boundary%d" % n,
+                               budget=budget)
 
 
-def horn(n, k, dim=None):
+def horn(n, k, dim=None, budget=None):
     """Δ[n] minus the interior and the face opposite vertex k."""
     if not 0 <= k <= n:
         raise InvalidSpec("horn field 'k': %d is not in 0..%d" % (k, n))
     subs = [S for S in itertools.combinations(range(n + 1), n)
             if k in S]
-    return subcomplex_of_delta(n, subs, dim=dim, name="horn%d_%d" % (n, k))
+    return subcomplex_of_delta(n, subs, dim=dim, name="horn%d_%d" % (n, k),
+                               budget=budget)
 
 
 def disjoint_union(X, Y, dim=None, name=None):
@@ -307,13 +329,14 @@ def disjoint_union(X, Y, dim=None, name=None):
                    name=name or "%s+%s" % (X.name, Y.name))
 
 
-def build_sset(spec):
+def build_sset(spec, budget=None):
     """Construct from the file shape: truncation plus nondegenerate cells.
 
     {"dim": d, "nondegenerate": {"0": ["v"], "1": [{"name": "e",
     "faces": [[[0], "v"], [[0], "v"]]}], ...}} where each face is an
     operator value list and the label of a nondegenerate cell.  The stock
     shapes are also available as {"kind": "delta"|"boundary"|"horn", ...}.
+    The set charges its action table to ``budget``.
     """
     if isinstance(spec, dict) and "kind" in spec:
         kind = spec["kind"]
@@ -323,12 +346,12 @@ def build_sset(spec):
         dim = parse_int(spec["dim"], "sset field 'dim'") \
             if "dim" in spec else None
         if kind == "delta":
-            return delta(n, dim=dim)
+            return delta(n, dim=dim, budget=budget)
         if kind == "boundary":
-            return boundary(n, dim=dim)
+            return boundary(n, dim=dim, budget=budget)
         if kind == "horn":
             return horn(n, parse_int(spec.get("k"), "horn field 'k'"),
-                        dim=dim)
+                        dim=dim, budget=budget)
         raise InvalidSpec("unknown sset kind %r" % (kind,))
     try:
         dim = parse_int(spec["dim"], "sset field 'dim'")
@@ -389,7 +412,8 @@ def build_sset(spec):
                     raise InvalidSpec(
                         "face target %r missing in dimension %d" % (target, m))
                 faces[(n, j, i)] = (opvals, (m, lookup[(m, str(target))]))
-    return FinSSet(dim, labels, faces, name=str(spec.get("name", "sset")))
+    return FinSSet(dim, labels, faces, name=str(spec.get("name", "sset")),
+                   budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +481,7 @@ def classifying_map(X, x):
     """The map out of a standard simplex that picks out x."""
     sigma, ref = x
     n = len(sigma) - 1
-    D = delta(n, dim=X.dim)
+    D = delta(n, dim=X.dim, budget=X.budget)
     ass = {}
     for (k, j) in D.cells():
         vals = tuple(int(c) for c in D.labels[k][j])
@@ -563,13 +587,15 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
                 for alpha in alphas[1:]:
                     pairs.append((first, M.act(y, alpha)))
         M2, proj = _quotient(M, pairs, budget=budget)
+        # the images under g of the cells that each cell of M2 carries
+        images = {}
+        for r in M.cells():
+            images.setdefault(proj.assignment[r], set()).add(g.assignment[r])
         g2ass = {}
         for ref2 in M2.cells():
-            carriers = [r for r in M.cells()
-                        if proj.apply(M.cell_simplex(r)) == M2.cell_simplex(ref2)]
-            images = {g.apply(M.cell_simplex(r)) for r in carriers}
-            assert len(images) == 1, "collapse identified cells with distinct images"
-            g2ass[ref2] = images.pop()
+            found = images.get(M2.cell_simplex(ref2), set())
+            assert len(found) == 1, "collapse identified cells with distinct images"
+            g2ass[ref2] = found.pop()
         g = SimplicialMap(M2, f.target, g2ass)
         left = left.then(proj)
         M = M2
@@ -605,16 +631,18 @@ def _quotient(M, pairs, budget=None):
         union(a, b)
 
     # group simplices by class; the congruence must commute with every
-    # elementary operator
+    # elementary operator, which is trivial on a class's representative
     classes, members = {}, {}
     for n in range(M.dim + 1):
         row = {}
         for x in M.simplices(n):
             budget.spend()
-            for alpha in M._elementary_ops(n):
-                assert find(M.act(x, alpha)) == find(M.act(find(x), alpha)), \
-                    "congruence not stable under the simplicial action"
-            row.setdefault(find(x), []).append(x)
+            c = find(x)
+            if c != x:
+                for alpha in M._elementary_ops(n):
+                    assert find(M.act(x, alpha)) == find(M.act(c, alpha)), \
+                        "congruence not stable under the simplicial action"
+            row.setdefault(c, []).append(x)
         members.update(row)
         classes[n] = sorted(row)
 
@@ -659,7 +687,7 @@ def _quotient(M, pairs, budget=None):
     faces = {(n, jj, i): simplex_of_class[find(M.face(c, i))]
              for c, (n, jj) in ref_of_class.items() if n
              for i in range(n + 1)}
-    M2 = FinSSet(M.dim, labels, faces, name=M.name + "/~")
+    M2 = FinSSet(M.dim, labels, faces, name=M.name + "/~", budget=budget)
 
     proj_ass = {}
     for ref in M.cells():
@@ -735,7 +763,8 @@ def delta_nis_self_lift_decider(X, budget=None):
 
 def is_standard_simplex(X, budget=None):
     for n in range(X.top_dim + 1):
-        if sset_isomorphic(X, delta(n, dim=X.dim), budget=budget) is not None:
+        if sset_isomorphic(X, delta(n, dim=X.dim, budget=budget),
+                           budget=budget) is not None:
             return True
     return False
 

@@ -6,6 +6,8 @@ import itertools
 from factopo.errors import InvalidSpec
 from factopo.fincat import Functor, all_functors
 from factopo.finring import enumerate_homs
+from factopo.sset import (compose_ops, epi_mono_split, identity_op,
+                          is_identity_op)
 
 
 def ring_isomorphic(A, B, budget=None):
@@ -242,3 +244,24 @@ class WarshallPoset:
         n = len(self.elements)
         flipped._rel = [[self._rel[j][i] for j in range(n)] for i in range(n)]
         return flipped
+
+
+def act_by_recursion(X, x, alpha):
+    """X(alpha) applied to the simplex x of the simplicial set X, recomputed
+    on every call: beta = sigma.alpha splits as a surjection after an
+    injection, and the injection is pushed down through the stored face
+    opposite its largest missing vertex."""
+    sigma, ref = x
+    delta, tau = epi_mono_split(compose_ops(sigma, alpha))
+    rho, w = _injection_by_recursion(X, ref, delta)
+    return (compose_ops(rho, tau), w)
+
+
+def _injection_by_recursion(X, ref, delta):
+    m, j = ref
+    if is_identity_op(delta) and len(delta) == m + 1:
+        return (identity_op(m), ref)
+    missing = max(i for i in range(m + 1) if i not in delta)
+    face = X.faces_tbl[(m, j, missing)]
+    delta2 = tuple(v if v < missing else v - 1 for v in delta)
+    return act_by_recursion(X, face, delta2)

@@ -427,6 +427,15 @@ OVER_BUDGET = {
     "delta7-delta-nis": (["spectrum", "--topology", "delta-nis", "--object",
                           "{a}", "--budget", "1"],
                          {"a": {"kind": "delta", "n": 7}}),
+    "delta24-raw": (["spectrum", "--topology", "raw", "--object", "{a}",
+                     "--budget", "1"], {"a": {"kind": "delta", "n": 24}}),
+    "cover-map-out-of-delta24": (["cover", "--topology", "raw", "--object",
+                                  "{a}", "--family", "{b}", "--budget",
+                                  "1000"],
+                                 {"a": {"kind": "delta", "n": 2},
+                                  "b": {"maps": [{"source": {"kind": "delta",
+                                                             "n": 24},
+                                                  "assignment": {}}]}}),
     "lines-2^13-budget-10000": (["spectrum", "--topology", "lines", "--space",
                                  "{a}", "--budget", "10000"],
                                 {"a": {"q": 2, "n": 13}}),

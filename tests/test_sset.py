@@ -1,20 +1,25 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factopo.budget import Budget
-from factopo.errors import (IdentityViolation, InvalidSpec, NotSimplicial,
-                            TruncationTooLow)
-from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps, boundary,
-                          build_sset, classifying_map, compose_ops,
-                          deg_ndeg_factorize, delta, delta_nis_self_lift_decider,
-                          disjoint_union, epi_mono_split, horn, identity_op,
-                          identity_smap, is_nondegenerate_map,
-                          is_standard_simplex, monotone_ops, spec_delta_nis,
-                          spec_raw, sset_cover_check, sset_isomorphic,
+from factopo.errors import (EnumerationBudgetExceeded, IdentityViolation,
+                            InvalidSpec, NotSimplicial, TruncationTooLow)
+from factopo.sset import (FinSSet, SimplicialMap, _quotient,
+                          all_simplicial_maps, boundary, build_sset,
+                          classifying_map, compose_ops, deg_ndeg_factorize,
+                          delta, delta_nis_self_lift_decider, disjoint_union,
+                          epi_mono_split, horn, identity_op, identity_smap,
+                          is_nondegenerate_map, is_standard_simplex,
+                          monotone_ops, spec_delta_nis, spec_raw,
+                          sset_cover_check, sset_isomorphic,
                           subcomplex_of_delta, surjective_ops)
 from factopo.suites import _ez_map_pool
+from oracles import act_by_recursion
 
 
 # -- operator algebra ------------------------------------------------------
@@ -210,6 +215,92 @@ def test_ez_audit_matches_the_candidate_scan(corpus):
     assert refused >= sum(1 in X.labels for X in corpus)
 
 
+def action_disagreement(X, simplices):
+    """The first (x, alpha) on which X's action table and the recursion
+    differ, for x in ``simplices`` and every monotone alpha into its
+    dimension from one inside the truncation, or None."""
+    ops = {n: [alpha for k in range(X.dim + 1) for alpha in monotone_ops(k, n)]
+           for n in range(X.dim + 1)}
+    for x in simplices:
+        for alpha in ops[len(x[0]) - 1]:
+            if X.act(x, alpha) != act_by_recursion(X, x, alpha):
+                return x, alpha
+    return None
+
+
+def fresh(X, cls=FinSSet, faces=None, check=True):
+    """A copy of X with an empty action table."""
+    return cls(X.dim, X.labels, X.faces_tbl if faces is None else faces,
+               name=X.name, check=check)
+
+
+def test_action_table_matches_the_recursion(corpus):
+    # every simplex of the corpus; every cell of the other stock shapes up
+    # to n = 5, which reaches every key (cell, beta) of the table
+    for X in corpus:
+        X = fresh(X)
+        everything = [x for n in range(X.dim + 1) for x in X.simplices(n)]
+        assert action_disagreement(X, everything) is None, X.name
+    names = {X.name for X in corpus}
+    stock = [delta(n) for n in range(6)] + [boundary(n) for n in range(1, 6)] + \
+        [horn(n, k) for n in range(1, 6) for k in range(n + 1)]
+    bent = [fresh(X, WrongDegeneracy) for X in corpus]
+    for X in [X for X in stock if X.name not in names] + bent:
+        cells = [X.cell_simplex(ref) for ref in X.cells()]
+        assert action_disagreement(X, cells) is None, X.name
+
+
+def test_action_table_matches_the_recursion_on_corrupted_faces(corpus):
+    pool = [X for X in corpus if X.dim <= 3 and len(X.faces_tbl) > 1]
+    rng = random.Random(12)
+    verdicts = set()
+    for trial in range(60):
+        X = pool[trial % len(pool)]
+        faces = dict(X.faces_tbl)
+        key = rng.choice(sorted(faces))
+        faces[key] = rng.choice(X.simplices(key[0] - 1))
+        Y = fresh(X, faces=faces, check=False)
+        cells = [Y.cell_simplex(ref) for ref in Y.cells()]
+        assert action_disagreement(Y, cells) is None, (X.name, faces)
+        verdicts.add(identity_violation_raised(Y))
+    assert verdicts == {False, True}
+
+
+@given(st.data())
+def test_action_table_is_the_recursion_and_composes(data):
+    facets = data.draw(st.lists(st.sets(st.integers(0, 4), min_size=1),
+                                min_size=1, max_size=4), label="facets")
+    X = subcomplex_of_delta(4, facets)
+    n = data.draw(st.integers(0, X.dim), label="n")
+    x = data.draw(st.sampled_from(X.simplices(n)), label="x")
+    k = data.draw(st.integers(0, X.dim), label="k")
+    alpha = data.draw(st.sampled_from(monotone_ops(k, n)), label="alpha")
+    kk = data.draw(st.integers(0, X.dim), label="kk")
+    beta = data.draw(st.sampled_from(monotone_ops(kk, k)), label="beta")
+    assert X.act(x, alpha) == act_by_recursion(X, x, alpha)
+    assert X.act(X.act(x, alpha), beta) == X.act(x, compose_ops(alpha, beta))
+
+
+def test_action_table_charges_one_step_per_entry():
+    budget = Budget()
+    X = delta(3, budget=budget)
+    # 15 cells and 28 stored faces of Delta[3], then the entries validation
+    # filled
+    assert budget.used == 43 + len(X._action)
+    before = budget.used
+    top = X.cell_simplex((3, 0))
+    X.act(top, (0, 2))
+    X.act(top, (0, 2))
+    assert budget.used == before + 1 == 43 + len(X._action)
+
+
+def test_subcomplex_of_delta_charges_before_enumerating():
+    started = time.perf_counter()
+    with pytest.raises(EnumerationBudgetExceeded):
+        delta(24, budget=Budget())
+    assert time.perf_counter() - started < 1
+
+
 def test_action_functoriality_randomized():
     rng = random.Random(5)
     X = boundary(3)
@@ -334,6 +425,14 @@ def test_collapse_middles_are_the_expected_simplices():
         r = max(f.apply(top)[0])
         assert sset_isomorphic(fac.middle, delta(r, dim=fac.middle.dim)) \
             is not None, f
+
+
+def test_quotient_refuses_a_congruence_the_action_does_not_respect():
+    # v1 ~ v0 without s_0 v1 ~ s_0 v0: the check fires on v1, which is not
+    # the representative of its class
+    X = delta(1)
+    with pytest.raises(AssertionError, match="congruence not stable"):
+        _quotient(X, [(X.cell_simplex((0, 0)), X.cell_simplex((0, 1)))])
 
 
 def test_collapse_to_point():
