@@ -22,6 +22,11 @@ class Budget:
             raise EnumerationBudgetExceeded(
                 "enumeration budget of %d steps exceeded" % self.limit)
 
+    def cap(self, exponent):
+        """The exponent, at most the limit's bit length: a charge of 2**cap
+        steps or more is refused as surely, without a huge int first."""
+        return min(exponent, self.limit.bit_length())
+
     def __repr__(self):
         return "Budget(used=%d, limit=%d)" % (self.used, self.limit)
 

@@ -5,6 +5,7 @@ factorizations route through, which is what lets a whole hom collection
 be verified inside one universe.
 """
 
+from .budget import ensure_budget
 from .fincat import (FinCat, chain_category, monoid_category, poset_category,
                      terminal_category)
 from .finring import gf, product_ring, zmod
@@ -56,39 +57,38 @@ def category_catalogue():
             span, cospan, square, z2, _ei_two_object_category()]
 
 
-def _circle():
-    return build_sset({"dim": 2, "name": "circle", "nondegenerate": {
+# a circle, a 2-cell with one genuinely degenerate face, two parallel edges
+_SSET_FILES = [
+    {"dim": 2, "name": "circle", "nondegenerate": {
         "0": ["v"],
-        "1": [{"name": "e", "faces": [[[0], "v"], [[0], "v"]]}]}})
-
-
-def _pinched_triangle():
-    # a 2-cell with one genuinely degenerate face
-    return build_sset({"dim": 3, "name": "pinch", "nondegenerate": {
+        "1": [{"name": "e", "faces": [[[0], "v"], [[0], "v"]]}]}},
+    {"dim": 3, "name": "pinch", "nondegenerate": {
         "0": ["p"],
         "1": [{"name": "c", "faces": [[[0], "p"], [[0], "p"]]}],
         "2": [{"name": "t",
-               "faces": [[[0, 1], "c"], [[0, 1], "c"], [[0, 0], "p"]]}]}})
-
-
-def _parallel_edges():
-    return build_sset({"dim": 2, "name": "parallel", "nondegenerate": {
+               "faces": [[[0, 1], "c"], [[0, 1], "c"], [[0, 0], "p"]]}]}},
+    {"dim": 2, "name": "parallel", "nondegenerate": {
         "0": ["v", "w"],
         "1": [{"name": "e1", "faces": [[[0], "w"], [[0], "v"]]},
-              {"name": "e2", "faces": [[[0], "w"], [[0], "v"]]}]}})
+              {"name": "e2", "faces": [[[0], "w"], [[0], "v"]]}]}},
+]
 
 
-def sset_corpus():
-    """Twenty truncated simplicial sets, all of dimension at most five."""
+def sset_corpus(budget=None):
+    """Twenty truncated simplicial sets, all of dimension at most five,
+    each built on ``budget``."""
+    b = ensure_budget(budget)
     return [
-        delta(0), delta(1), delta(2), delta(3), delta(4),
-        boundary(1), boundary(2), boundary(3),
-        horn(1, 0), horn(2, 0), horn(2, 1), horn(2, 2), horn(3, 1),
-        disjoint_union(delta(1), delta(0), name="d1+d0"),
-        disjoint_union(delta(0), delta(0), name="d0+d0"),
-        _circle(), _pinched_triangle(), _parallel_edges(),
-        subcomplex_of_delta(3, [(0, 1, 2), (1, 2, 3)], name="twotriangles"),
-        subcomplex_of_delta(2, [(0, 1), (1, 2)], name="path2"),
+        *(delta(n, budget=b) for n in range(5)),
+        *(boundary(n, budget=b) for n in (1, 2, 3)),
+        *(horn(n, k, budget=b)
+          for n, k in ((1, 0), (2, 0), (2, 1), (2, 2), (3, 1))),
+        disjoint_union(delta(1, budget=b), delta(0, budget=b), name="d1+d0"),
+        disjoint_union(delta(0, budget=b), delta(0, budget=b), name="d0+d0"),
+        *(build_sset(spec, b) for spec in _SSET_FILES),
+        subcomplex_of_delta(3, [(0, 1, 2), (1, 2, 3)], name="twotriangles",
+                            budget=b),
+        subcomplex_of_delta(2, [(0, 1), (1, 2)], name="path2", budget=b),
     ]
 
 

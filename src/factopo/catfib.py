@@ -145,11 +145,9 @@ def slice_factorize(C, c, side="right"):
     if side == "right":
         assert all(len(cat.hom(o, apex)) == 1 for o in cat.objects), \
             "identity object fails to be terminal in the slice"
-        assert is_discrete_right_fibration(K.projection)
     else:
         assert all(len(cat.hom(apex, o)) == 1 for o in cat.objects), \
             "identity object fails to be initial in the coslice"
-        assert is_discrete_left_fibration(K.projection)
     T = terminal_category()
     first = Functor(T, cat, {0: apex},
                     {("le", 0, 0): cat.identities[apex]},
@@ -232,9 +230,8 @@ def comprehensive_factorize(F, side="right", budget=None):
     return first, elem, proj
 
 
-def right_cover_check(C, family, budget=None):
+def right_cover_check(C, family):
     """Joint object-surjectivity of discrete right fibrations."""
-    ensure_budget(budget)
     for G in family:
         if G.target is not C:
             raise InvalidFamily("family member does not land in %s" % C.name)

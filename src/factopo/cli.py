@@ -35,6 +35,9 @@ def load_json(path):
     except json.JSONDecodeError as err:
         raise ParseError("%s:%d:%d: %s"
                          % (path, err.lineno, err.colno, err.msg)) from err
+    except (RecursionError, ValueError) as err:
+        # nested past the recursion limit, or an int past the digit limit
+        raise ParseError("%s: %s" % (path, err)) from err
 
 
 def _build(builder, raw, path):

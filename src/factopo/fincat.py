@@ -29,7 +29,7 @@ class FinCat:
     """
 
     def __init__(self, objects, morphisms, identities, compose,
-                 payload=None, name="", check=True, budget=None):
+                 payload=None, name="", budget=None):
         self.objects = tuple(objects)
         self.morphisms = dict(morphisms)
         self.identities = dict(identities)
@@ -50,8 +50,7 @@ class FinCat:
             for m in sorted(self._ids, key=lambda m: rank.get(mors[m][end], -1)):
                 arrows.setdefault(mors[m][1 - end], []).append(m)
             index.update((x, tuple(ms)) for x, ms in arrows.items())
-        if check:
-            self.validate(budget=budget)
+        self.validate(budget=budget)
 
     def src(self, m):
         return self.morphisms[m][0]
@@ -159,7 +158,7 @@ class FinCat:
         mors = {m: (t, s) for m, (s, t) in self.morphisms.items()}
         comp = {(f, g): h for (g, f), h in self.compose_table.items()}
         return FinCat(self.objects, mors, dict(self.identities), comp,
-                      payload=self.payload, name=self.name + "^op", check=False)
+                      payload=self.payload, name=self.name + "^op")
 
     def __repr__(self):
         return "FinCat(%s: %d objects, %d morphisms)" % (
@@ -436,15 +435,12 @@ def pushout(C, f, g, budget=None):
 
 PASS = "pass"
 FAIL = "fail"
-NOT_APPLICABLE = "not-applicable"
 
 
 @dataclass
 class AxiomResult:
     status: str
     counterexample: object = None
-    checked: int = 0
-    skipped: int = 0
 
 
 @dataclass
@@ -510,7 +506,6 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
             raise FactorizerContractViolation(
                 "legs of %r compose to %r, not the input" % (m, C.compose(b, a)))
         factored[m] = (a, mid, b)
-        membership.checked += 1
         if membership.status == PASS and not (left_class[a] and right_class[b]):
             membership.status = FAIL
             membership.counterexample = (m, a, b)
@@ -526,7 +521,6 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
                 if not cls[g]:
                     continue
                 budget.spend()
-                res.checked += 1
                 if not cls[comp[(g, f)]]:
                     res.status = FAIL
                     res.counterexample = (g, f)
@@ -539,7 +533,6 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
     for m in mors:
         if left_class[m] and right_class[m]:
             budget.spend()
-            inter.checked += 1
             if not C.is_iso(m):
                 inter.status = FAIL
                 inter.counterexample = m
@@ -552,12 +545,10 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
             if not right_class[v]:
                 continue
             budget.spend()
-            if right_class[comp[(v, u)]]:
-                cancel.checked += 1
-                if not right_class[u]:
-                    cancel.status = FAIL
-                    cancel.counterexample = (v, u)
-                    break
+            if right_class[comp[(v, u)]] and not right_class[u]:
+                cancel.status = FAIL
+                cancel.counterexample = (v, u)
+                break
         if cancel.status == FAIL:
             break
     report.axioms["left-cancellation"] = cancel
@@ -568,20 +559,16 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
             continue
         po = pushout(C, a, a, budget=budget)
         if po is None:
-            codiag.skipped += 1
             continue
         P, i1, i2 = po
         Y = C.tgt(a)
         mediators = [c for c in C.hom(P, Y)
                      if comp[(c, i1)] == C.identities[Y]
                      and comp[(c, i2)] == C.identities[Y]]
-        codiag.checked += 1
         if len(mediators) != 1 or not left_class[mediators[0]]:
             codiag.status = FAIL
             codiag.counterexample = a
             break
-    if codiag.checked == 0 and codiag.status == PASS:
-        codiag.status = NOT_APPLICABLE
     report.axioms["codiagonal-stability"] = codiag
 
     alt = fac_alt if fac_alt is not None else fac
@@ -596,7 +583,6 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
                        if C.is_iso(phi)
                        and comp[(phi, a)] == a2
                        and C.compose(b2, phi) == b]
-        uniqueness.checked += 1
         if len(comparisons) != 1:
             uniqueness.status = FAIL
             uniqueness.counterexample = (m, len(comparisons))

@@ -144,20 +144,6 @@ class FinRing:
                 if any(self.mul[x][y] == self.one for y in self.elements()))
         return self._cache["units"]
 
-    def nilpotents(self):
-        if "nilpotents" not in self._cache:
-            out = set()
-            for x in self.elements():
-                seen = set()
-                p = x
-                while p not in seen:
-                    seen.add(p)
-                    p = self.mul[p][x]
-                if self.zero in seen:
-                    out.add(x)
-            self._cache["nilpotents"] = frozenset(out)
-        return self._cache["nilpotents"]
-
     def idempotents(self):
         if "idempotents" not in self._cache:
             self._cache["idempotents"] = tuple(
@@ -301,8 +287,9 @@ def _poly_name(digits):
 def gf(p, k=1, budget=None):
     if k < 1:
         raise InvalidSpec("gf degree must be >= 1")
+    budget = ensure_budget(budget)
+    budget.spend(p ** (2 * budget.cap(k)))
     n = p ** k
-    ensure_budget(budget).spend(n * n)
     if p < 2 or smallest_prime_factor(p) != p:
         raise InvalidSpec("gf characteristic must be prime, got %r" % (p,))
     modpoly = least_irreducible(p, k)
@@ -375,6 +362,9 @@ def table_ring(spec, budget=None):
         mulrows = spec["mul"]
     except (KeyError, TypeError) as exc:
         raise InvalidSpec("table ring needs elements/add/mul: %s" % exc) from exc
+    if not all(isinstance(t, list) and all(isinstance(row, list) for row in t)
+               for t in (addrows, mulrows)):
+        raise InvalidSpec("table ring add and mul must be lists of rows")
     ensure_budget(budget).spend(len(names) ** 2)
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
@@ -395,8 +385,9 @@ def table_ring(spec, budget=None):
     if "zero" in spec:
         zero = resolve(spec["zero"], "zero")
     else:
-        zeros = [z for z in range(len(names))
-                 if all(add[z][x] == x for x in range(len(names)))]
+        # a row of the wrong length is no zero, and the shape check names it
+        ident = list(range(len(names)))
+        zeros = [z for z, row in enumerate(add) if row == ident]
         if len(zeros) != 1:
             raise NotARing("could not locate a unique additive zero")
         zero = zeros[0]
@@ -596,32 +587,27 @@ class Ideal:
         return "Ideal(%s, %s)" % (self.ring.name, self.label())
 
 
+def _ideal_sum(A, I, P):
+    """I + P for additive subgroups I and P: the set of pairwise sums."""
+    return frozenset(A.add[i][x] for i in I for x in P)
+
+
 def ideal_generated(A, gens):
-    """Smallest ideal containing gens: additive closure of all multiples."""
-    seed = {A.zero}
+    """Smallest ideal containing gens: the sum of the principal ideals Rg,
+    each row g of the commutative multiplication table."""
+    I = frozenset([A.zero])
     for g in gens:
-        for r in A.elements():
-            seed.add(A.mul[r][g])
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in seed:
-                s = A.add[x][y]
-                if s not in out:
-                    out.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return Ideal(A, frozenset(out))
+        P = frozenset(A.mul[g])
+        if not P <= I:
+            I = _ideal_sum(A, I, P)
+    return Ideal(A, I)
 
 
 def all_ideals(A, budget=None):
     """Every ideal, sorted by size and then elements.
 
     Every ideal of a finite ring is a finite sum of principal ideals Ra, so
-    all of them grow from the zero ideal by I -> I + Ra; a sum of two
-    additive subgroups is already the set of pairwise sums.
+    all of them grow from the zero ideal by I -> I + Ra.
     """
     budget = ensure_budget(budget)
     # Ra is row a of the commutative multiplication table
@@ -635,7 +621,7 @@ def all_ideals(A, budget=None):
             if P <= I:
                 continue
             budget.spend(len(I) * len(P))
-            J = frozenset(A.add[i][x] for i in I for x in P)
+            J = _ideal_sum(A, I, P)
             if J not in found:
                 found.add(J)
                 frontier.append(J)
@@ -731,7 +717,7 @@ def primitive_idempotents(A):
 
 
 def prime_ideals(A):
-    """Primes via primitive idempotents: one per local factor, each verified."""
+    """Primes via primitive idempotents: one per local factor."""
     primes = []
     for e in primitive_idempotents(A):
         co = A.sub(A.one, e)
@@ -741,9 +727,7 @@ def prime_ideals(A):
                           if any(A.mul[x][y] == e for y in factor)}
         nonunits = [x for x in factor if x not in unit_in_factor]
         elems = {A.add[c][x] for c in comp for x in nonunits}
-        p = Ideal(A, frozenset(elems))
-        assert is_prime_ideal(p), "constructed ideal is not prime"
-        primes.append(p)
+        primes.append(Ideal(A, frozenset(elems)))
     uniq = {p.elements: p for p in primes}
     return sorted(uniq.values(), key=lambda p: p.sorted_elements())
 

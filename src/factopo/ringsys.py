@@ -236,7 +236,7 @@ class RingClassification:
 def classify_ring(A, budget=None):
     wit = {}
     units = A.units()
-    nilp = A.nilpotents()
+    nilp = nilradical(A).elements
     nonzero = [x for x in A.elements() if x != A.zero]
 
     is_field = not A.is_zero_ring()

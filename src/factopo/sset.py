@@ -11,6 +11,7 @@ and checked unique, only in the quotients built by the factorization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .budget import ensure_budget
@@ -76,8 +77,7 @@ class FinSSet:
     of top cells exist.
     """
 
-    def __init__(self, dim, labels, faces, name="sset", check=True,
-                 budget=None):
+    def __init__(self, dim, labels, faces, name="sset", budget=None):
         self.dim = dim
         self.labels = {n: list(v) for n, v in sorted(labels.items()) if v}
         self.faces_tbl = dict(faces)
@@ -91,8 +91,7 @@ class FinSSet:
             raise TruncationTooLow(
                 "truncation %d cannot hold degeneracies of %d-cells"
                 % (dim, top))
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def top_dim(self):
@@ -115,7 +114,12 @@ class FinSSet:
         return [self.faces_tbl[(n, j, i)] for i in range(n + 1)] if n else []
 
     def simplices(self, n):
-        """Every n-simplex, nondegenerate or not, in a fixed order."""
+        """Every n-simplex, nondegenerate or not, in a fixed order; one
+        step per operator value, n + 1 for each of the C(n, m) surjections
+        onto each m-cell, is charged before any simplex is listed."""
+        self.budget.spend((n + 1) * sum(
+            math.comb(n, m) * len(cells)
+            for m, cells in self.labels.items() if m <= n))
         out = []
         for m in sorted(self.labels):
             if m > n:
@@ -250,14 +254,16 @@ class FinSSet:
 def subcomplex_of_delta(n, subsets, dim=None, name=None, budget=None):
     """The union of the faces of Δ[n] spanned by the given vertex subsets.
 
-    ``subsets`` lists nonempty subsets of {0..n}; the family is closed
+    ``subsets`` iterates nonempty subsets of {0..n}; the family is closed
     downward automatically.  Cells are labeled by their vertex strings.
     The 2^(n+1) - 1 cells and (n+1)(2^n - 1) stored faces of Δ[n], which
     bound those of any subcomplex, are charged to the budget before the
-    subsets are enumerated.
+    subsets are read, so the stock shapes pass them lazily and a huge n is
+    refused before anything of size n is built.
     """
     budget = ensure_budget(budget)
-    budget.spend((1 << (n + 1)) - 1 + (n + 1) * ((1 << n) - 1))
+    e = budget.cap(n)
+    budget.spend((1 << (e + 1)) - 1 + (e + 1) * ((1 << e) - 1))
     closed = set()
     for S in subsets:
         S = tuple(sorted(set(S)))
@@ -289,13 +295,13 @@ def subcomplex_of_delta(n, subsets, dim=None, name=None, budget=None):
 def delta(n, dim=None, name=None, budget=None):
     """The standard n-simplex, truncated with one dimension of headroom."""
     return subcomplex_of_delta(
-        n, [tuple(range(n + 1))], dim=dim, name=name or "delta%d" % n,
+        n, [range(n + 1)], dim=dim, name=name or "delta%d" % n,
         budget=budget)
 
 
 def boundary(n, dim=None, budget=None):
     """All proper faces of Δ[n]."""
-    subs = list(itertools.combinations(range(n + 1), n))
+    subs = (coface(n, i) for i in range(n + 1))
     return subcomplex_of_delta(n, subs, dim=dim, name="boundary%d" % n,
                                budget=budget)
 
@@ -304,13 +310,13 @@ def horn(n, k, dim=None, budget=None):
     """Δ[n] minus the interior and the face opposite vertex k."""
     if not 0 <= k <= n:
         raise InvalidSpec("horn field 'k': %d is not in 0..%d" % (k, n))
-    subs = [S for S in itertools.combinations(range(n + 1), n)
-            if k in S]
+    subs = (coface(n, i) for i in range(n + 1) if i != k)
     return subcomplex_of_delta(n, subs, dim=dim, name="horn%d_%d" % (n, k),
                                budget=budget)
 
 
 def disjoint_union(X, Y, dim=None, name=None):
+    """X + Y, charging its work to X's budget."""
     if dim is None:
         dim = max(X.dim, Y.dim)
     labels = {}
@@ -326,7 +332,7 @@ def disjoint_union(X, Y, dim=None, name=None):
             faces[(nn, j + offset[(tag, nn)], i)] = \
                 (sg, (m, jj + offset[(tag, m)]))
     return FinSSet(dim, labels, faces,
-                   name=name or "%s+%s" % (X.name, Y.name))
+                   name=name or "%s+%s" % (X.name, Y.name), budget=X.budget)
 
 
 def build_sset(spec, budget=None):
@@ -472,7 +478,6 @@ def identity_smap(X):
 
 def is_nondegenerate_map(f):
     """Membership in the right class: nondegenerate cells stay nondegenerate."""
-    f.validate()
     return all(f.target.is_nondeg_simplex(f.assignment[ref])
                for ref in f.source.cells())
 
@@ -537,7 +542,7 @@ def sset_isomorphic(X, Y, budget=None):
 
     ass = next(_face_compatible(X, Y, unused_cells, ensure_budget(budget)),
                None)
-    return None if ass is None else SimplicialMap(X, Y, ass)
+    return None if ass is None else SimplicialMap(X, Y, ass, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +569,6 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
     must come out the same up to isomorphism either way.
     """
     budget = ensure_budget(budget)
-    f.validate()
     M = f.source
     left = identity_smap(M)
     g = f

@@ -88,8 +88,8 @@ def suite_duality(seed=0, budget=None):
     return checks
 
 
-def _ez_map_pool(budget):
-    corpus = {X.name: X for X in sset_corpus()}
+def _ez_map_pool(corpus, budget):
+    by_name = {X.name: X for X in corpus}
     pairs = [("delta1", "delta1"), ("delta1", "delta2"),
              ("boundary1", "delta1"), ("path2", "delta1"),
              ("path2", "delta2"), ("circle", "circle"),
@@ -97,7 +97,7 @@ def _ez_map_pool(budget):
              ("boundary2", "delta2"), ("delta2", "delta2")]
     pool = []
     for sn, tn in pairs:
-        pool.extend(all_simplicial_maps(corpus[sn], corpus[tn],
+        pool.extend(all_simplicial_maps(by_name[sn], by_name[tn],
                                         budget=budget))
     return pool
 
@@ -105,7 +105,7 @@ def _ez_map_pool(budget):
 def suite_ez(seed=0, budget=None):
     budget = ensure_budget(budget)
     checks = []
-    corpus = sset_corpus()
+    corpus = sset_corpus(budget)
     bad = None
     total = 0
     for X in corpus:
@@ -121,11 +121,11 @@ def suite_ez(seed=0, budget=None):
     _check(checks, "ez-unique-on-corpus(%d simplices)" % total,
            bad is None, bad)
     for n in range(5):
-        sp = spec_delta_nis(delta(n))
+        sp = spec_delta_nis(delta(n, budget=budget), budget)
         _check(checks, "spec-delta-nis-count:delta%d" % n,
                sp.size == 2 ** (n + 1) - 1, sp.size)
     rng = random.Random(seed)
-    pool = _ez_map_pool(budget)
+    pool = _ez_map_pool(corpus, budget)
     rng.shuffle(pool)
     sample = pool[:max(20, min(24, len(pool)))]
     bad = None
@@ -198,7 +198,7 @@ def suite_catfib(seed=0, budget=None):
     _check(checks, "op-duality-laws", bad is None, bad)
     bad = None
     for C in cats:
-        if not right_cover_check(C, all_slices_cover(C), budget=budget).covers:
+        if not right_cover_check(C, all_slices_cover(C)).covers:
             bad = C.name
             break
     _check(checks, "all-slices-cover", bad is None, bad)
@@ -217,11 +217,10 @@ def suite_toposx(seed=0, budget=None):
             bad = "%s: %d orbits" % (X.name, len(orbs))
             break
         fam = orbit_inclusions(X)
-        if not gset_point_cover_check(X, fam, budget=budget).covers:
+        if not gset_point_cover_check(X, fam).covers:
             bad = "%s: orbit family fails to cover" % X.name
             break
-        if any(gset_point_cover_check(X, fam[:i] + fam[i + 1:],
-                                      budget=budget).covers
+        if any(gset_point_cover_check(X, fam[:i] + fam[i + 1:]).covers
                for i in range(len(fam))):
             bad = "%s: orbit cover not minimal" % X.name
             break

@@ -194,7 +194,6 @@ class EquivariantMap:
 
 def epi_mono_factorize_gset(f):
     """Surjection onto the image sub-G-set followed by its inclusion."""
-    f.validate()
     image = sorted(set(f.mapping))
     back = {v: i for i, v in enumerate(image)}
     mid = FinGSet(f.target.group,
@@ -259,13 +258,11 @@ def orbit_inclusions(X):
     return fams
 
 
-def gset_point_cover_check(X, family, budget=None):
+def gset_point_cover_check(X, family):
     """Joint surjectivity of equivariant maps into X."""
-    ensure_budget(budget)
     for f in family:
         if f.target is not X:
             raise InvalidSpec("family member does not land in %s" % X.name)
-        f.validate()
     covered = set()
     for f in family:
         covered.update(f.mapping)
@@ -296,8 +293,7 @@ class FqVecSpace:
 
     def vectors(self, budget=None):
         budget = ensure_budget(budget)
-        # q^e is over budget once 2^e > limit, so a huge n costs nothing
-        budget.spend(self.q ** min(self.n, budget.limit.bit_length()))
+        budget.spend(self.q ** budget.cap(self.n))
         return list(itertools.product(range(self.q), repeat=self.n))
 
     def zero_vector(self):
@@ -417,7 +413,6 @@ def _coordinates(v, basis, space):
 
 def epi_mono_factorize_linear(f):
     """Quotient onto the image with its basis inclusion back in."""
-    f.validate()
     basis = row_reduce(f.rows, f.target)
     r = len(basis)
     mid = FqVecSpace(f.source.q, r, name="im(%s)" % (f.name or "f"))

@@ -158,6 +158,27 @@ def hom_mappings_by_full_scan(A, B):
     return sorted(out)
 
 
+def ideal_generated_by_closure(A, gens):
+    """The elements of the smallest ideal of A containing gens: every
+    multiple r g of a generator, closed under addition breadth first."""
+    seed = {A.zero}
+    for g in gens:
+        for r in A.elements():
+            seed.add(A.mul[r][g])
+    out = set(seed)
+    frontier = list(out)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in seed:
+                s = A.add[x][y]
+                if s not in out:
+                    out.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    return frozenset(out)
+
+
 def product_tables_by_tuple_index(factors):
     """(add, mul, names, zero, one) of the product ring, each cell found by
     looking up the tuple of the factors' results in an index of all

@@ -19,8 +19,8 @@ from factopo.catfib import (comprehensive_factorize, is_discrete_right_fibration
 from factopo.cli import main
 from factopo.fincat import all_functors, terminal_category, Functor
 from factopo.finring import (all_ideals, enumerate_homs, gf, ideal_generated,
-                             prime_ideals, prime_ideals_bruteforce, product_ring,
-                             zmod)
+                             nilradical, prime_ideals, prime_ideals_bruteforce,
+                             product_ring, zmod)
 from factopo.ringspec import check_duality, spec_points, stalk
 from factopo.ringsys import (classify_ring, cover_check, dom_self_lift_decider,
                              points_of, verify_ring_system, zar_self_lift_decider)
@@ -37,7 +37,7 @@ def fat_field_catalogue(bound=16):
         if R.is_zero_ring() or R.size > bound:
             continue
         units = set(R.units())
-        nilp = set(R.nilpotents())
+        nilp = nilradical(R).elements
         if all(x in units or x in nilp for x in R.elements()):
             out.append(R)
     return out

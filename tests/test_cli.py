@@ -9,8 +9,13 @@ from factopo.fincat import FAIL, AxiomResult, SystemReport
 from factopo.posets import Poset
 
 
+class Raw(str):
+    """A file body written as it stands: text that json.dumps cannot make."""
+
+
 def write(path, payload):
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    text = payload if isinstance(payload, Raw) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -280,6 +285,18 @@ def quotient_z12(gen):
             "ideal_gens": [gen]}
 
 
+def nested_product(depth):
+    text = '{"kind": "zmod", "n": 2}'
+    for _ in range(depth):
+        text = '{"kind": "product", "factors": [%s]}' % text
+    return Raw(text)
+
+
+def table_z2(add):
+    return {"kind": "table", "elements": ["0", "1"], "one": "1", "add": add,
+            "mul": [[0, 0], [0, 1]]}
+
+
 def map_family(assignment):
     return {"a": {"kind": "delta", "n": 2},
             "b": {"maps": [dict(EDGE_MAP, assignment=assignment)]}}
@@ -381,6 +398,17 @@ MALFORMED = {
          "b": {"maps": [dict(EDGE_MAP, assignment={
              "x": EDGE_MAP["assignment"]["0"],
              "1": EDGE_MAP["assignment"]["1"]})]}}),
+    # nesting past the JSON reader's recursion limit and an int past its
+    # digit limit escaped load_json as RecursionError and ValueError, and a
+    # table ring's string or short row with no "zero" escaped as an
+    # IndexError from the search for zero
+    "json-nested-100000": (RING_CLASSIFY, {"a": Raw("[" * 100000)}),
+    "product-nested-600": (RING_CLASSIFY, {"a": nested_product(600)}),
+    "json-int-5000-digits": (RING_CLASSIFY,
+                             {"a": Raw('{"kind": "zmod", "n": %s}'
+                                       % ("1" * 5000))}),
+    "table-string-row": (RING_CLASSIFY, {"a": table_z2(["0", [1, 0]])}),
+    "table-short-row": (RING_CLASSIFY, {"a": table_z2([[0], [1, 0]])}),
 }
 
 
@@ -446,6 +474,21 @@ OVER_BUDGET = {
                                            for i in range(150)],
                                    "mul": [[i * j % 150 for j in range(150)]
                                            for i in range(150)]}}),
+    # a stock shape's n and a field's degree k were used before anything
+    # was charged: OverflowError on n >= 2^63, and p^k computed for seconds
+    "delta-n-2^63": (SSET_SPECTRUM + ["--budget", "1000"],
+                     {"a": {"kind": "delta", "n": 2 ** 63}}),
+    "boundary-n-2^63": (SSET_SPECTRUM + ["--budget", "1000"],
+                        {"a": {"kind": "boundary", "n": 2 ** 63}}),
+    "horn-n-2^63": (SSET_SPECTRUM + ["--budget", "1000"],
+                    {"a": {"kind": "horn", "n": 2 ** 63, "k": 0}}),
+    "gf-k-10^9": (RING_CLASSIFY + ["--budget", "1000"],
+                  {"a": {"kind": "gf", "p": 2, "k": 10 ** 9}}),
+    "gf-k-10^30": (RING_CLASSIFY + ["--budget", "1000"],
+                   {"a": {"kind": "gf", "p": 2, "k": 10 ** 30}}),
+    # the suite built its simplicial sets on budgets of their own
+    "verify-ez-budget-10000": (["verify", "--suite", "ez", "--budget",
+                                "10000"], {}),
 }
 
 
@@ -477,6 +520,24 @@ def test_orthogonal_charges_the_category_to_its_budget(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "budget of 10 steps exceeded" in err
+
+
+def test_the_budget_bounds_the_truncation_dimension(tmp_path, capsys):
+    # the identity of a circle truncated at dimension 400, whose simplices
+    # are listed in every dimension up to there
+    circle = {"dim": 400, "nondegenerate": {"0": ["v"], "1": [
+        {"name": "e", "faces": [[[0], "v"], [[0], "v"]]}]}}
+    identity = {"source": circle, "assignment": {
+        "0": {"v": [[0], "v"]}, "1": {"e": [[0, 1], "e"]}}}
+    started = time.perf_counter()
+    code, out, err = run_files(
+        capsys, tmp_path, ["cover", "--topology", "delta-nis", "--object",
+                           "{a}", "--family", "{b}", "--budget", "100000"],
+        {"a": circle, "b": {"maps": [identity]}})
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "budget of 100000 steps exceeded" in err
 
 
 def test_failing_axiom_is_reported(monkeypatch, capsys):

@@ -16,8 +16,9 @@ from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
                              prime_ideals_bruteforce, prime_power, product_ring,
                              quotient_ring, radical, smallest_prime_factor,
                              table_ring, zmod)
-from oracles import (hom_mappings_by_full_scan, is_hom_by_full_scan,
-                     product_tables_by_tuple_index, ring_isomorphic)
+from oracles import (hom_mappings_by_full_scan, ideal_generated_by_closure,
+                     is_hom_by_full_scan, product_tables_by_tuple_index,
+                     ring_isomorphic)
 
 
 def test_zmod_basics():
@@ -440,6 +441,31 @@ def test_quotient_ring():
     # zero ideal keeps the ring itself
     Q0, proj0 = quotient_ring(A, ideal_generated(A, []))
     assert Q0 is A and proj0.mapping == tuple(range(A.size))
+
+
+def test_ideal_generated_matches_the_closure(rings, square_zero):
+    # the catalogue, the square-zero rings and the benchmark ladder's rings
+    # of order 8-64; per ring: no generator, each element, seeded generator
+    # lists with repeats, and the union of each of some pairs of ideals
+    ladder = [gf(2, 4), gf(2, 5), gf(2, 6), zmod(16), zmod(30), zmod(36),
+              zmod(60), zmod(64), product_ring([zmod(2), gf(2, 2)]),
+              product_ring([zmod(4)] * 2), product_ring([zmod(2), zmod(8)]),
+              product_ring([zmod(2)] * 4), product_ring([zmod(2), zmod(32)]),
+              product_ring([zmod(4)] * 3)]
+    rng = random.Random(7)
+    cases = 0
+    for A in list(rings) + list(square_zero.values()) + ladder:
+        ideals = all_ideals(A)
+        lists = [[]] + [[a] for a in A.elements()]
+        lists += [rng.choices(range(A.size), k=rng.randint(2, 5))
+                  for _ in range(30)]
+        lists += [sorted(I.elements | J.elements)
+                  for I, J in (rng.choices(ideals, k=2) for _ in range(30))]
+        for gens in lists:
+            assert ideal_generated(A, gens).elements == \
+                ideal_generated_by_closure(A, gens), (A.name, gens)
+        cases += len(lists)
+    assert cases > 2000
 
 
 def test_ideal_generated_is_smallest():

@@ -1,4 +1,5 @@
-"""Byte-for-byte regression on the golden corpus in ``tests/golden``.
+"""Byte-for-byte regression on the golden corpus in ``tests/golden``,
+and a fuzzer that mutates its input documents.
 
 Each case is ``<name>.json``: an ``argv`` whose ``{placeholder}`` words
 name the input documents under ``files`` (``{out}`` names a fresh output
@@ -10,13 +11,17 @@ unchanged; an intended change of output rewrites the expected files with
 """
 
 import contextlib
+import copy
 import io
 import json
 import pathlib
 import sys
 import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factopo.cli import main
 
@@ -24,28 +29,100 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 
-def run_case(name, workdir):
-    case = json.loads((GOLDEN / (name + ".json")).read_text(encoding="utf-8"))
+def load_case(name):
+    return json.loads((GOLDEN / (name + ".json")).read_text(encoding="utf-8"))
+
+
+def invoke(case, workdir, extra=()):
+    """Run the case's argv in-process on its files written to ``workdir``;
+    returns (exit code, stdout, stderr, paths)."""
     paths = {"out": workdir / "out"}
     for key, doc in case["files"].items():
         paths[key] = workdir / (key + ".json")
         paths[key].write_text(json.dumps(doc), encoding="utf-8")
     argv = [str(paths[a[1:-1]]) if a.startswith("{") else a
-            for a in case["argv"]]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+            for a in case["argv"]] + list(extra)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), paths
+
+
+def run_case(name, workdir):
+    case = load_case(name)
+    code, stdout, _stderr, paths = invoke(case, workdir)
     assert code == 0, "%s exited %d" % (name, code)
     if "{out}" in case["argv"]:
-        assert stdout.getvalue() == ""
+        assert stdout == ""
         return paths["out"].read_text(encoding="utf-8")
-    return stdout.getvalue()
+    return stdout
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_golden_report(name, tmp_path):
     want = (GOLDEN / (name + ".out")).read_text(encoding="utf-8")
     assert run_case(name, tmp_path) == want
+
+
+def locations(doc, path=()):
+    """The path of every value inside a JSON document, its root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from locations(value, path + (key,))
+
+
+WITH_FILES = [name for name in CASES if load_case(name)["files"]]
+
+# what a mutation puts in place of a value: another JSON type, or a number
+# past a machine word, past any table, or below zero
+OTHER_TYPES = [None, True, 0, 1.5, "x", [], {}]
+NUMBERS = [2 ** 63, 10 ** 30, -1]
+
+
+@st.composite
+def mutants(draw):
+    """A golden case whose one input document lost a field or entry, had a
+    value replaced, or had a value wrapped in a list."""
+    case = load_case(draw(st.sampled_from(WITH_FILES)))
+    key = draw(st.sampled_from(sorted(case["files"])))
+    doc = case["files"][key] = copy.deepcopy(case["files"][key])
+    path = draw(st.sampled_from(list(locations(doc))))
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    old = parent[path[-1]] if path else doc
+    kind = draw(st.sampled_from(["drop", "type", "number", "wrap"]))
+    if kind == "drop" and path:
+        del parent[path[-1]]
+        return case
+    # a whole document has no field to drop, so it gets another type
+    new = [old] if kind == "wrap" else draw(st.sampled_from(
+        NUMBERS if kind == "number" else
+        [v for v in OTHER_TYPES if type(v) is not type(old)]))
+    if path:
+        parent[path[-1]] = new
+    else:
+        case["files"][key] = new
+    return case
+
+
+@settings(max_examples=300)
+@given(mutants())
+def test_mutated_golden_inputs_exit_cleanly(case):
+    # any input answers, or is refused with one error line, within a bound
+    # far above what the golden cases take under this budget
+    with tempfile.TemporaryDirectory() as tmp:
+        started = time.perf_counter()
+        code, _stdout, stderr, _paths = invoke(
+            case, pathlib.Path(tmp), ["--budget", "100000"])
+        elapsed = time.perf_counter() - started
+    assert code in (0, 1, 2), code
+    if code == 1:
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    assert elapsed < 10, elapsed
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from factopo.budget import Budget
+from factopo.catalogs import sset_corpus
 from factopo.errors import (EnumerationBudgetExceeded, IdentityViolation,
                             InvalidSpec, NotSimplicial, TruncationTooLow)
 from factopo.sset import (FinSSet, SimplicialMap, _quotient,
@@ -18,7 +19,7 @@ from factopo.sset import (FinSSet, SimplicialMap, _quotient,
                           monotone_ops, spec_delta_nis, spec_raw,
                           sset_cover_check, sset_isomorphic,
                           subcomplex_of_delta, surjective_ops)
-from factopo.suites import _ez_map_pool
+from factopo.suites import _ez_map_pool, run_suite
 from oracles import act_by_recursion
 
 
@@ -117,10 +118,18 @@ def functoriality_violation(X):
 
 def identity_violation_raised(X):
     try:
-        X.validate()
+        FinSSet.validate(X)
     except IdentityViolation:
         return True
     return False
+
+
+class Unchecked(FinSSet):
+    """Built from stored faces without validating them, so that a corrupted
+    table can be held and passed to ``FinSSet.validate`` afterwards."""
+
+    def validate(self):
+        return self
 
 
 def test_cell_identities_pass_where_the_oracle_does(corpus):
@@ -149,7 +158,7 @@ def test_cell_identities_agree_with_the_oracle_on_corrupted_faces(corpus):
         for key in rng.sample(keys, rng.randint(1, min(2, len(keys)))):
             faces[key] = rng.choice([x for x in X.simplices(key[0] - 1)
                                      if x != faces[key]])
-        Y = FinSSet(X.dim, X.labels, faces, check=False)
+        Y = Unchecked(X.dim, X.labels, faces)
         broken = functoriality_violation(Y) is not None
         assert identity_violation_raised(Y) == broken, (X.name, faces)
         verdicts.add(broken)
@@ -228,10 +237,10 @@ def action_disagreement(X, simplices):
     return None
 
 
-def fresh(X, cls=FinSSet, faces=None, check=True):
+def fresh(X, cls=FinSSet, faces=None):
     """A copy of X with an empty action table."""
     return cls(X.dim, X.labels, X.faces_tbl if faces is None else faces,
-               name=X.name, check=check)
+               name=X.name)
 
 
 def test_action_table_matches_the_recursion(corpus):
@@ -259,7 +268,7 @@ def test_action_table_matches_the_recursion_on_corrupted_faces(corpus):
         faces = dict(X.faces_tbl)
         key = rng.choice(sorted(faces))
         faces[key] = rng.choice(X.simplices(key[0] - 1))
-        Y = fresh(X, faces=faces, check=False)
+        Y = fresh(X, Unchecked, faces=faces)
         cells = [Y.cell_simplex(ref) for ref in Y.cells()]
         assert action_disagreement(Y, cells) is None, (X.name, faces)
         verdicts.add(identity_violation_raised(Y))
@@ -408,11 +417,26 @@ def test_factorization_of_identity_is_trivial():
     assert sset_isomorphic(fac.middle, boundary(2)) is not None
 
 
+def test_ez_suite_builds_every_set_on_its_budget(monkeypatch):
+    built = []
+    init = FinSSet.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinSSet, "__init__", recording)
+    budget = Budget()
+    assert run_suite("ez", budget=budget)["passed"]
+    assert len(built) > 20 and all(X.budget is budget for X in built)
+
+
 def test_collapse_middles_are_the_expected_simplices():
     # a map out of Delta[m] picks a simplex sigma*(w) with w nondegenerate;
     # its middle is Delta[dim w], where dim w = max sigma
     maps = [classifying_map(f.source, f.source.cell_simplex(ref)).then(f)
-            for f in _ez_map_pool(Budget()) for ref in f.source.cells()]
+            for f in _ez_map_pool(sset_corpus(), Budget())
+            for ref in f.source.cells()]
     for m in range(3):
         for k in range(3):
             X = delta(k, dim=max(k, m) + 1)
