@@ -1,7 +1,8 @@
 """Step budget guarding every exhaustive scan.
 
-A fresh budget is created per top-level call unless the caller threads its
-own through, so nested scans share one cap.
+A request runs on one budget, which all the work it causes charges: inside
+the package ``budget`` is a required argument, and only the public entry
+points make one, through ``ensure_budget``, when they are given none.
 """
 
 from .errors import EnumerationBudgetExceeded

@@ -15,16 +15,18 @@ from .toposx import (FinGSet, cyclic_group, disjoint_union_gset, regular_gset,
                      symmetric_3, trivial_gset)
 
 
-def ring_catalogue():
+def ring_catalogue(budget):
     """Fourteen rings of order at most sixteen, quotient-closed."""
+    b = budget
     return [
-        zmod(1), zmod(2), zmod(3), zmod(4), gf(2, 2), zmod(5), zmod(6),
-        zmod(8), zmod(9), zmod(12), gf(2, 3), gf(3, 2),
-        product_ring([zmod(2), zmod(2)]), product_ring([zmod(2), zmod(4)]),
+        zmod(1, b), zmod(2, b), zmod(3, b), zmod(4, b), gf(2, 2, b),
+        zmod(5, b), zmod(6, b), zmod(8, b), zmod(9, b), zmod(12, b),
+        gf(2, 3, b), gf(3, 2, b), product_ring([zmod(2, b), zmod(2, b)], b),
+        product_ring([zmod(2, b), zmod(4, b)], b),
     ]
 
 
-def _ei_two_object_category():
+def _ei_two_object_category(budget):
     # two objects, a Z/2 of automorphisms on the first, two maps across
     objects = ["a", "b"]
     morphisms = {
@@ -39,22 +41,24 @@ def _ei_two_object_category():
     compose[("t", "t")] = "ida"
     compose[("f", "t")] = "g"
     compose[("g", "t")] = "f"
-    return FinCat(objects, morphisms, identities, compose, name="EI2")
+    return FinCat(objects, morphisms, identities, compose, name="EI2",
+                  budget=budget)
 
 
-def category_catalogue():
+def category_catalogue(budget=None):
     """Eight finite categories with at most six objects."""
-    span = poset_category(["a", "b", "c"], [("c", "a"), ("c", "b")],
+    b = ensure_budget(budget)
+    span = poset_category(["a", "b", "c"], [("c", "a"), ("c", "b")], b,
                           name="span")
-    cospan = poset_category(["a", "b", "c"], [("a", "c"), ("b", "c")],
+    cospan = poset_category(["a", "b", "c"], [("a", "c"), ("b", "c")], b,
                             name="cospan")
     square = poset_category(
         ["00", "01", "10", "11"],
-        [("00", "01"), ("00", "10"), ("01", "11"), ("10", "11")],
+        [("00", "01"), ("00", "10"), ("01", "11"), ("10", "11")], b,
         name="square")
-    z2 = monoid_category([0, 1], [[0, 1], [1, 0]], unit=0, name="BZ2")
-    return [terminal_category(), chain_category(1), chain_category(2),
-            span, cospan, square, z2, _ei_two_object_category()]
+    z2 = monoid_category([0, 1], [[0, 1], [1, 0]], 0, b, name="BZ2")
+    return [terminal_category(b), chain_category(1, b), chain_category(2, b),
+            span, cospan, square, z2, _ei_two_object_category(b)]
 
 
 # a circle, a 2-cell with one genuinely degenerate face, two parallel edges
@@ -74,10 +78,10 @@ _SSET_FILES = [
 ]
 
 
-def sset_corpus(budget=None):
+def sset_corpus(budget):
     """Twenty truncated simplicial sets, all of dimension at most five,
     each built on ``budget``."""
-    b = ensure_budget(budget)
+    b = budget
     return [
         *(delta(n, budget=b) for n in range(5)),
         *(boundary(n, budget=b) for n in (1, 2, 3)),
@@ -86,9 +90,9 @@ def sset_corpus(budget=None):
         disjoint_union(delta(1, budget=b), delta(0, budget=b), name="d1+d0"),
         disjoint_union(delta(0, budget=b), delta(0, budget=b), name="d0+d0"),
         *(build_sset(spec, b) for spec in _SSET_FILES),
-        subcomplex_of_delta(3, [(0, 1, 2), (1, 2, 3)], name="twotriangles",
-                            budget=b),
-        subcomplex_of_delta(2, [(0, 1), (1, 2)], name="path2", budget=b),
+        subcomplex_of_delta(3, [(0, 1, 2), (1, 2, 3)], b,
+                            name="twotriangles"),
+        subcomplex_of_delta(2, [(0, 1), (1, 2)], b, name="path2"),
     ]
 
 

@@ -54,7 +54,8 @@ def comma(F, d, side):
 
 def _over(base, objects, morphisms, name):
     """The category of ``objects`` (c, ...) and ``morphisms`` (s, t, h) over
-    ``base``, composing the h there, and its projection to ``base``."""
+    ``base``, composing the h there and built on its budget, and its
+    projection to ``base``."""
     into = {}
     for m1, (_s1, t1) in morphisms.items():
         into.setdefault(t1, []).append(m1)
@@ -64,7 +65,8 @@ def _over(base, objects, morphisms, name):
         for m1 in into.get(s2, ()):
             s1 = morphisms[m1][0]
             compose[(m2, m1)] = (s1, t2, base.compose(m2[2], m1[2]))
-    cat = FinCat(objects, morphisms, identities, compose, name=name)
+    cat = FinCat(objects, morphisms, identities, compose, name=name,
+                 budget=base.budget)
     proj = Functor(cat, base, {o: o[0] for o in objects},
                    {m: m[2] for m in morphisms}, name="proj")
     return cat, proj
@@ -148,7 +150,7 @@ def slice_factorize(C, c, side="right"):
     else:
         assert all(len(cat.hom(apex, o)) == 1 for o in cat.objects), \
             "identity object fails to be initial in the coslice"
-    T = terminal_category()
+    T = terminal_category(C.budget)
     first = Functor(T, cat, {0: apex},
                     {("le", 0, 0): cat.identities[apex]},
                     name="pick-%s" % str(c))

@@ -104,7 +104,7 @@ def _hom_between(A, B, raw, what="hom"):
     raise InvalidSpec("%s file needs \"images\" or \"map\"" % what)
 
 
-def build_hom(raw, budget=None):
+def build_hom(raw, budget):
     A = finring.build_ring(_need(raw, "source", "hom"), budget)
     B = finring.build_ring(_need(raw, "target", "hom"), budget)
     return _hom_between(A, B, raw)
@@ -117,7 +117,7 @@ def _check_declared(raw, topology):
                             % (declared, topology))
 
 
-def build_ring_family(A, raw, topology, budget=None):
+def build_ring_family(A, raw, topology, budget):
     _check_declared(raw, topology)
     if topology == "zar":
         return [A.parse_element(v) for v in _need_list(raw, "elements", "family")]
@@ -290,7 +290,7 @@ def _cmd_spectrum(args, budget):
         raise UsageError("spectrum over lines needs --space")
     V = _build(lambda r: toposx.build_vspace(r, budget),
                load_json(args.space), args.space)
-    return toposx.simple_points(V, budget)
+    return toposx.simple_points(V)
 
 
 def _cmd_orthogonal(args, budget):

@@ -25,7 +25,8 @@ class FinCat:
     ``morphisms`` maps a morphism id to its (src, tgt) pair, ``identities``
     maps each object to its identity morphism, and ``compose`` maps the
     composable pair (g, f) to g after f.  ``payload`` optionally attaches
-    concrete data (a ring hom, a functor, ...) to each morphism id.
+    concrete data (a ring hom, a functor, ...) to each morphism id.  The
+    kept ``budget`` pays for validation and for the isomorphisms found later.
     """
 
     def __init__(self, objects, morphisms, identities, compose,
@@ -36,6 +37,7 @@ class FinCat:
         self.compose_table = dict(compose)
         self.payload = dict(payload) if payload else {}
         self.name = name
+        self.budget = ensure_budget(budget)
         self._isos = None
         self._ids = tuple(sorted(self.morphisms, key=_key))
         mors, hom = self.morphisms, {}
@@ -50,7 +52,7 @@ class FinCat:
             for m in sorted(self._ids, key=lambda m: rank.get(mors[m][end], -1)):
                 arrows.setdefault(mors[m][1 - end], []).append(m)
             index.update((x, tuple(ms)) for x, ms in arrows.items())
-        self.validate(budget=budget)
+        self.validate()
 
     def src(self, m):
         return self.morphisms[m][0]
@@ -76,18 +78,18 @@ class FinCat:
     def is_iso(self, m):
         return m in self._isomorphisms()
 
-    def _isomorphisms(self, budget=None):
+    def _isomorphisms(self):
         """The m with some g composing with it to identities both ways,
         found once, one step per compose entry."""
         if self._isos is None:
-            ensure_budget(budget).spend(len(self.compose_table))
+            self.budget.spend(len(self.compose_table))
             comp, ids = self.compose_table, set(self.identities.values())
             self._isos = frozenset(m for (g, m), h in comp.items()
                                    if h in ids and comp[(m, g)] in ids)
         return self._isos
 
-    def validate(self, budget=None):
-        budget = ensure_budget(budget)
+    def validate(self):
+        budget = self.budget
         objset = set(self.objects)
         if len(objset) != len(self.objects):
             raise NotACategory("duplicate object ids")
@@ -158,7 +160,8 @@ class FinCat:
         mors = {m: (t, s) for m, (s, t) in self.morphisms.items()}
         comp = {(f, g): h for (g, f), h in self.compose_table.items()}
         return FinCat(self.objects, mors, dict(self.identities), comp,
-                      payload=self.payload, name=self.name + "^op")
+                      payload=self.payload, name=self.name + "^op",
+                      budget=self.budget)
 
     def __repr__(self):
         return "FinCat(%s: %d objects, %d morphisms)" % (
@@ -171,6 +174,7 @@ def validate_fincat(raw, budget=None):
     ``raw`` uses the file layout: objects, morphisms as {id, src, tgt} rows,
     identities keyed by object, compose as [g, f, h] triples.
     """
+    budget = ensure_budget(budget)
     if not isinstance(raw, dict):
         raise NotACategory("category data must be a mapping")
     fields = {"objects": list, "morphisms": list, "identities": dict,
@@ -182,7 +186,6 @@ def validate_fincat(raw, budget=None):
             raise NotACategory("field %r must be a %s" % (
                 key, "list" if kind is list else "mapping"))
     objects, morrows, identities, compose_rows = (raw[k] for k in fields)
-    budget = ensure_budget(budget)
     budget.spend(len(objects))
     for i, obj in enumerate(objects):
         _hashable(obj, "objects[%d]" % i)
@@ -285,10 +288,10 @@ def identity_functor(C):
 # ---------------------------------------------------------------------------
 # small builders used all over the test suites
 
-def poset_category(elements, le_pairs, name=""):
+def poset_category(elements, le_pairs, budget, name=""):
     """Category of a poset; Poset closes le_pairs reflexively and
     transitively, and refuses a cycle with InvalidSpec."""
-    le = Poset(elements, le_pairs).order_pairs()
+    le = Poset(elements, le_pairs, budget).order_pairs()
     morphisms = {("le", a, b): (a, b) for (a, b) in le}
     identities = {x: ("le", x, x) for x in elements}
     compose = {}
@@ -296,19 +299,21 @@ def poset_category(elements, le_pairs, name=""):
         for (f, (a, b2)) in morphisms.items():
             if b2 == b1:
                 compose[(g, f)] = ("le", a, c)
-    return FinCat(elements, morphisms, identities, compose, name=name or "poset")
+    return FinCat(elements, morphisms, identities, compose,
+                  name=name or "poset", budget=budget)
 
 
-def terminal_category():
-    return poset_category([0], [], name="[0]")
+def terminal_category(budget):
+    return poset_category([0], [], budget, name="[0]")
 
 
-def chain_category(n):
+def chain_category(n, budget):
     return poset_category(list(range(n + 1)),
-                          [(i, i + 1) for i in range(n)], name="[%d]" % n)
+                          [(i, i + 1) for i in range(n)], budget,
+                          name="[%d]" % n)
 
 
-def monoid_category(elements, table, unit, name=""):
+def monoid_category(elements, table, unit, budget, name=""):
     """One-object category from a monoid multiplication table (table[a][b] = a*b)."""
     obj = "*"
     idx = {e: i for i, e in enumerate(elements)}
@@ -318,11 +323,11 @@ def monoid_category(elements, table, unit, name=""):
         for b in elements:
             compose[(("m", a), ("m", b))] = ("m", table[idx[a]][idx[b]])
     return FinCat([obj], morphisms, {obj: ("m", unit)}, compose,
-                  name=name or "monoid")
+                  name=name or "monoid", budget=budget)
 
 
-def concrete_category(objects, object_key, hom_fn, positions, name="",
-                      budget=None):
+def concrete_category(objects, object_key, hom_fn, positions, budget,
+                      name=""):
     """Tabulate a category whose arrows are concrete maps.
 
     ``hom_fn(x, y)`` lists the arrows x -> y; ``positions(a)`` gives a as
@@ -331,7 +336,6 @@ def concrete_category(objects, object_key, hom_fn, positions, name="",
     (0, 1, ..., k - 1).  A hom set listing one tuple twice is refused.
     Arrow ids are (src_key, tgt_key, index); the payload keeps the arrows.
     """
-    budget = ensure_budget(budget)
     keys = [object_key(x) for x in objects]
     arrows, images, homs = {}, {}, {}
     for x, kx in zip(objects, keys):
@@ -399,13 +403,12 @@ def is_orthogonal(u, f, ambient, budget=None):
 # ---------------------------------------------------------------------------
 # colimit search, needed for the codiagonal axiom
 
-def pushout(C, f, g, budget=None):
+def pushout(C, f, g, budget):
     """Pushout of f: X -> A and g: X -> B inside C, or None when absent.
 
     Every cocone candidate is tested against the full universal property,
     so the answer is exact for the given universe.
     """
-    budget = ensure_budget(budget)
     if C.src(f) != C.src(g):
         raise NotACategory("pushout legs must share their source")
     A, B = C.tgt(f), C.tgt(g)
@@ -482,7 +485,6 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
     report = SystemReport()
     mors = C.morphism_ids()
     comp = C.compose_table
-    C._isomorphisms(budget)  # builds, on this budget, the set is_iso reads
     left_class = {}
     right_class = {}
     for m in mors:
@@ -557,7 +559,7 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
     for a in mors:
         if not left_class[a]:
             continue
-        po = pushout(C, a, a, budget=budget)
+        po = pushout(C, a, a, budget)
         if po is None:
             continue
         P, i1, i2 = po
@@ -594,7 +596,7 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
 # ---------------------------------------------------------------------------
 # functor search
 
-def all_functors(C, D, budget=None):
+def all_functors(C, D, budget):
     """Every functor C -> D, ordered by object images and then by the
     hom-set positions of the images of the non-identity morphisms.
 
@@ -608,7 +610,6 @@ def all_functors(C, D, budget=None):
     one of g, f mapped needs a completion in D.  Every candidate and
     every look-ahead test costs a step.
     """
-    budget = ensure_budget(budget)
     mor_ids = [m for m in C.morphism_ids() if not C.is_identity(m)]
     free = [x for x in C.objects
             if not any(x in C.morphisms[m] for m in mor_ids)]

@@ -355,17 +355,18 @@ def product_ring(factors, budget=None):
                    name="x".join(f.name for f in factors))
 
 
-def table_ring(spec, budget=None):
+def table_ring(spec, budget):
     try:
-        names = [str(s) for s in spec["elements"]]
-        addrows = spec["add"]
-        mulrows = spec["mul"]
+        elements, addrows, mulrows = spec["elements"], spec["add"], spec["mul"]
     except (KeyError, TypeError) as exc:
         raise InvalidSpec("table ring needs elements/add/mul: %s" % exc) from exc
+    if not isinstance(elements, list):
+        raise InvalidSpec("table ring elements must be a list of names")
     if not all(isinstance(t, list) and all(isinstance(row, list) for row in t)
                for t in (addrows, mulrows)):
         raise InvalidSpec("table ring add and mul must be lists of rows")
-    ensure_budget(budget).spend(len(names) ** 2)
+    names = [str(s) for s in elements]
+    budget.spend(len(names) ** 2)
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise InvalidSpec("duplicate element names")
@@ -375,7 +376,8 @@ def table_ring(spec, budget=None):
             if v not in index:
                 raise InvalidSpec("unknown element %r in %s" % (v, where))
             return index[v]
-        if isinstance(v, int) and 0 <= v < len(names):
+        if isinstance(v, int) and not isinstance(v, bool) and \
+                0 <= v < len(names):
             return v
         raise InvalidSpec("bad element reference %r in %s" % (v, where))
 
@@ -533,9 +535,8 @@ def hom_from_images(A, B, images):
         return None
 
 
-def enumerate_homs(A, B, budget=None):
+def enumerate_homs(A, B, budget):
     """All unital homs A -> B, sorted by mapping tuple."""
-    budget = ensure_budget(budget)
     gens = list(dict.fromkeys(A.generators))
     out = []
     for choice in itertools.product(range(B.size), repeat=len(gens)):
@@ -603,13 +604,12 @@ def ideal_generated(A, gens):
     return Ideal(A, I)
 
 
-def all_ideals(A, budget=None):
+def all_ideals(A, budget):
     """Every ideal, sorted by size and then elements.
 
     Every ideal of a finite ring is a finite sum of principal ideals Ra, so
     all of them grow from the zero ideal by I -> I + Ra.
     """
-    budget = ensure_budget(budget)
     # Ra is row a of the commutative multiplication table
     principal = list(dict.fromkeys(frozenset(row) for row in A.mul))
     zero = frozenset([A.zero])
@@ -732,9 +732,9 @@ def prime_ideals(A):
     return sorted(uniq.values(), key=lambda p: p.sorted_elements())
 
 
-def prime_ideals_bruteforce(A, budget=None):
+def prime_ideals_bruteforce(A, budget):
     """Oracle: scan every ideal and keep the ones with domain quotient."""
-    return [I for I in all_ideals(A, budget=budget) if is_prime_ideal(I)]
+    return [I for I in all_ideals(A, budget) if is_prime_ideal(I)]
 
 
 def multiplicative_closure(A, S):
@@ -789,9 +789,8 @@ def factors_through_surjection(h, q):
     return RingHom(Q, B, tuple(mapping))
 
 
-def field_catalogue(bound=16, budget=None):
+def field_catalogue(bound, budget):
     """All finite fields of order <= bound, smallest first."""
-    budget = ensure_budget(budget)
     out = []
     for q in range(2, bound + 1):
         pk = prime_power(q, budget)
@@ -800,12 +799,12 @@ def field_catalogue(bound=16, budget=None):
     return out
 
 
-def prime_power(n, budget=None):
+def prime_power(n, budget):
     """(p, k) with n == p**k and k >= 1, or None; the up to isqrt(n)
     steps of trial division are charged first."""
     if n < 2:
         return None
-    ensure_budget(budget).spend(math.isqrt(n))
+    budget.spend(math.isqrt(n))
     p = smallest_prime_factor(n)
     k = 0
     while n % p == 0:

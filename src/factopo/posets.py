@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
-from .budget import ensure_budget
 from .errors import InvalidSpec
 
 
@@ -19,8 +18,8 @@ class Poset:
     pays one step per element and generating pair before any allocation.
     """
 
-    def __init__(self, elements, pairs=(), budget=None):
-        ensure_budget(budget).spend(len(elements) + len(pairs))
+    def __init__(self, elements, pairs, budget):
+        budget.spend(len(elements) + len(pairs))
         self.elements = list(elements)
         pos = {x: i for i, x in enumerate(self.elements)}
         if len(pos) != len(self.elements):
@@ -111,14 +110,13 @@ def _bits(mask):
         mask ^= low
 
 
-def order_isomorphism(P, Q, budget=None):
+def order_isomorphism(P, Q, budget):
     """A bijection preserving and reflecting order, or None.
 
     Backtracking over elements sorted by (|downset|, |upset|) signature;
     candidates restricted to matching signatures, so antichains cost little
     despite their n! symmetries.
     """
-    budget = ensure_budget(budget)
     if P.size != Q.size:
         return None
 
@@ -160,9 +158,9 @@ def order_isomorphism(P, Q, budget=None):
     return dict(assigned) if extend(0) else None
 
 
-def anti_isomorphism(P, Q, budget=None):
+def anti_isomorphism(P, Q, budget):
     """An order-reversing bijection P -> Q, or None."""
-    return order_isomorphism(P, Q.op(), budget=budget)
+    return order_isomorphism(P, Q.op(), budget)
 
 
 def poset_to_dot(P, label=str, name="poset"):

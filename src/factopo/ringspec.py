@@ -20,7 +20,7 @@ from .posets import Poset, Spectrum, anti_isomorphism
 from .ringsys import classify_ring, is_integral_map, is_localization_map
 
 
-def recognize_ring(R, budget=None):
+def recognize_ring(R, budget):
     """A familiar name for R's iso class, or a size-tagged fallback.
 
     Tries Z/n, F_n, and binary products of those, in that order; the rings
@@ -31,17 +31,16 @@ def recognize_ring(R, budget=None):
     generates it additively and F_m when it is a field; no other factor
     occurs in a candidate.
     """
-    budget = ensure_budget(budget)
     n = R.size
     if n == 1:
         return "0"
     types = sorted(_local_type(R, e, budget) for e in primitive_idempotents(R))
-    cands = _local_candidates(n)
+    cands = _local_candidates(n, budget)
     for a in range(2, n):
         if n % a or a > n // a:
             continue
-        for name_a, types_a in _local_candidates(a):
-            for name_b, types_b in _local_candidates(n // a):
+        for name_a, types_a in _local_candidates(a, budget):
+            for name_b, types_b in _local_candidates(n // a, budget):
                 cands.append(("%sx%s" % (name_a, name_b), types_a + types_b))
     for name, cand_types in cands:
         if sorted(cand_types) == types:
@@ -65,7 +64,7 @@ def _local_type(R, e, budget):
     return ("?", len(factor))
 
 
-def _local_candidates(n):
+def _local_candidates(n, budget):
     """(name, local factor types) of Z/n, and of F_n when n is a proper
     prime power."""
     types, m = [], n
@@ -75,7 +74,7 @@ def _local_candidates(n):
         types.append(("Z", q))
         m //= q
     out = [("Z/%d" % n, types)]
-    pk = prime_power(n)
+    pk = prime_power(n, budget)
     if pk and pk[1] > 1:
         out.append(("F_%d" % n, [("F", n)]))
     return out
@@ -139,7 +138,7 @@ def zar_lattice(A, budget=None):
         labels.append("invert(%s)" % A.names[e])
         rings.append(L)
         homs.append(h)
-        names.append(recognize_ring(L, budget=budget))
+        names.append(recognize_ring(L, budget))
         by_kernel[kernel] = i
     order = [(x, y) for x, e in enumerate(idems) for y, f in enumerate(idems)
              if A.mul[e][f] == e]
@@ -162,7 +161,7 @@ def zar_lattice(A, budget=None):
 def dom_lattice(A, budget=None):
     """Reduced quotients under reverse inclusion of their radical ideals."""
     budget = ensure_budget(budget)
-    rads = [I for I in all_ideals(A, budget=budget)
+    rads = [I for I in all_ideals(A, budget)
             if radical(I).elements == I.elements]
     rads.sort(key=lambda I: (len(I.elements), I.sorted_elements()))
     labels, rings, names = [], [], []
@@ -171,7 +170,7 @@ def dom_lattice(A, budget=None):
         Q, _h = quotient_ring(A, I)
         labels.append("mod%s" % I.label())
         rings.append(Q)
-        names.append(recognize_ring(Q, budget=budget))
+        names.append(recognize_ring(Q, budget))
         by_ideal[I.elements] = i
     order = [(x, y) for x, I in enumerate(rads) for y, J in enumerate(rads)
              if J.elements <= I.elements]
@@ -190,9 +189,10 @@ def check_duality(A, budget=None):
 
     Returns (holds, witness) where the witness pairs element labels.
     """
-    zl = zar_lattice(A, budget=budget)
-    dl = dom_lattice(A, budget=budget)
-    mapping = anti_isomorphism(zl.poset, dl.poset, budget=budget)
+    budget = ensure_budget(budget)
+    zl = zar_lattice(A, budget)
+    dl = dom_lattice(A, budget)
+    mapping = anti_isomorphism(zl.poset, dl.poset, budget)
     if mapping is None:
         return False, None
     witness = [(zl.labels[i], dl.labels[j])
@@ -205,6 +205,7 @@ def check_duality(A, budget=None):
 
 def stalk(A, p, topology, budget=None):
     """The local form at a prime, with its structural hom, class-checked."""
+    budget = ensure_budget(budget)
     primes = prime_ideals(A)
     if not isinstance(p, Ideal) or p.ring is not A or \
             all(p.elements != q.elements for q in primes):
@@ -236,11 +237,12 @@ def _stalk(A, p, topology, budget):
 def spec_points(A, topology="zar", budget=None):
     """All primes with their stalks; the order is computed, then required
     discrete, which is where finite rings land every time."""
+    budget = ensure_budget(budget)
     primes, rows = prime_ideals(A), []
     for p in primes:
         ring, _hom = _stalk(A, p, topology, budget)
         rows.append({"prime": p.label(),
-                     "stalk": recognize_ring(ring, budget=budget),
+                     "stalk": recognize_ring(ring, budget),
                      "stalk_size": ring.size})
     order = [(i, j) for i, p in enumerate(primes) for j, q in enumerate(primes)
              if p.elements <= q.elements]

@@ -10,15 +10,17 @@ asserted where it is used rather than assumed.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .budget import ensure_budget
 from .errors import InvalidFamily, InvalidSpec
-from .fincat import CoverResult, concrete_category
-from .finring import (FinRing, Ideal, RingHom, annihilator_kernel,
+from .fincat import CoverResult, concrete_category, verify_system
+from .finring import (FinRing, Ideal, RingHom, all_ideals, annihilator_kernel,
                       enumerate_homs, factors_through_surjection,
-                      field_catalogue, identity_hom, ideal_generated, localize,
-                      nilradical, prime_ideals, quotient_ring)
+                      field_catalogue, identity_hom, ideal_generated,
+                      inverse_hom, localize, nilradical, prime_ideals,
+                      quotient_ring)
 
 SYSTEMS = ("loc-cons", "surj-mono", "int-intclo")
 TOPOLOGIES = ("zar", "dom", "fin", "nfin")
@@ -56,7 +58,7 @@ def is_localization_map(u):
     return u.kernel_elements() == annihilator_kernel(u.source, S).elements
 
 
-def integral_elements(u, budget=None):
+def integral_elements(u, budget):
     """Monic-dependency witnesses for every element of the target.
 
     Returns {element: coeff_tuple} where the tuple (c_0, ..., c_{d-1}) of
@@ -66,7 +68,6 @@ def integral_elements(u, budget=None):
     in every unital image.  The whole target is integral, which is exactly
     the degeneracy the callers assert.
     """
-    budget = ensure_budget(budget)
     B = u.target
     witnesses = {}
     for b in B.elements():
@@ -94,30 +95,30 @@ def check_monic_witness(u, b, coeffs):
     return B.add[acc][p] == B.zero
 
 
-def is_integral_map(u, budget=None):
+def is_integral_map(u, budget):
     """Every target element admits a monic dependency over the image.
 
     Finite rings make this always true; it is still computed from the
     definition so the class test mirrors the construction it verifies.
     """
-    wit = integral_elements(u, budget=budget)
+    wit = integral_elements(u, budget)
     return all(check_monic_witness(u, b, w) for b, w in wit.items())
 
 
-def is_integrally_closed_map(u, budget=None):
+def is_integrally_closed_map(u, budget):
     """Injective, and every element integral over the image lies in the image."""
     if not u.is_injective():
         return False
     image = set(u.mapping)
-    wit = integral_elements(u, budget=budget)
+    wit = integral_elements(u, budget)
     return all(b in image for b in wit)
 
 
 CLASS_TESTS = {
-    "loc-cons": (lambda u, budget=None: is_localization_map(u),
-                 lambda u, budget=None: is_conservative(u)),
-    "surj-mono": (lambda u, budget=None: u.is_surjective(),
-                  lambda u, budget=None: u.is_injective()),
+    "loc-cons": (lambda u, budget: is_localization_map(u),
+                 lambda u, budget: is_conservative(u)),
+    "surj-mono": (lambda u, budget: u.is_surjective(),
+                  lambda u, budget: u.is_injective()),
     "int-intclo": (is_integral_map, is_integrally_closed_map),
 }
 
@@ -135,16 +136,15 @@ class Factorization:
     def composite(self):
         return self.left.then(self.right)
 
-    def verify(self, u=None, budget=None):
+    def verify(self, u, budget):
         """Recheck the whole contract: legs compose to u and each leg passes
         the membership test for its side of the system."""
         assert self.left.target is self.middle and self.right.source is self.middle
-        if u is not None:
-            assert self.left.source is u.source and self.right.target is u.target
-            assert self.composite().mapping == u.mapping
+        assert self.left.source is u.source and self.right.target is u.target
+        assert self.composite().mapping == u.mapping
         left_test, right_test = CLASS_TESTS[self.system]
-        assert left_test(self.left, budget=budget)
-        assert right_test(self.right, budget=budget)
+        assert left_test(self.left, budget)
+        assert right_test(self.right, budget)
         return self
 
 
@@ -186,8 +186,9 @@ def int_intclo_factorize(u):
 
 def triple_factorize(u, budget=None):
     """Surjection, then injective-and-integral, then integrally closed."""
-    sm = factorize(u, "surj-mono", budget=budget)
-    assert is_integral_map(sm.right, budget=budget)
+    budget = ensure_budget(budget)
+    sm = factorize(u, "surj-mono", budget)
+    assert is_integral_map(sm.right, budget)
     intclo = identity_hom(u.target)
     t = TripleFactorization(sm.left, sm.right, intclo)
     assert t.composite().mapping == u.mapping
@@ -197,6 +198,7 @@ def triple_factorize(u, budget=None):
 def factorize(u, system, budget=None):
     """The factorisation of u in ``system``, checked once by
     Factorization.verify: its legs compose to u and lie in their classes."""
+    budget = ensure_budget(budget)
     if system == "loc-cons":
         f = loc_cons_factorize(u)
     elif system == "surj-mono":
@@ -205,7 +207,7 @@ def factorize(u, system, budget=None):
         f = int_intclo_factorize(u)
     else:
         raise InvalidSpec("unknown system %r" % (system,))
-    return f.verify(u, budget=budget)
+    return f.verify(u, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,7 @@ class RingClassification:
 
 
 def classify_ring(A, budget=None):
+    budget = ensure_budget(budget)
     wit = {}
     units = A.units()
     nilp = nilradical(A).elements
@@ -285,7 +288,7 @@ def classify_ring(A, budget=None):
     # localization away from 0 and ask whether that embedding is closed
     if is_domain:
         K, toK = localize(A, nonzero)
-        icd = is_integrally_closed_map(toK, budget=budget)
+        icd = is_integrally_closed_map(toK, budget)
         if not icd:
             wit["is_integrally_closed_domain"] = "embedding not closed"
     else:
@@ -442,22 +445,20 @@ def zar_self_lift_decider(A):
     settles the universal claim.
     """
     sectionless = [a for a in A.elements() if not element_has_retraction(A, a)]
-    worst = cover_check(A, sectionless, "zar")
-    return not worst.covers
+    return zar_combination_certificate(A, sectionless) is None
 
 
 def dom_self_lift_decider(A, budget=None):
-    from .finring import all_ideals
-    sectionless = [I for I in all_ideals(A, budget=budget)
+    budget = ensure_budget(budget)
+    sectionless = [I for I in all_ideals(A, budget)
                    if not ideal_has_retraction(A, I)]
-    worst = cover_check(A, sectionless, "dom")
-    return not worst.covers
+    return not cover_check(A, sectionless, "dom", budget=budget).covers
 
 
 # ---------------------------------------------------------------------------
 # axiom verification over an explicit universe
 
-def ring_universe(rings, budget=None):
+def ring_universe(rings, budget):
     """Hom-complete category on the given rings; arrows carry RingHom payloads.
 
     Names double as object keys, so they must be unique.  The ring list also
@@ -469,25 +470,24 @@ def ring_universe(rings, budget=None):
         raise InvalidSpec("universe rings must carry distinct names")
     cat = concrete_category(
         rings, lambda R: R.name,
-        lambda x, y: enumerate_homs(x, y, budget=budget),
+        lambda x, y: enumerate_homs(x, y, budget),
         lambda h: h.mapping, name="rings", budget=budget)
     cat.rings = {R.name: R for R in rings}
     return cat
 
 
-def _iso_onto_universe(M, rings, seed, budget=None):
+def _iso_onto_universe(M, rings, seed, budget):
     """A bijective hom from M onto some universe ring, chosen by seed.
 
     seed 0 keeps the natural enumeration; other seeds shuffle candidate
     rings and rotate among the isos, which is how the middle-uniqueness
     axiom gets a genuinely different comparison run.
     """
-    import random
     cands = [R for R in rings if R.size == M.size]
     if seed:
         random.Random(seed).shuffle(cands)
     for C in cands:
-        isos = [h for h in enumerate_homs(M, C, budget=budget)
+        isos = [h for h in enumerate_homs(M, C, budget)
                 if h.is_bijective()]
         if isos:
             return isos[seed % len(isos)], C
@@ -496,17 +496,16 @@ def _iso_onto_universe(M, rings, seed, budget=None):
         "closed under quotients up to isomorphism" % (M.name, M.size))
 
 
-def system_factorizer(system, universe, seed=0, budget=None):
+def system_factorizer(system, universe, seed, budget):
     """Adapt factorize() to the morphism-id protocol of verify_system."""
-    from .finring import inverse_hom
     rings = list(universe.rings.values())
     index = {(m[0], m[1], h.mapping): m
              for m, h in universe.payload.items()}
 
     def fac(mor_id):
         u = universe.payload[mor_id]
-        F = factorize(u, system, budget=budget)
-        iso, C = _iso_onto_universe(F.middle, rings, seed, budget=budget)
+        F = factorize(u, system, budget)
+        iso, C = _iso_onto_universe(F.middle, rings, seed, budget)
         left = F.left.then(iso)
         right = inverse_hom(iso).then(F.right)
         assert left.then(right).mapping == u.mapping
@@ -517,25 +516,24 @@ def system_factorizer(system, universe, seed=0, budget=None):
     return fac
 
 
-def class_predicates(system, universe, budget=None):
+def class_predicates(system, universe, budget):
     left_test, right_test = CLASS_TESTS[system]
 
     def in_left(m):
-        return left_test(universe.payload[m], budget=budget)
+        return left_test(universe.payload[m], budget)
 
     def in_right(m):
-        return right_test(universe.payload[m], budget=budget)
+        return right_test(universe.payload[m], budget)
 
     return in_left, in_right
 
 
 def verify_ring_system(system, rings, alt_seed=1, budget=None):
     """Run the full axiom battery for one system over the given rings."""
-    from .fincat import verify_system
     budget = ensure_budget(budget)
-    universe = ring_universe(rings, budget=budget)
-    fac = system_factorizer(system, universe, seed=0, budget=budget)
-    fac_alt = system_factorizer(system, universe, seed=alt_seed, budget=budget)
-    in_left, in_right = class_predicates(system, universe, budget=budget)
+    universe = ring_universe(rings, budget)
+    fac = system_factorizer(system, universe, 0, budget)
+    fac_alt = system_factorizer(system, universe, alt_seed, budget)
+    in_left, in_right = class_predicates(system, universe, budget)
     return verify_system(fac, in_left, in_right, universe,
                          fac_alt=fac_alt, budget=budget)

@@ -251,7 +251,7 @@ class FinSSet:
 # ---------------------------------------------------------------------------
 # builders
 
-def subcomplex_of_delta(n, subsets, dim=None, name=None, budget=None):
+def subcomplex_of_delta(n, subsets, budget, dim=None, name=None):
     """The union of the faces of Δ[n] spanned by the given vertex subsets.
 
     ``subsets`` iterates nonempty subsets of {0..n}; the family is closed
@@ -261,7 +261,6 @@ def subcomplex_of_delta(n, subsets, dim=None, name=None, budget=None):
     subsets are read, so the stock shapes pass them lazily and a huge n is
     refused before anything of size n is built.
     """
-    budget = ensure_budget(budget)
     e = budget.cap(n)
     budget.spend((1 << (e + 1)) - 1 + (e + 1) * ((1 << e) - 1))
     closed = set()
@@ -294,16 +293,15 @@ def subcomplex_of_delta(n, subsets, dim=None, name=None, budget=None):
 
 def delta(n, dim=None, name=None, budget=None):
     """The standard n-simplex, truncated with one dimension of headroom."""
-    return subcomplex_of_delta(
-        n, [range(n + 1)], dim=dim, name=name or "delta%d" % n,
-        budget=budget)
+    return subcomplex_of_delta(n, [range(n + 1)], ensure_budget(budget),
+                               dim=dim, name=name or "delta%d" % n)
 
 
 def boundary(n, dim=None, budget=None):
     """All proper faces of Δ[n]."""
     subs = (coface(n, i) for i in range(n + 1))
-    return subcomplex_of_delta(n, subs, dim=dim, name="boundary%d" % n,
-                               budget=budget)
+    return subcomplex_of_delta(n, subs, ensure_budget(budget), dim=dim,
+                               name="boundary%d" % n)
 
 
 def horn(n, k, dim=None, budget=None):
@@ -311,8 +309,8 @@ def horn(n, k, dim=None, budget=None):
     if not 0 <= k <= n:
         raise InvalidSpec("horn field 'k': %d is not in 0..%d" % (k, n))
     subs = (coface(n, i) for i in range(n + 1) if i != k)
-    return subcomplex_of_delta(n, subs, dim=dim, name="horn%d_%d" % (n, k),
-                               budget=budget)
+    return subcomplex_of_delta(n, subs, ensure_budget(budget), dim=dim,
+                               name="horn%d_%d" % (n, k))
 
 
 def disjoint_union(X, Y, dim=None, name=None):
@@ -344,6 +342,7 @@ def build_sset(spec, budget=None):
     shapes are also available as {"kind": "delta"|"boundary"|"horn", ...}.
     The set charges its action table to ``budget``.
     """
+    budget = ensure_budget(budget)
     if isinstance(spec, dict) and "kind" in spec:
         kind = spec["kind"]
         n = parse_int(spec.get("n", 0), "sset field 'n'")
@@ -521,14 +520,14 @@ def _face_compatible(Y, X, candidates, budget):
     return extend(0)
 
 
-def all_simplicial_maps(Y, X, budget=None):
+def all_simplicial_maps(Y, X, budget):
     """Every simplicial map Y -> X, by face-constrained backtracking."""
     found = _face_compatible(Y, X, lambda ref, _ass: X.simplices(ref[0]),
-                             ensure_budget(budget))
+                             budget)
     return [SimplicialMap(Y, X, ass, check=False) for ass in found]
 
 
-def sset_isomorphic(X, Y, budget=None):
+def sset_isomorphic(X, Y, budget):
     """A dimension-wise bijection on cells preserving faces, or None."""
     if sorted(X.labels) != sorted(Y.labels) or \
             any(len(X.labels[n]) != len(Y.labels[n]) for n in X.labels):
@@ -540,8 +539,7 @@ def sset_isomorphic(X, Y, budget=None):
                             for j in range(len(Y.labels[ref[0]])))
                 if x not in taken]
 
-    ass = next(_face_compatible(X, Y, unused_cells, ensure_budget(budget)),
-               None)
+    ass = next(_face_compatible(X, Y, unused_cells, budget), None)
     return None if ass is None else SimplicialMap(X, Y, ass, check=False)
 
 
@@ -590,7 +588,7 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
                 first = M.act(y, alphas[0])
                 for alpha in alphas[1:]:
                     pairs.append((first, M.act(y, alpha)))
-        M2, proj = _quotient(M, pairs, budget=budget)
+        M2, proj = _quotient(M, pairs, budget)
         # the images under g of the cells that each cell of M2 carries
         images = {}
         for r in M.cells():
@@ -608,7 +606,7 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
     return SSetFactorization(left, M, g)
 
 
-def _quotient(M, pairs, budget=None):
+def _quotient(M, pairs, budget):
     """Quotient by the simplicial congruence generated by the pairs.
 
     The generating set is closed under the simplicial action (callers
@@ -617,7 +615,6 @@ def _quotient(M, pairs, budget=None):
     applied to a nondegenerate class, which is where EZ uniqueness gets
     checked for real.
     """
-    budget = ensure_budget(budget)
     parent = {}
 
     def find(x):
@@ -765,10 +762,10 @@ def delta_nis_self_lift_decider(X, budget=None):
     return False
 
 
-def is_standard_simplex(X, budget=None):
+def is_standard_simplex(X, budget):
     for n in range(X.top_dim + 1):
         if sset_isomorphic(X, delta(n, dim=X.dim, budget=budget),
-                           budget=budget) is not None:
+                           budget) is not None:
             return True
     return False
 
@@ -785,6 +782,7 @@ def spec_delta_nis(X, budget=None):
     """Cells ordered by iterated-face containment, one budget step per cell
     and per stored face: the closure of "the cell w of each stored face lies
     below its cell", as a face s*(w) reaches w through a section of s."""
+    budget = ensure_budget(budget)
     refs = X.cells()
     pos = {r: i for i, r in enumerate(refs)}
     pairs = [(pos[w], pos[r2]) for r2 in refs for _s, w in X.cell_faces(r2)]
@@ -794,4 +792,4 @@ def spec_delta_nis(X, budget=None):
 def spec_raw(X, budget=None):
     """Bare vertices, none comparable."""
     return _cell_spectrum(X, "raw", [r for r in X.cells() if r[0] == 0], [],
-                          budget)
+                          ensure_budget(budget))

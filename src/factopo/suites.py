@@ -35,9 +35,8 @@ def _check(checks, name, ok, counterexample=None):
     checks.append(row)
 
 
-def suite_axioms(seed=0, budget=None):
-    budget = ensure_budget(budget)
-    rings = [zmod(1), zmod(2), zmod(3), zmod(4), zmod(6), gf(2, 2)]
+def suite_axioms(seed, budget):
+    rings = [zmod(n, budget) for n in (1, 2, 3, 4, 6)] + [gf(2, 2, budget)]
     checks = []
     for system in SYSTEMS:
         report = verify_ring_system(system, rings, alt_seed=1 + seed,
@@ -49,12 +48,11 @@ def suite_axioms(seed=0, budget=None):
     return checks
 
 
-def suite_ring_oracles(seed=0, budget=None):
-    budget = ensure_budget(budget)
+def suite_ring_oracles(seed, budget):
     checks = []
-    for A in ring_catalogue():
+    for A in ring_catalogue(budget):
         primes = prime_ideals(A)
-        brute = prime_ideals_bruteforce(A, budget=budget)
+        brute = prime_ideals_bruteforce(A, budget)
         ok = sorted(p.sorted_elements() for p in primes) == \
             sorted(p.sorted_elements() for p in brute)
         _check(checks, "primes-vs-bruteforce:%s" % A.name, ok,
@@ -64,25 +62,25 @@ def suite_ring_oracles(seed=0, budget=None):
             _check(checks, "points-equal-primes:%s:%s" % (A.name, t),
                    len(pts) == len(primes),
                    "%d points, %d primes" % (len(pts), len(primes)))
-    z4 = classify_ring(zmod(4), budget=budget)
+    z4 = classify_ring(zmod(4, budget), budget)
     _check(checks, "classify:Z/4",
            z4.is_fat_field and z4.is_local and not z4.is_domain, z4.as_dict())
-    f4 = classify_ring(gf(2, 2), budget=budget)
+    f4 = classify_ring(gf(2, 2, budget), budget)
     _check(checks, "classify:F_4",
            f4.is_field and f4.is_domain and f4.is_integrally_closed_domain,
            f4.as_dict())
-    z6 = classify_ring(zmod(6), budget=budget)
+    z6 = classify_ring(zmod(6, budget), budget)
     _check(checks, "classify:Z/6",
            not z6.is_local and not z6.is_domain, z6.as_dict())
     return checks
 
 
-def suite_duality(seed=0, budget=None):
-    budget = ensure_budget(budget)
+def suite_duality(seed, budget):
     checks = []
-    extra = [zmod(36), product_ring([zmod(2), gf(2, 2)])]
-    for A in ring_catalogue() + extra:
-        ok, witness = check_duality(A, budget=budget)
+    extra = [zmod(36, budget),
+             product_ring([zmod(2, budget), gf(2, 2, budget)], budget)]
+    for A in ring_catalogue(budget) + extra:
+        ok, witness = check_duality(A, budget)
         _check(checks, "zar-dom-duality:%s" % A.name, ok,
                None if ok else "no anti-isomorphism found")
     return checks
@@ -97,13 +95,11 @@ def _ez_map_pool(corpus, budget):
              ("boundary2", "delta2"), ("delta2", "delta2")]
     pool = []
     for sn, tn in pairs:
-        pool.extend(all_simplicial_maps(by_name[sn], by_name[tn],
-                                        budget=budget))
+        pool.extend(all_simplicial_maps(by_name[sn], by_name[tn], budget))
     return pool
 
 
-def suite_ez(seed=0, budget=None):
-    budget = ensure_budget(budget)
+def suite_ez(seed, budget):
     checks = []
     corpus = sset_corpus(budget)
     bad = None
@@ -134,7 +130,7 @@ def suite_ez(seed=0, budget=None):
                                    budget=budget)
         fac_b = deg_ndeg_factorize(f, rng=random.Random(seed * 2 + 2),
                                    budget=budget)
-        if sset_isomorphic(fac_a.middle, fac_b.middle, budget=budget) is None:
+        if sset_isomorphic(fac_a.middle, fac_b.middle, budget) is None:
             bad = "map %d of %s -> %s" % (i, f.source.name, f.target.name)
             break
         if not is_nondegenerate_map(fac_a.right):
@@ -145,7 +141,7 @@ def suite_ez(seed=0, budget=None):
     bad = None
     for X in corpus:
         lifts = delta_nis_self_lift_decider(X, budget=budget)
-        simp = is_standard_simplex(X, budget=budget)
+        simp = is_standard_simplex(X, budget)
         if lifts != simp:
             bad = "%s: self-lift %r, standard-simplex %r" % (X.name, lifts, simp)
             break
@@ -153,10 +149,9 @@ def suite_ez(seed=0, budget=None):
     return checks
 
 
-def suite_catfib(seed=0, budget=None):
-    budget = ensure_budget(budget)
+def suite_catfib(seed, budget):
     checks = []
-    cats = category_catalogue()
+    cats = category_catalogue(budget)
     bad = None
     for C in cats:
         for c in C.objects:
@@ -175,7 +170,7 @@ def suite_catfib(seed=0, budget=None):
     pool = []
     for A in small:
         for B in small:
-            pool.extend(all_functors(A, B, budget=budget))
+            pool.extend(all_functors(A, B, budget))
     rng = random.Random(seed)
     rng.shuffle(pool)
     sample = pool[:30]
@@ -205,8 +200,7 @@ def suite_catfib(seed=0, budget=None):
     return checks
 
 
-def suite_toposx(seed=0, budget=None):
-    budget = ensure_budget(budget)
+def suite_toposx(seed, budget):
     checks = []
     expected_orbits = [1, 2, 2, 1, 2, 1]
     gsets = gset_catalogue()
@@ -228,7 +222,7 @@ def suite_toposx(seed=0, budget=None):
     bad = None
     for q in (2, 3, 4):
         for n in range(5):
-            V = FqVecSpace(q, n)
+            V = FqVecSpace(q, n, budget=budget)
             got = len(lines(V))
             want = line_count(q, n) if n >= 1 else 0
             if got != want:
@@ -237,7 +231,7 @@ def suite_toposx(seed=0, budget=None):
         if bad:
             break
     _check(checks, "line-counts-closed-form", bad is None, bad)
-    V2 = FqVecSpace(2, 2)
+    V2 = FqVecSpace(2, 2, budget=budget)
     f = LinearMap(V2, V2, [(1, 0), (1, 0)])
     epi, mid, mono = epi_mono_factorize_linear(f)
     _check(checks, "linear-rank-one-image", mid.n == 1, mid.n)
@@ -264,13 +258,14 @@ SUITES = tuple(_SUITE_FNS) + ("all",)
 
 
 def run_suite(name, seed=0, budget=None):
+    budget = ensure_budget(budget)
     if name not in SUITES:
         raise FactopoError("unknown suite %r; choose from %s"
                            % (name, ", ".join(SUITES)))
     names = list(_SUITE_FNS) if name == "all" else [name]
     checks = []
     for n in names:
-        checks.extend(_SUITE_FNS[n](seed=seed, budget=budget))
+        checks.extend(_SUITE_FNS[n](seed, budget))
     return {
         "suite": name,
         "seed": seed,

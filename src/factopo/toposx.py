@@ -277,10 +277,11 @@ def gset_point_cover_check(X, family):
 # vector spaces over F_q
 
 class FqVecSpace:
-    """F_q^n with vectors as index tuples over the field's element order."""
+    """F_q^n with vectors as index tuples over the field's element order;
+    the space keeps ``budget``, which also pays for listing its vectors."""
 
     def __init__(self, q, n, name="", budget=None):
-        budget = ensure_budget(budget)
+        self.budget = budget = ensure_budget(budget)
         pk = prime_power(q, budget)
         if pk is None:
             raise InvalidSpec("%r is not a prime power" % (q,))
@@ -291,9 +292,8 @@ class FqVecSpace:
         self.field = gf(*pk, budget=budget)
         self.name = name or "F%d^%d" % (q, n)
 
-    def vectors(self, budget=None):
-        budget = ensure_budget(budget)
-        budget.spend(self.q ** budget.cap(self.n))
+    def vectors(self):
+        self.budget.spend(self.q ** self.budget.cap(self.n))
         return list(itertools.product(range(self.q), repeat=self.n))
 
     def zero_vector(self):
@@ -415,7 +415,8 @@ def epi_mono_factorize_linear(f):
     """Quotient onto the image with its basis inclusion back in."""
     basis = row_reduce(f.rows, f.target)
     r = len(basis)
-    mid = FqVecSpace(f.source.q, r, name="im(%s)" % (f.name or "f"))
+    mid = FqVecSpace(f.source.q, r, name="im(%s)" % (f.name or "f"),
+                     budget=f.source.budget)
     epi = LinearMap(f.source, mid,
                     [_coordinates(row, basis, f.target) for row in f.rows])
     mono = LinearMap(mid, f.target, [b for b, _ in basis])
@@ -431,11 +432,11 @@ def line_count(q, n):
     return (q ** n - 1) // (q - 1)
 
 
-def lines(V, budget=None):
+def lines(V):
     """Canonical representatives: first nonzero coordinate scaled to one."""
     field = V.field
     reps = []
-    for v in V.vectors(budget):
+    for v in V.vectors():
         piv = next((i for i, c in enumerate(v) if c != field.zero), None)
         if piv is None:
             continue
@@ -445,17 +446,17 @@ def lines(V, budget=None):
     return reps
 
 
-def simple_points(V, budget=None):
+def simple_points(V):
     """Zero subobject below every line; nothing else comparable.
 
     The zero object is recorded as an ordinary bottom point even though
     it is not strictly initial in the abelian sense; that convention is
-    deliberate and documented here.
+    deliberate and documented here.  The poset charges V's budget.
     """
     labels = ["0"]
-    for v in lines(V, budget):
+    for v in lines(V):
         labels.append("[" + ",".join(V.field.names[c] for c in v) + "]")
     pairs = [(0, i) for i in range(1, len(labels))]
-    poset = Poset(list(range(len(labels))), pairs, budget)
+    poset = Poset(list(range(len(labels))), pairs, V.budget)
     return Spectrum(poset, {"base": V.name},
                     [{"label": s} for s in labels], labels, "lines")

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import settings
 
+from factopo.budget import Budget
 from factopo.catalogs import (category_catalogue, gset_catalogue, ring_catalogue,
                               sset_corpus)
 from factopo.fincat import FinCat
@@ -18,7 +19,7 @@ settings.load_profile("factopo")
 
 @pytest.fixture(scope="session")
 def rings():
-    return ring_catalogue()
+    return ring_catalogue(Budget())
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +46,7 @@ def delta2():
 
 @pytest.fixture(scope="session")
 def corpus():
-    return sset_corpus()
+    return sset_corpus(Budget())
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,11 @@ from factopo.sset import (compose_ops, epi_mono_split, identity_op,
                           is_identity_op)
 
 
-def ring_isomorphic(A, B, budget=None):
+def ring_isomorphic(A, B, budget):
     """A bijective hom A -> B, or None."""
     if A.size != B.size:
         return None
-    for h in enumerate_homs(A, B, budget=budget):
+    for h in enumerate_homs(A, B, budget):
         if h.is_bijective():
             return h
     return None
@@ -24,7 +24,7 @@ def fincat_isomorphic(C, D):
     """A functor C -> D bijective on objects and on morphisms, or None."""
     if (len(C.objects), len(C.morphisms)) != (len(D.objects), len(D.morphisms)):
         return None
-    return next((F for F in all_functors(C, D)
+    return next((F for F in all_functors(C, D, C.budget)
                  if len(set(F.obj_map.values())) == len(D.objects)
                  and len(set(F.mor_map.values())) == len(D.morphisms)), None)
 

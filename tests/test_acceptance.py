@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from factopo.budget import Budget
 from factopo.catalogs import (category_catalogue, gset_catalogue,
                               ring_catalogue, sset_corpus)
 from factopo.catfib import (comprehensive_factorize, is_discrete_right_fibration,
@@ -33,7 +34,7 @@ from oracles import fincat_isomorphic, ring_isomorphic, then
 def fat_field_catalogue(bound=16):
     """Catalogue members where every element is nilpotent or invertible."""
     out = []
-    for R in ring_catalogue():
+    for R in ring_catalogue(Budget()):
         if R.is_zero_ring() or R.size > bound:
             continue
         units = set(R.units())
@@ -56,7 +57,7 @@ def test_factorisation_axioms_across_ring_catalogue(rings):
 def test_spectrum_points_match_prime_ideals(rings):
     for A in rings:
         expected = len(prime_ideals(A))
-        brute = len(prime_ideals_bruteforce(A))
+        brute = len(prime_ideals_bruteforce(A, Budget()))
         assert expected == brute, A.name
         for topology in ("zar", "dom", "fin"):
             assert spec_points(A, topology).size == expected, (A.name, topology)
@@ -67,14 +68,15 @@ def test_cover_decisions_match_ideal_and_lifting_criteria(rings):
     fats = fat_field_catalogue()
     fields = [gf(p) for p in (2, 3, 5, 7, 11, 13)] \
         + [gf(2, 2), gf(2, 3), gf(2, 4), gf(3, 2)]
-    homs_to_fat = {A.name: [(F, enumerate_homs(A, F)) for F in fats]
+    homs_to_fat = {A.name: [(F, enumerate_homs(A, F, Budget())) for F in fats]
                    for A in rings}
-    homs_to_field = {A.name: [(F, enumerate_homs(A, F)) for F in fields]
+    homs_to_field = {A.name: [(F, enumerate_homs(A, F, Budget()))
+                              for F in fields]
                      for A in rings}
     rng = random.Random(11)
     zar_families = dom_families = 0
     for A in rings:
-        ideals = all_ideals(A)
+        ideals = all_ideals(A, Budget())
         # x is nilpotent when one of x, x^2, ..., x^|A| is zero
         nil = frozenset(x for x in A.elements()
                         if A.zero in itertools.accumulate([x] * A.size, A.m))
@@ -125,8 +127,10 @@ def test_stalks_land_local_and_domain(rings):
     z12 = zmod(12)
     p2 = next(p for p in prime_ideals(z12)
               if z12.element_by_name("2") in p.elements)
-    assert ring_isomorphic(stalk(z12, p2, "zar")[0], zmod(4)) is not None
-    assert ring_isomorphic(stalk(z12, p2, "dom")[0], zmod(2)) is not None
+    assert ring_isomorphic(stalk(z12, p2, "zar")[0], zmod(4),
+                           Budget()) is not None
+    assert ring_isomorphic(stalk(z12, p2, "dom")[0], zmod(2),
+                           Budget()) is not None
 
 
 def test_unique_cell_presentation_and_face_lattice(corpus):
@@ -156,12 +160,13 @@ def test_unique_cell_presentation_and_face_lattice(corpus):
 
 def test_simplicial_self_lifting_picks_out_standard_simplices(corpus):
     for X in corpus:
-        assert delta_nis_self_lift_decider(X) == is_standard_simplex(X), X.name
+        assert delta_nis_self_lift_decider(X) == \
+            is_standard_simplex(X, Budget()), X.name
 
 
 def test_comprehensive_factorisation_legs_and_slices(cats):
     small = [C for C in cats if len(C.objects) <= 6]
-    T = terminal_category()
+    T = terminal_category(Budget())
     jobs = []
     for C in small:
         for c in C.objects:
@@ -171,7 +176,7 @@ def test_comprehensive_factorisation_legs_and_slices(cats):
     for C in small:
         for D in small:
             if len(C.morphisms) <= 6 and len(D.morphisms) <= 6:
-                pool.extend(all_functors(C, D))
+                pool.extend(all_functors(C, D, Budget()))
     rng = random.Random(9)
     rng.shuffle(pool)
     jobs.extend((F, None, None) for F in pool[:30])

@@ -1,5 +1,6 @@
 import pytest
 
+from factopo.budget import Budget
 from factopo.catfib import (all_slices_cover, cat_universe, comma,
                             comprehensive_factorize, connected_components,
                             identity_functor, is_discrete_left_fibration,
@@ -14,11 +15,11 @@ from oracles import fincat_isomorphic, then
 def chain(n):
     return poset_category(list(range(n + 1)),
                           [(i, j) for i in range(n + 1) for j in range(i, n + 1)],
-                          name="[%d]" % n)
+                          Budget(), name="[%d]" % n)
 
 
 def pick(C, c):
-    T = terminal_category()
+    T = terminal_category(Budget())
     return Functor(T, C, {0: c}, {("le", 0, 0): C.identities[c]},
                    name="pick%s" % c)
 
@@ -38,7 +39,8 @@ def test_comma_point_functor():
 
 
 def test_connected_components():
-    C = poset_category([0, 1, 2], [(0, 0), (1, 1), (2, 2), (0, 1)], name="pair")
+    C = poset_category([0, 1, 2], [(0, 0), (1, 1), (2, 2), (0, 1)], Budget(),
+                       name="pair")
     comps = connected_components(C)
     assert len(comps) == 2
 
@@ -55,7 +57,7 @@ def test_fibration_classes():
     _first, K, proj = slice_factorize(C, 1, "right")
     assert is_discrete_right_fibration(proj)
     assert not is_discrete_right_fibration(
-        Functor(C, terminal_category(), {0: 0, 1: 0},
+        Functor(C, terminal_category(Budget()), {0: 0, 1: 0},
                 {m: ("le", 0, 0) for m in C.morphisms}))
     _first, K2, proj2 = slice_factorize(C, 0, "left")
     assert is_discrete_left_fibration(proj2)
@@ -96,7 +98,7 @@ def test_comprehensive_left_side():
 
 def test_comprehensive_collapse_functor():
     C = chain(1)
-    T = terminal_category()
+    T = terminal_category(Budget())
     collapse = Functor(C, T, {0: 0, 1: 0}, {m: ("le", 0, 0) for m in C.morphisms})
     first, elem, proj = comprehensive_factorize(collapse, "right")
     assert len(elem.category.objects) == 1
@@ -117,7 +119,7 @@ def test_all_slices_cover_and_empty_family():
 
 def test_functor_orthogonality_detects_finality():
     C = chain(1)
-    T = terminal_category()
+    T = terminal_category(Budget())
     proj0 = slice_factorize(C, 0, "right")[2]
     proj1 = slice_factorize(C, 1, "right")[2]
     uni = cat_universe([T, C, proj0.source, proj1.source])
@@ -142,7 +144,7 @@ def test_comprehensive_over_catalogue_sample(cats):
     done = 0
     for C in small:
         for D in small:
-            for F in all_functors(C, D)[:2]:
+            for F in all_functors(C, D, Budget())[:2]:
                 first, elem, proj = comprehensive_factorize(F, "right")
                 assert is_final(first) and is_discrete_right_fibration(proj)
                 composite = then(first, proj)

@@ -409,6 +409,12 @@ MALFORMED = {
                                        % ("1" * 5000))}),
     "table-string-row": (RING_CLASSIFY, {"a": table_z2(["0", [1, 0]])}),
     "table-short-row": (RING_CLASSIFY, {"a": table_z2([[0], [1, 0]])}),
+    # a table ring's string of elements was read one character at a time,
+    # and a bool passed as the element index 0 or 1
+    "table-elements-string": (RING_CLASSIFY, {"a": dict(
+        table_z2([[0, 1], [1, 0]]), elements="01")}),
+    "table-one-bool": (RING_CLASSIFY, {"a": dict(table_z2([[0, 1], [1, 0]]),
+                                                 one=True)}),
 }
 
 

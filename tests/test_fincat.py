@@ -29,7 +29,7 @@ AXIOM_KEYS = ("class-membership", "composition-closure-left",
 def chain(n):
     return poset_category(list(range(n + 1)),
                           [(i, j) for i in range(n + 1) for j in range(i, n + 1)],
-                          name="[%d]" % n)
+                          Budget(), name="[%d]" % n)
 
 
 def test_poset_category_counts():
@@ -40,7 +40,7 @@ def test_poset_category_counts():
 
 
 def test_terminal_category():
-    T = terminal_category()
+    T = terminal_category(Budget())
     assert len(T.objects) == 1 and len(T.morphisms) == 1
 
 
@@ -87,7 +87,7 @@ def test_validate_fincat_stringified_identity_keys():
 
 
 def test_functor_validation():
-    C, T = chain(1), terminal_category()
+    C, T = chain(1), terminal_category(Budget())
     collapse = Functor(C, T, {0: 0, 1: 0},
                        {m: ("le", 0, 0) for m in C.morphisms})
     assert collapse.on_obj(1) == 0
@@ -97,13 +97,14 @@ def test_functor_validation():
 
 def test_all_functors_counts():
     C = chain(1)
-    assert len(all_functors(C, C)) == 3
-    assert len(all_functors(terminal_category(), C)) == 2
+    assert len(all_functors(C, C, Budget())) == 3
+    assert len(all_functors(terminal_category(Budget()), C, Budget())) == 2
 
 
 def test_fincat_isomorphic():
     C = chain(1)
-    D = poset_category(["x", "y"], [("x", "x"), ("x", "y"), ("y", "y")])
+    D = poset_category(["x", "y"], [("x", "x"), ("x", "y"), ("y", "y")],
+                       Budget())
     iso = fincat_isomorphic(C, D)
     assert iso is not None
     assert fincat_isomorphic(C, chain(2)) is None
@@ -113,8 +114,8 @@ def test_pushout_of_span():
     # glueing two arrows along a shared source gives the square corner
     C = poset_category([0, 1, 2, 3],
                        [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
-                       + [(i, i) for i in range(4)], name="sq")
-    apex = pushout(C, ("le", 0, 1), ("le", 0, 2))
+                       + [(i, i) for i in range(4)], Budget(), name="sq")
+    apex = pushout(C, ("le", 0, 1), ("le", 0, 2), Budget())
     assert apex is not None
 
 
@@ -139,7 +140,7 @@ NONASSOCIATIVE = (["e", "a", "b"], [["e", "a", "b"], ["a", "b", "a"],
 
 def test_nonassociative_category_is_refused():
     with pytest.raises(NotACategory, match="associativity fails on"):
-        monoid_category(*NONASSOCIATIVE)
+        monoid_category(*NONASSOCIATIVE, Budget())
 
 
 def catfib_suite_categories(cats):
@@ -147,7 +148,8 @@ def catfib_suite_categories(cats):
     out = [slice_factorize(C, c, side)[1].category
            for C in cats for c in C.objects for side in ("right", "left")]
     small = [C for C in cats if len(C.morphisms) <= 6]
-    pool = [F for A in small for B in small for F in all_functors(A, B)]
+    pool = [F for A in small for B in small
+            for F in all_functors(A, B, Budget())]
     random.Random(0).shuffle(pool)
     for F in pool[:30]:
         out.append(comprehensive_factorize(F, "right")[1].category)
@@ -159,7 +161,7 @@ class Unchecked(FinCat):
     """Built from a compose table without validating it, so that a corrupted
     table can be held and passed to ``FinCat.validate`` afterwards."""
 
-    def validate(self, budget=None):
+    def validate(self):
         return None
 
 
@@ -221,10 +223,11 @@ def test_associativity_is_tested_on_generating_middles_only(cats):
     U = cat_universe(cats)
     triples = sum(len(U.hom_from(U.tgt(g)))
                   for f in U.morphism_ids() for g in U.hom_from(U.tgt(f)))
-    budget = Budget()
-    U.validate(budget=budget)
+    before = U.budget.used
+    U.validate()
     # 466 arrows, 2,550,904 composable triples, 100 generating middles
-    assert budget.used < triples // 5, (budget.used, triples)
+    used = U.budget.used - before
+    assert used < triples // 5, (used, triples)
 
 
 def functor_maps(functors):
@@ -235,11 +238,11 @@ def functor_maps(functors):
 def test_all_functors_matches_the_backtracker(cats, delta2):
     for C in cats:
         for D in cats:
-            assert functor_maps(all_functors(C, D)) == \
+            assert functor_maps(all_functors(C, D, Budget())) == \
                 functor_maps(all_functors_by_backtracking(C, D)), (C, D)
-    assert functor_maps(all_functors(delta2, delta2)) == \
+    assert functor_maps(all_functors(delta2, delta2, Budget())) == \
         functor_maps(all_functors_by_backtracking(delta2, delta2))
-    assert len(all_functors(delta2, delta2)) == 14
+    assert len(all_functors(delta2, delta2, Budget())) == 14
     survivors = {}
     for C in corruptions(cats, delta2):
         if refusal(C) is None:
@@ -251,7 +254,7 @@ def test_all_functors_matches_the_backtracker(cats, delta2):
         if len(S.morphisms) <= 6:
             pairs.append((S, S))
         for C, D in pairs:
-            assert functor_maps(all_functors(C, D)) == \
+            assert functor_maps(all_functors(C, D, Budget())) == \
                 functor_maps(all_functors_by_backtracking(C, D)), (C, D)
 
 
@@ -263,7 +266,8 @@ def dag_categories(draw):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
     return poset_category(list(range(n)),
-                          [e for e, k in zip(pairs, keep) if k], name="dag")
+                          [e for e, k in zip(pairs, keep) if k], Budget(),
+                          name="dag")
 
 
 @st.composite
@@ -282,7 +286,8 @@ def transformation_monoids(draw):
                 elements.append(ga)
     table = [[elements.index(tuple(a[i] for i in b)) for b in elements]
              for a in elements]
-    return monoid_category(range(len(elements)), table, 0, name="monoid")
+    return monoid_category(range(len(elements)), table, 0, Budget(),
+                           name="monoid")
 
 
 small_categories = st.one_of(
@@ -292,7 +297,7 @@ small_categories = st.one_of(
 
 @given(small_categories, small_categories)
 def test_all_functors_matches_the_backtracker_on_drawn_categories(C, D):
-    assert functor_maps(all_functors(C, D)) == \
+    assert functor_maps(all_functors(C, D, Budget())) == \
         functor_maps(all_functors_by_backtracking(C, D))
 
 
@@ -322,10 +327,12 @@ def test_image_tuples_tabulate_what_composed_maps_do():
     rings = [zmod(1), zmod(2), zmod(3), zmod(4), zmod(6), gf(2, 2)]
     for U, (mors, ids, comp, arrows) in (
             (cat_universe(cats), concrete_tables_by_composing_maps(
-                cats, lambda C: C.name, all_functors,
+                cats, lambda C: C.name,
+                lambda A, B: all_functors(A, B, Budget()),
                 lambda g, f: then(f, g), identity_functor)),
-            (ring_universe(rings), concrete_tables_by_composing_maps(
-                rings, lambda R: R.name, enumerate_homs,
+            (ring_universe(rings, Budget()), concrete_tables_by_composing_maps(
+                rings, lambda R: R.name,
+                lambda A, B: enumerate_homs(A, B, Budget()),
                 lambda g, f: f.then(g), identity_hom))):
         assert U.morphisms == mors and U.identities == ids
         assert U.compose_table == comp
@@ -336,5 +343,6 @@ def test_a_hom_set_listing_one_arrow_twice_is_refused():
     C = chain(1)
     with pytest.raises(NotACategory, match="lists one arrow twice"):
         concrete_category([C], lambda C: C.name,
-                          lambda A, B: all_functors(A, B) * 2,
-                          lambda F: [F.obj_map[x] for x in F.source.objects])
+                          lambda A, B: all_functors(A, B, Budget()) * 2,
+                          lambda F: [F.obj_map[x] for x in F.source.objects],
+                          Budget())

@@ -4,8 +4,11 @@ and a fuzzer that mutates its input documents.
 Each case is ``<name>.json``: an ``argv`` whose ``{placeholder}`` words
 name the input documents under ``files`` (``{out}`` names a fresh output
 path), and ``<name>.out``: the expected stdout, or the file written to
-``{out}`` when the case has one.  A refactor must leave every report
-unchanged; an intended change of output rewrites the expected files with
+``{out}`` when the case has one.  A case with an ``exit`` code pins a help
+or usage screen instead, as an 80-column terminal shows it: its ``.out`` is
+the stdout of an exit 0 and the stderr of any other.  A refactor must leave
+every report unchanged; an intended change of output rewrites the expected
+files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,15 +17,18 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factopo.budget import Budget
 from factopo.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -31,6 +37,9 @@ CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 def load_case(name):
     return json.loads((GOLDEN / (name + ".json")).read_text(encoding="utf-8"))
+
+
+REPORTS = [name for name in CASES if "exit" not in load_case(name)]
 
 
 def invoke(case, workdir, extra=()):
@@ -43,15 +52,23 @@ def invoke(case, workdir, extra=()):
     argv = [str(paths[a[1:-1]]) if a.startswith("{") else a
             for a in case["argv"]] + list(extra)
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # how argparse ends --help and usage errors
+            code = exc.code
     return code, stdout.getvalue(), stderr.getvalue(), paths
 
 
 def run_case(name, workdir):
     case = load_case(name)
-    code, stdout, _stderr, paths = invoke(case, workdir)
-    assert code == 0, "%s exited %d" % (name, code)
+    code, stdout, stderr, paths = invoke(case, workdir)
+    assert code == case.get("exit", 0), "%s exited %d" % (name, code)
+    if "exit" in case:
+        shown, silent = (stdout, stderr) if code == 0 else (stderr, stdout)
+        assert silent == "", name
+        return shown
     if "{out}" in case["argv"]:
         assert stdout == ""
         return paths["out"].read_text(encoding="utf-8")
@@ -62,6 +79,29 @@ def run_case(name, workdir):
 def test_golden_report(name, tmp_path):
     want = (GOLDEN / (name + ".out")).read_text(encoding="utf-8")
     assert run_case(name, tmp_path) == want
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_each_report_runs_on_one_budget(name, tmp_path, monkeypatch):
+    made = []
+    init = Budget.__init__
+
+    def counting(self, limit=None):
+        made.append(self)
+        init(self, limit)
+
+    monkeypatch.setattr(Budget, "__init__", counting)
+    run_case(name, tmp_path)
+    assert len(made) == 1, [b.used for b in made]
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_a_budget_of_one_step_refuses_every_report(name, tmp_path):
+    code, stdout, stderr, _paths = invoke(load_case(name), tmp_path,
+                                          ["--budget", "1"])
+    lines = stderr.splitlines()
+    assert (code, stdout) == (1, ""), (code, stdout)
+    assert len(lines) == 1 and lines[0].startswith("error: "), stderr
 
 
 def locations(doc, path=()):

@@ -24,7 +24,7 @@ def recorded_posets():
     built = []
     init = Poset.__init__
 
-    def record(self, elements, pairs=(), budget=None):
+    def record(self, elements, pairs, budget):
         built.append((list(elements), list(pairs)))
         init(self, elements, pairs, budget)
 
@@ -56,14 +56,14 @@ def assert_agrees(elements, pairs, rng=None):
         want = WarshallPoset(elements, pairs)
     except InvalidSpec:
         with pytest.raises(InvalidSpec) as err:
-            Poset(elements, pairs)
+            Poset(elements, pairs, Budget())
         # a refusal names two distinct elements that reach each other
         x, y = map(ast.literal_eval, re.fullmatch(
             r"not antisymmetric: (.+) and (.+) compare both ways",
             str(err.value)).groups())
         assert x != y and reaches(pairs, x, y) and reaches(pairs, y, x)
         return
-    got = Poset(elements, pairs)
+    got = Poset(elements, pairs, Budget())
     assert got.order_pairs() == want.order_pairs()
     assert got.hasse_edges() == want.hasse_edges()
     assert got.op().order_pairs() == want.op().order_pairs()

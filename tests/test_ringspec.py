@@ -24,9 +24,9 @@ def prime_at(A, elt_name):
 
 
 def test_recognize_ring_names():
-    assert recognize_ring(zmod(9)) == "Z/9"
-    assert recognize_ring(gf(2, 2)) == "F_4"
-    assert recognize_ring(product_ring([zmod(2), zmod(3)])) == "Z/6"
+    assert recognize_ring(zmod(9), Budget()) == "Z/9"
+    assert recognize_ring(gf(2, 2), Budget()) == "F_4"
+    assert recognize_ring(product_ring([zmod(2), zmod(3)]), Budget()) == "Z/6"
 
 
 def subring(R, gens):
@@ -53,7 +53,7 @@ def recognize_bruteforce(R):
     R = FinRing(R.names, R.add, R.mul, R.zero, R.one, gens)
 
     def local(m):
-        pk = prime_power(m)
+        pk = prime_power(m, Budget())
         return [zmod(m)] + ([gf(*pk)] if pk and pk[1] > 1 else [])
 
     cands = local(n)
@@ -62,7 +62,7 @@ def recognize_bruteforce(R):
             cands += [product_ring([fa, fb])
                       for fa in local(a) for fb in local(n // a)]
     for C in cands:
-        if ring_isomorphic(R, C, budget=Budget(10 ** 10)) is not None:
+        if ring_isomorphic(R, C, Budget(10 ** 10)) is not None:
             return C.name
     return "ring-of-order-%d" % n
 
@@ -77,13 +77,13 @@ def test_recognize_ring_matches_the_isomorphism_search(square_zero):
             if math.prod(f.size for f in combo) <= 16:
                 rings.append(combo[0] if k == 1 else product_ring(list(combo)))
     for A in (zmod(36), zmod(60), product_ring([zmod(4), zmod(4)])):
-        rings += [quotient_ring(A, I)[0] for I in all_ideals(A)]
+        rings += [quotient_ring(A, I)[0] for I in all_ideals(A, Budget())]
         rings += [localize(A, [a])[0] for a in A.elements()]
     # quotients and localizations repeat; one ring per set of tables
     distinct = {(R.add, R.mul, R.one): R for R in rings}
     assert len(distinct) > 50
     for R in distinct.values():
-        assert recognize_ring(R) == recognize_bruteforce(R), R.name
+        assert recognize_ring(R, Budget()) == recognize_bruteforce(R), R.name
 
 
 def test_zar_lattice_z12():
@@ -115,10 +115,10 @@ def test_duality_catalogue(rings):
 def test_stalks_of_z12_at_two():
     p = prime_at(z12, "2")
     ring_zar, hom_zar = stalk(z12, p, "zar")
-    assert ring_isomorphic(ring_zar, zmod(4)) is not None
+    assert ring_isomorphic(ring_zar, zmod(4), Budget()) is not None
     assert hom_zar.source is z12
     ring_dom, _hom = stalk(z12, p, "dom")
-    assert ring_isomorphic(ring_dom, zmod(2)) is not None
+    assert ring_isomorphic(ring_dom, zmod(2), Budget()) is not None
     with pytest.raises(NotAPrime):
         stalk(z12, ideal_generated(z12, [z12.element_by_name("4")]), "zar")
 

@@ -279,7 +279,7 @@ def test_action_table_matches_the_recursion_on_corrupted_faces(corpus):
 def test_action_table_is_the_recursion_and_composes(data):
     facets = data.draw(st.lists(st.sets(st.integers(0, 4), min_size=1),
                                 min_size=1, max_size=4), label="facets")
-    X = subcomplex_of_delta(4, facets)
+    X = subcomplex_of_delta(4, facets, Budget())
     n = data.draw(st.integers(0, X.dim), label="n")
     x = data.draw(st.sampled_from(X.simplices(n)), label="x")
     k = data.draw(st.integers(0, X.dim), label="k")
@@ -359,18 +359,18 @@ def test_classifying_map_hits_its_simplex():
 
 def test_all_simplicial_maps_counts():
     # maps Delta[1] -> Delta[1] = monotone maps [1] -> [1]
-    assert len(all_simplicial_maps(delta(1), delta(1))) == 3
-    assert len(all_simplicial_maps(delta(0), boundary(2))) == 3
+    assert len(all_simplicial_maps(delta(1), delta(1), Budget())) == 3
+    assert len(all_simplicial_maps(delta(0), boundary(2), Budget())) == 3
 
 
 def test_sset_isomorphic():
-    X = subcomplex_of_delta(2, [(0, 1), (1, 2)])
-    Y = subcomplex_of_delta(3, [(1, 2), (2, 3)])
-    assert sset_isomorphic(X, Y) is not None
+    X = subcomplex_of_delta(2, [(0, 1), (1, 2)], Budget())
+    Y = subcomplex_of_delta(3, [(1, 2), (2, 3)], Budget())
+    assert sset_isomorphic(X, Y, Budget()) is not None
     # two edges out of one vertex: same counts, different face structure
-    Z = subcomplex_of_delta(2, [(0, 1), (0, 2)])
-    assert sset_isomorphic(X, Z) is None
-    assert sset_isomorphic(X, boundary(2)) is None
+    Z = subcomplex_of_delta(2, [(0, 1), (0, 2)], Budget())
+    assert sset_isomorphic(X, Z, Budget()) is None
+    assert sset_isomorphic(X, boundary(2), Budget()) is None
 
 
 def test_disjoint_union_counts():
@@ -395,7 +395,7 @@ def collapse_map():
 
 def test_collapse_factorization_middle():
     fac = deg_ndeg_factorize(collapse_map())
-    assert sset_isomorphic(fac.middle, delta(1)) is not None
+    assert sset_isomorphic(fac.middle, delta(1), Budget()) is not None
     assert is_nondegenerate_map(fac.right)
     # composite agrees cell by cell
     f = collapse_map()
@@ -414,7 +414,7 @@ def test_collapse_is_order_independent(seed):
 def test_factorization_of_identity_is_trivial():
     f = identity_smap(boundary(2))
     fac = deg_ndeg_factorize(f)
-    assert sset_isomorphic(fac.middle, boundary(2)) is not None
+    assert sset_isomorphic(fac.middle, boundary(2), Budget()) is not None
 
 
 def test_ez_suite_builds_every_set_on_its_budget(monkeypatch):
@@ -435,7 +435,7 @@ def test_collapse_middles_are_the_expected_simplices():
     # a map out of Delta[m] picks a simplex sigma*(w) with w nondegenerate;
     # its middle is Delta[dim w], where dim w = max sigma
     maps = [classifying_map(f.source, f.source.cell_simplex(ref)).then(f)
-            for f in _ez_map_pool(sset_corpus(), Budget())
+            for f in _ez_map_pool(sset_corpus(Budget()), Budget())
             for ref in f.source.cells()]
     for m in range(3):
         for k in range(3):
@@ -447,8 +447,8 @@ def test_collapse_middles_are_the_expected_simplices():
         top = f.source.cell_simplex((f.source.top_dim, 0))
         fac = deg_ndeg_factorize(f)
         r = max(f.apply(top)[0])
-        assert sset_isomorphic(fac.middle, delta(r, dim=fac.middle.dim)) \
-            is not None, f
+        assert sset_isomorphic(fac.middle, delta(r, dim=fac.middle.dim),
+                               Budget()) is not None, f
 
 
 def test_quotient_refuses_a_congruence_the_action_does_not_respect():
@@ -456,7 +456,8 @@ def test_quotient_refuses_a_congruence_the_action_does_not_respect():
     # the representative of its class
     X = delta(1)
     with pytest.raises(AssertionError, match="congruence not stable"):
-        _quotient(X, [(X.cell_simplex((0, 0)), X.cell_simplex((0, 1)))])
+        _quotient(X, [(X.cell_simplex((0, 0)), X.cell_simplex((0, 1)))],
+                  Budget())
 
 
 def test_collapse_to_point():
@@ -512,7 +513,8 @@ def test_degenerate_image_family_rejected():
 
 def test_self_lift_matches_standard_simplex(corpus):
     for X in corpus:
-        assert delta_nis_self_lift_decider(X) == is_standard_simplex(X), X.name
+        assert delta_nis_self_lift_decider(X) == \
+            is_standard_simplex(X, Budget()), X.name
 
 
 # -- spectra ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from factopo.budget import Budget
 from factopo.errors import InvalidSpec, NotEquivariant, NotLinear
 from factopo.toposx import (EquivariantMap, FinGroup, FinGSet, FqVecSpace,
                             LinearMap, atoms_and_orbits, build_gset, build_vspace,
@@ -85,9 +86,9 @@ def test_build_gset_file_shape():
 # -- vector spaces ---------------------------------------------------------
 
 def test_prime_power():
-    assert prime_power(8) == (2, 3)
-    assert prime_power(9) == (3, 2)
-    assert prime_power(6) is None
+    assert prime_power(8, Budget()) == (2, 3)
+    assert prime_power(9, Budget()) == (3, 2)
+    assert prime_power(6, Budget()) is None
 
 
 def test_vector_space_basics():
