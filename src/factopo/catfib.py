@@ -25,8 +25,10 @@ class CommaCategory:
     projection: Functor     # down to the source of the ambient functor
 
 
-def comma(F, d, side):
-    """Objects are pairs (c, arrow between d and F(c)); morphisms inherited."""
+def comma(F, d, side, budget=None):
+    """Objects are pairs (c, arrow between d and F(c)); morphisms inherited.
+    The category is built on ``budget``."""
+    budget = ensure_budget(budget)
     C, D = F.source, F.target
     if d not in set(D.objects):
         raise InvalidSpec("anchor %r is not an object of %s" % (d, D.name))
@@ -48,13 +50,13 @@ def comma(F, d, side):
                 if ok:
                     morphisms[((c, g), (c2, g2), h)] = ((c, g), (c2, g2))
     cat, proj = _over(C, objects, morphisms, "%s%s%s" % (
-        d, "/" if side == "d/F" else "\\", F.name))
+        d, "/" if side == "d/F" else "\\", F.name), budget)
     return CommaCategory(F, d, side, cat, proj)
 
 
-def _over(base, objects, morphisms, name):
+def _over(base, objects, morphisms, name, budget):
     """The category of ``objects`` (c, ...) and ``morphisms`` (s, t, h) over
-    ``base``, composing the h there and built on its budget, and its
+    ``base``, composing the h there and built on ``budget``, and its
     projection to ``base``."""
     into = {}
     for m1, (_s1, t1) in morphisms.items():
@@ -66,7 +68,7 @@ def _over(base, objects, morphisms, name):
             s1 = morphisms[m1][0]
             compose[(m2, m1)] = (s1, t2, base.compose(m2[2], m1[2]))
     cat = FinCat(objects, morphisms, identities, compose, name=name,
-                 budget=base.budget)
+                 budget=budget)
     proj = Functor(cat, base, {o: o[0] for o in objects},
                    {m: m[2] for m in morphisms}, name="proj")
     return cat, proj
@@ -105,7 +107,7 @@ def is_initial(F):
 
 def _commas_connected(F, side):
     for d in F.target.objects:
-        K = comma(F, d, side).category
+        K = comma(F, d, side, F.source.budget).category
         if len(connected_components(K)) != 1:
             return False
     return True
@@ -141,7 +143,7 @@ def slice_factorize(C, c, side="right"):
     if side not in ("right", "left"):
         raise InvalidSpec("side must be 'right' or 'left'")
     idc = identity_functor(C)
-    K = comma(idc, c, "F/d" if side == "right" else "d/F")
+    K = comma(idc, c, "F/d" if side == "right" else "d/F", C.budget)
     apex = (c, C.identities[c])
     cat = K.category
     if side == "right":
@@ -183,7 +185,7 @@ def comprehensive_factorize(F, side="right", budget=None):
     comps = {}
     rep = {}
     for d in D.objects:
-        K = comma(F, d, commaside).category
+        K = comma(F, d, commaside, budget).category
         comps[d] = connected_components(K)
         rep[d] = {}
         for comp in comps[d]:
@@ -215,7 +217,7 @@ def comprehensive_factorize(F, side="right", budget=None):
                     ok = action[(m, x)] == x2
                 if ok:
                     morphisms[((d, x), (d2, x2), m)] = ((d, x), (d2, x2))
-    cat, proj = _over(D, objects, morphisms, "el(%s)" % F.name)
+    cat, proj = _over(D, objects, morphisms, "el(%s)" % F.name, budget)
     elem = ElementsCategory(D, side, values, action, cat, proj)
     first_obj = {}
     first_mor = {}

@@ -14,8 +14,9 @@ import time
 from . import finring, ringspec, ringsys, sset, suites, toposx
 from .budget import Budget
 from .errors import (FactopoError, InvalidFamily, InvalidSpec, ParseError,
-                     UsageError, parse_int)
+                     UsageError)
 from .fincat import is_orthogonal, validate_fincat
+from .reader import FAMILIES, HOM, SMAP, read
 
 SSET_MODES = ("raw", "delta-nis")
 
@@ -31,170 +32,127 @@ def load_json(path):
     except OSError as err:
         raise ParseError("%s: %s" % (path, err.strerror or err)) from err
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as err:
         raise ParseError("%s:%d:%d: %s"
                          % (path, err.lineno, err.colno, err.msg)) from err
     except (RecursionError, ValueError) as err:
-        # nested past the recursion limit, or an int past the digit limit
+        # nested past the recursion limit, an int past the digit limit, or
+        # a key that an object repeats
         raise ParseError("%s: %s" % (path, err)) from err
 
 
-def _build(builder, raw, path):
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError("repeated key %r" % key)
+        obj[key] = value
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _load(path, builder):
     # domain validation errors keep their type but gain the file path
+    raw = load_json(path)
     try:
         return builder(raw)
     except FactopoError as err:
         raise err.__class__("%s: %s" % (path, err)) from err
 
 
-def _load_ring(path, budget):
-    return _build(lambda r: finring.build_ring(r, budget), load_json(path),
-                  path)
-
-
-def _need(raw, key, what):
-    if not isinstance(raw, dict) or key not in raw:
-        raise InvalidSpec("%s file needs a %r field" % (what, key))
-    return raw[key]
-
-
-def _need_list(raw, key, what):
-    value = _need(raw, key, what)
-    if not isinstance(value, list):
-        raise InvalidSpec("%s field %r must be a list" % (what, key))
-    return value
-
-
 def _hom_between(A, B, raw, what="hom"):
     """A hom A -> B from either generator images or a full value table."""
+    if ("images" in raw) == ("map" in raw):
+        raise InvalidSpec("%s needs one of \"images\" and \"map\"" % what)
     if "images" in raw:
-        try:
-            images = {A.parse_element(k): B.parse_element(v)
-                      for k, v in raw["images"].items()}
-        except AttributeError:
-            raise InvalidSpec("%s images must be a mapping" % what)
-        try:
-            h = finring.hom_from_images(A, B, images)
-        except KeyError:
+        images = {A.parse_element(k): B.parse_element(v)
+                  for k, v in raw["images"].items()}
+        if any(op[0] == "gen" and op[1] not in images
+               for _e, op in A.generation_sequence()):
             raise InvalidSpec(
                 "%s images must cover the generators of %s" % (what, A.name))
+        h = finring.hom_from_images(A, B, images)
         if h is None:
             raise InvalidSpec(
                 "%s images extend to no ring hom %s -> %s"
                 % (what, A.name, B.name))
         return h
-    if "map" in raw:
-        table = raw["map"]
-        if isinstance(table, dict):
-            mapping = [None] * A.size
-            for k, v in table.items():
-                mapping[A.parse_element(k)] = B.parse_element(v)
-            if None in mapping:
-                raise InvalidSpec("%s map misses an element of %s"
-                                  % (what, A.name))
-        else:
-            if not isinstance(table, list) or len(table) != A.size:
-                raise InvalidSpec("%s map must list one image per element of %s"
-                                  % (what, A.name))
-            mapping = [B.parse_element(v) for v in table]
-        h = finring.RingHom(A, B, tuple(mapping))
-        h.validate()
-        return h
-    raise InvalidSpec("%s file needs \"images\" or \"map\"" % what)
+    table = raw["map"]
+    if isinstance(table, dict):
+        mapping = [None] * A.size
+        for k, v in table.items():
+            mapping[A.parse_element(k)] = B.parse_element(v)
+        if None in mapping:
+            raise InvalidSpec("%s map misses an element of %s"
+                              % (what, A.name))
+    else:
+        if len(table) != A.size:
+            raise InvalidSpec("%s map must list one image per element of %s"
+                              % (what, A.name))
+        mapping = [B.parse_element(v) for v in table]
+    return finring.RingHom(A, B, tuple(mapping)).validate()
 
 
 def build_hom(raw, budget):
-    A = finring.build_ring(_need(raw, "source", "hom"), budget)
-    B = finring.build_ring(_need(raw, "target", "hom"), budget)
+    read(raw, HOM)
+    A = finring.build_ring(raw["source"], budget)
+    B = finring.build_ring(raw["target"], budget)
     return _hom_between(A, B, raw)
 
 
-def _check_declared(raw, topology):
-    declared = raw.get("topology") if isinstance(raw, dict) else None
-    if declared is not None and declared != topology:
+def _read_family(raw, topology):
+    read(raw, FAMILIES[topology])
+    if raw.get("topology", topology) != topology:
         raise InvalidFamily("family file is for topology %r, command asked %r"
-                            % (declared, topology))
+                            % (raw["topology"], topology))
 
 
 def build_ring_family(A, raw, topology, budget):
-    _check_declared(raw, topology)
+    _read_family(raw, topology)
     if topology == "zar":
-        return [A.parse_element(v) for v in _need_list(raw, "elements", "family")]
+        return [A.parse_element(v) for v in raw["elements"]]
     if topology == "dom":
-        ideals = []
-        for gens in _need_list(raw, "ideals", "family"):
-            if not isinstance(gens, list):
-                raise InvalidSpec("family ideals must be lists of generators")
-            ideals.append(finring.ideal_generated(
-                A, [A.parse_element(g) for g in gens]))
-        return ideals
-    homs = []
-    for spec in _need_list(raw, "homs", "family"):
-        B = finring.build_ring(_need(spec, "target", "family hom"), budget)
-        homs.append(_hom_between(A, B, spec, what="family hom"))
-    return homs
-
-
-def _cell_ref(X, n, label):
-    try:
-        return (n, X.labels[n].index(label))
-    except (KeyError, ValueError):
-        raise InvalidSpec("%s has no %d-cell named %r" % (X.name, n, label))
+        return [finring.ideal_generated(A, [A.parse_element(g) for g in gens])
+                for gens in raw["ideals"]]
+    return [_hom_between(A, finring.build_ring(spec["target"], budget), spec,
+                         what="family hom") for spec in raw["homs"]]
 
 
 def build_smap(raw, target):
     """A simplicial map into ``target`` from its nondegenerate-cell table.
 
-    Each entry sends a named source cell to [surjection values, target cell
-    label]; degenerate images are allowed, faces are checked on build.  The
-    source charges its work to the target's budget.
+    Each entry sends a source cell to [surjection values, target cell];
+    degenerate images are allowed, faces are checked on build.  The source
+    charges its work to the target's budget.
     """
-    D = sset.build_sset(_need(raw, "source", "map"), target.budget)
-    table = _need(raw, "assignment", "map")
-    if not isinstance(table, dict) or \
-            not all(isinstance(cells, dict) for cells in table.values()):
-        raise InvalidSpec("map assignment must map dimensions to "
-                          "{cell label: image} tables")
+    read(raw, SMAP)
+    D = sset.build_sset(raw["source"], target.budget)
     assignment = {}
-    for dim_key, cells in table.items():
-        n = parse_int(dim_key, "map assignment key")
-        for label, value in cells.items():
-            ref = _cell_ref(D, n, label)
-            try:
-                values, cell = value
-                sigma = tuple(parse_int(v, "surjection value") for v in values)
-                m = max(sigma)
-            except (TypeError, ValueError):
-                raise InvalidSpec(
-                    "map assignment[%r][%r] is not [surjection values, "
-                    "target cell label]" % (dim_key, label)) from None
-            assignment[ref] = (sigma, _cell_ref(target, m, cell))
+    for dim_key, cells in raw["assignment"].items():
+        n = int(dim_key)
+        for label, (sigma, cell) in cells.items():
+            m = max(sigma) if sigma else 0
+            assignment[(n, sset.cell_index(D.labels, n, label))] = \
+                (tuple(sigma), (m, sset.cell_index(target.labels, m, cell)))
     return sset.SimplicialMap(D, target, assignment,
                               name=raw.get("name", ""))
 
 
 def build_sset_family(X, raw, mode):
-    _check_declared(raw, mode)
-    return [build_smap(spec, X) for spec in _need_list(raw, "maps", "family")]
+    _read_family(raw, mode)
+    return [build_smap(spec, X) for spec in raw["maps"]]
 
 
 def _morphism_id(text, cat):
     """Morphism ids come in as JSON when they parse, else as bare strings."""
     try:
         value = json.loads(text)
-    except ValueError:
+    except (RecursionError, ValueError):  # not JSON, or nested too deeply
         value = text
-
-    def tuplify(v):
-        return tuple(tuplify(x) for x in v) if isinstance(v, list) else v
-
-    value = tuplify(value)
-    try:
-        known = value in cat.morphisms
-    except TypeError:  # a JSON object, or a list holding one, is unhashable
-        known = False
-    if not known:
+    if type(value) not in (str, int, float) or value not in cat.morphisms:
         raise InvalidSpec("%s has no morphism %r" % (cat.name, text))
     return value
 
@@ -220,7 +178,7 @@ def _flat_certificate(result):
 
 
 def _cmd_factorize(args, budget):
-    u = _build(lambda r: build_hom(r, budget), load_json(args.hom), args.hom)
+    u = _load(args.hom, lambda r: build_hom(r, budget))
     if args.system == "triple":
         t = ringsys.triple_factorize(u, budget=budget)
         return {
@@ -239,29 +197,26 @@ def _cmd_factorize(args, budget):
 
 
 def _cmd_classify(args, budget):
-    A = _load_ring(args.ring, budget)
+    A = _load(args.ring, lambda r: finring.build_ring(r, budget))
     return ringsys.classify_ring(A, budget=budget).as_dict()
 
 
 def _cmd_cover(args, budget):
-    raw = load_json(args.family)
     if args.topology in ringsys.TOPOLOGIES:
         if not args.base:
             raise UsageError("cover over %s needs --base" % args.topology)
-        A = _load_ring(args.base, budget)
-        family = _build(
-            lambda r: build_ring_family(A, r, args.topology, budget),
-            raw, args.family)
+        A = _load(args.base, lambda r: finring.build_ring(r, budget))
+        family = _load(args.family, lambda r: build_ring_family(
+            A, r, args.topology, budget))
         result = ringsys.cover_check(A, family, args.topology,
                                      field_bound=args.field_bound,
                                      budget=budget)
     else:
         if not args.object:
             raise UsageError("cover over %s needs --object" % args.topology)
-        X = _build(lambda r: sset.build_sset(r, budget), load_json(args.object),
-                   args.object)
-        family = _build(lambda r: build_sset_family(X, r, args.topology),
-                        raw, args.family)
+        X = _load(args.object, lambda r: sset.build_sset(r, budget))
+        family = _load(args.family,
+                       lambda r: build_sset_family(X, r, args.topology))
         result = sset.sset_cover_check(X, family, args.topology, budget=budget)
     return _flat_certificate(result)
 
@@ -273,7 +228,7 @@ def _cmd_spectrum(args, budget):
     if args.topology in ringsys.TOPOLOGIES:
         if not args.base:
             raise UsageError("spectrum over %s needs --base" % args.topology)
-        A = _load_ring(args.base, budget)
+        A = _load(args.base, lambda r: finring.build_ring(r, budget))
         if not args.lattice:
             return ringspec.spec_points(A, args.topology, budget=budget)
         if args.topology == "zar":
@@ -282,20 +237,17 @@ def _cmd_spectrum(args, budget):
     if args.topology in SSET_MODES:
         if not args.object:
             raise UsageError("spectrum over %s needs --object" % args.topology)
-        X = _build(lambda r: sset.build_sset(r, budget), load_json(args.object),
-                   args.object)
+        X = _load(args.object, lambda r: sset.build_sset(r, budget))
         return sset.spec_delta_nis(X, budget) \
             if args.topology == "delta-nis" else sset.spec_raw(X, budget)
     if not args.space:
         raise UsageError("spectrum over lines needs --space")
-    V = _build(lambda r: toposx.build_vspace(r, budget),
-               load_json(args.space), args.space)
+    V = _load(args.space, lambda r: toposx.build_vspace(r, budget))
     return toposx.simple_points(V)
 
 
 def _cmd_orthogonal(args, budget):
-    cat = _build(lambda r: validate_fincat(r, budget),
-                 load_json(args.category), args.category)
+    cat = _load(args.category, lambda r: validate_fincat(r, budget))
     left = _morphism_id(args.left, cat)
     right = _morphism_id(args.right, cat)
     ok = is_orthogonal(left, right, cat, budget=budget)

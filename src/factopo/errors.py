@@ -60,12 +60,3 @@ class ParseError(FactopoError):
 class UsageError(FactopoError):
     pass
 
-
-def parse_int(value, where):
-    """An integer field or key of an input file; bools and floats refused."""
-    if not isinstance(value, (bool, float)):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise InvalidSpec("%s: %r is not an integer" % (where, value))

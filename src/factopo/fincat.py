@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, NotACategory
 from .posets import Poset
+from .reader import CATEGORY, read
 
 
 def _key(x):
@@ -175,64 +176,31 @@ def validate_fincat(raw, budget=None):
     identities keyed by object, compose as [g, f, h] triples.
     """
     budget = ensure_budget(budget)
-    if not isinstance(raw, dict):
-        raise NotACategory("category data must be a mapping")
-    fields = {"objects": list, "morphisms": list, "identities": dict,
-              "compose": list}
-    for key, kind in fields.items():
-        if key not in raw:
-            raise NotACategory("missing field: %r" % key)
-        if not isinstance(raw[key], kind):
-            raise NotACategory("field %r must be a %s" % (
-                key, "list" if kind is list else "mapping"))
-    objects, morrows, identities, compose_rows = (raw[k] for k in fields)
+    read(raw, CATEGORY, NotACategory)
+    objects = raw["objects"]
     budget.spend(len(objects))
-    for i, obj in enumerate(objects):
-        _hashable(obj, "objects[%d]" % i)
     # JSON forces string keys, so identities for non-string objects arrive
     # stringified; remap a key to the unique object it spells, if any
     objset, by_repr = set(objects), {}
     for obj in objects:
         by_repr.setdefault(str(obj), []).append(obj)
-    remapped = {}
-    for key, value in identities.items():
+    identities = {}
+    for key, value in raw["identities"].items():
         if key not in objset and len(by_repr.get(key, ())) == 1:
             key = by_repr[key][0]
-        remapped[key] = _hashable(value, "identities[%r]" % key)
-    identities = remapped
+        identities[key] = value
     morphisms = {}
-    for i, row in enumerate(morrows):
-        try:
-            mid, src, tgt = (_hashable(row[k], "morphisms[%d].%s" % (i, k))
-                             for k in ("id", "src", "tgt"))
-        except (KeyError, TypeError) as exc:
-            raise NotACategory("morphism row %r needs id, src, tgt"
-                               % (row,)) from exc
-        if mid in morphisms:
-            raise NotACategory("duplicate morphism id %r" % (mid,))
-        morphisms[mid] = (src, tgt)
+    for row in raw["morphisms"]:
+        if row["id"] in morphisms:
+            raise NotACategory("duplicate morphism id %r" % (row["id"],))
+        morphisms[row["id"]] = (row["src"], row["tgt"])
     compose = {}
-    for i, entry in enumerate(compose_rows):
-        try:
-            g, f, h = (_hashable(v, "compose[%d]" % i) for v in entry)
-        except (TypeError, ValueError) as exc:
-            raise NotACategory("compose entry %r is not a [g, f, result] "
-                               "triple" % (entry,)) from exc
+    for g, f, h in raw["compose"]:
         if (g, f) in compose:
             raise NotACategory("duplicate compose entry (%r, %r)" % (g, f))
         compose[(g, f)] = h
     return FinCat(objects, morphisms, identities, compose,
-                  name=str(raw.get("name", "")), budget=budget)
-
-
-def _hashable(value, where):
-    """Ids must be strings or numbers: a JSON list or object is refused."""
-    try:
-        hash(value)
-    except TypeError:
-        raise NotACategory("%s: id %r is not a string or number"
-                           % (where, value)) from None
-    return value
+                  name=raw.get("name", ""), budget=budget)
 
 
 class Functor:

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .budget import ensure_budget
-from .errors import InvalidSpec, NotARing, parse_int
+from .errors import InvalidSpec, NotARing
+from .reader import RING, read
 
 
 class FinRing:
@@ -194,22 +195,18 @@ class FinRing:
         return seq
 
     def element_by_name(self, label):
-        label = str(label)
-        for i, nm in enumerate(self.names):
-            if nm == label:
-                return i
-        raise InvalidSpec("no element named %r in %s" % (label, self.name))
+        if label not in self.names:
+            raise InvalidSpec("no element named %r in %s" % (label, self.name))
+        return self.names.index(label)
 
     def parse_element(self, value):
         """An element given in an input file by its name or its index."""
-        if isinstance(value, bool):
-            raise InvalidSpec("element references must be names or indices")
-        if isinstance(value, int):
-            if not 0 <= value < self.size:
-                raise InvalidSpec("element index %d out of range for %s"
-                                  % (value, self.name))
-            return value
-        return self.element_by_name(value)
+        if isinstance(value, str):
+            return self.element_by_name(value)
+        if not 0 <= value < self.size:
+            raise InvalidSpec("element index %d out of range for %s"
+                              % (value, self.name))
+        return value
 
     def __repr__(self):
         return "FinRing(%s, order %d)" % (self.name, self.size)
@@ -356,33 +353,21 @@ def product_ring(factors, budget=None):
 
 
 def table_ring(spec, budget):
-    try:
-        elements, addrows, mulrows = spec["elements"], spec["add"], spec["mul"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpec("table ring needs elements/add/mul: %s" % exc) from exc
-    if not isinstance(elements, list):
-        raise InvalidSpec("table ring elements must be a list of names")
-    if not all(isinstance(t, list) and all(isinstance(row, list) for row in t)
-               for t in (addrows, mulrows)):
-        raise InvalidSpec("table ring add and mul must be lists of rows")
-    names = [str(s) for s in elements]
+    read(spec, RING.tables["table"])
+    names = spec["elements"]
     budget.spend(len(names) ** 2)
     index = {nm: i for i, nm in enumerate(names)}
     if len(index) != len(names):
         raise InvalidSpec("duplicate element names")
 
     def resolve(v, where):
-        if isinstance(v, str):
-            if v not in index:
-                raise InvalidSpec("unknown element %r in %s" % (v, where))
-            return index[v]
-        if isinstance(v, int) and not isinstance(v, bool) and \
-                0 <= v < len(names):
-            return v
-        raise InvalidSpec("bad element reference %r in %s" % (v, where))
+        i = index.get(v, -1) if isinstance(v, str) else v
+        if not 0 <= i < len(names):
+            raise InvalidSpec("unknown element %r in %s" % (v, where))
+        return i
 
-    add = [[resolve(v, "add") for v in row] for row in addrows]
-    mul = [[resolve(v, "mul") for v in row] for row in mulrows]
+    add = [[resolve(v, "add") for v in row] for row in spec["add"]]
+    mul = [[resolve(v, "mul") for v in row] for row in spec["mul"]]
     one = resolve(spec["one"], "one")
     if "zero" in spec:
         zero = resolve(spec["zero"], "zero")
@@ -395,7 +380,7 @@ def table_ring(spec, budget):
         zero = zeros[0]
     gens = tuple(resolve(v, "generators") for v in spec.get("generators", []))
     ring = FinRing(names, add, mul, zero, one, gens,
-                   name=str(spec.get("name", "table-ring")))
+                   name=spec.get("name", "table-ring"))
     ring.generation_sequence()
     return ring
 
@@ -405,31 +390,24 @@ def build_ring(spec, budget=None):
 
     Constructors charge ``budget`` for their tables before allocating them.
     """
-    if not isinstance(spec, dict):
-        raise InvalidSpec("ring spec must be a mapping")
-    kind = spec.get("kind")
-    budget = ensure_budget(budget)
-    try:
-        if kind == "zmod":
-            return zmod(parse_int(spec["n"], "zmod field 'n'"), budget)
-        if kind == "gf":
-            return gf(parse_int(spec["p"], "gf field 'p'"),
-                      parse_int(spec.get("k", 1), "gf field 'k'"), budget)
-        if kind == "product":
-            return product_ring([build_ring(s, budget)
-                                 for s in spec["factors"]], budget)
-        if kind == "quotient":
-            base = build_ring(spec["base"], budget)
-            if not isinstance(spec["ideal_gens"], list):
-                raise InvalidSpec("quotient field 'ideal_gens' must be a list")
-            gens = [base.parse_element(g) for g in spec["ideal_gens"]]
-            ring, _ = quotient_ring(base, ideal_generated(base, gens))
-            return ring
-        if kind == "table":
-            return table_ring(spec, budget)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec("%s ring spec is malformed: %s" % (kind, exc)) from exc
-    raise InvalidSpec("unknown ring kind %r" % (kind,))
+    read(spec, RING)
+    return _ring(spec, ensure_budget(budget))
+
+
+def _ring(spec, budget):
+    kind = spec["kind"]
+    if kind == "zmod":
+        return zmod(spec["n"], budget)
+    if kind == "gf":
+        return gf(spec["p"], spec.get("k", 1), budget)
+    if kind == "product":
+        return product_ring([_ring(s, budget) for s in spec["factors"]],
+                            budget)
+    if kind == "quotient":
+        base = _ring(spec["base"], budget)
+        gens = [base.parse_element(g) for g in spec["ideal_gens"]]
+        return quotient_ring(base, ideal_generated(base, gens))[0]
+    return table_ring(spec, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import (IdentityViolation, InvalidFamily, InvalidSpec,
-                     NotSimplicial, TruncationTooLow, parse_int)
+                     NotSimplicial, TruncationTooLow)
 from .fincat import CoverResult
 from .posets import Poset, Spectrum
+from .reader import SSET, read
 
 
 # ---------------------------------------------------------------------------
@@ -338,87 +339,48 @@ def build_sset(spec, budget=None):
 
     {"dim": d, "nondegenerate": {"0": ["v"], "1": [{"name": "e",
     "faces": [[[0], "v"], [[0], "v"]]}], ...}} where each face is an
-    operator value list and the label of a nondegenerate cell.  The stock
-    shapes are also available as {"kind": "delta"|"boundary"|"horn", ...}.
-    The set charges its action table to ``budget``.
+    operator value list and a nondegenerate cell, by label or index.  The
+    stock shapes are also available as {"kind": "delta"|"boundary"|"horn",
+    ...}.  The set charges its action table to ``budget``.
     """
+    read(spec, SSET)
     budget = ensure_budget(budget)
-    if isinstance(spec, dict) and "kind" in spec:
-        kind = spec["kind"]
-        n = parse_int(spec.get("n", 0), "sset field 'n'")
+    if "kind" in spec:
+        n, kind, dim = spec["n"], spec["kind"], spec.get("dim")
         if n < 0:
             raise InvalidSpec("sset field 'n': %d is negative" % n)
-        dim = parse_int(spec["dim"], "sset field 'dim'") \
-            if "dim" in spec else None
-        if kind == "delta":
-            return delta(n, dim=dim, budget=budget)
-        if kind == "boundary":
-            return boundary(n, dim=dim, budget=budget)
         if kind == "horn":
-            return horn(n, parse_int(spec.get("k"), "horn field 'k'"),
-                        dim=dim, budget=budget)
-        raise InvalidSpec("unknown sset kind %r" % (kind,))
-    try:
-        dim = parse_int(spec["dim"], "sset field 'dim'")
-        raw = spec["nondegenerate"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec("sset needs dim and nondegenerate: %s" % exc) from exc
-    if not isinstance(raw, dict):
-        raise InvalidSpec("nondegenerate must map dimensions to cell lists")
-    keys = sorted(raw, key=lambda key: parse_int(key, "nondegenerate key"))
-    labels = {}
-    for key in keys:
-        n = int(key)
-        entries = raw[key]
-        if not isinstance(entries, list):
-            raise InvalidSpec("nondegenerate[%r] must be a list of cells" % key)
-        row = []
-        for ent in entries:
-            if not isinstance(ent, str) and \
-                    not (isinstance(ent, dict) and "name" in ent):
-                raise InvalidSpec("nondegenerate[%r]: cell %r has no name"
-                                  % (key, ent))
-            row.append(ent if isinstance(ent, str) else str(ent["name"]))
-        if row:
-            labels[n] = row
-    lookup = {}
-    for n, row in labels.items():
-        for j, s in enumerate(row):
-            if (n, s) in lookup:
-                raise InvalidSpec("duplicate cell %r in dimension %d" % (s, n))
-            lookup[(n, s)] = j
+            return horn(n, spec["k"], dim=dim, budget=budget)
+        return (delta if kind == "delta" else boundary)(n, dim=dim,
+                                                        budget=budget)
+    rows = sorted((int(key), cells)
+                  for key, cells in spec["nondegenerate"].items())
+    labels = {n: [c if isinstance(c, str) else c["name"] for c in cells]
+              for n, cells in rows}
     faces = {}
-    for key in keys:
-        n = int(key)
-        if n == 0:
-            continue
-        for j, ent in enumerate(raw[key]):
-            if isinstance(ent, str):
+    for n, cells in rows:
+        for j, cell in enumerate(cells if n else ()):
+            if isinstance(cell, str):
                 raise InvalidSpec(
-                    "cell %r above dimension 0 needs explicit faces" % ent)
-            fl = ent.get("faces", [])
-            if not isinstance(fl, list) or len(fl) != n + 1:
+                    "cell %r above dimension 0 needs explicit faces" % cell)
+            if len(cell["faces"]) != n + 1:
                 raise InvalidSpec("cell %r needs a list of %d faces"
-                                  % (ent.get("name"), n + 1))
-            for i, face in enumerate(fl):
-                try:
-                    opvals, target = face
-                    opvals = tuple(parse_int(v, "face value") for v in opvals)
-                except (TypeError, ValueError):
-                    raise InvalidSpec(
-                        "face %d of %r is not [operator values, cell label]"
-                        % (i, ent.get("name"))) from None
-                if len(opvals) != n:
-                    raise InvalidSpec(
-                        "face %d of %r has an operator of the wrong length"
-                        % (i, ent.get("name")))
+                                  % (cell["name"], n + 1))
+            for i, (opvals, target) in enumerate(cell["faces"]):
                 m = max(opvals) if opvals else 0
-                if (m, str(target)) not in lookup:
-                    raise InvalidSpec(
-                        "face target %r missing in dimension %d" % (target, m))
-                faces[(n, j, i)] = (opvals, (m, lookup[(m, str(target))]))
-    return FinSSet(dim, labels, faces, name=str(spec.get("name", "sset")),
+                faces[(n, j, i)] = (tuple(opvals),
+                                    (m, cell_index(labels, m, target)))
+    return FinSSet(spec["dim"], labels, faces, name=spec.get("name", "sset"),
                    budget=budget)
+
+
+def cell_index(labels, n, ref):
+    """The index of an n-cell in ``labels``, given by its label or index."""
+    row = labels.get(n, ())
+    j = row.index(ref) if ref in row else ref if isinstance(ref, int) else -1
+    if not 0 <= j < len(row):
+        raise InvalidSpec("no %d-cell %r" % (n, ref))
+    return j
 
 
 # ---------------------------------------------------------------------------

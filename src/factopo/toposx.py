@@ -10,10 +10,11 @@ import itertools
 from dataclasses import dataclass
 
 from .budget import ensure_budget
-from .errors import InvalidSpec, NotEquivariant, NotLinear, parse_int
+from .errors import InvalidSpec, NotEquivariant, NotLinear
 from .fincat import CoverResult
 from .finring import gf, prime_power
 from .posets import Poset, Spectrum
+from .reader import GSET, VSPACE, read
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +140,11 @@ def disjoint_union_gset(X, Y, name=None):
 
 
 def build_gset(spec):
-    try:
-        gtab = spec["group"]["table"]
-        carrier = spec["carrier"]
-        action = spec["action"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidSpec("gset needs group.table, carrier, action: %s"
-                          % exc) from exc
-    gnames = spec["group"].get("elements",
-                               [str(i) for i in range(len(gtab))])
-    G = FinGroup(gnames, gtab, name=str(spec["group"].get("name", "G")))
-    return FinGSet(G, carrier, action, name=str(spec.get("name", "X")))
+    read(spec, GSET)
+    group = spec["group"]
+    G = FinGroup(group.get("elements", range(len(group["table"]))),
+                 group["table"], name=group.get("name", "G"))
+    return FinGSet(G, spec["carrier"], spec["action"], name=spec.get("name", "X"))
 
 
 class EquivariantMap:
@@ -310,12 +305,9 @@ class FqVecSpace:
 
 
 def build_vspace(spec, budget=None):
-    try:
-        return FqVecSpace(parse_int(spec["q"], "vector space field 'q'"),
-                          parse_int(spec["n"], "vector space field 'n'"),
-                          name=str(spec.get("name", "")), budget=budget)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec("vector space needs q and n: %s" % exc) from exc
+    read(spec, VSPACE)
+    return FqVecSpace(spec["q"], spec["n"], name=spec.get("name", ""),
+                      budget=budget)
 
 
 def _inv(field, c):

@@ -10,10 +10,14 @@ from factopo.fincat import FinCat
 from factopo.finring import FinRing
 from factopo.toposx import FqVecSpace
 
-# every property test replays the same examples, keeps no example database
-# on disk, and has no per-example deadline on a loaded machine
+# every property test replays the same 300 examples, keeps no example
+# database on disk, and has no per-example deadline on a loaded machine;
+# ``--hypothesis-profile fuzz`` draws 2,500 fresh examples instead, for the
+# tests that do not fix their own count
 settings.register_profile("factopo", derandomize=True, database=None,
-                          deadline=None)
+                          deadline=None, max_examples=300)
+settings.register_profile("fuzz", settings.get_profile("factopo"),
+                          derandomize=False, max_examples=2500)
 settings.load_profile("factopo")
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from factopo.budget import Budget
+from factopo.catalogs import category_catalogue
 from factopo.catfib import (all_slices_cover, cat_universe, comma,
                             comprehensive_factorize, connected_components,
                             identity_functor, is_discrete_left_fibration,
@@ -87,6 +88,18 @@ def test_comprehensive_identity_case():
     first, elem, proj = comprehensive_factorize(identity_functor(C), "right")
     assert len(elem.category.objects) == len(C.objects)
     assert then(first, proj).obj_map == identity_functor(C).obj_map
+
+
+def test_comprehensive_factorisation_charges_only_its_budget():
+    # the comma categories and the category of elements are built on the
+    # budget the factorisation is given, not on the one its functor's
+    # categories were built on
+    a, b = Budget(), Budget()
+    square = next(C for C in category_catalogue(a) if C.name == "square")
+    before = a.used
+    for side in ("right", "left"):
+        comprehensive_factorize(identity_functor(square), side, budget=b)
+    assert a.used == before and b.used > 0
 
 
 def test_comprehensive_left_side():

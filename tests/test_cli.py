@@ -1,9 +1,10 @@
 import json
+import pathlib
 import time
 
 import pytest
 
-from factopo import suites
+from factopo import reader, suites
 from factopo.cli import main
 from factopo.fincat import FAIL, AxiomResult, SystemReport
 from factopo.posets import Poset
@@ -359,6 +360,12 @@ MALFORMED = {
         ["orthogonal", "--category", "{a}", "--left", '{"x": 1}',
          "--right", "ia"],
         {"a": SMALL_CAT}),
+    # a morphism id nested past the JSON reader's recursion limit escaped
+    # as a RecursionError
+    "morphism-id-nested-100000": (
+        ["orthogonal", "--category", "{a}", "--left", "[" * 100000,
+         "--right", "ia"],
+        {"a": SMALL_CAT}),
     "zar-elements-scalar": (
         ["cover", "--topology", "zar", "--base", "{a}", "--family", "{b}"],
         {"a": {"kind": "zmod", "n": 6}, "b": {"elements": 3}}),
@@ -415,6 +422,29 @@ MALFORMED = {
         table_z2([[0, 1], [1, 0]]), elements="01")}),
     "table-one-bool": (RING_CLASSIFY, {"a": dict(table_z2([[0, 1], [1, 0]]),
                                                  one=True)}),
+    # inputs that were misread instead of refused: a field's typo was
+    # ignored, "1_2" was read as 12, a repeated key kept its last value,
+    # names of other JSON types became names by str(), the dimension key
+    # "00" replaced the row of "0", a stock shape with no n was Δ[0], and a
+    # null topology was no topology
+    "gf-field-typo": (RING_CLASSIFY, {"a": {"kind": "gf", "p": 2, "K": 3}}),
+    "zmod-n-string": (RING_CLASSIFY, {"a": {"kind": "zmod", "n": "1_2"}}),
+    "zmod-duplicate-key": (RING_CLASSIFY,
+                           {"a": Raw('{"kind": "zmod", "n": 8, "n": 12}')}),
+    "table-element-name-bool": (RING_CLASSIFY, {"a": dict(
+        table_z2([[0, 1], [1, 0]]), elements=[False, "1"])}),
+    "sset-cell-name-number": (SSET_SPECTRUM, {"a": {
+        "dim": 2, "nondegenerate": {"0": ["v"], "1": [
+            {"name": 7, "faces": [[[0], "v"], [[0], "v"]]}]}}}),
+    "vspace-name-list": (["spectrum", "--topology", "lines", "--space", "{a}"],
+                         {"a": {"q": 2, "n": 2, "name": ["V"]}}),
+    "sset-dim-key-alias": (SSET_SPECTRUM, {"a": {
+        "dim": 2, "nondegenerate": {"0": ["v", "w"], "00": ["u"]}}}),
+    "stock-without-n": (SSET_SPECTRUM, {"a": {"kind": "delta"}}),
+    "family-topology-null": (
+        ["cover", "--topology", "zar", "--base", "{a}", "--family", "{b}"],
+        {"a": {"kind": "zmod", "n": 6},
+         "b": {"topology": None, "elements": ["2", "3"]}}),
 }
 
 
@@ -474,7 +504,8 @@ OVER_BUDGET = {
                                  "{a}", "--budget", "10000"],
                                 {"a": {"q": 2, "n": 13}}),
     "table-z150-budget-1": (["classify", "--ring", "{a}", "--budget", "1"],
-                            {"a": {"kind": "table", "elements": list(range(150)),
+                            {"a": {"kind": "table",
+                                   "elements": [str(i) for i in range(150)],
                                    "one": 1,
                                    "add": [[(i + j) % 150 for j in range(150)]
                                            for i in range(150)],
@@ -556,3 +587,36 @@ def test_failing_axiom_is_reported(monkeypatch, capsys):
     result = json.loads(out)["result"]
     assert result["passed"] is False
     assert result["checks"][0]["counterexample"] == "orthogonality: (a, b)"
+
+
+def field_names(table, seen=None):
+    """Every field name in a reader table and in the tables inside it."""
+    seen = set() if seen is None else seen
+    if id(table) in seen:
+        return set()
+    seen.add(id(table))
+    if isinstance(table, reader.Kinds):
+        inner = list(table.tables.values()) + [table.untagged]
+    elif isinstance(table, dict):
+        inner = list(table.values())
+    elif isinstance(table, (list, tuple)):
+        inner = list(table)
+    else:
+        return set()
+    names = {k.rstrip("?") for k in table if isinstance(k, str)} \
+        if isinstance(table, dict) else set()
+    for t in inner:
+        names |= field_names(t, seen)
+    return names
+
+
+def test_every_table_field_is_named_in_the_readme():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme[readme.index("## File formats"):readme.index("## Scale")]
+    tables = [reader.RING, reader.HOM, reader.SSET, reader.SMAP,
+              reader.CATEGORY, reader.VSPACE, reader.GSET,
+              *reader.FAMILIES.values()]
+    names = set().union(*map(field_names, tables))
+    assert len(names) > 30
+    assert sorted(n for n in names if "`%s`" % n not in section) == []

@@ -70,7 +70,8 @@ def test_table_ring_broken_additive_associativity():
     # element invertible
     add = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     add[1][2] = add[2][1] = 4
-    spec = {"kind": "table", "elements": list(range(5)), "zero": 0, "one": 1,
+    spec = {"kind": "table", "elements": [str(i) for i in range(5)],
+            "zero": 0, "one": 1,
             "add": add, "mul": [[i * j % 5 for j in range(5)] for i in range(5)]}
     with pytest.raises(NotARing) as err:
         build_ring(spec)

@@ -25,11 +25,13 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from factopo import reader
 from factopo.budget import Budget
 from factopo.cli import main
+from factopo.errors import FactopoError
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -121,11 +123,17 @@ OTHER_TYPES = [None, True, 0, 1.5, "x", [], {}]
 NUMBERS = [2 ** 63, 10 ** 30, -1]
 
 
+DROPPED = object()
+
+
 @st.composite
 def mutants(draw):
     """A golden case whose one input document lost a field or entry, had a
-    value replaced, or had a value wrapped in a list."""
-    case = load_case(draw(st.sampled_from(WITH_FILES)))
+    value replaced, or had a value wrapped in a list, with the mutation:
+    the case's name, the document's key, the path of the value, and the
+    value put there (``DROPPED`` for none)."""
+    name = draw(st.sampled_from(WITH_FILES))
+    case = load_case(name)
     key = draw(st.sampled_from(sorted(case["files"])))
     doc = case["files"][key] = copy.deepcopy(case["files"][key])
     path = draw(st.sampled_from(list(locations(doc))))
@@ -136,7 +144,7 @@ def mutants(draw):
     kind = draw(st.sampled_from(["drop", "type", "number", "wrap"]))
     if kind == "drop" and path:
         del parent[path[-1]]
-        return case
+        return case, (name, key, path, DROPPED)
     # a whole document has no field to drop, so it gets another type
     new = [old] if kind == "wrap" else draw(st.sampled_from(
         NUMBERS if kind == "number" else
@@ -145,14 +153,46 @@ def mutants(draw):
         parent[path[-1]] = new
     else:
         case["files"][key] = new
-    return case
+    return case, (name, key, path, new)
 
 
-@settings(max_examples=300)
+# the table that reads the file each flag names; a family file's depends
+# on --topology
+FLAG_TABLES = {"--ring": reader.RING, "--base": reader.RING,
+               "--hom": reader.HOM, "--object": reader.SSET,
+               "--space": reader.VSPACE, "--category": reader.CATEGORY}
+
+
+def table_refuses(mutation):
+    """Whether the file's table refuses the mutation on its own: it drops
+    a required field, or puts a value where the table allows none of its
+    type.  The path is found in the table along the unmutated document."""
+    name, key, path, new = mutation
+    case = load_case(name)
+    argv, doc = case["argv"], case["files"][key]
+    flag = argv[argv.index("{%s}" % key) - 1]
+    table = reader.FAMILIES[argv[argv.index("--topology") + 1]] \
+        if flag == "--family" else FLAG_TABLES[flag]
+    for step in path:
+        parent, _problem = reader.match(doc, table)
+        table = next(u for k, _v, u in reader.entries(parent, doc)
+                     if k == step)
+        doc = doc[step]
+    if new is DROPPED:
+        return isinstance(parent, dict) and path[-1] in parent
+    try:
+        reader.read(new, table)
+    except FactopoError:
+        return True
+    return False
+
+
 @given(mutants())
-def test_mutated_golden_inputs_exit_cleanly(case):
+def test_mutated_golden_inputs_exit_cleanly(mutant):
     # any input answers, or is refused with one error line, within a bound
-    # far above what the golden cases take under this budget
+    # far above what the golden cases take under this budget; what its
+    # table refuses must be refused
+    case, mutation = mutant
     with tempfile.TemporaryDirectory() as tmp:
         started = time.perf_counter()
         code, _stdout, stderr, _paths = invoke(
@@ -162,6 +202,8 @@ def test_mutated_golden_inputs_exit_cleanly(case):
     if code == 1:
         lines = stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+    if table_refuses(mutation):
+        assert code == 1, (mutation, code)
     assert elapsed < 10, elapsed
 
 
