@@ -19,9 +19,9 @@ from .ringsys import (classify_ring, cover_check, dom_self_lift_decider,
                       factorize, points_of, triple_factorize,
                       verify_ring_system, zar_self_lift_decider)
 from .ringspec import check_duality, dom_lattice, spec_points, stalk, zar_lattice
-from .sset import (FinSSet, SimplicialMap, boundary, build_sset, delta,
-                   deg_ndeg_factorize, delta_nis_self_lift_decider, horn,
-                   spec_delta_nis, spec_raw, sset_cover_check)
+from .sset import (FinSSet, SimplicialMap, boundary, build_smap, build_sset,
+                   delta, deg_ndeg_factorize, delta_nis_self_lift_decider,
+                   horn, spec_delta_nis, spec_raw, sset_cover_check)
 from .catfib import (cat_universe, comma, comprehensive_factorize,
                      is_discrete_right_fibration, is_final, slice_factorize)
 from .toposx import (FinGroup, FinGSet, FqVecSpace, LinearMap, atoms_and_orbits,

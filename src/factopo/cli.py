@@ -4,19 +4,28 @@ One command per process: parse input files, run the named operation, print a
 JSON report on stdout or write a DOT file to --out.  Output is byte-identical
 for identical inputs, config and seed; timing is only attached on request
 because it would break that.
+
+The options of every command are declared once, in ``COMMANDS`` and
+``COMMON``.  ``parse_argv`` reads a command line in the canonical form, the
+command and then exact ``--option value`` pairs and bare switches, straight
+from that table.  Any other command line goes to the argparse parser that
+``build_parser`` makes from the same table, so help screens and usage errors
+keep argparse's words.  Building that parser costs far more than a request
+that needs no help, so it is built only when it is used.
 """
 
 import argparse
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import finring, ringspec, ringsys, sset, suites, toposx
 from .budget import Budget
 from .errors import (FactopoError, InvalidFamily, InvalidSpec, ParseError,
                      UsageError)
 from .fincat import is_orthogonal, validate_fincat
-from .reader import FAMILIES, HOM, SMAP, read
+from .reader import FAMILIES, HOM, read
 
 SSET_MODES = ("raw", "delta-nis")
 
@@ -98,8 +107,8 @@ def _hom_between(A, B, raw, what="hom"):
 
 def build_hom(raw, budget):
     read(raw, HOM)
-    A = finring.build_ring(raw["source"], budget)
-    B = finring.build_ring(raw["target"], budget)
+    A = finring.ring_from_spec(raw["source"], budget)
+    B = finring.ring_from_spec(raw["target"], budget)
     return _hom_between(A, B, raw)
 
 
@@ -117,33 +126,17 @@ def build_ring_family(A, raw, topology, budget):
     if topology == "dom":
         return [finring.ideal_generated(A, [A.parse_element(g) for g in gens])
                 for gens in raw["ideals"]]
-    return [_hom_between(A, finring.build_ring(spec["target"], budget), spec,
-                         what="family hom") for spec in raw["homs"]]
+    return [_hom_between(A, finring.ring_from_spec(spec["target"], budget),
+                         spec, what="family hom") for spec in raw["homs"]]
 
 
-def build_smap(raw, target):
-    """A simplicial map into ``target`` from its nondegenerate-cell table.
-
-    Each entry sends a source cell to [surjection values, target cell];
-    degenerate images are allowed, faces are checked on build.  The source
-    charges its work to the target's budget.
-    """
-    read(raw, SMAP)
-    D = sset.build_sset(raw["source"], target.budget)
-    assignment = {}
-    for dim_key, cells in raw["assignment"].items():
-        n = int(dim_key)
-        for label, (sigma, cell) in cells.items():
-            m = max(sigma) if sigma else 0
-            assignment[(n, sset.cell_index(D.labels, n, label))] = \
-                (tuple(sigma), (m, sset.cell_index(target.labels, m, cell)))
-    return sset.SimplicialMap(D, target, assignment,
-                              name=raw.get("name", ""))
+# the map builder lives in sset; bench/ calls it by this name too
+build_smap = sset.build_smap
 
 
 def build_sset_family(X, raw, mode):
     _read_family(raw, mode)
-    return [build_smap(spec, X) for spec in raw["maps"]]
+    return [sset.smap_from_spec(spec, X) for spec in raw["maps"]]
 
 
 def _morphism_id(text, cat):
@@ -258,80 +251,128 @@ def _cmd_verify(args, budget):
     return suites.run_suite(args.suite, seed=args.seed, budget=budget)
 
 
+# ---------------------------------------------------------------------------
+# the command line, declared once: build_parser gives it to argparse, and
+# parse_argv reads its canonical form without argparse
+
+class Option(NamedTuple):
+    """One option of a command; ``kind`` is int, str or bool, a switch."""
+    flag: str
+    kind: type = str
+    required: bool = False
+    choices: tuple = None
+    help: str = None
+    default: object = None
+
+
+class Command(NamedTuple):
+    run: Callable
+    help: str
+    options: tuple  # its own; COMMON follows them
+
+
+COMMON = (
+    Option("--budget", int, help="elementary step cap (default 10^7)"),
+    Option("--field-bound", int, default=16,
+           help="order bound for the field catalogue (default 16)"),
+    Option("--seed", int, default=0,
+           help="seed for randomized suite sampling (default 0)"),
+    Option("--format", choices=("json", "dot"), default="json"),
+    Option("--out", help="output path; required for --format dot, "
+                         "an extra copy of the report otherwise"),
+    Option("--timing", bool, help="attach wall-clock timing to the report"),
+)
+
+_BASE = Option("--base", help="ring file, for ring topologies")
+_OBJECT = Option("--object", help="simplicial set file, for raw/delta-nis")
+
 COMMANDS = {
-    "factorize": _cmd_factorize,
-    "classify": _cmd_classify,
-    "cover": _cmd_cover,
-    "spectrum": _cmd_spectrum,
-    "orthogonal": _cmd_orthogonal,
-    "verify": _cmd_verify,
+    "factorize": Command(_cmd_factorize, "factor one ring hom", (
+        Option("--system", required=True,
+               choices=ringsys.SYSTEMS + ("triple",)),
+        Option("--hom", required=True, help="hom file (JSON)"))),
+    "classify": Command(_cmd_classify, "field/local/domain tests for a ring", (
+        Option("--ring", required=True, help="ring file (JSON)"),)),
+    "cover": Command(_cmd_cover, "decide whether a family covers", (
+        Option("--topology", required=True,
+               choices=ringsys.TOPOLOGIES + SSET_MODES),
+        _BASE, _OBJECT,
+        Option("--family", required=True, help="family file (JSON)"))),
+    "spectrum": Command(_cmd_spectrum, "point poset of one object", (
+        Option("--topology", required=True,
+               choices=ringsys.TOPOLOGIES + SSET_MODES + ("lines",)),
+        _BASE, _OBJECT,
+        Option("--space", help="vector space file, for lines"),
+        Option("--lattice", bool,
+               help="full open lattice instead of the point poset "
+                    "(zar and dom only)"))),
+    "orthogonal": Command(
+        _cmd_orthogonal, "lifting test in a finite category", (
+            Option("--category", required=True, help="category file (JSON)"),
+            Option("--left", required=True, help="morphism id (JSON or bare)"),
+            Option("--right", required=True,
+                   help="morphism id (JSON or bare)"))),
+    "verify": Command(_cmd_verify, "run a property suite", (
+        Option("--suite", required=True, choices=suites.SUITES),)),
 }
 
 
-# ---------------------------------------------------------------------------
-# argument parsing and dispatch
-
-def _add_common(sub):
-    sub.add_argument("--budget", type=int, default=None,
-                     help="elementary step cap (default 10^7)")
-    sub.add_argument("--field-bound", type=int, default=16,
-                     help="order bound for the field catalogue (default 16)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized suite sampling (default 0)")
-    sub.add_argument("--format", choices=("json", "dot"), default="json")
-    sub.add_argument("--out", help="output path; required for --format dot, "
-                                   "an extra copy of the report otherwise")
-    sub.add_argument("--timing", action="store_true",
-                     help="attach wall-clock timing to the report")
-
-
 def build_parser():
+    """The table as an argparse parser, for help screens and usage errors."""
     parser = argparse.ArgumentParser(
         prog="factopo",
         description="Factorization systems, covers and spectra "
                     "on finite instances.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("factorize", help="factor one ring hom")
-    p.add_argument("--system", required=True,
-                   choices=ringsys.SYSTEMS + ("triple",))
-    p.add_argument("--hom", required=True, help="hom file (JSON)")
-    _add_common(p)
-
-    p = subs.add_parser("classify", help="field/local/domain tests for a ring")
-    p.add_argument("--ring", required=True, help="ring file (JSON)")
-    _add_common(p)
-
-    p = subs.add_parser("cover", help="decide whether a family covers")
-    p.add_argument("--topology", required=True,
-                   choices=ringsys.TOPOLOGIES + SSET_MODES)
-    p.add_argument("--base", help="ring file, for ring topologies")
-    p.add_argument("--object", help="simplicial set file, for raw/delta-nis")
-    p.add_argument("--family", required=True, help="family file (JSON)")
-    _add_common(p)
-
-    p = subs.add_parser("spectrum", help="point poset of one object")
-    p.add_argument("--topology", required=True,
-                   choices=ringsys.TOPOLOGIES + SSET_MODES + ("lines",))
-    p.add_argument("--base", help="ring file, for ring topologies")
-    p.add_argument("--object", help="simplicial set file, for raw/delta-nis")
-    p.add_argument("--space", help="vector space file, for lines")
-    p.add_argument("--lattice", action="store_true",
-                   help="full open lattice instead of the point poset "
-                        "(zar and dom only)")
-    _add_common(p)
-
-    p = subs.add_parser("orthogonal", help="lifting test in a finite category")
-    p.add_argument("--category", required=True, help="category file (JSON)")
-    p.add_argument("--left", required=True, help="morphism id (JSON or bare)")
-    p.add_argument("--right", required=True, help="morphism id (JSON or bare)")
-    _add_common(p)
-
-    p = subs.add_parser("verify", help="run a property suite")
-    p.add_argument("--suite", required=True, choices=suites.SUITES)
-    _add_common(p)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for opt in command.options + COMMON:
+            if opt.kind is bool:
+                sub.add_argument(opt.flag, action="store_true", help=opt.help)
+            else:
+                sub.add_argument(opt.flag, type=opt.kind, default=opt.default,
+                                 required=opt.required, choices=opt.choices,
+                                 help=opt.help)
     return parser
+
+
+def parse_argv(argv):
+    """The Namespace of ``build_parser().parse_args(argv)``, read from the
+    table when ``argv`` has the canonical form: the command, then exact long
+    options, none twice and every required one present.  A switch stands
+    alone; any other option is followed by one value that does not start
+    with "-", converted by its kind (``int`` for an int, as argparse does)
+    and in its choices.  None for any other argv, which argparse reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = {opt.flag: opt for opt in COMMANDS[argv[0]].options + COMMON}
+    values = {}
+    words = iter(argv[1:])
+    for flag in words:
+        opt = options.get(flag)
+        if opt is None or flag in values:
+            return None
+        if opt.kind is bool:
+            values[flag] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = opt.kind(value)
+        except ValueError:
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[flag] = value
+    if any(opt.required and flag not in values
+           for flag, opt in options.items()):
+        return None
+    args = argparse.Namespace(command=argv[0])
+    for flag, opt in options.items():
+        setattr(args, flag[2:].replace("-", "_"), values.get(
+            flag, False if opt.kind is bool else opt.default))
+    return args
 
 
 def dispatch(args):
@@ -346,7 +387,7 @@ def dispatch(args):
             raise UsageError("--format dot needs --out")
     budget = Budget(args.budget)
     started = time.perf_counter()
-    payload = COMMANDS[args.command](args, budget)
+    payload = COMMANDS[args.command].run(args, budget)
     if args.format == "dot":
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload.to_dot())
@@ -371,7 +412,10 @@ def dispatch(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         text = dispatch(args)
     except UsageError as err:

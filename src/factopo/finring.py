@@ -353,7 +353,6 @@ def product_ring(factors, budget=None):
 
 
 def table_ring(spec, budget):
-    read(spec, RING.tables["table"])
     names = spec["elements"]
     budget.spend(len(names) ** 2)
     index = {nm: i for i, nm in enumerate(names)}
@@ -391,20 +390,21 @@ def build_ring(spec, budget=None):
     Constructors charge ``budget`` for their tables before allocating them.
     """
     read(spec, RING)
-    return _ring(spec, ensure_budget(budget))
+    return ring_from_spec(spec, ensure_budget(budget))
 
 
-def _ring(spec, budget):
+def ring_from_spec(spec, budget):
+    """The ring of a spec that ``read`` has already checked against RING."""
     kind = spec["kind"]
     if kind == "zmod":
         return zmod(spec["n"], budget)
     if kind == "gf":
         return gf(spec["p"], spec.get("k", 1), budget)
     if kind == "product":
-        return product_ring([_ring(s, budget) for s in spec["factors"]],
-                            budget)
+        return product_ring(
+            [ring_from_spec(s, budget) for s in spec["factors"]], budget)
     if kind == "quotient":
-        base = _ring(spec["base"], budget)
+        base = ring_from_spec(spec["base"], budget)
         gens = [base.parse_element(g) for g in spec["ideal_gens"]]
         return quotient_ring(base, ideal_generated(base, gens))[0]
     return table_ring(spec, budget)

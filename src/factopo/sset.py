@@ -19,7 +19,7 @@ from .errors import (IdentityViolation, InvalidFamily, InvalidSpec,
                      NotSimplicial, TruncationTooLow)
 from .fincat import CoverResult
 from .posets import Poset, Spectrum
-from .reader import SSET, read
+from .reader import SMAP, SSET, read
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +343,11 @@ def build_sset(spec, budget=None):
     stock shapes are also available as {"kind": "delta"|"boundary"|"horn",
     ...}.  The set charges its action table to ``budget``.
     """
-    read(spec, SSET)
-    budget = ensure_budget(budget)
+    return sset_from_spec(read(spec, SSET), ensure_budget(budget))
+
+
+def sset_from_spec(spec, budget):
+    """The set of a spec that ``read`` has already checked against SSET."""
     if "kind" in spec:
         n, kind, dim = spec["n"], spec["kind"], spec.get("dim")
         if n < 0:
@@ -359,7 +362,12 @@ def build_sset(spec, budget=None):
               for n, cells in rows}
     faces = {}
     for n, cells in rows:
-        for j, cell in enumerate(cells if n else ()):
+        for j, cell in enumerate(cells):
+            if not n:
+                if not isinstance(cell, str) and cell["faces"]:
+                    raise InvalidSpec("vertex %r can have no faces"
+                                      % cell["name"])
+                continue
             if isinstance(cell, str):
                 raise InvalidSpec(
                     "cell %r above dimension 0 needs explicit faces" % cell)
@@ -430,6 +438,29 @@ class SimplicialMap:
 
     def __repr__(self):
         return "SimplicialMap(%s -> %s)" % (self.source.name, self.target.name)
+
+
+def build_smap(spec, target):
+    """A simplicial map into ``target`` from its nondegenerate-cell table.
+
+    Each entry sends a source cell to [surjection values, target cell];
+    degenerate images are allowed, faces are checked on build.  The source
+    charges its work to the target's budget.
+    """
+    return smap_from_spec(read(spec, SMAP), target)
+
+
+def smap_from_spec(spec, target):
+    """The map of a spec that ``read`` has already checked against SMAP."""
+    D = sset_from_spec(spec["source"], target.budget)
+    assignment = {}
+    for dim_key, cells in spec["assignment"].items():
+        n = int(dim_key)
+        for label, (sigma, cell) in cells.items():
+            m = max(sigma) if sigma else 0
+            assignment[(n, cell_index(D.labels, n, label))] = \
+                (tuple(sigma), (m, cell_index(target.labels, m, cell)))
+    return SimplicialMap(D, target, assignment, name=spec.get("name", ""))
 
 
 def identity_smap(X):

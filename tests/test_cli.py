@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import pathlib
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factopo import reader, suites
-from factopo.cli import main
+from factopo.cli import COMMANDS, COMMON, build_parser, main, parse_argv
 from factopo.fincat import FAIL, AxiomResult, SystemReport
 from factopo.posets import Poset
 
@@ -266,6 +270,57 @@ def test_timing_only_on_request(z6, capsys):
     assert "timing" in json.loads(out2)
 
 
+# what a command line can hold besides the canonical form: every flag of
+# every command (so repeats and other commands' flags), abbreviations,
+# --opt=value, help, the end of options, dash-led values and ints that
+# argparse reads through int()
+FLAGS = sorted({opt.flag for command in COMMANDS.values()
+                for opt in command.options + COMMON})
+ODD_WORDS = FLAGS + ["--top", "--fam", "--budget=5", "--topology=zar", "-h",
+                     "--help", "--", "-", "-5", "-0", "-x", " -5", "", "x",
+                     "frobnicate", "classify", "spectrum"]
+INTS = ["5", "0", "16", " 5", "5 ", "1_0", "+3", "\u0663", "0x10", "5.0",
+        "1" * 5000, "x", ""]
+PATHS = ["ring.json", "f", "a b", '"f"', "[1]", "\u00e9", "=x", ""]
+
+
+@st.composite
+def command_lines(draw):
+    """A canonical command line with some options left out and the rest in
+    any order, then up to three words inserted, dropped or replaced."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    words = [name]
+    for opt in draw(st.permutations(COMMANDS[name].options + COMMON)):
+        if opt.required or draw(st.booleans()):
+            words.append(opt.flag)
+            if opt.kind is not bool:
+                words.append(draw(st.sampled_from(
+                    opt.choices or (INTS if opt.kind is int else PATHS))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(words)))
+        edit = draw(st.sampled_from(["insert", "drop", "replace"]))
+        if edit != "insert" and at < len(words):
+            del words[at]
+        if edit != "drop":
+            words.insert(at, draw(st.sampled_from(ODD_WORDS + INTS)))
+    return words
+
+
+@given(command_lines())
+def test_parse_argv_reads_what_argparse_reads(argv):
+    # the fast reader gives argparse's options or passes; whatever argparse
+    # refuses, it passes on
+    fast = parse_argv(argv)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            assert fast is None, (argv, exc.code)
+            return
+    assert fast is None or vars(fast) == want, argv
+
+
 DELTA1 = {"kind": "delta", "n": 1}
 SMALL_CAT = {"objects": ["a"],
              "morphisms": [{"id": "ia", "src": "a", "tgt": "a"}],
@@ -445,6 +500,10 @@ MALFORMED = {
         ["cover", "--topology", "zar", "--base", "{a}", "--family", "{b}"],
         {"a": {"kind": "zmod", "n": 6},
          "b": {"topology": None, "elements": ["2", "3"]}}),
+    # the faces of a vertex given as an object were never read
+    "sset-vertex-with-faces": (SSET_SPECTRUM, {"a": {
+        "dim": 1, "nondegenerate": {"0": [
+            {"name": "v", "faces": [[[7], "zz"], [[], 5]]}]}}}),
 }
 
 

@@ -19,6 +19,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import time
@@ -28,10 +29,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factopo import reader
+from factopo import cli, reader
 from factopo.budget import Budget
-from factopo.cli import main
-from factopo.errors import FactopoError
+from factopo.cli import main, parse_argv
+from factopo.errors import FactopoError, InvalidSpec
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 CASES = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -106,6 +107,28 @@ def test_a_budget_of_one_step_refuses_every_report(name, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: "), stderr
 
 
+@pytest.mark.parametrize("name", REPORTS)
+def test_every_report_takes_the_fast_path(name):
+    # parse_argv reads every golden report's command line without argparse
+    argv = [word.strip("{}") + ".json" if word.startswith("{") else word
+            for word in load_case(name)["argv"]]
+    assert parse_argv(argv) is not None, argv
+
+
+def test_python_m_factopo_reads_sys_argv(tmp_path):
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(load_case("classify-field")["files"]["ring"]),
+                    encoding="utf-8")
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "factopo", "classify",
+                           "--ring", str(ring)], capture_output=True, env=env,
+                          check=False)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "classify-field.out").read_bytes()
+
+
 def locations(doc, path=()):
     """The path of every value inside a JSON document, its root first."""
     yield path
@@ -116,6 +139,43 @@ def locations(doc, path=()):
 
 
 WITH_FILES = [name for name in CASES if load_case(name)["files"]]
+
+
+def containers(doc):
+    """Every object and list of a JSON document, the document first."""
+    if isinstance(doc, (dict, list)):
+        yield doc
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from containers(value)
+
+
+@pytest.mark.parametrize("name", WITH_FILES)
+def test_each_input_file_is_read_once(name, tmp_path, monkeypatch):
+    # reader.read runs once on each input file, at its top, and never again
+    # on a part of it
+    docs, reads = [], []
+    load, read = cli.load_json, reader.read
+
+    def loading(path):
+        doc = load(path)
+        docs.append((doc, {id(part) for part in containers(doc)}))
+        return doc
+
+    def counting(doc, table, error=InvalidSpec):
+        reads.append(id(doc))
+        return read(doc, table, error)
+
+    monkeypatch.setattr(cli, "load_json", loading)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("factopo") and \
+                getattr(module, "read", None) is read:
+            monkeypatch.setattr(module, "read", counting)
+    run_case(name, tmp_path)
+    assert len(docs) == len(load_case(name)["files"])
+    assert [reads.count(id(doc)) for doc, _parts in docs] == [1] * len(docs)
+    assert [sum(r in parts for r in reads) for _doc, parts in docs] == \
+        [1] * len(docs)
+
 
 # what a mutation puts in place of a value: another JSON type, or a number
 # past a machine word, past any table, or below zero
