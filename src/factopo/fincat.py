@@ -25,9 +25,11 @@ class FinCat:
 
     ``morphisms`` maps a morphism id to its (src, tgt) pair, ``identities``
     maps each object to its identity morphism, and ``compose`` maps the
-    composable pair (g, f) to g after f.  ``payload`` optionally attaches
-    concrete data (a ring hom, a functor, ...) to each morphism id.  The
-    kept ``budget`` pays for validation and for the isomorphisms found later.
+    composable pair (g, f) to g after f; the category keeps that dict
+    rather than a copy, so that a large table is never held twice.
+    ``payload`` optionally attaches concrete data (a ring hom, a functor,
+    ...) to each morphism id.  The kept ``budget`` pays for validation and
+    for the isomorphisms found later.
     """
 
     def __init__(self, objects, morphisms, identities, compose,
@@ -35,7 +37,7 @@ class FinCat:
         self.objects = tuple(objects)
         self.morphisms = dict(morphisms)
         self.identities = dict(identities)
-        self.compose_table = dict(compose)
+        self.compose_table = compose
         self.payload = dict(payload) if payload else {}
         self.name = name
         self.budget = ensure_budget(budget)
@@ -103,7 +105,7 @@ class FinCat:
                 raise NotACategory("object %r has no identity morphism" % (x,))
             if self.morphisms[i] != (x, x):
                 raise NotACategory("identity of %r is not an endomorphism of it" % (x,))
-        mors = self.morphisms
+        mors, uses = self.morphisms, dict.fromkeys(self._ids, 0)
         for (g, f), h in self.compose_table.items():
             if f not in mors or g not in mors or h not in mors:
                 raise NotACategory("compose entry (%r, %r) -> %r uses unknown morphisms" % (g, f, h))
@@ -111,13 +113,19 @@ class FinCat:
                 raise NotACategory("compose entry for non-composable pair (%r, %r)" % (g, f))
             if mors[h] != (mors[f][0], mors[g][1]):
                 raise NotACategory("composite of (%r, %r) has wrong endpoints" % (g, f))
-        comp = self.compose_table
+            uses[h] += 1
+        # row[f] holds the composites gf for g in hom_from(tgt f), in that
+        # order; a gap in it is a composable pair with no composite
+        comp, rows = self.compose_table, {}
         for f in self._ids:
             out = self._from.get(mors[f][1], ())
             budget.spend(len(out))
-            for g in out:
-                if (g, f) not in comp:
-                    raise NotACategory("compose undefined on composable pair (%r, %r)" % (g, f))
+            try:
+                rows[f] = [comp[(g, f)] for g in out]
+            except KeyError as gap:
+                raise NotACategory("compose undefined on composable pair "
+                                   "(%r, %r)" % gap.args[0]) from None
+        self._rows = rows
         for f in self._ids:
             s, t = mors[f]
             if comp[(self.identities[t], f)] != f:
@@ -127,22 +135,34 @@ class FinCat:
         # Light's test: the middles g with h(gf) = (hg)f for all composable
         # h, f contain the identities (unit laws) and are closed under
         # composition, so testing generators suffices: each morphism not yet
-        # reached becomes one, and left multiplication by them closes the rest.
-        reached = {self.identities[x] for x in self.objects}
-        reached_into = {x: [self.identities[x]] for x in self.objects}
-        gens_from = {x: [] for x in self.objects}
-        for g in self._ids:
+        # reached becomes one, and left multiplication by them closes the
+        # rest.  Rarely composite morphisms are tried first, since few
+        # others reach them.  For a middle g: s -> t and each f into s,
+        # row[gf] must be the (hg)f, read off row[f] at the places of the
+        # hg in hom_from(s).
+        reached, reached_into, gens_from, places = set(), {}, {}, {}
+        for x in self.objects:
+            i = self.identities[x]
+            reached.add(i)
+            reached_into[x], gens_from[x] = [i], []
+        for g in sorted(self._ids, key=uses.__getitem__):
             if g in reached:
                 continue
             s, t = mors[g]
-            after = [(h, comp[(h, g)]) for h in self.hom_from(t)]
+            place = places.get(s)
+            if place is None:
+                place = places[s] = {m: i for i, m in enumerate(self._from[s])}
+            at = [place[hg] for hg in rows[g]]
             for f in self._into.get(s, ()):
-                budget.spend(len(after))
-                gf = comp[(g, f)]
-                for h, hg in after:
-                    if comp[(h, gf)] != comp[(hg, f)]:
-                        raise NotACategory(
-                            "associativity fails on (%r, %r, %r)" % (h, g, f))
+                budget.spend(len(at))
+                row = rows[f]
+                hg_f = [row[i] for i in at]
+                h_gf = rows[comp[(g, f)]]
+                if hg_f != h_gf:
+                    h = next(h for h, x, y in zip(self.hom_from(t), hg_f, h_gf)
+                             if x != y)
+                    raise NotACategory(
+                        "associativity fails on (%r, %r, %r)" % (h, g, f))
             gens_from[s].append(g)
             budget.spend(len(reached_into[s]))
             fresh = [comp[(g, v)] for v in reached_into[s]]
@@ -446,7 +466,9 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
     FactorizerContractViolation; everything else lands in the report.
     Passing ``fac_alt`` checks middle uniqueness against a second run
     (typically the same factorizer under a permuted enumeration order).
-    Composites of pairs drawn from hom sets are read off the compose table.
+    Composites of pairs drawn from hom sets are read off the compose table,
+    and the closure and cancellation scans read them off the universe's
+    rows, one step for each pair (g, f) they scan with g in the class.
     """
     budget = ensure_budget(budget)
     C = universe
@@ -481,21 +503,25 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
             membership.counterexample = (m, a, b)
     report.axioms["class-membership"] = membership
 
+    # the g in a class composable after f, and the composites gf, read off
+    # f's row
+    def after_in(cls, f):
+        gs = C.hom_from(C.tgt(f))
+        keep = list(map(cls.__getitem__, gs))
+        return (list(itertools.compress(gs, keep)),
+                list(itertools.compress(C._rows[f], keep)))
+
     for key, cls in (("composition-closure-left", left_class),
                      ("composition-closure-right", right_class)):
         res = AxiomResult(PASS)
         for f in mors:
             if not cls[f]:
                 continue
-            for g in C.hom_from(C.tgt(f)):
-                if not cls[g]:
-                    continue
-                budget.spend()
-                if not cls[comp[(g, f)]]:
-                    res.status = FAIL
-                    res.counterexample = (g, f)
-                    break
-            if res.status == FAIL:
+            gs, gfs = after_in(cls, f)
+            budget.spend(len(gs))
+            closed = list(map(cls.__getitem__, gfs))
+            if not all(closed):
+                res = AxiomResult(FAIL, (gs[closed.index(False)], f))
                 break
         report.axioms[key] = res
 
@@ -511,15 +537,12 @@ def verify_system(fac, in_left, in_right, universe, fac_alt=None, budget=None):
 
     cancel = AxiomResult(PASS)
     for u in mors:
-        for v in C.hom_from(C.tgt(u)):
-            if not right_class[v]:
-                continue
-            budget.spend()
-            if right_class[comp[(v, u)]] and not right_class[u]:
-                cancel.status = FAIL
-                cancel.counterexample = (v, u)
-                break
-        if cancel.status == FAIL:
+        vs, vus = after_in(right_class, u)
+        budget.spend(len(vs))
+        cancelled = ([] if right_class[u]
+                     else list(map(right_class.__getitem__, vus)))
+        if True in cancelled:
+            cancel = AxiomResult(FAIL, (vs[cancelled.index(True)], u))
             break
     report.axioms["left-cancellation"] = cancel
 

@@ -3,8 +3,8 @@ does not need, or that it replaced with faster ones."""
 
 import itertools
 
-from factopo.errors import InvalidSpec
-from factopo.fincat import Functor, all_functors
+from factopo.errors import InvalidSpec, NotACategory
+from factopo.fincat import FAIL, PASS, AxiomResult, Functor, all_functors
 from factopo.finring import enumerate_homs
 from factopo.sset import (compose_ops, epi_mono_split, identity_op,
                           is_identity_op)
@@ -41,6 +41,106 @@ def associativity_violation_by_full_scan(C):
                 if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
                     return (h, g, f)
     return None
+
+
+def validate_by_triples(C, order=None):
+    """FinCat.validate as a loop over pairs and triples: every composable
+    pair is looked up in the compose table in (f, g) order, then the unit
+    laws, then Light's test, which takes the middles in ``order`` (default
+    ``morphism_ids``), makes each one not yet reached a generator and tests
+    it on every composable (h, g, f) one triple at a time.  Raises
+    NotACategory as validate does, charges C.budget what validate charges
+    for the same order, and returns the generators."""
+    budget, mors, objset = C.budget, C.morphisms, set(C.objects)
+    if len(objset) != len(C.objects):
+        raise NotACategory("duplicate object ids")
+    for m, (s, t) in mors.items():
+        if s not in objset or t not in objset:
+            raise NotACategory("morphism %r has endpoint outside the object set" % (m,))
+    for x in C.objects:
+        i = C.identities.get(x)
+        if i is None or i not in mors:
+            raise NotACategory("object %r has no identity morphism" % (x,))
+        if mors[i] != (x, x):
+            raise NotACategory("identity of %r is not an endomorphism of it" % (x,))
+    comp = C.compose_table
+    for (g, f), h in comp.items():
+        if f not in mors or g not in mors or h not in mors:
+            raise NotACategory("compose entry (%r, %r) -> %r uses unknown morphisms" % (g, f, h))
+        if mors[f][1] != mors[g][0]:
+            raise NotACategory("compose entry for non-composable pair (%r, %r)" % (g, f))
+        if mors[h] != (mors[f][0], mors[g][1]):
+            raise NotACategory("composite of (%r, %r) has wrong endpoints" % (g, f))
+    for f in C.morphism_ids():
+        out = C.hom_from(mors[f][1])
+        budget.spend(len(out))
+        for g in out:
+            if (g, f) not in comp:
+                raise NotACategory("compose undefined on composable pair (%r, %r)" % (g, f))
+    for f in C.morphism_ids():
+        s, t = mors[f]
+        if comp[(C.identities[t], f)] != f:
+            raise NotACategory("left unit law fails at %r" % (f,))
+        if comp[(f, C.identities[s])] != f:
+            raise NotACategory("right unit law fails at %r" % (f,))
+    reached = {C.identities[x] for x in C.objects}
+    reached_into = {x: [C.identities[x]] for x in C.objects}
+    gens_from = {x: [] for x in C.objects}
+    generators = []
+    for g in order or C.morphism_ids():
+        if g in reached:
+            continue
+        s, t = mors[g]
+        after = [(h, comp[(h, g)]) for h in C.hom_from(t)]
+        for f in C._into.get(s, ()):
+            budget.spend(len(after))
+            gf = comp[(g, f)]
+            for h, hg in after:
+                if comp[(h, gf)] != comp[(hg, f)]:
+                    raise NotACategory(
+                        "associativity fails on (%r, %r, %r)" % (h, g, f))
+        generators.append(g)
+        gens_from[s].append(g)
+        budget.spend(len(reached_into[s]))
+        fresh = [comp[(g, v)] for v in reached_into[s]]
+        while fresh:
+            w = fresh.pop()
+            if w not in reached:
+                reached.add(w)
+                reached_into[mors[w][1]].append(w)
+                budget.spend(len(gens_from[mors[w][1]]))
+                fresh.extend(comp[(g2, w)] for g2 in gens_from[mors[w][1]])
+    return generators
+
+
+def closure_and_cancellation_by_pairs(C, left_class, right_class):
+    """The composition-closure and left-cancellation verdicts of
+    verify_system for the given class memberships, looking up every
+    composable pair in the compose table one at a time."""
+    comp, out = C.compose_table, {}
+    for key, cls in (("composition-closure-left", left_class),
+                     ("composition-closure-right", right_class)):
+        res = AxiomResult(PASS)
+        for f in C.morphism_ids():
+            if not cls[f]:
+                continue
+            for g in C.hom_from(C.tgt(f)):
+                if cls[g] and not cls[comp[(g, f)]]:
+                    res = AxiomResult(FAIL, (g, f))
+                    break
+            if res.status == FAIL:
+                break
+        out[key] = res
+    cancel = AxiomResult(PASS)
+    for u in C.morphism_ids():
+        for v in C.hom_from(C.tgt(u)):
+            if right_class[v] and right_class[comp[(v, u)]] and not right_class[u]:
+                cancel = AxiomResult(FAIL, (v, u))
+                break
+        if cancel.status == FAIL:
+            break
+    out["left-cancellation"] = cancel
+    return out
 
 
 def all_functors_by_backtracking(C, D):

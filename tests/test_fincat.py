@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from factopo.budget import Budget
 from factopo.catalogs import category_catalogue
@@ -13,13 +13,15 @@ from factopo.errors import EnumerationBudgetExceeded, NotACategory
 from factopo.fincat import (FinCat, Functor, all_functors, concrete_category,
                             identity_functor, is_orthogonal, monoid_category,
                             poset_category, pushout, terminal_category,
-                            validate_fincat)
-from factopo.ringsys import ring_universe, verify_ring_system
+                            validate_fincat, verify_system)
+from factopo.ringsys import (class_predicates, ring_universe,
+                             verify_ring_system)
 from factopo.finring import enumerate_homs, gf, identity_hom, zmod
 from oracles import (all_functors_by_backtracking,
                      associativity_violation_by_full_scan,
+                     closure_and_cancellation_by_pairs,
                      concrete_tables_by_composing_maps, fincat_isomorphic,
-                     then)
+                     then, validate_by_triples)
 
 AXIOM_KEYS = ("class-membership", "composition-closure-left",
               "composition-closure-right", "intersection-isomorphisms",
@@ -165,13 +167,18 @@ class Unchecked(FinCat):
         return None
 
 
+def corruption_spots(C):
+    """The pairs of non-identities whose composite can move to another arrow
+    of its hom set: endpoints, totality and the unit laws still hold, so
+    only associativity can fail."""
+    return [(g, f) for g, f in C.compose_table
+            if not C.is_identity(g) and not C.is_identity(f)
+            and len(C.hom(C.src(f), C.tgt(g))) > 1]
+
+
 def corrupted(C, rng):
-    """C with the composites of one or two pairs of non-identities moved to
-    another arrow of their hom set: endpoints, totality and the unit laws
-    still hold, so only associativity can fail."""
-    spots = [(g, f) for g, f in C.compose_table
-             if not C.is_identity(g) and not C.is_identity(f)
-             and len(C.hom(C.src(f), C.tgt(g))) > 1]
+    """C with the composites of one or two of its corruption spots moved."""
+    spots = corruption_spots(C)
     comp = dict(C.compose_table)
     for _ in range(rng.choice((1, 2))):
         g, f = rng.choice(spots)
@@ -183,9 +190,7 @@ def corrupted(C, rng):
 def corruptions(cats, delta2, n=1000, seed=11):
     """n seeded corruptions of the categories that have room for one."""
     pool = [C for C in cats + [delta2] + catfib_suite_categories(cats)
-            if any(len(C.hom(C.src(f), C.tgt(g))) > 1
-                   for g, f in C.compose_table
-                   if not C.is_identity(g) and not C.is_identity(f))]
+            if corruption_spots(C)]
     rng = random.Random(seed)
     return [corrupted(rng.choice(pool), rng) for _ in range(n)]
 
@@ -198,36 +203,132 @@ def refusal(C):
     return None
 
 
-def breaks_associativity(C, h, g, f):
+def assert_names_a_broken_triple(C, refused):
+    claim, _, triple = refused.partition(" on ")
+    assert claim == "associativity fails", refused
+    h, g, f = ast.literal_eval(triple)
     comp = C.compose_table
-    return comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]
+    assert comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)], refused
+
+
+def old_refusal(C):
+    try:
+        validate_by_triples(C)
+    except NotACategory as exc:
+        return str(exc)
+    return None
 
 
 def test_associativity_check_matches_the_full_scan(cats, delta2):
     for C in cats + [delta2] + catfib_suite_categories(cats):
         assert associativity_violation_by_full_scan(C) is None, C.name
-        assert refusal(C) is None, C.name
+        assert refusal(C) is None and old_refusal(C) is None, C.name
     seen = {"refused": 0, "accepted": 0}
     for C in corruptions(cats, delta2):
         new, old = refusal(C), associativity_violation_by_full_scan(C)
         assert (new is None) == (old is None), (C.name, new, old)
+        # the pair-and-triple loop, which tries the middles in another
+        # order, gives the same verdict
+        assert (new is None) == (old_refusal(C) is None), (C.name, new)
         if new is not None:
-            claim, _, triple = new.partition(" on ")
-            assert claim == "associativity fails", new
-            assert breaks_associativity(C, *ast.literal_eval(triple)), new
+            assert_names_a_broken_triple(C, new)
         seen["refused" if new else "accepted"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_a_missing_composite_is_named_as_the_pair_loop_names_it(cats):
+    """Rows are read in (f, g) order, so the refusal of a table with one
+    composable pair left out is the pair loop's, byte for byte."""
+    for C in cats:
+        for pair in C.compose_table:
+            comp = dict(C.compose_table)
+            del comp[pair]
+            D = Unchecked(C.objects, C.morphisms, C.identities, comp,
+                          name=C.name)
+            new = refusal(D)
+            assert new.startswith("compose undefined on composable pair")
+            assert new == old_refusal(D), (C.name, pair)
+
+
+def fewest_composite_first(C):
+    uses = dict.fromkeys(C.morphism_ids(), 0)
+    for h in C.compose_table.values():
+        uses[h] += 1
+    return sorted(C.morphism_ids(), key=uses.__getitem__)
 
 
 def test_associativity_is_tested_on_generating_middles_only(cats):
     U = cat_universe(cats)
     triples = sum(len(U.hom_from(U.tgt(g)))
                   for f in U.morphism_ids() for g in U.hom_from(U.tgt(f)))
+    assert (len(U.morphisms), triples) == (466, 2_550_904)
     before = U.budget.used
     U.validate()
-    # 466 arrows, 2,550,904 composable triples, 100 generating middles
+    # the 19 generating middles of the fewest-composite-first order leave
+    # 90,722 triples to test; the 100 of morphism_ids order left 377,402
     used = U.budget.used - before
-    assert used < triples // 5, (used, triples)
+    assert used == 126_530
+    before = U.budget.used
+    assert len(validate_by_triples(U, fewest_composite_first(U))) == 19
+    assert U.budget.used - before == used
+    before = U.budget.used
+    assert len(validate_by_triples(U)) == 100
+    assert U.budget.used - before == 419_124
+
+
+def test_verify_system_charges_one_step_per_pair_it_reads(cats):
+    U = cat_universe(cats)
+    budget = Budget()
+    report = verify_system(lambda m: (U.identities[U.src(m)], U.src(m), m),
+                           U.is_iso, lambda m: True, U, budget=budget)
+    assert report.ok()
+    assert budget.used == 84_372
+
+
+def random_class(U, rng, small=False):
+    """A seeded class of U's arrows: each arrow with one drawn density, the
+    identities and the arrows of drawn hom sets, the isomorphisms and up to
+    three drawn arrows, or every arrow but up to three.  ``small`` keeps to
+    the first density and the isomorphisms, so that the codiagonal axiom
+    computes few pushouts."""
+    mors = U.morphism_ids()
+    kind = rng.choice((0, 2) if small else (0, 1, 2, 3))
+    if kind == 0:
+        p = 0.05 if small else rng.choice((0.05, 0.5, 0.95))
+        return {m: rng.random() < p for m in mors}
+    if kind == 1:
+        homs = {xy for xy in U._hom if rng.random() < 0.5}
+        return {m: U.morphisms[m] in homs or U.is_identity(m) for m in mors}
+    picked = set(rng.sample(mors, rng.choice((0, 1, 3))))
+    if kind == 2:
+        return {m: U.is_iso(m) or m in picked for m in mors}
+    return {m: m not in picked for m in mors}
+
+
+def test_closure_and_cancellation_read_off_rows_match_the_pair_loop(cats):
+    rings = [zmod(1), zmod(2), zmod(3), zmod(4), zmod(6), gf(2, 2)]
+    R = ring_universe(rings, Budget())
+    systems = []
+    for name in ("loc-cons", "surj-mono", "int-intclo"):
+        in_left, in_right = class_predicates(name, R, Budget())
+        systems.append((R, {m: in_left(m) for m in R.morphism_ids()},
+                        {m: in_right(m) for m in R.morphism_ids()}))
+    rng = random.Random(5)
+    systems += [(R, random_class(R, rng), random_class(R, rng))
+                for _ in range(60)]
+    U = cat_universe(cats)
+    systems += [(U, random_class(U, rng, small=True), random_class(U, rng))
+                for _ in range(16)]
+    seen = set()
+    for C, left, right in systems:
+        report = verify_system(
+            lambda m: (C.identities[C.src(m)], C.src(m), m),
+            left.__getitem__, right.__getitem__, C, budget=Budget())
+        old = closure_and_cancellation_by_pairs(C, left, right)
+        # the other axioms do not read rows
+        assert report.axioms == {**report.axioms, **old}
+        seen.update((C.name, key, res.status) for key, res in old.items())
+    assert len(seen) == 12, sorted(seen)
 
 
 def functor_maps(functors):
@@ -299,6 +400,23 @@ small_categories = st.one_of(
 def test_all_functors_matches_the_backtracker_on_drawn_categories(C, D):
     assert functor_maps(all_functors(C, D, Budget())) == \
         functor_maps(all_functors_by_backtracking(C, D))
+
+
+@given(small_categories, st.data())
+def test_one_corrupted_composite_is_refused_iff_associativity_fails(C, data):
+    """A drawn category with one composite moved is refused exactly when
+    the full scan finds a broken triple, and the refusal names one."""
+    spots = corruption_spots(C)
+    assume(spots)
+    g, f = data.draw(st.sampled_from(spots))
+    comp = dict(C.compose_table)
+    comp[(g, f)] = data.draw(st.sampled_from(
+        [m for m in C.hom(C.src(f), C.tgt(g)) if m != comp[(g, f)]]))
+    D = Unchecked(C.objects, C.morphisms, C.identities, comp, name=C.name)
+    new = refusal(D)
+    assert (new is None) == (associativity_violation_by_full_scan(D) is None)
+    if new is not None:
+        assert_names_a_broken_triple(D, new)
 
 
 def test_budget_stops_the_category_layer_at_once(cats, delta2):
