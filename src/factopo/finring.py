@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import getitem
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotARing
@@ -49,22 +50,23 @@ class FinRing:
 
     def validate_axioms(self):
         """Refuse tables that are not a commutative unital ring, naming a
-        counterexample; O(n^2 log n).
+        counterexample; O(n^2).
 
-        Associativity and distributivity are checked on S only: zero plus a
-        greedy generating set of (R, +), so |S| <= log2(n) + 1.  Returns S.
+        S is zero plus a greedy generating set of (R, +), so |S| <= log2(n)
+        + 1.  Each element's rows are checked once, along a spanning tree of
+        (R, +) from zero, and the rows of S against each other.  Returns S.
         """
         n = self.size
         if n == 0:
             raise NotARing("empty carrier")
         A, M, names = self.add, self.mul, self.names
+        carrier = set(range(n))
         for table, label in ((A, "add"), (M, "mul")):
             if len(table) != n or any(len(row) != n for row in table):
                 raise NotARing("%s table is not %dx%d" % (label, n, n))
-            for row in table:
-                if min(row) < 0 or max(row) >= n:
-                    v = next(v for v in row if not 0 <= v < n)
-                    raise NotARing("%s table entry %r out of range" % (label, v))
+            if not carrier.issuperset(itertools.chain.from_iterable(table)):
+                v = next(v for row in table for v in row if v not in carrier)
+                raise NotARing("%s table entry %r out of range" % (label, v))
         zero, one = self.zero, self.one
         if not (0 <= zero < n) or not (0 <= one < n):
             raise NotARing("zero or one out of range")
@@ -89,49 +91,83 @@ class FinRing:
         def first_miss(lhs, rhs):
             return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
 
-        # Light's test: the a with (x+a)+y = x+(a+y) for all x, y form a
-        # submagma, which holds everything reachable from zero by adding
-        # members of S; zero passes as it is neutral.  Testing each member
-        # as it joins keeps |S| within its bound on any table.
-        S, reached = [zero], {zero}
+        def breaks(law, x, y, z):
+            return NotARing("%s at (%s, %s, %s)"
+                            % (law, names[x], names[y], names[z]))
+
+        # Addition.  L_x is row x, y -> x + y.  Each x first reached as r + s,
+        # r reached before and s in S, has L_x = L_r L_s checked, so every
+        # L_x lies in the monoid the L_s generate, and the L_s are checked to
+        # commute, so that monoid is commutative.  It carries zero to all of
+        # R, so each member is fixed by where it sends zero, and L_x L_y =
+        # L_(x+y) as both send zero to x + y: that is associativity.  Each
+        # member of S has its row checked to be a permutation as it joins, so
+        # every row is one, and each new member at least doubles the group
+        # reached.
+        S, reached, tree = [zero], {zero}, []
         for a in range(n):
             if a in reached:
                 continue
             Aa = A[a]
-            for x in range(n):
-                Ax = A[x]
-                rhs = tuple(map(Ax.__getitem__, Aa))
-                if A[Ax[a]] != rhs:
-                    raise NotARing("addition not associative at (%s, %s, %s)"
-                                   % (names[x], names[a],
-                                      names[first_miss(A[Ax[a]], rhs)]))
+            if len(set(Aa)) != n:
+                # z + a = 0 and a + y = a + y' = v for y != y', while
+                # (z + a) + y = y: z + v cannot be both y and y'
+                v = next(v for v in Aa if Aa.count(v) > 1)
+                y = Aa.index(v)
+                z = Aa.index(zero)
+                if A[z][v] == y:
+                    y = Aa.index(v, y + 1)
+                raise breaks("addition not associative", z, a, y)
+            for s in S[1:]:
+                As = A[s]
+                lhs = tuple(map(Aa.__getitem__, As))
+                rhs = tuple(map(As.__getitem__, Aa))
+                if lhs != rhs:
+                    # a + (s + z) != s + (a + z), so one of them is not
+                    # (a + s) + z = (s + a) + z
+                    z = first_miss(lhs, rhs)
+                    if lhs[z] != A[A[a][s]][z]:
+                        raise breaks("addition not associative", a, s, z)
+                    raise breaks("addition not associative", s, a, z)
             S.append(a)
             todo = list(reached)
             while todo:
-                r = A[todo.pop()]
+                r = todo.pop()
+                Ar = A[r]
                 for s in S:
-                    if r[s] not in reached:
-                        reached.add(r[s])
-                        todo.append(r[s])
-        # the s with x(s+z) = xs + xz for all x, z are closed under + once
-        # + is associative, so S covers R; zero needs no row, as any other
-        # member's row at z = zero gives xs = xs + x0, so x0 = 0
+                    x = Ar[s]
+                    if x not in reached:
+                        rhs = tuple(map(Ar.__getitem__, A[s]))
+                        if A[x] != rhs:
+                            raise breaks("addition not associative", r, s,
+                                         first_miss(A[x], rhs))
+                        reached.add(x)
+                        todo.append(x)
+                        tree.append((x, r, s))
+        # Distributivity.  Each row M[s], s in S, is additive against S, so
+        # additive, by induction along the tree now that + is associative;
+        # and M[x] = M[r] + M[s] pointwise on each tree edge x = r + s, so
+        # every row is a sum of additive rows.  Row zero is zero by the first
+        # edge, S[1] = zero + S[1], as zero was all that was reached then.
         for s in S[1:]:
-            As = A[s]
-            for x in range(n):
-                Mx = M[x]
-                lhs = tuple(map(Mx.__getitem__, As))
-                rhs = tuple(map(A[Mx[s]].__getitem__, Mx))
+            Ms = M[s]
+            for t in S[1:]:
+                lhs = tuple(map(Ms.__getitem__, A[t]))
+                rhs = tuple(map(A[Ms[t]].__getitem__, Ms))
                 if lhs != rhs:
-                    raise NotARing("distributivity fails at (%s, %s, %s)"
-                                   % (names[x], names[s],
-                                      names[first_miss(lhs, rhs)]))
+                    raise breaks("distributivity fails", s, t,
+                                 first_miss(lhs, rhs))
+        for x, r, s in tree:
+            # row x holds y(r + s), the sum holds yr + ys
+            rhs = tuple(map(getitem, map(A.__getitem__, M[r]), M[s]))
+            if M[x] != rhs:
+                raise breaks("distributivity fails", first_miss(M[x], rhs),
+                             r, s)
         # a commutative biadditive product is associative when it is so on
         # additive generators, since (xy)z - x(yz) is additive in each place
         for x, y, z in itertools.product(S, repeat=3):
             if M[M[x][y]][z] != M[x][M[y][z]]:
-                raise NotARing("multiplication not associative at (%s, %s, %s)"
-                               % (names[x], names[y], names[z]))
+                raise breaks("multiplication not associative", x, y, z)
         for g in self.generators:
             if not (0 <= g < n):
                 raise NotARing("generator %r out of range" % (g,))
@@ -141,8 +177,7 @@ class FinRing:
     def units(self):
         if "units" not in self._cache:
             self._cache["units"] = frozenset(
-                x for x in self.elements()
-                if any(self.mul[x][y] == self.one for y in self.elements()))
+                x for x, row in enumerate(self.mul) if self.one in row)
         return self._cache["units"]
 
     def idempotents(self):
@@ -161,36 +196,27 @@ class FinRing:
         """
         if "genseq" in self._cache:
             return self._cache["genseq"]
-        known = {}
-        order = []
-
-        def learn(e, op):
-            if e not in known:
-                known[e] = op
-                order.append(e)
-                return True
-            return False
-
+        n, known = self.size, {}
+        learn = known.setdefault
         learn(self.zero, ("zero",))
         learn(self.one, ("one",))
         for g in self.generators:
             learn(g, ("gen", g))
-        changed = True
-        while changed:
-            changed = False
-            snapshot = list(order)
+        # rounds over the pairs known so far, stopping once all n are known
+        while len(known) < n:
+            before = len(known)
+            snapshot = list(known)
             for x in snapshot:
-                if learn(self.neg[x], ("neg", x)):
-                    changed = True
+                learn(self.neg[x], ("neg", x))
                 for y in snapshot:
-                    if learn(self.add[x][y], ("add", x, y)):
-                        changed = True
-                    if learn(self.mul[x][y], ("mul", x, y)):
-                        changed = True
-        if len(order) != self.size:
-            raise InvalidSpec(
-                "generators %r do not generate %s" % (list(self.generators), self.name))
-        seq = tuple((e, known[e]) for e in order)
+                    learn(self.add[x][y], ("add", x, y))
+                    learn(self.mul[x][y], ("mul", x, y))
+                if len(known) == n:
+                    break
+            if len(known) == before:
+                raise InvalidSpec("generators %r do not generate %s"
+                                  % (list(self.generators), self.name))
+        seq = tuple(known.items())
         self._cache["genseq"] = seq
         return seq
 
@@ -715,29 +741,24 @@ def prime_ideals_bruteforce(A, budget):
     return [I for I in all_ideals(A, budget) if is_prime_ideal(I)]
 
 
-def multiplicative_closure(A, S):
-    out = {A.one}
-    frontier = [A.one]
-    for s in S:
-        if s not in out:
-            out.add(s)
-            frontier.append(s)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            p = A.mul[x][y]
-            if p not in out:
-                out.add(p)
-                frontier.append(p)
-    return frozenset(out)
-
-
 def annihilator_kernel(A, S):
-    """Elements killed by some member of the multiplicative closure of S."""
-    Sbar = multiplicative_closure(A, S)
-    elems = {a for a in A.elements()
-             if any(A.mul[s][a] == A.zero for s in Sbar)}
-    return Ideal(A, frozenset(elems))
+    """Elements killed by some member of the multiplicative closure of S.
+
+    That is Ann(u^N), u the product of S and N = 2^bit_length(n) > n.  Each
+    member w of the closure divides u^k once k passes its exponents, and
+    Ann(w) <= Ann(wv), so the kernel is the union of the chain Ann(u) <=
+    Ann(u^2) <= ...  The chain is constant once two terms agree (x u^(k+2)
+    = 0 puts xu in Ann(u^(k+1)) = Ann(u^k)), so from some k <= n on, as
+    each step before that adds an element.  u^N takes bit_length(n)
+    squarings, and the kernel is one read of row u^N.
+    """
+    u = A.one
+    for s in S:
+        u = A.mul[u][s]
+    for _ in range(A.size.bit_length()):
+        u = A.mul[u][u]
+    return Ideal(A, frozenset(a for a, v in enumerate(A.mul[u])
+                              if v == A.zero))
 
 
 def localize(A, S):

@@ -3,7 +3,7 @@ does not need, or that it replaced with faster ones."""
 
 import itertools
 
-from factopo.errors import InvalidSpec, NotACategory
+from factopo.errors import InvalidSpec, NotACategory, NotARing
 from factopo.fincat import FAIL, PASS, AxiomResult, Functor, all_functors
 from factopo.finring import enumerate_homs
 from factopo.sset import (compose_ops, epi_mono_split, identity_op,
@@ -256,6 +256,129 @@ def hom_mappings_by_full_scan(A, B):
         if not clash and is_hom_by_full_scan(A, B, tuple(f)):
             out.add(tuple(f))
     return sorted(out)
+
+
+def validate_axioms_by_light(names, add, mul, zero, one):
+    """FinRing.validate_axioms by Light's test, on n x n tables of elements:
+    the ring axioms, refused with NotARing and a counterexample as
+    validate_axioms words it, and S, zero plus a greedy generating set of
+    (R, +), returned.  Associativity and distributivity are tested once per
+    element and per member of S, n^2 |S| steps."""
+    n = len(names)
+    A = tuple(tuple(row) for row in add)
+    M = tuple(tuple(row) for row in mul)
+    for x in range(n):
+        if A[x][zero] != x:
+            raise NotARing("zero is not additively neutral at %s" % names[x])
+        if M[x][one] != x:
+            raise NotARing("one is not multiplicatively neutral at %s" % names[x])
+        if zero not in A[x]:
+            raise NotARing("no additive inverse for %s" % names[x])
+        for y in range(n):
+            if A[x][y] != A[y][x]:
+                raise NotARing("addition not commutative at (%s, %s)"
+                               % (names[x], names[y]))
+            if M[x][y] != M[y][x]:
+                raise NotARing("multiplication not commutative at (%s, %s)"
+                               % (names[x], names[y]))
+
+    def first_miss(lhs, rhs):
+        return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+
+    # Light's test: the a with (x+a)+y = x+(a+y) for all x, y form a
+    # submagma, which holds everything reachable from zero by adding
+    # members of S; each member is tested as it joins
+    S, reached = [zero], {zero}
+    for a in range(n):
+        if a in reached:
+            continue
+        Aa = A[a]
+        for x in range(n):
+            Ax = A[x]
+            rhs = tuple(map(Ax.__getitem__, Aa))
+            if A[Ax[a]] != rhs:
+                raise NotARing("addition not associative at (%s, %s, %s)"
+                               % (names[x], names[a],
+                                  names[first_miss(A[Ax[a]], rhs)]))
+        S.append(a)
+        todo = list(reached)
+        while todo:
+            r = A[todo.pop()]
+            for s in S:
+                if r[s] not in reached:
+                    reached.add(r[s])
+                    todo.append(r[s])
+    # the s with x(s+z) = xs + xz for all x, z are closed under +
+    for s in S[1:]:
+        As = A[s]
+        for x in range(n):
+            Mx = M[x]
+            lhs = tuple(map(Mx.__getitem__, As))
+            rhs = tuple(map(A[Mx[s]].__getitem__, Mx))
+            if lhs != rhs:
+                raise NotARing("distributivity fails at (%s, %s, %s)"
+                               % (names[x], names[s],
+                                  names[first_miss(lhs, rhs)]))
+    for x, y, z in itertools.product(S, repeat=3):
+        if M[M[x][y]][z] != M[x][M[y][z]]:
+            raise NotARing("multiplication not associative at (%s, %s, %s)"
+                           % (names[x], names[y], names[z]))
+    return tuple(S)
+
+
+def annihilator_kernel_by_closure(A, S):
+    """The elements of A killed by some member of the multiplicative
+    closure of S, which is grown from {1} and S by products."""
+    out = {A.one}
+    frontier = [A.one]
+    for s in S:
+        if s not in out:
+            out.add(s)
+            frontier.append(s)
+    while frontier:
+        x = frontier.pop()
+        for y in list(out):
+            p = A.mul[x][y]
+            if p not in out:
+                out.add(p)
+                frontier.append(p)
+    return frozenset(a for a in A.elements()
+                     if any(A.mul[s][a] == A.zero for s in out))
+
+
+def generation_sequence_by_rounds(A):
+    """FinRing.generation_sequence with every round run in full, the last
+    one after every element is known included."""
+    known = {}
+    order = []
+
+    def learn(e, op):
+        if e not in known:
+            known[e] = op
+            order.append(e)
+            return True
+        return False
+
+    learn(A.zero, ("zero",))
+    learn(A.one, ("one",))
+    for g in A.generators:
+        learn(g, ("gen", g))
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(order)
+        for x in snapshot:
+            if learn(A.neg[x], ("neg", x)):
+                changed = True
+            for y in snapshot:
+                if learn(A.add[x][y], ("add", x, y)):
+                    changed = True
+                if learn(A.mul[x][y], ("mul", x, y)):
+                    changed = True
+    if len(order) != A.size:
+        raise InvalidSpec(
+            "generators %r do not generate %s" % (list(A.generators), A.name))
+    return tuple((e, known[e]) for e in order)
 
 
 def ideal_generated_by_closure(A, gens):

@@ -16,9 +16,11 @@ from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
                              prime_ideals_bruteforce, prime_power, product_ring,
                              quotient_ring, radical, smallest_prime_factor,
                              table_ring, zmod)
-from oracles import (hom_mappings_by_full_scan, ideal_generated_by_closure,
-                     is_hom_by_full_scan, product_tables_by_tuple_index,
-                     ring_isomorphic)
+from oracles import (annihilator_kernel_by_closure,
+                     generation_sequence_by_rounds, hom_mappings_by_full_scan,
+                     ideal_generated_by_closure, is_hom_by_full_scan,
+                     product_tables_by_tuple_index, ring_isomorphic,
+                     validate_axioms_by_light)
 
 
 def test_zmod_basics():
@@ -77,6 +79,18 @@ def test_table_ring_broken_additive_associativity():
         build_ring(spec)
     assert "addition not associative" in str(err.value)
     assert witness_breaks(str(err.value), add, spec["mul"], [str(i) for i in range(5)])
+
+
+def test_table_entries_out_of_range_are_refused():
+    add, mul = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+    for table, label, v in ((add, "add", 2), (mul, "mul", -1),
+                            (mul, "mul", "1")):
+        bent = [list(row) for row in table]
+        bent[1][0] = v
+        tables = (bent, mul) if label == "add" else (add, bent)
+        with pytest.raises(NotARing) as err:
+            FinRing(["0", "1"], *tables, 0, 1)
+        assert str(err.value) == "%s table entry %r out of range" % (label, v)
 
 
 def test_nonassociative_algebra_is_refused():
@@ -168,44 +182,214 @@ def small_rings(square_zero):
     return out + [R for R in square_zero.values() if R.size <= 12]
 
 
-def test_axiom_check_matches_the_full_scan(square_zero):
-    # the benchmark's ring ladder, orders 8 to 64
-    ladder = [zmod(n) for n in (8, 12, 16, 30, 36, 60, 64)] + \
+@pytest.fixture(scope="session")
+def small(square_zero):
+    return small_rings(square_zero)
+
+
+def ladder():
+    """The benchmark's ring ladder, orders 8 to 64."""
+    return [zmod(n) for n in (8, 12, 16, 30, 36, 60, 64)] + \
         [gf(2, k) for k in (3, 4, 5, 6)] + \
         [product_ring(fs) for fs in ([zmod(2)] * 3, [zmod(2), gf(2, 2)],
                                      [zmod(2)] * 4, [zmod(4)] * 2,
                                      [zmod(2), zmod(8)], [zmod(2), zmod(32)],
                                      [zmod(4)] * 3)]
-    for R in ladder:
+
+
+def relabelled(R, rng):
+    """R's tables under a random relabelling, so zero and the generators sit
+    anywhere: [names, add, mul, zero, one], the tables as lists of lists."""
+    perm = rng.sample(range(R.size), R.size)
+    names = [None] * R.size
+    add = [[None] * R.size for _ in names]
+    mul = [[None] * R.size for _ in names]
+    for x, y in itertools.product(R.elements(), repeat=2):
+        names[perm[x]] = R.names[x]
+        add[perm[x]][perm[y]] = perm[R.add[x][y]]
+        mul[perm[x]][perm[y]] = perm[R.mul[x][y]]
+    return [names, add, mul, perm[R.zero], perm[R.one]]
+
+
+def light_verdict(names, add, mul, zero, one):
+    try:
+        return validate_axioms_by_light(names, add, mul, zero, one)
+    except NotARing as exc:
+        return str(exc)
+
+
+def assert_verdict_matches_the_scans(names, add, mul, zero, one):
+    """The check refuses exactly when the full scan and Light's test do,
+    naming elements that break its law, and otherwise returns the S of
+    Light's test; returns whether it refused."""
+    args = (names, add, mul, zero, one)
+    new, old = verdict(*args), axiom_violation_by_full_scan(*args)
+    assert (new is None) == (old is None), (args, new, old)
+    light = light_verdict(*args)
+    if new is None:
+        assert FinRing(*args).additive_generators == light
+        return False
+    assert witness_breaks(new, add, mul, names), new
+    assert isinstance(light, str), (args, new)
+    if re.match(r"zero is not|one is not|no additive inverse", new):
+        assert new == old == light
+    return True
+
+
+def test_axiom_check_matches_the_full_scan(square_zero):
+    for R in ladder():
         assert axiom_violation_by_full_scan(
             R.names, R.add, R.mul, R.zero, R.one) is None, R.name
     rng = random.Random(5)
     rings = small_rings(square_zero)
+    # and wide generating sets, |S| >= 5, which Z/n never has
+    wide = [gf(2, 4), gf(2, 5), product_ring([zmod(2)] * 4),
+            product_ring([zmod(2)] * 5)]
+    assert min(len(R.additive_generators) for R in wide) >= 5
     seen = {"refused": 0, "accepted": 0}
-    for _ in range(1200):
-        R = rng.choice(rings)
-        # relabel at random, so zero and the generators sit anywhere
-        perm = rng.sample(range(R.size), R.size)
-        names = [None] * R.size
-        tables = {"add": [[None] * R.size for _ in names],
-                  "mul": [[None] * R.size for _ in names]}
-        for x, y in itertools.product(R.elements(), repeat=2):
-            names[perm[x]] = R.names[x]
-            tables["add"][perm[x]][perm[y]] = perm[R.add[x][y]]
-            tables["mul"][perm[x]][perm[y]] = perm[R.mul[x][y]]
+    for R in itertools.chain((rng.choice(rings) for _ in range(1200)),
+                             wide * 100):
+        args = relabelled(R, rng)
         for _cell in range(rng.choice((1, 2))):
-            t = tables[rng.choice(("add", "mul"))]
+            t = args[rng.choice((1, 2))]
             x, y = rng.randrange(R.size), rng.randrange(R.size)
             t[x][y] = t[y][x] = rng.randrange(R.size)
-        args = (names, tables["add"], tables["mul"], perm[R.zero], perm[R.one])
-        new, old = verdict(*args), axiom_violation_by_full_scan(*args)
-        assert (new is None) == (old is None), (R.name, tables, new, old)
-        if new is not None:
-            assert witness_breaks(new, tables["add"], tables["mul"], names), new
-            if re.match(r"zero is not|one is not|no additive inverse", new):
-                assert new == old
-        seen["refused" if new else "accepted"] += 1
+        refused = assert_verdict_matches_the_scans(*args)
+        seen["refused" if refused else "accepted"] += 1
     assert min(seen.values()) > 0, seen
+
+
+@given(st.data())
+def test_one_corrupted_cell_pair_is_refused_iff_the_scan_finds_one(small, data):
+    """A drawn ring with one symmetric pair of add or mul cells changed is
+    refused exactly when the full scan finds a broken axiom, and the
+    refusal names elements that break it."""
+    R = data.draw(st.sampled_from(small), label="ring")
+    names, add, mul = list(R.names), [list(r) for r in R.add], \
+        [list(r) for r in R.mul]
+    t = data.draw(st.sampled_from((add, mul)), label="table")
+    x = data.draw(st.integers(0, R.size - 1), label="x")
+    y = data.draw(st.integers(0, R.size - 1), label="y")
+    t[x][y] = t[y][x] = data.draw(st.integers(0, R.size - 1), label="value")
+    assert_verdict_matches_the_scans(names, add, mul, R.zero, R.one)
+
+
+def test_axiom_check_returns_the_generators_of_light(rings, square_zero):
+    """S is the same as Light's test finds on every ring built here, and
+    on every quotient of one by an ideal."""
+    built = list(rings) + list(square_zero.values()) + ladder()
+    for A in list(built):
+        built += [quotient_ring(A, I)[0] for I in all_ideals(A, Budget())]
+    for R in built:
+        assert R.additive_generators == validate_axioms_by_light(
+            R.names, R.add, R.mul, R.zero, R.one), R.name
+
+
+def commutative_loops(rng):
+    """Tables (add, e) of commutative loops of order 6 to 16 that are not
+    associative (every commutative loop of order 5 or less is a group): Latin, symmetric, with the neutral element e.
+
+    Three kinds: a neutral element put on the idempotent quasigroup
+    x.y = (x + y)/2 of Z/m, m odd, with x.x = e; a group table of order
+    <= 16 with one symmetric intercalate turned; and symmetric Latin
+    squares of odd order filled at random until one is not associative."""
+    out = []
+    for m in range(5, 16, 2):
+        half = (m + 1) // 2
+        out.append([[y if x == 0 else x if y == 0 else
+                     0 if x == y else (x - 1 + y - 1) * half % m + 1
+                     for y in range(m + 1)] for x in range(m + 1)])
+    for G in (zmod(8), zmod(12), zmod(16), product_ring([zmod(2)] * 3),
+              product_ring([zmod(2), zmod(4)]), product_ring([zmod(2)] * 4),
+              product_ring([zmod(2), zmod(6)]), product_ring([zmod(4)] * 2)):
+        A = [list(row) for row in G.add]
+        # a != d with a + a = d + d: cells (a, a), (d, d) hold u, (a, d)
+        # and (d, a) hold v, and swapping u and v keeps the square Latin
+        a, d = next((a, d) for a, d in itertools.combinations(
+            range(1, G.size), 2) if A[a][a] == A[d][d])
+        u, v = A[a][a], A[a][d]
+        A[a][a] = A[d][d] = v
+        A[a][d] = A[d][a] = u
+        out.append(A)
+    for n in (7, 9):
+        A = None
+        while A is None or associative(A):
+            A = fill_symmetric_latin(n, rng)
+        out.append(A)
+    return [(A, 0) for A in out]
+
+
+def associative(A):
+    n = len(A)
+    return all(A[A[x][y]][z] == A[x][A[y][z]]
+               for x, y, z in itertools.product(range(n), repeat=3))
+
+
+def fill_symmetric_latin(n, rng):
+    """A symmetric Latin square of order n with row 0 the identity, filled
+    cell by cell at random, or None when a cell has no value left."""
+    A = [[None] * n for _ in range(n)]
+    for x in range(n):
+        A[0][x] = A[x][0] = x
+    for x in range(1, n):
+        for y in range(x, n):
+            free = set(range(n)) - set(A[x]) - set(A[y])
+            if not free:
+                return None
+            A[x][y] = A[y][x] = rng.choice(sorted(free))
+    return A
+
+
+def test_commutative_loops_are_refused():
+    rng = random.Random(13)
+    loops = commutative_loops(rng)
+    assert {len(A) for A, _e in loops} >= {6, 7, 16}
+    for A, e in loops:
+        n = len(A)
+        assert all(sorted(row) == list(range(n)) for row in A)
+        assert all(A[x][y] == A[y][x] and A[e][x] == x
+                   for x in range(n) for y in range(n))
+        assert not associative(A)
+        for _copy in range(3):
+            perm = rng.sample(range(n), n)
+            add = [[None] * n for _ in range(n)]
+            for x, y in itertools.product(range(n), repeat=2):
+                add[perm[x]][perm[y]] = perm[A[x][y]]
+            zero = perm[e]
+            one = rng.choice([x for x in range(n) if x != zero])
+            # a product with one neutral and all else zero, so that only
+            # the addition is at fault
+            mul = [[y if x == one else x if y == one else zero
+                    for y in range(n)] for x in range(n)]
+            names = ["e%d" % x for x in range(n)]
+            with pytest.raises(NotARing) as err:
+                FinRing(names, add, mul, zero, one)
+            assert str(err.value).startswith("addition not associative")
+            assert witness_breaks(str(err.value), add, mul, names)
+            assert isinstance(light_verdict(names, add, mul, zero, one), str)
+
+
+def test_rows_additive_along_the_tree_only_are_refused():
+    # (Z/2 x Z/4, +) relabelled, S = (0, 1, 2) with 2 + 2 = 0, and a
+    # commutative product with one = 2, associative on S, whose every row is
+    # additive along the spanning tree of the addition check; yet 1(2 + 2)
+    # = 0 and 1*2 + 1*2 = 1 + 1 = 4, which only the rows of S checked
+    # against S find
+    add = [[0, 1, 2, 3, 4, 5, 6, 7], [1, 4, 7, 5, 6, 2, 0, 3],
+           [2, 7, 0, 4, 3, 6, 5, 1], [3, 5, 4, 0, 2, 1, 7, 6],
+           [4, 6, 3, 2, 0, 7, 1, 5], [5, 2, 6, 1, 7, 4, 3, 0],
+           [6, 0, 5, 7, 1, 3, 4, 2], [7, 3, 1, 6, 5, 0, 2, 4]]
+    mul = [[0, 0, 0, 0, 0, 0, 0, 0], [0, 3, 1, 1, 0, 5, 3, 5],
+           [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 3, 2, 4, 7, 6, 5],
+           [0, 0, 4, 4, 0, 4, 0, 4], [0, 5, 5, 7, 4, 0, 7, 4],
+           [0, 3, 6, 6, 0, 7, 3, 7], [0, 5, 7, 5, 4, 4, 7, 0]]
+    names = [str(i) for i in range(8)]
+    with pytest.raises(NotARing) as err:
+        FinRing(names, add, mul, 0, 2)
+    assert str(err.value) == "distributivity fails at (1, 2, 2)"
+    assert witness_breaks(str(err.value), add, mul, names)
+    assert (add[2][2], mul[1][2], add[1][1]) == (0, 1, 4)
+    assert light_verdict(names, add, mul, 0, 2).startswith("distributivity")
 
 
 def test_gf_tables_match_polynomial_arithmetic():
@@ -408,6 +592,47 @@ def test_prime_bruteforce_agreement(rings):
         fast = sorted(p.label() for p in prime_ideals(A))
         slow = sorted(p.label() for p in prime_ideals_bruteforce(A, Budget()))
         assert fast == slow, A.name
+
+
+def test_annihilator_kernel_matches_the_closure(rings, square_zero):
+    # the catalogue, the square-zero rings and the ladder; per ring: no
+    # element, each element, and seeded lists of units, of nilpotents (the
+    # localisation is the zero ring) and of any elements
+    rng = random.Random(17)
+    kinds = {"units": 0, "nilpotent": 0}
+    for A in list(rings) + list(square_zero.values()) + ladder():
+        units = sorted(A.units())
+        nil = sorted(nilradical(A).elements - {A.zero})
+        lists = [[]] + [[a] for a in A.elements()]
+        lists += [rng.choices(units, k=rng.randint(1, 4)) for _ in range(10)]
+        lists += [rng.choices(range(A.size), k=rng.randint(2, 4))
+                  for _ in range(10)]
+        if nil:
+            lists += [rng.choices(nil, k=rng.randint(1, 3)) +
+                      rng.choices(range(A.size), k=rng.randint(0, 2))
+                      for _ in range(10)]
+        for S in lists:
+            kernel = annihilator_kernel(A, S).elements
+            assert kernel == annihilator_kernel_by_closure(A, S), (A.name, S)
+            if S and set(S) <= set(units):
+                assert kernel == {A.zero}
+                kinds["units"] += 1
+            if set(S) & set(nil):
+                assert kernel == frozenset(A.elements())
+                kinds["nilpotent"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_generation_sequence_matches_the_full_rounds(rings, square_zero):
+    for A in list(rings) + list(square_zero.values()) + ladder():
+        assert A.generation_sequence() == generation_sequence_by_rounds(A), \
+            A.name
+    for A in (product_ring([zmod(2), zmod(2)]), gf(2, 2)):
+        B = FinRing(A.names, A.add, A.mul, A.zero, A.one)
+        with pytest.raises(InvalidSpec, match="do not generate"):
+            B.generation_sequence()
+        with pytest.raises(InvalidSpec, match="do not generate"):
+            generation_sequence_by_rounds(B)
 
 
 def test_constructed_ideals_are_ideals(rings):
