@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .budget import Budget
 from .errors import (EnumerationBudgetExceeded, FactopoError, FactorizerContractViolation,
                      IdentityViolation, InvalidFamily, InvalidSpec, NotACategory,
-                     NotAPrime, NotARing, NotEquivariant, NotLinear, NotSimplicial,
-                     ParseError, TruncationTooLow, UsageError)
+                     NotALattice, NotAPrime, NotARing, NotEquivariant, NotLinear,
+                     NotSimplicial, ParseError, TruncationTooLow, UsageError)
 from .fincat import FinCat, Functor, is_orthogonal, validate_fincat, verify_system
 from .finring import (FinRing, Ideal, RingHom, build_ring, gf, hom_from_images,
                       prime_ideals, product_ring, quotient_ring, zmod)

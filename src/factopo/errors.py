@@ -21,6 +21,10 @@ class NotARing(FactopoError):
     """Raised with the first violated ring axiom."""
 
 
+class NotALattice(FactopoError):
+    """A meet or join table breaks a lattice law, named with its pair."""
+
+
 class InvalidSpec(FactopoError):
     """Malformed build specification for a ring, complex or map."""
 

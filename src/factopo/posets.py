@@ -13,8 +13,8 @@ class Poset:
     """A finite poset over hashable labels, built from a generating
     relation: ``pairs`` may be any subrelation whose closure is intended,
     and a cycle through two distinct elements is refused.  Element i keeps
-    its up-set and down-set as bitmasks ``_up[i]`` and ``_down[i]`` (bit j
-    of ``_up[i]`` is set when i <= j); every query reads them.  ``budget``
+    its up-set and down-set as bitmasks ``up[i]`` and ``down[i]`` (bit j
+    of ``up[i]`` is set when i <= j); every query reads them.  ``budget``
     pays one step per element and generating pair before any allocation.
     """
 
@@ -40,25 +40,25 @@ class Poset:
             raise InvalidSpec("not antisymmetric: %r and %r compare both ways"
                               % (self.elements[i], self.elements[j])) from None
         self._pos = pos
-        self._up = _close(order, above)
-        self._down = _close(reversed(order), below)
+        self.up = _close(order, above)
+        self.down = _close(reversed(order), below)
 
     @property
     def size(self):
         return len(self.elements)
 
     def le(self, x, y):
-        return bool(self._up[self._pos[x]] >> self._pos[y] & 1)
+        return bool(self.up[self._pos[x]] >> self._pos[y] & 1)
 
     def order_pairs(self):
         """All (x, y) with x <= y, reflexive pairs included, element order."""
         els = self.elements
-        return [(x, els[j]) for x, up in zip(els, self._up) for j in _bits(up)]
+        return [(x, els[j]) for x, up in zip(els, self.up) for j in _bits(up)]
 
     def hasse_edges(self):
         """Covering pairs only, x < y with nothing strictly between, in
         element order: the transitive reduction of the up-set masks."""
-        els, up = self.elements, self._up
+        els, up = self.elements, self.up
         out = []
         for i, x in enumerate(els):
             strict = up[i] ^ 1 << i
@@ -68,23 +68,10 @@ class Poset:
             out.extend((x, els[j]) for j in _bits(strict & ~far))
         return out
 
-    def meet(self, x, y):
-        """Greatest lower bound, or None when the pair has none."""
-        return self._top(self._down, x, y)
-
-    def join(self, x, y):
-        return self._top(self._up, x, y)
-
-    def _top(self, masks, x, y):
-        # the common bound whose own mask is all of the common bounds
-        common = masks[self._pos[x]] & masks[self._pos[y]]
-        return next((self.elements[z] for z in _bits(common)
-                     if masks[z] == common), None)
-
     def op(self):
         flipped = Poset.__new__(Poset)
         flipped.elements, flipped._pos = self.elements, self._pos
-        flipped._up, flipped._down = self._down, self._up
+        flipped.up, flipped.down = self.down, self.up
         return flipped
 
     def __repr__(self):
@@ -121,7 +108,7 @@ def order_isomorphism(P, Q, budget):
         return None
 
     def signatures(poset):
-        return {x: (poset._down[i].bit_count(), poset._up[i].bit_count())
+        return {x: (poset.down[i].bit_count(), poset.up[i].bit_count())
                 for x, i in poset._pos.items()}
 
     psig, qsig = signatures(P), signatures(Q)

@@ -8,179 +8,187 @@ spectrum amounts to at this scale, so that is what gets built and checked.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .budget import ensure_budget
-from .errors import InvalidSpec, NotAPrime
-from .finring import (Ideal, all_ideals, annihilator_kernel, ideal_generated,
-                      localize, prime_ideals, prime_power,
-                      primitive_idempotents, quotient_ring, radical,
-                      smallest_prime_factor)
+from .errors import InvalidSpec, NotALattice, NotAPrime
+from .finring import (Ideal, localize, prime_ideals, primitive_idempotents,
+                      quotient_ring)
 from .posets import Poset, Spectrum, anti_isomorphism
 from .ringsys import classify_ring, is_integral_map, is_localization_map
 
 
 def recognize_ring(R, budget):
-    """A familiar name for R's iso class, or a size-tagged fallback.
+    """A name for R's iso class, read off the types of its local factors.
 
-    Tries Z/n, F_n, and binary products of those, in that order; the rings
-    arising as lattice elements and stalks here are all of that shape.  A
-    finite ring is the product of its local factors eR, one per primitive
-    idempotent e, uniquely up to isomorphism, so R matches a candidate
-    exactly when their local factors do.  A local factor is Z/m when e
-    generates it additively and F_m when it is a field; no other factor
-    occurs in a candidate.
+    A finite ring is the product of its local factors eR, one per primitive
+    idempotent e, uniquely up to isomorphism.  The factors Z/p^k merge into
+    the invariant factors of their product, Z/d_1 x Z/d_2 x ... with each
+    d_i dividing the next, by the Chinese remainder theorem; any other
+    field is F_q, and any other local factor is L_m(F_q), after its order
+    m and its residue field.  The names are joined with x, smallest order
+    first, and Z before F before L on ties.
     """
-    n = R.size
-    if n == 1:
+    if R.size == 1:
         return "0"
-    types = sorted(_local_type(R, e, budget) for e in primitive_idempotents(R))
-    cands = _local_candidates(n, budget)
-    for a in range(2, n):
-        if n % a or a > n // a:
-            continue
-        for name_a, types_a in _local_candidates(a, budget):
-            for name_b, types_b in _local_candidates(n // a, budget):
-                cands.append(("%sx%s" % (name_a, name_b), types_a + types_b))
-    for name, cand_types in cands:
-        if sorted(cand_types) == types:
-            return name
-    return "ring-of-order-%d" % n
+    powers, parts = {}, []
+    for rank, order, q in (_local_type(R, e, budget)
+                           for e in primitive_idempotents(R)):
+        if rank == 0:
+            powers.setdefault(q, []).append(order)
+        else:
+            parts.append((order, rank, "F_%d" % q if rank == 1 else
+                          "L_%d(F_%d)" % (order, q)))
+    # the i-th invariant factor takes the i-th largest power of each prime
+    for column in itertools.zip_longest(
+            *(sorted(orders, reverse=True) for orders in powers.values()),
+            fillvalue=1):
+        parts.append((math.prod(column), 0, "Z/%d" % math.prod(column)))
+    return "x".join(name for _order, _rank, name in sorted(parts))
 
 
 def _local_type(R, e, budget):
-    """("Z", |eR|) or ("F", |eR|) for the local factor eR, else ("?", |eR|)."""
+    """(rank, |eR|, q) for the local factor eR with residue field F_q:
+    rank 0 when e generates eR additively, so that eR is Z/|eR|, 1 when eR
+    is a field, else 2."""
     budget.spend(R.size)
     factor = set(R.mul[e])
     order, x = 1, e
     while x != R.zero:
         x = R.add[x][e]
         order += 1
-    if order == len(factor):
-        return ("Z", order)
-    if all(any(R.mul[x][y] == e for y in factor)
-           for x in factor if x != R.zero):
-        return ("F", len(factor))
-    return ("?", len(factor))
-
-
-def _local_candidates(n, budget):
-    """(name, local factor types) of Z/n, and of F_n when n is a proper
-    prime power."""
-    types, m = [], n
-    while m > 1:
-        # the full power of m's least prime that divides m
-        q = math.gcd(m, smallest_prime_factor(m) ** m)
-        types.append(("Z", q))
-        m //= q
-    out = [("Z/%d" % n, types)]
-    pk = prime_power(n, budget)
-    if pk and pk[1] > 1:
-        out.append(("F_%d" % n, [("F", n)]))
-    return out
+    # the maximal ideal of a finite local ring is its nilradical, and x is
+    # nilpotent iff x^(2^b) = 0 once 2^b > |R|
+    nilpotent = 0
+    for x in factor:
+        for _ in range(R.size.bit_length()):
+            x = R.mul[x][x]
+        nilpotent += x == R.zero
+    rank = 0 if order == len(factor) else 1 if nilpotent == 1 else 2
+    return rank, len(factor), len(factor) // nilpotent
 
 
 # ---------------------------------------------------------------------------
 # lattices
 
-def check_lattice(P, meet, join):
-    """Lattice laws, order consistency, and distributivity, exhaustively."""
-    idx = P.elements
-    for x in idx:
-        assert meet[x, x] == x and join[x, x] == x
-        for y in idx:
-            assert meet[x, y] == meet[y, x]
-            assert join[x, y] == join[y, x]
-            assert join[x, meet[x, y]] == x
-            assert meet[x, join[x, y]] == x
-            assert P.le(x, y) == (meet[x, y] == x)
-            glb = P.meet(x, y)
-            lub = P.join(x, y)
-            assert glb == meet[x, y] and lub == join[x, y]
-            for z in idx:
-                assert meet[x, y] == meet[meet[x, y], meet[x, y]]
-                assert meet[meet[x, y], z] == meet[x, meet[y, z]]
-                assert join[join[x, y], z] == join[x, join[y, z]]
-                assert meet[x, join[y, z]] == join[meet[x, y], meet[x, z]]
+def check_lattice(P, meet, join, budget):
+    """NotALattice, naming the pair and the law, unless meet[x][y] and
+    join[x][y] are the greatest lower and least upper bounds in P of each
+    pair of its elements 0..n-1, and the lattice is distributive; n^2 steps.
+
+    A cell is the glb when its down-set mask is the intersection of the
+    pair's: it is then a lower bound above every lower bound.  Dually for
+    the lub, and glb and lub obey every lattice law in any poset.  That
+    leaves distributivity, by Birkhoff's representation (Davey and
+    Priestley, Introduction to Lattices and Order, 2nd ed., ch. 5): with J
+    the join-irreducibles and jm[x] the mask of J below x, the lattice is
+    distributive iff jm[x v y] = jm[x] | jm[y] for every pair.  In a
+    distributive lattice a j in J below x v y equals (j ^ x) v (j ^ y), so
+    it is below x or below y.  Conversely x -> jm[x] is one to one (x is
+    the join of jm[x]) and keeps meets, so the condition embeds the lattice
+    in a power set, which is distributive.
+    """
+    n = P.size
+    budget.spend(n * n)
+    down, up = P.down, P.up
+    # x is join-irreducible iff it has exactly one lower cover c, that is
+    # iff the elements strictly below x are the down-set of c
+    principal = set(down)
+    irreducible = sum(1 << x for x, d in enumerate(down)
+                      if d ^ 1 << x in principal)
+    jm = [d & irreducible for d in down]
+    for x in range(n):
+        for y in range(n):
+            m, j = meet[x][y], join[x][y]
+            if down[m] != down[x] & down[y]:
+                raise NotALattice("the meet of %d and %d is %d, not their "
+                                  "greatest lower bound" % (x, y, m))
+            if up[j] != up[x] & up[y]:
+                raise NotALattice("the join of %d and %d is %d, not their "
+                                  "least upper bound" % (x, y, j))
+            if jm[j] != jm[x] | jm[y]:
+                raise NotALattice("not distributive: a join-irreducible "
+                                  "below the join of %d and %d is below "
+                                  "neither" % (x, y))
 
 
 def _lattice(kind, A, labels, rings, names, order, meet, join, budget):
-    """The checked lattice of ``kind``; element i is labels[i], rings[i]."""
+    """The checked lattice of ``kind``; element i is labels[i], rings[i],
+    and meet[i] and join[i] are its rows of the two tables."""
     poset = Poset(list(range(len(labels))), order, budget)
-    check_lattice(poset, meet, join)
+    check_lattice(poset, meet, join, budget)
     rows = [{"label": label, "ring": name, "size": R.size}
             for label, R, name in zip(labels, rings, names)]
-    pairs = [(i, j) for i in poset.elements for j in poset.elements]
     return Spectrum(poset, {"kind": kind, "base": A.name}, rows, labels,
                     "%s_lattice" % kind,
-                    {"meet": [[i, j, meet[i, j]] for i, j in pairs],
-                     "join": [[i, j, join[i, j]] for i, j in pairs]})
+                    {key: [[i, j, cell] for i, row in enumerate(table)
+                           for j, cell in enumerate(row)]
+                     for key, table in (("meet", meet), ("join", join))})
 
 
 def zar_lattice(A, budget=None):
     """Localizations at idempotents, ordered by which opens they keep.
 
-    Meets invert the product.  Joins take the localization part of the map
-    into the paired localization: its multiplicative set is the preimage of
-    the pair's units, computed componentwise.  A localization is the
-    quotient by its annihilator kernel, so meets and joins read that kernel
-    and build no ring; a join's kernel is matched back to an idempotent,
-    which must be e + f - ef, and is asserted to be.
+    Localizing at an idempotent e is the quotient by its kernel (1 - e)A,
+    so distinct idempotents give distinct localizations, and invert(e) <=
+    invert(f) when ef = e.  The idempotents form a Boolean algebra, one
+    atom per prime, so the meet of invert(e) and invert(f) inverts ef and
+    their join inverts e + f - ef: both are read from one index of the
+    idempotents, after n^2 steps.
     """
     budget = ensure_budget(budget)
     idems = sorted(A.idempotents())
-    labels, rings, homs, names = [], [], [], []
-    by_kernel = {}
-    for i, e in enumerate(idems):
-        L, h = localize(A, [e])
-        kernel = frozenset(h.kernel_elements())
-        assert kernel not in by_kernel, "distinct idempotents share a kernel"
+    budget.spend(len(idems) ** 2)
+    labels, rings, names = [], [], []
+    for e in idems:
+        L, _h = localize(A, [e])
         labels.append("invert(%s)" % A.names[e])
         rings.append(L)
-        homs.append(h)
         names.append(recognize_ring(L, budget))
-        by_kernel[kernel] = i
+    index = {e: i for i, e in enumerate(idems)}
     order = [(x, y) for x, e in enumerate(idems) for y, f in enumerate(idems)
              if A.mul[e][f] == e]
-    meet = {}
-    join = {}
-    for x, e in enumerate(idems):
-        for y, f in enumerate(idems):
-            ef = A.mul[e][f]
-            meet[x, y] = by_kernel[annihilator_kernel(A, [ef]).elements]
-            ux, uy = homs[x], homs[y]
-            S = [a for a in A.elements()
-                 if ux(a) in rings[x].units() and uy(a) in rings[y].units()]
-            j = by_kernel.get(annihilator_kernel(A, S).elements)
-            assert j is not None, "join middle is not a catalogued localization"
-            assert idems[j] == A.sub(A.add[e][f], ef)
-            join[x, y] = j
+    meet = [[index[A.mul[e][f]] for f in idems] for e in idems]
+    join = [[index[A.sub(A.add[e][f], A.mul[e][f])] for f in idems]
+            for e in idems]
     return _lattice("zar", A, labels, rings, names, order, meet, join, budget)
 
 
 def dom_lattice(A, budget=None):
-    """Reduced quotients under reverse inclusion of their radical ideals."""
+    """Reduced quotients under reverse inclusion of their radical ideals.
+
+    A radical ideal of a finite ring is the intersection of the primes
+    above it, and the primes are maximal, so pairwise comaximal: the
+    radical ideals are the 2^k intersections of sets of the k primes, one
+    per mask, bit i for the i-th prime.  A/I <= A/J when J <= I, that is
+    when I's mask is inside J's; the meet, the radical of I + J, has the
+    intersection of the two masks, and the join, I & J, their union.  The
+    tables are read from the masks after n^2 steps.
+    """
     budget = ensure_budget(budget)
-    rads = [I for I in all_ideals(A, budget)
-            if radical(I).elements == I.elements]
-    rads.sort(key=lambda I: (len(I.elements), I.sorted_elements()))
+    primes = prime_ideals(A)
+    n = 1 << len(primes)
+    budget.spend(n * n)
+    # a mask's ideal: the ideal of the mask less its top bit, cut with the
+    # top bit's prime
+    ideals = [frozenset(A.elements())]
+    for mask in range(1, n):
+        top = mask.bit_length() - 1
+        ideals.append(ideals[mask ^ 1 << top] & primes[top].elements)
+    masks = sorted(range(n), key=lambda m: (len(ideals[m]), sorted(ideals[m])))
     labels, rings, names = [], [], []
-    by_ideal = {}
-    for i, I in enumerate(rads):
+    for mask in masks:
+        I = Ideal(A, ideals[mask])
         Q, _h = quotient_ring(A, I)
         labels.append("mod%s" % I.label())
         rings.append(Q)
         names.append(recognize_ring(Q, budget))
-        by_ideal[I.elements] = i
-    order = [(x, y) for x, I in enumerate(rads) for y, J in enumerate(rads)
-             if J.elements <= I.elements]
-    meet = {}
-    join = {}
-    for x, I in enumerate(rads):
-        for y, J in enumerate(rads):
-            s = ideal_generated(A, sorted(I.elements | J.elements))
-            meet[x, y] = by_ideal[radical(s).elements]
-            join[x, y] = by_ideal[I.elements & J.elements]
+    by_mask = {mask: i for i, mask in enumerate(masks)}
+    order = [(x, y) for x, mx in enumerate(masks) for y, my in enumerate(masks)
+             if mx & ~my == 0]
+    meet = [[by_mask[mx & my] for my in masks] for mx in masks]
+    join = [[by_mask[mx | my] for my in masks] for mx in masks]
     return _lattice("dom", A, labels, rings, names, order, meet, join, budget)
 
 

@@ -2,10 +2,17 @@
 does not need, or that it replaced with faster ones."""
 
 import itertools
+import math
 
+from factopo.budget import Budget
 from factopo.errors import InvalidSpec, NotACategory, NotARing
 from factopo.fincat import FAIL, PASS, AxiomResult, Functor, all_functors
-from factopo.finring import enumerate_homs
+from factopo.finring import (all_ideals, annihilator_kernel, enumerate_homs,
+                             ideal_generated, localize, prime_power,
+                             primitive_idempotents, quotient_ring, radical,
+                             smallest_prime_factor)
+from factopo.posets import Poset, Spectrum
+from factopo.ringspec import recognize_ring
 from factopo.sset import (compose_ops, epi_mono_split, identity_op,
                           is_identity_op)
 
@@ -509,3 +516,166 @@ def _injection_by_recursion(X, ref, delta):
     face = X.faces_tbl[(m, j, missing)]
     delta2 = tuple(v if v < missing else v - 1 for v in delta)
     return act_by_recursion(X, face, delta2)
+
+
+def poset_meet(P, x, y):
+    """The greatest lower bound of x and y in the bitmask Poset P, or None
+    when the pair has none."""
+    return _top(P, P.down, x, y)
+
+
+def poset_join(P, x, y):
+    return _top(P, P.up, x, y)
+
+
+def _top(P, masks, x, y):
+    # the common bound whose own mask is all of the common bounds
+    common = masks[P._pos[x]] & masks[P._pos[y]]
+    return next((P.elements[z] for z in range(P.size)
+                 if common >> z & 1 and masks[z] == common), None)
+
+
+def check_lattice_by_triples(P, meet, join):
+    """Whether meet[x][y] and join[x][y] are the meets and joins of a
+    distributive lattice on P's elements 0..n-1 with P's order: every
+    lattice law tested on each pair and triple, and each cell against the
+    bounds poset_meet and poset_join find."""
+    idx = P.elements
+    for x in idx:
+        if meet[x][x] != x or join[x][x] != x:
+            return False
+        for y in idx:
+            m, j = meet[x][y], join[x][y]
+            if m != meet[y][x] or j != join[y][x] or join[x][m] != x or \
+                    meet[x][j] != x or P.le(x, y) != (m == x) or \
+                    poset_meet(P, x, y) != m or poset_join(P, x, y) != j:
+                return False
+            for z in idx:
+                if m != meet[m][m] or \
+                        meet[m][z] != meet[x][meet[y][z]] or \
+                        join[j][z] != join[x][join[y][z]] or \
+                        meet[x][join[y][z]] != join[m][meet[x][z]]:
+                    return False
+    return True
+
+
+def _lattice_report(kind, A, labels, rings, order, meet, join):
+    """The JSON report of a lattice from its (x, y)-keyed tables."""
+    budget = Budget(10 ** 10)
+    n = len(labels)
+    rows = [{"label": label, "ring": recognize_ring(R, budget),
+             "size": R.size} for label, R in zip(labels, rings)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return Spectrum(Poset(list(range(n)), order, budget),
+                    {"kind": kind, "base": A.name}, rows, labels,
+                    "%s_lattice" % kind,
+                    {"meet": [[i, j, meet[i, j]] for i, j in pairs],
+                     "join": [[i, j, join[i, j]] for i, j in pairs]}
+                    ).as_json()
+
+
+def zar_lattice_by_kernels(A):
+    """The zar lattice report: a localization is matched by its annihilator
+    kernel, a meet by the kernel of ef, and a join by the kernel of the
+    elements that both localizations invert, found by scanning A."""
+    idems = sorted(A.idempotents())
+    labels, rings, homs = [], [], []
+    by_kernel = {}
+    for i, e in enumerate(idems):
+        L, h = localize(A, [e])
+        kernel = frozenset(h.kernel_elements())
+        assert kernel not in by_kernel, "distinct idempotents share a kernel"
+        labels.append("invert(%s)" % A.names[e])
+        rings.append(L)
+        homs.append(h)
+        by_kernel[kernel] = i
+    order = [(x, y) for x, e in enumerate(idems) for y, f in enumerate(idems)
+             if A.mul[e][f] == e]
+    meet, join = {}, {}
+    for x, e in enumerate(idems):
+        for y, f in enumerate(idems):
+            ef = A.mul[e][f]
+            meet[x, y] = by_kernel[annihilator_kernel(A, [ef]).elements]
+            ux, uy = homs[x], homs[y]
+            S = [a for a in A.elements()
+                 if ux(a) in rings[x].units() and uy(a) in rings[y].units()]
+            j = by_kernel.get(annihilator_kernel(A, S).elements)
+            assert j is not None, "join middle is not a catalogued localization"
+            assert idems[j] == A.sub(A.add[e][f], ef)
+            join[x, y] = j
+    return _lattice_report("zar", A, labels, rings, order, meet, join)
+
+
+def dom_lattice_by_radicals(A):
+    """The dom lattice report: the radical ideals filtered from all_ideals,
+    a meet as the radical of the ideal two of them generate, a join as
+    their intersection."""
+    rads = [I for I in all_ideals(A, Budget(10 ** 10))
+            if radical(I).elements == I.elements]
+    rads.sort(key=lambda I: (len(I.elements), I.sorted_elements()))
+    labels = ["mod%s" % I.label() for I in rads]
+    rings = [quotient_ring(A, I)[0] for I in rads]
+    by_ideal = {I.elements: i for i, I in enumerate(rads)}
+    order = [(x, y) for x, I in enumerate(rads) for y, J in enumerate(rads)
+             if J.elements <= I.elements]
+    meet, join = {}, {}
+    for x, I in enumerate(rads):
+        for y, J in enumerate(rads):
+            s = ideal_generated(A, sorted(I.elements | J.elements))
+            meet[x, y] = by_ideal[radical(s).elements]
+            join[x, y] = by_ideal[I.elements & J.elements]
+    return _lattice_report("dom", A, labels, rings, order, meet, join)
+
+
+def recognize_ring_by_candidates(R, budget):
+    """The name of the first of Z/n, F_n and the binary products of those
+    whose local factor types R's match, or ring-of-order-n; charges R's
+    order per local factor and the trial divisions of prime_power."""
+    n = R.size
+    if n == 1:
+        return "0"
+    types = sorted(_local_type_z_or_f(R, e, budget)
+                   for e in primitive_idempotents(R))
+    cands = _local_candidates(n, budget)
+    for a in range(2, n):
+        if n % a or a > n // a:
+            continue
+        for name_a, types_a in _local_candidates(a, budget):
+            for name_b, types_b in _local_candidates(n // a, budget):
+                cands.append(("%sx%s" % (name_a, name_b), types_a + types_b))
+    for name, cand_types in cands:
+        if sorted(cand_types) == types:
+            return name
+    return "ring-of-order-%d" % n
+
+
+def _local_type_z_or_f(R, e, budget):
+    """("Z", |eR|) or ("F", |eR|) for the local factor eR, else ("?", |eR|)."""
+    budget.spend(R.size)
+    factor = set(R.mul[e])
+    order, x = 1, e
+    while x != R.zero:
+        x = R.add[x][e]
+        order += 1
+    if order == len(factor):
+        return ("Z", order)
+    if all(any(R.mul[x][y] == e for y in factor)
+           for x in factor if x != R.zero):
+        return ("F", len(factor))
+    return ("?", len(factor))
+
+
+def _local_candidates(n, budget):
+    """(name, local factor types) of Z/n, and of F_n when n is a proper
+    prime power."""
+    types, m = [], n
+    while m > 1:
+        # the full power of m's least prime that divides m
+        q = math.gcd(m, smallest_prime_factor(m) ** m)
+        types.append(("Z", q))
+        m //= q
+    out = [("Z/%d" % n, types)]
+    pk = prime_power(n, budget)
+    if pk and pk[1] > 1:
+        out.append(("F_%d" % n, [("F", n)]))
+    return out

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from factopo import reader, suites
+from factopo.budget import Budget
 from factopo.cli import COMMANDS, COMMON, build_parser, main, parse_argv
 from factopo.fincat import FAIL, AxiomResult, SystemReport
 from factopo.posets import Poset
@@ -261,6 +262,40 @@ def test_budget_flag_is_echoed_and_enforced(tmp_path, z6, capsys):
                            "--budget", "10")
     assert code2 == 1
     assert "budget" in err
+
+
+# the deterministic step totals of the lattice commands on (Z/n)^k, the
+# ring's own build included
+LATTICE_STEPS = {
+    ("zar", 2, 6): 16_021,
+    ("dom", 2, 6): 16_021,
+    ("zar", 4, 4): 68_209,
+    ("dom", 4, 4): 66_425,
+}
+
+
+@pytest.mark.parametrize("topology, n, k", sorted(LATTICE_STEPS))
+def test_lattice_step_totals_are_pinned(topology, n, k, tmp_path, capsys,
+                                        monkeypatch):
+    base = write(tmp_path / "base.json", {
+        "kind": "product", "factors": [{"kind": "zmod", "n": n}] * k})
+    argv = ["spectrum", "--topology", topology, "--lattice", "--base", base]
+    made = []
+    init = Budget.__init__
+
+    def counting(self, limit=None):
+        made.append(self)
+        init(self, limit)
+
+    monkeypatch.setattr(Budget, "__init__", counting)
+    assert run(capsys, *argv)[0] == 0
+    total = LATTICE_STEPS[topology, n, k]
+    assert [budget.used for budget in made] == [total]
+    assert run(capsys, *argv, "--budget", str(total))[0] == 0
+    code, out, err = run(capsys, *argv, "--budget", str(total - 1))
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration budget of %d steps exceeded\n" % (
+        total - 1)
 
 
 def test_timing_only_on_request(z6, capsys):

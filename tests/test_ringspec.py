@@ -2,16 +2,22 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factopo import ringspec, ringsys
 from factopo.budget import Budget
-from factopo.errors import NotAPrime
+from factopo.errors import NotALattice, NotAPrime
 from factopo.finring import (FinRing, all_ideals, gf, ideal_generated,
                              localize, prime_ideals, prime_power, product_ring,
                              quotient_ring, zmod)
-from factopo.ringspec import (check_duality, dom_lattice, recognize_ring,
-                              spec_points, stalk, zar_lattice)
-from oracles import ring_isomorphic
+from factopo.posets import Poset
+from factopo.ringspec import (check_duality, check_lattice, dom_lattice,
+                              recognize_ring, spec_points, stalk, zar_lattice)
+from oracles import (check_lattice_by_triples, dom_lattice_by_radicals,
+                     recognize_ring_by_candidates, ring_isomorphic,
+                     zar_lattice_by_kernels)
+from test_finring import ladder
 
 z12 = zmod(12)
 
@@ -39,18 +45,24 @@ def subring(R, gens):
         out |= grown
 
 
+def with_greedy_generators(R):
+    """R with a greedy set of ring generators, so that hom searches out of
+    it stay small."""
+    gens, reached = [], subring(R, [])
+    for x in R.elements():
+        if x not in reached:
+            gens.append(x)
+            reached = subring(R, gens)
+    return FinRing(R.names, R.add, R.mul, R.zero, R.one, gens)
+
+
 def recognize_bruteforce(R):
     """Oracle: the first of Z/n, F_n and their binary products that
     ring_isomorphic matches, searching homs out of a greedy generator set."""
     n = R.size
     if n == 1:
         return "0"
-    gens, reached = [], subring(R, [])
-    for x in R.elements():
-        if x not in reached:
-            gens.append(x)
-            reached = subring(R, gens)
-    R = FinRing(R.names, R.add, R.mul, R.zero, R.one, gens)
+    R = with_greedy_generators(R)
 
     def local(m):
         pk = prime_power(m, Budget())
@@ -67,7 +79,18 @@ def recognize_bruteforce(R):
     return "ring-of-order-%d" % n
 
 
-def test_recognize_ring_matches_the_isomorphism_search(square_zero):
+def ring_of_name(name):
+    """The product of the Z/d and F_q that a name without L_ parts lists."""
+    parts = [zmod(int(part[2:])) if part.startswith("Z/") else
+             gf(*prime_power(int(part[2:]), Budget()))
+             for part in name.split("x")]
+    return parts[0] if len(parts) == 1 else product_ring(parts)
+
+
+def named_rings(square_zero):
+    """Products of up to three small local rings and fields, and the
+    quotients and localizations of Z/36, Z/60 and Z/4xZ/4, one per set of
+    tables."""
     factors = [zmod(n) for n in range(2, 17)] + \
         [gf(2, 2), gf(2, 3), gf(3, 2), gf(2, 4), square_zero[2, 1],
          square_zero[3, 1]]
@@ -79,11 +102,58 @@ def test_recognize_ring_matches_the_isomorphism_search(square_zero):
     for A in (zmod(36), zmod(60), product_ring([zmod(4), zmod(4)])):
         rings += [quotient_ring(A, I)[0] for I in all_ideals(A, Budget())]
         rings += [localize(A, [a])[0] for a in A.elements()]
-    # quotients and localizations repeat; one ring per set of tables
-    distinct = {(R.add, R.mul, R.one): R for R in rings}
+    return list({(R.add, R.mul, R.one): R for R in rings}.values())
+
+
+def test_recognize_ring_matches_the_isomorphism_search(square_zero):
+    distinct = named_rings(square_zero)
     assert len(distinct) > 50
-    for R in distinct.values():
-        assert recognize_ring(R, Budget()) == recognize_bruteforce(R), R.name
+    unnamed = 0
+    for R in distinct:
+        name, want = recognize_ring(R, Budget()), recognize_bruteforce(R)
+        if not want.startswith("ring-of-order-"):
+            assert name == want, R.name
+        elif "L_" not in name:
+            # a name the search did not try still names R's iso class
+            unnamed += 1
+            assert ring_isomorphic(with_greedy_generators(R),
+                                   ring_of_name(name), Budget(10 ** 10)), name
+    assert unnamed >= 3
+
+
+def lattice_element_rings(A):
+    budget = Budget()
+    return [quotient_ring(A, I)[0] for I in all_ideals(A, budget)] + \
+        [localize(A, [e])[0] for e in A.idempotents()]
+
+
+def test_recognize_ring_names_what_the_candidate_search_named(square_zero):
+    rings = named_rings(square_zero) + ladder()
+    for A in ladder() + [product_ring([zmod(2)] * 4)]:
+        rings += lattice_element_rings(A)
+    renamed = set()
+    for R in rings:
+        budget, old_budget = Budget(), Budget()
+        name = recognize_ring(R, budget)
+        old = recognize_ring_by_candidates(R, old_budget)
+        if old.startswith("ring-of-order-"):
+            renamed.add((old, name))
+            assert not name.startswith("ring-of-order-")
+        else:
+            assert name == old, R.name
+        # no ring costs more steps to name than it did
+        assert budget.used <= old_budget.used, R.name
+    assert ("ring-of-order-8", "Z/2xZ/2xZ/2") in renamed
+    assert ("ring-of-order-4", "L_4(F_2)") in renamed
+
+
+def test_a_local_factor_is_named_by_order_and_residue_field(square_zero):
+    names = {k: recognize_ring(R, Budget()) for k, R in square_zero.items()}
+    assert names == {(2, 1): "L_4(F_2)", (3, 1): "L_9(F_3)",
+                     (2, 2): "L_8(F_2)", (3, 2): "L_27(F_3)",
+                     (2, 3): "L_16(F_2)"}
+    mixed = product_ring([square_zero[2, 1], zmod(4), gf(2, 2), zmod(3)])
+    assert recognize_ring(mixed, Budget()) == "F_4xL_4(F_2)xZ/12"
 
 
 def test_zar_lattice_z12():
@@ -161,3 +231,86 @@ def test_spec_points_fin_topology():
     sp = spec_points(z12, "fin")
     assert sp.size == 2
     assert sorted(e["stalk_size"] for e in sp.as_json()["elements"]) == [2, 3]
+
+
+def test_lattices_match_the_old_constructions(rings, square_zero):
+    # the kernel scan and the radical filter give the same reports, the
+    # ring names included
+    bases = list(rings) + ladder() + list(square_zero.values()) + \
+        [product_ring([zmod(2)] * 6), product_ring([zmod(4)] * 4)]
+    for A in bases:
+        assert zar_lattice(A).as_json() == zar_lattice_by_kernels(A), A.name
+        assert dom_lattice(A).as_json() == dom_lattice_by_radicals(A), A.name
+
+
+def closure_lattice(family, points):
+    """The subsets of range(points) in ``family`` and their intersections,
+    with the whole set, as bitmasks ordered by inclusion: a lattice, whose
+    poset and meet and join tables this returns."""
+    sets = {(1 << points) - 1, *family}
+    while more := {a & b for a in sets for b in sets} - sets:
+        sets |= more
+    sets = sorted(sets, key=lambda s: (s.bit_count(), s))
+    at = {s: i for i, s in enumerate(sets)}
+    n = len(sets)
+    order = [(x, y) for x in range(n) for y in range(n)
+             if sets[x] & ~sets[y] == 0]
+    meet = [[at[a & b] for b in sets] for a in sets]
+    # the join is the least member above both, the first in size order
+    join = [[at[next(s for s in sets if (a | b) & ~s == 0)] for b in sets]
+            for a in sets]
+    return Poset(list(range(n)), order, Budget()), meet, join
+
+
+def refuses(P, meet, join):
+    try:
+        check_lattice(P, meet, join, Budget())
+    except NotALattice:
+        return True
+    return False
+
+
+def test_the_pentagon_and_the_diamond_are_not_distributive():
+    # N5: 0 < {0} < {0,1} < 1 and 0 < {2} < 1; M3: three atoms under 1
+    for family, points in (([0b000, 0b001, 0b011, 0b100], 3),
+                           ([0b000, 0b001, 0b010, 0b100], 3)):
+        P, meet, join = closure_lattice(family, points)
+        assert P.size == 5
+        assert not check_lattice_by_triples(P, meet, join)
+        with pytest.raises(NotALattice, match="not distributive"):
+            check_lattice(P, meet, join, Budget())
+    P, meet, join = closure_lattice([0b001, 0b010], 2)
+    assert check_lattice_by_triples(P, meet, join)
+    assert not refuses(P, meet, join)
+
+
+@given(st.data())
+def test_a_lattice_with_a_corrupted_cell_is_refused_iff_the_triples_refuse(
+        data):
+    points = data.draw(st.integers(1, 4), label="points")
+    family = data.draw(st.lists(st.integers(0, (1 << points) - 1),
+                                max_size=6), label="family")
+    P, meet, join = closure_lattice(family, points)
+    n = P.size
+    if data.draw(st.booleans(), label="corrupt"):
+        table = data.draw(st.sampled_from([meet, join]), label="table")
+        x, y, value = (data.draw(st.integers(0, n - 1), label=label)
+                       for label in ("x", "y", "value"))
+        table[x][y] = value
+    assert refuses(P, meet, join) == (not check_lattice_by_triples(P, meet,
+                                                                   join))
+
+
+def test_a_refusal_names_the_pair_and_the_law():
+    P, meet, join = closure_lattice([0b01, 0b10], 2)
+    meet[1][2] = 3
+    with pytest.raises(NotALattice) as err:
+        check_lattice(P, meet, join, Budget())
+    assert str(err.value) == \
+        "the meet of 1 and 2 is 3, not their greatest lower bound"
+    meet[1][2] = 0
+    join[2][1] = 2
+    with pytest.raises(NotALattice) as err:
+        check_lattice(P, meet, join, Budget())
+    assert str(err.value) == \
+        "the join of 2 and 1 is 2, not their least upper bound"
