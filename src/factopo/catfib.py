@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .budget import ensure_budget
-from .errors import InvalidFamily, InvalidSpec
+from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
 from .fincat import (CoverResult, FinCat, Functor, _key, all_functors,
                      concrete_category, identity_functor, terminal_category)
 
@@ -136,9 +136,9 @@ def _lifts_uniquely(F, end):
 def slice_factorize(C, c, side="right"):
     """Route the object inclusion through its slice or coslice.
 
-    Right side: point at the identity object of C/c (checked terminal
-    there) and project down, the projection being a discrete right
-    fibration.  Left side dual through c/C with an initial object.
+    Right side: point at the identity object of C/c (terminal there) and
+    project down, the projection being a discrete right fibration.  Left
+    side dual through c/C with an initial object.
     """
     if side not in ("right", "left"):
         raise InvalidSpec("side must be 'right' or 'left'")
@@ -146,12 +146,6 @@ def slice_factorize(C, c, side="right"):
     K = comma(idc, c, "F/d" if side == "right" else "d/F", C.budget)
     apex = (c, C.identities[c])
     cat = K.category
-    if side == "right":
-        assert all(len(cat.hom(o, apex)) == 1 for o in cat.objects), \
-            "identity object fails to be terminal in the slice"
-    else:
-        assert all(len(cat.hom(apex, o)) == 1 for o in cat.objects), \
-            "identity object fails to be initial in the coslice"
     T = terminal_category(C.budget)
     first = Functor(T, cat, {0: apex},
                     {("le", 0, 0): cat.identities[apex]},
@@ -175,7 +169,8 @@ def comprehensive_factorize(F, side="right", budget=None):
     Right side: P(d) = components of d/F, acted on by precomposition;
     the functor lands at the component of the identity and the projection
     from the elements category is a discrete right fibration.  Left side
-    uses F/d and postcomposition.
+    uses F/d and postcomposition.  Both facts are checked on the result,
+    one step per pair of an element and an arrow of D and per arrow of C.
     """
     budget = ensure_budget(budget)
     if side not in ("right", "left"):
@@ -228,9 +223,14 @@ def comprehensive_factorize(F, side="right", budget=None):
         first_mor[h] = (first_obj[c], first_obj[c2], F.on_mor(h))
     first = Functor(C, cat, first_obj, first_mor,
                     name="unit-%s" % F.name)
-    assert _lifts_uniquely(proj, "tgt" if side == "right" else "src")
-    assert all(proj.on_obj(first.on_obj(c)) == F.on_obj(c) for c in C.objects)
-    assert all(proj.on_mor(first.on_mor(h)) == F.on_mor(h) for h in C.morphisms)
+    budget.spend(len(objects) * len(D.morphisms) + len(C.morphisms))
+    what = "comprehensive factorisation of %s -> %s" % (C.name, D.name)
+    if not _lifts_uniquely(proj, "tgt" if side == "right" else "src"):
+        raise FactorizerContractViolation(
+            what + ": projection is not a discrete %s fibration" % side)
+    if any(proj.on_obj(first.on_obj(c)) != F.on_obj(c) for c in C.objects) or \
+            any(proj.on_mor(first.on_mor(h)) != F.on_mor(h) for h in C.morphisms):
+        raise FactorizerContractViolation(what + ": legs do not compose to it")
     return first, elem, proj
 
 

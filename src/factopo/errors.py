@@ -14,7 +14,8 @@ class EnumerationBudgetExceeded(FactopoError):
 
 
 class FactorizerContractViolation(FactopoError):
-    """A factorizer returned legs that do not compose to the input."""
+    """A factorizer returned legs that do not compose to the input or lie
+    outside their classes."""
 
 
 class NotARing(FactopoError):

@@ -5,7 +5,7 @@ closed, together with the covering-family checks and the point sets they
 induce.  At finite scale every element of a ring is integral over any
 subring, so the third system degenerates: its middles equal the whole
 target and its right class collapses to the isomorphisms.  That fact is
-asserted where it is used rather than assumed.
+checked where it is used rather than assumed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .budget import ensure_budget
-from .errors import InvalidFamily, InvalidSpec
+from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
 from .fincat import CoverResult, concrete_category, verify_system
 from .finring import (FinRing, Ideal, RingHom, all_ideals, annihilator_kernel,
                       enumerate_homs, factors_through_surjection,
@@ -42,7 +42,6 @@ def conservative_witness(u):
 
 def is_conservative(u):
     # units always push forward along a unital hom; only the converse can fail
-    assert all(u(x) in u.target.units() for x in u.source.units())
     return conservative_witness(u) is None
 
 
@@ -66,7 +65,7 @@ def integral_elements(u, budget):
     the element.  In a finite ring the powers of b repeat, b^i == b^j with
     i < j, so x^j - x^i is a witness with coefficients 0 and -1, which lie
     in every unital image.  The whole target is integral, which is exactly
-    the degeneracy the callers assert.
+    the degeneracy the callers check.
     """
     B = u.target
     witnesses = {}
@@ -84,10 +83,9 @@ def integral_elements(u, budget):
 
 
 def check_monic_witness(u, b, coeffs):
-    """Re-evaluate a witness polynomial at b; coefficients must lie in the image."""
+    """Re-evaluate a witness polynomial at b, whose coefficients lie in the
+    image of u as ``integral_elements`` builds them."""
     B = u.target
-    image = set(u.mapping)
-    assert all(c in image for c in coeffs)
     acc, p = B.zero, B.one
     for c in coeffs:
         acc = B.add[acc][B.mul[c][p]]
@@ -137,14 +135,23 @@ class Factorization:
         return self.left.then(self.right)
 
     def verify(self, u, budget):
-        """Recheck the whole contract: legs compose to u and each leg passes
-        the membership test for its side of the system."""
-        assert self.left.target is self.middle and self.right.source is self.middle
-        assert self.left.source is u.source and self.right.target is u.target
-        assert self.composite().mapping == u.mapping
+        """Recheck the whole contract, one step per element of the two ends:
+        legs compose to u and each leg passes the membership test for its
+        side of the system.  A failure raises FactorizerContractViolation."""
+        budget.spend(u.source.size + u.target.size)
+        what = "%s factorisation of %s -> %s" % (self.system, u.source.name,
+                                                u.target.name)
+        if not (self.left.source is u.source and self.right.target is u.target
+                and self.left.target is self.middle is self.right.source):
+            raise FactorizerContractViolation(what + ": legs do not meet")
+        if self.composite().mapping != u.mapping:
+            raise FactorizerContractViolation(
+                what + ": legs do not compose to the input")
         left_test, right_test = CLASS_TESTS[self.system]
-        assert left_test(self.left, budget)
-        assert right_test(self.right, budget)
+        if not left_test(self.left, budget):
+            raise FactorizerContractViolation(what + ": left leg outside its class")
+        if not right_test(self.right, budget):
+            raise FactorizerContractViolation(what + ": right leg outside its class")
         return self
 
 
@@ -164,7 +171,6 @@ def loc_cons_factorize(u):
     S = [x for x in A.elements() if u(x) in B.units()]
     L, proj = localize(A, S)
     right = factors_through_surjection(u, proj)
-    assert right is not None, "annihilator kernel escaped the kernel of u"
     right.validate()
     return Factorization("loc-cons", proj, L, right)
 
@@ -173,7 +179,6 @@ def surj_mono_factorize(u):
     A = u.source
     Q, proj = quotient_ring(A, Ideal(A, u.kernel_elements()).validate())
     right = factors_through_surjection(u, proj)
-    assert right is not None
     right.validate()
     return Factorization("surj-mono", proj, Q, right)
 
@@ -188,11 +193,11 @@ def triple_factorize(u, budget=None):
     """Surjection, then injective-and-integral, then integrally closed."""
     budget = ensure_budget(budget)
     sm = factorize(u, "surj-mono", budget)
-    assert is_integral_map(sm.right, budget)
-    intclo = identity_hom(u.target)
-    t = TripleFactorization(sm.left, sm.right, intclo)
-    assert t.composite().mapping == u.mapping
-    return t
+    if not is_integral_map(sm.right, budget):
+        raise FactorizerContractViolation(
+            "triple factorisation of %s -> %s: middle leg is not integral"
+            % (u.source.name, u.target.name))
+    return TripleFactorization(sm.left, sm.right, identity_hom(u.target))
 
 
 def factorize(u, system, budget=None):
@@ -508,7 +513,6 @@ def system_factorizer(system, universe, seed, budget):
         iso, C = _iso_onto_universe(F.middle, rings, seed, budget)
         left = F.left.then(iso)
         right = inverse_hom(iso).then(F.right)
-        assert left.then(right).mapping == u.mapping
         return (index[(u.source.name, C.name, left.mapping)],
                 C.name,
                 index[(C.name, u.target.name, right.mapping)])

@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass
 
 from .budget import ensure_budget
-from .errors import (IdentityViolation, InvalidFamily, InvalidSpec,
-                     NotSimplicial, TruncationTooLow)
+from .errors import (FactorizerContractViolation, IdentityViolation,
+                     InvalidFamily, InvalidSpec, NotSimplicial,
+                     TruncationTooLow)
 from .fincat import CoverResult
 from .posets import Poset, Spectrum
 from .reader import SMAP, SSET, read
@@ -236,12 +237,15 @@ class FinSSet:
 
     def eilenberg_zilber(self, x):
         """The unique (surjection, nondegenerate cell) presentation of x,
-        which is how x is stored; asserts that the degeneracies rebuild x.
-        Run on every n-simplex, as the ``ez`` suite does, this makes pair ->
-        simplex the identity, which is where uniqueness is established."""
+        which is how x is stored; raises FactorizerContractViolation unless
+        the degeneracies rebuild x.  Run on every n-simplex, as the ``ez``
+        suite does, this makes pair -> simplex the identity, which is where
+        uniqueness is established."""
         sigma, ref = x
         hit = self.apply_surjection(ref, sigma)
-        assert hit == x, "EZ pair of %r rebuilds %r" % (x, hit)
+        if hit != x:
+            raise FactorizerContractViolation(
+                "EZ pair of %r rebuilds %r" % (x, hit))
         return x
 
     def __repr__(self):
@@ -428,7 +432,8 @@ class SimplicialMap:
         return self
 
     def then(self, other):
-        assert other.source is self.target
+        if other.source is not self.target:
+            raise InvalidSpec("%r cannot follow %r" % (other, self))
         ass = {ref: other.apply(self.assignment[ref])
                for ref in self.source.cells()}
         return SimplicialMap(self.source, other.target, ass, check=False)
@@ -557,7 +562,8 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
     quotient (the collapse operator is surjective, so no new simplices
     appear) and strictly reduces the nondegenerate cell count, which is the
     termination argument.  ``rng`` varies the processing order; the middle
-    must come out the same up to isomorphism either way.
+    must come out the same up to isomorphism either way.  The legs are
+    checked at the end, one step per cell of the source.
     """
     budget = ensure_budget(budget)
     M = f.source
@@ -589,13 +595,20 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
         g2ass = {}
         for ref2 in M2.cells():
             found = images.get(M2.cell_simplex(ref2), set())
-            assert len(found) == 1, "collapse identified cells with distinct images"
+            if len(found) != 1:
+                raise FactorizerContractViolation(
+                    "collapse identified cells with distinct images")
             g2ass[ref2] = found.pop()
         g = SimplicialMap(M2, f.target, g2ass)
         left = left.then(proj)
         M = M2
-    assert is_nondegenerate_map(g)
-    assert left.then(g).assignment == f.assignment
+    budget.spend(len(f.assignment))
+    if not is_nondegenerate_map(g):
+        raise FactorizerContractViolation(
+            "collapse of %r: right leg is degenerate" % f)
+    if left.then(g).assignment != f.assignment:
+        raise FactorizerContractViolation(
+            "collapse of %r: legs do not compose to it" % f)
     return SSetFactorization(left, M, g)
 
 
@@ -605,8 +618,9 @@ def _quotient(M, pairs, budget):
     The generating set is closed under the simplicial action (callers
     arrange that), so a union-find over raw simplices is the whole
     computation; what remains is re-expressing every class as a surjection
-    applied to a nondegenerate class, which is where EZ uniqueness gets
-    checked for real.
+    applied to a nondegenerate class.  A class that an elementary operator
+    splits, or that has two such presentations (EZ uniqueness fails),
+    raises FactorizerContractViolation.
     """
     parent = {}
 
@@ -634,8 +648,9 @@ def _quotient(M, pairs, budget):
             c = find(x)
             if c != x:
                 for alpha in M._elementary_ops(n):
-                    assert find(M.act(x, alpha)) == find(M.act(c, alpha)), \
-                        "congruence not stable under the simplicial action"
+                    if find(M.act(x, alpha)) != find(M.act(c, alpha)):
+                        raise FactorizerContractViolation(
+                            "congruence not stable under the simplicial action")
             row.setdefault(c, []).append(x)
         members.update(row)
         classes[n] = sorted(row)
@@ -655,7 +670,6 @@ def _quotient(M, pairs, budget):
                 continue
             named = sorted(M.cell_label(x[1]) for x in members[c]
                            if M.is_nondeg_simplex(x))
-            assert named, "nondegenerate class with no nondegenerate member"
             ref_of_class[c] = (n, len(row))
             row.append(named[0])
         if row:
@@ -674,8 +688,10 @@ def _quotient(M, pairs, budget):
                     results.setdefault(c, set()).add(
                         (compose_ops(rho, codegeneracy(n, j)), w))
         for c, found in results.items():
-            assert len(found) == 1, \
-                "EZ presentation of a collapsed class is not unique: %r" % (found,)
+            if len(found) != 1:
+                raise FactorizerContractViolation(
+                    "EZ presentation of a collapsed class is not unique: %r"
+                    % (found,))
             simplex_of_class[c] = found.pop()
 
     faces = {(n, jj, i): simplex_of_class[find(M.face(c, i))]
@@ -686,12 +702,7 @@ def _quotient(M, pairs, budget):
     proj_ass = {}
     for ref in M.cells():
         proj_ass[ref] = simplex_of_class[find(M.cell_simplex(ref))]
-    proj = SimplicialMap(M, M2, proj_ass)
-
-    for n in range(M.dim + 1):
-        assert len(M2.simplices(n)) == len(classes[n]), \
-            "quotient representation misses classes in dimension %d" % n
-    return M2, proj
+    return M2, SimplicialMap(M, M2, proj_ass)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .catfib import (all_slices_cover, comprehensive_factorize, is_final,
                      is_initial, is_discrete_left_fibration,
                      is_discrete_right_fibration, right_cover_check,
                      slice_factorize)
-from .errors import FactopoError
+from .errors import FactopoError, FactorizerContractViolation
 from .fincat import all_functors
 from .finring import gf, prime_ideals, prime_ideals_bruteforce, product_ring, zmod
 from .ringspec import check_duality
@@ -111,7 +111,7 @@ def suite_ez(seed, budget):
                 total += 1
                 try:
                     X.eilenberg_zilber(x)
-                except AssertionError as exc:
+                except FactorizerContractViolation as exc:
                     bad = "%s: %s" % (X.name, exc)
                     break
     _check(checks, "ez-unique-on-corpus(%d simplices)" % total,

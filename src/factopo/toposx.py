@@ -10,7 +10,8 @@ import itertools
 from dataclasses import dataclass
 
 from .budget import ensure_budget
-from .errors import InvalidSpec, NotEquivariant, NotLinear
+from .errors import (FactorizerContractViolation, InvalidSpec, NotEquivariant,
+                     NotLinear)
 from .fincat import CoverResult
 from .finring import gf, prime_power
 from .posets import Poset, Spectrum
@@ -179,7 +180,8 @@ class EquivariantMap:
         return len(set(self.mapping)) == len(self.mapping)
 
     def then(self, other):
-        assert other.source is self.target
+        if other.source is not self.target:
+            raise InvalidSpec("%r cannot follow %r" % (other, self))
         return EquivariantMap(self.source, other.target,
                               [other.mapping[v] for v in self.mapping])
 
@@ -198,8 +200,12 @@ def epi_mono_factorize_gset(f):
                   name="im(%s)" % (f.name or "f"))
     epi = EquivariantMap(f.source, mid, [back[v] for v in f.mapping])
     mono = EquivariantMap(mid, f.target, image)
-    assert epi.is_surjective() and mono.is_injective()
-    assert epi.then(mono).mapping == f.mapping
+    if not (epi.is_surjective() and mono.is_injective()):
+        raise FactorizerContractViolation(
+            "image factorisation of %r: legs outside their classes" % f)
+    if epi.then(mono).mapping != f.mapping:
+        raise FactorizerContractViolation(
+            "image factorisation of %r: legs do not compose to it" % f)
     return epi, mid, mono
 
 
@@ -234,7 +240,6 @@ def atoms_and_orbits(X):
         transitive = all(
             any(X.act(x, g) == y for g in range(X.group.size))
             for x in orb for y in orb)
-        assert transitive, "orbit computed by reachability fails transitivity"
         out.append(OrbitReport(i, tuple(X.carrier[x] for x in orb),
                                len(orb), transitive))
     return out
@@ -353,8 +358,8 @@ class LinearMap:
         return self.rank() == self.source.n
 
     def then(self, other):
-        assert other.source.q == self.target.q and \
-            other.source.n == self.target.n
+        if (other.source.q, other.source.n) != (self.target.q, self.target.n):
+            raise InvalidSpec("%r cannot follow %r" % (other, self))
         return LinearMap(self.source, other.target,
                          [other.apply(r) for r in self.rows])
 
@@ -404,7 +409,8 @@ def _coordinates(v, basis, space):
 
 
 def epi_mono_factorize_linear(f):
-    """Quotient onto the image with its basis inclusion back in."""
+    """Quotient onto the image with its basis inclusion back in; checking
+    the legs charges one step per entry of f to the source's budget."""
     basis = row_reduce(f.rows, f.target)
     r = len(basis)
     mid = FqVecSpace(f.source.q, r, name="im(%s)" % (f.name or "f"),
@@ -412,8 +418,13 @@ def epi_mono_factorize_linear(f):
     epi = LinearMap(f.source, mid,
                     [_coordinates(row, basis, f.target) for row in f.rows])
     mono = LinearMap(mid, f.target, [b for b, _ in basis])
-    assert epi.is_surjective() and mono.is_injective()
-    assert epi.then(mono).rows == f.rows
+    f.source.budget.spend(f.source.n * f.target.n)
+    if not (epi.is_surjective() and mono.is_injective()):
+        raise FactorizerContractViolation(
+            "image factorisation of %r: legs outside their classes" % f)
+    if epi.then(mono).rows != f.rows:
+        raise FactorizerContractViolation(
+            "image factorisation of %r: legs do not compose to it" % f)
     return epi, mid, mono
 
 
@@ -434,7 +445,6 @@ def lines(V):
             continue
         if v[piv] == field.one and all(c == field.zero for c in v[:piv]):
             reps.append(v)
-    assert len(reps) == (line_count(V.q, V.n) if V.n >= 1 else 0)
     return reps
 
 

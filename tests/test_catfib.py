@@ -74,6 +74,17 @@ def test_slice_factorize_composes_to_the_point(cats):
             assert then(firstL, projL).obj_map == {0: c}
 
 
+def test_slice_apex_is_terminal_and_coslice_apex_initial(cats):
+    for C in cats:
+        for c in C.objects:
+            for side in ("right", "left"):
+                first, K, _proj = slice_factorize(C, c, side)
+                apex, cat = first.on_obj(0), K.category
+                assert all(len(cat.hom(o, apex) if side == "right"
+                               else cat.hom(apex, o)) == 1
+                           for o in cat.objects), (C.name, c, side)
+
+
 def test_comprehensive_on_point_functor_gives_the_slice():
     C = chain(1)
     first, elem, proj = comprehensive_factorize(pick(C, 1), "right")

@@ -12,7 +12,8 @@ from factopo.errors import InvalidSpec, NotARing
 from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
                              annihilator_kernel, build_ring, enumerate_homs,
                              gf, hom_from_images, ideal_generated,
-                             least_irreducible, nilradical, prime_ideals,
+                             least_irreducible, localize, nilradical,
+                             prime_ideals, primitive_idempotents,
                              prime_ideals_bruteforce, prime_power, product_ring,
                              quotient_ring, radical, smallest_prime_factor,
                              table_ring, zmod)
@@ -658,6 +659,25 @@ def test_product_tables_match_the_tuple_index(square_zero):
         assert P.add == tuple(map(tuple, add)) and \
             P.mul == tuple(map(tuple, mul))
         assert (list(P.names), P.zero, P.one) == (names, zero, one)
+
+
+def test_primitive_idempotents_split_one(rings, square_zero):
+    # orthogonal, summing to one, and none for the zero ring
+    for A in list(rings) + list(square_zero.values()):
+        prims = primitive_idempotents(A)
+        assert all(A.mul[e][f] == A.zero for e in prims for f in prims
+                   if e != f), A.name
+        total = A.zero
+        for e in prims:
+            total = A.add[total][e]
+        assert total == A.one and bool(prims) != A.is_zero_ring(), A.name
+
+
+def test_localization_inverts_its_set(rings, square_zero):
+    for A in list(rings) + list(square_zero.values()):
+        for a in A.elements():
+            L, proj = localize(A, [a])
+            assert proj(a) in L.units(), (A.name, A.names[a])
 
 
 def test_quotient_ring():

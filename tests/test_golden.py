@@ -45,15 +45,21 @@ def load_case(name):
 REPORTS = [name for name in CASES if "exit" not in load_case(name)]
 
 
-def invoke(case, workdir, extra=()):
-    """Run the case's argv in-process on its files written to ``workdir``;
-    returns (exit code, stdout, stderr, paths)."""
+def case_argv(case, workdir):
+    """The case's argv on its files written to ``workdir``, and their paths."""
     paths = {"out": workdir / "out"}
     for key, doc in case["files"].items():
         paths[key] = workdir / (key + ".json")
         paths[key].write_text(json.dumps(doc), encoding="utf-8")
-    argv = [str(paths[a[1:-1]]) if a.startswith("{") else a
-            for a in case["argv"]] + list(extra)
+    return [str(paths[a[1:-1]]) if a.startswith("{") else a
+            for a in case["argv"]], paths
+
+
+def invoke(case, workdir, extra=()):
+    """Run the case's argv in-process on its files written to ``workdir``;
+    returns (exit code, stdout, stderr, paths)."""
+    argv, paths = case_argv(case, workdir)
+    argv += list(extra)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
             mock.patch.dict(os.environ, COLUMNS="80"):
@@ -115,18 +121,26 @@ def test_every_report_takes_the_fast_path(name):
     assert parse_argv(argv) is not None, argv
 
 
-def test_python_m_factopo_reads_sys_argv(tmp_path):
-    ring = tmp_path / "ring.json"
-    ring.write_text(json.dumps(load_case("classify-field")["files"]["ring"]),
-                    encoding="utf-8")
+def assert_module_prints_report(name, workdir, *flags):
+    """``python [flags] -m factopo`` on the case prints its golden report."""
+    argv, _paths = case_argv(load_case(name), workdir)
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "factopo", "classify",
-                           "--ring", str(ring)], capture_output=True, env=env,
-                          check=False)
+    done = subprocess.run([sys.executable, *flags, "-m", "factopo", *argv],
+                          capture_output=True, env=env, check=False)
     assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (GOLDEN / "classify-field.out").read_bytes()
+    assert done.stdout == (GOLDEN / (name + ".out")).read_bytes()
+
+
+def test_python_m_factopo_reads_sys_argv(tmp_path):
+    assert_module_prints_report("classify-field", tmp_path)
+
+
+def test_a_report_is_the_same_under_python_O(tmp_path):
+    # -O strips assert statements; the factorisation checks are not asserts,
+    # so they run and the report does not change
+    assert_module_prints_report("factorize-triple", tmp_path, "-O")
 
 
 def locations(doc, path=()):

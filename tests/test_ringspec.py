@@ -194,20 +194,30 @@ def test_stalks_of_z12_at_two():
 
 
 def test_stalk_classes(rings):
-    # zar stalks are local, dom stalks are domains
-    from factopo.ringsys import classify_ring
+    # zar stalks are local through a localization map; dom, fin and nfin
+    # stalks are domains through a surjective and integral map
     for A in rings:
         for p in prime_ideals(A):
-            assert classify_ring(stalk(A, p, "zar")[0]).is_local
-            assert classify_ring(stalk(A, p, "dom")[0]).is_domain
+            L, h = stalk(A, p, "zar")
+            assert ringsys.classify_ring(L).is_local
+            assert ringsys.is_localization_map(h)
+            for topology in ("dom", "fin", "nfin"):
+                Q, h = stalk(A, p, topology)
+                assert ringsys.classify_ring(Q).is_domain
+                assert h.is_surjective()
+                assert ringsys.is_integral_map(h, Budget())
 
 
-def test_spec_points_poset_is_discrete():
+def test_spec_points_poset_is_discrete(rings):
     sp = spec_points(z12, "zar")
     assert sp.size == 2
     data = sp.as_json()
     assert data["base"] == "Z/12"
     assert all(i == j for i, j in data["order"])
+    for A in rings:
+        for topology in ("zar", "dom", "fin", "nfin"):
+            order = spec_points(A, topology).as_json()["order"]
+            assert all(i == j for i, j in order), (A.name, topology)
 
 
 def test_spec_points_finds_the_primes_once(monkeypatch):

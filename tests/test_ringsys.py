@@ -5,7 +5,8 @@ from factopo.errors import InvalidFamily
 from factopo.finring import (RingHom, enumerate_homs, gf, ideal_generated,
                              product_ring, zmod)
 from factopo.ringsys import (classify_ring, conservative_witness, cover_check,
-                             dom_self_lift_decider, factorize, is_conservative,
+                             dom_self_lift_decider, factorize,
+                             integral_elements, is_conservative,
                              is_integral_map, is_integrally_closed_map,
                              is_localization_map, points_of, triple_factorize,
                              zar_self_lift_decider)
@@ -114,6 +115,19 @@ def test_classify_matches_membership(rings):
         c = classify_ring(A)
         assert c.is_local == zar_self_lift_decider(A), A.name
         assert c.is_domain == dom_self_lift_decider(A), A.name
+
+
+def test_homs_keep_units_and_witnesses_lie_in_the_image(rings):
+    # what is_conservative and check_monic_witness take as known
+    budget = Budget()
+    for A in rings:
+        for B in rings:
+            units = set(B.units())
+            for u in enumerate_homs(A, B, budget):
+                assert {u(x) for x in A.units()} <= units, u
+                image = set(u.mapping)
+                assert all(set(w) <= image
+                           for w in integral_elements(u, budget).values()), u
 
 
 # -- covers ----------------------------------------------------------------

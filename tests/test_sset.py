@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from factopo.budget import Budget
 from factopo.catalogs import sset_corpus
-from factopo.errors import (EnumerationBudgetExceeded, IdentityViolation,
+from factopo.errors import (EnumerationBudgetExceeded,
+                            FactorizerContractViolation, IdentityViolation,
                             InvalidSpec, NotSimplicial, TruncationTooLow)
 from factopo.sset import (FinSSet, SimplicialMap, _quotient,
                           all_simplicial_maps, boundary, build_sset,
@@ -199,7 +200,7 @@ def ez_verdicts(X, n):
     try:
         for x in xs:
             X.eilenberg_zilber(x)
-    except AssertionError:
+    except FactorizerContractViolation:
         return scan, False
     return scan, True
 
@@ -222,6 +223,16 @@ def test_ez_audit_matches_the_candidate_scan(corpus):
             refused += not audit
     # every set with an edge is refused in dimension 2 at least
     assert refused >= sum(1 in X.labels for X in corpus)
+
+
+def test_ez_suite_reports_a_pair_that_does_not_rebuild_its_simplex(
+        monkeypatch):
+    # every pair now rebuilds its bare cell, so a degenerate simplex fails
+    monkeypatch.setattr(FinSSet, "apply_surjection",
+                        lambda X, ref, sigma: X.cell_simplex(ref))
+    report = run_suite("ez", budget=Budget())
+    failed = [c["name"] for c in report["checks"] if not c["ok"]]
+    assert len(failed) == 1 and failed[0].startswith("ez-unique-on-corpus")
 
 
 def action_disagreement(X, simplices):
@@ -455,7 +466,8 @@ def test_quotient_refuses_a_congruence_the_action_does_not_respect():
     # v1 ~ v0 without s_0 v1 ~ s_0 v0: the check fires on v1, which is not
     # the representative of its class
     X = delta(1)
-    with pytest.raises(AssertionError, match="congruence not stable"):
+    with pytest.raises(FactorizerContractViolation,
+                       match="congruence not stable"):
         _quotient(X, [(X.cell_simplex((0, 0)), X.cell_simplex((0, 1)))],
                   Budget())
 

@@ -2,6 +2,7 @@ import pytest
 
 from factopo.budget import Budget
 from factopo.errors import InvalidSpec, NotEquivariant, NotLinear
+from factopo.suites import run_suite
 from factopo.toposx import (EquivariantMap, FinGroup, FinGSet, FqVecSpace,
                             LinearMap, atoms_and_orbits, build_gset, build_vspace,
                             cyclic_group, disjoint_union_gset,
@@ -148,3 +149,32 @@ def test_simple_points_spectrum():
     assert data["elements"][0]["label"] == "0"
     strict = [(i, j) for i, j in sp.poset.order_pairs() if i != j]
     assert len(strict) == 3
+
+
+# -- the toposx suite ------------------------------------------------------
+
+def drop_last_vector(monkeypatch):
+    vectors = FqVecSpace.vectors
+    monkeypatch.setattr(FqVecSpace, "vectors", lambda V: vectors(V)[:-1])
+
+
+def fix_last_point_of_rot3(monkeypatch):
+    # c no longer moves, so it cannot reach the rest of its orbit
+    act = FinGSet.act
+
+    def one_way(X, x, g):
+        return x if (X.name, x) == ("rot3", 2) else act(X, x, g)
+
+    monkeypatch.setattr(FinGSet, "act", one_way)
+
+
+@pytest.mark.parametrize("corrupt, check", [
+    (drop_last_vector, "line-counts-closed-form"),
+    (fix_last_point_of_rot3, "orbit-atoms-and-finest-cover")])
+def test_toposx_suite_reports_a_broken_fact(corrupt, check, monkeypatch):
+    # the suite's comparison is the one check of the line count and of
+    # transitivity, so a broken fact lands in its report
+    corrupt(monkeypatch)
+    report = run_suite("toposx", budget=Budget())
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == [check]
+    assert not report["passed"]
