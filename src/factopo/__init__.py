@@ -12,7 +12,8 @@ from .errors import (EnumerationBudgetExceeded, FactopoError, FactorizerContract
                      IdentityViolation, InvalidFamily, InvalidSpec, NotACategory,
                      NotALattice, NotAPrime, NotARing, NotEquivariant, NotLinear,
                      NotSimplicial, ParseError, TruncationTooLow, UsageError)
-from .fincat import FinCat, Functor, is_orthogonal, validate_fincat, verify_system
+from .fincat import (Factorization, FinCat, Functor, is_orthogonal,
+                     validate_fincat, verify_system)
 from .finring import (FinRing, Ideal, RingHom, build_ring, gf, hom_from_images,
                       prime_ideals, product_ring, quotient_ring, zmod)
 from .ringsys import (classify_ring, cover_check, dom_self_lift_decider,

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
-from .fincat import (CoverResult, FinCat, Functor, _key, all_functors,
-                     concrete_category, identity_functor, terminal_category)
+from .fincat import (CoverResult, Factorization, FinCat, Functor, _key,
+                     all_functors, concrete_category, identity_functor,
+                     terminal_category)
 
 
 @dataclass
@@ -150,7 +151,7 @@ def slice_factorize(C, c, side="right"):
     first = Functor(T, cat, {0: apex},
                     {("le", 0, 0): cat.identities[apex]},
                     name="pick-%s" % str(c))
-    return first, K, K.projection
+    return Factorization(first, K, K.projection)
 
 
 @dataclass
@@ -231,7 +232,7 @@ def comprehensive_factorize(F, side="right", budget=None):
     if any(proj.on_obj(first.on_obj(c)) != F.on_obj(c) for c in C.objects) or \
             any(proj.on_mor(first.on_mor(h)) != F.on_mor(h) for h in C.morphisms):
         raise FactorizerContractViolation(what + ": legs do not compose to it")
-    return first, elem, proj
+    return Factorization(first, elem, proj)
 
 
 def right_cover_check(C, family):

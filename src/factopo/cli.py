@@ -176,13 +176,13 @@ def _cmd_factorize(args, budget):
         t = ringsys.triple_factorize(u, budget=budget)
         return {
             "system": "triple",
-            "surjection": _hom_dict(t.surj),
-            "mono_integral": _hom_dict(t.monoint),
-            "integrally_closed": _hom_dict(t.intclo),
+            "surjection": _hom_dict(t.left),
+            "mono_integral": _hom_dict(t.right.left),
+            "integrally_closed": _hom_dict(t.right.right),
         }
     f = ringsys.factorize(u, args.system, budget=budget)
     return {
-        "system": f.system,
+        "system": args.system,
         "left": _hom_dict(f.left),
         "middle": {"name": f.middle.name, "size": f.middle.size},
         "right": _hom_dict(f.right),

@@ -10,13 +10,13 @@ checked where it is used rather than assumed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
-from .fincat import CoverResult, concrete_category, verify_system
-from .finring import (FinRing, Ideal, RingHom, all_ideals, annihilator_kernel,
+from .fincat import (CoverResult, Factorization, concrete_category,
+                     verify_system)
+from .finring import (Ideal, RingHom, all_ideals, annihilator_kernel,
                       enumerate_homs, factors_through_surjection,
                       field_catalogue, identity_hom, ideal_generated,
                       inverse_hom, localize, nilradical, prime_ideals,
@@ -124,45 +124,26 @@ CLASS_TESTS = {
 # ---------------------------------------------------------------------------
 # factorizations
 
-@dataclass(frozen=True)
-class Factorization:
-    system: str
-    left: RingHom
-    middle: FinRing
-    right: RingHom
-
-    def composite(self):
-        return self.left.then(self.right)
-
-    def verify(self, u, budget):
-        """Recheck the whole contract, one step per element of the two ends:
-        legs compose to u and each leg passes the membership test for its
-        side of the system.  A failure raises FactorizerContractViolation."""
-        budget.spend(u.source.size + u.target.size)
-        what = "%s factorisation of %s -> %s" % (self.system, u.source.name,
-                                                u.target.name)
-        if not (self.left.source is u.source and self.right.target is u.target
-                and self.left.target is self.middle is self.right.source):
-            raise FactorizerContractViolation(what + ": legs do not meet")
-        if self.composite().mapping != u.mapping:
-            raise FactorizerContractViolation(
-                what + ": legs do not compose to the input")
-        left_test, right_test = CLASS_TESTS[self.system]
-        if not left_test(self.left, budget):
-            raise FactorizerContractViolation(what + ": left leg outside its class")
-        if not right_test(self.right, budget):
-            raise FactorizerContractViolation(what + ": right leg outside its class")
-        return self
-
-
-@dataclass(frozen=True)
-class TripleFactorization:
-    surj: RingHom
-    monoint: RingHom
-    intclo: RingHom
-
-    def composite(self):
-        return self.surj.then(self.monoint).then(self.intclo)
+def verify_factorization(system, u, f, budget):
+    """Recheck the whole contract of f as a ``system`` factorisation of u,
+    one step per element of the two ends: the legs compose to u and each
+    passes the membership test for its side of the system.  A failure
+    raises FactorizerContractViolation; f is returned."""
+    budget.spend(u.source.size + u.target.size)
+    what = "%s factorisation of %s -> %s" % (system, u.source.name,
+                                            u.target.name)
+    if not (f.left.source is u.source and f.right.target is u.target
+            and f.left.target is f.middle is f.right.source):
+        raise FactorizerContractViolation(what + ": legs do not meet")
+    if f.left.then(f.right).mapping != u.mapping:
+        raise FactorizerContractViolation(
+            what + ": legs do not compose to the input")
+    left_test, right_test = CLASS_TESTS[system]
+    if not left_test(f.left, budget):
+        raise FactorizerContractViolation(what + ": left leg outside its class")
+    if not right_test(f.right, budget):
+        raise FactorizerContractViolation(what + ": right leg outside its class")
+    return f
 
 
 def loc_cons_factorize(u):
@@ -172,7 +153,7 @@ def loc_cons_factorize(u):
     L, proj = localize(A, S)
     right = factors_through_surjection(u, proj)
     right.validate()
-    return Factorization("loc-cons", proj, L, right)
+    return Factorization(proj, L, right)
 
 
 def surj_mono_factorize(u):
@@ -180,39 +161,36 @@ def surj_mono_factorize(u):
     Q, proj = quotient_ring(A, Ideal(A, u.kernel_elements()).validate())
     right = factors_through_surjection(u, proj)
     right.validate()
-    return Factorization("surj-mono", proj, Q, right)
+    return Factorization(proj, Q, right)
 
 
 def int_intclo_factorize(u):
     """Integral part first; over finite rings the closure is the full target,
-    so the right leg is the identity; factorize's verify checks that."""
-    return Factorization("int-intclo", u, u.target, identity_hom(u.target))
+    so the right leg is the identity; factorize's check confirms that."""
+    return Factorization(u, u.target, identity_hom(u.target))
 
 
-def triple_factorize(u, budget=None):
-    """Surjection, then injective-and-integral, then integrally closed."""
-    budget = ensure_budget(budget)
-    sm = factorize(u, "surj-mono", budget)
-    if not is_integral_map(sm.right, budget):
-        raise FactorizerContractViolation(
-            "triple factorisation of %s -> %s: middle leg is not integral"
-            % (u.source.name, u.target.name))
-    return TripleFactorization(sm.left, sm.right, identity_hom(u.target))
+FACTORIZERS = {"loc-cons": loc_cons_factorize,
+               "surj-mono": surj_mono_factorize,
+               "int-intclo": int_intclo_factorize}
 
 
 def factorize(u, system, budget=None):
     """The factorisation of u in ``system``, checked once by
-    Factorization.verify: its legs compose to u and lie in their classes."""
+    verify_factorization: its legs compose to u and lie in their classes."""
     budget = ensure_budget(budget)
-    if system == "loc-cons":
-        f = loc_cons_factorize(u)
-    elif system == "surj-mono":
-        f = surj_mono_factorize(u)
-    elif system == "int-intclo":
-        f = int_intclo_factorize(u)
-    else:
+    if system not in FACTORIZERS:
         raise InvalidSpec("unknown system %r" % (system,))
-    return f.verify(u, budget)
+    return verify_factorization(system, u, FACTORIZERS[system](u), budget)
+
+
+def triple_factorize(u, budget=None):
+    """Surjection, then injective-and-integral, then integrally closed: the
+    surj-mono factorisation with its right leg factored again by int-intclo,
+    so ``right`` is itself a Factorization."""
+    budget = ensure_budget(budget)
+    sm = factorize(u, "surj-mono", budget)
+    return sm._replace(right=factorize(sm.right, "int-intclo", budget))
 
 
 # ---------------------------------------------------------------------------
@@ -481,41 +459,38 @@ def ring_universe(rings, budget):
     return cat
 
 
-def _iso_onto_universe(M, rings, seed, budget):
-    """A bijective hom from M onto some universe ring, chosen by seed.
-
-    seed 0 keeps the natural enumeration; other seeds shuffle candidate
-    rings and rotate among the isos, which is how the middle-uniqueness
-    axiom gets a genuinely different comparison run.
-    """
-    cands = [R for R in rings if R.size == M.size]
-    if seed:
-        random.Random(seed).shuffle(cands)
-    for C in cands:
-        isos = [h for h in enumerate_homs(M, C, budget)
-                if h.is_bijective()]
-        if isos:
-            return isos[seed % len(isos)], C
+def _iso_onto_universe(M, rings, budget):
+    """A bijective hom from M onto the first universe ring of its size that
+    has one, and that ring.  Any iso will do: verify_system's middle
+    uniqueness does not depend on which copy of the middle it is given."""
+    for C in rings:
+        if C.size != M.size:
+            continue
+        for h in enumerate_homs(M, C, budget):
+            if h.is_bijective():
+                return h, C
     raise InvalidSpec(
         "no universe ring isomorphic to %s of size %d; the universe must be "
         "closed under quotients up to isomorphism" % (M.name, M.size))
 
 
-def system_factorizer(system, universe, seed, budget):
-    """Adapt factorize() to the morphism-id protocol of verify_system."""
+def system_factorizer(system, universe, budget):
+    """Adapt the system's factoriser to the morphism-id protocol of
+    verify_system.  The legs are not checked here: verify_system checks
+    that they compose and reports those outside their classes."""
     rings = list(universe.rings.values())
     index = {(m[0], m[1], h.mapping): m
              for m, h in universe.payload.items()}
 
     def fac(mor_id):
         u = universe.payload[mor_id]
-        F = factorize(u, system, budget)
-        iso, C = _iso_onto_universe(F.middle, rings, seed, budget)
+        F = FACTORIZERS[system](u)
+        iso, C = _iso_onto_universe(F.middle, rings, budget)
         left = F.left.then(iso)
         right = inverse_hom(iso).then(F.right)
-        return (index[(u.source.name, C.name, left.mapping)],
-                C.name,
-                index[(C.name, u.target.name, right.mapping)])
+        return Factorization(index[(u.source.name, C.name, left.mapping)],
+                             C.name,
+                             index[(C.name, u.target.name, right.mapping)])
 
     return fac
 
@@ -532,12 +507,10 @@ def class_predicates(system, universe, budget):
     return in_left, in_right
 
 
-def verify_ring_system(system, rings, alt_seed=1, budget=None):
+def verify_ring_system(system, rings, budget=None):
     """Run the full axiom battery for one system over the given rings."""
     budget = ensure_budget(budget)
     universe = ring_universe(rings, budget)
-    fac = system_factorizer(system, universe, 0, budget)
-    fac_alt = system_factorizer(system, universe, alt_seed, budget)
     in_left, in_right = class_predicates(system, universe, budget)
-    return verify_system(fac, in_left, in_right, universe,
-                         fac_alt=fac_alt, budget=budget)
+    return verify_system(system_factorizer(system, universe, budget),
+                         in_left, in_right, universe, budget=budget)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .budget import ensure_budget
 from .errors import (FactorizerContractViolation, IdentityViolation,
                      InvalidFamily, InvalidSpec, NotSimplicial,
                      TruncationTooLow)
-from .fincat import CoverResult
+from .fincat import CoverResult, Factorization
 from .posets import Poset, Spectrum
 from .reader import SMAP, SSET, read
 
@@ -544,16 +543,6 @@ def sset_isomorphic(X, Y, budget):
 # ---------------------------------------------------------------------------
 # the collapse factorization
 
-@dataclass
-class SSetFactorization:
-    left: SimplicialMap
-    middle: FinSSet
-    right: SimplicialMap
-
-    def composite(self):
-        return self.left.then(self.right)
-
-
 def deg_ndeg_factorize(f, rng=None, budget=None):
     """Collapse the source until the remaining map keeps cells nondegenerate.
 
@@ -609,7 +598,7 @@ def deg_ndeg_factorize(f, rng=None, budget=None):
     if left.then(g).assignment != f.assignment:
         raise FactorizerContractViolation(
             "collapse of %r: legs do not compose to it" % f)
-    return SSetFactorization(left, M, g)
+    return Factorization(left, M, g)
 
 
 def _quotient(M, pairs, budget):

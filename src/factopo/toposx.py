@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .budget import ensure_budget
 from .errors import (FactorizerContractViolation, InvalidSpec, NotEquivariant,
                      NotLinear)
-from .fincat import CoverResult
+from .fincat import CoverResult, Factorization
 from .finring import gf, prime_power
 from .posets import Poset, Spectrum
 from .reader import GSET, VSPACE, read
@@ -29,12 +29,6 @@ class FinGroup:
         self.size = len(self.names)
         self.table = tuple(tuple(row) for row in table)
         self.name = name
-        self.unit = None
-        for e in range(self.size):
-            if all(self.table[e][x] == x and self.table[x][e] == x
-                   for x in range(self.size)):
-                self.unit = e
-                break
         self.validate()
 
     def mul(self, a, b):
@@ -46,6 +40,9 @@ class FinGroup:
             raise InvalidSpec("group table is not %d x %d" % (n, n))
         if any(v not in range(n) for r in self.table for v in r):
             raise InvalidSpec("group table entry out of range")
+        self.unit = next((e for e in range(n)
+                          if all(self.table[e][x] == x == self.table[x][e]
+                                 for x in range(n))), None)
         if self.unit is None:
             raise InvalidSpec("group has no two-sided unit")
         for a in range(n):
@@ -206,7 +203,7 @@ def epi_mono_factorize_gset(f):
     if epi.then(mono).mapping != f.mapping:
         raise FactorizerContractViolation(
             "image factorisation of %r: legs do not compose to it" % f)
-    return epi, mid, mono
+    return Factorization(epi, mid, mono)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +422,7 @@ def epi_mono_factorize_linear(f):
     if epi.then(mono).rows != f.rows:
         raise FactorizerContractViolation(
             "image factorisation of %r: legs do not compose to it" % f)
-    return epi, mid, mono
+    return Factorization(epi, mid, mono)
 
 
 # ---------------------------------------------------------------------------

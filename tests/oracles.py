@@ -3,16 +3,20 @@ does not need, or that it replaced with faster ones."""
 
 import itertools
 import math
+import random
 
 from factopo.budget import Budget
-from factopo.errors import InvalidSpec, NotACategory, NotARing
-from factopo.fincat import FAIL, PASS, AxiomResult, Functor, all_functors
+from factopo.errors import (FactorizerContractViolation, InvalidSpec,
+                            NotACategory, NotARing)
+from factopo.fincat import (FAIL, PASS, AxiomResult, Functor, all_functors,
+                            verify_system)
 from factopo.finring import (all_ideals, annihilator_kernel, enumerate_homs,
-                             ideal_generated, localize, prime_power,
-                             primitive_idempotents, quotient_ring, radical,
-                             smallest_prime_factor)
+                             ideal_generated, inverse_hom, localize,
+                             prime_power, primitive_idempotents, quotient_ring,
+                             radical, smallest_prime_factor)
 from factopo.posets import Poset, Spectrum
 from factopo.ringspec import recognize_ring
+from factopo.ringsys import class_predicates, factorize, ring_universe
 from factopo.sset import (compose_ops, epi_mono_split, identity_op,
                           is_identity_op)
 
@@ -148,6 +152,76 @@ def closure_and_cancellation_by_pairs(C, left_class, right_class):
             break
     out["left-cancellation"] = cancel
     return out
+
+
+def verify_system_two_runs(fac, fac_alt, in_left, in_right, universe,
+                           budget):
+    """verify_system as it was with a second factoriser ``fac_alt``: middle
+    uniqueness asks for exactly one iso between the two middles that
+    carries the first run's legs onto the second's, and an alternate run
+    that does not compose to its input raises FactorizerContractViolation.
+    The other axioms are verify_system's."""
+    report = verify_system(fac, in_left, in_right, universe, budget=budget)
+    C, comp = universe, universe.compose_table
+    uniqueness = AxiomResult(PASS)
+    for m in C.morphism_ids():
+        a, mid, b = fac(m)
+        a2, mid2, b2 = fac_alt(m)
+        if C.compose(b2, a2) != m:
+            raise FactorizerContractViolation(
+                "alternate factorizer of %r does not compose to the input"
+                % (m,))
+        comparisons = [phi for phi in C.hom(mid, mid2)
+                       if C.is_iso(phi) and comp[(phi, a)] == a2
+                       and C.compose(b2, phi) == b]
+        if len(comparisons) != 1:
+            uniqueness = AxiomResult(FAIL, (m, len(comparisons)))
+            break
+    report.axioms["middle-uniqueness"] = uniqueness
+    return report
+
+
+def iso_onto_universe_by_seed(M, rings, seed, budget):
+    """A bijective hom from M onto some universe ring, and that ring: seed 0
+    takes the first of each, other seeds shuffle the candidate rings and
+    rotate among the isos."""
+    cands = [R for R in rings if R.size == M.size]
+    if seed:
+        random.Random(seed).shuffle(cands)
+    for C in cands:
+        isos = [h for h in enumerate_homs(M, C, budget) if h.is_bijective()]
+        if isos:
+            return isos[seed % len(isos)], C
+    raise InvalidSpec("no universe ring isomorphic to %s" % M.name)
+
+
+def seeded_system_factorizer(system, universe, seed, budget):
+    """factorize, checked, with its middle carried onto the universe ring
+    that iso_onto_universe_by_seed picks, in morphism ids."""
+    rings = list(universe.rings.values())
+    index = {(m[0], m[1], h.mapping): m for m, h in universe.payload.items()}
+
+    def fac(mor_id):
+        u = universe.payload[mor_id]
+        F = factorize(u, system, budget)
+        iso, C = iso_onto_universe_by_seed(F.middle, rings, seed, budget)
+        return (index[(u.source.name, C.name, F.left.then(iso).mapping)],
+                C.name,
+                index[(C.name, u.target.name,
+                       inverse_hom(iso).then(F.right).mapping)])
+
+    return fac
+
+
+def verify_ring_system_two_runs(system, rings, alt_seed, budget):
+    """The ring axiom battery as two runs: the factoriser under seed 0 and
+    again under ``alt_seed``, each factorisation checked by factorize."""
+    universe = ring_universe(rings, budget)
+    in_left, in_right = class_predicates(system, universe, budget)
+    return verify_system_two_runs(
+        seeded_system_factorizer(system, universe, 0, budget),
+        seeded_system_factorizer(system, universe, alt_seed, budget),
+        in_left, in_right, universe, budget)
 
 
 def all_functors_by_backtracking(C, D):

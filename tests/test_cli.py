@@ -672,7 +672,7 @@ def test_the_budget_bounds_the_truncation_dimension(tmp_path, capsys):
 
 
 def test_failing_axiom_is_reported(monkeypatch, capsys):
-    def one_failure(system, rings, alt_seed=1, budget=None):
+    def one_failure(system, rings, budget=None):
         return SystemReport({"orthogonality": AxiomResult(FAIL, "(a, b)")})
 
     monkeypatch.setattr(suites, "verify_ring_system", one_failure)

@@ -1,16 +1,22 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from factopo import ringsys
 from factopo.budget import Budget
-from factopo.errors import InvalidFamily
-from factopo.finring import (RingHom, enumerate_homs, gf, ideal_generated,
-                             product_ring, zmod)
-from factopo.ringsys import (classify_ring, conservative_witness, cover_check,
+from factopo.errors import InvalidFamily, InvalidSpec
+from factopo.fincat import FAIL, Factorization, verify_system
+from factopo.finring import (RingHom, enumerate_homs, gf, identity_hom,
+                             ideal_generated, product_ring, zmod)
+from factopo.ringsys import (SYSTEMS, class_predicates, classify_ring,
+                             conservative_witness, cover_check,
                              dom_self_lift_decider, factorize,
                              integral_elements, is_conservative,
                              is_integral_map, is_integrally_closed_map,
-                             is_localization_map, points_of, triple_factorize,
-                             zar_self_lift_decider)
-from oracles import ring_isomorphic
+                             is_localization_map, points_of, ring_universe,
+                             triple_factorize, verify_factorization,
+                             verify_ring_system, zar_self_lift_decider)
+from oracles import (ring_isomorphic, verify_ring_system_two_runs,
+                     verify_system_two_runs)
 
 z2, z3, z4, z6, z12 = zmod(2), zmod(3), zmod(4), zmod(6), zmod(12)
 f4 = gf(2, 2)
@@ -49,7 +55,7 @@ def test_loc_cons_of_z12_to_z3():
     proj = RingHom(z12, z3, tuple(x % 3 for x in range(12)))
     proj.validate()
     f = factorize(proj, "loc-cons")
-    f.verify(proj, Budget())
+    verify_factorization("loc-cons", proj, f, Budget())
     assert f.middle.size == 3
     assert ring_isomorphic(f.middle, z3, Budget()) is not None
     # the whole content sits in the localization leg
@@ -59,7 +65,7 @@ def test_loc_cons_of_z12_to_z3():
 def test_loc_cons_of_z4_to_z2_is_trivial_on_the_left():
     u = the_hom(z4, z2)
     f = factorize(u, "loc-cons")
-    f.verify(u, Budget())
+    verify_factorization("loc-cons", u, f, Budget())
     assert f.middle is z4
     assert f.left.mapping == tuple(range(4))
 
@@ -67,7 +73,7 @@ def test_loc_cons_of_z4_to_z2_is_trivial_on_the_left():
 def test_surj_mono_of_z12_to_f4():
     u = the_hom(z12, f4)
     f = factorize(u, "surj-mono")
-    f.verify(u, Budget())
+    verify_factorization("surj-mono", u, f, Budget())
     assert f.middle.size == 2
     assert ring_isomorphic(f.middle, z2, Budget()) is not None
 
@@ -75,7 +81,7 @@ def test_surj_mono_of_z12_to_f4():
 def test_int_intclo_of_prime_field_inclusion():
     u = the_hom(z2, f4)
     f = factorize(u, "int-intclo")
-    f.verify(u, Budget())
+    verify_factorization("int-intclo", u, f, Budget())
     # a field extension is all integral, the closed leg is an iso
     assert f.middle.size == 4
     assert f.right.mapping == tuple(range(4))
@@ -84,8 +90,103 @@ def test_int_intclo_of_prime_field_inclusion():
 def test_triple_factorization_composes():
     u = the_hom(z12, f4)
     t = triple_factorize(u)
-    assert t.composite().mapping == u.mapping
-    assert t.surj.source is z12 and t.intclo.target is f4
+    assert t.left.then(t.right.left).then(t.right.right).mapping == u.mapping
+    assert t.left.source is z12 and t.right.right.target is f4
+
+
+# -- the axiom battery -----------------------------------------------------
+
+# the universe of `verify --suite axioms`
+AXIOM_RINGS = [zmod(n) for n in (1, 2, 3, 4, 6)] + [f4]
+
+# rings with the quotients each has up to isomorphism, the ring itself and
+# the zero ring aside; a universe closed under these is closed under
+# quotients and localisations
+QUOTIENTS = {"Z/1": [], "Z/2": [], "Z/3": [], "Z/4": ["Z/2"],
+             "Z/6": ["Z/2", "Z/3"], "F_4": [], "Z/2xZ/2": ["Z/2"],
+             "Z/8": ["Z/4", "Z/2"], "Z/9": ["Z/3"],
+             "Z/12": ["Z/6", "Z/4", "Z/3", "Z/2"], "Z/2xF_4": ["Z/2", "F_4"]}
+POOL = {R.name: R for R in (zmod(1), z2, z3, z4, z6, f4,
+                            product_ring([z2, z2]), zmod(8), zmod(9), z12,
+                            product_ring([z2, f4]))}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_one_run_battery_matches_the_two_run_oracle_on_the_suite(system,
+                                                                 seed):
+    ours = verify_ring_system(system, AXIOM_RINGS)
+    oracle = verify_ring_system_two_runs(system, AXIOM_RINGS, 1 + seed,
+                                         Budget())
+    assert ours.axioms == oracle.axioms
+    assert ours.ok()
+
+
+@given(st.sampled_from(SYSTEMS), st.integers(0, 2 ** 32),
+       st.sets(st.sampled_from(sorted(POOL)), min_size=1, max_size=3)
+       .map(lambda tops: sorted({"Z/1", *tops,
+                                 *(q for t in tops for q in QUOTIENTS[t])}))
+       .flatmap(st.permutations))
+def test_one_run_battery_matches_the_two_run_oracle(system, seed, names):
+    rings = [POOL[n] for n in names]
+    assert verify_ring_system(system, rings).axioms == \
+        verify_ring_system_two_runs(system, rings, seed, Budget()).axioms
+
+
+def test_both_batteries_count_two_automorphisms_fixing_frobenius_legs():
+    # Z/2 -> Z/1 through F_4: Frobenius fixes Z/2 -> F_4 and F_4 -> Z/1
+    U = ring_universe([zmod(1), z2, f4], Budget())
+    through = (("Z/2", "F_4", 0), "F_4", ("F_4", "Z/1", 0))
+
+    def fac(m):
+        if m == ("Z/2", "Z/1", 0):
+            return Factorization(*through)
+        return Factorization(U.identities[U.src(m)], U.src(m), m)
+
+    in_left, in_right = class_predicates("surj-mono", U, Budget())
+    ours = verify_system(fac, in_left, in_right, U, budget=Budget())
+    oracle = verify_system_two_runs(fac, fac, in_left, in_right, U, Budget())
+    assert ours.axioms == oracle.axioms
+    assert ours.failures()["middle-uniqueness"].counterexample == \
+        (("Z/2", "Z/1", 0), 2)
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_the_battery_factorises_each_morphism_once(monkeypatch, system):
+    calls = []
+    factorizer = ringsys.FACTORIZERS[system]
+
+    def counted(u):
+        calls.append(u.mapping)
+        return factorizer(u)
+
+    monkeypatch.setitem(ringsys.FACTORIZERS, system, counted)
+    assert verify_ring_system(system, AXIOM_RINGS).ok()
+    assert len(calls) == \
+        len(ring_universe(AXIOM_RINGS, Budget()).morphism_ids())
+
+
+def test_a_leg_outside_its_class_is_a_class_membership_failure(monkeypatch):
+    # the identity, then u: a surjection, but the right leg is not injective
+    monkeypatch.setitem(ringsys.FACTORIZERS, "surj-mono",
+                        lambda u: Factorization(identity_hom(u.source),
+                                                u.source, u))
+    report = verify_ring_system("surj-mono", AXIOM_RINGS)
+    failure = report.failures()["class-membership"]
+    assert failure.status == FAIL
+    m, _left, right = failure.counterexample
+    assert m == right and m[0] != m[1]
+
+
+def test_the_battery_refuses_a_universe_with_repeated_names():
+    with pytest.raises(InvalidSpec, match="distinct names"):
+        verify_ring_system("loc-cons", [zmod(2), zmod(2)])
+
+
+def test_the_battery_refuses_a_universe_without_the_middles():
+    # Z/12 -> Z/2 inverts the odd elements, through the missing Z/4
+    with pytest.raises(InvalidSpec, match="closed under quotients"):
+        verify_ring_system("loc-cons", [zmod(12), zmod(2)])
 
 
 # -- classification --------------------------------------------------------

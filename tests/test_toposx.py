@@ -32,6 +32,13 @@ def test_bad_group_table_rejected():
         FinGroup(["e", "a"], [[0, 1], [1, 1]])
 
 
+def test_a_group_table_of_the_wrong_shape_is_refused_before_the_unit_search():
+    spec = {"group": {"table": [[0, 1]], "elements": ["a", "b"]},
+            "carrier": ["x"], "action": [[0, 0]]}
+    with pytest.raises(InvalidSpec, match="group table is not 2 x 2"):
+        build_gset(spec)
+
+
 def test_regular_gset_is_one_orbit():
     X = regular_gset(cyclic_group(2))
     assert len(orbit_partition(X)) == 1
