@@ -11,7 +11,8 @@ from .budget import Budget
 from .errors import (EnumerationBudgetExceeded, FactopoError, FactorizerContractViolation,
                      IdentityViolation, InvalidFamily, InvalidSpec, NotACategory,
                      NotALattice, NotAPrime, NotARing, NotEquivariant, NotLinear,
-                     NotSimplicial, ParseError, TruncationTooLow, UsageError)
+                     NotSimplicial, OutputError, ParseError, TruncationTooLow,
+                     UsageError)
 from .fincat import (Factorization, FinCat, Functor, is_orthogonal,
                      validate_fincat, verify_system)
 from .finring import (FinRing, Ideal, RingHom, build_ring, gf, hom_from_images,

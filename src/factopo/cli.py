@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 
 from . import finring, ringspec, ringsys, sset, suites, toposx
 from .budget import Budget
-from .errors import (FactopoError, InvalidFamily, InvalidSpec, ParseError,
-                     UsageError)
+from .errors import (FactopoError, InvalidFamily, InvalidSpec, OutputError,
+                     ParseError, UsageError)
 from .fincat import is_orthogonal, validate_fincat
 from .reader import FAMILIES, HOM, read
 
@@ -40,6 +40,8 @@ def load_json(path):
             text = fh.read()
     except OSError as err:
         raise ParseError("%s: %s" % (path, err.strerror or err)) from err
+    except UnicodeDecodeError as err:
+        raise ParseError("%s: %s" % (path, err)) from err
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as err:
@@ -389,8 +391,7 @@ def dispatch(args):
     started = time.perf_counter()
     payload = COMMANDS[args.command].run(args, budget)
     if args.format == "dot":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload.to_dot())
+        write_out(args.out, payload.to_dot())
         return None
     if args.command == "spectrum":
         payload = payload.as_json()
@@ -406,9 +407,18 @@ def dispatch(args):
         report["timing"] = {"seconds": round(elapsed, 3)}
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_out(args.out, text + "\n")
     return text
+
+
+def write_out(path, text):
+    """Write the --out file, refusing a path that cannot be written the way
+    an unreadable input is refused."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OutputError("%s: %s" % (path, err.strerror or err)) from err
 
 
 def main(argv=None):

@@ -62,6 +62,10 @@ class ParseError(FactopoError):
     """Input file rejected before any computation, with a field path."""
 
 
+class OutputError(FactopoError):
+    """The --out file cannot be written, named with its path."""
+
+
 class UsageError(FactopoError):
     pass
 

@@ -11,11 +11,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotARing
 from .reader import RING, read
+
+
+def _through(row):
+    """The map that reads a sequence at the places ``row`` lists, in one C
+    call: _through(A[s])(A[r]) is row r after row s, y -> r + (s + y)."""
+    if len(row) == 1:
+        (i,) = row
+        return lambda seq: (seq[i],)
+    return itemgetter(*row)
 
 
 class FinRing:
@@ -103,8 +112,9 @@ class FinRing:
         # L_(x+y) as both send zero to x + y: that is associativity.  Each
         # member of S has its row checked to be a permutation as it joins, so
         # every row is one, and each new member at least doubles the group
-        # reached.
-        S, reached, tree = [zero], {zero}, []
+        # reached.  after[s](row) is that row read at the places A[s] lists,
+        # L_row L_s in one call; zero adds no edge, as r + zero = r.
+        S, reached, tree, after = [zero], {zero}, [], {}
         for a in range(n):
             if a in reached:
                 continue
@@ -118,10 +128,9 @@ class FinRing:
                 if A[z][v] == y:
                     y = Aa.index(v, y + 1)
                 raise breaks("addition not associative", z, a, y)
+            after[a] = _through(Aa)
             for s in S[1:]:
-                As = A[s]
-                lhs = tuple(map(Aa.__getitem__, As))
-                rhs = tuple(map(As.__getitem__, Aa))
+                lhs, rhs = after[s](Aa), after[a](A[s])
                 if lhs != rhs:
                     # a + (s + z) != s + (a + z), so one of them is not
                     # (a + s) + z = (s + a) + z
@@ -130,14 +139,15 @@ class FinRing:
                         raise breaks("addition not associative", a, s, z)
                     raise breaks("addition not associative", s, a, z)
             S.append(a)
+            steps = [(s, after[s]) for s in S[1:]]
             todo = list(reached)
             while todo:
                 r = todo.pop()
                 Ar = A[r]
-                for s in S:
+                for s, after_s in steps:
                     x = Ar[s]
                     if x not in reached:
-                        rhs = tuple(map(Ar.__getitem__, A[s]))
+                        rhs = after_s(Ar)
                         if A[x] != rhs:
                             raise breaks("addition not associative", r, s,
                                          first_miss(A[x], rhs))
@@ -151,15 +161,19 @@ class FinRing:
         # edge, S[1] = zero + S[1], as zero was all that was reached then.
         for s in S[1:]:
             Ms = M[s]
+            after_Ms = _through(Ms)
             for t in S[1:]:
-                lhs = tuple(map(Ms.__getitem__, A[t]))
-                rhs = tuple(map(A[Ms[t]].__getitem__, Ms))
+                lhs = after[t](Ms)
+                rhs = after_Ms(A[Ms[t]])
                 if lhs != rhs:
                     raise breaks("distributivity fails", s, t,
                                  first_miss(lhs, rhs))
+        # row y of picked[s] is the row of A at ys; + is commutative by now,
+        # so picked[s][y][yr] = yr + ys
+        picked = {s: _through(M[s])(A) for s in S[1:]}
         for x, r, s in tree:
             # row x holds y(r + s), the sum holds yr + ys
-            rhs = tuple(map(getitem, map(A.__getitem__, M[r]), M[s]))
+            rhs = tuple(map(getitem, picked[s], M[r]))
             if M[x] != rhs:
                 raise breaks("distributivity fails", first_miss(M[x], rhs),
                              r, s)
@@ -246,9 +260,18 @@ def zmod(n, budget=None):
         raise InvalidSpec("zmod modulus must be >= 1")
     ensure_budget(budget).spend(n * n)
     names = [str(i) for i in range(n)]
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
-    mul = [[(i * j) % n for j in range(n)] for i in range(n)]
+    add = _cyclic_rows(n)
+    # row i holds j + (i - 1)j: row j of add read at (i - 1)j
+    mul = [(0,) * n]
+    for _ in range(1, n):
+        mul.append(tuple(map(getitem, add, mul[-1])))
     return FinRing(names, add, mul, 0, 1 % n, (), name="Z/%d" % n)
+
+
+def _cyclic_rows(n):
+    """The addition table of Z/n: row i is a slice of 0..n-1 run twice."""
+    twice = tuple(range(n)) * 2
+    return [twice[i:i + n] for i in range(n)]
 
 
 def _poly_trim(p):
@@ -316,26 +339,42 @@ def gf(p, k=1, budget=None):
     if p < 2 or smallest_prime_factor(p) != p:
         raise InvalidSpec("gf characteristic must be prime, got %r" % (p,))
     modpoly = least_irreducible(p, k)
-    # element b = b0 + p*r stands for the polynomial b0 + x*r, so both
-    # tables follow by Horner's rule from rows of smaller elements
+    # element b = b0 + p*r stands for the polynomial b0 + x*r; + adds
+    # coefficients, so the table is that of (Z/p)^k, in either digit order
+    add = _product_table([_cyclic_rows(p)] * k)
     top = n // p
-    add = [list(range(n))]
-    for a in range(1, n):
-        lo = [(a % p + c) % p for c in range(p)]
-        add.append([c + p * h for h in add[a // p][:top] for c in lo])
     scal = [[0] * n]
     for c in range(1, p):
         scal.append([add[v][a] for a, v in enumerate(scal[-1])])
     # x^k reduced by the modulus, then x*c by one shift and one reduction
     xk = sum((-m) % p * p ** i for i, m in enumerate(modpoly[:k]))
     xmul = [add[p * (c % top)][scal[c // top][xk]] for c in range(n)]
-    mul = []
-    for a in range(n):
+
+    def horner_row(a):
+        # ab for b = b0 + x*r is b0 a + x(ra), ra earlier in the row
         sa = [scal[c][a] for c in range(p)]
         row = [0]
         for b in range(1, n):
             row.append(add[sa[b % p]][xmul[row[b // p]]])
-        mul.append(row)
+        return row
+
+    # the powers of the first element of order n - 1, and their logs
+    for g in range(1, n):
+        row = horner_row(g)
+        exp = [1]
+        for _ in range(n - 2):
+            exp.append(row[exp[-1]])
+        if len(set(exp)) == n - 1:
+            break
+    log = [2 * (n - 1)] * n
+    for i, v in enumerate(exp):
+        log[v] = i
+    # ab = exp[log a + log b]: row a is the exp table, run twice and padded
+    # with zeros for log 0 = 2(n - 1) to land in, from log a on, read at
+    # the logs
+    padded = tuple(exp) * 2 + (0,) * (n - 1)
+    at_logs = _through(log)
+    mul = [(0,) * n] + [at_logs(padded[log[a]:]) for a in range(1, n)]
     names = [_poly_name([i // p ** j % p for j in range(k)]) for i in range(n)]
     gens = (p,) if k > 1 else ()
     return FinRing(names, add, mul, 0, 1, gens, name="F_%d" % n)
@@ -355,13 +394,8 @@ def product_ring(factors, budget=None):
             i = i * f.size + c
         return i
 
-    # fold in one factor at a time: cell (a m + c, b m + d) of the product
-    # with an m-element factor F is T[a][b] m + F[c][d]
-    add, mul = [[0]], [[0]]
-    for f in factors:
-        m = f.size
-        add = [[t * m + v for t in Ta for v in Fc] for Ta in add for Fc in f.add]
-        mul = [[t * m + v for t in Ta for v in Fc] for Ta in mul for Fc in f.mul]
+    add = _product_table([f.add for f in factors])
+    mul = _product_table([f.mul for f in factors])
     names = ["(%s)" % ",".join(combo)
              for combo in itertools.product(*[f.names for f in factors])]
     zero = index([f.zero for f in factors])
@@ -376,6 +410,23 @@ def product_ring(factors, budget=None):
     gens = tuple(dict.fromkeys(gens))
     return FinRing(names, add, mul, zero, one, gens,
                    name="x".join(f.name for f in factors))
+
+
+def _product_table(tables):
+    """The table of a product of two or more factors, each as the product
+    of its two halves: cell (a m + c, b m + d), with T the table of the
+    first half and F that of the m-element second half, is T[a][b] m +
+    F[c][d].  So row (a, c) is blocks[c][t] for t in row a of T, with
+    blocks[c][t] row c of F shifted by t m."""
+    if len(tables) == 1:
+        return tables[0]
+    half = len(tables) // 2
+    T, F = _product_table(tables[:half]), _product_table(tables[half:])
+    m = len(F)
+    shifts = [range(t * m, t * m + m) for t in range(len(T))]
+    blocks = [list(map(_through(Fc), shifts)) for Fc in F]
+    return [tuple(itertools.chain.from_iterable(through_a(bc)))
+            for through_a in map(_through, T) for bc in blocks]
 
 
 def table_ring(spec, budget):
@@ -460,12 +511,13 @@ class RingHom:
             raise InvalidSpec("hom mapping has wrong shape")
         if f[A.one] != B.one:
             raise InvalidSpec("hom does not preserve 1")
+        at_f = _through(f)
         for s in A.additive_generators:
             # row s of a commutative table is its column s
             for At, Bt, law in ((A.add, B.add, "addition"),
                                 (A.mul, B.mul, "multiplication")):
-                lhs = tuple(map(f.__getitem__, At[s]))
-                rhs = tuple(map(Bt[f[s]].__getitem__, f))
+                lhs = _through(At[s])(f)
+                rhs = at_f(Bt[f[s]])
                 if lhs != rhs:
                     x = next(x for x, (u, v) in enumerate(zip(lhs, rhs))
                              if u != v)
@@ -690,9 +742,10 @@ def quotient_ring(A, I):
         reps.append(rep)
         for m in members:
             coset_of[m] = idx
-    n = len(reps)
-    add = [[coset_of[A.add[reps[i]][reps[j]]] for j in range(n)] for i in range(n)]
-    mul = [[coset_of[A.mul[reps[i]][reps[j]]] for j in range(n)] for i in range(n)]
+    # row i of a table is the row of A at reps[i], read at reps
+    at_reps = _through(reps)
+    add = [_through(at_reps(row))(coset_of) for row in at_reps(A.add)]
+    mul = [_through(at_reps(row))(coset_of) for row in at_reps(A.mul)]
     names = [A.names[r] for r in reps]
     gens = tuple(dict.fromkeys(coset_of[g] for g in A.generators))
     Q = FinRing(names, add, mul, coset_of[A.zero], coset_of[A.one], gens,

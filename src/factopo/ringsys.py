@@ -477,15 +477,25 @@ def _iso_onto_universe(M, rings, budget):
 def system_factorizer(system, universe, budget):
     """Adapt the system's factoriser to the morphism-id protocol of
     verify_system.  The legs are not checked here: verify_system checks
-    that they compose and reports those outside their classes."""
+    that they compose and reports those outside their classes.  The iso
+    onto the universe is looked for once per middle: the key holds all
+    that enumerate_homs reads of it, so a recurring middle gets the iso
+    that a fresh search would find."""
     rings = list(universe.rings.values())
     index = {(m[0], m[1], h.mapping): m
              for m, h in universe.payload.items()}
+    isos = {}
 
     def fac(mor_id):
         u = universe.payload[mor_id]
         F = FACTORIZERS[system](u)
-        iso, C = _iso_onto_universe(F.middle, rings, budget)
+        M = F.middle
+        key = (M.add, M.mul, M.zero, M.one, M.generators)
+        if key not in isos:
+            iso, C = _iso_onto_universe(M, rings, budget)
+            isos[key] = iso.mapping, C
+        mapping, C = isos[key]
+        iso = RingHom(M, C, mapping)
         left = F.left.then(iso)
         right = inverse_hom(iso).then(F.right)
         return Factorization(index[(u.source.name, C.name, left.mapping)],

@@ -4,6 +4,7 @@ does not need, or that it replaced with faster ones."""
 import itertools
 import math
 import random
+from operator import getitem
 
 from factopo.budget import Budget
 from factopo.errors import (FactorizerContractViolation, InvalidSpec,
@@ -11,9 +12,9 @@ from factopo.errors import (FactorizerContractViolation, InvalidSpec,
 from factopo.fincat import (FAIL, PASS, AxiomResult, Functor, all_functors,
                             verify_system)
 from factopo.finring import (all_ideals, annihilator_kernel, enumerate_homs,
-                             ideal_generated, inverse_hom, localize,
-                             prime_power, primitive_idempotents, quotient_ring,
-                             radical, smallest_prime_factor)
+                             ideal_generated, inverse_hom, least_irreducible,
+                             localize, prime_power, primitive_idempotents,
+                             quotient_ring, radical, smallest_prime_factor)
 from factopo.posets import Poset, Spectrum
 from factopo.ringspec import recognize_ring
 from factopo.ringsys import class_predicates, factorize, ring_universe
@@ -405,6 +406,177 @@ def validate_axioms_by_light(names, add, mul, zero, one):
             raise NotARing("multiplication not associative at (%s, %s, %s)"
                            % (names[x], names[y], names[z]))
     return tuple(S)
+
+
+def validate_axioms_by_maps(names, add, mul, zero, one):
+    """FinRing.validate_axioms with each row composition made by ``map``
+    over one row at a time: the same spanning tree, checks and messages.
+    Refuses with NotARing and returns S."""
+    n = len(names)
+    if n == 0:
+        raise NotARing("empty carrier")
+    A = tuple(tuple(row) for row in add)
+    M = tuple(tuple(row) for row in mul)
+    carrier = set(range(n))
+    for table, label in ((A, "add"), (M, "mul")):
+        if len(table) != n or any(len(row) != n for row in table):
+            raise NotARing("%s table is not %dx%d" % (label, n, n))
+        if not carrier.issuperset(itertools.chain.from_iterable(table)):
+            v = next(v for row in table for v in row if v not in carrier)
+            raise NotARing("%s table entry %r out of range" % (label, v))
+    if not (0 <= zero < n) or not (0 <= one < n):
+        raise NotARing("zero or one out of range")
+    At, Mt = tuple(zip(*A)), tuple(zip(*M))
+    for x in range(n):
+        if A[x][zero] != x:
+            raise NotARing("zero is not additively neutral at %s" % names[x])
+        if M[x][one] != x:
+            raise NotARing("one is not multiplicatively neutral at %s" % names[x])
+        if zero not in A[x]:
+            raise NotARing("no additive inverse for %s" % names[x])
+        if A[x] == At[x] and M[x] == Mt[x]:
+            continue
+        for y in range(n):
+            if A[x][y] != A[y][x]:
+                raise NotARing("addition not commutative at (%s, %s)"
+                               % (names[x], names[y]))
+            if M[x][y] != M[y][x]:
+                raise NotARing("multiplication not commutative at (%s, %s)"
+                               % (names[x], names[y]))
+
+    def first_miss(lhs, rhs):
+        return next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+
+    def breaks(law, x, y, z):
+        return NotARing("%s at (%s, %s, %s)"
+                        % (law, names[x], names[y], names[z]))
+
+    # Addition.  L_x is row x, y -> x + y.  Each x first reached as r + s,
+    # r reached before and s in S, has L_x = L_r L_s checked, so every
+    # L_x lies in the monoid the L_s generate, and the L_s are checked to
+    # commute, so that monoid is commutative.  It carries zero to all of
+    # R, so each member is fixed by where it sends zero, and L_x L_y =
+    # L_(x+y) as both send zero to x + y: that is associativity.  Each
+    # member of S has its row checked to be a permutation as it joins, so
+    # every row is one, and each new member at least doubles the group
+    # reached.
+    S, reached, tree = [zero], {zero}, []
+    for a in range(n):
+        if a in reached:
+            continue
+        Aa = A[a]
+        if len(set(Aa)) != n:
+            # z + a = 0 and a + y = a + y' = v for y != y', while
+            # (z + a) + y = y: z + v cannot be both y and y'
+            v = next(v for v in Aa if Aa.count(v) > 1)
+            y = Aa.index(v)
+            z = Aa.index(zero)
+            if A[z][v] == y:
+                y = Aa.index(v, y + 1)
+            raise breaks("addition not associative", z, a, y)
+        for s in S[1:]:
+            As = A[s]
+            lhs = tuple(map(Aa.__getitem__, As))
+            rhs = tuple(map(As.__getitem__, Aa))
+            if lhs != rhs:
+                # a + (s + z) != s + (a + z), so one of them is not
+                # (a + s) + z = (s + a) + z
+                z = first_miss(lhs, rhs)
+                if lhs[z] != A[A[a][s]][z]:
+                    raise breaks("addition not associative", a, s, z)
+                raise breaks("addition not associative", s, a, z)
+        S.append(a)
+        todo = list(reached)
+        while todo:
+            r = todo.pop()
+            Ar = A[r]
+            for s in S:
+                x = Ar[s]
+                if x not in reached:
+                    rhs = tuple(map(Ar.__getitem__, A[s]))
+                    if A[x] != rhs:
+                        raise breaks("addition not associative", r, s,
+                                     first_miss(A[x], rhs))
+                    reached.add(x)
+                    todo.append(x)
+                    tree.append((x, r, s))
+    # Distributivity.  Each row M[s], s in S, is additive against S, so
+    # additive, by induction along the tree now that + is associative;
+    # and M[x] = M[r] + M[s] pointwise on each tree edge x = r + s, so
+    # every row is a sum of additive rows.  Row zero is zero by the first
+    # edge, S[1] = zero + S[1], as zero was all that was reached then.
+    for s in S[1:]:
+        Ms = M[s]
+        for t in S[1:]:
+            lhs = tuple(map(Ms.__getitem__, A[t]))
+            rhs = tuple(map(A[Ms[t]].__getitem__, Ms))
+            if lhs != rhs:
+                raise breaks("distributivity fails", s, t,
+                             first_miss(lhs, rhs))
+    for x, r, s in tree:
+        # row x holds y(r + s), the sum holds yr + ys
+        rhs = tuple(map(getitem, map(A.__getitem__, M[r]), M[s]))
+        if M[x] != rhs:
+            raise breaks("distributivity fails", first_miss(M[x], rhs),
+                         r, s)
+    # a commutative biadditive product is associative when it is so on
+    # additive generators, since (xy)z - x(yz) is additive in each place
+    for x, y, z in itertools.product(S, repeat=3):
+        if M[M[x][y]][z] != M[x][M[y][z]]:
+            raise breaks("multiplication not associative", x, y, z)
+    return tuple(S)
+
+
+def zmod_tables_by_comprehension(n):
+    """(add, mul) of Z/n, each cell computed by its own expression."""
+    return ([[(i + j) % n for j in range(n)] for i in range(n)],
+            [[(i * j) % n for j in range(n)] for i in range(n)])
+
+
+def gf_tables_by_horner(p, k):
+    """(add, mul) of F_(p^k) by Horner's rule: element b = b0 + p*r stands
+    for the polynomial b0 + x*r, so every row of both tables follows from
+    rows of smaller elements."""
+    n = p ** k
+    modpoly = least_irreducible(p, k)
+    top = n // p
+    add = [list(range(n))]
+    for a in range(1, n):
+        lo = [(a % p + c) % p for c in range(p)]
+        add.append([c + p * h for h in add[a // p][:top] for c in lo])
+    scal = [[0] * n]
+    for c in range(1, p):
+        scal.append([add[v][a] for a, v in enumerate(scal[-1])])
+    # x^k reduced by the modulus, then x*c by one shift and one reduction
+    xk = sum((-m) % p * p ** i for i, m in enumerate(modpoly[:k]))
+    xmul = [add[p * (c % top)][scal[c // top][xk]] for c in range(n)]
+    mul = []
+    for a in range(n):
+        sa = [scal[c][a] for c in range(p)]
+        row = [0]
+        for b in range(1, n):
+            row.append(add[sa[b % p]][xmul[row[b // p]]])
+        mul.append(row)
+    return add, mul
+
+
+def quotient_tables_by_comprehension(A, I):
+    """(add, mul) of A/I for a nonzero ideal I, cosets numbered in order of
+    their least members, each cell looked up through the representatives."""
+    coset_of = [None] * A.size
+    reps = []
+    for x in A.elements():
+        if coset_of[x] is not None:
+            continue
+        members = sorted(A.add[x][i] for i in I.elements)
+        reps.append(members[0])
+        for m in members:
+            coset_of[m] = len(reps) - 1
+    n = len(reps)
+    return ([[coset_of[A.add[reps[i]][reps[j]]] for j in range(n)]
+             for i in range(n)],
+            [[coset_of[A.mul[reps[i]][reps[j]]] for j in range(n)]
+             for i in range(n)])
 
 
 def annihilator_kernel_by_closure(A, S):

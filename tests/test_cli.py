@@ -253,6 +253,30 @@ def test_missing_file(capsys):
     assert "nowhere.json" in err
 
 
+def test_file_that_is_not_utf8_is_refused_with_one_error_line(tmp_path,
+                                                             capsys):
+    bad = tmp_path / "r.json"
+    bad.write_bytes(b'{"kind": "zmod", "n": 4, "x": "\xff"}')
+    code, out, err = run(capsys, "classify", "--ring", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: " % bad) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("dot", [False, True])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_out_path_that_cannot_be_written_is_refused(where, dot, tmp_path, z6,
+                                                    capsys):
+    target = tmp_path / "nowhere" / "out" if where == "missing directory" \
+        else tmp_path
+    argv = ["spectrum", "--topology", "zar", "--base", z6, "--out",
+            str(target)] + (["--format", "dot"] if dot else [])
+    code, out, err = run(capsys, *argv)
+    strerror = "No such file or directory" if where == "missing directory" \
+        else "Is a directory"
+    assert (code, out) == (1, "")
+    assert err == "error: %s: %s\n" % (target, strerror)
+
+
 def test_budget_flag_is_echoed_and_enforced(tmp_path, z6, capsys):
     code, out, _err = run(capsys, "classify", "--ring", z6,
                           "--budget", "50000")

@@ -11,17 +11,19 @@ from factopo.catalogs import ring_catalogue
 from factopo.errors import InvalidSpec, NotARing
 from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
                              annihilator_kernel, build_ring, enumerate_homs,
-                             gf, hom_from_images, ideal_generated,
-                             least_irreducible, localize, nilradical,
-                             prime_ideals, primitive_idempotents,
+                             field_catalogue, gf, hom_from_images,
+                             ideal_generated, least_irreducible, localize,
+                             nilradical, prime_ideals, primitive_idempotents,
                              prime_ideals_bruteforce, prime_power, product_ring,
                              quotient_ring, radical, smallest_prime_factor,
                              table_ring, zmod)
 from oracles import (annihilator_kernel_by_closure,
-                     generation_sequence_by_rounds, hom_mappings_by_full_scan,
-                     ideal_generated_by_closure, is_hom_by_full_scan,
-                     product_tables_by_tuple_index, ring_isomorphic,
-                     validate_axioms_by_light)
+                     generation_sequence_by_rounds, gf_tables_by_horner,
+                     hom_mappings_by_full_scan, ideal_generated_by_closure,
+                     is_hom_by_full_scan, product_tables_by_tuple_index,
+                     quotient_tables_by_comprehension, ring_isomorphic,
+                     validate_axioms_by_light, validate_axioms_by_maps,
+                     zmod_tables_by_comprehension)
 
 
 def test_zmod_basics():
@@ -188,14 +190,20 @@ def small(square_zero):
     return small_rings(square_zero)
 
 
+LADDER_Z = (8, 12, 16, 30, 36, 60, 64)
+LADDER_F = (3, 4, 5, 6)
+
+
+def ladder_factors():
+    """The factors of the benchmark ladder's products."""
+    return ([zmod(2)] * 3, [zmod(2), gf(2, 2)], [zmod(2)] * 4, [zmod(4)] * 2,
+            [zmod(2), zmod(8)], [zmod(2), zmod(32)], [zmod(4)] * 3)
+
+
 def ladder():
     """The benchmark's ring ladder, orders 8 to 64."""
-    return [zmod(n) for n in (8, 12, 16, 30, 36, 60, 64)] + \
-        [gf(2, k) for k in (3, 4, 5, 6)] + \
-        [product_ring(fs) for fs in ([zmod(2)] * 3, [zmod(2), gf(2, 2)],
-                                     [zmod(2)] * 4, [zmod(4)] * 2,
-                                     [zmod(2), zmod(8)], [zmod(2), zmod(32)],
-                                     [zmod(4)] * 3)]
+    return [zmod(n) for n in LADDER_Z] + [gf(2, k) for k in LADDER_F] + \
+        [product_ring(fs) for fs in ladder_factors()]
 
 
 def relabelled(R, rng):
@@ -219,17 +227,27 @@ def light_verdict(names, add, mul, zero, one):
         return str(exc)
 
 
+def maps_verdict(names, add, mul, zero, one):
+    try:
+        return validate_axioms_by_maps(names, add, mul, zero, one)
+    except NotARing as exc:
+        return str(exc)
+
+
 def assert_verdict_matches_the_scans(names, add, mul, zero, one):
     """The check refuses exactly when the full scan and Light's test do,
     naming elements that break its law, and otherwise returns the S of
-    Light's test; returns whether it refused."""
+    Light's test; it refuses with the message, or returns the S, of the
+    map-based check it replaced.  Returns whether it refused."""
     args = (names, add, mul, zero, one)
     new, old = verdict(*args), axiom_violation_by_full_scan(*args)
     assert (new is None) == (old is None), (args, new, old)
     light = light_verdict(*args)
     if new is None:
-        assert FinRing(*args).additive_generators == light
+        assert FinRing(*args).additive_generators == light == \
+            maps_verdict(*args)
         return False
+    assert new == maps_verdict(*args), (args, new)
     assert witness_breaks(new, add, mul, names), new
     assert isinstance(light, str), (args, new)
     if re.match(r"zero is not|one is not|no additive inverse", new):
@@ -275,15 +293,45 @@ def test_one_corrupted_cell_pair_is_refused_iff_the_scan_finds_one(small, data):
     assert_verdict_matches_the_scans(names, add, mul, R.zero, R.one)
 
 
+def test_ring_tables_match_the_old_builders(rings, square_zero):
+    """Z/n by one expression per cell, F_q by Horner's rule, products by the
+    tuple index, on the ladder and every field of order <= 256; and every
+    quotient of the catalogue, square-zero and ladder rings by its cell
+    lookups."""
+    def tables(R):
+        return [list(map(list, R.add)), list(map(list, R.mul))]
+
+    for n in LADDER_Z:
+        assert tables(zmod(n)) == list(zmod_tables_by_comprehension(n)), n
+    fields = field_catalogue(256, Budget())
+    assert [F.size for F in fields] == [q for q in range(2, 257)
+                                        if prime_power(q, Budget())]
+    for F in fields + [gf(2, k) for k in LADDER_F]:
+        p, k = prime_power(F.size, Budget())
+        assert tables(F) == list(gf_tables_by_horner(p, k)), F.name
+    for fs in ladder_factors():
+        assert tables(product_ring(fs)) == \
+            list(product_tables_by_tuple_index(fs)[:2]), fs
+    count = 0
+    for A in list(rings) + list(square_zero.values()) + ladder():
+        for I in all_ideals(A, Budget()):
+            if not I.is_zero():
+                assert tables(quotient_ring(A, I)[0]) == \
+                    list(quotient_tables_by_comprehension(A, I)), I
+                count += 1
+    assert count > 100, count
+
+
 def test_axiom_check_returns_the_generators_of_light(rings, square_zero):
-    """S is the same as Light's test finds on every ring built here, and
-    on every quotient of one by an ideal."""
+    """S is the same as Light's test and the map-based check find on every
+    ring built here, and on every quotient of one by an ideal."""
     built = list(rings) + list(square_zero.values()) + ladder()
     for A in list(built):
         built += [quotient_ring(A, I)[0] for I in all_ideals(A, Budget())]
     for R in built:
-        assert R.additive_generators == validate_axioms_by_light(
-            R.names, R.add, R.mul, R.zero, R.one), R.name
+        args = R.names, R.add, R.mul, R.zero, R.one
+        assert R.additive_generators == validate_axioms_by_light(*args) == \
+            validate_axioms_by_maps(*args), R.name
 
 
 def commutative_loops(rng):
@@ -368,6 +416,7 @@ def test_commutative_loops_are_refused():
             assert str(err.value).startswith("addition not associative")
             assert witness_breaks(str(err.value), add, mul, names)
             assert isinstance(light_verdict(names, add, mul, zero, one), str)
+            assert str(err.value) == maps_verdict(names, add, mul, zero, one)
 
 
 def test_rows_additive_along_the_tree_only_are_refused():

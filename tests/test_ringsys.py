@@ -166,6 +166,27 @@ def test_the_battery_factorises_each_morphism_once(monkeypatch, system):
         len(ring_universe(AXIOM_RINGS, Budget()).morphism_ids())
 
 
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_the_battery_looks_for_each_middles_iso_once(monkeypatch, system):
+    # one factoriser per morphism searches afresh every time; one shared
+    # factoriser must give the same factorisations with one search per
+    # middle
+    U = ring_universe(AXIOM_RINGS, Budget())
+    fresh = [ringsys.system_factorizer(system, U, Budget())(m)
+             for m in U.morphism_ids()]
+    searched = []
+    search = ringsys._iso_onto_universe
+
+    def counted(M, rings, budget):
+        searched.append((M.add, M.mul, M.zero, M.one, M.generators))
+        return search(M, rings, budget)
+
+    monkeypatch.setattr(ringsys, "_iso_onto_universe", counted)
+    fac = ringsys.system_factorizer(system, U, Budget())
+    assert [fac(m) for m in U.morphism_ids()] == fresh
+    assert len(set(searched)) == len(searched) < len(fresh)
+
+
 def test_a_leg_outside_its_class_is_a_class_membership_failure(monkeypatch):
     # the identity, then u: a surjection, but the right leg is not injective
     monkeypatch.setitem(ringsys.FACTORIZERS, "surj-mono",
