@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from . import finring, ringspec, ringsys, sset, suites, toposx
@@ -141,14 +142,15 @@ def build_sset_family(X, raw, mode):
     return [sset.smap_from_spec(spec, X) for spec in raw["maps"]]
 
 
-def _morphism_id(text, cat):
+def _morphism_id(text, cat, path):
     """Morphism ids come in as JSON when they parse, else as bare strings."""
     try:
         value = json.loads(text)
     except (RecursionError, ValueError):  # not JSON, or nested too deeply
         value = text
     if type(value) not in (str, int, float) or value not in cat.morphisms:
-        raise InvalidSpec("%s has no morphism %r" % (cat.name, text))
+        raise InvalidSpec("%s: %s has no morphism %r"
+                          % (path, cat.name or "category", text))
     return value
 
 
@@ -243,8 +245,8 @@ def _cmd_spectrum(args, budget):
 
 def _cmd_orthogonal(args, budget):
     cat = _load(args.category, lambda r: validate_fincat(r, budget))
-    left = _morphism_id(args.left, cat)
-    right = _morphism_id(args.right, cat)
+    left = _morphism_id(args.left, cat, args.category)
+    right = _morphism_id(args.right, cat, args.category)
     ok = is_orthogonal(left, right, cat, budget=budget)
     return {"left": args.left, "right": args.right, "orthogonal": ok}
 
@@ -405,10 +407,83 @@ def dispatch(args):
     }
     if args.timing:
         report["timing"] = {"seconds": round(elapsed, 3)}
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = report_text(report)
     if args.out:
         write_out(args.out, text + "\n")
     return text
+
+
+def report_text(report):
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte, built
+    without the pure-Python encoder that ``json`` falls back on for an
+    indent: each container is one join, a list of only ints or only strs
+    is one join of C calls, and strings are quoted by ``json``'s C
+    function.  Whatever ``json`` refuses raises TypeError."""
+    return _text(report, "\n")
+
+
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+_INTS, _STRS = {int}, {str}
+
+
+def _number(x):
+    # a float as json writes it, NaN and the infinities included
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k):
+    # json quotes a number, bool or None key as it writes the value
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return _quote(_text(k, ""))
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % type(k).__name__)
+
+
+def _text(value, pad):
+    """``value`` written at the indentation that ``pad``, a newline and
+    the spaces of the enclosing level, ends with."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        if kinds == _INTS:
+            items = map(int.__repr__, value)
+        elif kinds == _STRS:
+            items = map(_quote, value)
+        else:
+            items = map(_text, value, repeat(inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _text(v, inner)
+             for k, v in sorted(value.items())]) + pad + "}"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _number(value)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
 
 
 def write_out(path, text):

@@ -7,13 +7,20 @@ enumerated universe.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, NotACategory
+from .finring import _through
 from .posets import Poset
 from .reader import CATEGORY, read
+
+# f(x) as one C call on every Python; operator.call is new in 3.11
+_call = getattr(operator, "call", None) or (lambda f, x: f(x))
+# what a row holds where the compose table has no entry
+_GAP = object()
 
 
 def _key(x):
@@ -106,27 +113,37 @@ class FinCat:
                 raise NotACategory("object %r has no identity morphism" % (x,))
             if self.morphisms[i] != (x, x):
                 raise NotACategory("identity of %r is not an endomorphism of it" % (x,))
-        mors, uses = self.morphisms, dict.fromkeys(self._ids, 0)
-        for (g, f), h in self.compose_table.items():
-            if f not in mors or g not in mors or h not in mors:
-                raise NotACategory("compose entry (%r, %r) -> %r uses unknown morphisms" % (g, f, h))
-            if mors[f][1] != mors[g][0]:
-                raise NotACategory("compose entry for non-composable pair (%r, %r)" % (g, f))
-            if mors[h] != (mors[f][0], mors[g][1]):
-                raise NotACategory("composite of (%r, %r) has wrong endpoints" % (g, f))
-            uses[h] += 1
         # row[f] holds the composites gf for g in hom_from(tgt f), in that
-        # order; a gap in it is a composable pair with no composite
-        comp, rows = self.compose_table, {}
+        # order, and each must run from src f to tgt g; when every row does
+        # and the rows hold as many entries as the table, the table's keys
+        # are exactly the composable pairs
+        mors, comp, rows, ends = self.morphisms, self.compose_table, {}, {}
+        lookup, total = comp.get, 0
         for f in self._ids:
-            out = self._from.get(mors[f][1], ())
+            s, t = mors[f]
+            out = self._from.get(t, ())
+            if budget.used + len(out) > budget.limit:
+                # a bad entry is refused before the row that crosses the cap
+                self._check_entries()
             budget.spend(len(out))
-            try:
-                rows[f] = [comp[(g, f)] for g in out]
-            except KeyError as gap:
+            row = rows[f] = list(map(lookup, zip(out, itertools.repeat(f)),
+                                     itertools.repeat(_GAP)))
+            want = ends.get((s, t))
+            if want is None:
+                want = ends[(s, t)] = [(s, mors[g][1]) for g in out]
+            if list(map(mors.get, row)) != want:
+                # with every entry sound, the row disagrees at a gap
+                self._check_entries()
                 raise NotACategory("compose undefined on composable pair "
-                                   "(%r, %r)" % gap.args[0]) from None
+                                   "(%r, %r)" % (out[row.index(_GAP)], f))
+            total += len(out)
+        if total != len(comp):
+            self._check_entries()
         self._rows = rows
+        uses = dict.fromkeys(self._ids, 0)
+        for row in rows.values():
+            for h in row:
+                uses[h] += 1
         for f in self._ids:
             s, t = mors[f]
             if comp[(self.identities[t], f)] != f:
@@ -174,6 +191,18 @@ class FinCat:
                     reached_into[mors[w][1]].append(w)
                     budget.spend(len(gens_from[mors[w][1]]))
                     fresh.extend(comp[(g2, w)] for g2 in gens_from[mors[w][1]])
+
+    def _check_entries(self):
+        """Refuse the first compose entry, in table order, with an unknown
+        morphism, a non-composable pair or a composite with wrong ends."""
+        mors = self.morphisms
+        for (g, f), h in self.compose_table.items():
+            if f not in mors or g not in mors or h not in mors:
+                raise NotACategory("compose entry (%r, %r) -> %r uses unknown morphisms" % (g, f, h))
+            if mors[f][1] != mors[g][0]:
+                raise NotACategory("compose entry for non-composable pair (%r, %r)" % (g, f))
+            if mors[h] != (mors[f][0], mors[g][1]):
+                raise NotACategory("composite of (%r, %r) has wrong endpoints" % (g, f))
 
     def hom_from(self, x):
         return self._from.get(x, ())
@@ -345,20 +374,32 @@ def concrete_category(objects, object_key, hom_fn, positions, budget,
             raise NotACategory("identity of %r missing from hom enumeration"
                                % (k,))
         identities[k] = hom[unit]
+    # the arrows into each object, by source in arrow order, with the
+    # getters that read an image at their places: g after f is f's getter
+    # applied to g's image, so g after every f from one source is one C loop
     into = {}
-    for mid in arrows:
-        into.setdefault(mid[1], []).append(mid)
+    for mid, image in images.items():
+        fs, getters = into.setdefault(mid[1], {}).setdefault(mid[0], ([], []))
+        fs.append(mid)
+        getters.append(_through(image))
     compose = {}
     for g, image in images.items():
-        place = image.__getitem__
-        for f in into.get(g[0], ()):
-            budget.spend()
-            mid = homs[(f[0], g[1])].get(tuple(map(place, images[f])))
-            if mid is None:
-                raise NotACategory(
-                    "composite of enumerated arrows missing from enumeration "
-                    "(%r after %r)" % (g, f))
-            compose[(g, f)] = mid
+        y, z = g[:2]
+        for x, (fs, getters) in into.get(y, {}).items():
+            row = list(map(homs[(x, z)].get,
+                           map(_call, getters, itertools.repeat(image))))
+            if None in row or budget.used + len(row) > budget.limit:
+                # one step per pair, so that a missing composite and the
+                # step that crosses the cap are met in the order of the pairs
+                for f, h in zip(fs, row):
+                    budget.spend()
+                    if h is None:
+                        raise NotACategory(
+                            "composite of enumerated arrows missing from "
+                            "enumeration (%r after %r)" % (g, f))
+            else:
+                budget.spend(len(row))
+            compose.update(zip(zip(itertools.repeat(g), fs), row))
     return FinCat(keys, morphisms={mid: mid[:2] for mid in arrows},
                   identities=identities, compose=compose, payload=arrows,
                   name=name, budget=budget)

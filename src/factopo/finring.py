@@ -24,6 +24,8 @@ def _through(row):
     if len(row) == 1:
         (i,) = row
         return lambda seq: (seq[i],)
+    if not row:
+        return lambda seq: ()
     return itemgetter(*row)
 
 

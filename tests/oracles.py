@@ -9,8 +9,8 @@ from operator import getitem
 from factopo.budget import Budget
 from factopo.errors import (FactorizerContractViolation, InvalidSpec,
                             NotACategory, NotARing)
-from factopo.fincat import (FAIL, PASS, AxiomResult, Functor, all_functors,
-                            verify_system)
+from factopo.fincat import (FAIL, PASS, AxiomResult, FinCat, Functor,
+                            all_functors, verify_system)
 from factopo.finring import (all_ideals, annihilator_kernel, enumerate_homs,
                              ideal_generated, inverse_hom, least_irreducible,
                              localize, prime_power, primitive_idempotents,
@@ -55,6 +55,29 @@ def associativity_violation_by_full_scan(C):
     return None
 
 
+def validate_entries_by_scan(C):
+    """The compose-entry checks of FinCat.validate as a loop over the
+    entries, then over the composable pairs in (f, g) order: raises
+    NotACategory on the first entry with an unknown morphism, a
+    non-composable pair or a composite with wrong endpoints, then on the
+    first composable pair with no entry, and charges C.budget one step per
+    composable pair."""
+    mors, comp = C.morphisms, C.compose_table
+    for (g, f), h in comp.items():
+        if f not in mors or g not in mors or h not in mors:
+            raise NotACategory("compose entry (%r, %r) -> %r uses unknown morphisms" % (g, f, h))
+        if mors[f][1] != mors[g][0]:
+            raise NotACategory("compose entry for non-composable pair (%r, %r)" % (g, f))
+        if mors[h] != (mors[f][0], mors[g][1]):
+            raise NotACategory("composite of (%r, %r) has wrong endpoints" % (g, f))
+    for f in C.morphism_ids():
+        out = C.hom_from(mors[f][1])
+        C.budget.spend(len(out))
+        for g in out:
+            if (g, f) not in comp:
+                raise NotACategory("compose undefined on composable pair (%r, %r)" % (g, f))
+
+
 def validate_by_triples(C, order=None):
     """FinCat.validate as a loop over pairs and triples: every composable
     pair is looked up in the compose table in (f, g) order, then the unit
@@ -75,20 +98,8 @@ def validate_by_triples(C, order=None):
             raise NotACategory("object %r has no identity morphism" % (x,))
         if mors[i] != (x, x):
             raise NotACategory("identity of %r is not an endomorphism of it" % (x,))
+    validate_entries_by_scan(C)
     comp = C.compose_table
-    for (g, f), h in comp.items():
-        if f not in mors or g not in mors or h not in mors:
-            raise NotACategory("compose entry (%r, %r) -> %r uses unknown morphisms" % (g, f, h))
-        if mors[f][1] != mors[g][0]:
-            raise NotACategory("compose entry for non-composable pair (%r, %r)" % (g, f))
-        if mors[h] != (mors[f][0], mors[g][1]):
-            raise NotACategory("composite of (%r, %r) has wrong endpoints" % (g, f))
-    for f in C.morphism_ids():
-        out = C.hom_from(mors[f][1])
-        budget.spend(len(out))
-        for g in out:
-            if (g, f) not in comp:
-                raise NotACategory("compose undefined on composable pair (%r, %r)" % (g, f))
     for f in C.morphism_ids():
         s, t = mors[f]
         if comp[(C.identities[t], f)] != f:
@@ -296,6 +307,50 @@ def concrete_tables_by_composing_maps(objects, object_key, hom_fn, compose_fn,
                 h = compose_fn(arrows[g], arrows[f])
                 compose[(g, f)] = lookup[(f[0], g[1], fingerprint(h))]
     return ({mid: mid[:2] for mid in arrows}, identities, compose, arrows)
+
+
+def concrete_category_by_pairs(objects, object_key, hom_fn, positions, budget,
+                               name=""):
+    """fincat.concrete_category one composable pair at a time: each
+    composite is f's image tuple read through g's, charged one step and
+    looked up in its hom set."""
+    keys = [object_key(x) for x in objects]
+    arrows, images, homs = {}, {}, {}
+    for x, kx in zip(objects, keys):
+        for y, ky in zip(objects, keys):
+            hom = homs[(kx, ky)] = {}
+            for i, a in enumerate(hom_fn(x, y)):
+                mid = (kx, ky, i)
+                arrows[mid] = a
+                images[mid] = image = tuple(positions(a))
+                if hom.setdefault(image, mid) != mid:
+                    raise NotACategory("hom set %r -> %r lists one arrow "
+                                       "twice" % (kx, ky))
+    identities = {}
+    for k in keys:
+        hom = homs[(k, k)]
+        unit = tuple(range(len(next(iter(hom), ()))))
+        if unit not in hom:
+            raise NotACategory("identity of %r missing from hom enumeration"
+                               % (k,))
+        identities[k] = hom[unit]
+    into = {}
+    for mid in arrows:
+        into.setdefault(mid[1], []).append(mid)
+    compose = {}
+    for g, image in images.items():
+        place = image.__getitem__
+        for f in into.get(g[0], ()):
+            budget.spend()
+            mid = homs[(f[0], g[1])].get(tuple(map(place, images[f])))
+            if mid is None:
+                raise NotACategory(
+                    "composite of enumerated arrows missing from enumeration "
+                    "(%r after %r)" % (g, f))
+            compose[(g, f)] = mid
+    return FinCat(keys, morphisms={mid: mid[:2] for mid in arrows},
+                  identities=identities, compose=compose, payload=arrows,
+                  name=name, budget=budget)
 
 
 def is_hom_by_full_scan(A, B, f):

@@ -1,16 +1,18 @@
 import contextlib
 import io
 import json
+import math
 import pathlib
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from factopo import reader, suites
 from factopo.budget import Budget
-from factopo.cli import COMMANDS, COMMON, build_parser, main, parse_argv
+from factopo.cli import (COMMANDS, COMMON, build_parser, main, parse_argv,
+                         report_text)
 from factopo.fincat import FAIL, AxiomResult, SystemReport
 from factopo.posets import Poset
 
@@ -378,6 +380,64 @@ def test_parse_argv_reads_what_argparse_reads(argv):
             assert fast is None, (argv, exc.code)
             return
     assert fast is None or vars(fast) == want, argv
+
+
+# strings with quotes, backslashes, controls, non-ASCII and a lone
+# surrogate; numbers past 64 bits, NaN, the infinities and -0.0
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    '"\\\n\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')), max_size=8)
+FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324]))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-10 ** 40, 10 ** 40), FLOATS, TEXT)
+# ints, floats and bools sort among themselves; None sorts with nothing,
+# and a mix of strings and numbers does not sort
+NUMBER_KEYS = st.one_of(st.integers(), FLOATS, st.booleans())
+
+
+def rarely(common, rare):
+    return st.integers(0, 19).flatmap(lambda n: rare if n == 0 else common)
+
+
+def containers(children):
+    return st.one_of(
+        # a list, now and then a set, which json refuses
+        rarely(st.lists(children, max_size=4),
+               st.sets(st.integers(), max_size=2)),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.lists(TEXT, max_size=4),
+        st.dictionaries(TEXT, children, max_size=4),
+        rarely(st.dictionaries(NUMBER_KEYS, children, max_size=4),
+               st.dictionaries(st.one_of(TEXT, NUMBER_KEYS), children,
+                               max_size=4)),
+        st.dictionaries(st.none(), children, max_size=1))
+
+
+REPORTS = st.recursive(SCALARS, containers, max_leaves=25)
+
+
+@given(REPORTS)
+@example({"result": {"a": {1, 2}}})
+@example({3: [], 2.5: {}, False: (), -math.inf: [[]]})
+def test_report_text_writes_what_json_dumps_writes(report):
+    try:
+        want = json.dumps(report, indent=2, sort_keys=True)
+    except TypeError:
+        with pytest.raises(TypeError):
+            report_text(report)
+        return
+    assert report_text(report) == want
+
+
+def test_unknown_morphism_of_an_unnamed_category_names_the_file(tmp_path,
+                                                                capsys):
+    cat = write(tmp_path / "c.json", {"objects": [], "morphisms": [],
+                                      "identities": {}, "compose": []})
+    code, out, err = run(capsys, "orthogonal", "--category", cat,
+                         "--left", "a", "--right", "a")
+    assert (code, out) == (1, "")
+    assert err == "error: %s: category has no morphism 'a'\n" % cat
 
 
 DELTA1 = {"kind": "delta", "n": 1}

@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from factopo import catfib, ringsys
 from factopo.budget import Budget
 from factopo.catalogs import category_catalogue
 from factopo.catfib import (cat_universe, comma, comprehensive_factorize,
@@ -20,8 +21,9 @@ from factopo.finring import enumerate_homs, gf, identity_hom, zmod
 from oracles import (all_functors_by_backtracking,
                      associativity_violation_by_full_scan,
                      closure_and_cancellation_by_pairs,
+                     concrete_category_by_pairs,
                      concrete_tables_by_composing_maps, fincat_isomorphic,
-                     then, validate_by_triples)
+                     then, validate_by_triples, validate_entries_by_scan)
 
 AXIOM_KEYS = ("class-membership", "composition-closure-left",
               "composition-closure-right", "intersection-isomorphisms",
@@ -417,6 +419,108 @@ def test_one_corrupted_composite_is_refused_iff_associativity_fails(C, data):
     assert (new is None) == (associativity_violation_by_full_scan(D) is None)
     if new is not None:
         assert_names_a_broken_triple(D, new)
+
+
+@given(small_categories, st.data())
+def test_a_corrupted_entry_is_refused_as_the_entry_scan_refuses_it(C, data):
+    """A drawn category with one or two compose entries dropped, pointed
+    at an unknown morphism or at one with the wrong endpoints, or added for
+    a pair that does not compose, each placed anywhere in the table, is
+    refused as the per-entry scan that the row check replaced refuses it,
+    with the same message."""
+    mors, comp, touched = C.morphisms, dict(C.compose_table), set()
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(("drop", "unknown", "ends", "extra")))
+        if kind == "extra":
+            spots = [(g, f) for g in mors for f in mors
+                     if mors[f][1] != mors[g][0]]
+        else:
+            spots = list(C.compose_table)
+        spots = [pair for pair in spots if pair not in touched]
+        assume(spots)
+        g, f = data.draw(st.sampled_from(spots))
+        touched.add((g, f))
+        if kind == "drop":
+            del comp[(g, f)]
+            continue
+        if kind == "unknown":
+            h = ("unknown", len(comp))
+        else:
+            wrong = [m for m in mors if kind == "extra"
+                     or mors[m] != (mors[f][0], mors[g][1])]
+            assume(wrong)
+            h = data.draw(st.sampled_from(wrong))
+        items = [kv for kv in comp.items() if kv[0] != (g, f)]
+        at = data.draw(st.integers(0, len(items)))
+        comp = dict(items[:at] + [((g, f), h)] + items[at:])
+    # under a budget that may run out first, as it does in the scan only
+    # when the rows up to a missing composite cost more than it holds
+    limit = data.draw(st.integers(0, 2 * len(comp)))
+
+    def outcome(check):
+        D = Unchecked(C.objects, mors, C.identities, comp, name=C.name,
+                      budget=Budget(limit))
+        try:
+            check(D)
+        except (NotACategory, EnumerationBudgetExceeded) as exc:
+            return type(exc), str(exc)
+        return None
+
+    new = outcome(FinCat.validate)
+    assert new is not None and new == outcome(validate_entries_by_scan)
+
+
+def test_composing_by_rows_matches_the_pair_loop(cats, monkeypatch):
+    """The universe of the catalogue's categories and the ring universe of
+    ``verify --suite axioms`` compose to the same table, entry for entry in
+    the same order, at the same charge, as one pair at a time; so does the
+    refusal of a hom set with an arrow left out, and a budget runs out at
+    the same step."""
+    rings = [zmod(n) for n in (1, 2, 3, 4, 6)] + [gf(2, 2)]
+
+    def universes(build):
+        out = []
+        for module, run in ((catfib, lambda b: cat_universe(cats, budget=b)),
+                            (ringsys, lambda b: ring_universe(rings, b))):
+            monkeypatch.setattr(module, "concrete_category", build)
+            budget = Budget()
+            out.append((run(budget), budget.used))
+            monkeypatch.undo()
+        return out
+
+    for (new, new_steps), (old, old_steps) in zip(
+            universes(concrete_category),
+            universes(concrete_category_by_pairs)):
+        assert list(new.compose_table.items()) == \
+            list(old.compose_table.items())
+        assert new.identities == old.identities
+        assert list(new.payload) == list(old.payload)
+        assert new_steps == old_steps
+
+    def without_last(A, B, budget):
+        found = all_functors(A, B, budget)
+        return found[:-1] if (A.name, B.name) == ("[1]", "[2]") else found
+
+    monkeypatch.setattr(catfib, "all_functors", without_last)
+    refusals = []
+    for build in (concrete_category, concrete_category_by_pairs):
+        monkeypatch.setattr(catfib, "concrete_category", build)
+        with pytest.raises(NotACategory) as exc:
+            cat_universe(cats, budget=Budget())
+        refusals.append(str(exc.value))
+    monkeypatch.undo()
+    assert refusals[0] == refusals[1]
+    assert refusals[0].startswith("composite of enumerated arrows missing")
+
+    # the search charges about 2,100 steps, composing 34,487 after it
+    for limit in range(2500, 36000, 2500):
+        for build in (concrete_category, concrete_category_by_pairs):
+            monkeypatch.setattr(catfib, "concrete_category", build)
+            budget = Budget(limit)
+            with pytest.raises(EnumerationBudgetExceeded):
+                cat_universe(cats, budget=budget)
+            assert budget.used == limit + 1
+            monkeypatch.undo()
 
 
 def test_budget_stops_the_category_layer_at_once(cats, delta2):
