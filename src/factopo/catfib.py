@@ -2,9 +2,11 @@
 
 Two systems live here: final functors followed by discrete right
 fibrations, and initial functors followed by discrete left fibrations.
-Comma categories drive everything; the comprehensive factorization routes
-a functor through the category of elements of its connected-component
-presheaf.
+Finality and the comprehensive factorization read only the connected
+components of comma categories, and those come straight from the hom sets,
+one union per arrow of the comma; only ``slice_factorize`` builds a comma
+category.  The comprehensive factorization routes a functor through the
+category of elements of its connected-component presheaf.
 """
 
 from collections import Counter
@@ -26,33 +28,65 @@ class CommaCategory:
     projection: Functor     # down to the source of the ambient functor
 
 
-def comma(F, d, side, budget=None):
-    """Objects are pairs (c, arrow between d and F(c)); morphisms inherited.
-    The category is built on ``budget``."""
-    budget = ensure_budget(budget)
+def _comma_cells(F, d, side, budget):
+    """Each object (c, g) of d/F or F/d, c-major in hom-set order, with the
+    arrows (source, target, h) of the comma that leave it (d/F) or enter it
+    (F/d), one for each h of C out of (into) c: (c, g) -> (c', F(h) g), or
+    (c, g' F(h)) -> (c', g').  One step per object and one per arrow."""
     C, D = F.source, F.target
     if d not in set(D.objects):
         raise InvalidSpec("anchor %r is not an object of %s" % (d, D.name))
     if side not in ("d/F", "F/d"):
         raise InvalidSpec("comma side must be 'd/F' or 'F/d'")
-    objects = []
+    comp, right = D.compose_table, side == "d/F"
     for c in C.objects:
         fc = F.on_obj(c)
-        arrows = D.hom(d, fc) if side == "d/F" else D.hom(fc, d)
-        objects.extend((c, g) for g in arrows)
-    morphisms = {}
-    for (c, g) in objects:
-        for (c2, g2) in objects:
-            for h in C.hom(c, c2):
-                if side == "d/F":
-                    ok = D.compose(F.on_mor(h), g) == g2
-                else:
-                    ok = D.compose(g2, F.on_mor(h)) == g
-                if ok:
-                    morphisms[((c, g), (c2, g2), h)] = ((c, g), (c2, g2))
-    cat, proj = _over(C, objects, morphisms, "%s%s%s" % (
+        hs = [(h, F.on_mor(h))
+              for h in (C.hom_from(c) if right else C.hom_into(c))]
+        for g in (D.hom(d, fc) if right else D.hom(fc, d)):
+            budget.spend(1 + len(hs))
+            if right:
+                yield (c, g), [((c, g), (C.tgt(h), comp[(fh, g)]), h)
+                               for h, fh in hs]
+            else:
+                yield (c, g), [((C.src(h), comp[(g, fh)]), (c, g), h)
+                               for h, fh in hs]
+
+
+def comma(F, d, side, budget=None):
+    """Objects are pairs (c, arrow between d and F(c)); morphisms inherited.
+    The category is enumerated and built on ``budget``."""
+    budget = ensure_budget(budget)
+    objects, morphisms = [], {}
+    for o, arrows in _comma_cells(F, d, side, budget):
+        objects.append(o)
+        morphisms.update(((s, t, h), (s, t)) for s, t, h in arrows)
+    cat, proj = _over(F.source, objects, morphisms, "%s%s%s" % (
         d, "/" if side == "d/F" else "\\", F.name), budget)
     return CommaCategory(F, d, side, cat, proj)
+
+
+def comma_components(F, d, side, budget):
+    """The zig-zag components of d/F or F/d, without building it: each
+    arrow of the comma joins its ends.  Each component is sorted by
+    ``_key``, and the components by their least member."""
+    cells = list(_comma_cells(F, d, side, budget))
+    parent = {o: o for o, _arrows in cells}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for _o, arrows in cells:
+        for s, t, _h in arrows:
+            parent[find(s)] = find(t)
+    groups = {}
+    for o, _arrows in cells:
+        groups.setdefault(find(o), []).append(o)
+    return sorted((sorted(v, key=_key) for v in groups.values()),
+                  key=lambda comp: _key(comp[0]))
 
 
 def _over(base, objects, morphisms, name, budget):
@@ -75,27 +109,6 @@ def _over(base, objects, morphisms, name, budget):
     return cat, proj
 
 
-def connected_components(C):
-    """Zig-zag components of the objects, canonical least id first."""
-    parent = {x: x for x in C.objects}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for m, (s, t) in C.morphisms.items():
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt, key=_key)] = min(rs, rt, key=_key)
-    groups = {}
-    for x in C.objects:
-        groups.setdefault(find(x), []).append(x)
-    comps = [sorted(v, key=_key) for v in groups.values()]
-    return sorted(comps, key=lambda comp: _key(comp[0]))
-
-
 def is_final(F):
     """Every d/F comma category is nonempty and zig-zag connected."""
     return _commas_connected(F, "d/F")
@@ -107,11 +120,8 @@ def is_initial(F):
 
 
 def _commas_connected(F, side):
-    for d in F.target.objects:
-        K = comma(F, d, side, F.source.budget).category
-        if len(connected_components(K)) != 1:
-            return False
-    return True
+    return all(len(comma_components(F, d, side, F.source.budget)) == 1
+               for d in F.target.objects)
 
 
 def is_discrete_right_fibration(F):
@@ -128,10 +138,11 @@ def _lifts_uniquely(F, end):
     """Every arrow whose ``end`` ("src" or "tgt") is F(e) lifts to exactly
     one arrow with that end at e."""
     E, C = F.source, F.target
-    end_E, end_C = getattr(E, end), getattr(C, end)
+    end_E = getattr(E, end)
+    at = C.hom_into if end == "tgt" else C.hom_from
     lifts = Counter((end_E(m), F.on_mor(m)) for m in E.morphism_ids())
     return all(lifts[(e, g)] == 1 for e in E.objects
-               for g in C.morphism_ids() if end_C(g) == F.on_obj(e))
+               for g in at(F.on_obj(e)))
 
 
 def slice_factorize(C, c, side="right"):
@@ -171,48 +182,33 @@ def comprehensive_factorize(F, side="right", budget=None):
     the functor lands at the component of the identity and the projection
     from the elements category is a discrete right fibration.  Left side
     uses F/d and postcomposition.  Both facts are checked on the result,
-    one step per pair of an element and an arrow of D and per arrow of C.
+    one step per element, per arrow of the elements and per arrow of C.
     """
     budget = ensure_budget(budget)
     if side not in ("right", "left"):
         raise InvalidSpec("side must be 'right' or 'left'")
     C, D = F.source, F.target
-    commaside = "d/F" if side == "right" else "F/d"
-    comps = {}
-    rep = {}
+    right = side == "right"
+    rep, values = {}, {}
     for d in D.objects:
-        K = comma(F, d, commaside, budget).category
-        comps[d] = connected_components(K)
-        rep[d] = {}
-        for comp in comps[d]:
-            for o in comp:
-                rep[d][o] = comp[0]
-    values = {d: tuple(comp[0] for comp in comps[d]) for d in D.objects}
-    action = {}
-    for m in D.morphism_ids():
-        s, t = D.morphisms[m]
-        if side == "right":
-            # P(m): P(t) -> P(s), precompose the anchored arrow
-            for x in values[t]:
-                c, g = x
-                action[(m, x)] = rep[s][(c, D.compose(g, m))]
-        else:
-            # Q(m): Q(s) -> Q(t), postcompose
-            for x in values[s]:
-                c, g = x
-                action[(m, x)] = rep[t][(c, D.compose(m, g))]
+        comps = comma_components(F, d, "d/F" if right else "F/d", budget)
+        rep[d] = {o: comp[0] for comp in comps for o in comp}
+        values[d] = tuple(comp[0] for comp in comps)
     objects = [(d, x) for d in D.objects for x in values[d]]
-    morphisms = {}
+    # each element (d, x) and each m: s -> d (right side) is an arrow from
+    # (s, P(m) x), P(m) precomposing x's anchored arrow with m; each m:
+    # d -> t (left side) is one to (t, Q(m) x), Q(m) postcomposing
+    action, morphisms = {}, {}
     for (d, x) in objects:
-        for (d2, x2) in objects:
-            for m in D.hom(d, d2):
-                budget.spend()
-                if side == "right":
-                    ok = action[(m, x2)] == x
-                else:
-                    ok = action[(m, x)] == x2
-                if ok:
-                    morphisms[((d, x), (d2, x2), m)] = ((d, x), (d2, x2))
+        c, g = x
+        arrows = D.hom_into(d) if right else D.hom_from(d)
+        budget.spend(len(arrows))
+        for m in arrows:
+            e = D.src(m) if right else D.tgt(m)
+            y = action[(m, x)] = rep[e][(c, D.compose(g, m) if right
+                                         else D.compose(m, g))]
+            ends = ((e, y), (d, x)) if right else ((d, x), (e, y))
+            morphisms[ends + (m,)] = ends
     cat, proj = _over(D, objects, morphisms, "el(%s)" % F.name, budget)
     elem = ElementsCategory(D, side, values, action, cat, proj)
     first_obj = {}
@@ -224,9 +220,9 @@ def comprehensive_factorize(F, side="right", budget=None):
         first_mor[h] = (first_obj[c], first_obj[c2], F.on_mor(h))
     first = Functor(C, cat, first_obj, first_mor,
                     name="unit-%s" % F.name)
-    budget.spend(len(objects) * len(D.morphisms) + len(C.morphisms))
+    budget.spend(len(objects) + len(morphisms) + len(C.morphisms))
     what = "comprehensive factorisation of %s -> %s" % (C.name, D.name)
-    if not _lifts_uniquely(proj, "tgt" if side == "right" else "src"):
+    if not _lifts_uniquely(proj, "tgt" if right else "src"):
         raise FactorizerContractViolation(
             what + ": projection is not a discrete %s fibration" % side)
     if any(proj.on_obj(first.on_obj(c)) != F.on_obj(c) for c in C.objects) or \

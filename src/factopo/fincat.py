@@ -207,6 +207,9 @@ class FinCat:
     def hom_from(self, x):
         return self._from.get(x, ())
 
+    def hom_into(self, x):
+        return self._into.get(x, ())
+
     def op(self):
         mors = {m: (t, s) for m, (s, t) in self.morphisms.items()}
         comp = {(f, g): h for (g, f), h in self.compose_table.items()}
@@ -703,7 +706,7 @@ def all_functors(C, D, budget):
         elif s in new and t in new:
             pool = endos if s == t else D.morphism_ids()
         elif s in new:
-            pool = D._into.get(obj_map[t], ())
+            pool = D.hom_into(obj_map[t])
         elif t in new:
             pool = D.hom_from(obj_map[s])
         else:

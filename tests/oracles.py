@@ -4,12 +4,14 @@ does not need, or that it replaced with faster ones."""
 import itertools
 import math
 import random
+from collections import Counter
 from operator import getitem
 
 from factopo.budget import Budget
+from factopo.catfib import CommaCategory, _over
 from factopo.errors import (FactorizerContractViolation, InvalidSpec,
                             NotACategory, NotARing)
-from factopo.fincat import (FAIL, PASS, AxiomResult, FinCat, Functor,
+from factopo.fincat import (FAIL, PASS, AxiomResult, FinCat, Functor, _key,
                             all_functors, verify_system)
 from factopo.finring import (all_ideals, annihilator_kernel, enumerate_homs,
                              ideal_generated, inverse_hom, least_irreducible,
@@ -272,6 +274,94 @@ def then(F, G):
                    {x: G.obj_map[y] for x, y in F.obj_map.items()},
                    {m: G.mor_map[n] for m, n in F.mor_map.items()},
                    check=False)
+
+
+def comma_by_pairs(F, d, side, budget=None):
+    """catfib.comma by scanning every pair of objects (c, g), (c', g') and
+    every h: c -> c' for the arrows of the comma; the scan is charged
+    nothing."""
+    budget = budget if budget is not None else Budget()
+    C, D = F.source, F.target
+    if d not in set(D.objects):
+        raise InvalidSpec("anchor %r is not an object of %s" % (d, D.name))
+    if side not in ("d/F", "F/d"):
+        raise InvalidSpec("comma side must be 'd/F' or 'F/d'")
+    objects = []
+    for c in C.objects:
+        fc = F.on_obj(c)
+        arrows = D.hom(d, fc) if side == "d/F" else D.hom(fc, d)
+        objects.extend((c, g) for g in arrows)
+    morphisms = {}
+    for (c, g) in objects:
+        for (c2, g2) in objects:
+            for h in C.hom(c, c2):
+                if side == "d/F":
+                    ok = D.compose(F.on_mor(h), g) == g2
+                else:
+                    ok = D.compose(g2, F.on_mor(h)) == g
+                if ok:
+                    morphisms[((c, g), (c2, g2), h)] = ((c, g), (c2, g2))
+    cat, proj = _over(C, objects, morphisms, "%s%s%s" % (
+        d, "/" if side == "d/F" else "\\", F.name), budget)
+    return CommaCategory(F, d, side, cat, proj)
+
+
+def connected_components(C):
+    """Zig-zag components of the objects of a FinCat, each sorted by
+    ``_key`` and least member first."""
+    parent = {x: x for x in C.objects}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for m, (s, t) in C.morphisms.items():
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            parent[max(rs, rt, key=_key)] = min(rs, rt, key=_key)
+    groups = {}
+    for x in C.objects:
+        groups.setdefault(find(x), []).append(x)
+    comps = [sorted(v, key=_key) for v in groups.values()]
+    return sorted(comps, key=lambda comp: _key(comp[0]))
+
+
+def comma_components_by_category(F, d, side, budget=None):
+    """catfib.comma_components by building the comma category pair by pair
+    and taking its connected components."""
+    return connected_components(comma_by_pairs(F, d, side, budget).category)
+
+
+def elements_category_by_triples(elem, budget):
+    """The category of elements of a comprehensive factorisation's middle,
+    from its presheaf's values and action, testing every pair of elements
+    and every arrow of the base between them at one step each."""
+    D, side, action = elem.base, elem.side, elem.action
+    objects = [(d, x) for d in D.objects for x in elem.values[d]]
+    morphisms = {}
+    for (d, x) in objects:
+        for (d2, x2) in objects:
+            for m in D.hom(d, d2):
+                budget.spend()
+                if side == "right":
+                    ok = action[(m, x2)] == x
+                else:
+                    ok = action[(m, x)] == x2
+                if ok:
+                    morphisms[((d, x), (d2, x2), m)] = ((d, x), (d2, x2))
+    return _over(D, objects, morphisms, elem.category.name, budget)[0]
+
+
+def lifts_uniquely_by_scan(F, end):
+    """catfib._lifts_uniquely scanning every morphism id of the target for
+    the arrows whose ``end`` is each F(e)."""
+    E, C = F.source, F.target
+    end_E, end_C = getattr(E, end), getattr(C, end)
+    lifts = Counter((end_E(m), F.on_mor(m)) for m in E.morphism_ids())
+    return all(lifts[(e, g)] == 1 for e in E.objects
+               for g in C.morphism_ids() if end_C(g) == F.on_obj(e))
 
 
 def fingerprint(a):

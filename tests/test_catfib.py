@@ -1,16 +1,21 @@
 import pytest
+from hypothesis import given, strategies as st
 
+from factopo import catfib, suites
 from factopo.budget import Budget
 from factopo.catalogs import category_catalogue
 from factopo.catfib import (all_slices_cover, cat_universe, comma,
-                            comprehensive_factorize, connected_components,
+                            comma_components, comprehensive_factorize,
                             identity_functor, is_discrete_left_fibration,
                             is_discrete_right_fibration, is_final, is_initial,
                             right_cover_check, slice_factorize)
-from factopo.errors import InvalidFamily
+from factopo.errors import InvalidFamily, InvalidSpec
 from factopo.fincat import (Functor, all_functors, is_orthogonal,
                             poset_category, terminal_category)
-from oracles import fincat_isomorphic, then
+from oracles import (comma_by_pairs, comma_components_by_category,
+                     connected_components, elements_category_by_triples,
+                     fincat_isomorphic, lifts_uniquely_by_scan, then)
+from test_fincat import small_categories
 
 
 def chain(n):
@@ -176,3 +181,145 @@ def test_comprehensive_over_catalogue_sample(cats):
                 assert composite.mor_map == F.mor_map
                 done += 1
     assert done >= 10
+
+
+def same_category(A, B):
+    return (A.objects, A.morphisms, A.identities, A.compose_table) == \
+        (B.objects, B.morphisms, B.identities, B.compose_table)
+
+
+def assert_comma_matches_the_oracles(F, d, side):
+    """The components from the hom sets are the comma category's, in the
+    same order, at one step per object and per arrow of the comma, and the
+    comma is the one the pair scan builds."""
+    budget, K = Budget(), comma_by_pairs(F, d, side).category
+    assert comma_components(F, d, side, budget) == \
+        connected_components(K), (F, d, side)
+    assert budget.used == len(K.objects) + len(K.morphisms)
+    assert same_category(comma(F, d, side).category, K), (F, d, side)
+
+
+def posed_by_suites(monkeypatch, names):
+    """The (F, d, side) of every comma that the named suites ask for, as
+    components or as a category, and the comprehensive factorisations
+    they make."""
+    posed, factored = [], []
+    real_components, real_comma = comma_components, comma
+    real_comprehensive = comprehensive_factorize
+
+    def spy_components(F, d, side, budget):
+        posed.append((F, d, side))
+        return real_components(F, d, side, budget)
+
+    def spy_comma(F, d, side, budget=None):
+        posed.append((F, d, side))
+        return real_comma(F, d, side, budget)
+
+    def spy_comprehensive(F, side="right", budget=None):
+        factored.append(real_comprehensive(F, side, budget))
+        return factored[-1]
+
+    monkeypatch.setattr(catfib, "comma_components", spy_components)
+    monkeypatch.setattr(catfib, "comma", spy_comma)
+    monkeypatch.setattr(suites, "comprehensive_factorize", spy_comprehensive)
+    for name in names:
+        assert suites.run_suite(name, 0, Budget())["passed"]
+    return posed, factored
+
+
+def test_comma_components_match_the_comma_category_on_the_suites(monkeypatch):
+    posed, _factored = posed_by_suites(monkeypatch, ("catfib", "duality"))
+    assert {side for _F, _d, side in posed} == {"d/F", "F/d"}
+    assert len(posed) > 300
+    for F, d, side in posed:
+        assert_comma_matches_the_oracles(F, d, side)
+
+
+@given(small_categories, small_categories, st.data())
+def test_comma_components_match_the_comma_category_on_drawn_functors(C, D,
+                                                                     data):
+    """Functors between drawn posets and monoids, every anchor, both
+    sides."""
+    F = data.draw(st.sampled_from(all_functors(C, D, Budget())))
+    for d in D.objects:
+        for side in ("d/F", "F/d"):
+            assert_comma_matches_the_oracles(F, d, side)
+
+
+def test_elements_category_matches_the_triple_loop(monkeypatch, cats):
+    _posed, factored = posed_by_suites(monkeypatch, ("catfib",))
+    assert len(factored) == 30
+    small = [C for C in cats if len(C.morphisms) <= 6]
+    for side in ("right", "left"):
+        for C in small:
+            for D in small:
+                for F in all_functors(C, D, Budget())[:3]:
+                    factored.append(comprehensive_factorize(F, side))
+    assert {fac.middle.side for fac in factored} == {"right", "left"}
+    for fac in factored:
+        elem = fac.middle
+        assert same_category(elem.category,
+                             elements_category_by_triples(elem, Budget()))
+
+
+def test_fibration_verdicts_match_the_scan(cats):
+    """The catalogue's slice and coslice projections (true cases) and its
+    functors (mostly false ones) get the verdicts of the scan over every
+    morphism id."""
+    functors = [F for C in cats for D in cats if len(C.morphisms) <= 6
+                for F in all_functors(C, D, Budget())[:4]]
+    functors += [slice_factorize(C, c, side)[2] for C in cats
+                 for c in C.objects for side in ("right", "left")]
+    verdicts = set()
+    for F in functors:
+        for test, end in ((is_discrete_right_fibration, "tgt"),
+                          (is_discrete_left_fibration, "src")):
+            verdict = test(F)
+            assert verdict == lifts_uniquely_by_scan(F, end), (F, end)
+            verdicts.add((end, verdict))
+    assert verdicts == {(end, v) for end in ("tgt", "src")
+                        for v in (True, False)}
+
+
+def test_finality_charges_only_the_source_budget():
+    a, b = Budget(), Budget()
+    source = next(C for C in category_catalogue(a) if C.name == "span")
+    target = next(C for C in category_catalogue(b) if C.name == "square")
+    before_a, before_b = a.used, b.used
+    for F in all_functors(source, target, Budget())[:5]:
+        is_final(F)
+        is_initial(F)
+    assert a.used > before_a and b.used == before_b
+
+
+def test_an_unreached_anchor_has_no_components():
+    C = chain(1)
+    F = pick(C, 0)
+    assert comma_components(F, 1, "d/F", Budget()) == []
+    assert comma_components_by_category(F, 1, "d/F") == []
+    assert not is_final(F)
+
+
+def test_components_are_ordered_by_their_least_member():
+    # objects listed against their order: the discrete category on b, a
+    # collapsed to the point has one component per object, a's first
+    C = poset_category(["b", "a"], [], Budget(), name="ba")
+    F = Functor(C, terminal_category(Budget()), {"b": 0, "a": 0},
+                {m: ("le", 0, 0) for m in C.morphisms})
+    point = ("le", 0, 0)
+    for side in ("d/F", "F/d"):
+        assert comma_components(F, 0, side, Budget()) == \
+            [[("a", point)], [("b", point)]]
+        assert_comma_matches_the_oracles(F, 0, side)
+
+
+@pytest.mark.parametrize("d, side, message", [
+    (7, "d/F", "anchor 7 is not an object of \\[1\\]"),
+    (1, "F\\d", "comma side must be 'd/F' or 'F/d'")])
+def test_a_foreign_anchor_or_a_bad_side_is_refused(d, side, message):
+    F = pick(chain(1), 1)
+    for build in (lambda: comma_components(F, d, side, Budget()),
+                  lambda: comma(F, d, side),
+                  lambda: comma_by_pairs(F, d, side)):
+        with pytest.raises(InvalidSpec, match="^%s$" % message):
+            build()

@@ -148,7 +148,8 @@ def test_nonassociative_category_is_refused():
 
 
 def catfib_suite_categories(cats):
-    """The comma and elements categories that the catfib suite builds."""
+    """The slices and coslices of the catalogue, and the elements and d/F
+    comma categories of 30 functors between its small categories."""
     out = [slice_factorize(C, c, side)[1].category
            for C in cats for c in C.objects for side in ("right", "left")]
     small = [C for C in cats if len(C.morphisms) <= 6]
