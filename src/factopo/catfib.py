@@ -218,8 +218,8 @@ def comprehensive_factorize(F, side="right", budget=None):
         first_obj[c] = (fc, rep[fc][(c, D.identities[fc])])
     for h, (c, c2) in C.morphisms.items():
         first_mor[h] = (first_obj[c], first_obj[c2], F.on_mor(h))
-    first = Functor(C, cat, first_obj, first_mor,
-                    name="unit-%s" % F.name)
+    first = Functor(C, cat, first_obj, first_mor, name="unit-%s" % F.name,
+                    check=False).validate(budget)
     budget.spend(len(objects) + len(morphisms) + len(C.morphisms))
     what = "comprehensive factorisation of %s -> %s" % (C.name, D.name)
     if not _lifts_uniquely(proj, "tgt" if right else "src"):
@@ -247,11 +247,6 @@ def right_cover_check(C, family):
         return CoverResult("cat-right", False,
                            {"uncovered_object": str(missing[0])})
     return CoverResult("cat-right", True, {"objects": len(C.objects)})
-
-
-def all_slices_cover(C):
-    """The projections from every slice; always a cover."""
-    return [slice_factorize(C, c, "right")[2] for c in C.objects]
 
 
 def cat_universe(cats, budget=None):

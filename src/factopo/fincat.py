@@ -264,10 +264,14 @@ class Functor:
         self.mor_map = dict(mor_map)
         self.name = name
         if check:
-            self.validate()
+            self.validate(source.budget)
 
-    def validate(self):
+    def validate(self, budget):
+        """This functor, or NotACategory unless it keeps endpoints,
+        identities and composites; one step per morphism and compose entry
+        of the source."""
         C, D = self.source, self.target
+        budget.spend(len(C.morphisms) + len(C.compose_table))
         targets = set(D.objects)
         for x in C.objects:
             if self.obj_map.get(x) not in targets:
@@ -284,6 +288,7 @@ class Functor:
         for (g, f), h in C.compose_table.items():
             if D.compose(self.mor_map[g], self.mor_map[f]) != self.mor_map[h]:
                 raise NotACategory("functor breaks composition on (%r, %r)" % (g, f))
+        return self
 
     def on_obj(self, x):
         return self.obj_map[x]

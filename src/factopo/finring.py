@@ -688,23 +688,15 @@ def all_ideals(A, budget):
             for S in sorted(found, key=lambda s: (len(s), sorted(s)))]
 
 
-def radical(I):
-    A = I.ring
-    out = set()
-    for x in A.elements():
-        p = x
-        seen = set()
-        while p not in seen:
-            seen.add(p)
-            if p in I.elements:
-                out.add(x)
-                break
-            p = A.mul[p][x]
-    return Ideal(A, frozenset(out))
-
-
 def nilradical(A):
-    return radical(Ideal(A, frozenset([A.zero])))
+    """The nilpotents: x with x^(2^b) = 0 once 2^b > |A|, as a nilpotent x
+    has x^k = 0 for some k <= |A| (its nonzero powers are distinct)."""
+    squares = tuple(A.mul[x][x] for x in A.elements())
+    # power[x] = x^(2^t) read at x^2 is x^(2^(t + 1))
+    square, power = _through(squares), squares
+    for _ in range(A.size.bit_length() - 1):
+        power = square(power)
+    return Ideal(A, frozenset(x for x, v in enumerate(power) if v == A.zero))
 
 
 def is_prime_ideal(I):
@@ -765,20 +757,25 @@ def primitive_idempotents(A):
     return sorted(prims)
 
 
-def prime_ideals(A):
-    """Primes via primitive idempotents: one per local factor."""
-    primes = []
+def local_factors(A):
+    """(e, P, m) for each local factor eA of A, one per primitive
+    idempotent e, sorted by the elements of P; [] for the zero ring.  m is
+    the maximal ideal of eA, its nilpotents, and P = (1 - e)A + m the one
+    prime that e lies outside: A is eA x (1 - e)A, the primes of a product
+    are those of one factor times the other, and the local ring eA has the
+    one prime m.  So A/P is eA/m, the residue field of eA."""
+    nil = nilradical(A).elements
+    out = []
     for e in primitive_idempotents(A):
-        co = A.sub(A.one, e)
-        comp = ideal_generated(A, [co]).elements
-        factor = sorted({A.mul[e][x] for x in A.elements()})
-        unit_in_factor = {x for x in factor
-                          if any(A.mul[x][y] == e for y in factor)}
-        nonunits = [x for x in factor if x not in unit_in_factor]
-        elems = {A.add[c][x] for c in comp for x in nonunits}
-        primes.append(Ideal(A, frozenset(elems)))
-    uniq = {p.elements: p for p in primes}
-    return sorted(uniq.values(), key=lambda p: p.sorted_elements())
+        m = nil.intersection(A.mul[e])
+        P = _ideal_sum(A, frozenset(A.mul[A.sub(A.one, e)]), m)
+        out.append((e, Ideal(A, P), m))
+    return sorted(out, key=lambda f: f[1].sorted_elements())
+
+
+def prime_ideals(A):
+    """The primes of A, one per local factor, sorted by their elements."""
+    return [P for _e, P, _m in local_factors(A)]
 
 
 def prime_ideals_bruteforce(A, budget):

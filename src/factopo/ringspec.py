@@ -13,13 +13,15 @@ import math
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotALattice, NotAPrime
-from .finring import (Ideal, localize, prime_ideals, primitive_idempotents,
-                      quotient_ring)
+from .finring import (Ideal, local_factors, localize, prime_ideals,
+                      quotient_ring, smallest_prime_factor)
 from .posets import Poset, Spectrum, anti_isomorphism
+from .ringsys import TOPOLOGIES
 
 
-def recognize_ring(R, budget):
-    """A name for R's iso class, read off the types of its local factors.
+def recognize_ring(types):
+    """A name for the iso class of the ring whose local factors have the
+    listed types, each (rank, order, q) as ``_local_types`` gives it.
 
     A finite ring is the product of its local factors eR, one per primitive
     idempotent e, uniquely up to isomorphism.  The factors Z/p^k merge into
@@ -27,13 +29,11 @@ def recognize_ring(R, budget):
     d_i dividing the next, by the Chinese remainder theorem; any other
     field is F_q, and any other local factor is L_m(F_q), after its order
     m and its residue field.  The names are joined with x, smallest order
-    first, and Z before F before L on ties.
+    first, and Z before F before L on ties; no factor at all is the zero
+    ring, 0.
     """
-    if R.size == 1:
-        return "0"
     powers, parts = {}, []
-    for rank, order, q in (_local_type(R, e, budget)
-                           for e in primitive_idempotents(R)):
+    for rank, order, q in types:
         if rank == 0:
             powers.setdefault(q, []).append(order)
         else:
@@ -44,37 +44,37 @@ def recognize_ring(R, budget):
             *(sorted(orders, reverse=True) for orders in powers.values()),
             fillvalue=1):
         parts.append((math.prod(column), 0, "Z/%d" % math.prod(column)))
-    return "x".join(name for _order, _rank, name in sorted(parts))
+    return "x".join(name for _order, _rank, name in sorted(parts)) or "0"
 
 
-def _local_type(R, e, budget):
-    """(rank, |eR|, q) for the local factor eR with residue field F_q:
-    rank 0 when e generates eR additively, so that eR is Z/|eR|, 1 when eR
-    is a field, else 2."""
-    budget.spend(R.size)
-    factor = set(R.mul[e])
-    order, x = 1, e
-    while x != R.zero:
-        x = R.add[x][e]
-        order += 1
-    # the maximal ideal of a finite local ring is its nilradical, and x is
-    # nilpotent iff x^(2^b) = 0 once 2^b > |R|
-    nilpotent = 0
-    for x in factor:
-        for _ in range(R.size.bit_length()):
-            x = R.mul[x][x]
-        nilpotent += x == R.zero
-    rank = 0 if order == len(factor) else 1 if nilpotent == 1 else 2
-    return rank, len(factor), len(factor) // nilpotent
+def _local_types(A, budget):
+    """(e, P, factor, field) for each local factor (e, P, m) of A, in prime
+    order: the types (rank, order, q) of eA and of its residue field A/P =
+    F_q, rank 0 when the unit generates the ring additively (Z/order), 1
+    for a field, else 2; |A| steps a factor."""
+    out = []
+    for e, P, m in local_factors(A):
+        budget.spend(A.size)
+        q = A.size // len(P.elements)
+        order = q * len(m)
+        additive, x = 1, e
+        while x != A.zero:
+            x = A.add[x][e]
+            additive += 1
+        rank = 0 if additive == order else 1 if len(m) == 1 else 2
+        field = (0 if smallest_prime_factor(q) == q else 1, q, q)
+        out.append((e, P, (rank, order, q), field))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # lattices
 
-def check_lattice(P, meet, join, budget):
+def check_lattice(P, meet, join):
     """NotALattice, naming the pair and the law, unless meet[x][y] and
     join[x][y] are the greatest lower and least upper bounds in P of each
-    pair of its elements 0..n-1, and the lattice is distributive; n^2 steps.
+    pair of its elements 0..n-1, and the lattice is distributive: n^2 tests,
+    which the caller charges before it builds the tables.
 
     A cell is the glb when its down-set mask is the intersection of the
     pair's: it is then a lower bound above every lower bound.  Dually for
@@ -89,7 +89,6 @@ def check_lattice(P, meet, join, budget):
     in a power set, which is distributive.
     """
     n = P.size
-    budget.spend(n * n)
     down, up = P.down, P.up
     # x is join-irreducible iff it has exactly one lower cover c, that is
     # iff the elements strictly below x are the down-set of c
@@ -112,18 +111,23 @@ def check_lattice(P, meet, join, budget):
                                   "neither" % (x, y))
 
 
-def _lattice(kind, A, labels, rings, names, order, meet, join, budget):
-    """The checked lattice of ``kind``; element i is labels[i], rings[i],
-    and meet[i] and join[i] are its rows of the two tables."""
-    poset = Poset(list(range(len(labels))), order, budget)
-    check_lattice(poset, meet, join, budget)
-    rows = [{"label": label, "ring": name, "size": R.size}
-            for label, R, name in zip(labels, rings, names)]
-    return Spectrum(poset, {"kind": kind, "base": A.name}, rows, labels,
-                    "%s_lattice" % kind,
+def _lattice(kind, A, rows, order, meet, join, budget):
+    """The checked lattice of ``kind``; element i is rows[i], and meet[i]
+    and join[i] are its rows of the two tables."""
+    poset = Poset(list(range(len(rows))), order, budget)
+    check_lattice(poset, meet, join)
+    return Spectrum(poset, {"kind": kind, "base": A.name}, rows,
+                    [row["label"] for row in rows], "%s_lattice" % kind,
                     {key: [[i, j, cell] for i, row in enumerate(table)
                            for j, cell in enumerate(row)]
                      for key, table in (("meet", meet), ("join", join))})
+
+
+def _row(label, types):
+    """A lattice row: the element's label, and the name and order of the
+    product of local rings of the listed types."""
+    return {"label": label, "ring": recognize_ring(types),
+            "size": math.prod(order for _rank, order, _q in types)}
 
 
 def zar_lattice(A, budget=None):
@@ -134,24 +138,25 @@ def zar_lattice(A, budget=None):
     invert(f) when ef = e.  The idempotents form a Boolean algebra, one
     atom per prime, so the meet of invert(e) and invert(f) inverts ef and
     their join inverts e + f - ef: both are read from one index of the
-    idempotents, after n^2 steps.
+    idempotents.  invert(e) is eA, the product of the local factors pA with
+    pe = p, so it is named from their types.
     """
     budget = ensure_budget(budget)
+    factors = _local_types(A, budget)
     idems = sorted(A.idempotents())
-    budget.spend(len(idems) ** 2)
-    labels, rings, names = [], [], []
-    for e in idems:
-        L, _h = localize(A, [e])
-        labels.append("invert(%s)" % A.names[e])
-        rings.append(L)
-        names.append(recognize_ring(L, budget))
+    # n^2 steps for the meet and join tables and n^2 for check_lattice,
+    # before any of them is built
+    budget.spend(2 * len(idems) ** 2)
+    rows = [_row("invert(%s)" % A.names[e],
+                 [t for p, _P, t, _f in factors if A.mul[p][e] == p])
+            for e in idems]
     index = {e: i for i, e in enumerate(idems)}
     order = [(x, y) for x, e in enumerate(idems) for y, f in enumerate(idems)
              if A.mul[e][f] == e]
     meet = [[index[A.mul[e][f]] for f in idems] for e in idems]
     join = [[index[A.sub(A.add[e][f], A.mul[e][f])] for f in idems]
             for e in idems]
-    return _lattice("zar", A, labels, rings, names, order, meet, join, budget)
+    return _lattice("zar", A, rows, order, meet, join, budget)
 
 
 def dom_lattice(A, budget=None):
@@ -162,33 +167,31 @@ def dom_lattice(A, budget=None):
     radical ideals are the 2^k intersections of sets of the k primes, one
     per mask, bit i for the i-th prime.  A/I <= A/J when J <= I, that is
     when I's mask is inside J's; the meet, the radical of I + J, has the
-    intersection of the two masks, and the join, I & J, their union.  The
-    tables are read from the masks after n^2 steps.
+    intersection of the two masks, and the join, I & J, their union.  By
+    the Chinese remainder theorem A/I is the product of the residue fields
+    A/P of the primes P in its mask, and it is named from their types.
     """
     budget = ensure_budget(budget)
-    primes = prime_ideals(A)
-    n = 1 << len(primes)
-    budget.spend(n * n)
+    factors = _local_types(A, budget)
+    n = 1 << len(factors)
+    budget.spend(2 * n * n)
     # a mask's ideal: the ideal of the mask less its top bit, cut with the
     # top bit's prime
     ideals = [frozenset(A.elements())]
     for mask in range(1, n):
         top = mask.bit_length() - 1
-        ideals.append(ideals[mask ^ 1 << top] & primes[top].elements)
+        ideals.append(ideals[mask ^ 1 << top] & factors[top][1].elements)
     masks = sorted(range(n), key=lambda m: (len(ideals[m]), sorted(ideals[m])))
-    labels, rings, names = [], [], []
-    for mask in masks:
-        I = Ideal(A, ideals[mask])
-        Q, _h = quotient_ring(A, I)
-        labels.append("mod%s" % I.label())
-        rings.append(Q)
-        names.append(recognize_ring(Q, budget))
+    rows = [_row("mod%s" % Ideal(A, ideals[mask]).label(),
+                 [f for i, (_e, _P, _t, f) in enumerate(factors)
+                  if mask >> i & 1])
+            for mask in masks]
     by_mask = {mask: i for i, mask in enumerate(masks)}
     order = [(x, y) for x, mx in enumerate(masks) for y, my in enumerate(masks)
              if mx & ~my == 0]
     meet = [[by_mask[mx & my] for my in masks] for mx in masks]
     join = [[by_mask[mx | my] for my in masks] for mx in masks]
-    return _lattice("dom", A, labels, rings, names, order, meet, join, budget)
+    return _lattice("dom", A, rows, order, meet, join, budget)
 
 
 def check_duality(A, budget=None):
@@ -211,38 +214,34 @@ def check_duality(A, budget=None):
 # points and stalks
 
 def stalk(A, p, topology):
-    """The local form at a prime, with its structural hom."""
-    primes = prime_ideals(A)
-    if not isinstance(p, Ideal) or p.ring is not A or \
-            all(p.elements != q.elements for q in primes):
-        raise NotAPrime("%r is not a prime ideal of %s" % (p, A.name))
-    return _stalk(A, p, topology)
-
-
-def _stalk(A, p, topology):
-    """``stalk`` at p, which the caller knows to be a prime of A: for zar
-    the localization away from p, a local ring with a localization map;
-    for the other topologies the quotient by p, a domain with a surjective
+    """The local form at a prime, with its structural hom: for zar the
+    localization away from p, a local ring with a localization map; for
+    the other topologies the quotient by p, a domain with a surjective
     and, the ring being finite, integral map."""
+    if not isinstance(p, Ideal) or p.ring is not A or \
+            all(p.elements != q.elements for q in prime_ideals(A)):
+        raise NotAPrime("%r is not a prime ideal of %s" % (p, A.name))
+    if topology not in TOPOLOGIES:
+        raise InvalidSpec("unknown topology %r" % (topology,))
     if topology == "zar":
         return localize(A, [x for x in A.elements() if x not in p.elements])
-    if topology in ("dom", "fin", "nfin"):
-        return quotient_ring(A, p)
-    raise InvalidSpec("unknown topology %r" % (topology,))
+    return quotient_ring(A, p)
 
 
 def spec_points(A, topology="zar", budget=None):
     """All primes with their stalks, ordered by inclusion, which is
-    discrete: every prime of a finite ring is maximal."""
+    discrete: every prime of a finite ring is maximal.  Each stalk that
+    ``stalk`` builds is named without being built: for zar, the local
+    factor eA with e outside P; for the others, the residue field A/P."""
     budget = ensure_budget(budget)
-    primes, rows = prime_ideals(A), []
-    for p in primes:
-        ring, _hom = _stalk(A, p, topology)
-        rows.append({"prime": p.label(),
-                     "stalk": recognize_ring(ring, budget),
-                     "stalk_size": ring.size})
-    order = [(i, j) for i, p in enumerate(primes) for j, q in enumerate(primes)
-             if p.elements <= q.elements]
-    poset = Poset(list(range(len(primes))), order, budget)
+    if topology not in TOPOLOGIES:
+        raise InvalidSpec("unknown topology %r" % (topology,))
+    rows = []
+    for _e, P, factor, field in _local_types(A, budget):
+        local = factor if topology == "zar" else field
+        rows.append({"prime": P.label(), "stalk": recognize_ring([local]),
+                     "stalk_size": local[1]})
+    poset = Poset(list(range(len(rows))), [(i, i) for i in range(len(rows))],
+                  budget)
     return Spectrum(poset, {"base": A.name, "topology": topology}, rows,
                     [row["prime"] for row in rows], "points")

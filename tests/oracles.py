@@ -13,10 +13,11 @@ from factopo.errors import (FactorizerContractViolation, InvalidSpec,
                             NotACategory, NotARing)
 from factopo.fincat import (FAIL, PASS, AxiomResult, FinCat, Functor, _key,
                             all_functors, verify_system)
-from factopo.finring import (all_ideals, annihilator_kernel, enumerate_homs,
-                             ideal_generated, inverse_hom, least_irreducible,
-                             localize, prime_power, primitive_idempotents,
-                             quotient_ring, radical, smallest_prime_factor)
+from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
+                             enumerate_homs, ideal_generated, inverse_hom,
+                             least_irreducible, localize, prime_power,
+                             primitive_idempotents, quotient_ring,
+                             smallest_prime_factor)
 from factopo.posets import Poset, Spectrum
 from factopo.ringspec import recognize_ring
 from factopo.ringsys import class_predicates, factorize, ring_universe
@@ -264,7 +265,7 @@ def all_functors_by_backtracking(C, D):
 
         assign(0)
     for F in out:
-        F.validate()
+        F.validate(Budget(10 ** 10))
     return out
 
 
@@ -950,11 +951,90 @@ def check_lattice_by_triples(P, meet, join):
     return True
 
 
+def radical(I):
+    """The elements with a power in I, each found by walking its powers
+    until they enter I or cycle."""
+    A = I.ring
+    out = set()
+    for x in A.elements():
+        p = x
+        seen = set()
+        while p not in seen:
+            seen.add(p)
+            if p in I.elements:
+                out.add(x)
+                break
+            p = A.mul[p][x]
+    return Ideal(A, frozenset(out))
+
+
+def prime_ideals_by_units(A):
+    """One prime per primitive idempotent e: (1 - e)A plus the non-units of
+    eA, found by scanning eA for an inverse of each element."""
+    primes = []
+    for e in primitive_idempotents(A):
+        co = A.sub(A.one, e)
+        comp = ideal_generated(A, [co]).elements
+        factor = sorted({A.mul[e][x] for x in A.elements()})
+        unit_in_factor = {x for x in factor
+                          if any(A.mul[x][y] == e for y in factor)}
+        nonunits = [x for x in factor if x not in unit_in_factor]
+        elems = {A.add[c][x] for c in comp for x in nonunits}
+        primes.append(Ideal(A, frozenset(elems)))
+    uniq = {p.elements: p for p in primes}
+    return sorted(uniq.values(), key=lambda p: p.sorted_elements())
+
+
+def recognize_ring_by_factors(R, budget):
+    """R's name from the types of its local factors eR, each read off the
+    factor's own elements: its order, the additive order of e, and its
+    nilpotents; R's order charged per factor."""
+    types = []
+    for e in primitive_idempotents(R):
+        budget.spend(R.size)
+        factor = set(R.mul[e])
+        order, x = 1, e
+        while x != R.zero:
+            x = R.add[x][e]
+            order += 1
+        nilpotent = 0
+        for x in factor:
+            for _ in range(R.size.bit_length()):
+                x = R.mul[x][x]
+            nilpotent += x == R.zero
+        rank = 0 if order == len(factor) else 1 if nilpotent == 1 else 2
+        types.append((rank, len(factor), len(factor) // nilpotent))
+    return recognize_ring(types)
+
+
+def spec_points_by_stalks(A, topology):
+    """The point report with each stalk built as a ring, the localization
+    away from the prime for zar and the quotient by it otherwise, and named
+    from its own local factors."""
+    budget = Budget(10 ** 10)
+    primes, rows = prime_ideals_by_units(A), []
+    for p in primes:
+        if topology == "zar":
+            ring, _h = localize(A, [x for x in A.elements()
+                                    if x not in p.elements])
+        else:
+            ring, _h = quotient_ring(A, p)
+        rows.append({"prime": p.label(),
+                     "stalk": recognize_ring_by_factors(ring, budget),
+                     "stalk_size": ring.size})
+    order = [(i, j) for i, p in enumerate(primes) for j, q in enumerate(primes)
+             if p.elements <= q.elements]
+    return Spectrum(Poset(list(range(len(primes))), order, budget),
+                    {"base": A.name, "topology": topology}, rows,
+                    [row["prime"] for row in rows], "points").as_json()
+
+
 def _lattice_report(kind, A, labels, rings, order, meet, join):
-    """The JSON report of a lattice from its (x, y)-keyed tables."""
+    """The JSON report of a lattice from its (x, y)-keyed tables, each
+    element's ring named from its own local factors."""
     budget = Budget(10 ** 10)
     n = len(labels)
-    rows = [{"label": label, "ring": recognize_ring(R, budget),
+    rows = [{"label": label, "ring": recognize_ring_by_factors(R, budget),
              "size": R.size} for label, R in zip(labels, rings)]
     pairs = [(i, j) for i in range(n) for j in range(n)]
     return Spectrum(Poset(list(range(n)), order, budget),

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from factopo import catfib, suites
 from factopo.budget import Budget
 from factopo.catalogs import category_catalogue
-from factopo.catfib import (all_slices_cover, cat_universe, comma,
+from factopo.catfib import (cat_universe, comma,
                             comma_components, comprehensive_factorize,
                             identity_functor, is_discrete_left_fibration,
                             is_discrete_right_fibration, is_final, is_initial,
@@ -136,7 +136,8 @@ def test_comprehensive_collapse_functor():
 
 def test_all_slices_cover_and_empty_family():
     C = chain(1)
-    assert right_cover_check(C, all_slices_cover(C)).covers
+    slices = [slice_factorize(C, c, "right")[2] for c in C.objects]
+    assert right_cover_check(C, slices).covers
     res = right_cover_check(C, [])
     assert not res.covers
     proj1 = slice_factorize(C, 1, "right")[2]
@@ -230,7 +231,9 @@ def posed_by_suites(monkeypatch, names):
 def test_comma_components_match_the_comma_category_on_the_suites(monkeypatch):
     posed, _factored = posed_by_suites(monkeypatch, ("catfib", "duality"))
     assert {side for _F, _d, side in posed} == {"d/F", "F/d"}
-    assert len(posed) > 300
+    # 300 commas: the catfib suite builds each right slice once, for both
+    # of the checks that read it
+    assert len(posed) == 300
     for F, d, side in posed:
         assert_comma_matches_the_oracles(F, d, side)
 
@@ -323,3 +326,24 @@ def test_a_foreign_anchor_or_a_bad_side_is_refused(d, side, message):
                   lambda: comma_by_pairs(F, d, side)):
         with pytest.raises(InvalidSpec, match="^%s$" % message):
             build()
+
+
+def test_the_catfib_suite_builds_each_slice_and_opposite_once(monkeypatch):
+    ops, slices = [], []
+    real_op, real_slice = Functor.op, suites.slice_factorize
+
+    def counting_op(F):
+        ops.append(F)
+        return real_op(F)
+
+    def counting_slice(C, c, side="right"):
+        slices.append((C.name, c, side))
+        return real_slice(C, c, side)
+
+    monkeypatch.setattr(Functor, "op", counting_op)
+    for module in (catfib, suites):
+        monkeypatch.setattr(module, "slice_factorize", counting_slice)
+    assert suites.run_suite("catfib", 0, Budget())["passed"]
+    assert len(ops) == len({id(F) for F in ops}) == 10
+    assert len(slices) == len(set(slices)) == \
+        2 * sum(len(C.objects) for C in category_catalogue())

@@ -569,3 +569,17 @@ def test_a_hom_set_listing_one_arrow_twice_is_refused():
                           lambda A, B: all_functors(A, B, Budget()) * 2,
                           lambda F: [F.obj_map[x] for x in F.source.objects],
                           Budget())
+
+
+def test_a_checked_functor_charges_its_source(cats):
+    # one step per morphism and per compose entry of the source, to the
+    # source's budget when the constructor checks, else to the one given
+    for C in cats:
+        before = C.budget.used
+        F = Functor(C, C, {x: x for x in C.objects},
+                    {m: m for m in C.morphisms})
+        assert C.budget.used - before == \
+            len(C.morphisms) + len(C.compose_table), C.name
+        budget = Budget()
+        assert F.validate(budget) is F
+        assert budget.used == len(C.morphisms) + len(C.compose_table)

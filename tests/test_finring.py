@@ -9,21 +9,23 @@ from hypothesis import strategies as st
 from factopo.budget import Budget
 from factopo.catalogs import ring_catalogue
 from factopo.errors import InvalidSpec, NotARing
-from factopo.finring import (FinRing, RingHom, _poly_divmod, all_ideals,
-                             annihilator_kernel, build_ring, enumerate_homs,
-                             field_catalogue, gf, hom_from_images,
-                             ideal_generated, least_irreducible, localize,
+from factopo.finring import (FinRing, Ideal, RingHom, _poly_divmod,
+                             all_ideals, annihilator_kernel, build_ring,
+                             enumerate_homs, field_catalogue, gf,
+                             hom_from_images, ideal_generated,
+                             least_irreducible, local_factors, localize,
                              nilradical, prime_ideals, primitive_idempotents,
                              prime_ideals_bruteforce, prime_power, product_ring,
-                             quotient_ring, radical, smallest_prime_factor,
+                             quotient_ring, smallest_prime_factor,
                              table_ring, zmod)
 from oracles import (annihilator_kernel_by_closure,
                      generation_sequence_by_rounds, gf_tables_by_horner,
                      hom_mappings_by_full_scan, ideal_generated_by_closure,
-                     is_hom_by_full_scan, product_tables_by_tuple_index,
-                     quotient_tables_by_comprehension, ring_isomorphic,
-                     validate_axioms_by_light, validate_axioms_by_maps,
-                     zmod_tables_by_comprehension)
+                     is_hom_by_full_scan, prime_ideals_by_units,
+                     product_tables_by_tuple_index,
+                     quotient_tables_by_comprehension, radical,
+                     ring_isomorphic, validate_axioms_by_light,
+                     validate_axioms_by_maps, zmod_tables_by_comprehension)
 
 
 def test_zmod_basics():
@@ -204,6 +206,14 @@ def ladder():
     """The benchmark's ring ladder, orders 8 to 64."""
     return [zmod(n) for n in LADDER_Z] + [gf(2, k) for k in LADDER_F] + \
         [product_ring(fs) for fs in ladder_factors()]
+
+
+def spectrum_bases(rings, square_zero):
+    """The catalogue, the ladder, the square-zero rings, (Z/2)^6 and
+    (Z/4)^4: the bases the spectrum views are checked on against their
+    former constructions."""
+    return list(rings) + ladder() + list(square_zero.values()) + \
+        [product_ring([zmod(2)] * 6), product_ring([zmod(4)] * 4)]
 
 
 def relabelled(R, rng):
@@ -644,6 +654,25 @@ def test_prime_bruteforce_agreement(rings):
         assert fast == slow, A.name
 
 
+def test_local_factors_match_the_unit_scan(rings, square_zero):
+    # the primes as the unit scan found them, the nilradical as the walk
+    # over powers found it, and each factor's maximal ideal as the
+    # nilpotents of eA, the part of P inside eA
+    for A in spectrum_bases(rings, square_zero):
+        factors = local_factors(A)
+        assert [P.elements for _e, P, _m in factors] == \
+            [P.elements for P in prime_ideals_by_units(A)], A.name
+        assert prime_ideals(A) == [P for _e, P, _m in factors], A.name
+        nil = radical(Ideal(A, frozenset([A.zero]))).elements
+        assert nilradical(A).elements == nil, A.name
+        assert sorted(e for e, _P, _m in factors) == \
+            primitive_idempotents(A), A.name
+        for e, P, m in factors:
+            eA = set(A.mul[e])
+            assert m == nil & eA == P.elements & eA, A.name
+            assert e not in P.elements and A.sub(A.one, e) in P.elements
+
+
 def test_annihilator_kernel_matches_the_closure(rings, square_zero):
     # the catalogue, the square-zero rings and the ladder; per ring: no
     # element, each element, and seeded lists of units, of nilpotents (the
@@ -691,7 +720,8 @@ def test_constructed_ideals_are_ideals(rings):
         made = [nilradical(A)] + prime_ideals(A)
         for a, b in itertools.combinations_with_replacement(A.elements(), 2):
             made += [ideal_generated(A, [a, b]), annihilator_kernel(A, [a, b])]
-        made += [radical(I) for I in all_ideals(A, Budget())]
+        # each maximal ideal m of a factor eA is an ideal of A too
+        made += [Ideal(A, m) for _e, _P, m in local_factors(A)]
         for I in made:
             assert I.validate() is I, (A.name, I)
 

@@ -5,21 +5,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factopo import ringspec, ringsys
+from conftest import square_zero_ring
+from factopo import finring, ringspec, ringsys
 from factopo.budget import Budget
 from factopo.errors import NotALattice, NotAPrime
 from factopo.finring import (FinRing, all_ideals, gf, ideal_generated,
-                             localize, prime_ideals, prime_power, product_ring,
-                             quotient_ring, zmod)
+                             local_factors, localize, prime_ideals,
+                             prime_power, product_ring, quotient_ring, zmod)
 from factopo.posets import Poset
-from factopo.ringspec import (check_duality, check_lattice, dom_lattice,
-                              recognize_ring, spec_points, stalk, zar_lattice)
+from factopo.ringspec import (_local_types, check_duality, check_lattice,
+                              dom_lattice, recognize_ring, spec_points, stalk,
+                              zar_lattice)
 from oracles import (check_lattice_by_triples, dom_lattice_by_radicals,
-                     recognize_ring_by_candidates, ring_isomorphic,
+                     recognize_ring_by_candidates, recognize_ring_by_factors,
+                     ring_isomorphic, spec_points_by_stalks,
                      zar_lattice_by_kernels)
-from test_finring import ladder
+from test_finring import ladder, spectrum_bases
 
 z12 = zmod(12)
+TOPOLOGIES = ("zar", "dom", "fin", "nfin")
+
+
+def ring_name(R, budget=None):
+    """R's name from the types of its local factors, as the spectrum views
+    name the rings they do not build."""
+    return recognize_ring([factor for _e, _P, factor, _field
+                           in _local_types(R, budget or Budget())])
 
 
 def prime_at(A, elt_name):
@@ -30,9 +41,10 @@ def prime_at(A, elt_name):
 
 
 def test_recognize_ring_names():
-    assert recognize_ring(zmod(9), Budget()) == "Z/9"
-    assert recognize_ring(gf(2, 2), Budget()) == "F_4"
-    assert recognize_ring(product_ring([zmod(2), zmod(3)]), Budget()) == "Z/6"
+    assert ring_name(zmod(9)) == "Z/9"
+    assert ring_name(gf(2, 2)) == "F_4"
+    assert ring_name(product_ring([zmod(2), zmod(3)])) == "Z/6"
+    assert ring_name(zmod(1)) == recognize_ring([]) == "0"
 
 
 def subring(R, gens):
@@ -110,7 +122,7 @@ def test_recognize_ring_matches_the_isomorphism_search(square_zero):
     assert len(distinct) > 50
     unnamed = 0
     for R in distinct:
-        name, want = recognize_ring(R, Budget()), recognize_bruteforce(R)
+        name, want = ring_name(R), recognize_bruteforce(R)
         if not want.startswith("ring-of-order-"):
             assert name == want, R.name
         elif "L_" not in name:
@@ -134,7 +146,8 @@ def test_recognize_ring_names_what_the_candidate_search_named(square_zero):
     renamed = set()
     for R in rings:
         budget, old_budget = Budget(), Budget()
-        name = recognize_ring(R, budget)
+        name = ring_name(R, budget)
+        assert name == recognize_ring_by_factors(R, Budget()), R.name
         old = recognize_ring_by_candidates(R, old_budget)
         if old.startswith("ring-of-order-"):
             renamed.add((old, name))
@@ -148,12 +161,12 @@ def test_recognize_ring_names_what_the_candidate_search_named(square_zero):
 
 
 def test_a_local_factor_is_named_by_order_and_residue_field(square_zero):
-    names = {k: recognize_ring(R, Budget()) for k, R in square_zero.items()}
+    names = {k: ring_name(R) for k, R in square_zero.items()}
     assert names == {(2, 1): "L_4(F_2)", (3, 1): "L_9(F_3)",
                      (2, 2): "L_8(F_2)", (3, 2): "L_27(F_3)",
                      (2, 3): "L_16(F_2)"}
     mixed = product_ring([square_zero[2, 1], zmod(4), gf(2, 2), zmod(3)])
-    assert recognize_ring(mixed, Budget()) == "F_4xL_4(F_2)xZ/12"
+    assert ring_name(mixed) == "F_4xL_4(F_2)xZ/12"
 
 
 def test_zar_lattice_z12():
@@ -215,7 +228,7 @@ def test_spec_points_poset_is_discrete(rings):
     assert data["base"] == "Z/12"
     assert all(i == j for i, j in data["order"])
     for A in rings:
-        for topology in ("zar", "dom", "fin", "nfin"):
+        for topology in TOPOLOGIES:
             order = spec_points(A, topology).as_json()["order"]
             assert all(i == j for i, j in order), (A.name, topology)
 
@@ -225,13 +238,13 @@ def test_spec_points_finds_the_primes_once(monkeypatch):
 
     def counted(A):
         calls.append(A)
-        return prime_ideals(A)
+        return local_factors(A)
 
-    # patched where each module reads it, so calls through points_of count
-    for module in (ringspec, ringsys):
-        monkeypatch.setattr(module, "prime_ideals", counted)
+    # patched where each module reads it, so calls through prime_ideals count
+    for module in (ringspec, finring):
+        monkeypatch.setattr(module, "local_factors", counted)
     A = product_ring([zmod(2), zmod(3), zmod(5)])
-    for topology in ("zar", "dom", "fin", "nfin"):
+    for topology in TOPOLOGIES:
         calls.clear()
         assert spec_points(A, topology).size == 3
         assert len(calls) == 1, topology
@@ -246,11 +259,77 @@ def test_spec_points_fin_topology():
 def test_lattices_match_the_old_constructions(rings, square_zero):
     # the kernel scan and the radical filter give the same reports, the
     # ring names included
-    bases = list(rings) + ladder() + list(square_zero.values()) + \
-        [product_ring([zmod(2)] * 6), product_ring([zmod(4)] * 4)]
-    for A in bases:
+    for A in spectrum_bases(rings, square_zero):
         assert zar_lattice(A).as_json() == zar_lattice_by_kernels(A), A.name
         assert dom_lattice(A).as_json() == dom_lattice_by_radicals(A), A.name
+
+
+def test_points_match_the_stalks_built_as_rings(rings, square_zero):
+    for A in spectrum_bases(rings, square_zero):
+        for topology in TOPOLOGIES:
+            assert spec_points(A, topology).as_json() == \
+                spec_points_by_stalks(A, topology), (A.name, topology)
+
+
+def dual_numbers(R):
+    """R[x]/(x^2), its element a + bx the pair (a, b): local, with R's
+    residue field, when R is local."""
+    pairs = list(itertools.product(R.elements(), repeat=2))
+    at = {pair: i for i, pair in enumerate(pairs)}
+    add = [[at[R.add[a][c], R.add[b][d]] for c, d in pairs] for a, b in pairs]
+    mul = [[at[R.mul[a][c], R.add[R.mul[a][d]][R.mul[b][c]]]
+            for c, d in pairs] for a, b in pairs]
+    return FinRing(["%s+%sx" % (R.names[a], R.names[b]) for a, b in pairs],
+                   add, mul, at[R.zero, R.zero], at[R.one, R.zero],
+                   name="%s[x]/(x^2)" % R.name)
+
+
+# local rings to draw products from: Z/p^k, F_q, and L_m(F_q), here
+# F_p[x_1..x_k]/(x_1..x_k)^2 and the dual numbers over F_4 and Z/4
+LOCAL_RINGS = [zmod(n) for n in (2, 3, 4, 5, 8, 9)] + \
+    [gf(2, 2), gf(2, 3), gf(3, 2)] + \
+    [square_zero_ring(p, k) for p, k in ((2, 1), (3, 1), (2, 2))] + \
+    [dual_numbers(gf(2, 2)), dual_numbers(zmod(4))]
+
+
+def test_the_drawn_local_rings_are_named_by_their_types():
+    assert [ring_name(R) for R in LOCAL_RINGS] == [
+        "Z/2", "Z/3", "Z/4", "Z/5", "Z/8", "Z/9", "F_4", "F_8", "F_9",
+        "L_4(F_2)", "L_9(F_3)", "L_8(F_2)", "L_16(F_4)", "L_16(F_2)"]
+
+
+@given(st.lists(st.sampled_from(LOCAL_RINGS), min_size=1, max_size=4)
+       .filter(lambda fs: math.prod(f.size for f in fs) <= 72))
+def test_drawn_products_match_the_old_constructions(factors):
+    A = product_ring(factors)
+    assert zar_lattice(A).as_json() == zar_lattice_by_kernels(A)
+    assert dom_lattice(A).as_json() == dom_lattice_by_radicals(A)
+    for topology in TOPOLOGIES:
+        assert spec_points(A, topology).as_json() == \
+            spec_points_by_stalks(A, topology), topology
+
+
+def test_spectrum_views_build_no_ring(rings, monkeypatch):
+    bases = list(rings) + [product_ring([zmod(2)] * 6),
+                           product_ring([zmod(4), gf(2, 2), zmod(9)])]
+    built = []
+    init = FinRing.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinRing, "__init__", counting)
+    for A in bases:
+        zar_lattice(A)
+        dom_lattice(A)
+        check_duality(A)
+        for topology in TOPOLOGIES:
+            spec_points(A, topology)
+    assert built == []
+    # the spy sees a ring that is built
+    stalk(bases[-1], prime_ideals(bases[-1])[0], "zar")
+    assert len(built) == 1
 
 
 def closure_lattice(family, points):
@@ -274,7 +353,7 @@ def closure_lattice(family, points):
 
 def refuses(P, meet, join):
     try:
-        check_lattice(P, meet, join, Budget())
+        check_lattice(P, meet, join)
     except NotALattice:
         return True
     return False
@@ -288,7 +367,7 @@ def test_the_pentagon_and_the_diamond_are_not_distributive():
         assert P.size == 5
         assert not check_lattice_by_triples(P, meet, join)
         with pytest.raises(NotALattice, match="not distributive"):
-            check_lattice(P, meet, join, Budget())
+            check_lattice(P, meet, join)
     P, meet, join = closure_lattice([0b001, 0b010], 2)
     assert check_lattice_by_triples(P, meet, join)
     assert not refuses(P, meet, join)
@@ -315,12 +394,12 @@ def test_a_refusal_names_the_pair_and_the_law():
     P, meet, join = closure_lattice([0b01, 0b10], 2)
     meet[1][2] = 3
     with pytest.raises(NotALattice) as err:
-        check_lattice(P, meet, join, Budget())
+        check_lattice(P, meet, join)
     assert str(err.value) == \
         "the meet of 1 and 2 is 3, not their greatest lower bound"
     meet[1][2] = 0
     join[2][1] = 2
     with pytest.raises(NotALattice) as err:
-        check_lattice(P, meet, join, Budget())
+        check_lattice(P, meet, join)
     assert str(err.value) == \
         "the join of 2 and 1 is 2, not their least upper bound"
