@@ -284,11 +284,13 @@ def classify_ring(A, budget=None):
 # ---------------------------------------------------------------------------
 # covering families
 
-def zar_combination_certificate(A, elems):
+def zar_combination_certificate(A, elems, budget):
     """Coefficients with sum(c_i * a_i) == 1, or None; first hit under an
-    ascending scan so the certificate is reproducible."""
+    ascending scan so the certificate is reproducible.  Each element costs
+    one step per reached sum and ring element, charged before its scan."""
     reach = {A.zero: tuple([0] * len(elems))}
     for idx, a in enumerate(elems):
+        budget.spend(len(reach) * A.size)
         nxt = dict(reach)
         for v, co in reach.items():
             for r in A.elements():
@@ -318,7 +320,7 @@ def cover_check(A, family, topology, field_bound=16, budget=None):
             if not isinstance(a, int) or not (0 <= a < A.size):
                 raise InvalidFamily("zar family members must be elements of %s" % A.name)
             elems.append(a)
-        combo = zar_combination_certificate(A, elems)
+        combo = zar_combination_certificate(A, elems, budget)
         if combo is None:
             return CoverResult("zar", False,
                                {"proper_ideal": ideal_generated(A, elems).label()})
@@ -329,6 +331,7 @@ def cover_check(A, family, topology, field_bound=16, budget=None):
         for I in family:
             if not isinstance(I, Ideal) or I.ring is not A:
                 raise InvalidFamily("dom family members must be ideals of %s" % A.name)
+            budget.spend(len(I.elements) * (len(I.elements) + A.size))
             ideals.append(I.validate())
         inter = set(A.elements())
         for I in ideals:
@@ -404,21 +407,8 @@ def points_of(A):
 
 
 # ---------------------------------------------------------------------------
-# lifting helpers shared by the self-lift deciders and the oracle suites
-
-def element_has_retraction(A, a):
-    """Whether A -> A[1/a] admits a retraction splitting it."""
-    L, proj = localize(A, [a])
-    if L.size != A.size:
-        return False
-    # proj is then bijective; its inverse is the retraction
-    return proj.is_bijective()
-
-
-def ideal_has_retraction(A, I):
-    Q, proj = quotient_ring(A, I)
-    return Q.size == A.size and proj.is_bijective()
-
+# self-lifting: A -> A[1/a] and A -> A/I are onto, so they have a
+# retraction iff they are injective, iff their kernel is zero
 
 def zar_self_lift_decider(A):
     """Decide 'A lifts through every zar cover of itself'.
@@ -427,14 +417,14 @@ def zar_self_lift_decider(A):
     the set of retraction-free elements, so a single ideal-membership test
     settles the universal claim.
     """
-    sectionless = [a for a in A.elements() if not element_has_retraction(A, a)]
-    return zar_combination_certificate(A, sectionless) is None
+    sectionless = [a for a in A.elements()
+                   if not annihilator_kernel(A, [a]).is_zero()]
+    return ideal_generated(A, sectionless).is_proper()
 
 
 def dom_self_lift_decider(A, budget=None):
     budget = ensure_budget(budget)
-    sectionless = [I for I in all_ideals(A, budget)
-                   if not ideal_has_retraction(A, I)]
+    sectionless = [I for I in all_ideals(A, budget) if not I.is_zero()]
     return not cover_check(A, sectionless, "dom", budget=budget).covers
 
 

@@ -543,54 +543,46 @@ def sset_isomorphic(X, Y, budget):
 # ---------------------------------------------------------------------------
 # the collapse factorization
 
-def deg_ndeg_factorize(f, rng=None, budget=None):
-    """Collapse the source until the remaining map keeps cells nondegenerate.
+def deg_ndeg_factorize(f, budget=None):
+    """Collapse the source by the least congruence that f factors through
+    with its nondegenerate cells kept nondegenerate.
 
-    Each round picks a cell whose image is degenerate, reads off the
-    degeneracy operator, and glues the cell along it; the glueing is a
-    quotient (the collapse operator is surjective, so no new simplices
-    appear) and strictly reduces the nondegenerate cell count, which is the
-    termination argument.  ``rng`` varies the processing order; the middle
-    must come out the same up to isomorphism either way.  The legs are
-    checked at the end, one step per cell of the source.
+    A cell c with f(c) = sigma*(w), sigma not the identity, must be glued
+    along sigma: c.alpha ~ c.alpha' whenever sigma.alpha = sigma.alpha'.
+    These pairs are closed under the simplicial action, so one quotient by
+    them is the middle, and its right leg is read off the classes.  A map
+    with no degenerate image is its own right leg.  The legs are checked at
+    the end, one step per cell of the source.
     """
     budget = ensure_budget(budget)
-    M = f.source
-    left = identity_smap(M)
-    g = f
-    while True:
-        bad = [ref for ref in M.cells()
-               if not g.target.is_nondeg_simplex(g.assignment[ref])]
-        if not bad:
-            break
-        ref = bad[rng.randrange(len(bad))] if rng is not None else bad[0]
-        sigma, _w = g.assignment[ref]
-        n = ref[0]
-        pairs = []
+    M, left, g = f.source, identity_smap(f.source), f
+    pairs = []
+    for ref in M.cells():
+        sigma, _w = f.assignment[ref]
+        if is_identity_op(sigma):
+            continue
+        y = M.cell_simplex(ref)
         for k in range(M.dim + 1):
             groups = {}
-            for alpha in monotone_ops(k, n):
+            for alpha in monotone_ops(k, ref[0]):
                 groups.setdefault(compose_ops(sigma, alpha), []).append(alpha)
-            y = M.cell_simplex(ref)
             for alphas in groups.values():
                 first = M.act(y, alphas[0])
-                for alpha in alphas[1:]:
-                    pairs.append((first, M.act(y, alpha)))
-        M2, proj = _quotient(M, pairs, budget)
-        # the images under g of the cells that each cell of M2 carries
+                pairs.extend((first, M.act(y, a)) for a in alphas[1:])
+    if pairs:
+        M, left = _quotient(f.source, pairs, budget)
+        # the images under f of the cells that each cell of M carries
         images = {}
-        for r in M.cells():
-            images.setdefault(proj.assignment[r], set()).add(g.assignment[r])
-        g2ass = {}
-        for ref2 in M2.cells():
-            found = images.get(M2.cell_simplex(ref2), set())
+        for r, x in left.assignment.items():
+            images.setdefault(x, set()).add(f.assignment[r])
+        gass = {}
+        for ref in M.cells():
+            found = images.get(M.cell_simplex(ref), set())
             if len(found) != 1:
                 raise FactorizerContractViolation(
                     "collapse identified cells with distinct images")
-            g2ass[ref2] = found.pop()
-        g = SimplicialMap(M2, f.target, g2ass)
-        left = left.then(proj)
-        M = M2
+            gass[ref] = found.pop()
+        g = SimplicialMap(M, f.target, gass)
     budget.spend(len(f.assignment))
     if not is_nondegenerate_map(g):
         raise FactorizerContractViolation(
@@ -756,11 +748,10 @@ def delta_nis_self_lift_decider(X, budget=None):
 
 
 def is_standard_simplex(X, budget):
-    for n in range(X.top_dim + 1):
-        if sset_isomorphic(X, delta(n, dim=X.dim, budget=budget),
-                           budget) is not None:
-            return True
-    return False
+    """X is Δ[n] only for n its top dimension, as Δ[n] has an n-cell and
+    none above it."""
+    return X.top_dim >= 0 and sset_isomorphic(
+        X, delta(X.top_dim, dim=X.dim, budget=budget), budget) is not None
 
 
 def _cell_spectrum(X, mode, refs, pairs, budget):

@@ -440,7 +440,7 @@ def lines(V):
         piv = next((i for i, c in enumerate(v) if c != field.zero), None)
         if piv is None:
             continue
-        if v[piv] == field.one and all(c == field.zero for c in v[:piv]):
+        if v[piv] == field.one:
             reps.append(v)
     return reps
 

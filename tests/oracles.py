@@ -11,8 +11,8 @@ from factopo.budget import Budget
 from factopo.catfib import CommaCategory, _over
 from factopo.errors import (FactorizerContractViolation, InvalidSpec,
                             NotACategory, NotARing)
-from factopo.fincat import (FAIL, PASS, AxiomResult, FinCat, Functor, _key,
-                            all_functors, verify_system)
+from factopo.fincat import (FAIL, PASS, AxiomResult, Factorization, FinCat,
+                            Functor, _key, all_functors, verify_system)
 from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
                              enumerate_homs, ideal_generated, inverse_hom,
                              least_irreducible, localize, prime_power,
@@ -20,9 +20,12 @@ from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
                              smallest_prime_factor)
 from factopo.posets import Poset, Spectrum
 from factopo.ringspec import recognize_ring
-from factopo.ringsys import class_predicates, factorize, ring_universe
-from factopo.sset import (compose_ops, epi_mono_split, identity_op,
-                          is_identity_op)
+from factopo.ringsys import (class_predicates, cover_check, factorize,
+                             ring_universe, zar_combination_certificate)
+from factopo.sset import (SimplicialMap, _quotient, compose_ops, delta,
+                          epi_mono_split, identity_op, identity_smap,
+                          is_identity_op, is_nondegenerate_map, monotone_ops,
+                          sset_isomorphic)
 
 
 def ring_isomorphic(A, B, budget):
@@ -908,6 +911,87 @@ def _injection_by_recursion(X, ref, delta):
     face = X.faces_tbl[(m, j, missing)]
     delta2 = tuple(v if v < missing else v - 1 for v in delta)
     return act_by_recursion(X, face, delta2)
+
+
+def deg_ndeg_by_rounds(f, rng, budget):
+    """The collapse factorisation one cell per round: each round picks a
+    cell whose image is degenerate (at random under ``rng``, else the
+    first), glues it along its degeneracy with one quotient, and rebuilds
+    the right leg on the quotient."""
+    M = f.source
+    left = identity_smap(M)
+    g = f
+    while True:
+        bad = [ref for ref in M.cells()
+               if not g.target.is_nondeg_simplex(g.assignment[ref])]
+        if not bad:
+            break
+        ref = bad[rng.randrange(len(bad))] if rng is not None else bad[0]
+        sigma, _w = g.assignment[ref]
+        pairs = []
+        for k in range(M.dim + 1):
+            groups = {}
+            for alpha in monotone_ops(k, ref[0]):
+                groups.setdefault(compose_ops(sigma, alpha), []).append(alpha)
+            y = M.cell_simplex(ref)
+            for alphas in groups.values():
+                first = M.act(y, alphas[0])
+                for alpha in alphas[1:]:
+                    pairs.append((first, M.act(y, alpha)))
+        M2, proj = _quotient(M, pairs, budget)
+        images = {}
+        for r in M.cells():
+            images.setdefault(proj.assignment[r], set()).add(g.assignment[r])
+        g2ass = {}
+        for ref2 in M2.cells():
+            found = images.get(M2.cell_simplex(ref2), set())
+            if len(found) != 1:
+                raise FactorizerContractViolation(
+                    "collapse identified cells with distinct images")
+            g2ass[ref2] = found.pop()
+        g = SimplicialMap(M2, f.target, g2ass)
+        left = left.then(proj)
+        M = M2
+    budget.spend(len(f.assignment))
+    if not is_nondegenerate_map(g):
+        raise FactorizerContractViolation(
+            "collapse of %r: right leg is degenerate" % f)
+    if left.then(g).assignment != f.assignment:
+        raise FactorizerContractViolation(
+            "collapse of %r: legs do not compose to it" % f)
+    return Factorization(left, M, g)
+
+
+def is_standard_simplex_by_every_dimension(X, budget):
+    """Whether X is isomorphic to Δ[n] for some n up to its top dimension,
+    trying each n."""
+    return any(sset_isomorphic(X, delta(n, dim=X.dim, budget=budget), budget)
+               is not None for n in range(X.top_dim + 1))
+
+
+def element_has_retraction(A, a):
+    """Whether A -> A[1/a] admits a retraction, from the localisation."""
+    L, proj = localize(A, [a])
+    return L.size == A.size and proj.is_bijective()
+
+
+def ideal_has_retraction(A, I):
+    """Whether A -> A/I admits a retraction, from the quotient ring."""
+    Q, proj = quotient_ring(A, I)
+    return Q.size == A.size and proj.is_bijective()
+
+
+def zar_self_lift_by_rings(A):
+    """The zar self-lift decider on a localisation ring per element."""
+    sectionless = [a for a in A.elements() if not element_has_retraction(A, a)]
+    return zar_combination_certificate(A, sectionless, Budget()) is None
+
+
+def dom_self_lift_by_rings(A, budget):
+    """The dom self-lift decider on a quotient ring per ideal."""
+    sectionless = [I for I in all_ideals(A, budget)
+                   if not ideal_has_retraction(A, I)]
+    return not cover_check(A, sectionless, "dom", budget=budget).covers
 
 
 def poset_meet(P, x, y):

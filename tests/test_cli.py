@@ -705,6 +705,18 @@ OVER_BUDGET = {
     # the suite built its simplicial sets on budgets of their own
     "verify-ez-budget-10000": (["verify", "--suite", "ez", "--budget",
                                 "10000"], {}),
+    # one step above Z/1000's own n^2: the zar certificate's sums and the
+    # dom family's ideal checks ran uncharged, for seconds per family
+    "zar-400-evens-z1000": (["cover", "--topology", "zar", "--base", "{a}",
+                             "--family", "{b}", "--budget", "1000001"],
+                            {"a": {"kind": "zmod", "n": 1000},
+                             "b": {"topology": "zar", "elements": [
+                                 str(2 * i) for i in range(400)]}}),
+    "dom-20-units-z1000": (["cover", "--topology", "dom", "--base", "{a}",
+                            "--family", "{b}", "--budget", "1000001"],
+                           {"a": {"kind": "zmod", "n": 1000},
+                            "b": {"topology": "dom",
+                                  "ideals": [["1"]] * 20}}),
 }
 
 

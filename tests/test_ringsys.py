@@ -3,9 +3,11 @@ from hypothesis import given, strategies as st
 
 from factopo import ringsys
 from factopo.budget import Budget
-from factopo.errors import InvalidFamily, InvalidSpec
+from factopo.errors import (EnumerationBudgetExceeded, InvalidFamily,
+                            InvalidSpec)
 from factopo.fincat import FAIL, Factorization, verify_system
-from factopo.finring import (RingHom, enumerate_homs, gf, identity_hom,
+from factopo.finring import (RingHom, all_ideals, annihilator_kernel,
+                             enumerate_homs, gf, identity_hom,
                              ideal_generated, product_ring, zmod)
 from factopo.ringsys import (SYSTEMS, class_predicates, classify_ring,
                              conservative_witness, cover_check,
@@ -14,9 +16,12 @@ from factopo.ringsys import (SYSTEMS, class_predicates, classify_ring,
                              is_integral_map, is_integrally_closed_map,
                              is_localization_map, points_of, ring_universe,
                              triple_factorize, verify_factorization,
-                             verify_ring_system, zar_self_lift_decider)
-from oracles import (ring_isomorphic, verify_ring_system_two_runs,
-                     verify_system_two_runs)
+                             verify_ring_system, zar_combination_certificate,
+                             zar_self_lift_decider)
+from oracles import (dom_self_lift_by_rings, element_has_retraction,
+                     ideal_has_retraction, ring_isomorphic,
+                     verify_ring_system_two_runs, verify_system_two_runs,
+                     zar_self_lift_by_rings)
 
 z2, z3, z4, z6, z12 = zmod(2), zmod(3), zmod(4), zmod(6), zmod(12)
 f4 = gf(2, 2)
@@ -237,6 +242,38 @@ def test_classify_matches_membership(rings):
         c = classify_ring(A)
         assert c.is_local == zar_self_lift_decider(A), A.name
         assert c.is_domain == dom_self_lift_decider(A), A.name
+
+
+def test_self_lift_deciders_match_the_rings_they_no_longer_build(rings):
+    # A -> A[1/a] and A -> A/I have a retraction iff their kernel is zero;
+    # the oracles build the localisation or the quotient ring to see it
+    extra = [zmod(36), zmod(60), product_ring([zmod(4), gf(2, 2), zmod(9)])]
+    for A in list(rings) + extra:
+        for a in A.elements():
+            assert element_has_retraction(A, a) == \
+                annihilator_kernel(A, [a]).is_zero(), (A.name, a)
+        for I in all_ideals(A, Budget()):
+            assert ideal_has_retraction(A, I) == I.is_zero(), (A.name, I)
+        assert zar_self_lift_decider(A) == zar_self_lift_by_rings(A), A.name
+        assert dom_self_lift_decider(A) == \
+            dom_self_lift_by_rings(A, Budget()), A.name
+
+
+def test_zar_certificate_charges_each_scan_before_it_runs():
+    # Z/6 with 2 then 3: one reached sum, then {0, 2, 4}, times 6 elements
+    budget = Budget()
+    assert zar_combination_certificate(z6, [2, 3], budget) == (2, 1)
+    assert budget.used == 6 + 3 * 6
+    with pytest.raises(EnumerationBudgetExceeded):
+        zar_combination_certificate(z6, [2, 3], Budget(6 + 3 * 6 - 1))
+
+
+def test_dom_cover_charges_each_ideal_check():
+    # Z/12 itself, 12 * (12 + 12) steps, is refused before its check
+    whole = ideal_generated(z12, [z12.one])
+    with pytest.raises(EnumerationBudgetExceeded):
+        cover_check(z12, [whole], "dom", budget=Budget(12 * 24 - 1))
+    assert cover_check(z12, [whole], "dom", budget=Budget()).covers is False
 
 
 def test_homs_keep_units_and_witnesses_lie_in_the_image(rings):

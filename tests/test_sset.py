@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from factopo import sset
 from factopo.budget import Budget
 from factopo.catalogs import sset_corpus
 from factopo.errors import (EnumerationBudgetExceeded,
@@ -21,7 +22,8 @@ from factopo.sset import (FinSSet, SimplicialMap, _quotient,
                           sset_cover_check, sset_isomorphic,
                           subcomplex_of_delta, surjective_ops)
 from factopo.suites import _ez_map_pool, run_suite
-from oracles import act_by_recursion
+from oracles import (act_by_recursion, deg_ndeg_by_rounds,
+                     is_standard_simplex_by_every_dimension)
 
 
 # -- operator algebra ------------------------------------------------------
@@ -415,17 +417,128 @@ def test_collapse_factorization_middle():
         assert fac.right.apply(fac.left.apply(x)) == f.apply(x)
 
 
+def delta_pair(m, k, budget=None):
+    """Δ[m] and Δ[k], truncated alike, on one budget."""
+    dim = max(m, k) + 1
+    return delta(m, dim=dim, budget=budget), delta(k, dim=dim, budget=budget)
+
+
+def induced_map(X, Y, alpha):
+    """The map that the monotone alpha: [m] -> [k] induces on vertices, from
+    a union X of faces of Δ[m] to Y = Δ[k], both labelled by vertex
+    strings."""
+    ass = {}
+    for ref in X.cells():
+        image, tau = epi_mono_split(
+            tuple(alpha[int(v)] for v in X.cell_label(ref)))
+        n = len(image) - 1
+        ass[ref] = (tau, (n, Y.labels[n].index("".join(map(str, image)))))
+    return SimplicialMap(X, Y, ass)
+
+
+def collapse_key(fac):
+    M = fac.middle
+    return (M.dim, M.labels, M.faces_tbl, fac.left.assignment,
+            fac.right.assignment)
+
+
+def rng_of(seed):
+    return random.Random(seed) if seed is not None else None
+
+
+@pytest.fixture(scope="module")
+def collapse_cases():
+    """Every map of the ez pool, each restricted along the classifying map
+    of every source cell, and every Δ[m] -> Δ[k] with m <= 3, k <= 4, each
+    with the key of its one-quotient collapse."""
+    pool = _ez_map_pool(sset_corpus(Budget()), Budget())
+    maps = pool + [classifying_map(f.source, f.source.cell_simplex(ref))
+                   .then(f) for f in pool for ref in f.source.cells()]
+    for m, k in itertools.product(range(4), range(5)):
+        X, Y = delta_pair(m, k)
+        maps += [induced_map(X, Y, alpha) for alpha in monotone_ops(m, k)]
+    return [(f, collapse_key(deg_ndeg_factorize(f))) for f in maps]
+
+
 @pytest.mark.parametrize("seed", [None, 0, 1, 7])
-def test_collapse_is_order_independent(seed):
-    rng = random.Random(seed) if seed is not None else None
-    fac = deg_ndeg_factorize(collapse_map(), rng=rng)
-    assert {n: len(fac.middle.labels.get(n, [])) for n in (0, 1)} == {0: 2, 1: 1}
+def test_collapse_is_order_independent(collapse_cases, seed):
+    # the one quotient is the collapse one cell per round, in any order
+    for f, key in collapse_cases:
+        assert collapse_key(deg_ndeg_by_rounds(f, rng_of(seed), Budget())) \
+            == key, f
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 7])
+def test_collapse_out_of_delta4_matches_the_rounds(seed):
+    # a map out of Δ[4] collapses by the kernel of its vertex map alone, so
+    # the 16 surjections Δ[4] -> Δ[r] stand for all 210 maps Δ[4] -> Δ[k]
+    for r in range(5):
+        X, Y = delta_pair(4, r)
+        for alpha in surjective_ops(4, r):
+            f = induced_map(X, Y, alpha)
+            assert collapse_key(deg_ndeg_factorize(f)) == collapse_key(
+                deg_ndeg_by_rounds(f, rng_of(seed), Budget())), f
+
+
+@given(st.data())
+def test_collapse_matches_the_rounds_on_drawn_maps(data):
+    # a drawn monotone vertex map, out of a drawn union of faces of Δ[m]
+    m, k = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    alpha = data.draw(st.sampled_from(monotone_ops(m, k)))
+    subsets = data.draw(st.lists(st.sets(st.integers(0, m), min_size=1),
+                                 min_size=1, max_size=3))
+    X = subcomplex_of_delta(m, subsets, Budget(), dim=max(m, k) + 1)
+    f = induced_map(X, delta(k, dim=X.dim), alpha)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    assert collapse_key(deg_ndeg_factorize(f)) == \
+        collapse_key(deg_ndeg_by_rounds(f, rng, Budget()))
+
+
+def test_collapse_quotients_once_and_only_when_it_must(collapse_cases,
+                                                       monkeypatch):
+    calls = []
+
+    def counting(M, pairs, budget):
+        calls.append(M)
+        return _quotient(M, pairs, budget)
+
+    monkeypatch.setattr(sset, "_quotient", counting)
+    for f, key in collapse_cases:
+        calls.clear()
+        assert collapse_key(deg_ndeg_factorize(f)) == key
+        assert len(calls) == (0 if is_nondegenerate_map(f) else 1), f
+
+
+@pytest.mark.parametrize("m, k, alpha, one, rounds", [
+    (2, 1, (0, 1, 1), 227, 356),
+    (3, 1, (0, 0, 1, 1), 1096, 3603),
+    (4, 2, (0, 0, 1, 2, 2), 5232, 29519),
+    (4, 0, (0,) * 5, 5347, 46672),
+])
+def test_collapse_step_totals(m, k, alpha, one, rounds):
+    # every step after the map is built, on fresh sets, the action
+    # tables of the source and target included
+    steps = []
+    for collapse in (deg_ndeg_factorize,
+                     lambda f, budget: deg_ndeg_by_rounds(f, None, budget)):
+        budget = Budget()
+        f = induced_map(*delta_pair(m, k, budget), alpha)
+        built = budget.used
+        collapse(f, budget=budget)
+        steps.append(budget.used - built)
+    assert steps == [one, rounds]
 
 
 def test_factorization_of_identity_is_trivial():
     f = identity_smap(boundary(2))
     fac = deg_ndeg_factorize(f)
     assert sset_isomorphic(fac.middle, boundary(2), Budget()) is not None
+    # a map with no degenerate image is its own right leg, its source the
+    # middle
+    X = subcomplex_of_delta(3, [(0, 1, 2), (2, 3)], Budget(), dim=5)
+    for f in (f, induced_map(X, delta(4, dim=5), (0, 1, 3, 4))):
+        fac = deg_ndeg_factorize(f)
+        assert fac.middle is f.source and fac.right is f
 
 
 def test_ez_suite_builds_every_set_on_its_budget(monkeypatch):
@@ -526,7 +639,8 @@ def test_degenerate_image_family_rejected():
 def test_self_lift_matches_standard_simplex(corpus):
     for X in corpus:
         assert delta_nis_self_lift_decider(X) == \
-            is_standard_simplex(X, Budget()), X.name
+            is_standard_simplex(X, Budget()) == \
+            is_standard_simplex_by_every_dimension(X, Budget()), X.name
 
 
 # -- spectra ---------------------------------------------------------------
