@@ -1,5 +1,5 @@
-"""Finite posets: closure, Hasse diagrams, (anti)isomorphism search, and
-the point spectra built on them."""
+"""Finite posets: closure, Hasse diagrams, and the point spectra built on
+them."""
 
 from __future__ import annotations
 
@@ -68,12 +68,6 @@ class Poset:
             out.extend((x, els[j]) for j in _bits(strict & ~far))
         return out
 
-    def op(self):
-        flipped = Poset.__new__(Poset)
-        flipped.elements, flipped._pos = self.elements, self._pos
-        flipped.up, flipped.down = self.down, self.up
-        return flipped
-
     def __repr__(self):
         return "Poset(%d elements)" % len(self.elements)
 
@@ -95,59 +89,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def order_isomorphism(P, Q, budget):
-    """A bijection preserving and reflecting order, or None.
-
-    Backtracking over elements sorted by (|downset|, |upset|) signature;
-    candidates restricted to matching signatures, so antichains cost little
-    despite their n! symmetries.
-    """
-    if P.size != Q.size:
-        return None
-
-    def signatures(poset):
-        return {x: (poset.down[i].bit_count(), poset.up[i].bit_count())
-                for x, i in poset._pos.items()}
-
-    psig, qsig = signatures(P), signatures(Q)
-    if sorted(psig.values()) != sorted(qsig.values()):
-        return None
-    order = sorted(P.elements, key=lambda x: (psig[x], P._pos[x]))
-
-    assigned = {}
-    used = set()
-
-    def extend(k):
-        if k == len(order):
-            return True
-        x = order[k]
-        for y in Q.elements:
-            if y in used or qsig[y] != psig[x]:
-                continue
-            budget.spend()
-            ok = True
-            for x0, y0 in assigned.items():
-                if P.le(x0, x) != Q.le(y0, y) or P.le(x, x0) != Q.le(y, y0):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[x] = y
-            used.add(y)
-            if extend(k + 1):
-                return True
-            del assigned[x]
-            used.discard(y)
-        return False
-
-    return dict(assigned) if extend(0) else None
-
-
-def anti_isomorphism(P, Q, budget):
-    """An order-reversing bijection P -> Q, or None."""
-    return order_isomorphism(P, Q.op(), budget)
 
 
 def poset_to_dot(P, label=str, name="poset"):

@@ -15,7 +15,7 @@ from .budget import ensure_budget
 from .errors import InvalidSpec, NotALattice, NotAPrime
 from .finring import (Ideal, local_factors, localize, prime_ideals,
                       quotient_ring, smallest_prime_factor)
-from .posets import Poset, Spectrum, anti_isomorphism
+from .posets import Poset, Spectrum
 from .ringsys import TOPOLOGIES
 
 
@@ -111,11 +111,27 @@ def check_lattice(P, meet, join):
                                   "neither" % (x, y))
 
 
-def _lattice(kind, A, rows, order, meet, join, budget):
-    """The checked lattice of ``kind``; element i is rows[i], and meet[i]
-    and join[i] are its rows of the two tables."""
-    poset = Poset(list(range(len(rows))), order, budget)
+def _lattice(kind, A, elements, budget):
+    """The checked lattice of ``kind`` on ``elements``, each (label, mask,
+    types) in report order: the mask is a set of primes of A, bit i for the
+    i-th, and the types name the element's ring.  The 2^k masks of k primes
+    form a Boolean lattice (Davey and Priestley, ch. 5), ordered by
+    inclusion, with the intersection as meet and the union as join."""
+    n = len(elements)
+    # n^2 steps for the meet and join tables and n^2 for check_lattice,
+    # before any of them is built
+    budget.spend(2 * n * n)
+    masks = [mask for _label, mask, _types in elements]
+    at = {mask: i for i, mask in enumerate(masks)}
+    order = [(x, y) for x, mx in enumerate(masks) for y, my in enumerate(masks)
+             if mx & ~my == 0]
+    meet = [[at[mx & my] for my in masks] for mx in masks]
+    join = [[at[mx | my] for my in masks] for mx in masks]
+    poset = Poset(list(range(n)), order, budget)
     check_lattice(poset, meet, join)
+    rows = [{"label": label, "ring": recognize_ring(types),
+             "size": math.prod(size for _rank, size, _q in types)}
+            for label, _mask, types in elements]
     return Spectrum(poset, {"kind": kind, "base": A.name}, rows,
                     [row["label"] for row in rows], "%s_lattice" % kind,
                     {key: [[i, j, cell] for i, row in enumerate(table)
@@ -123,58 +139,37 @@ def _lattice(kind, A, rows, order, meet, join, budget):
                      for key, table in (("meet", meet), ("join", join))})
 
 
-def _row(label, types):
-    """A lattice row: the element's label, and the name and order of the
-    product of local rings of the listed types."""
-    return {"label": label, "ring": recognize_ring(types),
-            "size": math.prod(order for _rank, order, _q in types)}
-
-
-def zar_lattice(A, budget=None):
+def _zar_elements(A, factors):
     """Localizations at idempotents, ordered by which opens they keep.
 
     Localizing at an idempotent e is the quotient by its kernel (1 - e)A,
-    so distinct idempotents give distinct localizations, and invert(e) <=
-    invert(f) when ef = e.  The idempotents form a Boolean algebra, one
-    atom per prime, so the meet of invert(e) and invert(f) inverts ef and
-    their join inverts e + f - ef: both are read from one index of the
-    idempotents.  invert(e) is eA, the product of the local factors pA with
-    pe = p, so it is named from their types.
+    so distinct idempotents give distinct localizations.  invert(e) is eA,
+    the product of the local factors pA with pe = p, so its mask is the set
+    of those primitive idempotents p, and it is named from their types:
+    invert(e) <= invert(f) when ef = e, that is when e's mask is inside
+    f's, and ef and e + f - ef have the intersection and the union.
     """
-    budget = ensure_budget(budget)
-    factors = _local_types(A, budget)
-    idems = sorted(A.idempotents())
-    # n^2 steps for the meet and join tables and n^2 for check_lattice,
-    # before any of them is built
-    budget.spend(2 * len(idems) ** 2)
-    rows = [_row("invert(%s)" % A.names[e],
-                 [t for p, _P, t, _f in factors if A.mul[p][e] == p])
-            for e in idems]
-    index = {e: i for i, e in enumerate(idems)}
-    order = [(x, y) for x, e in enumerate(idems) for y, f in enumerate(idems)
-             if A.mul[e][f] == e]
-    meet = [[index[A.mul[e][f]] for f in idems] for e in idems]
-    join = [[index[A.sub(A.add[e][f], A.mul[e][f])] for f in idems]
-            for e in idems]
-    return _lattice("zar", A, rows, order, meet, join, budget)
+    return [("invert(%s)" % A.names[e],
+             sum(1 << i for i, (p, _P, _t, _f) in enumerate(factors)
+                 if A.mul[p][e] == p),
+             [t for p, _P, t, _f in factors if A.mul[p][e] == p])
+            for e in sorted(A.idempotents())]
 
 
-def dom_lattice(A, budget=None):
+def _dom_elements(A, factors):
     """Reduced quotients under reverse inclusion of their radical ideals.
 
     A radical ideal of a finite ring is the intersection of the primes
     above it, and the primes are maximal, so pairwise comaximal: the
     radical ideals are the 2^k intersections of sets of the k primes, one
-    per mask, bit i for the i-th prime.  A/I <= A/J when J <= I, that is
-    when I's mask is inside J's; the meet, the radical of I + J, has the
-    intersection of the two masks, and the join, I & J, their union.  By
-    the Chinese remainder theorem A/I is the product of the residue fields
-    A/P of the primes P in its mask, and it is named from their types.
+    per mask.  A/I <= A/J when J <= I, that is when I's mask is inside
+    J's; the meet, the radical of I + J, has the intersection of the two
+    masks, and the join, I & J, their union.  By the Chinese remainder
+    theorem A/I is the product of the residue fields A/P of the primes P
+    in its mask, and it is named from their types.  The quotients are
+    listed by ideal, smallest first.
     """
-    budget = ensure_budget(budget)
-    factors = _local_types(A, budget)
     n = 1 << len(factors)
-    budget.spend(2 * n * n)
     # a mask's ideal: the ideal of the mask less its top bit, cut with the
     # top bit's prime
     ideals = [frozenset(A.elements())]
@@ -182,32 +177,48 @@ def dom_lattice(A, budget=None):
         top = mask.bit_length() - 1
         ideals.append(ideals[mask ^ 1 << top] & factors[top][1].elements)
     masks = sorted(range(n), key=lambda m: (len(ideals[m]), sorted(ideals[m])))
-    rows = [_row("mod%s" % Ideal(A, ideals[mask]).label(),
-                 [f for i, (_e, _P, _t, f) in enumerate(factors)
-                  if mask >> i & 1])
+    return [("mod%s" % Ideal(A, ideals[mask]).label(), mask,
+             [f for i, (_e, _P, _t, f) in enumerate(factors) if mask >> i & 1])
             for mask in masks]
-    by_mask = {mask: i for i, mask in enumerate(masks)}
-    order = [(x, y) for x, mx in enumerate(masks) for y, my in enumerate(masks)
-             if mx & ~my == 0]
-    meet = [[by_mask[mx & my] for my in masks] for mx in masks]
-    join = [[by_mask[mx | my] for my in masks] for mx in masks]
-    return _lattice("dom", A, rows, order, meet, join, budget)
+
+
+def zar_lattice(A, budget=None):
+    """The zar lattice of A: see ``_zar_elements``."""
+    budget = ensure_budget(budget)
+    return _lattice("zar", A, _zar_elements(A, _local_types(A, budget)),
+                    budget)
+
+
+def dom_lattice(A, budget=None):
+    """The dom lattice of A: see ``_dom_elements``."""
+    budget = ensure_budget(budget)
+    return _lattice("dom", A, _dom_elements(A, _local_types(A, budget)),
+                    budget)
 
 
 def check_duality(A, budget=None):
-    """Order-reversing bijection between the two lattices, if one exists.
+    """(holds, witness): whether taking complements of sets of primes is an
+    order-reversing bijection from the zar lattice onto the dom lattice,
+    and if so that map, as pairs of element labels in zar order.
 
-    Returns (holds, witness) where the witness pairs element labels.
+    invert(e) keeps the primes of its mask, and A/I the primes of its, so
+    complement sends the open invert(e) to its closed complement.  The map
+    is checked on the two built posets, x <= y in zar iff its image of y
+    is below its image of x in dom: n^2 bit tests, charged first.
     """
     budget = ensure_budget(budget)
-    zl = zar_lattice(A, budget)
-    dl = dom_lattice(A, budget)
-    mapping = anti_isomorphism(zl.poset, dl.poset, budget)
-    if mapping is None:
+    factors = _local_types(A, budget)
+    zar, dom = _zar_elements(A, factors), _dom_elements(A, factors)
+    zl, dl = _lattice("zar", A, zar, budget), _lattice("dom", A, dom, budget)
+    n, full = len(zar), (1 << len(factors)) - 1
+    budget.spend(n * n)
+    at = {mask: j for j, (_label, mask, _types) in enumerate(dom)}
+    image = [at.get(full ^ mask) for _label, mask, _types in zar]
+    if len(dom) != n or None in image or not all(
+            zl.poset.up[x] >> y & 1 == dl.poset.up[image[y]] >> image[x] & 1
+            for x in range(n) for y in range(n)):
         return False, None
-    witness = [(zl.labels[i], dl.labels[j])
-               for i, j in sorted(mapping.items())]
-    return True, witness
+    return True, [(zl.labels[x], dl.labels[image[x]]) for x in range(n)]
 
 
 # ---------------------------------------------------------------------------

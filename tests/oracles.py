@@ -883,13 +883,59 @@ class WarshallPoset:
         best = [z for z in upper if all(self.le(z, w) for w in upper)]
         return best[0] if best else None
 
-    def op(self):
-        flipped = WarshallPoset.__new__(WarshallPoset)
-        flipped.elements = list(self.elements)
-        flipped._pos = dict(self._pos)
-        n = len(self.elements)
-        flipped._rel = [[self._rel[j][i] for j in range(n)] for i in range(n)]
-        return flipped
+
+def op(P, budget):
+    """The poset P with its order reversed."""
+    return Poset(P.elements, [(y, x) for x, y in P.order_pairs()], budget)
+
+
+def order_isomorphism(P, Q, budget):
+    """A bijection preserving and reflecting order, or None.
+
+    Backtracking over elements sorted by (|downset|, |upset|) signature;
+    candidates restricted to matching signatures, so antichains cost little
+    despite their n! symmetries.
+    """
+    if P.size != Q.size:
+        return None
+
+    def signatures(poset):
+        return {x: (poset.down[i].bit_count(), poset.up[i].bit_count())
+                for i, x in enumerate(poset.elements)}
+
+    psig, qsig = signatures(P), signatures(Q)
+    if sorted(psig.values()) != sorted(qsig.values()):
+        return None
+    order = sorted(P.elements, key=lambda x: psig[x])
+
+    assigned = {}
+    used = set()
+
+    def extend(k):
+        if k == len(order):
+            return True
+        x = order[k]
+        for y in Q.elements:
+            if y in used or qsig[y] != psig[x]:
+                continue
+            budget.spend()
+            if any(P.le(x0, x) != Q.le(y0, y) or P.le(x, x0) != Q.le(y, y0)
+                   for x0, y0 in assigned.items()):
+                continue
+            assigned[x] = y
+            used.add(y)
+            if extend(k + 1):
+                return True
+            del assigned[x]
+            used.discard(y)
+        return False
+
+    return dict(assigned) if extend(0) else None
+
+
+def anti_isomorphism(P, Q, budget):
+    """An order-reversing bijection P -> Q, or None."""
+    return order_isomorphism(P, op(Q, budget), budget)
 
 
 def act_by_recursion(X, x, alpha):
@@ -1159,6 +1205,29 @@ def zar_lattice_by_kernels(A):
             assert idems[j] == A.sub(A.add[e][f], ef)
             join[x, y] = j
     return _lattice_report("zar", A, labels, rings, order, meet, join)
+
+
+def zar_tables_by_idempotents(A):
+    """The zar lattice's order, meet and join as its report lists them,
+    read from idempotent arithmetic: invert(e) <= invert(f) when ef = e,
+    and their meet and join invert ef and e + f - ef."""
+    idems = sorted(A.idempotents())
+    index = {e: i for i, e in enumerate(idems)}
+    pairs = [(x, e, y, f) for x, e in enumerate(idems)
+             for y, f in enumerate(idems)]
+    return {"order": [[x, y] for x, e, y, f in pairs if A.mul[e][f] == e],
+            "meet": [[x, y, index[A.mul[e][f]]] for x, e, y, f in pairs],
+            "join": [[x, y, index[A.sub(A.add[e][f], A.mul[e][f])]]
+                     for x, e, y, f in pairs]}
+
+
+def complement_witness_by_radicals(A):
+    """The zar-dom duality as pairs of labels: invert(e) keeps the primes
+    without e, so its complement is the set of primes with e, whose
+    intersection is the radical of the ideal eA."""
+    return [("invert(%s)" % A.names[e],
+             "mod%s" % radical(ideal_generated(A, [e])).label())
+            for e in sorted(A.idempotents())]
 
 
 def dom_lattice_by_radicals(A):

@@ -16,10 +16,11 @@ from factopo.posets import Poset
 from factopo.ringspec import (_local_types, check_duality, check_lattice,
                               dom_lattice, recognize_ring, spec_points, stalk,
                               zar_lattice)
-from oracles import (check_lattice_by_triples, dom_lattice_by_radicals,
+from oracles import (anti_isomorphism, check_lattice_by_triples,
+                     complement_witness_by_radicals, dom_lattice_by_radicals,
                      recognize_ring_by_candidates, recognize_ring_by_factors,
                      ring_isomorphic, spec_points_by_stalks,
-                     zar_lattice_by_kernels)
+                     zar_lattice_by_kernels, zar_tables_by_idempotents)
 from test_finring import ladder, spectrum_bases
 
 z12 = zmod(12)
@@ -186,13 +187,57 @@ def test_dom_lattice_z12():
 
 
 def test_duality_z12():
-    pairing = check_duality(z12)
-    assert pairing
+    holds, witness = check_duality(z12)
+    assert holds
+    # invert(1), the ring itself, pairs with the quotient by the whole
+    # ring, and invert(0), the zero ring, with the quotient by the nilradical
+    assert witness == [("invert(0)", "mod{0,6}"),
+                       ("invert(1)", "mod{0,1,2,3,4,5,6,7,8,9,10,11}"),
+                       ("invert(4)", "mod{0,2,4,6,8,10}"),
+                       ("invert(9)", "mod{0,3,6,9}")]
 
 
 def test_duality_catalogue(rings):
     for A in rings:
-        assert check_duality(A), A.name
+        holds, _witness = check_duality(A)
+        assert holds, A.name
+
+
+def assert_duality_matches_the_search(A):
+    """The zar tables built on prime masks are those of idempotent
+    arithmetic, and the complement witness of check_duality pairs each
+    invert(e) with the quotient by the radical of eA, with the verdict of
+    the anti-isomorphism search on the two lattices."""
+    zl = zar_lattice(A)
+    report = zl.as_json()
+    assert {key: report[key] for key in ("order", "meet", "join")} == \
+        zar_tables_by_idempotents(A), A.name
+    holds, witness = check_duality(A)
+    searched = anti_isomorphism(zl.poset, dom_lattice(A).poset, Budget())
+    assert holds == (searched is not None), A.name
+    assert witness == complement_witness_by_radicals(A), A.name
+
+
+def test_duality_refuses_a_map_that_does_not_reverse_order(monkeypatch):
+    # the dom lattice built with two of its masks swapped is still a
+    # Boolean lattice, so the search finds an anti-isomorphism onto it, but
+    # the complement of the masks check_duality reads no longer reverses
+    # its order
+    built = {}
+    real = ringspec._lattice
+
+    def swapped(kind, A, elements, budget):
+        if kind == "dom":
+            (l0, m0, t0), (l1, m1, t1), *rest = elements
+            elements = [(l0, m1, t0), (l1, m0, t1), *rest]
+        built[kind] = real(kind, A, elements, budget)
+        return built[kind]
+
+    monkeypatch.setattr(ringspec, "_lattice", swapped)
+    A = zmod(6)
+    assert check_duality(A) == (False, None)
+    assert anti_isomorphism(built["zar"].poset, built["dom"].poset,
+                            Budget()) is not None
 
 
 def test_stalks_of_z12_at_two():
@@ -258,10 +303,11 @@ def test_spec_points_fin_topology():
 
 def test_lattices_match_the_old_constructions(rings, square_zero):
     # the kernel scan and the radical filter give the same reports, the
-    # ring names included
+    # ring names included, and the search the same duality verdict
     for A in spectrum_bases(rings, square_zero):
         assert zar_lattice(A).as_json() == zar_lattice_by_kernels(A), A.name
         assert dom_lattice(A).as_json() == dom_lattice_by_radicals(A), A.name
+        assert_duality_matches_the_search(A)
 
 
 def test_points_match_the_stalks_built_as_rings(rings, square_zero):
@@ -304,6 +350,7 @@ def test_drawn_products_match_the_old_constructions(factors):
     A = product_ring(factors)
     assert zar_lattice(A).as_json() == zar_lattice_by_kernels(A)
     assert dom_lattice(A).as_json() == dom_lattice_by_radicals(A)
+    assert_duality_matches_the_search(A)
     for topology in TOPOLOGIES:
         assert spec_points(A, topology).as_json() == \
             spec_points_by_stalks(A, topology), topology
