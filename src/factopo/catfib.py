@@ -145,12 +145,14 @@ def _lifts_uniquely(F, end):
                for g in at(F.on_obj(e)))
 
 
-def slice_factorize(C, c, side="right"):
+def slice_factorize(C, c, side="right", point=None):
     """Route the object inclusion through its slice or coslice.
 
     Right side: point at the identity object of C/c (terminal there) and
     project down, the projection being a discrete right fibration.  Left
-    side dual through c/C with an initial object.
+    side dual through c/C with an initial object.  ``point`` is the
+    terminal category the first leg starts from, built on C's budget when
+    not given, so that a caller slicing many times builds it once.
     """
     if side not in ("right", "left"):
         raise InvalidSpec("side must be 'right' or 'left'")
@@ -158,7 +160,7 @@ def slice_factorize(C, c, side="right"):
     K = comma(idc, c, "F/d" if side == "right" else "d/F", C.budget)
     apex = (c, C.identities[c])
     cat = K.category
-    T = terminal_category(C.budget)
+    T = point or terminal_category(C.budget)
     first = Functor(T, cat, {0: apex},
                     {("le", 0, 0): cat.identities[apex]},
                     name="pick-%s" % str(c))

@@ -10,6 +10,7 @@ and checked unique, only in the quotients built by the factorization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -24,6 +25,10 @@ from .reader import SMAP, SSET, read
 
 # ---------------------------------------------------------------------------
 # monotone operators between finite ordinals
+# (identity_op, coface and codegeneracy are memoised on the sizes asked for,
+# and epi_mono_split on each operator it splits, so a process keeps one
+# tuple per operator between the ordinals up to the largest dimension it
+# has acted in)
 
 def monotone_ops(k, n):
     """Value tuples of all monotone maps [k] -> [n]."""
@@ -35,12 +40,13 @@ def surjective_ops(k, n):
     return [v for v in monotone_ops(k, n) if len(set(v)) == n + 1]
 
 
+@functools.cache
 def identity_op(n):
     return tuple(range(n + 1))
 
 
 def is_identity_op(values):
-    return values == tuple(range(len(values)))
+    return values == identity_op(len(values) - 1)
 
 
 def compose_ops(outer, inner):
@@ -48,6 +54,7 @@ def compose_ops(outer, inner):
     return tuple(map(outer.__getitem__, inner))
 
 
+@functools.cache
 def epi_mono_split(values):
     """(delta, tau) injective after surjective with delta . tau = values."""
     image = sorted(set(values))
@@ -55,11 +62,13 @@ def epi_mono_split(values):
     return tuple(image), tuple(pos[v] for v in values)
 
 
+@functools.cache
 def coface(n, i):
     """The injection [n-1] -> [n] missing i."""
     return tuple(j for j in range(n + 1) if j != i)
 
 
+@functools.cache
 def codegeneracy(n, j):
     """The surjection [n+1] -> [n] repeating j."""
     return tuple(x if x <= j else x - 1 for x in range(n + 2))
@@ -75,7 +84,8 @@ class FinSSet:
     the i-th face of cell j in dimension n, itself a simplex: a pair
     (surjection values, (m, cell index)).  The truncation dimension must
     leave one dimension of headroom above the top cell so that degeneracies
-    of top cells exist.
+    of top cells exist.  ``_action`` holds the faces of cells that ``act``
+    has computed, keyed by (cell, injection other than the identity).
     """
 
     def __init__(self, dim, labels, faces, name="sset", budget=None):
@@ -138,29 +148,27 @@ class FinSSet:
     def act(self, x, alpha):
         """X(alpha) applied to x, for monotone alpha into [dim of x].
 
-        X(alpha)(sigma*c) = (sigma.alpha)*c, so the answer depends only on
-        the cell c and beta = sigma.alpha.  It is read from a table keyed by
-        (c, beta), filled on demand at one budget step per entry: a miss
-        splits beta into a surjection after an injection and pushes the
-        injection down through the stored face opposite its largest missing
-        vertex, which fills the entries of the faces it passes on the way.
+        X(alpha)(sigma*c) = beta*c for beta = sigma.alpha, and beta splits
+        uniquely as an injection delta after a surjection tau, so the answer
+        is tau*(X(delta)c).  When delta is the identity that is (tau, c) at
+        once; otherwise X(delta)c is read from a table keyed by (c, delta),
+        filled on demand at one budget step per entry: a miss pushes delta
+        down through the stored face opposite its largest missing vertex,
+        which fills the entries of the faces it passes on the way.
         """
         sigma, ref = x
-        beta = compose_ops(sigma, alpha)
-        hit = self._action.get((ref, beta))
+        delta, tau = epi_mono_split(compose_ops(sigma, alpha))
+        if len(delta) > ref[0]:
+            return (tau, ref)
+        hit = self._action.get((ref, delta))
         if hit is None:
             self.budget.spend()
-            delta, tau = epi_mono_split(beta)
             m, j = ref
-            if is_identity_op(delta) and len(delta) == m + 1:
-                rho, w = identity_op(m), ref
-            else:
-                missing = max(i for i in range(m + 1) if i not in delta)
-                rho, w = self.act(self.faces_tbl[(m, j, missing)],
-                                  tuple(v if v < missing else v - 1
-                                        for v in delta))
-            hit = self._action[ref, beta] = (compose_ops(rho, tau), w)
-        return hit
+            missing = max(i for i in range(m + 1) if i not in delta)
+            hit = self._action[ref, delta] = self.act(
+                self.faces_tbl[(m, j, missing)],
+                tuple(v if v < missing else v - 1 for v in delta))
+        return (compose_ops(hit[0], tau), hit[1])
 
     def face(self, x, i):
         n = len(x[0]) - 1

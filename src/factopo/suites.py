@@ -14,7 +14,7 @@ from .catfib import (comprehensive_factorize, is_discrete_left_fibration,
                      is_discrete_right_fibration, is_final, is_initial,
                      right_cover_check, slice_factorize)
 from .errors import FactopoError, FactorizerContractViolation
-from .fincat import all_functors
+from .fincat import all_functors, terminal_category
 from .finring import gf, prime_ideals, prime_ideals_bruteforce, product_ring, zmod
 from .ringspec import check_duality
 from .ringsys import SYSTEMS, classify_ring, points_of, verify_ring_system
@@ -150,15 +150,17 @@ def suite_ez(seed, budget):
 def suite_catfib(seed, budget):
     checks = []
     cats = category_catalogue(budget)
+    T = terminal_category(budget)
     # every right slice, kept for the all-slices-cover check
-    right = [[slice_factorize(C, c, "right") for c in C.objects] for C in cats]
+    right = [[slice_factorize(C, c, "right", T) for c in C.objects]
+             for C in cats]
     bad = None
     for C, slices in zip(cats, right):
         for c, (first, K, proj) in zip(C.objects, slices):
             if not is_final(first) or not is_discrete_right_fibration(proj):
                 bad = "%s at %r (right)" % (C.name, c)
                 break
-            firstl, Kl, projl = slice_factorize(C, c, "left")
+            firstl, Kl, projl = slice_factorize(C, c, "left", T)
             if not is_initial(firstl) or not is_discrete_left_fibration(projl):
                 bad = "%s at %r (left)" % (C.name, c)
                 break

@@ -23,9 +23,8 @@ from factopo.ringspec import recognize_ring
 from factopo.ringsys import (class_predicates, cover_check, factorize,
                              ring_universe, zar_combination_certificate)
 from factopo.sset import (SimplicialMap, _quotient, compose_ops, delta,
-                          epi_mono_split, identity_op, identity_smap,
-                          is_identity_op, is_nondegenerate_map, monotone_ops,
-                          sset_isomorphic)
+                          identity_op, identity_smap, is_identity_op,
+                          is_nondegenerate_map, monotone_ops, sset_isomorphic)
 
 
 def ring_isomorphic(A, B, budget):
@@ -938,13 +937,21 @@ def anti_isomorphism(P, Q, budget):
     return order_isomorphism(P, op(Q, budget), budget)
 
 
+def split_by_sorting(values):
+    """(delta, tau) injective after surjective with delta . tau = values,
+    recomputed on every call."""
+    image = sorted(set(values))
+    pos = {v: i for i, v in enumerate(image)}
+    return tuple(image), tuple(pos[v] for v in values)
+
+
 def act_by_recursion(X, x, alpha):
     """X(alpha) applied to the simplex x of the simplicial set X, recomputed
     on every call: beta = sigma.alpha splits as a surjection after an
     injection, and the injection is pushed down through the stored face
     opposite its largest missing vertex."""
     sigma, ref = x
-    delta, tau = epi_mono_split(compose_ops(sigma, alpha))
+    delta, tau = split_by_sorting(compose_ops(sigma, alpha))
     rho, w = _injection_by_recursion(X, ref, delta)
     return (compose_ops(rho, tau), w)
 
@@ -957,6 +964,29 @@ def _injection_by_recursion(X, ref, delta):
     face = X.faces_tbl[(m, j, missing)]
     delta2 = tuple(v if v < missing else v - 1 for v in delta)
     return act_by_recursion(X, face, delta2)
+
+
+def act_by_composite_table(X, x, alpha, table):
+    """X(alpha) applied to x as ``FinSSet.act`` read it when its table was
+    keyed by the whole composite: ``table`` maps (cell c, beta) to
+    beta*c for beta = sigma.alpha, and a miss splits beta, pushes its
+    injection down through the stored face opposite its largest missing
+    vertex, and stores the entries of the faces it passes."""
+    sigma, ref = x
+    beta = compose_ops(sigma, alpha)
+    hit = table.get((ref, beta))
+    if hit is None:
+        delta, tau = split_by_sorting(beta)
+        m, j = ref
+        if is_identity_op(delta) and len(delta) == m + 1:
+            rho, w = identity_op(m), ref
+        else:
+            missing = max(i for i in range(m + 1) if i not in delta)
+            rho, w = act_by_composite_table(
+                X, X.faces_tbl[(m, j, missing)],
+                tuple(v if v < missing else v - 1 for v in delta), table)
+        hit = table[ref, beta] = (compose_ops(rho, tau), w)
+    return hit
 
 
 def deg_ndeg_by_rounds(f, rng, budget):

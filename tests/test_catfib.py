@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from factopo import catfib, suites
+from factopo import catalogs, catfib, fincat, suites
 from factopo.budget import Budget
 from factopo.catalogs import category_catalogue
 from factopo.catfib import (cat_universe, comma,
@@ -336,9 +336,9 @@ def test_the_catfib_suite_builds_each_slice_and_opposite_once(monkeypatch):
         ops.append(F)
         return real_op(F)
 
-    def counting_slice(C, c, side="right"):
+    def counting_slice(C, c, side="right", point=None):
         slices.append((C.name, c, side))
-        return real_slice(C, c, side)
+        return real_slice(C, c, side, point)
 
     monkeypatch.setattr(Functor, "op", counting_op)
     for module in (catfib, suites):
@@ -347,3 +347,20 @@ def test_the_catfib_suite_builds_each_slice_and_opposite_once(monkeypatch):
     assert len(ops) == len({id(F) for F in ops}) == 10
     assert len(slices) == len(set(slices)) == \
         2 * sum(len(C.objects) for C in category_catalogue())
+
+
+def test_the_catfib_suite_builds_the_point_once(monkeypatch):
+    # the catalogue's five posets and its own [0], and one more [0] that
+    # every slice starts from
+    names = []
+    real = fincat.poset_category
+
+    def counting(elements, le_pairs, budget, name=""):
+        names.append(name)
+        return real(elements, le_pairs, budget, name)
+
+    for module in (fincat, catalogs):
+        monkeypatch.setattr(module, "poset_category", counting)
+    assert suites.run_suite("catfib", 900, Budget())["passed"]
+    assert sorted(names) == ["[0]", "[0]", "[1]", "[2]", "cospan", "span",
+                             "square"]

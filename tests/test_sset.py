@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import re
 import time
 
 import pytest
@@ -9,21 +11,23 @@ from hypothesis import strategies as st
 from factopo import sset
 from factopo.budget import Budget
 from factopo.catalogs import sset_corpus
+from factopo.cli import main
 from factopo.errors import (EnumerationBudgetExceeded,
                             FactorizerContractViolation, IdentityViolation,
                             InvalidSpec, NotSimplicial, TruncationTooLow)
 from factopo.sset import (FinSSet, SimplicialMap, _quotient,
                           all_simplicial_maps, boundary, build_sset,
-                          classifying_map, compose_ops, deg_ndeg_factorize,
-                          delta, delta_nis_self_lift_decider, disjoint_union,
+                          classifying_map, codegeneracy, coface, compose_ops,
+                          deg_ndeg_factorize, delta,
+                          delta_nis_self_lift_decider, disjoint_union,
                           epi_mono_split, horn, identity_op, identity_smap,
                           is_nondegenerate_map, is_standard_simplex,
                           monotone_ops, spec_delta_nis, spec_raw,
                           sset_cover_check, sset_isomorphic,
                           subcomplex_of_delta, surjective_ops)
 from factopo.suites import _ez_map_pool, run_suite
-from oracles import (act_by_recursion, deg_ndeg_by_rounds,
-                     is_standard_simplex_by_every_dimension)
+from oracles import (act_by_composite_table, act_by_recursion,
+                     deg_ndeg_by_rounds, is_standard_simplex_by_every_dimension)
 
 
 # -- operator algebra ------------------------------------------------------
@@ -237,15 +241,19 @@ def test_ez_suite_reports_a_pair_that_does_not_rebuild_its_simplex(
     assert len(failed) == 1 and failed[0].startswith("ez-unique-on-corpus")
 
 
-def action_disagreement(X, simplices):
-    """The first (x, alpha) on which X's action table and the recursion
-    differ, for x in ``simplices`` and every monotone alpha into its
+def action_disagreement(X, simplices, table=None):
+    """The first (x, alpha) on which X's action differs from the recursion
+    or from the table keyed by whole composites, which it fills into
+    ``table``, for x in ``simplices`` and every monotone alpha into its
     dimension from one inside the truncation, or None."""
+    table = {} if table is None else table
     ops = {n: [alpha for k in range(X.dim + 1) for alpha in monotone_ops(k, n)]
            for n in range(X.dim + 1)}
     for x in simplices:
         for alpha in ops[len(x[0]) - 1]:
-            if X.act(x, alpha) != act_by_recursion(X, x, alpha):
+            got = X.act(x, alpha)
+            if got != act_by_recursion(X, x, alpha) or \
+                    got != act_by_composite_table(X, x, alpha, table):
                 return x, alpha
     return None
 
@@ -256,13 +264,24 @@ def fresh(X, cls=FinSSet, faces=None):
                name=X.name)
 
 
-def test_action_table_matches_the_recursion(corpus):
-    # every simplex of the corpus; every cell of the other stock shapes up
-    # to n = 5, which reaches every key (cell, beta) of the table
+@pytest.fixture(scope="module")
+def corpus_sweeps(corpus):
+    """A fresh copy of each set of the corpus after every monotone alpha
+    has acted on every simplex, the first disagreement with the oracles,
+    and the table keyed by whole composites that the same calls filled."""
+    out = []
     for X in corpus:
-        X = fresh(X)
+        X, table = fresh(X), {}
         everything = [x for n in range(X.dim + 1) for x in X.simplices(n)]
-        assert action_disagreement(X, everything) is None, X.name
+        out.append((X, action_disagreement(X, everything, table), table))
+    return out
+
+
+def test_action_table_matches_the_recursion(corpus, corpus_sweeps):
+    # every simplex of the corpus; every cell of the other stock shapes up
+    # to n = 5, which reaches every key (cell, delta) of the table
+    for X, bad, _table in corpus_sweeps:
+        assert bad is None, X.name
     names = {X.name for X in corpus}
     stock = [delta(n) for n in range(6)] + [boundary(n) for n in range(1, 6)] + \
         [horn(n, k) for n in range(1, 6) for k in range(n + 1)]
@@ -270,6 +289,25 @@ def test_action_table_matches_the_recursion(corpus):
     for X in [X for X in stock if X.name not in names] + bent:
         cells = [X.cell_simplex(ref) for ref in X.cells()]
         assert action_disagreement(X, cells) is None, X.name
+
+
+def is_proper_injection(delta, m):
+    """delta lists the values of an injective monotone [k] -> [m], k < m."""
+    return 0 < len(delta) <= m and list(delta) == sorted(set(delta)) and \
+        0 <= delta[0] and delta[-1] <= m
+
+
+def test_action_table_keys_cells_by_proper_injections(corpus_sweeps):
+    # a degeneracy of a cell never takes an entry, so the table is never
+    # larger than the one keyed by whole composites, and mostly smaller
+    for X, _bad, table in corpus_sweeps:
+        cells = set(X.cells())
+        for ref, delta in X._action:
+            assert ref in cells and is_proper_injection(delta, ref[0]), \
+                (X.name, ref, delta)
+        assert len(X._action) <= len(table), X.name
+    assert sum(len(X._action) for X, _b, _t in corpus_sweeps) < \
+        sum(len(table) for _X, _b, table in corpus_sweeps)
 
 
 def test_action_table_matches_the_recursion_on_corrupted_faces(corpus):
@@ -290,17 +328,98 @@ def test_action_table_matches_the_recursion_on_corrupted_faces(corpus):
 
 @given(st.data())
 def test_action_table_is_the_recursion_and_composes(data):
+    # a drawn union of faces of Δ[4], truncated with one or two dimensions
+    # of headroom, and a few drawn simplices each acted on by a drawn alpha
+    # and then by a drawn beta
     facets = data.draw(st.lists(st.sets(st.integers(0, 4), min_size=1),
                                 min_size=1, max_size=4), label="facets")
-    X = subcomplex_of_delta(4, facets, Budget())
-    n = data.draw(st.integers(0, X.dim), label="n")
-    x = data.draw(st.sampled_from(X.simplices(n)), label="x")
-    k = data.draw(st.integers(0, X.dim), label="k")
-    alpha = data.draw(st.sampled_from(monotone_ops(k, n)), label="alpha")
-    kk = data.draw(st.integers(0, X.dim), label="kk")
-    beta = data.draw(st.sampled_from(monotone_ops(kk, k)), label="beta")
-    assert X.act(x, alpha) == act_by_recursion(X, x, alpha)
-    assert X.act(X.act(x, alpha), beta) == X.act(x, compose_ops(alpha, beta))
+    top = max(len(S) for S in facets) - 1
+    X = subcomplex_of_delta(4, facets, Budget(), dim=top + data.draw(
+        st.integers(1, 2), label="headroom"))
+    table = {}
+    for _ in range(data.draw(st.integers(1, 4), label="pairs")):
+        n = data.draw(st.integers(0, X.dim), label="n")
+        x = data.draw(st.sampled_from(X.simplices(n)), label="x")
+        k = data.draw(st.integers(0, X.dim), label="k")
+        alpha = data.draw(st.sampled_from(monotone_ops(k, n)), label="alpha")
+        kk = data.draw(st.integers(0, X.dim), label="kk")
+        beta = data.draw(st.sampled_from(monotone_ops(kk, k)), label="beta")
+        got = X.act(x, alpha)
+        assert got == act_by_recursion(X, x, alpha) == \
+            act_by_composite_table(X, x, alpha, table)
+        assert X.act(got, beta) == X.act(x, compose_ops(alpha, beta))
+    assert all(is_proper_injection(delta, ref[0]) for ref, delta in X._action)
+
+
+def test_operator_tables_are_memoised_and_immutable():
+    # a shared value that a caller could change would change every later
+    # answer, so each table hands out tuples only
+    def tuples(values):
+        return type(values) is tuple and \
+            all(type(v) is int for v in values)
+
+    for n in range(5):
+        assert tuples(identity_op(n)) and identity_op(n) is identity_op(n)
+        for i in range(n + 1):
+            assert tuples(coface(n + 1, i)) and tuples(codegeneracy(n, i))
+            assert coface(n + 1, i) is coface(n + 1, i)
+            assert codegeneracy(n, i) is codegeneracy(n, i)
+        for k in range(5):
+            for values in monotone_ops(k, n):
+                split = epi_mono_split(values)
+                assert type(split) is tuple and all(map(tuples, split))
+                assert split is epi_mono_split(values)
+
+
+@pytest.mark.parametrize("sigma, message", [
+    ([1, 0], "simplex operator [1, 0] is not monotone"),
+    ((1, 0), "simplex operator (1, 0) is not monotone"),
+    ([1, 1], "simplex operator [1, 1] is not onto [1]"),
+    ((0, 0), "simplex operator (0, 0) is not onto [1]"),
+    ((0, 2), "simplex operator (0, 2) is not onto [1]"),
+    ((0, 1, 1), "malformed simplex ((0, 1, 1), (1, 0)) in dimension 1"),
+])
+def test_a_bad_operator_is_refused_with_the_same_words(sigma, message):
+    X = delta(1)
+    with pytest.raises(InvalidSpec, match="^%s$" % re.escape(message)):
+        X._check_simplex((sigma, (1, 0)), 1)
+    # an operator given as a list that is a surjection is accepted
+    assert X._check_simplex(([0, 1], (1, 0)), 1) is None
+
+
+@pytest.mark.parametrize("face, message", [
+    ([[1, 0], "e"], "simplex operator (1, 0) is not monotone"),
+    ([[1, 1], "e"], "simplex operator (1, 1) is not onto [1]"),
+    ([[0, 1, 1], "e"],
+     "malformed simplex ((0, 1, 1), (1, 0)) in dimension 1"),
+])
+def test_a_bad_face_operator_ends_in_one_error_line(face, message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 3, "nondegenerate": {
+        "0": ["a", "b"],
+        "1": [{"name": "e", "faces": [[[0], "b"], [[0], "a"]]}],
+        "2": [{"name": "t", "faces": [face, [[0, 0], "a"],
+                                      [[0, 1], "e"]]}]}}))
+    code = main(["spectrum", "--topology", "raw", "--object", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: %s: %s\n" % (path, message))
+
+
+def test_a_high_cell_with_a_bad_face_is_refused_at_once(tmp_path, capsys):
+    # the refusal reads the operator itself and never lists the C(30, 15)
+    # monotone maps [14] -> [15]
+    sigma = list(range(1, 16))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": 16, "nondegenerate": {
+        "15": [{"name": "c", "faces": [[sigma, "c"]] * 16}]}}))
+    started = time.perf_counter()
+    code = main(["spectrum", "--topology", "raw", "--object", str(path)])
+    assert time.perf_counter() - started < 1
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: %s: simplex operator %r is not onto [15]\n" % (
+        path, tuple(sigma))
 
 
 def test_action_table_charges_one_step_per_entry():
@@ -510,10 +629,10 @@ def test_collapse_quotients_once_and_only_when_it_must(collapse_cases,
 
 
 @pytest.mark.parametrize("m, k, alpha, one, rounds", [
-    (2, 1, (0, 1, 1), 227, 356),
-    (3, 1, (0, 0, 1, 1), 1096, 3603),
-    (4, 2, (0, 0, 1, 2, 2), 5232, 29519),
-    (4, 0, (0,) * 5, 5347, 46672),
+    (2, 1, (0, 1, 1), 154, 260),
+    (3, 1, (0, 0, 1, 1), 672, 2774),
+    (4, 2, (0, 0, 1, 2, 2), 2917, 23758),
+    (4, 0, (0,) * 5, 2912, 38704),
 ])
 def test_collapse_step_totals(m, k, alpha, one, rounds):
     # every step after the map is built, on fresh sets, the action
