@@ -4,12 +4,15 @@ Every simplex is stored as its Eilenberg-Zilber pair: a monotone surjection
 applied to a nondegenerate cell (Gabriel-Zisman, II).  Face and degeneracy
 actions are computed from that representation plus the stored faces of
 nondegenerate cells, so the pair is unique by construction; the ``ez``
-suite checks that the action rebuilds every pair.  Pairs are searched for,
-and checked unique, only in the quotients built by the factorization.
+suite checks that the action rebuilds every pair.  So a property closed
+under degeneracies is decided on the cells: the collapse factorisation,
+the covers and the self-lift read only the cells and their stored faces,
+and only the ``ez`` audit and the map search list simplices.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -30,14 +33,13 @@ from .reader import SMAP, SSET, read
 # tuple per operator between the ordinals up to the largest dimension it
 # has acted in)
 
-def monotone_ops(k, n):
-    """Value tuples of all monotone maps [k] -> [n]."""
-    return [tuple(v) for v in
-            itertools.combinations_with_replacement(range(n + 1), k + 1)]
-
-
 def surjective_ops(k, n):
-    return [v for v in monotone_ops(k, n) if len(set(v)) == n + 1]
+    """Value tuples of the C(k, n) monotone surjections [k] -> [n], in
+    lexicographic order: each steps up at n of the positions 1..k, and the
+    later the steps, the smaller the tuple."""
+    return [tuple(bisect.bisect_right(steps, p) for p in range(k + 1))
+            for steps in reversed(list(
+                itertools.combinations(range(1, k + 1), n)))]
 
 
 @functools.cache
@@ -84,8 +86,10 @@ class FinSSet:
     the i-th face of cell j in dimension n, itself a simplex: a pair
     (surjection values, (m, cell index)).  The truncation dimension must
     leave one dimension of headroom above the top cell so that degeneracies
-    of top cells exist.  ``_action`` holds the faces of cells that ``act``
-    has computed, keyed by (cell, injection other than the identity).
+    of top cells exist.  An operator given as a list is kept as a tuple once
+    the stored faces are validated, so a refusal quotes it as given.
+    ``_action`` holds the faces of cells that ``act`` has computed, keyed by
+    (cell, injection other than the identity).
     """
 
     def __init__(self, dim, labels, faces, name="sset", budget=None):
@@ -103,6 +107,8 @@ class FinSSet:
                 "truncation %d cannot hold degeneracies of %d-cells"
                 % (dim, top))
         self.validate()
+        self.faces_tbl = {key: (tuple(sigma), ref)
+                          for key, (sigma, ref) in self.faces_tbl.items()}
 
     @property
     def top_dim(self):
@@ -221,14 +227,6 @@ class FinSSet:
                         "d%d d%d != d%d d%d on %d-cell %s"
                         % (a, b, b - 1, a, n, self.cell_label(ref)))
         return self
-
-    def _elementary_ops(self, n):
-        ops = []
-        if n >= 1:
-            ops.extend(coface(n, i) for i in range(n + 1))
-        if n + 1 <= self.dim:
-            ops.extend(codegeneracy(n, j) for j in range(n + 1))
-        return ops
 
     def _check_simplex(self, x, n):
         sigma, (m, j) = x
@@ -406,7 +404,9 @@ def cell_index(labels, n, ref):
 # maps
 
 class SimplicialMap:
-    """A map given on nondegenerate cells and extended along degeneracies."""
+    """A map given on nondegenerate cells and extended along degeneracies;
+    an operator given as a list is kept as a tuple once the map is
+    validated."""
 
     def __init__(self, source, target, assignment, name="", check=True):
         self.source = source
@@ -415,6 +415,8 @@ class SimplicialMap:
         self.name = name
         if check:
             self.validate()
+        self.assignment = {ref: (tuple(rho), w)
+                           for ref, (rho, w) in self.assignment.items()}
 
     def apply(self, x):
         sigma, ref = x
@@ -444,9 +446,6 @@ class SimplicialMap:
         ass = {ref: other.apply(self.assignment[ref])
                for ref in self.source.cells()}
         return SimplicialMap(self.source, other.target, ass, check=False)
-
-    def image_simplices(self, n):
-        return {self.apply(x) for x in self.source.simplices(n)}
 
     def __repr__(self):
         return "SimplicialMap(%s -> %s)" % (self.source.name, self.target.name)
@@ -555,42 +554,88 @@ def deg_ndeg_factorize(f, budget=None):
     """Collapse the source by the least congruence that f factors through
     with its nondegenerate cells kept nondegenerate.
 
-    A cell c with f(c) = sigma*(w), sigma not the identity, must be glued
-    along sigma: c.alpha ~ c.alpha' whenever sigma.alpha = sigma.alpha'.
-    These pairs are closed under the simplicial action, so one quotient by
-    them is the middle, and its right leg is read off the classes.  A map
-    with no degenerate image is its own right leg.  The legs are checked at
-    the end, one step per cell of the source.
+    A cell c is kept when f(c) is nondegenerate.  A cell c with f(c) =
+    sigma*(w), sigma not the identity, must become sigma*(c.delta) in the
+    middle for each section delta of sigma, and c.delta is kept, as its
+    image w is; so c becomes sigma*(core c) for core c = c.delta_0, its
+    first section, and a simplex s*x is read as (rho_x . s, class of
+    core x), where a kept x is its own core and rho_x the identity.  The
+    classes of kept cells are the congruence closure (Downey, Sethi and
+    Tarjan, JACM 27, 1980) of the pairs c.delta_0 ~ c.delta and d_i c ~
+    (sigma . d^i)*(c.delta_0), all forced, by a worklist union-find whose
+    every join pushes the pairs of the stored faces of the two cells; one
+    budget step per pair.  The middle's cells are the classes, each at the
+    place of its least member, with its faces, under the least label.  A
+    map with no degenerate image is its own right leg.  The legs are built
+    with their face checks and checked at the end, one step per cell.
     """
     budget = ensure_budget(budget)
-    M, left, g = f.source, identity_smap(f.source), f
-    pairs = []
-    for ref in M.cells():
-        sigma, _w = f.assignment[ref]
-        if is_identity_op(sigma):
-            continue
-        y = M.cell_simplex(ref)
-        for k in range(M.dim + 1):
-            groups = {}
-            for alpha in monotone_ops(k, ref[0]):
-                groups.setdefault(compose_ops(sigma, alpha), []).append(alpha)
-            for alphas in groups.values():
-                first = M.act(y, alphas[0])
-                pairs.extend((first, M.act(y, a)) for a in alphas[1:])
-    if pairs:
-        M, left = _quotient(f.source, pairs, budget)
-        # the images under f of the cells that each cell of M carries
-        images = {}
-        for r, x in left.assignment.items():
-            images.setdefault(x, set()).add(f.assignment[r])
-        gass = {}
-        for ref in M.cells():
-            found = images.get(M.cell_simplex(ref), set())
-            if len(found) != 1:
+    X, M, left, g = f.source, f.source, identity_smap(f.source), f
+    rho = {ref: sigma for ref, (sigma, _w) in f.assignment.items()
+           if not is_identity_op(sigma)}
+    if rho:
+        core, todo = {}, []
+        for ref, sigma in rho.items():
+            fibers = {}
+            for i, v in enumerate(sigma):
+                fibers.setdefault(v, []).append(i)
+            first, *others = [X.act(X.cell_simplex(ref), delta)
+                              for delta in itertools.product(*fibers.values())]
+            if f.apply(first) != (identity_op(len(fibers) - 1),
+                                  f.assignment[ref][1]):
                 raise FactorizerContractViolation(
                     "collapse identified cells with distinct images")
-            gass[ref] = found.pop()
-        g = SimplicialMap(M, f.target, gass)
+            core[ref] = first[1]
+            todo.extend((first, x) for x in others)
+            todo.extend((fx, X.act(first, compose_ops(sigma, coface(ref[0], i))))
+                        for i, fx in enumerate(X.cell_faces(ref)))
+        parent = {}
+
+        def find(ref):
+            while ref in parent:
+                up = parent[ref]
+                parent[ref] = parent.get(up, up)
+                ref = up
+            return ref
+
+        def read(x):
+            s, ref = x
+            if ref in rho:
+                return compose_ops(rho[ref], s), find(core[ref])
+            return s, find(ref)
+
+        while todo:
+            x, y = todo.pop()
+            budget.spend()
+            (s, a), (t, b) = read(x), read(y)
+            if s != t or f.assignment[a] != f.assignment[b]:
+                raise FactorizerContractViolation(
+                    "collapse identified cells with distinct images")
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                todo.extend(zip(X.cell_faces(a), X.cell_faces(b)))
+        # a class's root is its least member, met first in cell order
+        names = {}
+        for ref in X.cells():
+            if ref not in rho:
+                names.setdefault(find(ref), []).append(X.cell_label(ref))
+        labels, place = {}, {}
+        for ref, named in names.items():
+            row = labels.setdefault(ref[0], [])
+            place[ref] = (ref[0], len(row))
+            row.append(min(named))
+
+        def image(x):
+            s, ref = read(x)
+            return s, place[ref]
+
+        faces = {place[ref] + (i,): image(fx) for ref in names
+                 for i, fx in enumerate(X.cell_faces(ref))}
+        M = FinSSet(X.dim, labels, faces, name=X.name + "/~", budget=budget)
+        left = SimplicialMap(X, M, {ref: image(X.cell_simplex(ref))
+                                    for ref in X.cells()})
+        g = SimplicialMap(M, f.target,
+                          {place[ref]: f.assignment[ref] for ref in names})
     budget.spend(len(f.assignment))
     if not is_nondegenerate_map(g):
         raise FactorizerContractViolation(
@@ -601,133 +646,47 @@ def deg_ndeg_factorize(f, budget=None):
     return Factorization(left, M, g)
 
 
-def _quotient(M, pairs, budget):
-    """Quotient by the simplicial congruence generated by the pairs.
-
-    The generating set is closed under the simplicial action (callers
-    arrange that), so a union-find over raw simplices is the whole
-    computation; what remains is re-expressing every class as a surjection
-    applied to a nondegenerate class.  A class that an elementary operator
-    splits, or that has two such presentations (EZ uniqueness fails),
-    raises FactorizerContractViolation.
-    """
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for a, b in pairs:
-        union(a, b)
-
-    # group simplices by class; the congruence must commute with every
-    # elementary operator, which is trivial on a class's representative
-    classes, members = {}, {}
-    for n in range(M.dim + 1):
-        row = {}
-        for x in M.simplices(n):
-            budget.spend()
-            c = find(x)
-            if c != x:
-                for alpha in M._elementary_ops(n):
-                    if find(M.act(x, alpha)) != find(M.act(c, alpha)):
-                        raise FactorizerContractViolation(
-                            "congruence not stable under the simplicial action")
-            row.setdefault(c, []).append(x)
-        members.update(row)
-        classes[n] = sorted(row)
-
-    # the class of each degeneracy of each class: the classes it hits are
-    # the degenerate ones, and it presents them below
-    deg = {(c, j): find(M.degeneracy(c, j))
-           for n in range(M.dim) for c in classes[n] for j in range(n + 1)}
-    deg_hits = set(deg.values())
-
-    labels = {}
-    ref_of_class = {}
-    for n in range(M.dim + 1):
-        row = []
-        for c in classes[n]:
-            if c in deg_hits:
-                continue
-            named = sorted(M.cell_label(x[1]) for x in members[c]
-                           if M.is_nondeg_simplex(x))
-            ref_of_class[c] = (n, len(row))
-            row.append(named[0])
-        if row:
-            labels[n] = row
-
-    # express every class as surjection . nondegenerate-class, uniquely
-    simplex_of_class = {c: (identity_op(r[0]), r)
-                        for c, r in ref_of_class.items()}
-    for n in range(M.dim):
-        results = {}
-        for c2 in classes[n]:
-            rho, w = simplex_of_class[c2]
-            for j in range(n + 1):
-                c = deg[(c2, j)]
-                if c not in ref_of_class:
-                    results.setdefault(c, set()).add(
-                        (compose_ops(rho, codegeneracy(n, j)), w))
-        for c, found in results.items():
-            if len(found) != 1:
-                raise FactorizerContractViolation(
-                    "EZ presentation of a collapsed class is not unique: %r"
-                    % (found,))
-            simplex_of_class[c] = found.pop()
-
-    faces = {(n, jj, i): simplex_of_class[find(M.face(c, i))]
-             for c, (n, jj) in ref_of_class.items() if n
-             for i in range(n + 1)}
-    M2 = FinSSet(M.dim, labels, faces, name=M.name + "/~", budget=budget)
-
-    proj_ass = {}
-    for ref in M.cells():
-        proj_ass[ref] = simplex_of_class[find(M.cell_simplex(ref))]
-    return M2, SimplicialMap(M, M2, proj_ass)
-
-
 # ---------------------------------------------------------------------------
 # covers, local objects, spectra
 
 def sset_cover_check(X, family, mode, budget=None):
-    """raw: jointly surjective on vertices; delta-nis: every simplex lifts."""
+    """raw: jointly surjective on vertices; delta-nis: every simplex lifts.
+
+    A member keeps cells nondegenerate, so by EZ uniqueness in X sigma*w
+    lifts iff w is a member's image of a cell.  The verdict is read off the
+    cells hit, one budget step per cell of each member and of X: the first
+    simplex that does not lift is the least unhit cell, by dimension then
+    index.  Otherwise sigma*w lifts for each of the C(n, m) surjections onto
+    an m-cell w, for every n up to the truncation d, and the sum over n of
+    C(n, m) is C(d + 1, m + 1); the count is charged d + 1 steps, one per
+    dimension it sums over, so a huge truncation is refused at once.
+    """
     budget = ensure_budget(budget)
+    hit = set()
     for gmap in family:
         if gmap.target is not X:
             raise InvalidFamily("family member does not land in %s" % X.name)
         if not is_nondegenerate_map(gmap):
             raise InvalidFamily("family members must keep cells nondegenerate")
+        budget.spend(len(gmap.assignment))
+        hit.update(w for _s, w in gmap.assignment.values())
+    if mode not in ("raw", "delta-nis"):
+        raise InvalidSpec("unknown sset cover mode %r" % (mode,))
+    cells = [ref for ref in X.cells() if mode == "delta-nis" or ref[0] == 0]
+    budget.spend(len(cells))
+    missing = next((ref for ref in cells if ref not in hit), None)
     if mode == "raw":
-        need = set(X.simplices(0))
-        got = set()
-        for gmap in family:
-            got |= gmap.image_simplices(0)
-        missing = sorted(need - got)
-        if missing:
-            return CoverResult("raw", False,
-                               {"uncovered_vertex": X.cell_label(missing[0][1])})
-        return CoverResult("raw", True, {"vertices": len(need)})
-    if mode == "delta-nis":
-        lifted = 0
-        for n in range(X.dim + 1):
-            images = [gmap.image_simplices(n) for gmap in family]
-            for x in X.simplices(n):
-                budget.spend()
-                if not any(x in im for im in images):
-                    return CoverResult("delta-nis", False,
-                                       {"unlifted_simplex": [n, list(x[0]),
-                                                             X.cell_label(x[1])]})
-                lifted += 1
-        return CoverResult("delta-nis", True, {"simplices_lifted": lifted})
-    raise InvalidSpec("unknown sset cover mode %r" % (mode,))
+        found = {"vertices": len(cells)} if missing is None else \
+            {"uncovered_vertex": X.cell_label(missing)}
+    elif missing is None:
+        budget.spend(X.dim + 1)
+        found = {"simplices_lifted": sum(
+            math.comb(X.dim + 1, m + 1) * len(cells_m)
+            for m, cells_m in X.labels.items())}
+    else:
+        found = {"unlifted_simplex": [missing[0], list(identity_op(
+            missing[0])), X.cell_label(missing)]}
+    return CoverResult(mode, missing is None, found)
 
 
 def delta_nis_self_lift_decider(X, budget=None):
@@ -735,18 +694,18 @@ def delta_nis_self_lift_decider(X, budget=None):
 
     Because covers are closed under refinement by single cells, it is
     enough to look for a section of one classifying map, inside its fibers;
-    retracts of a standard simplex are again standard simplices.
+    retracts of a standard simplex are again standard simplices.  A section
+    sends cells to cells, so the fibers are read off the classifying map's
+    cells, one budget step each, and a cell of X in no fiber rules it out.
     """
     budget = ensure_budget(budget)
     for ref in reversed(X.cells()):
         gmap = classifying_map(X, X.cell_simplex(ref))
+        budget.spend(len(gmap.assignment))
         fiber = {}
-        for n in range(X.dim + 1):
-            for z in gmap.source.simplices(n):
-                fiber.setdefault(gmap.apply(z), []).append(z)
-            if any(x not in fiber for x in X.simplices(n)):
-                break
-        else:
+        for z, x in gmap.assignment.items():
+            fiber.setdefault(x, []).append(gmap.source.cell_simplex(z))
+        if all(X.cell_simplex(r) in fiber for r in X.cells()):
             sections = _face_compatible(
                 X, gmap.source, lambda r, _ass: fiber[X.cell_simplex(r)],
                 budget)

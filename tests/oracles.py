@@ -7,12 +7,13 @@ import random
 from collections import Counter
 from operator import getitem
 
-from factopo.budget import Budget
+from factopo.budget import Budget, ensure_budget
 from factopo.catfib import CommaCategory, _over
-from factopo.errors import (FactorizerContractViolation, InvalidSpec,
-                            NotACategory, NotARing)
-from factopo.fincat import (FAIL, PASS, AxiomResult, Factorization, FinCat,
-                            Functor, _key, all_functors, verify_system)
+from factopo.errors import (FactorizerContractViolation, InvalidFamily,
+                            InvalidSpec, NotACategory, NotARing)
+from factopo.fincat import (FAIL, PASS, AxiomResult, CoverResult,
+                            Factorization, FinCat, Functor, _key, all_functors,
+                            verify_system)
 from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
                              enumerate_homs, ideal_generated, inverse_hom,
                              least_irreducible, localize, prime_power,
@@ -22,9 +23,10 @@ from factopo.posets import Poset, Spectrum
 from factopo.ringspec import recognize_ring
 from factopo.ringsys import (class_predicates, cover_check, factorize,
                              ring_universe, zar_combination_certificate)
-from factopo.sset import (SimplicialMap, _quotient, compose_ops, delta,
-                          identity_op, identity_smap, is_identity_op,
-                          is_nondegenerate_map, monotone_ops, sset_isomorphic)
+from factopo.sset import (FinSSet, SimplicialMap, _face_compatible,
+                          classifying_map, codegeneracy, coface, compose_ops,
+                          delta, identity_op, identity_smap, is_identity_op,
+                          is_nondegenerate_map, sset_isomorphic)
 
 
 def ring_isomorphic(A, B, budget):
@@ -945,6 +947,33 @@ def split_by_sorting(values):
     return tuple(image), tuple(pos[v] for v in values)
 
 
+def monotone_ops(k, n):
+    """Value tuples of all monotone maps [k] -> [n]."""
+    return [tuple(v) for v in
+            itertools.combinations_with_replacement(range(n + 1), k + 1)]
+
+
+def surjective_ops_by_filter(k, n):
+    """The monotone surjections [k] -> [n], filtered from all monotone maps."""
+    return [v for v in monotone_ops(k, n) if len(set(v)) == n + 1]
+
+
+def elementary_ops(X, n):
+    """The cofaces into [n], and the codegeneracies out of [n + 1] when
+    n + 1 is inside X's truncation."""
+    ops = []
+    if n >= 1:
+        ops.extend(coface(n, i) for i in range(n + 1))
+    if n + 1 <= X.dim:
+        ops.extend(codegeneracy(n, j) for j in range(n + 1))
+    return ops
+
+
+def image_simplices(f, n):
+    """The image under f of every n-simplex of its source."""
+    return {f.apply(x) for x in f.source.simplices(n)}
+
+
 def act_by_recursion(X, x, alpha):
     """X(alpha) applied to the simplex x of the simplicial set X, recomputed
     on every call: beta = sigma.alpha splits as a surjection after an
@@ -1014,7 +1043,7 @@ def deg_ndeg_by_rounds(f, rng, budget):
                 first = M.act(y, alphas[0])
                 for alpha in alphas[1:]:
                     pairs.append((first, M.act(y, alpha)))
-        M2, proj = _quotient(M, pairs, budget)
+        M2, proj = quotient_by_pairs(M, pairs, budget)
         images = {}
         for r in M.cells():
             images.setdefault(proj.assignment[r], set()).add(g.assignment[r])
@@ -1036,6 +1065,209 @@ def deg_ndeg_by_rounds(f, rng, budget):
         raise FactorizerContractViolation(
             "collapse of %r: legs do not compose to it" % f)
     return Factorization(left, M, g)
+
+
+def deg_ndeg_by_one_quotient(f, budget=None):
+    """The collapse factorisation as one quotient of the source by every
+    simplex pair it glues, listing the simplices up to the truncation.
+
+    A cell c with f(c) = sigma*(w), sigma not the identity, must be glued
+    along sigma: c.alpha ~ c.alpha' whenever sigma.alpha = sigma.alpha'.
+    These pairs are closed under the simplicial action, so one quotient by
+    them is the middle, and its right leg is read off the classes.  A map
+    with no degenerate image is its own right leg.  The legs are checked at
+    the end, one step per cell of the source.
+    """
+    budget = ensure_budget(budget)
+    M, left, g = f.source, identity_smap(f.source), f
+    pairs = []
+    for ref in M.cells():
+        sigma, _w = f.assignment[ref]
+        if is_identity_op(sigma):
+            continue
+        y = M.cell_simplex(ref)
+        for k in range(M.dim + 1):
+            groups = {}
+            for alpha in monotone_ops(k, ref[0]):
+                groups.setdefault(compose_ops(sigma, alpha), []).append(alpha)
+            for alphas in groups.values():
+                first = M.act(y, alphas[0])
+                pairs.extend((first, M.act(y, a)) for a in alphas[1:])
+    if pairs:
+        M, left = quotient_by_pairs(f.source, pairs, budget)
+        # the images under f of the cells that each cell of M carries
+        images = {}
+        for r, x in left.assignment.items():
+            images.setdefault(x, set()).add(f.assignment[r])
+        gass = {}
+        for ref in M.cells():
+            found = images.get(M.cell_simplex(ref), set())
+            if len(found) != 1:
+                raise FactorizerContractViolation(
+                    "collapse identified cells with distinct images")
+            gass[ref] = found.pop()
+        g = SimplicialMap(M, f.target, gass)
+    budget.spend(len(f.assignment))
+    if not is_nondegenerate_map(g):
+        raise FactorizerContractViolation(
+            "collapse of %r: right leg is degenerate" % f)
+    if left.then(g).assignment != f.assignment:
+        raise FactorizerContractViolation(
+            "collapse of %r: legs do not compose to it" % f)
+    return Factorization(left, M, g)
+
+
+def quotient_by_pairs(M, pairs, budget):
+    """Quotient by the simplicial congruence generated by the pairs.
+
+    The generating set is closed under the simplicial action (callers
+    arrange that), so a union-find over raw simplices is the whole
+    computation; what remains is re-expressing every class as a surjection
+    applied to a nondegenerate class.  A class that an elementary operator
+    splits, or that has two such presentations (EZ uniqueness fails),
+    raises FactorizerContractViolation.
+    """
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for a, b in pairs:
+        union(a, b)
+
+    # group simplices by class; the congruence must commute with every
+    # elementary operator, which is trivial on a class's representative
+    classes, members = {}, {}
+    for n in range(M.dim + 1):
+        row = {}
+        for x in M.simplices(n):
+            budget.spend()
+            c = find(x)
+            if c != x:
+                for alpha in elementary_ops(M, n):
+                    if find(M.act(x, alpha)) != find(M.act(c, alpha)):
+                        raise FactorizerContractViolation(
+                            "congruence not stable under the simplicial action")
+            row.setdefault(c, []).append(x)
+        members.update(row)
+        classes[n] = sorted(row)
+
+    # the class of each degeneracy of each class: the classes it hits are
+    # the degenerate ones, and it presents them below
+    deg = {(c, j): find(M.degeneracy(c, j))
+           for n in range(M.dim) for c in classes[n] for j in range(n + 1)}
+    deg_hits = set(deg.values())
+
+    labels = {}
+    ref_of_class = {}
+    for n in range(M.dim + 1):
+        row = []
+        for c in classes[n]:
+            if c in deg_hits:
+                continue
+            named = sorted(M.cell_label(x[1]) for x in members[c]
+                           if M.is_nondeg_simplex(x))
+            ref_of_class[c] = (n, len(row))
+            row.append(named[0])
+        if row:
+            labels[n] = row
+
+    # express every class as surjection . nondegenerate-class, uniquely
+    simplex_of_class = {c: (identity_op(r[0]), r)
+                        for c, r in ref_of_class.items()}
+    for n in range(M.dim):
+        results = {}
+        for c2 in classes[n]:
+            rho, w = simplex_of_class[c2]
+            for j in range(n + 1):
+                c = deg[(c2, j)]
+                if c not in ref_of_class:
+                    results.setdefault(c, set()).add(
+                        (compose_ops(rho, codegeneracy(n, j)), w))
+        for c, found in results.items():
+            if len(found) != 1:
+                raise FactorizerContractViolation(
+                    "EZ presentation of a collapsed class is not unique: %r"
+                    % (found,))
+            simplex_of_class[c] = found.pop()
+
+    faces = {(n, jj, i): simplex_of_class[find(M.face(c, i))]
+             for c, (n, jj) in ref_of_class.items() if n
+             for i in range(n + 1)}
+    M2 = FinSSet(M.dim, labels, faces, name=M.name + "/~", budget=budget)
+
+    proj_ass = {}
+    for ref in M.cells():
+        proj_ass[ref] = simplex_of_class[find(M.cell_simplex(ref))]
+    return M2, SimplicialMap(M, M2, proj_ass)
+
+
+def sset_cover_check_by_simplices(X, family, mode, budget=None):
+    """raw: jointly surjective on vertices; delta-nis: every simplex lifts;
+    decided by listing the simplices of X and of each member's image."""
+    budget = ensure_budget(budget)
+    for gmap in family:
+        if gmap.target is not X:
+            raise InvalidFamily("family member does not land in %s" % X.name)
+        if not is_nondegenerate_map(gmap):
+            raise InvalidFamily("family members must keep cells nondegenerate")
+    if mode == "raw":
+        need = set(X.simplices(0))
+        got = set()
+        for gmap in family:
+            got |= image_simplices(gmap, 0)
+        missing = sorted(need - got)
+        if missing:
+            return CoverResult("raw", False,
+                               {"uncovered_vertex": X.cell_label(missing[0][1])})
+        return CoverResult("raw", True, {"vertices": len(need)})
+    if mode == "delta-nis":
+        lifted = 0
+        for n in range(X.dim + 1):
+            images = [image_simplices(gmap, n) for gmap in family]
+            for x in X.simplices(n):
+                budget.spend()
+                if not any(x in im for im in images):
+                    return CoverResult("delta-nis", False,
+                                       {"unlifted_simplex": [n, list(x[0]),
+                                                             X.cell_label(x[1])]})
+                lifted += 1
+        return CoverResult("delta-nis", True, {"simplices_lifted": lifted})
+    raise InvalidSpec("unknown sset cover mode %r" % (mode,))
+
+
+def self_lift_by_simplices(X, budget=None):
+    """Whether the identity factors through a member of every cover.
+
+    Because covers are closed under refinement by single cells, it is
+    enough to look for a section of one classifying map, inside its fibers;
+    retracts of a standard simplex are again standard simplices.  The
+    fibers are built over every simplex up to the truncation.
+    """
+    budget = ensure_budget(budget)
+    for ref in reversed(X.cells()):
+        gmap = classifying_map(X, X.cell_simplex(ref))
+        fiber = {}
+        for n in range(X.dim + 1):
+            for z in gmap.source.simplices(n):
+                fiber.setdefault(gmap.apply(z), []).append(z)
+            if any(x not in fiber for x in X.simplices(n)):
+                break
+        else:
+            sections = _face_compatible(
+                X, gmap.source, lambda r, _ass: fiber[X.cell_simplex(r)],
+                budget)
+            if next(sections, None) is not None:
+                return True
+    return False
 
 
 def is_standard_simplex_by_every_dimension(X, budget):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from factopo import reader, suites
+from factopo import reader, sset, suites
 from factopo.budget import Budget
 from factopo.cli import (COMMANDS, COMMON, build_parser, main, parse_argv,
                          report_text)
+from factopo.errors import EnumerationBudgetExceeded
 from factopo.fincat import FAIL, AxiomResult, SystemReport
 from factopo.posets import Poset
 
@@ -702,6 +703,18 @@ OVER_BUDGET = {
                   {"a": {"kind": "gf", "p": 2, "k": 10 ** 9}}),
     "gf-k-10^30": (RING_CLASSIFY + ["--budget", "1000"],
                    {"a": {"kind": "gf", "p": 2, "k": 10 ** 30}}),
+    # a cover's count of simplices lifted sums over every dimension up to
+    # the truncation, read from the file as an unbounded int
+    "cover-delta-nis-dim-10^12": (["cover", "--topology", "delta-nis",
+                                   "--object", "{a}", "--family", "{b}",
+                                   "--budget", "100000"],
+                                  {"a": {"dim": 10 ** 12,
+                                         "nondegenerate": {"0": ["v"]}},
+                                   "b": {"maps": [{"source": {
+                                       "dim": 10 ** 12,
+                                       "nondegenerate": {"0": ["v"]}},
+                                       "assignment": {
+                                           "0": {"v": [[0], "v"]}}}]}}),
     # the suite built its simplicial sets on budgets of their own
     "verify-ez-budget-10000": (["verify", "--suite", "ez", "--budget",
                                 "10000"], {}),
@@ -751,8 +764,9 @@ def test_orthogonal_charges_the_category_to_its_budget(tmp_path, capsys):
 
 
 def test_the_budget_bounds_the_truncation_dimension(tmp_path, capsys):
-    # the identity of a circle truncated at dimension 400, whose simplices
-    # are listed in every dimension up to there
+    # the identity of a circle truncated at dimension 400 covers it, decided
+    # on its two cells without listing its 80,601 simplices; listing them
+    # is what the budget bounds
     circle = {"dim": 400, "nondegenerate": {"0": ["v"], "1": [
         {"name": "e", "faces": [[[0], "v"], [[0], "v"]]}]}}
     identity = {"source": circle, "assignment": {
@@ -763,9 +777,14 @@ def test_the_budget_bounds_the_truncation_dimension(tmp_path, capsys):
                            "{a}", "--family", "{b}", "--budget", "100000"],
         {"a": circle, "b": {"maps": [identity]}})
     assert time.perf_counter() - started < 0.5
-    assert (code, out) == (1, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "budget of 100000 steps exceeded" in err
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert (result["covers"], result["certificate"]) == (True, 80601)
+    X = sset.build_sset(circle, Budget(100000))
+    started = time.perf_counter()
+    with pytest.raises(EnumerationBudgetExceeded):
+        X.simplices(400)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_failing_axiom_is_reported(monkeypatch, capsys):

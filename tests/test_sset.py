@@ -8,26 +8,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factopo import sset
 from factopo.budget import Budget
 from factopo.catalogs import sset_corpus
 from factopo.cli import main
-from factopo.errors import (EnumerationBudgetExceeded,
+from factopo.errors import (EnumerationBudgetExceeded, FactopoError,
                             FactorizerContractViolation, IdentityViolation,
                             InvalidSpec, NotSimplicial, TruncationTooLow)
-from factopo.sset import (FinSSet, SimplicialMap, _quotient,
-                          all_simplicial_maps, boundary, build_sset,
-                          classifying_map, codegeneracy, coface, compose_ops,
-                          deg_ndeg_factorize, delta,
+from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps,
+                          boundary, build_sset, classifying_map, codegeneracy,
+                          coface, compose_ops, deg_ndeg_factorize, delta,
                           delta_nis_self_lift_decider, disjoint_union,
                           epi_mono_split, horn, identity_op, identity_smap,
                           is_nondegenerate_map, is_standard_simplex,
-                          monotone_ops, spec_delta_nis, spec_raw,
-                          sset_cover_check, sset_isomorphic,
-                          subcomplex_of_delta, surjective_ops)
+                          spec_delta_nis, spec_raw, sset_cover_check,
+                          sset_isomorphic, subcomplex_of_delta, surjective_ops)
 from factopo.suites import _ez_map_pool, run_suite
 from oracles import (act_by_composite_table, act_by_recursion,
-                     deg_ndeg_by_rounds, is_standard_simplex_by_every_dimension)
+                     deg_ndeg_by_one_quotient, deg_ndeg_by_rounds,
+                     elementary_ops, is_standard_simplex_by_every_dimension,
+                     monotone_ops, quotient_by_pairs, self_lift_by_simplices,
+                     sset_cover_check_by_simplices, surjective_ops_by_filter)
 
 
 # -- operator algebra ------------------------------------------------------
@@ -44,6 +44,27 @@ def test_operator_counts():
     assert len(surjective_ops(2, 1)) == 2
     assert len(injective_ops(1, 2)) == 3
     assert injective_ops(2, 1) == []
+
+
+def test_surjections_are_the_monotone_maps_that_are_onto():
+    # the same tuples, in the same (lexicographic) order, as the filter of
+    # all monotone maps, which fixes the order of every simplex list
+    for k in range(9):
+        for n in range(k + 2):
+            assert surjective_ops(k, n) == surjective_ops_by_filter(k, n), \
+                (k, n)
+
+
+def test_surjections_are_listed_without_the_monotone_maps():
+    # one vertex and one 11-cell whose faces are all degenerate on it: its
+    # two 11-simplices are listed directly, where filtering the C(23, 12)
+    # monotone maps [11] -> [11] took about a second
+    X = FinSSet(12, {0: ["v"], 11: ["c"]},
+                {(11, 0, i): ((0,) * 11, (0, 0)) for i in range(12)})
+    started = time.perf_counter()
+    assert X.simplices(11) == [((0,) * 12, (0, 0)),
+                               (identity_op(11), (11, 0))]
+    assert time.perf_counter() - started < 0.01
 
 
 def test_epi_mono_split():
@@ -115,9 +136,9 @@ def functoriality_violation(X):
     """
     for n in range(X.dim + 1):
         for x in X.simplices(n):
-            for alpha in X._elementary_ops(n):
+            for alpha in elementary_ops(X, n):
                 mid = X.act(x, alpha)
-                for beta in X._elementary_ops(len(alpha) - 1):
+                for beta in elementary_ops(X, len(alpha) - 1):
                     if X.act(mid, beta) != X.act(x, compose_ops(alpha, beta)):
                         return x, alpha, beta
     return None
@@ -569,7 +590,7 @@ def rng_of(seed):
 def collapse_cases():
     """Every map of the ez pool, each restricted along the classifying map
     of every source cell, and every Δ[m] -> Δ[k] with m <= 3, k <= 4, each
-    with the key of its one-quotient collapse."""
+    with the key of its collapse."""
     pool = _ez_map_pool(sset_corpus(Budget()), Budget())
     maps = pool + [classifying_map(f.source, f.source.cell_simplex(ref))
                    .then(f) for f in pool for ref in f.source.cells()]
@@ -581,7 +602,7 @@ def collapse_cases():
 
 @pytest.mark.parametrize("seed", [None, 0, 1, 7])
 def test_collapse_is_order_independent(collapse_cases, seed):
-    # the one quotient is the collapse one cell per round, in any order
+    # the collapse on cells is the collapse one cell per round, in any order
     for f, key in collapse_cases:
         assert collapse_key(deg_ndeg_by_rounds(f, rng_of(seed), Budget())) \
             == key, f
@@ -609,30 +630,38 @@ def test_collapse_matches_the_rounds_on_drawn_maps(data):
     X = subcomplex_of_delta(m, subsets, Budget(), dim=max(m, k) + 1)
     f = induced_map(X, delta(k, dim=X.dim), alpha)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
-    assert collapse_key(deg_ndeg_factorize(f)) == \
-        collapse_key(deg_ndeg_by_rounds(f, rng, Budget()))
+    key = collapse_key(deg_ndeg_factorize(f))
+    assert key == collapse_key(deg_ndeg_by_rounds(f, rng, Budget()))
+    assert key == collapse_key(deg_ndeg_by_one_quotient(f))
 
 
 def test_collapse_quotients_once_and_only_when_it_must(collapse_cases,
                                                        monkeypatch):
-    calls = []
+    # the middle is the one set a collapse builds, and a map with no
+    # degenerate image builds none and is its own right leg
+    built = []
+    init = FinSSet.__init__
 
-    def counting(M, pairs, budget):
-        calls.append(M)
-        return _quotient(M, pairs, budget)
+    def recording(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sset, "_quotient", counting)
+    monkeypatch.setattr(FinSSet, "__init__", recording)
     for f, key in collapse_cases:
-        calls.clear()
-        assert collapse_key(deg_ndeg_factorize(f)) == key
-        assert len(calls) == (0 if is_nondegenerate_map(f) else 1), f
+        built.clear()
+        fac = deg_ndeg_factorize(f)
+        assert collapse_key(fac) == key
+        if is_nondegenerate_map(f):
+            assert built == [] and fac.right is f, f
+        else:
+            assert built == [fac.middle], f
 
 
 @pytest.mark.parametrize("m, k, alpha, one, rounds", [
-    (2, 1, (0, 1, 1), 154, 260),
-    (3, 1, (0, 0, 1, 1), 672, 2774),
-    (4, 2, (0, 0, 1, 2, 2), 2917, 23758),
-    (4, 0, (0,) * 5, 2912, 38704),
+    (2, 1, (0, 1, 1), 20, 260),
+    (3, 1, (0, 0, 1, 1), 56, 2774),
+    (4, 2, (0, 0, 1, 2, 2), 132, 23758),
+    (4, 0, (0,) * 5, 210, 38704),
 ])
 def test_collapse_step_totals(m, k, alpha, one, rounds):
     # every step after the map is built, on fresh sets, the action
@@ -700,8 +729,8 @@ def test_quotient_refuses_a_congruence_the_action_does_not_respect():
     X = delta(1)
     with pytest.raises(FactorizerContractViolation,
                        match="congruence not stable"):
-        _quotient(X, [(X.cell_simplex((0, 0)), X.cell_simplex((0, 1)))],
-                  Budget())
+        quotient_by_pairs(
+            X, [(X.cell_simplex((0, 0)), X.cell_simplex((0, 1)))], Budget())
 
 
 def test_collapse_to_point():
@@ -713,6 +742,64 @@ def test_collapse_to_point():
     fac = deg_ndeg_factorize(f)
     assert len(fac.middle.labels[0]) == 1
     assert 1 not in fac.middle.labels or not fac.middle.labels[1]
+
+
+def test_a_map_given_with_list_operators_collapses_to_a_point():
+    # the operators are kept as tuples once the map and its source are
+    # validated, so they can key the collapse's tables
+    X = FinSSet(2, {0: ["0", "1"], 1: ["01"]},
+                {(1, 0, 0): ([0], (0, 1)), (1, 0, 1): ([0], (0, 0))})
+    f = SimplicialMap(X, delta(0, dim=2), {
+        (0, 0): ([0], (0, 0)), (0, 1): ([0], (0, 0)),
+        (1, 0): ([0, 0], (0, 0))})
+    assert all(type(s) is tuple for s, _ref in X.faces_tbl.values())
+    assert all(type(s) is tuple for s, _w in f.assignment.values())
+    fac = deg_ndeg_factorize(f)
+    assert fac.middle.labels == {0: ["0"]}
+    assert fac.left.assignment == {(0, 0): ((0,), (0, 0)),
+                                   (0, 1): ((0,), (0, 0)),
+                                   (1, 0): ((0, 0), (0, 0))}
+
+
+def test_collapse_matches_the_one_quotient(collapse_cases):
+    # the congruence closure on cells against the quotient by every glued
+    # pair of simplices up to the truncation, on the cases and the 16
+    # surjections out of Δ[4]
+    cases = list(collapse_cases)
+    for r in range(5):
+        X, Y = delta_pair(4, r)
+        cases += [(f, collapse_key(deg_ndeg_factorize(f))) for f in (
+            induced_map(X, Y, alpha) for alpha in surjective_ops(4, r))]
+    for f, key in cases:
+        assert collapse_key(deg_ndeg_by_one_quotient(f)) == key, f
+
+
+def test_a_map_that_breaks_the_congruence_is_never_factored(collapse_cases):
+    # one cell of a map sent elsewhere, with no face check, and some image
+    # still degenerate: the collapse raises exactly when the map is not
+    # simplicial, and otherwise agrees with the one quotient
+    rng = random.Random(3)
+    maps = [f for f, _key in collapse_cases if not is_nondegenerate_map(f)]
+    refused = trial = 0
+    while trial < 300:
+        f = maps[trial % len(maps)]
+        ass = dict(f.assignment)
+        ref = rng.choice(sorted(ass))
+        ass[ref] = rng.choice(f.target.simplices(ref[0]))
+        bent = SimplicialMap(f.source, f.target, ass, check=False)
+        if is_nondegenerate_map(bent):
+            continue
+        trial += 1
+        try:
+            SimplicialMap(f.source, f.target, ass)
+        except NotSimplicial:
+            with pytest.raises((FactorizerContractViolation, NotSimplicial)):
+                deg_ndeg_factorize(bent)
+            refused += 1
+            continue
+        assert collapse_key(deg_ndeg_factorize(bent)) == collapse_key(
+            deg_ndeg_by_one_quotient(bent)), bent
+    assert 0 < refused < 300
 
 
 # -- covers and local objects ----------------------------------------------
@@ -753,6 +840,57 @@ def test_degenerate_image_family_rejected():
         (1, 0): ((0, 0), (0, 0))})
     with pytest.raises(Exception):
         sset_cover_check(X, [bent], "raw")
+
+
+def cover_outcome(check, X, family, mode):
+    """The cover check's result, or the class and words of its refusal."""
+    try:
+        return check(X, family, mode)
+    except FactopoError as exc:
+        return type(exc), str(exc)
+
+
+def assert_covers_match_the_simplex_scan(X, families):
+    for family in families:
+        for mode in ("raw", "delta-nis"):
+            assert cover_outcome(sset_cover_check, X, family, mode) == \
+                cover_outcome(sset_cover_check_by_simplices, X, family,
+                              mode), (X.name, mode, family)
+
+
+def drawn_families(X, rng):
+    """The empty, vertex and identity families, and the classifying maps of
+    some drawn cells."""
+    cells = X.cells()
+    return [[], vertex_family(X), [identity_smap(X)],
+            [classifying_map(X, X.cell_simplex(ref))
+             for ref in rng.sample(cells, rng.randint(1, len(cells)))]]
+
+
+def test_covers_and_self_lift_match_the_simplex_scans(corpus):
+    stock = [delta(n) for n in range(6)] + [boundary(n) for n in range(1, 6)] + \
+        [horn(n, k) for n in range(1, 5) for k in range(n + 1)]
+    rng = random.Random(4)
+    for X in corpus + stock:
+        assert_covers_match_the_simplex_scan(
+            X, [finest_cell_cover(X)] + drawn_families(X, rng))
+        assert delta_nis_self_lift_decider(X) == self_lift_by_simplices(X), \
+            X.name
+
+
+@given(st.data())
+def test_covers_and_self_lift_match_the_simplex_scans_on_drawn_subcomplexes(
+        data):
+    # a drawn union of faces of Δ[4], truncated with one or two dimensions
+    # of headroom, and drawn families of classifying maps of its cells
+    facets = data.draw(st.lists(st.sets(st.integers(0, 4), min_size=1),
+                                min_size=1, max_size=4), label="facets")
+    top = max(len(S) for S in facets) - 1
+    X = subcomplex_of_delta(4, facets, Budget(), dim=top + data.draw(
+        st.integers(1, 2), label="headroom"))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    assert_covers_match_the_simplex_scan(X, drawn_families(X, rng))
+    assert delta_nis_self_lift_decider(X) == self_lift_by_simplices(X)
 
 
 def test_self_lift_matches_standard_simplex(corpus):
