@@ -10,7 +10,7 @@ category of elements of its connected-component presheaf.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
@@ -19,8 +19,7 @@ from .fincat import (CoverResult, Factorization, FinCat, Functor, _key,
                      terminal_category)
 
 
-@dataclass
-class CommaCategory:
+class CommaCategory(NamedTuple):
     ambient: Functor
     anchor: object
     side: str               # "d/F" or "F/d"
@@ -167,8 +166,7 @@ def slice_factorize(C, c, side="right", point=None):
     return Factorization(first, K, K.projection)
 
 
-@dataclass
-class ElementsCategory:
+class ElementsCategory(NamedTuple):
     base: FinCat
     side: str                   # "right" or "left"
     values: dict                # object of base -> tuple of component reps

@@ -167,7 +167,7 @@ def _hom_dict(h):
 
 
 def _flat_certificate(result):
-    d = result.as_dict()
+    d = result._asdict()
     cert = d["certificate"]
     if isinstance(cert, dict) and len(cert) == 1:
         d["certificate"] = next(iter(cert.values()))
@@ -407,7 +407,12 @@ def dispatch(args):
     }
     if args.timing:
         report["timing"] = {"seconds": round(elapsed, 3)}
-    text = report_text(report)
+    try:
+        text = report_text(report)
+    except ValueError as err:
+        raise OutputError("report cannot be written: an integer in it has "
+                          "more than %d digits"
+                          % sys.get_int_max_str_digits()) from err
     if args.out:
         write_out(args.out, text + "\n")
     return text
@@ -418,7 +423,8 @@ def report_text(report):
     without the pure-Python encoder that ``json`` falls back on for an
     indent: each container is one join, a list of only ints or only strs
     is one join of C calls, and strings are quoted by ``json``'s C
-    function.  Whatever ``json`` refuses raises TypeError."""
+    function.  Whatever ``json`` refuses raises as it does there: a type
+    it cannot write TypeError, an int past the digit limit ValueError."""
     return _text(report, "\n")
 
 

@@ -63,7 +63,8 @@ class ParseError(FactopoError):
 
 
 class OutputError(FactopoError):
-    """The --out file cannot be written, named with its path."""
+    """The report cannot be written, or the --out file named with its
+    path cannot."""
 
 
 class UsageError(FactopoError):

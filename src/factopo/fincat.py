@@ -8,7 +8,6 @@ enumerated universe.
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .budget import ensure_budget
@@ -478,16 +477,14 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass
-class AxiomResult:
+class AxiomResult(NamedTuple):
     status: str
     counterexample: object = None
 
 
-@dataclass
-class SystemReport:
+class SystemReport(NamedTuple):
     """Axiom-by-axiom verdicts for a candidate factorisation system."""
-    axioms: dict = field(default_factory=dict)
+    axioms: dict
 
     def ok(self):
         return all(r.status != FAIL for r in self.axioms.values())
@@ -496,15 +493,17 @@ class SystemReport:
         return {k: r for k, r in self.axioms.items() if r.status == FAIL}
 
 
-@dataclass
-class CoverResult:
+class CoverResult(NamedTuple):
     topology: str
     covers: bool
-    certificate: object = None
+    certificate: object
 
-    def as_dict(self):
-        return {"topology": self.topology, "covers": self.covers,
-                "certificate": self.certificate}
+
+def _verdict(counterexamples):
+    """An axiom's verdict: fail with its first counterexample, if any."""
+    for x in counterexamples:
+        return AxiomResult(FAIL, x)
+    return AxiomResult(PASS)
 
 
 class Factorization(NamedTuple):
@@ -538,7 +537,6 @@ def verify_system(fac, in_left, in_right, universe, budget=None):
     """
     budget = ensure_budget(budget)
     C = universe
-    report = SystemReport()
     mors = C.morphism_ids()
     comp = C.compose_table
     left_class = {}
@@ -548,8 +546,6 @@ def verify_system(fac, in_left, in_right, universe, budget=None):
         left_class[m] = bool(in_left(m))
         right_class[m] = bool(in_right(m))
 
-    membership = AxiomResult(PASS)
-    uniqueness = AxiomResult(PASS)
     factored = {}
     for m in mors:
         a, mid, b = fac(m)
@@ -564,84 +560,77 @@ def verify_system(fac, in_left, in_right, universe, budget=None):
             raise FactorizerContractViolation(
                 "legs of %r compose to %r, not the input" % (m, C.compose(b, a)))
         factored[m] = (a, mid, b)
-        if membership.status == PASS and not (left_class[a] and right_class[b]):
-            membership.status = FAIL
-            membership.counterexample = (m, a, b)
-    report.axioms["class-membership"] = membership
 
-    # the g in a class composable after f, and the composites gf, read off
-    # f's row
+    # each axiom is the stream of its counterexamples, scanned up to the
+    # first; the g in a class composable after f, and the composites gf,
+    # are read off f's row
     def after_in(cls, f):
         gs = C.hom_from(C.tgt(f))
         keep = list(map(cls.__getitem__, gs))
         return (list(itertools.compress(gs, keep)),
                 list(itertools.compress(C._rows[f], keep)))
 
-    for key, cls in (("composition-closure-left", left_class),
-                     ("composition-closure-right", right_class)):
-        res = AxiomResult(PASS)
+    def unclosed(cls):
         for f in mors:
-            if not cls[f]:
+            if cls[f]:
+                gs, gfs = after_in(cls, f)
+                budget.spend(len(gs))
+                closed = list(map(cls.__getitem__, gfs))
+                if not all(closed):
+                    yield gs[closed.index(False)], f
+
+    def non_isos():
+        for m in mors:
+            if left_class[m] and right_class[m]:
+                budget.spend()
+                if not C.is_iso(m):
+                    yield m
+
+    def uncancelled():
+        for u in mors:
+            vs, vus = after_in(right_class, u)
+            budget.spend(len(vs))
+            cancelled = ([] if right_class[u]
+                         else list(map(right_class.__getitem__, vus)))
+            if True in cancelled:
+                yield vs[cancelled.index(True)], u
+
+    def unstable_codiagonals():
+        for a in mors:
+            if not left_class[a]:
                 continue
-            gs, gfs = after_in(cls, f)
-            budget.spend(len(gs))
-            closed = list(map(cls.__getitem__, gfs))
-            if not all(closed):
-                res = AxiomResult(FAIL, (gs[closed.index(False)], f))
-                break
-        report.axioms[key] = res
+            po = pushout(C, a, a, budget)
+            if po is None:
+                continue
+            P, i1, i2 = po
+            Y = C.tgt(a)
+            mediators = [c for c in C.hom(P, Y)
+                         if comp[(c, i1)] == C.identities[Y]
+                         and comp[(c, i2)] == C.identities[Y]]
+            if len(mediators) != 1 or not left_class[mediators[0]]:
+                yield a
 
-    inter = AxiomResult(PASS)
-    for m in mors:
-        if left_class[m] and right_class[m]:
+    def unfixed_middles():
+        for m in mors:
+            a, mid, b = factored[m]
             budget.spend()
-            if not C.is_iso(m):
-                inter.status = FAIL
-                inter.counterexample = m
-                break
-    report.axioms["intersection-isomorphisms"] = inter
+            fixing = [theta for theta in C.hom(mid, mid)
+                      if C.is_iso(theta)
+                      and comp[(theta, a)] == a and comp[(b, theta)] == b]
+            if len(fixing) != 1:
+                yield m, len(fixing)
 
-    cancel = AxiomResult(PASS)
-    for u in mors:
-        vs, vus = after_in(right_class, u)
-        budget.spend(len(vs))
-        cancelled = ([] if right_class[u]
-                     else list(map(right_class.__getitem__, vus)))
-        if True in cancelled:
-            cancel = AxiomResult(FAIL, (vs[cancelled.index(True)], u))
-            break
-    report.axioms["left-cancellation"] = cancel
-
-    codiag = AxiomResult(PASS)
-    for a in mors:
-        if not left_class[a]:
-            continue
-        po = pushout(C, a, a, budget)
-        if po is None:
-            continue
-        P, i1, i2 = po
-        Y = C.tgt(a)
-        mediators = [c for c in C.hom(P, Y)
-                     if comp[(c, i1)] == C.identities[Y]
-                     and comp[(c, i2)] == C.identities[Y]]
-        if len(mediators) != 1 or not left_class[mediators[0]]:
-            codiag.status = FAIL
-            codiag.counterexample = a
-            break
-    report.axioms["codiagonal-stability"] = codiag
-
-    for m in mors:
-        a, mid, b = factored[m]
-        budget.spend()
-        fixing = [theta for theta in C.hom(mid, mid)
-                  if C.is_iso(theta)
-                  and comp[(theta, a)] == a and comp[(b, theta)] == b]
-        if len(fixing) != 1:
-            uniqueness.status = FAIL
-            uniqueness.counterexample = (m, len(fixing))
-            break
-    report.axioms["middle-uniqueness"] = uniqueness
-    return report
+    return SystemReport({
+        "class-membership": _verdict(
+            (m, a, b) for m, (a, _mid, b) in factored.items()
+            if not (left_class[a] and right_class[b])),
+        "composition-closure-left": _verdict(unclosed(left_class)),
+        "composition-closure-right": _verdict(unclosed(right_class)),
+        "intersection-isomorphisms": _verdict(non_isos()),
+        "left-cancellation": _verdict(uncancelled()),
+        "codiagonal-stability": _verdict(unstable_codiagonals()),
+        "middle-uniqueness": _verdict(unfixed_middles()),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,10 @@ are integers 0..n-1 indexing the carrier, with printable names kept
 alongside for certificates and exports.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass
 from operator import getitem, itemgetter
+from typing import NamedTuple
 
 from .budget import ensure_budget
 from .errors import InvalidSpec, NotARing
@@ -492,8 +490,7 @@ def ring_from_spec(spec, budget):
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-@dataclass(frozen=True)
-class RingHom:
+class RingHom(NamedTuple):
     source: FinRing
     target: FinRing
     mapping: tuple
@@ -610,8 +607,7 @@ def enumerate_homs(A, B, budget):
 # ---------------------------------------------------------------------------
 # ideals
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(NamedTuple):
     ring: FinRing
     elements: frozenset
 

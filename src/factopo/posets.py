@@ -1,10 +1,8 @@
 """Finite posets: closure, Hasse diagrams, and the point spectra built on
 them."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .errors import InvalidSpec
 
@@ -103,8 +101,7 @@ def poset_to_dot(P, label=str, name="poset"):
     return "\n".join(lines)
 
 
-@dataclass
-class Spectrum:
+class Spectrum(NamedTuple):
     """A point poset or lattice over the indices 0..n-1, with its report.
 
     ``header`` holds the report's leading fields (``base``, and ``topology``,
@@ -119,7 +116,7 @@ class Spectrum:
     rows: list
     labels: list
     graph: str
-    tables: dict = field(default_factory=dict)
+    tables: dict
 
     @property
     def size(self):

@@ -6,8 +6,6 @@ orders, the discrete point poset, and the stalk at each point are all the
 spectrum amounts to at this scale, so that is what gets built and checked.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 
@@ -255,4 +253,4 @@ def spec_points(A, topology="zar", budget=None):
     poset = Poset(list(range(len(rows))), [(i, i) for i in range(len(rows))],
                   budget)
     return Spectrum(poset, {"base": A.name, "topology": topology}, rows,
-                    [row["prime"] for row in rows], "points")
+                    [row["prime"] for row in rows], "points", {})

@@ -8,9 +8,7 @@ target and its right class collapses to the isomorphisms.  That fact is
 checked where it is used rather than assumed.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
@@ -196,25 +194,20 @@ def triple_factorize(u, budget=None):
 # ---------------------------------------------------------------------------
 # ring classification
 
-@dataclass
-class RingClassification:
+class RingClassification(NamedTuple):
     is_field: bool
     is_fat_field: bool
     is_local: bool
     is_domain: bool
     is_integrally_closed_domain: bool
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
     def as_dict(self):
-        d = {
-            "is_field": self.is_field,
-            "is_fat_field": self.is_fat_field,
-            "is_local": self.is_local,
-            "is_domain": self.is_domain,
-            "is_integrally_closed_domain": self.is_integrally_closed_domain,
-        }
-        if self.witnesses:
-            d["witnesses"] = dict(sorted(self.witnesses.items()))
+        """The fields, with the witnesses sorted and left out when empty."""
+        d = self._asdict()
+        witnesses = d.pop("witnesses")
+        if witnesses:
+            d["witnesses"] = dict(sorted(witnesses.items()))
         return d
 
 

@@ -10,8 +10,6 @@ the covers and the self-lift read only the cells and their stored faces,
 and only the ``ez`` audit and the map search list simplices.
 """
 
-from __future__ import annotations
-
 import bisect
 import functools
 import itertools
@@ -485,43 +483,39 @@ def is_nondegenerate_map(f):
                for ref in f.source.cells())
 
 
-def classifying_map(X, x):
-    """The map out of a standard simplex that picks out x."""
-    sigma, ref = x
-    n = len(sigma) - 1
-    D = delta(n, dim=X.dim, budget=X.budget)
-    ass = {}
-    for (k, j) in D.cells():
-        vals = tuple(int(c) for c in D.labels[k][j])
-        ass[(k, j)] = X.act(x, vals)
-    return SimplicialMap(D, X, ass, name="classify-%s" % str(x))
-
-
 def _face_compatible(Y, X, candidates, budget):
     """Every assignment of Y's cells to simplices of X that commutes with faces.
 
     Cells are assigned in ``Y.cells()`` order, so the faces of a cell are
     placed before it; each of ``candidates(ref, assignment)`` costs one
-    budget step.  Assignments are yielded in search order.
+    budget step.  Assignments are yielded in search order, depth first on
+    a stack of one candidate iterator per cell being placed, so no
+    recursion limit bounds the number of cells.
     """
     cells = Y.cells()
+    if not cells:
+        yield {}
+        return
+    faces = [Y.cell_faces(ref) for ref in cells]
     assignment = {}
-
-    def extend(k):
-        if k == len(cells):
-            yield dict(assignment)
-            return
-        ref = cells[k]
-        faces = Y.cell_faces(ref)
-        for cand in candidates(ref, assignment):
+    stack = [iter(candidates(cells[0], assignment))]
+    while stack:
+        k = len(stack) - 1
+        for cand in stack[-1]:
             budget.spend()
             if all((compose_ops(assignment[w][0], rho), assignment[w][1])
-                   == X.face(cand, i) for i, (rho, w) in enumerate(faces)):
-                assignment[ref] = cand
-                yield from extend(k + 1)
-                del assignment[ref]
-
-    return extend(0)
+                   == X.face(cand, i) for i, (rho, w) in enumerate(faces[k])):
+                break
+        else:
+            stack.pop()
+            if k:
+                del assignment[cells[k - 1]]
+            continue
+        if k + 1 == len(cells):
+            yield {**assignment, cells[k]: cand}
+        else:
+            assignment[cells[k]] = cand
+            stack.append(iter(candidates(cells[k + 1], assignment)))
 
 
 def all_simplicial_maps(Y, X, budget):
@@ -693,22 +687,31 @@ def delta_nis_self_lift_decider(X, budget=None):
     """Whether the identity factors through a member of every cover.
 
     Because covers are closed under refinement by single cells, it is
-    enough to look for a section of one classifying map, inside its fibers;
-    retracts of a standard simplex are again standard simplices.  A section
-    sends cells to cells, so the fibers are read off the classifying map's
-    cells, one budget step each, and a cell of X in no fiber rules it out.
+    enough to look for a section of one classifying map Δ[n] -> X, inside
+    its fibers; retracts of a standard simplex are again standard
+    simplices.  A section sends cells to cells, so the fibers are read off
+    the cells of Δ[n], one budget step each: cell (k, j) is the j-th of the
+    vertex tuples ``combinations(range(n + 1), k + 1)``, the order
+    ``subcomplex_of_delta`` stores, and goes to X's cell acted on by it.  A
+    cell of X in no fiber rules the map out.  One Δ[n] is built for each
+    dimension n, on ``budget``.
     """
     budget = ensure_budget(budget)
-    for ref in reversed(X.cells()):
-        gmap = classifying_map(X, X.cell_simplex(ref))
-        budget.spend(len(gmap.assignment))
+    deltas = {}
+    for n, j in reversed(X.cells()):
+        if n not in deltas:
+            deltas[n] = delta(n, budget=budget)
+        D, x = deltas[n], X.cell_simplex((n, j))
+        budget.spend((1 << (n + 1)) - 1)
         fiber = {}
-        for z, x in gmap.assignment.items():
-            fiber.setdefault(x, []).append(gmap.source.cell_simplex(z))
+        for k in range(n + 1):
+            for i, vertices in enumerate(
+                    itertools.combinations(range(n + 1), k + 1)):
+                fiber.setdefault(X.act(x, vertices), []).append(
+                    D.cell_simplex((k, i)))
         if all(X.cell_simplex(r) in fiber for r in X.cells()):
             sections = _face_compatible(
-                X, gmap.source, lambda r, _ass: fiber[X.cell_simplex(r)],
-                budget)
+                X, D, lambda r, _ass: fiber[X.cell_simplex(r)], budget)
             if next(sections, None) is not None:
                 return True
     return False
@@ -726,7 +729,7 @@ def _cell_spectrum(X, mode, refs, pairs, budget):
     labels = [X.cell_label(r) for r in refs]
     rows = [{"dim": r[0], "cell": label} for r, label in zip(refs, labels)]
     return Spectrum(poset, {"base": X.name, "mode": mode}, rows, labels,
-                    "cells")
+                    "cells", {})
 
 
 def spec_delta_nis(X, budget=None):

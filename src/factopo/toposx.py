@@ -7,7 +7,7 @@ origin together with the zero subobject sitting below all of them.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .budget import ensure_budget
 from .errors import (FactorizerContractViolation, InvalidSpec, NotEquivariant,
@@ -222,8 +222,7 @@ def orbit_partition(X):
     return orbits
 
 
-@dataclass
-class OrbitReport:
+class OrbitReport(NamedTuple):
     index: int
     points: tuple            # carrier labels
     size: int
@@ -458,4 +457,4 @@ def simple_points(V):
     pairs = [(0, i) for i in range(1, len(labels))]
     poset = Poset(list(range(len(labels))), pairs, V.budget)
     return Spectrum(poset, {"base": V.name},
-                    [{"label": s} for s in labels], labels, "lines")
+                    [{"label": s} for s in labels], labels, "lines", {})

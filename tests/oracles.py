@@ -24,8 +24,8 @@ from factopo.ringspec import recognize_ring
 from factopo.ringsys import (class_predicates, cover_check, factorize,
                              ring_universe, zar_combination_certificate)
 from factopo.sset import (FinSSet, SimplicialMap, _face_compatible,
-                          classifying_map, codegeneracy, coface, compose_ops,
-                          delta, identity_op, identity_smap, is_identity_op,
+                          codegeneracy, coface, compose_ops, delta,
+                          identity_op, identity_smap, is_identity_op,
                           is_nondegenerate_map, sset_isomorphic)
 
 
@@ -1244,6 +1244,21 @@ def sset_cover_check_by_simplices(X, family, mode, budget=None):
     raise InvalidSpec("unknown sset cover mode %r" % (mode,))
 
 
+def classifying_map(X, x):
+    """The checked map out of a standard simplex that picks out x, its
+    cell labelled by vertices v_0 < .. < v_k going to x acted on by that
+    tuple.  Labels are read one digit per vertex, which holds for
+    simplices of dimension at most 9."""
+    sigma, ref = x
+    n = len(sigma) - 1
+    D = delta(n, dim=X.dim, budget=X.budget)
+    ass = {}
+    for (k, j) in D.cells():
+        vals = tuple(int(c) for c in D.labels[k][j])
+        ass[(k, j)] = X.act(x, vals)
+    return SimplicialMap(D, X, ass, name="classify-%s" % str(x))
+
+
 def self_lift_by_simplices(X, budget=None):
     """Whether the identity factors through a member of every cover.
 
@@ -1418,7 +1433,7 @@ def spec_points_by_stalks(A, topology):
              if p.elements <= q.elements]
     return Spectrum(Poset(list(range(len(primes))), order, budget),
                     {"base": A.name, "topology": topology}, rows,
-                    [row["prime"] for row in rows], "points").as_json()
+                    [row["prime"] for row in rows], "points", {}).as_json()
 
 
 def _lattice_report(kind, A, labels, rings, order, meet, join):

@@ -9,7 +9,8 @@ from factopo.catfib import (cat_universe, comma,
                             identity_functor, is_discrete_left_fibration,
                             is_discrete_right_fibration, is_final, is_initial,
                             right_cover_check, slice_factorize)
-from factopo.errors import InvalidFamily, InvalidSpec
+from factopo.errors import (FactorizerContractViolation, InvalidFamily,
+                            InvalidSpec)
 from factopo.fincat import (Functor, all_functors, is_orthogonal,
                             poset_category, terminal_category)
 from oracles import (comma_by_pairs, comma_components_by_category,
@@ -28,6 +29,36 @@ def pick(C, c):
     T = terminal_category(Budget())
     return Functor(T, C, {0: c}, {("le", 0, 0): C.identities[c]},
                    name="pick%s" % c)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_comprehensive_factorisation_refuses_a_projection_that_is_no_fibration(
+        side, monkeypatch):
+    monkeypatch.setattr(catfib, "_lifts_uniquely", lambda F, end: False)
+    with pytest.raises(FactorizerContractViolation,
+                       match="^comprehensive factorisation of .*: projection "
+                             "is not a discrete %s fibration$" % side):
+        comprehensive_factorize(pick(chain(1), 1), side)
+
+
+def test_comprehensive_factorisation_refuses_legs_that_do_not_compose(
+        monkeypatch):
+    # over the discrete category on {0, 1}, the projection followed by the
+    # swap is still a discrete fibration, but it sends the unit's image to 1
+    D = poset_category([0, 1], [], Budget(), name="two")
+    over = catfib._over
+
+    def swapped_over(*args):
+        cat, proj = over(*args)
+        swap = {o: 1 - proj.on_obj(o) for o in cat.objects}
+        return cat, Functor(cat, D, swap, {m: D.identities[swap[cat.src(m)]]
+                                           for m in cat.morphisms})
+
+    monkeypatch.setattr(catfib, "_over", swapped_over)
+    with pytest.raises(FactorizerContractViolation,
+                       match="^comprehensive factorisation of .*: legs do not "
+                             "compose to it$"):
+        comprehensive_factorize(pick(D, 0), "right")
 
 
 def test_comma_of_identity_is_the_slice():

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -422,14 +424,35 @@ REPORTS = st.recursive(SCALARS, containers, max_leaves=25)
 @given(REPORTS)
 @example({"result": {"a": {1, 2}}})
 @example({3: [], 2.5: {}, False: (), -math.inf: [[]]})
+@example({"n": 10 ** 5000})
+@example({"ints": [1, -10 ** 5000]})
+@example({10 ** 5000: None})
 def test_report_text_writes_what_json_dumps_writes(report):
     try:
         want = json.dumps(report, indent=2, sort_keys=True)
-    except TypeError:
-        with pytest.raises(TypeError):
+    except (TypeError, ValueError) as err:
+        with pytest.raises(type(err)):
             report_text(report)
         return
     assert report_text(report) == want
+
+
+def test_a_count_past_the_digit_limit_is_refused_with_one_error_line(
+        tmp_path, capsys):
+    # one 60-cell truncated at 10^90 lifts C(10^90 + 1, 61) + ... simplices,
+    # an int of about 5,400 digits
+    X = {"dim": 10 ** 90, "nondegenerate": {"0": ["v"], "60": [
+        {"name": "c", "faces": [[[0] * 60, "v"]] * 61}]}}
+    started = time.perf_counter()
+    code, out, err = run_files(capsys, tmp_path, [
+        "cover", "--topology", "delta-nis", "--object", "{a}",
+        "--family", "{b}", "--budget", str(10 ** 100)], {
+        "a": X, "b": {"maps": [{"source": X, "assignment": {
+            "0": {"v": [[0], "v"]}, "60": {"c": [list(range(61)), "c"]}}}]}})
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (1, "")
+    assert err == "error: report cannot be written: an integer in it has " \
+        "more than %d digits\n" % sys.get_int_max_str_digits()
 
 
 def test_unknown_morphism_of_an_unnamed_category_names_the_file(tmp_path,
@@ -830,3 +853,36 @@ def test_every_table_field_is_named_in_the_readme():
     names = set().union(*map(field_names, tables))
     assert len(names) > 30
     assert sorted(n for n in names if "`%s`" % n not in section) == []
+
+
+# a fresh interpreter without site packages runs two commands, then says
+# which of dataclasses and inspect it has loaded, and which of the 13
+# record classes are not tuples
+COLD_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from factopo import catfib, cli, fincat, finring, posets, ringsys, toposx
+codes = [cli.main(["classify", "--ring", sys.argv[2]]),
+         cli.main(["verify", "--suite", "all"])]
+records = [catfib.CommaCategory, catfib.ElementsCategory, cli.Command,
+           cli.Option, fincat.AxiomResult, fincat.CoverResult,
+           fincat.Factorization, fincat.SystemReport, finring.Ideal,
+           finring.RingHom, posets.Spectrum, ringsys.RingClassification,
+           toposx.OrbitReport]
+print(json.dumps({
+    "codes": codes,
+    "loaded": sorted({"dataclasses", "inspect"} & set(sys.modules)),
+    "not_tuples": [c.__name__ for c in records if not issubclass(c, tuple)],
+    "records": len(records)}))
+"""
+
+
+def test_a_cold_start_loads_no_dataclasses_and_every_record_is_a_tuple(
+        tmp_path):
+    ring = write(tmp_path / "f4.json", {"kind": "gf", "p": 2, "k": 2})
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-S", "-c", COLD_START, str(src),
+                           ring], capture_output=True, text=True, timeout=60)
+    assert done.stderr == ""
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "codes": [0, 0], "loaded": [], "not_tuples": [], "records": 13}

@@ -1,7 +1,8 @@
 """Dead-code guard for ``src/factopo``, by an ``ast`` scan.
 
-Two things fail it: a name a module imports and never uses (``__future__``
-imports and the re-exports of ``__init__.py`` are exempt), and a function,
+Two things fail it: a name a module imports and never uses (the
+re-exports of ``__init__.py`` are exempt, and ``from __future__ import
+annotations`` is used where the module has an annotation), and a function,
 class or method, ``_``-prefixed or not (dunders are exempt), that cannot be
 reached from the roots: ``cli.main``, the re-exports of ``__init__.py``,
 which make a name public API, and the module-level tables (``COMMANDS``,
@@ -38,6 +39,13 @@ def names_used(node, aliases=True):
     return out
 
 
+def has_annotation(tree):
+    """Whether an assignment, argument or return in the tree is annotated."""
+    return any(getattr(node, "annotation", None) is not None or
+               getattr(node, "returns", None) is not None
+               for node in ast.walk(tree))
+
+
 def test_every_import_is_used():
     unused = []
     for path in MODULES:
@@ -45,9 +53,10 @@ def test_every_import_is_used():
             continue
         tree = parse(path)
         used = names_used(tree, aliases=False)
+        if has_annotation(tree):
+            used.add("annotations")
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
-                    getattr(node, "module", None) == "__future__":
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for alias in node.names:
                 bound = (alias.asname or alias.name).split(".")[0]

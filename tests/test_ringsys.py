@@ -3,7 +3,8 @@ from hypothesis import given, strategies as st
 
 from factopo import ringsys
 from factopo.budget import Budget
-from factopo.errors import (EnumerationBudgetExceeded, InvalidFamily,
+from factopo.errors import (EnumerationBudgetExceeded,
+                            FactorizerContractViolation, InvalidFamily,
                             InvalidSpec)
 from factopo.fincat import FAIL, Factorization, verify_system
 from factopo.finring import (RingHom, all_ideals, annihilator_kernel,
@@ -97,6 +98,44 @@ def test_triple_factorization_composes():
     t = triple_factorize(u)
     assert t.left.then(t.right.left).then(t.right.right).mapping == u.mapping
     assert t.left.source is z12 and t.right.right.target is f4
+
+
+def frobenius_f4():
+    (frob,) = [h for h in enumerate_homs(f4, f4, Budget())
+               if h.mapping != tuple(range(4))]
+    return frob
+
+
+# each clause of the contract, broken by a surj-mono factoriser that
+# returns a wrong factorisation of a hom
+BROKEN_FACTORISERS = {
+    # a middle that is a copy of the source, not the left leg's target
+    "legs do not meet": (
+        lambda: the_hom(z4, z2),
+        lambda u: Factorization(identity_hom(u.source), zmod(4), u)),
+    # identity then identity, for the Frobenius of F_4
+    "legs do not compose to the input": (
+        frobenius_f4,
+        lambda u: Factorization(identity_hom(u.source), u.source,
+                                identity_hom(u.target))),
+    # the diagonal Z/2 -> Z/2 x Z/2 on the left, not onto
+    "left leg outside its class": (
+        lambda: the_hom(z2, product_ring([z2, z2])),
+        lambda u: Factorization(u, u.target, identity_hom(u.target))),
+    # Z/4 -> Z/2 on the right, not one to one
+    "right leg outside its class": (
+        lambda: the_hom(z4, z2),
+        lambda u: Factorization(identity_hom(u.source), u.source, u)),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(BROKEN_FACTORISERS))
+def test_factorize_refuses_a_broken_factorisation(clause, monkeypatch):
+    hom, broken = BROKEN_FACTORISERS[clause]
+    monkeypatch.setitem(ringsys.FACTORIZERS, "surj-mono", broken)
+    with pytest.raises(FactorizerContractViolation,
+                       match="^surj-mono factorisation of .*: %s$" % clause):
+        factorize(hom(), "surj-mono")
 
 
 # -- the axiom battery -----------------------------------------------------

@@ -15,8 +15,8 @@ from factopo.errors import (EnumerationBudgetExceeded, FactopoError,
                             FactorizerContractViolation, IdentityViolation,
                             InvalidSpec, NotSimplicial, TruncationTooLow)
 from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps,
-                          boundary, build_sset, classifying_map, codegeneracy,
-                          coface, compose_ops, deg_ndeg_factorize, delta,
+                          boundary, build_sset, codegeneracy, coface,
+                          compose_ops, deg_ndeg_factorize, delta,
                           delta_nis_self_lift_decider, disjoint_union,
                           epi_mono_split, horn, identity_op, identity_smap,
                           is_nondegenerate_map, is_standard_simplex,
@@ -24,9 +24,10 @@ from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps,
                           sset_isomorphic, subcomplex_of_delta, surjective_ops)
 from factopo.suites import _ez_map_pool, run_suite
 from oracles import (act_by_composite_table, act_by_recursion,
-                     deg_ndeg_by_one_quotient, deg_ndeg_by_rounds,
-                     elementary_ops, is_standard_simplex_by_every_dimension,
-                     monotone_ops, quotient_by_pairs, self_lift_by_simplices,
+                     classifying_map, deg_ndeg_by_one_quotient,
+                     deg_ndeg_by_rounds, elementary_ops,
+                     is_standard_simplex_by_every_dimension, monotone_ops,
+                     quotient_by_pairs, self_lift_by_simplices,
                      sset_cover_check_by_simplices, surjective_ops_by_filter)
 
 
@@ -891,6 +892,39 @@ def test_covers_and_self_lift_match_the_simplex_scans_on_drawn_subcomplexes(
     rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
     assert_covers_match_the_simplex_scan(X, drawn_families(X, rng))
     assert delta_nis_self_lift_decider(X) == self_lift_by_simplices(X)
+
+
+def test_self_lift_and_the_standard_simplex_test_take_a_thousand_cells():
+    # Δ[9] has 1,023 cells, more than the default recursion limit of 1,000
+    # frames
+    X = delta(9)
+    assert delta_nis_self_lift_decider(X, Budget())
+    assert is_standard_simplex(X, Budget())
+
+
+def test_self_lift_reads_vertices_past_9_from_cell_positions():
+    # a vertex and a 10-cell with every face degenerate: the vertex 10 of
+    # Δ[10] is one vertex, not the two digits of its label
+    X = FinSSet(11, {0: ["v"], 10: ["c"]},
+                {(10, 0, i): ((0,) * 10, (0, 0)) for i in range(11)})
+    assert not delta_nis_self_lift_decider(X, Budget())
+    assert not is_standard_simplex(X, Budget())
+
+
+def test_self_lift_builds_one_simplex_per_dimension_on_its_budget(
+        monkeypatch):
+    X = boundary(3)
+    budget, built = Budget(), []
+    init = FinSSet.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.top_dim, self.budget))
+
+    monkeypatch.setattr(FinSSet, "__init__", spy)
+    assert not delta_nis_self_lift_decider(X, budget)
+    assert [n for n, _b in built] == [2, 1, 0]
+    assert all(b is budget for _n, b in built)
 
 
 def test_self_lift_matches_standard_simplex(corpus):

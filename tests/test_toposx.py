@@ -1,7 +1,8 @@
 import pytest
 
 from factopo.budget import Budget
-from factopo.errors import InvalidSpec, NotEquivariant, NotLinear
+from factopo.errors import (FactorizerContractViolation, InvalidSpec,
+                            NotEquivariant, NotLinear)
 from factopo.suites import run_suite
 from factopo.toposx import (EquivariantMap, FinGroup, FinGSet, FqVecSpace,
                             LinearMap, atoms_and_orbits, build_gset, build_vspace,
@@ -72,6 +73,41 @@ def test_epi_mono_gset_collapse(gsets):
     epi, middle, mono = epi_mono_factorize_gset(f)
     assert len(middle.carrier) == 2
     assert epi.is_surjective() and mono.is_injective()
+
+
+# each clause of the image factorisation's check, fired by one broken leg:
+# the class test of a leg answers no, or the legs compose to the zero map
+BROKEN_LEGS = {
+    "gset-classes": ("is_surjective", lambda self: False,
+                     "legs outside their classes"),
+    "gset-compose": ("then", lambda self, other: EquivariantMap(
+        self.source, other.target, (0,) * len(self.mapping)),
+        "legs do not compose to it"),
+    "linear-classes": ("is_injective", lambda self: False,
+                       "legs outside their classes"),
+    "linear-compose": ("then", lambda self, other: LinearMap(
+        self.source, other.target,
+        [(0,) * other.target.n] * self.source.n),
+        "legs do not compose to it"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_LEGS))
+def test_image_factorisations_refuse_a_broken_leg(case, monkeypatch):
+    method, broken, words = BROKEN_LEGS[case]
+    if case.startswith("gset"):
+        G = cyclic_group(2)
+        # onto the second of two fixed points
+        cls, factorize = EquivariantMap, epi_mono_factorize_gset
+        f = EquivariantMap(regular_gset(G), trivial_gset(G, 2), (1, 1))
+    else:
+        cls, factorize = LinearMap, epi_mono_factorize_linear
+        f = LinearMap(FqVecSpace(2, 2), FqVecSpace(2, 2),
+                      rows=((1, 0), (0, 0)))
+    monkeypatch.setattr(cls, method, broken)
+    with pytest.raises(FactorizerContractViolation,
+                       match="^image factorisation of .*: %s$" % words):
+        factorize(f)
 
 
 def test_gset_point_cover():
