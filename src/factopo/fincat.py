@@ -687,47 +687,61 @@ def all_functors(C, D, budget):
     obj_map, mor_map, out = {}, {}, []
     keys = [C.identities[x] for x in C.objects] + mor_ids
 
-    # every read of obj_map or mor_map at a step is of an entry set earlier
-    # on the current path, so backtracking only overwrites and never deletes
-    def assign(i):
-        if i == len(steps):
-            out.append(Functor(C, D, {x: obj_map[x] for x in C.objects},
-                               {m: mor_map[m] for m in keys}, check=False))
-            return
-        m, s, t, new, pair, checks, ahead = steps[i]
+    def pool(i):
+        s, t, new, pair = steps[i][1:5]
         if pair is not None:
-            pool = (comp[(mor_map[pair[0]], mor_map[pair[1]])],)
-        elif s in new and t in new:
-            pool = endos if s == t else D.morphism_ids()
-        elif s in new:
-            pool = D.hom_into(obj_map[t])
-        elif t in new:
-            pool = D.hom_from(obj_map[s])
-        else:
-            pool = D.hom(obj_map[s], obj_map[t])
-        for cand in pool:
-            budget.spend()
-            mor_map[m] = cand
-            for x, y in zip((s, t), D.morphisms[cand]):
-                if x in new:
-                    obj_map[x] = y
-                    mor_map[C.identities[x]] = D.identities[y]
-            if not all(comp[(mor_map[g], mor_map[f])] == mor_map[h]
-                       for g, f, h in checks):
-                continue
-            for kind, k, h in ahead:
-                budget.spend()
-                if (kind, mor_map[k], mor_map[h]) not in solvable:
-                    break
-            else:
-                assign(i + 1)
+            return (comp[(mor_map[pair[0]], mor_map[pair[1]])],)
+        if s in new and t in new:
+            return endos if s == t else D.morphism_ids()
+        if s in new:
+            return D.hom_into(obj_map[t])
+        if t in new:
+            return D.hom_from(obj_map[s])
+        return D.hom(obj_map[s], obj_map[t])
+
+    def functor():
+        return Functor(C, D, {x: obj_map[x] for x in C.objects},
+                       {m: mor_map[m] for m in keys}, check=False)
 
     for images in itertools.product(D.objects, repeat=len(free)):
         budget.spend()
         for x, y in zip(free, images):
             obj_map[x] = y
             mor_map[C.identities[x]] = D.identities[y]
-        assign(0)
+        if not steps:
+            out.append(functor())
+            continue
+        # depth first on a stack of one candidate iterator per step being
+        # placed, so no recursion limit bounds the number of steps; every
+        # read of obj_map or mor_map at a step is of an entry set earlier
+        # on the current path, so backtracking only overwrites
+        stack = [iter(pool(0))]
+        while stack:
+            i = len(stack) - 1
+            m, s, t, new, _pair, checks, ahead = steps[i]
+            for cand in stack[-1]:
+                budget.spend()
+                mor_map[m] = cand
+                for x, y in zip((s, t), D.morphisms[cand]):
+                    if x in new:
+                        obj_map[x] = y
+                        mor_map[C.identities[x]] = D.identities[y]
+                if not all(comp[(mor_map[g], mor_map[f])] == mor_map[h]
+                           for g, f, h in checks):
+                    continue
+                for kind, k, h in ahead:
+                    budget.spend()
+                    if (kind, mor_map[k], mor_map[h]) not in solvable:
+                        break
+                else:
+                    break  # cand is placed
+            else:
+                stack.pop()
+                continue
+            if i + 1 == len(steps):
+                out.append(functor())
+            else:
+                stack.append(iter(pool(i + 1)))
     obj_rank = {y: i for i, y in enumerate(D.objects)}
     hom_rank = {c: i for hom in D._hom.values() for i, c in enumerate(hom)}
     out.sort(key=lambda F: ([obj_rank[F.obj_map[x]] for x in C.objects],

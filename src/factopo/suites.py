@@ -16,8 +16,8 @@ from .catfib import (comprehensive_factorize, is_discrete_left_fibration,
 from .errors import FactopoError, FactorizerContractViolation
 from .fincat import all_functors, terminal_category
 from .finring import gf, prime_ideals, prime_ideals_bruteforce, product_ring, zmod
-from .ringspec import check_duality
-from .ringsys import SYSTEMS, classify_ring, points_of, verify_ring_system
+from .ringspec import check_duality, spec_points
+from .ringsys import SYSTEMS, classify_ring, verify_ring_system
 from .sset import (all_simplicial_maps, deg_ndeg_factorize, delta,
                    delta_nis_self_lift_decider, is_nondegenerate_map,
                    is_standard_simplex, spec_delta_nis, sset_isomorphic)
@@ -55,11 +55,11 @@ def suite_ring_oracles(seed, budget):
             sorted(p.sorted_elements() for p in brute)
         _check(checks, "primes-vs-bruteforce:%s" % A.name, ok,
                None if ok else "%d vs %d" % (len(primes), len(brute)))
-        pts = points_of(A)
         for t in ("zar", "dom", "fin"):
+            points = spec_points(A, t, budget).size
             _check(checks, "points-equal-primes:%s:%s" % (A.name, t),
-                   len(pts) == len(primes),
-                   "%d points, %d primes" % (len(pts), len(primes)))
+                   points == len(brute),
+                   "%d points, %d primes" % (points, len(brute)))
     z4 = classify_ring(zmod(4, budget), budget)
     _check(checks, "classify:Z/4",
            z4.is_fat_field and z4.is_local and not z4.is_domain, z4.as_dict())
@@ -102,16 +102,16 @@ def suite_ez(seed, budget):
     corpus = sset_corpus(budget)
     bad = None
     total = 0
-    for X in corpus:
-        for n in range(X.dim + 1):
-            for x in X.simplices(n):
-                budget.spend()
-                total += 1
-                try:
-                    X.eilenberg_zilber(x)
-                except FactorizerContractViolation as exc:
-                    bad = "%s: %s" % (X.name, exc)
-                    break
+    simplices = ((X, x) for X in corpus for n in range(X.dim + 1)
+                 for x in X.simplices(n))
+    for X, x in simplices:
+        budget.spend()
+        total += 1
+        try:
+            X.eilenberg_zilber(x)
+        except FactorizerContractViolation as exc:
+            bad = "%s: %s" % (X.name, exc)
+            break
     _check(checks, "ez-unique-on-corpus(%d simplices)" % total,
            bad is None, bad)
     for n in range(5):

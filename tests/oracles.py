@@ -15,14 +15,16 @@ from factopo.fincat import (FAIL, PASS, AxiomResult, CoverResult,
                             Factorization, FinCat, Functor, _key, all_functors,
                             verify_system)
 from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
-                             enumerate_homs, ideal_generated, inverse_hom,
-                             least_irreducible, localize, prime_power,
+                             enumerate_homs, field_catalogue, ideal_generated,
+                             inverse_hom, least_irreducible, localize,
+                             nilradical, prime_power,
                              primitive_idempotents, quotient_ring,
                              smallest_prime_factor)
 from factopo.posets import Poset, Spectrum
 from factopo.ringspec import recognize_ring
-from factopo.ringsys import (class_predicates, cover_check, factorize,
-                             ring_universe, zar_combination_certificate)
+from factopo.ringsys import (RingClassification, class_predicates,
+                             cover_check, factorize, ring_universe,
+                             zar_combination_certificate)
 from factopo.sset import (FinSSet, SimplicialMap, _face_compatible,
                           codegeneracy, coface, compose_ops, delta,
                           identity_op, identity_smap, is_identity_op,
@@ -236,7 +238,7 @@ def verify_ring_system_two_runs(system, rings, alt_seed, budget):
     """The ring axiom battery as two runs: the factoriser under seed 0 and
     again under ``alt_seed``, each factorisation checked by factorize."""
     universe = ring_universe(rings, budget)
-    in_left, in_right = class_predicates(system, universe, budget)
+    in_left, in_right = class_predicates(system, universe)
     return verify_system_two_runs(
         seeded_system_factorizer(system, universe, 0, budget),
         seeded_system_factorizer(system, universe, alt_seed, budget),
@@ -1315,6 +1317,147 @@ def dom_self_lift_by_rings(A, budget):
     sectionless = [I for I in all_ideals(A, budget)
                    if not ideal_has_retraction(A, I)]
     return not cover_check(A, sectionless, "dom", budget=budget).covers
+
+
+def integral_elements(u, budget):
+    """Monic-dependency witnesses for every element of the target.
+
+    Returns {element: coeff_tuple} where the tuple (c_0, ..., c_{d-1}) of
+    image elements encodes x^d + c_{d-1} x^{d-1} + ... + c_0 vanishing at
+    the element.  In a finite ring the powers of b repeat, b^i == b^j with
+    i < j, so x^j - x^i is a witness with coefficients 0 and -1, which lie
+    in every unital image.
+    """
+    B = u.target
+    witnesses = {}
+    for b in B.elements():
+        seen = {}
+        p = B.one
+        while p not in seen:
+            budget.spend()
+            seen[p] = len(seen)
+            p = B.mul[p][b]
+        coeffs = [B.zero] * len(seen)
+        coeffs[seen[p]] = B.neg[B.one]
+        witnesses[b] = tuple(coeffs)
+    return witnesses
+
+
+def check_monic_witness(u, b, coeffs):
+    """Re-evaluate a witness polynomial at b, whose coefficients lie in the
+    image of u as ``integral_elements`` builds them."""
+    B = u.target
+    acc, p = B.zero, B.one
+    for c in coeffs:
+        acc = B.add[acc][B.mul[c][p]]
+        p = B.mul[p][b]
+    return B.add[acc][p] == B.zero
+
+
+def is_integral_map_by_witnesses(u, budget):
+    """Every target element admits a monic dependency over the image, each
+    witness re-evaluated."""
+    wit = integral_elements(u, budget)
+    return all(check_monic_witness(u, b, w) for b, w in wit.items())
+
+
+def is_integrally_closed_map_by_witnesses(u, budget):
+    """Injective, and every element with a witness lies in the image."""
+    if not u.is_injective():
+        return False
+    image = set(u.mapping)
+    return all(b in image for b in integral_elements(u, budget))
+
+
+def classify_ring_by_scans(A, budget):
+    """classify_ring as one scan per property, each with its own zero-ring
+    case, and the fraction-field embedding tested by monic witnesses."""
+    wit = {}
+    units = A.units()
+    nilp = nilradical(A).elements
+    nonzero = [x for x in A.elements() if x != A.zero]
+
+    is_field = not A.is_zero_ring()
+    for x in nonzero:
+        if x not in units:
+            is_field = False
+            wit["is_field"] = A.names[x]
+            break
+    if A.is_zero_ring():
+        wit["is_field"] = "zero ring"
+
+    is_fat = not A.is_zero_ring()
+    for x in A.elements():
+        if x not in units and x not in nilp:
+            is_fat = False
+            wit["is_fat_field"] = A.names[x]
+            break
+    if A.is_zero_ring():
+        wit["is_fat_field"] = "zero ring"
+
+    is_local = not A.is_zero_ring()
+    if is_local:
+        for x in A.elements():
+            y = A.sub(A.one, x)
+            if x not in units and y not in units:
+                is_local = False
+                wit["is_local"] = (A.names[x], A.names[y])
+                break
+    else:
+        wit["is_local"] = "zero ring"
+
+    is_domain = not A.is_zero_ring()
+    if is_domain:
+        for x in nonzero:
+            for y in nonzero:
+                if A.mul[x][y] == A.zero:
+                    is_domain = False
+                    wit["is_domain"] = (A.names[x], A.names[y])
+                    break
+            if not is_domain:
+                break
+    else:
+        wit["is_domain"] = "zero ring"
+
+    if is_domain:
+        K, toK = localize(A, nonzero)
+        icd = is_integrally_closed_map_by_witnesses(toK, budget)
+        if not icd:
+            wit["is_integrally_closed_domain"] = "embedding not closed"
+    else:
+        icd = False
+        wit["is_integrally_closed_domain"] = wit.get("is_domain", "not a domain")
+
+    return RingClassification(is_field, is_fat, is_local, is_domain, icd, wit)
+
+
+def nfin_cover_by_member_loops(A, homs, field_bound, budget):
+    """cover_check(A, homs, "nfin") routing each hom h to a catalogue
+    field by trying the members in turn, listing a member's homs into the
+    field again for every h."""
+    fin = cover_check(A, homs, "fin", budget=budget)
+    if not fin.covers:
+        return fin._replace(topology="nfin")
+    factoring = {}
+    for K in field_catalogue(field_bound, budget):
+        for h in enumerate_homs(A, K, budget=budget):
+            routed = None
+            for i, u in enumerate(homs):
+                budget.spend()
+                for g in enumerate_homs(u.target, K, budget=budget):
+                    if u.then(g).mapping == h.mapping:
+                        routed = i
+                        break
+                if routed is not None:
+                    break
+            if routed is None:
+                return CoverResult("nfin", False,
+                                   {"unfactored_hom_to": K.name,
+                                    "mapping": list(h.mapping)})
+            factoring["%s:%s" % (K.name, ",".join(map(str, h.mapping)))] = routed
+    return CoverResult("nfin", True,
+                       {"fiber_member": fin.certificate["fiber_member"],
+                        "field_routing": factoring})
 
 
 def poset_meet(P, x, y):

@@ -11,10 +11,10 @@ from factopo.catalogs import category_catalogue
 from factopo.catfib import (cat_universe, comma, comprehensive_factorize,
                             slice_factorize)
 from factopo.errors import EnumerationBudgetExceeded, NotACategory
-from factopo.fincat import (FinCat, Functor, all_functors, concrete_category,
-                            identity_functor, is_orthogonal, monoid_category,
-                            poset_category, pushout, terminal_category,
-                            validate_fincat, verify_system)
+from factopo.fincat import (FinCat, Functor, all_functors, chain_category,
+                            concrete_category, identity_functor, is_orthogonal,
+                            monoid_category, poset_category, pushout,
+                            terminal_category, validate_fincat, verify_system)
 from factopo.ringsys import (class_predicates, ring_universe,
                              verify_ring_system)
 from factopo.finring import enumerate_homs, gf, identity_hom, zmod
@@ -313,7 +313,7 @@ def test_closure_and_cancellation_read_off_rows_match_the_pair_loop(cats):
     R = ring_universe(rings, Budget())
     systems = []
     for name in ("loc-cons", "surj-mono", "int-intclo"):
-        in_left, in_right = class_predicates(name, R, Budget())
+        in_left, in_right = class_predicates(name, R)
         systems.append((R, {m: in_left(m) for m in R.morphism_ids()},
                         {m: in_right(m) for m in R.morphism_ids()}))
     rng = random.Random(5)
@@ -403,6 +403,25 @@ small_categories = st.one_of(
 def test_all_functors_matches_the_backtracker_on_drawn_categories(C, D):
     assert functor_maps(all_functors(C, D, Budget())) == \
         functor_maps(all_functors_by_backtracking(C, D))
+
+
+def test_all_functors_charges_are_pinned(cats, delta2):
+    # one step per candidate and per look-ahead test, as the recursive
+    # search charged them
+    used = []
+    for C, D in [(C, D) for C in cats for D in cats] + [(delta2, delta2)]:
+        budget = Budget()
+        all_functors(C, D, budget)
+        used.append(budget.used)
+    assert (sum(used[:-1]), used[-1]) == (2_119, 10_365)
+
+
+def test_all_functors_walks_a_long_chain_without_recursing():
+    # [45] has 1,035 non-identity arrows, one search step each, past the
+    # depth of Python's default recursion limit
+    found = all_functors(chain_category(45, Budget()),
+                         terminal_category(Budget()), Budget())
+    assert len(found) == 1
 
 
 @given(small_categories, st.data())

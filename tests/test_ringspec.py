@@ -263,7 +263,7 @@ def test_stalk_classes(rings):
                 Q, h = stalk(A, p, topology)
                 assert ringsys.classify_ring(Q).is_domain
                 assert h.is_surjective()
-                assert ringsys.is_integral_map(h, Budget())
+                assert ringsys.is_integral_map(h)
 
 
 def test_spec_points_poset_is_discrete(rings):

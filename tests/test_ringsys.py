@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from factopo import ringsys
+from factopo import ringsys, suites
 from factopo.budget import Budget
+from factopo.catalogs import ring_catalogue
 from factopo.errors import (EnumerationBudgetExceeded,
                             FactorizerContractViolation, InvalidFamily,
                             InvalidSpec)
@@ -13,14 +17,17 @@ from factopo.finring import (RingHom, all_ideals, annihilator_kernel,
 from factopo.ringsys import (SYSTEMS, class_predicates, classify_ring,
                              conservative_witness, cover_check,
                              dom_self_lift_decider, factorize,
-                             integral_elements, is_conservative,
+                             is_conservative,
                              is_integral_map, is_integrally_closed_map,
                              is_localization_map, points_of, ring_universe,
                              triple_factorize, verify_factorization,
                              verify_ring_system, zar_combination_certificate,
                              zar_self_lift_decider)
-from oracles import (dom_self_lift_by_rings, element_has_retraction,
-                     ideal_has_retraction, ring_isomorphic,
+from oracles import (classify_ring_by_scans, dom_self_lift_by_rings,
+                     element_has_retraction, ideal_has_retraction,
+                     integral_elements, is_integral_map_by_witnesses,
+                     is_integrally_closed_map_by_witnesses,
+                     nfin_cover_by_member_loops, ring_isomorphic,
                      verify_ring_system_two_runs, verify_system_two_runs,
                      zar_self_lift_by_rings)
 
@@ -50,9 +57,24 @@ def test_conservative_witness_z6_z2():
 
 def test_integral_and_closed_on_field_extension():
     u = the_hom(z2, f4)
-    assert is_integral_map(u, Budget())
+    assert is_integral_map(u)
     ident = RingHom(f4, f4, tuple(range(4)))
-    assert is_integrally_closed_map(ident, Budget())
+    assert is_integrally_closed_map(ident)
+
+
+def test_int_intclo_classes_match_the_monic_witnesses(rings):
+    # every hom is integral and the closed ones are the bijections, as the
+    # witnesses x^j - x^i re-evaluated at each target element show; the
+    # classes charge nothing, the witnesses a step per power
+    budget = Budget()
+    for A in rings:
+        for B in rings:
+            for u in enumerate_homs(A, B, budget):
+                assert is_integral_map_by_witnesses(u, budget), u
+                assert is_integral_map(u)
+                assert is_integrally_closed_map(u) == \
+                    is_integrally_closed_map_by_witnesses(u, budget) == \
+                    u.is_bijective(), u
 
 
 # -- factorizations --------------------------------------------------------
@@ -187,7 +209,7 @@ def test_both_batteries_count_two_automorphisms_fixing_frobenius_legs():
             return Factorization(*through)
         return Factorization(U.identities[U.src(m)], U.src(m), m)
 
-    in_left, in_right = class_predicates("surj-mono", U, Budget())
+    in_left, in_right = class_predicates("surj-mono", U)
     ours = verify_system(fac, in_left, in_right, U, budget=Budget())
     oracle = verify_system_two_runs(fac, fac, in_left, in_right, U, Budget())
     assert ours.axioms == oracle.axioms
@@ -273,6 +295,36 @@ def test_classify_z6():
     c = classify_ring(z6)
     assert not c.is_local and not c.is_domain
     assert c.witnesses["is_domain"] == ("2", "3")
+
+
+# Z/1 to Z/64, nine fields and fifteen two-factor products
+CLASSIFY_RINGS = [zmod(n) for n in range(1, 65)] + \
+    [gf(p, k) for p, k in ((2, 2), (3, 2), (2, 3), (2, 4), (5, 2), (3, 3),
+                           (2, 5), (7, 2), (2, 6))] + \
+    [product_ring(list(pair)) for pair in itertools.combinations_with_replacement(
+        [z2, z3, z4, f4, zmod(5)], 2)]
+SMALL_RINGS = [zmod(n) for n in range(1, 13)] + [f4, gf(2, 3), gf(3, 2)]
+
+
+def assert_classify_matches_the_scans(A):
+    new, old = Budget(), Budget()
+    ours, theirs = classify_ring(A, new), classify_ring_by_scans(A, old)
+    assert ours == theirs, A.name
+    assert list(ours.witnesses) == list(theirs.witnesses), A.name
+    # domains charge one step per element, not one per power
+    assert new.used <= old.used, A.name
+
+
+def test_classify_matches_the_scans():
+    for A in CLASSIFY_RINGS:
+        assert_classify_matches_the_scans(A)
+
+
+@given(st.lists(st.sampled_from(SMALL_RINGS), min_size=1, max_size=3)
+       .filter(lambda fs: math.prod(f.size for f in fs) <= 72))
+def test_classify_matches_the_scans_on_drawn_products(factors):
+    assert_classify_matches_the_scans(
+        factors[0] if len(factors) == 1 else product_ring(factors))
 
 
 def test_classify_matches_membership(rings):
@@ -365,6 +417,32 @@ def test_empty_family_covers_only_the_zero_ring():
     assert not cover_check(z6, [], "dom").covers
 
 
+CATALOGUE = ring_catalogue(Budget())
+HOMS_OUT = {A.name: [u for B in CATALOGUE for u in enumerate_homs(A, B, Budget())]
+            for A in CATALOGUE}
+
+
+def assert_nfin_matches_the_member_loops(A, family):
+    new, old = Budget(), Budget()
+    assert cover_check(A, family, "nfin", budget=new) == \
+        nfin_cover_by_member_loops(A, family, 16, old), (A.name, family)
+    # each member's homs into a field are listed once, not once per hom
+    assert new.used <= old.used, (A.name, family)
+
+
+def test_nfin_routing_matches_the_member_loops():
+    for A in CATALOGUE:
+        homs = HOMS_OUT[A.name]
+        for family in [[], homs, homs[::-1]] + [[u] for u in homs]:
+            assert_nfin_matches_the_member_loops(A, family)
+
+
+@given(st.sampled_from(CATALOGUE).flatmap(lambda A: st.tuples(
+    st.just(A), st.lists(st.sampled_from(HOMS_OUT[A.name]), max_size=3))))
+def test_nfin_routing_matches_the_member_loops_on_drawn_families(drawn):
+    assert_nfin_matches_the_member_loops(*drawn)
+
+
 # -- points ----------------------------------------------------------------
 
 def test_points_sizes():
@@ -375,3 +453,25 @@ def test_points_sizes():
 def test_points_labels_z6():
     assert sorted(p.label() for p, _res in points_of(z6)) == \
         ["{0,2,4}", "{0,3}"]
+
+
+def test_points_equal_primes_rows_fail_when_a_point_is_missing(monkeypatch):
+    # the rows count the points spectrum reports for each topology, which
+    # the brute-force primes check
+    real = suites.spec_points
+
+    def dropping(A, topology, budget):
+        sp = real(A, topology, budget)
+        if (A.name, topology) == ("Z/6", "dom"):
+            return sp._replace(rows=sp.rows[1:])
+        return sp
+
+    checks = suites.run_suite("ring-oracles", budget=Budget())["checks"]
+    assert all(c["ok"] for c in checks)
+    assert sum(c["name"].startswith("points-equal-primes:") for c in checks) \
+        == 42
+    monkeypatch.setattr(suites, "spec_points", dropping)
+    checks = suites.run_suite("ring-oracles", budget=Budget())["checks"]
+    assert [c for c in checks if not c["ok"]] == [
+        {"name": "points-equal-primes:Z/6:dom", "ok": False,
+         "counterexample": "1 points, 2 primes"}]

@@ -263,6 +263,26 @@ def test_ez_suite_reports_a_pair_that_does_not_rebuild_its_simplex(
     assert len(failed) == 1 and failed[0].startswith("ez-unique-on-corpus")
 
 
+def test_ez_suite_reports_the_first_simplex_that_fails(monkeypatch, corpus):
+    # the audit stops at the first failure, in corpus order: delta1's first
+    # simplex, not circle's last
+    audit = FinSSet.eilenberg_zilber
+
+    def failing(X, x):
+        if X.name in ("delta1", "circle"):
+            raise FactorizerContractViolation("forced on " + X.name)
+        return audit(X, x)
+
+    monkeypatch.setattr(FinSSet, "eilenberg_zilber", failing)
+    names = [X.name for X in corpus]
+    audited = 1 + sum(len(X.simplices(n))
+                      for X in corpus[:names.index("delta1")]
+                      for n in range(X.dim + 1))
+    row = run_suite("ez", budget=Budget())["checks"][0]
+    assert row == {"name": "ez-unique-on-corpus(%d simplices)" % audited,
+                   "ok": False, "counterexample": "delta1: forced on delta1"}
+
+
 def action_disagreement(X, simplices, table=None):
     """The first (x, alpha) on which X's action differs from the recursion
     or from the table keyed by whole composites, which it fills into
