@@ -18,7 +18,7 @@ from .fincat import (Factorization, FinCat, Functor, is_orthogonal,
 from .finring import (FinRing, Ideal, RingHom, build_ring, gf, hom_from_images,
                       prime_ideals, product_ring, quotient_ring, zmod)
 from .ringsys import (classify_ring, cover_check, dom_self_lift_decider,
-                      factorize, points_of, triple_factorize,
+                      factorize, triple_factorize,
                       verify_ring_system, zar_self_lift_decider)
 from .ringspec import check_duality, dom_lattice, spec_points, stalk, zar_lattice
 from .sset import (FinSSet, SimplicialMap, boundary, build_smap, build_sset,

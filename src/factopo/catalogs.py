@@ -54,8 +54,8 @@ def category_catalogue(budget=None):
                             name="cospan")
     square = poset_category(
         ["00", "01", "10", "11"],
-        [("00", "01"), ("00", "10"), ("01", "11"), ("10", "11")], b,
-        name="square")
+        [("00", "01"), ("00", "10"), ("00", "11"), ("01", "11"), ("10", "11")],
+        b, name="square")
     z2 = monoid_category([0, 1], [[0, 1], [1, 0]], 0, b, name="BZ2")
     return [terminal_category(b), chain_category(1, b), chain_category(2, b),
             span, cospan, square, z2, _ei_two_object_category(b)]

@@ -11,7 +11,7 @@ import operator
 from typing import NamedTuple
 
 from .budget import ensure_budget
-from .errors import FactorizerContractViolation, NotACategory
+from .errors import FactorizerContractViolation, InvalidSpec, NotACategory
 from .finring import _through
 from .posets import Poset
 from .reader import CATEGORY, read
@@ -314,10 +314,18 @@ def identity_functor(C):
 # small builders used all over the test suites
 
 def poset_category(elements, le_pairs, budget, name=""):
-    """Category of a poset; Poset closes le_pairs reflexively and
-    transitively, and refuses a cycle with InvalidSpec."""
-    le = Poset(elements, le_pairs, budget).order_pairs()
-    morphisms = {("le", a, b): (a, b) for (a, b) in le}
+    """Category of a poset given the pairs of its order, reflexive ones
+    optional; Poset refuses them unless transitive and antisymmetric."""
+    pos = {x: i for i, x in enumerate(elements)}
+    if len(pos) != len(elements):
+        raise InvalidSpec("duplicate poset elements")
+    up = [1 << i for i in range(len(elements))]
+    for a, b in le_pairs:
+        if a not in pos or b not in pos:
+            raise InvalidSpec("relation pair outside the element list")
+        up[pos[a]] |= 1 << pos[b]
+    morphisms = {("le", elements[i], elements[j]): (elements[i], elements[j])
+                 for i, j in Poset(up, budget).order_pairs()}
     identities = {x: ("le", x, x) for x in elements}
     compose = {}
     for (g, (b1, c)) in morphisms.items():
@@ -334,7 +342,7 @@ def terminal_category(budget):
 
 def chain_category(n, budget):
     return poset_category(list(range(n + 1)),
-                          [(i, i + 1) for i in range(n)], budget,
+                          itertools.combinations(range(n + 1), 2), budget,
                           name="[%d]" % n)
 
 

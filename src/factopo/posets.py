@@ -1,84 +1,57 @@
-"""Finite posets: closure, Hasse diagrams, and the point spectra built on
-them."""
+"""Finite posets given by their up-set masks: the order laws checked on
+them, Hasse diagrams, and the point spectra built on them."""
 
-from graphlib import CycleError, TopologicalSorter
 from typing import NamedTuple
 
 from .errors import InvalidSpec
 
 
 class Poset:
-    """A finite poset over hashable labels, built from a generating
-    relation: ``pairs`` may be any subrelation whose closure is intended,
-    and a cycle through two distinct elements is refused.  Element i keeps
-    its up-set and down-set as bitmasks ``up[i]`` and ``down[i]`` (bit j
-    of ``up[i]`` is set when i <= j); every query reads them.  ``budget``
-    pays one step per element and generating pair before any allocation.
-    """
+    """A finite order on the indices 0..n-1, given by its up-sets: bit j of
+    ``up[i]`` is set when i <= j, reflexive pairs included.  One pass checks
+    the order laws on the masks and builds the down-sets ``down[i]`` by
+    transposing them; every query reads the two lists.  ``budget`` pays one
+    step per element and per order pair before the pass."""
 
-    def __init__(self, elements, pairs, budget):
-        budget.spend(len(elements) + len(pairs))
-        self.elements = list(elements)
-        pos = {x: i for i, x in enumerate(self.elements)}
-        if len(pos) != len(self.elements):
-            raise InvalidSpec("duplicate poset elements")
-        above, below = [[] for _ in pos], [[] for _ in pos]
-        for x, y in pairs:
-            if x not in pos or y not in pos:
-                raise InvalidSpec("relation pair outside the element list")
-            if x != y:
-                above[pos[x]].append(pos[y])
-                below[pos[y]].append(pos[x])
-        try:
-            # every element after the elements directly above it
-            order = list(TopologicalSorter(dict(enumerate(above)))
-                         .static_order())
-        except CycleError as err:
-            i, j = err.args[1][:2]
-            raise InvalidSpec("not antisymmetric: %r and %r compare both ways"
-                              % (self.elements[i], self.elements[j])) from None
-        self._pos = pos
-        self.up = _close(order, above)
-        self.down = _close(reversed(order), below)
+    def __init__(self, up, budget):
+        self.up = up = list(up)
+        n = len(up)
+        budget.spend(n + sum(mask.bit_count() for mask in up))
+        self.down = down = [0] * n
+        for i, mask in enumerate(up):
+            if not mask >> i & 1:
+                raise InvalidSpec("not reflexive: %d is not below itself" % i)
+            for j in _bits(mask):
+                if up[j] & ~mask:
+                    raise InvalidSpec("not transitive: %d <= %d, but not all "
+                                      "above %d are above %d" % (i, j, j, i))
+                if j != i and up[j] >> i & 1:
+                    raise InvalidSpec("not antisymmetric: %d and %d compare "
+                                      "both ways" % (i, j))
+                down[j] |= 1 << i
 
     @property
     def size(self):
-        return len(self.elements)
-
-    def le(self, x, y):
-        return bool(self.up[self._pos[x]] >> self._pos[y] & 1)
+        return len(self.up)
 
     def order_pairs(self):
-        """All (x, y) with x <= y, reflexive pairs included, element order."""
-        els = self.elements
-        return [(x, els[j]) for x, up in zip(els, self.up) for j in _bits(up)]
+        """All (i, j) with i <= j, reflexive pairs included, in index order."""
+        return [(i, j) for i, mask in enumerate(self.up) for j in _bits(mask)]
 
     def hasse_edges(self):
-        """Covering pairs only, x < y with nothing strictly between, in
-        element order: the transitive reduction of the up-set masks."""
-        els, up = self.elements, self.up
+        """Covering pairs only, i < j with nothing strictly between, in
+        index order: the transitive reduction of the up-set masks."""
         out = []
-        for i, x in enumerate(els):
-            strict = up[i] ^ 1 << i
+        for i, mask in enumerate(self.up):
+            strict = mask ^ 1 << i
             far = 0
             for z in _bits(strict):
-                far |= up[z] ^ 1 << z
-            out.extend((x, els[j]) for j in _bits(strict & ~far))
+                far |= self.up[z] ^ 1 << z
+            out.extend((i, j) for j in _bits(strict & ~far))
         return out
 
     def __repr__(self):
-        return "Poset(%d elements)" % len(self.elements)
-
-
-def _close(order, succ):
-    """Purdom's closure: bit i OR'd with the masks of succ[i], built first."""
-    masks = [0] * len(succ)
-    for i in order:
-        mask = 1 << i
-        for j in succ[i]:
-            mask |= masks[j]
-        masks[i] = mask
-    return masks
+        return "Poset(%d elements)" % len(self.up)
 
 
 def _bits(mask):
@@ -92,11 +65,11 @@ def _bits(mask):
 def poset_to_dot(P, label=str, name="poset"):
     """Hasse diagram only; edges point from smaller to larger."""
     lines = ["digraph %s {" % name, "  rankdir=BT;"]
-    for i, x in enumerate(P.elements):
-        text = str(label(x)).replace("\\", "\\\\").replace('"', '\\"')
+    for i in range(P.size):
+        text = str(label(i)).replace("\\", "\\\\").replace('"', '\\"')
         lines.append('  n%d [label="%s"];' % (i, text))
-    for x, y in P.hasse_edges():
-        lines.append("  n%d -> n%d;" % (P._pos[x], P._pos[y]))
+    for i, j in P.hasse_edges():
+        lines.append("  n%d -> n%d;" % (i, j))
     lines.append("}")
     return "\n".join(lines)
 

@@ -121,11 +121,11 @@ def _lattice(kind, A, elements, budget):
     budget.spend(2 * n * n)
     masks = [mask for _label, mask, _types in elements]
     at = {mask: i for i, mask in enumerate(masks)}
-    order = [(x, y) for x, mx in enumerate(masks) for y, my in enumerate(masks)
-             if mx & ~my == 0]
+    up = [sum(1 << y for y, my in enumerate(masks) if mx & ~my == 0)
+          for mx in masks]
     meet = [[at[mx & my] for my in masks] for mx in masks]
     join = [[at[mx | my] for my in masks] for mx in masks]
-    poset = Poset(list(range(n)), order, budget)
+    poset = Poset(up, budget)
     check_lattice(poset, meet, join)
     rows = [{"label": label, "ring": recognize_ring(types),
              "size": math.prod(size for _rank, size, _q in types)}
@@ -250,7 +250,6 @@ def spec_points(A, topology="zar", budget=None):
         local = factor if topology == "zar" else field
         rows.append({"prime": P.label(), "stalk": recognize_ring([local]),
                      "stalk_size": local[1]})
-    poset = Poset(list(range(len(rows))), [(i, i) for i in range(len(rows))],
-                  budget)
+    poset = Poset([1 << i for i in range(len(rows))], budget)
     return Spectrum(poset, {"base": A.name, "topology": topology}, rows,
                     [row["prime"] for row in rows], "points", {})

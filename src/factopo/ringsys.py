@@ -312,15 +312,6 @@ def cover_check(A, family, topology, field_bound=16, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# points
-
-def points_of(A):
-    """The points of A: one per prime ideal, carried by its residue hom.
-    Every system and topology has these same points."""
-    return [(p, quotient_ring(A, p)[1]) for p in prime_ideals(A)]
-
-
-# ---------------------------------------------------------------------------
 # self-lifting: A -> A[1/a] and A -> A/I are onto, so they have a
 # retraction iff they are injective, iff their kernel is zero
 

@@ -487,7 +487,7 @@ def _face_compatible(Y, X, candidates, budget):
     """Every assignment of Y's cells to simplices of X that commutes with faces.
 
     Cells are assigned in ``Y.cells()`` order, so the faces of a cell are
-    placed before it; each of ``candidates(ref, assignment)`` costs one
+    placed before it; each of ``candidates(ref)`` costs one
     budget step.  Assignments are yielded in search order, depth first on
     a stack of one candidate iterator per cell being placed, so no
     recursion limit bounds the number of cells.
@@ -498,7 +498,7 @@ def _face_compatible(Y, X, candidates, budget):
         return
     faces = [Y.cell_faces(ref) for ref in cells]
     assignment = {}
-    stack = [iter(candidates(cells[0], assignment))]
+    stack = [iter(candidates(cells[0]))]
     while stack:
         k = len(stack) - 1
         for cand in stack[-1]:
@@ -515,30 +515,13 @@ def _face_compatible(Y, X, candidates, budget):
             yield {**assignment, cells[k]: cand}
         else:
             assignment[cells[k]] = cand
-            stack.append(iter(candidates(cells[k + 1], assignment)))
+            stack.append(iter(candidates(cells[k + 1])))
 
 
 def all_simplicial_maps(Y, X, budget):
     """Every simplicial map Y -> X, by face-constrained backtracking."""
-    found = _face_compatible(Y, X, lambda ref, _ass: X.simplices(ref[0]),
-                             budget)
+    found = _face_compatible(Y, X, lambda ref: X.simplices(ref[0]), budget)
     return [SimplicialMap(Y, X, ass, check=False) for ass in found]
-
-
-def sset_isomorphic(X, Y, budget):
-    """A dimension-wise bijection on cells preserving faces, or None."""
-    if sorted(X.labels) != sorted(Y.labels) or \
-            any(len(X.labels[n]) != len(Y.labels[n]) for n in X.labels):
-        return None
-
-    def unused_cells(ref, assignment):
-        taken = set(assignment.values())
-        return [x for x in (Y.cell_simplex((ref[0], j))
-                            for j in range(len(Y.labels[ref[0]])))
-                if x not in taken]
-
-    ass = next(_face_compatible(X, Y, unused_cells, budget), None)
-    return None if ass is None else SimplicialMap(X, Y, ass, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -711,21 +694,31 @@ def delta_nis_self_lift_decider(X, budget=None):
                     D.cell_simplex((k, i)))
         if all(X.cell_simplex(r) in fiber for r in X.cells()):
             sections = _face_compatible(
-                X, D, lambda r, _ass: fiber[X.cell_simplex(r)], budget)
+                X, D, lambda r: fiber[X.cell_simplex(r)], budget)
             if next(sections, None) is not None:
                 return True
     return False
 
 
 def is_standard_simplex(X, budget):
-    """X is Δ[n] only for n its top dimension, as Δ[n] has an n-cell and
-    none above it."""
-    return X.top_dim >= 0 and sset_isomorphic(
-        X, delta(X.top_dim, dim=X.dim, budget=budget), budget) is not None
+    """X is Δ[n] only for n its top dimension: X must have one n-cell c and
+    2^(n+1) - 1 cells, and c, acted on by the 2^(n+1) - 1 vertex tuples (a
+    budget step each, charged first), must reach every cell as itself.  The
+    classifying map Δ[n] -> X of c is then a bijection on cells keeping them
+    nondegenerate: an isomorphism, by Eilenberg-Zilber uniqueness."""
+    n = X.top_dim
+    tuples = (1 << (n + 1)) - 1
+    if n < 0 or len(X.labels[n]) != 1 or len(X.cells()) != tuples:
+        return False
+    budget.spend(tuples)
+    c = X.cell_simplex((n, 0))
+    reached = {X.act(c, vertices) for k in range(n + 1)
+               for vertices in itertools.combinations(range(n + 1), k + 1)}
+    return reached == set(map(X.cell_simplex, X.cells()))
 
 
-def _cell_spectrum(X, mode, refs, pairs, budget):
-    poset = Poset(list(range(len(refs))), pairs, budget)
+def _cell_spectrum(X, mode, refs, up, budget):
+    poset = Poset(up, budget)
     labels = [X.cell_label(r) for r in refs]
     rows = [{"dim": r[0], "cell": label} for r, label in zip(refs, labels)]
     return Spectrum(poset, {"base": X.name, "mode": mode}, rows, labels,
@@ -734,16 +727,22 @@ def _cell_spectrum(X, mode, refs, pairs, budget):
 
 def spec_delta_nis(X, budget=None):
     """Cells ordered by iterated-face containment, one budget step per cell
-    and per stored face: the closure of "the cell w of each stored face lies
-    below its cell", as a face s*(w) reaches w through a section of s."""
+    and per order pair: the cell w of each stored face lies below its cell,
+    as a face s*(w) reaches w through a section of s.  The cofaces of a cell
+    come after it in ``X.cells()``, so one pass in reverse order ORs each
+    cell's finished up-set into the up-sets of the cells of its faces."""
     budget = ensure_budget(budget)
     refs = X.cells()
     pos = {r: i for i, r in enumerate(refs)}
-    pairs = [(pos[w], pos[r2]) for r2 in refs for _s, w in X.cell_faces(r2)]
-    return _cell_spectrum(X, "delta-nis", refs, pairs, budget)
+    up = [1 << i for i in range(len(refs))]
+    for i in reversed(range(len(refs))):
+        for _s, w in X.cell_faces(refs[i]):
+            up[pos[w]] |= up[i]
+    return _cell_spectrum(X, "delta-nis", refs, up, budget)
 
 
 def spec_raw(X, budget=None):
     """Bare vertices, none comparable."""
-    return _cell_spectrum(X, "raw", [r for r in X.cells() if r[0] == 0], [],
+    refs = [r for r in X.cells() if r[0] == 0]
+    return _cell_spectrum(X, "raw", refs, [1 << i for i in range(len(refs))],
                           ensure_budget(budget))

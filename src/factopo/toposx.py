@@ -454,7 +454,7 @@ def simple_points(V):
     labels = ["0"]
     for v in lines(V):
         labels.append("[" + ",".join(V.field.names[c] for c in v) + "]")
-    pairs = [(0, i) for i in range(1, len(labels))]
-    poset = Poset(list(range(len(labels))), pairs, V.budget)
+    up = [(1 << len(labels)) - 1] + [1 << i for i in range(1, len(labels))]
+    poset = Poset(up, V.budget)
     return Spectrum(poset, {"base": V.name},
                     [{"label": s} for s in labels], labels, "lines", {})

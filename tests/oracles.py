@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from graphlib import CycleError, TopologicalSorter
 from operator import getitem
 
 from factopo.budget import Budget, ensure_budget
@@ -17,10 +18,10 @@ from factopo.fincat import (FAIL, PASS, AxiomResult, CoverResult,
 from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
                              enumerate_homs, field_catalogue, ideal_generated,
                              inverse_hom, least_irreducible, localize,
-                             nilradical, prime_power,
+                             nilradical, prime_ideals, prime_power,
                              primitive_idempotents, quotient_ring,
                              smallest_prime_factor)
-from factopo.posets import Poset, Spectrum
+from factopo.posets import Poset, Spectrum, _bits
 from factopo.ringspec import recognize_ring
 from factopo.ringsys import (RingClassification, class_predicates,
                              cover_check, factorize, ring_universe,
@@ -28,7 +29,7 @@ from factopo.ringsys import (RingClassification, class_predicates,
 from factopo.sset import (FinSSet, SimplicialMap, _face_compatible,
                           codegeneracy, coface, compose_ops, delta,
                           identity_op, identity_smap, is_identity_op,
-                          is_nondegenerate_map, sset_isomorphic)
+                          is_nondegenerate_map)
 
 
 def ring_isomorphic(A, B, budget):
@@ -827,6 +828,22 @@ def product_tables_by_tuple_index(factors):
             index[tuple(f.one for f in factors)])
 
 
+def warshall_closure(n, pairs):
+    """The reflexive and transitive closure of the relation ``pairs`` on
+    0..n-1, as an n x n boolean matrix, by Warshall's algorithm."""
+    rel = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        rel[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if rel[i][k]:
+                row, rowk = rel[i], rel[k]
+                for j in range(n):
+                    if rowk[j]:
+                        row[j] = True
+    return rel
+
+
 class WarshallPoset:
     """The poset of a generating relation on an n x n boolean matrix: a
     Warshall closure, then a scan for antisymmetry; covers found by testing
@@ -837,21 +854,10 @@ class WarshallPoset:
         if len(set(self.elements)) != len(self.elements):
             raise InvalidSpec("duplicate poset elements")
         pos = {x: i for i, x in enumerate(self.elements)}
-        n = len(self.elements)
-        rel = [[False] * n for _ in range(n)]
-        for i in range(n):
-            rel[i][i] = True
-        for x, y in pairs:
-            if x not in pos or y not in pos:
-                raise InvalidSpec("relation pair outside the element list")
-            rel[pos[x]][pos[y]] = True
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    row, rowk = rel[i], rel[k]
-                    for j in range(n):
-                        if rowk[j]:
-                            row[j] = True
+        n, pairs = len(self.elements), list(pairs)
+        if any(x not in pos or y not in pos for x, y in pairs):
+            raise InvalidSpec("relation pair outside the element list")
+        rel = warshall_closure(n, [(pos[x], pos[y]) for x, y in pairs])
         for i in range(n):
             for j in range(n):
                 if i != j and rel[i][j] and rel[j][i]:
@@ -887,9 +893,80 @@ class WarshallPoset:
         return best[0] if best else None
 
 
+class RelationPoset:
+    """A finite poset over hashable labels, built from a generating
+    relation: ``pairs`` may be any subrelation whose closure is intended,
+    and a cycle through two distinct elements is refused.  The relation is
+    sorted topologically with ``graphlib`` and closed into up-set and
+    down-set bitmasks by Purdom's closure in that order; ``budget`` pays
+    one step per element and generating pair first.  The package's Poset
+    takes the up-set masks themselves."""
+
+    def __init__(self, elements, pairs, budget):
+        budget.spend(len(elements) + len(pairs))
+        self.elements = list(elements)
+        pos = {x: i for i, x in enumerate(self.elements)}
+        if len(pos) != len(self.elements):
+            raise InvalidSpec("duplicate poset elements")
+        above, below = [[] for _ in pos], [[] for _ in pos]
+        for x, y in pairs:
+            if x not in pos or y not in pos:
+                raise InvalidSpec("relation pair outside the element list")
+            if x != y:
+                above[pos[x]].append(pos[y])
+                below[pos[y]].append(pos[x])
+        try:
+            # every element after the elements directly above it
+            order = list(TopologicalSorter(dict(enumerate(above)))
+                         .static_order())
+        except CycleError as err:
+            i, j = err.args[1][:2]
+            raise InvalidSpec("not antisymmetric: %r and %r compare both ways"
+                              % (self.elements[i], self.elements[j])) from None
+        self._pos = pos
+        self.up = _purdom_close(order, above)
+        self.down = _purdom_close(reversed(order), below)
+
+    @property
+    def size(self):
+        return len(self.elements)
+
+    def le(self, x, y):
+        return bool(self.up[self._pos[x]] >> self._pos[y] & 1)
+
+    def order_pairs(self):
+        """All (x, y) with x <= y, reflexive pairs included, element order."""
+        els = self.elements
+        return [(x, els[j]) for x, up in zip(els, self.up) for j in _bits(up)]
+
+    def hasse_edges(self):
+        """Covering pairs only, x < y with nothing strictly between, in
+        element order: the transitive reduction of the up-set masks."""
+        els, up = self.elements, self.up
+        out = []
+        for i, x in enumerate(els):
+            strict = up[i] ^ 1 << i
+            far = 0
+            for z in _bits(strict):
+                far |= up[z] ^ 1 << z
+            out.extend((x, els[j]) for j in _bits(strict & ~far))
+        return out
+
+
+def _purdom_close(order, succ):
+    """Purdom's closure: bit i OR'd with the masks of succ[i], built first."""
+    masks = [0] * len(succ)
+    for i in order:
+        mask = 1 << i
+        for j in succ[i]:
+            mask |= masks[j]
+        masks[i] = mask
+    return masks
+
+
 def op(P, budget):
     """The poset P with its order reversed."""
-    return Poset(P.elements, [(y, x) for x, y in P.order_pairs()], budget)
+    return Poset(P.down, budget)
 
 
 def order_isomorphism(P, Q, budget):
@@ -903,13 +980,16 @@ def order_isomorphism(P, Q, budget):
         return None
 
     def signatures(poset):
-        return {x: (poset.down[i].bit_count(), poset.up[i].bit_count())
-                for i, x in enumerate(poset.elements)}
+        return [(down.bit_count(), up.bit_count())
+                for down, up in zip(poset.down, poset.up)]
+
+    def le(poset, x, y):
+        return poset.up[x] >> y & 1
 
     psig, qsig = signatures(P), signatures(Q)
-    if sorted(psig.values()) != sorted(qsig.values()):
+    if sorted(psig) != sorted(qsig):
         return None
-    order = sorted(P.elements, key=lambda x: psig[x])
+    order = sorted(range(P.size), key=psig.__getitem__)
 
     assigned = {}
     used = set()
@@ -918,11 +998,11 @@ def order_isomorphism(P, Q, budget):
         if k == len(order):
             return True
         x = order[k]
-        for y in Q.elements:
+        for y in range(Q.size):
             if y in used or qsig[y] != psig[x]:
                 continue
             budget.spend()
-            if any(P.le(x0, x) != Q.le(y0, y) or P.le(x, x0) != Q.le(y, y0)
+            if any(le(P, x0, x) != le(Q, y0, y) or le(P, x, x0) != le(Q, y, y0)
                    for x0, y0 in assigned.items()):
                 continue
             assigned[x] = y
@@ -1280,11 +1360,25 @@ def self_lift_by_simplices(X, budget=None):
                 break
         else:
             sections = _face_compatible(
-                X, gmap.source, lambda r, _ass: fiber[X.cell_simplex(r)],
+                X, gmap.source, lambda r: fiber[X.cell_simplex(r)],
                 budget)
             if next(sections, None) is not None:
                 return True
     return False
+
+
+def sset_isomorphic(X, Y, budget):
+    """A dimension-wise bijection on cells preserving faces, or None: the
+    first assignment of X's cells to Y's cells of their dimension that
+    commutes with faces and is one to one."""
+    if sorted(X.labels) != sorted(Y.labels) or \
+            any(len(X.labels[n]) != len(Y.labels[n]) for n in X.labels):
+        return None
+    found = _face_compatible(
+        X, Y, lambda ref: [Y.cell_simplex((ref[0], j))
+                           for j in range(len(Y.labels[ref[0]]))], budget)
+    ass = next((a for a in found if len(set(a.values())) == len(a)), None)
+    return None if ass is None else SimplicialMap(X, Y, ass, check=False)
 
 
 def is_standard_simplex_by_every_dimension(X, budget):
@@ -1461,7 +1555,7 @@ def nfin_cover_by_member_loops(A, homs, field_bound, budget):
 
 
 def poset_meet(P, x, y):
-    """The greatest lower bound of x and y in the bitmask Poset P, or None
+    """The greatest lower bound of x and y in the Poset P, or None
     when the pair has none."""
     return _top(P, P.down, x, y)
 
@@ -1472,8 +1566,8 @@ def poset_join(P, x, y):
 
 def _top(P, masks, x, y):
     # the common bound whose own mask is all of the common bounds
-    common = masks[P._pos[x]] & masks[P._pos[y]]
-    return next((P.elements[z] for z in range(P.size)
+    common = masks[x] & masks[y]
+    return next((z for z in range(P.size)
                  if common >> z & 1 and masks[z] == common), None)
 
 
@@ -1482,14 +1576,14 @@ def check_lattice_by_triples(P, meet, join):
     distributive lattice on P's elements 0..n-1 with P's order: every
     lattice law tested on each pair and triple, and each cell against the
     bounds poset_meet and poset_join find."""
-    idx = P.elements
+    idx = range(P.size)
     for x in idx:
         if meet[x][x] != x or join[x][x] != x:
             return False
         for y in idx:
             m, j = meet[x][y], join[x][y]
             if m != meet[y][x] or j != join[y][x] or join[x][m] != x or \
-                    meet[x][j] != x or P.le(x, y) != (m == x) or \
+                    meet[x][j] != x or (P.up[x] >> y & 1) != (m == x) or \
                     poset_meet(P, x, y) != m or poset_join(P, x, y) != j:
                 return False
             for z in idx:
@@ -1557,6 +1651,12 @@ def recognize_ring_by_factors(R, budget):
     return recognize_ring(types)
 
 
+def points_of(A):
+    """The points of A: one per prime ideal, carried by its residue hom.
+    Every system and topology has these same points."""
+    return [(p, quotient_ring(A, p)[1]) for p in prime_ideals(A)]
+
+
 def spec_points_by_stalks(A, topology):
     """The point report with each stalk built as a ring, the localization
     away from the prime for zar and the quotient by it otherwise, and named
@@ -1574,7 +1674,7 @@ def spec_points_by_stalks(A, topology):
                      "stalk_size": ring.size})
     order = [(i, j) for i, p in enumerate(primes) for j, q in enumerate(primes)
              if p.elements <= q.elements]
-    return Spectrum(Poset(list(range(len(primes))), order, budget),
+    return Spectrum(RelationPoset(range(len(primes)), order, budget),
                     {"base": A.name, "topology": topology}, rows,
                     [row["prime"] for row in rows], "points", {}).as_json()
 
@@ -1587,7 +1687,7 @@ def _lattice_report(kind, A, labels, rings, order, meet, join):
     rows = [{"label": label, "ring": recognize_ring_by_factors(R, budget),
              "size": R.size} for label, R in zip(labels, rings)]
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    return Spectrum(Poset(list(range(n)), order, budget),
+    return Spectrum(RelationPoset(range(n), order, budget),
                     {"kind": kind, "base": A.name}, rows, labels,
                     "%s_lattice" % kind,
                     {"meet": [[i, j, meet[i, j]] for i, j in pairs],

@@ -24,11 +24,11 @@ from factopo.finring import (all_ideals, enumerate_homs, gf, ideal_generated,
                              product_ring, zmod)
 from factopo.ringspec import check_duality, spec_points, stalk
 from factopo.ringsys import (classify_ring, cover_check, dom_self_lift_decider,
-                             points_of, verify_ring_system, zar_self_lift_decider)
+                             verify_ring_system, zar_self_lift_decider)
 from factopo.sset import (delta, delta_nis_self_lift_decider, is_standard_simplex,
                           spec_delta_nis)
 from factopo.toposx import lines, orbit_partition
-from oracles import fincat_isomorphic, ring_isomorphic, then
+from oracles import fincat_isomorphic, points_of, ring_isomorphic, then
 
 
 def fat_field_catalogue(bound=16):

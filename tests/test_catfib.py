@@ -269,6 +269,7 @@ def test_comma_components_match_the_comma_category_on_the_suites(monkeypatch):
         assert_comma_matches_the_oracles(F, d, side)
 
 
+@pytest.mark.fuzz
 @given(small_categories, small_categories, st.data())
 def test_comma_components_match_the_comma_category_on_drawn_functors(C, D,
                                                                      data):

@@ -371,6 +371,7 @@ def command_lines(draw):
     return words
 
 
+@pytest.mark.fuzz
 @given(command_lines())
 def test_parse_argv_reads_what_argparse_reads(argv):
     # the fast reader gives argparse's options or passes; whatever argparse
@@ -421,6 +422,7 @@ def containers(children):
 REPORTS = st.recursive(SCALARS, containers, max_leaves=25)
 
 
+@pytest.mark.fuzz
 @given(REPORTS)
 @example({"result": {"a": {1, 2}}})
 @example({3: [], 2.5: {}, False: (), -math.inf: [[]]})

@@ -10,7 +10,7 @@ from factopo.budget import Budget
 from factopo.catalogs import category_catalogue
 from factopo.catfib import (cat_universe, comma, comprehensive_factorize,
                             slice_factorize)
-from factopo.errors import EnumerationBudgetExceeded, NotACategory
+from factopo.errors import EnumerationBudgetExceeded, InvalidSpec, NotACategory
 from factopo.fincat import (FinCat, Functor, all_functors, chain_category,
                             concrete_category, identity_functor, is_orthogonal,
                             monoid_category, poset_category, pushout,
@@ -18,7 +18,7 @@ from factopo.fincat import (FinCat, Functor, all_functors, chain_category,
 from factopo.ringsys import (class_predicates, ring_universe,
                              verify_ring_system)
 from factopo.finring import enumerate_homs, gf, identity_hom, zmod
-from oracles import (all_functors_by_backtracking,
+from oracles import (WarshallPoset, all_functors_by_backtracking,
                      associativity_violation_by_full_scan,
                      closure_and_cancellation_by_pairs,
                      concrete_category_by_pairs,
@@ -41,6 +41,18 @@ def test_poset_category_counts():
     assert len(C.objects) == 3
     assert len(C.morphisms) == 6
     assert C.compose(("le", 1, 2), ("le", 0, 1)) == ("le", 0, 2)
+
+
+def test_poset_category_refuses_what_is_not_an_order():
+    with pytest.raises(InvalidSpec, match="duplicate poset elements"):
+        poset_category([0, 0], [], Budget())
+    with pytest.raises(InvalidSpec, match="outside the element list"):
+        poset_category([0, 1], [(0, 2)], Budget())
+    # the pairs must be closed: 0 <= 1 <= 2 without 0 <= 2
+    with pytest.raises(InvalidSpec, match="not transitive"):
+        poset_category([0, 1, 2], [(0, 1), (1, 2)], Budget())
+    with pytest.raises(InvalidSpec, match="not antisymmetric"):
+        poset_category(["a", "b"], [("a", "b"), ("b", "a")], Budget())
 
 
 def test_terminal_category():
@@ -364,13 +376,14 @@ def test_all_functors_matches_the_backtracker(cats, delta2):
 
 @st.composite
 def dag_categories(draw):
-    """The poset category of a DAG on up to four points."""
+    """The poset category of a DAG on up to four points, its edges closed
+    by the Warshall oracle."""
     n = draw(st.integers(1, 4))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                          max_size=len(pairs)))
-    return poset_category(list(range(n)),
-                          [e for e, k in zip(pairs, keep) if k], Budget(),
+    order = WarshallPoset(range(n), [e for e, k in zip(pairs, keep) if k])
+    return poset_category(list(range(n)), order.order_pairs(), Budget(),
                           name="dag")
 
 
@@ -399,6 +412,7 @@ small_categories = st.one_of(
     transformation_monoids().filter(lambda C: len(C.morphisms) <= 6))
 
 
+@pytest.mark.fuzz
 @given(small_categories, small_categories)
 def test_all_functors_matches_the_backtracker_on_drawn_categories(C, D):
     assert functor_maps(all_functors(C, D, Budget())) == \
@@ -424,6 +438,7 @@ def test_all_functors_walks_a_long_chain_without_recursing():
     assert len(found) == 1
 
 
+@pytest.mark.fuzz
 @given(small_categories, st.data())
 def test_one_corrupted_composite_is_refused_iff_associativity_fails(C, data):
     """A drawn category with one composite moved is refused exactly when
@@ -441,6 +456,7 @@ def test_one_corrupted_composite_is_refused_iff_associativity_fails(C, data):
         assert_names_a_broken_triple(D, new)
 
 
+@pytest.mark.fuzz
 @given(small_categories, st.data())
 def test_a_corrupted_entry_is_refused_as_the_entry_scan_refuses_it(C, data):
     """A drawn category with one or two compose entries dropped, pointed

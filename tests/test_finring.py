@@ -288,6 +288,7 @@ def test_axiom_check_matches_the_full_scan(square_zero):
     assert min(seen.values()) > 0, seen
 
 
+@pytest.mark.fuzz
 @given(st.data())
 def test_one_corrupted_cell_pair_is_refused_iff_the_scan_finds_one(small, data):
     """A drawn ring with one symmetric pair of add or mul cells changed is
@@ -546,6 +547,7 @@ def test_hom_check_names_a_broken_pair():
         assert f[table[x][y]] != op[f[x]][f[y]], (f, str(err.value))
 
 
+@pytest.mark.fuzz
 @settings(max_examples=300)
 @given(st.data())
 def test_hom_check_agrees_with_the_full_scan_on_random_maps(data):

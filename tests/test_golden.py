@@ -261,6 +261,7 @@ def table_refuses(mutation):
     return False
 
 
+@pytest.mark.fuzz
 @given(mutants())
 def test_mutated_golden_inputs_exit_cleanly(mutant):
     # any input answers, or is refused with one error line, within a bound

@@ -7,8 +7,9 @@ class or method, ``_``-prefixed or not (dunders are exempt), that cannot be
 reached from the roots: ``cli.main``, the re-exports of ``__init__.py``,
 which make a name public API, and the module-level tables (``COMMANDS``,
 ``SUITES`` and the like).  Reaching is by name: a reached body reaches
-every top-level definition and every method that carries a name it reads,
-and a reached class reaches its own dunder methods.  A reference from
+every top-level definition that carries a name it reads, and every method
+that carries the name of an attribute it reads (``x.name``, not a bare
+``name``), and a reached class reaches its own dunder methods.  A reference from
 ``tests`` or ``bench`` does not count, because code that only tests reach
 belongs in ``tests``; nor does a reference from a definition that is itself
 unreachable.
@@ -27,13 +28,14 @@ def parse(path):
 
 
 def names_used(node, aliases=True):
-    """Every identifier that the subtree reads, and imports if ``aliases``."""
+    """Every identifier that the subtree reads, an attribute ``x.name`` as
+    ``.name``, and imports if ``aliases``."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out.add("." + sub.attr)
         elif aliases and isinstance(sub, ast.alias):
             out.add(sub.name.split(".")[0])
     return out
@@ -70,20 +72,22 @@ def dunder(name):
 
 
 def test_every_public_definition_is_referenced():
-    # name -> the definitions carrying it: top-level functions and classes,
-    # and the non-dunder methods of those classes
+    # name -> the definitions carrying it: top-level functions and classes
+    # under their name and ``.name``, as a module attribute reads them too,
+    # and the non-dunder methods of those classes under ``.name`` only
     defs = {}
     roots = {"main"}
     for path in MODULES:
         for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(
-                    ("%s: %s" % (path.name, node.name), node))
+                entry = ("%s: %s" % (path.name, node.name), node)
+                defs.setdefault(node.name, []).append(entry)
+                defs.setdefault("." + node.name, []).append(entry)
                 methods = node.body if isinstance(node, ast.ClassDef) else ()
                 for item in methods:
                     if isinstance(item, ast.FunctionDef) and \
                             not dunder(item.name):
-                        defs.setdefault(item.name, []).append(
+                        defs.setdefault("." + item.name, []).append(
                             ("%s: %s.%s" % (path.name, node.name, item.name),
                              item))
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -107,6 +111,7 @@ def test_every_public_definition_is_referenced():
             for part in node.bases + node.decorator_list + node.body:
                 if not isinstance(part, ast.FunctionDef) or dunder(part.name):
                     todo.extend(names_used(part))
-    dead = [label for name, entries in defs.items() if name not in reached
-            and not dunder(name) for label, _node in entries]
+    dead = {label for name, entries in defs.items()
+            if not dunder(name.lstrip(".")) for label, _node in entries} - {
+        label for name in reached for label, _node in defs.get(name, ())}
     assert not dead, "unreachable definitions: " + ", ".join(sorted(dead))

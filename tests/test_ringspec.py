@@ -344,6 +344,7 @@ def test_the_drawn_local_rings_are_named_by_their_types():
         "L_4(F_2)", "L_9(F_3)", "L_8(F_2)", "L_16(F_4)", "L_16(F_2)"]
 
 
+@pytest.mark.fuzz
 @given(st.lists(st.sampled_from(LOCAL_RINGS), min_size=1, max_size=4)
        .filter(lambda fs: math.prod(f.size for f in fs) <= 72))
 def test_drawn_products_match_the_old_constructions(factors):
@@ -388,14 +389,13 @@ def closure_lattice(family, points):
         sets |= more
     sets = sorted(sets, key=lambda s: (s.bit_count(), s))
     at = {s: i for i, s in enumerate(sets)}
-    n = len(sets)
-    order = [(x, y) for x in range(n) for y in range(n)
-             if sets[x] & ~sets[y] == 0]
+    up = [sum(1 << y for y, b in enumerate(sets) if a & ~b == 0)
+          for a in sets]
     meet = [[at[a & b] for b in sets] for a in sets]
     # the join is the least member above both, the first in size order
     join = [[at[next(s for s in sets if (a | b) & ~s == 0)] for b in sets]
             for a in sets]
-    return Poset(list(range(n)), order, Budget()), meet, join
+    return Poset(up, Budget()), meet, join
 
 
 def refuses(P, meet, join):
@@ -420,6 +420,7 @@ def test_the_pentagon_and_the_diamond_are_not_distributive():
     assert not refuses(P, meet, join)
 
 
+@pytest.mark.fuzz
 @given(st.data())
 def test_a_lattice_with_a_corrupted_cell_is_refused_iff_the_triples_refuse(
         data):

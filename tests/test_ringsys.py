@@ -14,12 +14,13 @@ from factopo.fincat import FAIL, Factorization, verify_system
 from factopo.finring import (RingHom, all_ideals, annihilator_kernel,
                              enumerate_homs, gf, identity_hom,
                              ideal_generated, product_ring, zmod)
+from factopo.ringspec import spec_points
 from factopo.ringsys import (SYSTEMS, class_predicates, classify_ring,
                              conservative_witness, cover_check,
                              dom_self_lift_decider, factorize,
                              is_conservative,
                              is_integral_map, is_integrally_closed_map,
-                             is_localization_map, points_of, ring_universe,
+                             is_localization_map, ring_universe,
                              triple_factorize, verify_factorization,
                              verify_ring_system, zar_combination_certificate,
                              zar_self_lift_decider)
@@ -27,7 +28,7 @@ from oracles import (classify_ring_by_scans, dom_self_lift_by_rings,
                      element_has_retraction, ideal_has_retraction,
                      integral_elements, is_integral_map_by_witnesses,
                      is_integrally_closed_map_by_witnesses,
-                     nfin_cover_by_member_loops, ring_isomorphic,
+                     nfin_cover_by_member_loops, points_of, ring_isomorphic,
                      verify_ring_system_two_runs, verify_system_two_runs,
                      zar_self_lift_by_rings)
 
@@ -177,6 +178,7 @@ POOL = {R.name: R for R in (zmod(1), z2, z3, z4, z6, f4,
                             product_ring([z2, f4]))}
 
 
+@pytest.mark.fuzz
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_one_run_battery_matches_the_two_run_oracle_on_the_suite(system,
@@ -188,6 +190,7 @@ def test_one_run_battery_matches_the_two_run_oracle_on_the_suite(system,
     assert ours.ok()
 
 
+@pytest.mark.fuzz
 @given(st.sampled_from(SYSTEMS), st.integers(0, 2 ** 32),
        st.sets(st.sampled_from(sorted(POOL)), min_size=1, max_size=3)
        .map(lambda tops: sorted({"Z/1", *tops,
@@ -320,6 +323,7 @@ def test_classify_matches_the_scans():
         assert_classify_matches_the_scans(A)
 
 
+@pytest.mark.fuzz
 @given(st.lists(st.sampled_from(SMALL_RINGS), min_size=1, max_size=3)
        .filter(lambda fs: math.prod(f.size for f in fs) <= 72))
 def test_classify_matches_the_scans_on_drawn_products(factors):
@@ -437,6 +441,7 @@ def test_nfin_routing_matches_the_member_loops():
             assert_nfin_matches_the_member_loops(A, family)
 
 
+@pytest.mark.fuzz
 @given(st.sampled_from(CATALOGUE).flatmap(lambda A: st.tuples(
     st.just(A), st.lists(st.sampled_from(HOMS_OUT[A.name]), max_size=3))))
 def test_nfin_routing_matches_the_member_loops_on_drawn_families(drawn):
@@ -448,6 +453,21 @@ def test_nfin_routing_matches_the_member_loops_on_drawn_families(drawn):
 def test_points_sizes():
     assert [len(points_of(A)) for A in (z12, z6, zmod(8), zmod(1), f4)] == \
         [2, 2, 1, 0, 1]
+
+
+def test_points_of_matches_spec_points(rings):
+    # the points by residue quotients against the spectrum read off the
+    # local factors: the same primes in order, for every topology, and the
+    # residue rings of the sizes of the dom stalks
+    for A in rings:
+        points = points_of(A)
+        for topology in ("zar", "dom", "fin"):
+            rows = spec_points(A, topology).as_json()["elements"]
+            assert [p.label() for p, _res in points] == \
+                [row["prime"] for row in rows], (A.name, topology)
+        assert [res.target.size for _p, res in points] == \
+            [row["stalk_size"] for row in
+             spec_points(A, "dom").as_json()["elements"]], A.name
 
 
 def test_points_labels_z6():

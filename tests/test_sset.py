@@ -21,14 +21,15 @@ from factopo.sset import (FinSSet, SimplicialMap, all_simplicial_maps,
                           epi_mono_split, horn, identity_op, identity_smap,
                           is_nondegenerate_map, is_standard_simplex,
                           spec_delta_nis, spec_raw, sset_cover_check,
-                          sset_isomorphic, subcomplex_of_delta, surjective_ops)
+                          subcomplex_of_delta, surjective_ops)
 from factopo.suites import _ez_map_pool, run_suite
 from oracles import (act_by_composite_table, act_by_recursion,
                      classifying_map, deg_ndeg_by_one_quotient,
                      deg_ndeg_by_rounds, elementary_ops,
                      is_standard_simplex_by_every_dimension, monotone_ops,
                      quotient_by_pairs, self_lift_by_simplices,
-                     sset_cover_check_by_simplices, surjective_ops_by_filter)
+                     sset_cover_check_by_simplices, sset_isomorphic,
+                     surjective_ops_by_filter)
 
 
 # -- operator algebra ------------------------------------------------------
@@ -368,6 +369,7 @@ def test_action_table_matches_the_recursion_on_corrupted_faces(corpus):
     assert verdicts == {False, True}
 
 
+@pytest.mark.fuzz
 @given(st.data())
 def test_action_table_is_the_recursion_and_composes(data):
     # a drawn union of faces of Δ[4], truncated with one or two dimensions
@@ -641,6 +643,7 @@ def test_collapse_out_of_delta4_matches_the_rounds(seed):
                 deg_ndeg_by_rounds(f, rng_of(seed), Budget())), f
 
 
+@pytest.mark.fuzz
 @given(st.data())
 def test_collapse_matches_the_rounds_on_drawn_maps(data):
     # a drawn monotone vertex map, out of a drawn union of faces of Δ[m]
@@ -899,6 +902,7 @@ def test_covers_and_self_lift_match_the_simplex_scans(corpus):
             X.name
 
 
+@pytest.mark.fuzz
 @given(st.data())
 def test_covers_and_self_lift_match_the_simplex_scans_on_drawn_subcomplexes(
         data):
@@ -954,6 +958,34 @@ def test_self_lift_matches_standard_simplex(corpus):
             is_standard_simplex_by_every_dimension(X, Budget()), X.name
 
 
+def assert_standard_simplex_matches_the_search(X):
+    """The test read off the top cell against the isomorphism search with
+    Δ[n], n the top dimension."""
+    searched = X.top_dim >= 0 and sset_isomorphic(
+        X, delta(X.top_dim, dim=X.dim), Budget()) is not None
+    assert is_standard_simplex(X, Budget()) == searched, X.name
+
+
+def test_standard_simplex_matches_the_isomorphism_search(corpus):
+    stock = [delta(n) for n in range(6)] + \
+        [boundary(n) for n in range(1, 6)] + \
+        [horn(n, k) for n in range(1, 6) for k in range(n + 1)]
+    for X in corpus + stock:
+        assert_standard_simplex_matches_the_search(X)
+
+
+@pytest.mark.fuzz
+@given(st.data())
+def test_standard_simplex_matches_the_isomorphism_search_on_drawn_subcomplexes(
+        data):
+    # a drawn union of faces of Δ[4]: one facet makes a standard simplex
+    facets = data.draw(st.lists(st.sets(st.integers(0, 4), min_size=1),
+                                min_size=1, max_size=4), label="facets")
+    top = max(len(S) for S in facets) - 1
+    assert_standard_simplex_matches_the_search(
+        subcomplex_of_delta(4, facets, Budget(), dim=top + 1))
+
+
 # -- spectra ---------------------------------------------------------------
 
 def order_by_operator_scan(X):
@@ -974,12 +1006,13 @@ def test_spec_order_matches_the_operator_scan(corpus):
             order_by_operator_scan(X), X.name
 
 
-def test_spec_delta_nis_charges_one_step_per_cell_and_stored_face():
+def test_spec_delta_nis_charges_one_step_per_cell_and_order_pair():
     D = delta(7)
     budget = Budget()
-    spec_delta_nis(D, budget)
-    # 1,016 stored faces and 255 cells
-    assert budget.used == len(D.faces_tbl) + len(D.cells()) == 1271
+    sp = spec_delta_nis(D, budget)
+    # 255 cells, and 3^8 - 2^8 = 6,305 order pairs, one for each cell and
+    # each set of vertices that holds its own
+    assert budget.used == len(D.cells()) + len(sp.poset.order_pairs()) == 6560
 
 
 def test_spec_delta_nis_sizes():
