@@ -14,9 +14,9 @@ from typing import NamedTuple
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
-from .fincat import (CoverResult, Factorization, FinCat, Functor, _key,
-                     all_functors, concrete_category, identity_functor,
-                     terminal_category)
+from .fincat import (FinCat, Functor, _key, all_functors, concrete_category,
+                     identity_functor, terminal_category)
+from .posets import CoverResult, Factorization
 
 
 class CommaCategory(NamedTuple):

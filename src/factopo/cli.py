@@ -21,11 +21,11 @@ import time
 from itertools import repeat
 from typing import Callable, NamedTuple
 
-from . import finring, ringspec, ringsys, sset, suites, toposx
+import factopo
+from . import finring, ringspec, ringsys, suites
 from .budget import Budget
 from .errors import (FactopoError, InvalidFamily, InvalidSpec, OutputError,
                      ParseError, UsageError)
-from .fincat import is_orthogonal, validate_fincat
 from .reader import FAMILIES, HOM, read
 
 SSET_MODES = ("raw", "delta-nis")
@@ -133,13 +133,15 @@ def build_ring_family(A, raw, topology, budget):
                          spec, what="family hom") for spec in raw["homs"]]
 
 
-# the map builder lives in sset; bench/ calls it by this name too
-build_smap = sset.build_smap
+def __getattr__(name):  # bench/ calls sset's map builder by this name
+    if name != "build_smap":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return factopo.sset.build_smap
 
 
 def build_sset_family(X, raw, mode):
     _read_family(raw, mode)
-    return [sset.smap_from_spec(spec, X) for spec in raw["maps"]]
+    return [factopo.sset.smap_from_spec(spec, X) for spec in raw["maps"]]
 
 
 def _morphism_id(text, cat, path):
@@ -211,6 +213,7 @@ def _cmd_cover(args, budget):
     else:
         if not args.object:
             raise UsageError("cover over %s needs --object" % args.topology)
+        sset = factopo.sset
         X = _load(args.object, lambda r: sset.build_sset(r, budget))
         family = _load(args.family,
                        lambda r: build_sset_family(X, r, args.topology))
@@ -234,20 +237,21 @@ def _cmd_spectrum(args, budget):
     if args.topology in SSET_MODES:
         if not args.object:
             raise UsageError("spectrum over %s needs --object" % args.topology)
-        X = _load(args.object, lambda r: sset.build_sset(r, budget))
-        return sset.spec_delta_nis(X, budget) \
-            if args.topology == "delta-nis" else sset.spec_raw(X, budget)
+        X = _load(args.object, lambda r: factopo.sset.build_sset(r, budget))
+        return (factopo.sset.spec_delta_nis if args.topology == "delta-nis"
+                else factopo.sset.spec_raw)(X, budget)
     if not args.space:
         raise UsageError("spectrum over lines needs --space")
-    V = _load(args.space, lambda r: toposx.build_vspace(r, budget))
-    return toposx.simple_points(V)
+    V = _load(args.space, lambda r: factopo.toposx.build_vspace(r, budget))
+    return factopo.toposx.simple_points(V)
 
 
 def _cmd_orthogonal(args, budget):
-    cat = _load(args.category, lambda r: validate_fincat(r, budget))
+    fincat = factopo.fincat
+    cat = _load(args.category, lambda r: fincat.validate_fincat(r, budget))
     left = _morphism_id(args.left, cat, args.category)
     right = _morphism_id(args.right, cat, args.category)
-    ok = is_orthogonal(left, right, cat, budget=budget)
+    ok = fincat.is_orthogonal(left, right, cat, budget=budget)
     return {"left": args.left, "right": args.right, "orthogonal": ok}
 
 

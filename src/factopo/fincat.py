@@ -501,25 +501,11 @@ class SystemReport(NamedTuple):
         return {k: r for k, r in self.axioms.items() if r.status == FAIL}
 
 
-class CoverResult(NamedTuple):
-    topology: str
-    covers: bool
-    certificate: object
-
-
 def _verdict(counterexamples):
     """An axiom's verdict: fail with its first counterexample, if any."""
     for x in counterexamples:
         return AxiomResult(FAIL, x)
     return AxiomResult(PASS)
-
-
-class Factorization(NamedTuple):
-    """A morphism factored as ``left`` into ``middle``, then ``right``;
-    every factoriser in the package returns one."""
-    left: object
-    middle: object
-    right: object
 
 
 def verify_system(fac, in_left, in_right, universe, budget=None):

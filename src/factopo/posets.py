@@ -1,5 +1,5 @@
-"""Finite posets given by their up-set masks: the order laws checked on
-them, Hasse diagrams, and the point spectra built on them."""
+"""Finite posets given by their up-set masks, checked and drawn, the point
+spectra built on them, and the factorisation and cover records."""
 
 from typing import NamedTuple
 
@@ -106,3 +106,16 @@ class Spectrum(NamedTuple):
     def to_dot(self):
         return poset_to_dot(self.poset, label=self.labels.__getitem__,
                             name=self.graph)
+
+
+class Factorization(NamedTuple):
+    """``left`` into ``middle``, then ``right``: every factoriser's result."""
+    left: object
+    middle: object
+    right: object
+
+
+class CoverResult(NamedTuple):
+    topology: str
+    covers: bool
+    certificate: object

@@ -15,13 +15,12 @@ from typing import NamedTuple
 
 from .budget import ensure_budget
 from .errors import FactorizerContractViolation, InvalidFamily, InvalidSpec
-from .fincat import (CoverResult, Factorization, concrete_category,
-                     verify_system)
 from .finring import (Ideal, RingHom, all_ideals, annihilator_kernel,
                       enumerate_homs, factors_through_surjection,
                       field_catalogue, identity_hom, ideal_generated,
                       inverse_hom, localize, nilradical, prime_ideals,
                       quotient_ring)
+from .posets import CoverResult, Factorization
 
 SYSTEMS = ("loc-cons", "surj-mono", "int-intclo")
 TOPOLOGIES = ("zar", "dom", "fin", "nfin")
@@ -343,6 +342,7 @@ def ring_universe(rings, budget):
     needs to be closed under quotients up to isomorphism or the factorizer
     adapters will have nowhere to land their middles.
     """
+    from .fincat import concrete_category
     names = [R.name for R in rings]
     if len(set(names)) != len(names):
         raise InvalidSpec("universe rings must carry distinct names")
@@ -414,6 +414,7 @@ def class_predicates(system, universe):
 
 def verify_ring_system(system, rings, budget=None):
     """Run the full axiom battery for one system over the given rings."""
+    from .fincat import verify_system
     budget = ensure_budget(budget)
     universe = ring_universe(rings, budget)
     in_left, in_right = class_predicates(system, universe)

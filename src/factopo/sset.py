@@ -19,8 +19,7 @@ from .budget import ensure_budget
 from .errors import (FactorizerContractViolation, IdentityViolation,
                      InvalidFamily, InvalidSpec, NotSimplicial,
                      TruncationTooLow)
-from .fincat import CoverResult, Factorization
-from .posets import Poset, Spectrum
+from .posets import CoverResult, Factorization, Poset, Spectrum
 from .reader import SMAP, SSET, read
 
 

@@ -8,23 +8,10 @@ samples, never expected values.  Failures carry the first counterexample.
 import random
 
 from .budget import ensure_budget
-from .catalogs import (category_catalogue, gset_catalogue, ring_catalogue,
-                       sset_corpus)
-from .catfib import (comprehensive_factorize, is_discrete_left_fibration,
-                     is_discrete_right_fibration, is_final, is_initial,
-                     right_cover_check, slice_factorize)
 from .errors import FactopoError, FactorizerContractViolation
-from .fincat import all_functors, terminal_category
 from .finring import gf, prime_ideals, prime_ideals_bruteforce, product_ring, zmod
 from .ringspec import check_duality, spec_points
 from .ringsys import SYSTEMS, classify_ring, verify_ring_system
-from .sset import (all_simplicial_maps, deg_ndeg_factorize, delta,
-                   delta_nis_self_lift_decider, is_nondegenerate_map,
-                   is_standard_simplex, spec_delta_nis)
-from .toposx import (atoms_and_orbits, epi_mono_factorize_gset,
-                     epi_mono_factorize_linear, gset_point_cover_check,
-                     line_count, lines, orbit_inclusions, LinearMap,
-                     FqVecSpace)
 
 
 def _check(checks, name, ok, counterexample=None):
@@ -47,6 +34,7 @@ def suite_axioms(seed, budget):
 
 
 def suite_ring_oracles(seed, budget):
+    from .catalogs import ring_catalogue
     checks = []
     for A in ring_catalogue(budget):
         primes = prime_ideals(A)
@@ -74,6 +62,7 @@ def suite_ring_oracles(seed, budget):
 
 
 def suite_duality(seed, budget):
+    from .catalogs import ring_catalogue
     checks = []
     extra = [zmod(36, budget),
              product_ring([zmod(2, budget), gf(2, 2, budget)], budget)]
@@ -85,6 +74,7 @@ def suite_duality(seed, budget):
 
 
 def _ez_map_pool(corpus, budget):
+    from .sset import all_simplicial_maps
     by_name = {X.name: X for X in corpus}
     pairs = [("delta1", "delta1"), ("delta1", "delta2"),
              ("boundary1", "delta1"), ("path2", "delta1"),
@@ -98,6 +88,9 @@ def _ez_map_pool(corpus, budget):
 
 
 def suite_ez(seed, budget):
+    from .catalogs import sset_corpus
+    from .sset import (deg_ndeg_factorize, delta, delta_nis_self_lift_decider,
+                       is_nondegenerate_map, is_standard_simplex, spec_delta_nis)
     checks = []
     corpus = sset_corpus(budget)
     bad = None
@@ -150,6 +143,11 @@ def suite_ez(seed, budget):
 
 
 def suite_catfib(seed, budget):
+    from .catalogs import category_catalogue
+    from .catfib import (comprehensive_factorize, is_discrete_left_fibration,
+                         is_discrete_right_fibration, is_final, is_initial,
+                         right_cover_check, slice_factorize)
+    from .fincat import all_functors, terminal_category
     checks = []
     cats = category_catalogue(budget)
     T = terminal_category(budget)
@@ -205,6 +203,11 @@ def suite_catfib(seed, budget):
 
 
 def suite_toposx(seed, budget):
+    from .catalogs import gset_catalogue
+    from .toposx import (EquivariantMap, FqVecSpace, LinearMap, atoms_and_orbits,
+                         epi_mono_factorize_gset, epi_mono_factorize_linear,
+                         gset_point_cover_check, line_count, lines,
+                         orbit_inclusions)
     checks = []
     expected_orbits = [1, 2, 2, 1, 2, 1]
     gsets = gset_catalogue()
@@ -226,8 +229,7 @@ def suite_toposx(seed, budget):
     bad = None
     for q in (2, 3, 4):
         for n in range(5):
-            V = FqVecSpace(q, n, budget=budget)
-            got = len(lines(V))
+            got = len(lines(FqVecSpace(q, n, budget=budget)))
             want = line_count(q, n) if n >= 1 else 0
             if got != want:
                 bad = "q=%d n=%d: %d lines" % (q, n, got)
@@ -236,14 +238,10 @@ def suite_toposx(seed, budget):
             break
     _check(checks, "line-counts-closed-form", bad is None, bad)
     V2 = FqVecSpace(2, 2, budget=budget)
-    f = LinearMap(V2, V2, [(1, 0), (1, 0)])
-    epi, mid, mono = epi_mono_factorize_linear(f)
+    mid = epi_mono_factorize_linear(LinearMap(V2, V2, [(1, 0), (1, 0)])).middle
     _check(checks, "linear-rank-one-image", mid.n == 1, mid.n)
-    X = gsets[2]
-    target = gsets[0]
-    from .toposx import EquivariantMap
-    col = EquivariantMap(X, target, [0, 1, 0, 1])
-    epi2, mid2, mono2 = epi_mono_factorize_gset(col)
+    epi2, mid2, mono2 = epi_mono_factorize_gset(
+        EquivariantMap(gsets[2], gsets[0], [0, 1, 0, 1]))
     _check(checks, "gset-collapse-image",
            mid2.size == 2 and epi2.is_surjective() and mono2.is_injective(),
            mid2.size)

@@ -12,9 +12,8 @@ from typing import NamedTuple
 from .budget import ensure_budget
 from .errors import (FactorizerContractViolation, InvalidSpec, NotEquivariant,
                      NotLinear)
-from .fincat import CoverResult, Factorization
 from .finring import gf, prime_power
-from .posets import Poset, Spectrum
+from .posets import CoverResult, Factorization, Poset, Spectrum
 from .reader import GSET, VSPACE, read
 
 

@@ -12,16 +12,15 @@ from factopo.budget import Budget, ensure_budget
 from factopo.catfib import CommaCategory, _over
 from factopo.errors import (FactorizerContractViolation, InvalidFamily,
                             InvalidSpec, NotACategory, NotARing)
-from factopo.fincat import (FAIL, PASS, AxiomResult, CoverResult,
-                            Factorization, FinCat, Functor, _key, all_functors,
-                            verify_system)
+from factopo.fincat import (FAIL, PASS, AxiomResult, FinCat, Functor, _key,
+                            all_functors, verify_system)
 from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
                              enumerate_homs, field_catalogue, ideal_generated,
                              inverse_hom, least_irreducible, localize,
                              nilradical, prime_ideals, prime_power,
                              primitive_idempotents, quotient_ring,
                              smallest_prime_factor)
-from factopo.posets import Poset, Spectrum, _bits
+from factopo.posets import CoverResult, Factorization, Poset, Spectrum, _bits
 from factopo.ringspec import recognize_ring
 from factopo.ringsys import (RingClassification, class_predicates,
                              cover_check, factorize, ring_universe,

@@ -251,9 +251,10 @@ def posed_by_suites(monkeypatch, names):
         factored.append(real_comprehensive(F, side, budget))
         return factored[-1]
 
+    # the suites import what they run from catfib when they run
     monkeypatch.setattr(catfib, "comma_components", spy_components)
     monkeypatch.setattr(catfib, "comma", spy_comma)
-    monkeypatch.setattr(suites, "comprehensive_factorize", spy_comprehensive)
+    monkeypatch.setattr(catfib, "comprehensive_factorize", spy_comprehensive)
     for name in names:
         assert suites.run_suite(name, 0, Budget())["passed"]
     return posed, factored
@@ -362,7 +363,7 @@ def test_a_foreign_anchor_or_a_bad_side_is_refused(d, side, message):
 
 def test_the_catfib_suite_builds_each_slice_and_opposite_once(monkeypatch):
     ops, slices = [], []
-    real_op, real_slice = Functor.op, suites.slice_factorize
+    real_op, real_slice = Functor.op, catfib.slice_factorize
 
     def counting_op(F):
         ops.append(F)
@@ -373,8 +374,7 @@ def test_the_catfib_suite_builds_each_slice_and_opposite_once(monkeypatch):
         return real_slice(C, c, side, point)
 
     monkeypatch.setattr(Functor, "op", counting_op)
-    for module in (catfib, suites):
-        monkeypatch.setattr(module, "slice_factorize", counting_slice)
+    monkeypatch.setattr(catfib, "slice_factorize", counting_slice)
     assert suites.run_suite("catfib", 0, Budget())["passed"]
     assert len(ops) == len({id(F) for F in ops}) == 10
     assert len(slices) == len(set(slices)) == \

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import factopo
 from factopo import reader, sset, suites
 from factopo.budget import Budget
 from factopo.cli import (COMMANDS, COMMON, build_parser, main, parse_argv,
@@ -857,34 +859,121 @@ def test_every_table_field_is_named_in_the_readme():
     assert sorted(n for n in names if "`%s`" % n not in section) == []
 
 
-# a fresh interpreter without site packages runs two commands, then says
-# which of dataclasses and inspect it has loaded, and which of the 13
-# record classes are not tuples
+# a fresh interpreter without site packages runs the code given, then
+# says which factopo modules and which of dataclasses and inspect it has
+# loaded; the code may name more to say in ``said``
 COLD_START = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from factopo import catfib, cli, fincat, finring, posets, ringsys, toposx
-codes = [cli.main(["classify", "--ring", sys.argv[2]]),
-         cli.main(["verify", "--suite", "all"])]
-records = [catfib.CommaCategory, catfib.ElementsCategory, cli.Command,
-           cli.Option, fincat.AxiomResult, fincat.CoverResult,
-           fincat.Factorization, fincat.SystemReport, finring.Ideal,
-           finring.RingHom, posets.Spectrum, ringsys.RingClassification,
-           toposx.OrbitReport]
+said = {}
+%s
 print(json.dumps({
-    "codes": codes,
+    "modules": sorted(m for m in sys.modules if m.startswith("factopo.")),
     "loaded": sorted({"dataclasses", "inspect"} & set(sys.modules)),
-    "not_tuples": [c.__name__ for c in records if not issubclass(c, tuple)],
-    "records": len(records)}))
+    **said}))
 """
+RUN = "from factopo.cli import main; said['code'] = main(sys.argv[2:])"
+# the layers a command loads before it runs: the ring layers
+RING_LAYERS = ["factopo." + m for m in (
+    "budget", "cli", "errors", "finring", "posets", "reader", "ringspec",
+    "ringsys", "suites")]
+
+
+def cold_start(code, *args):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-S", "-c", COLD_START % code,
+                           str(src), *args],
+                          capture_output=True, text=True, timeout=60)
+    assert done.stderr == ""
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_a_cold_start_loads_no_dataclasses_and_every_record_is_a_tuple(
         tmp_path):
+    """Two commands load neither dataclasses nor inspect, and each of the
+    13 record classes is a tuple."""
     ring = write(tmp_path / "f4.json", {"kind": "gf", "p": 2, "k": 2})
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run([sys.executable, "-S", "-c", COLD_START, str(src),
-                           ring], capture_output=True, text=True, timeout=60)
-    assert done.stderr == ""
-    assert json.loads(done.stdout.splitlines()[-1]) == {
+    said = cold_start("""
+from factopo import catfib, cli, fincat, finring, posets, ringsys, toposx
+said['codes'] = [cli.main(["classify", "--ring", sys.argv[2]]),
+                 cli.main(["verify", "--suite", "all"])]
+records = [catfib.CommaCategory, catfib.ElementsCategory, cli.Command,
+           cli.Option, fincat.AxiomResult, posets.CoverResult,
+           posets.Factorization, fincat.SystemReport, finring.Ideal,
+           finring.RingHom, posets.Spectrum, ringsys.RingClassification,
+           toposx.OrbitReport]
+said['not_tuples'] = [c.__name__ for c in records if not issubclass(c, tuple)]
+said['records'] = len(records)
+""", ring)
+    assert {k: said[k] for k in ("codes", "loaded", "not_tuples",
+                                 "records")} == {
         "codes": [0, 0], "loaded": [], "not_tuples": [], "records": 13}
+
+
+def test_a_command_loads_the_ring_layers_and_the_layer_it_runs(tmp_path):
+    """``import factopo`` loads no layer; the parser, or a ring command,
+    loads the ring layers; a simplicial or category command adds its own
+    layer and no other."""
+    ring = write(tmp_path / "f4.json", {"kind": "gf", "p": 2, "k": 2})
+    delta2 = write(tmp_path / "d2.json", {"kind": "delta", "n": 2})
+    cat = write(tmp_path / "c.json", {
+        "objects": ["a", "b"],
+        "morphisms": [{"id": "ia", "src": "a", "tgt": "a"},
+                      {"id": "ib", "src": "b", "tgt": "b"},
+                      {"id": "f", "src": "a", "tgt": "b"}],
+        "identities": {"a": "ia", "b": "ib"},
+        "compose": [["ia", "ia", "ia"], ["ib", "ib", "ib"],
+                    ["f", "ia", "f"], ["ib", "f", "f"]]})
+    assert cold_start("import factopo") == {"modules": [], "loaded": []}
+    assert cold_start("import factopo.cli as c; c.build_parser()") == {
+        "modules": RING_LAYERS, "loaded": []}
+    assert cold_start(RUN, "classify", "--ring", ring) == {
+        "modules": RING_LAYERS, "loaded": [], "code": 0}
+    for argv, layer in (
+            (["spectrum", "--topology", "raw", "--object", delta2], "sset"),
+            (["orthogonal", "--category", cat, "--left", "f", "--right",
+              "ib"], "fincat")):
+        assert cold_start(RUN, *argv) == {
+            "modules": sorted(RING_LAYERS + ["factopo." + layer]),
+            "loaded": [], "code": 0}
+
+
+# the package's public names, pinned: the lazy table keeps every one
+PUBLIC = [
+    "Budget", "EnumerationBudgetExceeded", "FactopoError", "Factorization",
+    "FactorizerContractViolation", "FinCat", "FinGSet", "FinGroup", "FinRing",
+    "FinSSet", "FqVecSpace", "Functor", "Ideal", "IdentityViolation",
+    "InvalidFamily", "InvalidSpec", "LinearMap", "NotACategory",
+    "NotALattice", "NotAPrime", "NotARing", "NotEquivariant", "NotLinear",
+    "NotSimplicial", "OutputError", "ParseError", "RingHom", "SimplicialMap",
+    "TruncationTooLow", "UsageError", "atoms_and_orbits", "boundary",
+    "budget", "build_gset", "build_ring", "build_smap", "build_sset",
+    "build_vspace", "cat_universe", "catalogs", "catfib", "check_duality",
+    "classify_ring", "comma", "comprehensive_factorize", "cover_check",
+    "deg_ndeg_factorize", "delta", "delta_nis_self_lift_decider",
+    "dom_lattice", "dom_self_lift_decider", "epi_mono_factorize_gset",
+    "epi_mono_factorize_linear", "errors", "factorize", "fincat", "finring",
+    "gf", "hom_from_images", "horn", "is_discrete_right_fibration",
+    "is_final", "is_orthogonal", "lines", "posets", "prime_ideals",
+    "product_ring", "quotient_ring", "reader", "ringspec", "ringsys",
+    "run_suite", "simple_points", "slice_factorize", "spec_delta_nis",
+    "spec_points", "spec_raw", "sset", "sset_cover_check", "stalk", "suites",
+    "toposx", "triple_factorize", "validate_fincat", "verify_ring_system",
+    "verify_system", "zar_lattice", "zar_self_lift_decider", "zmod"]
+
+
+def test_every_public_name_resolves_to_its_definition():
+    """Each name of ``__all__`` is the layer module of that name, or the
+    object that the layer the table names defines under it, and ``dir``
+    lists them all."""
+    assert factopo.__all__ == dir(factopo) == PUBLIC
+    for name in PUBLIC:
+        layer = importlib.import_module("factopo." + factopo._LAYER_OF[name])
+        value = getattr(factopo, name)
+        if name == layer.__name__[len("factopo."):]:
+            assert value is layer
+        else:
+            assert value is vars(layer)[name], name
+            assert value.__module__ == layer.__name__, name
+    with pytest.raises(AttributeError, match="no attribute 'cli_main'"):
+        factopo.cli_main

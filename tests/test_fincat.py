@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from factopo import catfib, ringsys
+from factopo import catfib, fincat
 from factopo.budget import Budget
 from factopo.catalogs import category_catalogue
 from factopo.catfib import (cat_universe, comma, comprehensive_factorize,
@@ -516,8 +516,9 @@ def test_composing_by_rows_matches_the_pair_loop(cats, monkeypatch):
 
     def universes(build):
         out = []
+        # ring_universe imports concrete_category from fincat when it runs
         for module, run in ((catfib, lambda b: cat_universe(cats, budget=b)),
-                            (ringsys, lambda b: ring_universe(rings, b))):
+                            (fincat, lambda b: ring_universe(rings, b))):
             monkeypatch.setattr(module, "concrete_category", build)
             budget = Budget()
             out.append((run(budget), budget.used))

@@ -1,18 +1,19 @@
 """Dead-code guard for ``src/factopo``, by an ``ast`` scan.
 
-Two things fail it: a name a module imports and never uses (the
-re-exports of ``__init__.py`` are exempt, and ``from __future__ import
-annotations`` is used where the module has an annotation), and a function,
-class or method, ``_``-prefixed or not (dunders are exempt), that cannot be
-reached from the roots: ``cli.main``, the re-exports of ``__init__.py``,
-which make a name public API, and the module-level tables (``COMMANDS``,
-``SUITES`` and the like).  Reaching is by name: a reached body reaches
-every top-level definition that carries a name it reads, and every method
-that carries the name of an attribute it reads (``x.name``, not a bare
-``name``), and a reached class reaches its own dunder methods.  A reference from
-``tests`` or ``bench`` does not count, because code that only tests reach
-belongs in ``tests``; nor does a reference from a definition that is itself
-unreachable.
+Two things fail it: a name a module imports and never uses (``from
+__future__ import annotations`` is used where the module has an
+annotation), and a function, class or method, ``_``-prefixed or not
+(dunders are exempt), that cannot be reached from the roots: ``cli.main``,
+each public name of the lazy table ``_LAYERS`` in ``__init__.py``, as
+defined in its own layer, which makes it public API, and the module-level
+tables (``COMMANDS``, ``SUITES`` and the like).  Past the roots, reaching
+is by name: a reached body reaches every top-level definition that carries
+a name it reads, and every method that carries the name of an attribute it
+reads (``x.name``, not a bare ``name``), and a reached class reaches its
+own dunder methods.  A reference from ``tests`` or ``bench`` does not
+count, because code that only tests reach belongs in ``tests``; nor does a
+reference from a definition that is itself unreachable, nor a definition
+elsewhere that only shares a public name.
 """
 
 import ast
@@ -48,11 +49,20 @@ def has_annotation(tree):
                for node in ast.walk(tree))
 
 
+def public_names():
+    """Each layer of the lazy table in ``__init__.py``, with the public
+    names it defines there."""
+    for node in parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets] == ["_LAYERS"]:
+            return {layer: names.split()
+                    for layer, names in ast.literal_eval(node.value).items()}
+    raise AssertionError("__init__.py has no _LAYERS table")
+
+
 def test_every_import_is_used():
     unused = []
     for path in MODULES:
-        if path.name == "__init__.py":
-            continue
         tree = parse(path)
         used = names_used(tree, aliases=False)
         if has_annotation(tree):
@@ -76,7 +86,7 @@ def test_every_public_definition_is_referenced():
     # under their name and ``.name``, as a module attribute reads them too,
     # and the non-dunder methods of those classes under ``.name`` only
     defs = {}
-    roots = {"main"}
+    names = ["main"]
     for path in MODULES:
         for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -90,28 +100,33 @@ def test_every_public_definition_is_referenced():
                         defs.setdefault("." + item.name, []).append(
                             ("%s: %s.%s" % (path.name, node.name, item.name),
                              item))
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                if path.name == "__init__.py":
-                    roots |= names_used(node)
-            else:
-                roots |= names_used(node, aliases=False)
-    reached = set()
-    todo = list(roots)
-    while todo:
-        name = todo.pop()
-        if name in reached:
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.extend(names_used(node, aliases=False))
+    # a public name roots its definition in its own layer only
+    todo = [entry for layer, public in public_names().items()
+            for name in public for entry in defs.get(name, ())
+            if entry[0] == "%s.py: %s" % (layer, name)]
+    reached, seen = set(), set()
+    while todo or names:
+        if names:
+            name = names.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(defs.get(name, ()))
             continue
-        reached.add(name)
-        for _label, node in defs.get(name, ()):
-            if not isinstance(node, ast.ClassDef):
-                todo.extend(names_used(node))
-                continue
-            # a class reaches its bases, decorators, class-level statements
-            # and dunders; its other methods wait until their name is read
-            for part in node.bases + node.decorator_list + node.body:
-                if not isinstance(part, ast.FunctionDef) or dunder(part.name):
-                    todo.extend(names_used(part))
+        label, node = todo.pop()
+        if label in reached:
+            continue
+        reached.add(label)
+        if not isinstance(node, ast.ClassDef):
+            names.extend(names_used(node))
+            continue
+        # a class reaches its bases, decorators, class-level statements
+        # and dunders; its other methods wait until their name is read
+        for part in node.bases + node.decorator_list + node.body:
+            if not isinstance(part, ast.FunctionDef) or dunder(part.name):
+                names.extend(names_used(part))
     dead = {label for name, entries in defs.items()
-            if not dunder(name.lstrip(".")) for label, _node in entries} - {
-        label for name in reached for label, _node in defs.get(name, ())}
+            if not dunder(name.lstrip(".")) for label, _node in entries} - \
+        reached
     assert not dead, "unreachable definitions: " + ", ".join(sorted(dead))

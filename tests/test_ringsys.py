@@ -10,10 +10,11 @@ from factopo.catalogs import ring_catalogue
 from factopo.errors import (EnumerationBudgetExceeded,
                             FactorizerContractViolation, InvalidFamily,
                             InvalidSpec)
-from factopo.fincat import FAIL, Factorization, verify_system
+from factopo.fincat import FAIL, verify_system
 from factopo.finring import (RingHom, all_ideals, annihilator_kernel,
                              enumerate_homs, gf, identity_hom,
                              ideal_generated, product_ring, zmod)
+from factopo.posets import Factorization
 from factopo.ringspec import spec_points
 from factopo.ringsys import (SYSTEMS, class_predicates, classify_ring,
                              conservative_witness, cover_check,
