@@ -298,10 +298,10 @@ def subcomplex_of_delta(n, subsets, budget, dim=None, name=None):
                    budget=budget)
 
 
-def delta(n, dim=None, name=None, budget=None):
+def delta(n, dim=None, budget=None):
     """The standard n-simplex, truncated with one dimension of headroom."""
     return subcomplex_of_delta(n, [range(n + 1)], ensure_budget(budget),
-                               dim=dim, name=name or "delta%d" % n)
+                               dim=dim, name="delta%d" % n)
 
 
 def boundary(n, dim=None, budget=None):
@@ -320,10 +320,8 @@ def horn(n, k, dim=None, budget=None):
                                name="horn%d_%d" % (n, k))
 
 
-def disjoint_union(X, Y, dim=None, name=None):
+def disjoint_union(X, Y, name=None):
     """X + Y, charging its work to X's budget."""
-    if dim is None:
-        dim = max(X.dim, Y.dim)
     labels = {}
     faces = {}
     offset = {}
@@ -336,7 +334,7 @@ def disjoint_union(X, Y, dim=None, name=None):
         for (nn, j, i), (sg, (m, jj)) in Z.faces_tbl.items():
             faces[(nn, j + offset[(tag, nn)], i)] = \
                 (sg, (m, jj + offset[(tag, m)]))
-    return FinSSet(dim, labels, faces,
+    return FinSSet(max(X.dim, Y.dim), labels, faces,
                    name=name or "%s+%s" % (X.name, Y.name), budget=X.budget)
 
 

@@ -120,20 +120,19 @@ def regular_gset(G):
                    name="%s-regular" % G.name)
 
 
-def trivial_gset(G, n, name=None):
+def trivial_gset(G, n):
     return FinGSet(G, [str(i) for i in range(n)],
                    [[x] * G.size for x in range(n)],
-                   name=name or "%s-trivial%d" % (G.name, n))
+                   name="%s-trivial%d" % (G.name, n))
 
 
-def disjoint_union_gset(X, Y, name=None):
+def disjoint_union_gset(X, Y):
     if X.group is not Y.group:
         raise InvalidSpec("summands act under different groups")
     carrier = ["a.%s" % s for s in X.carrier] + ["b.%s" % s for s in Y.carrier]
     action = [list(row) for row in X.action] + \
              [[v + X.size for v in row] for row in Y.action]
-    return FinGSet(X.group, carrier, action,
-                   name=name or "%s+%s" % (X.name, Y.name))
+    return FinGSet(X.group, carrier, action, name="%s+%s" % (X.name, Y.name))
 
 
 def build_gset(spec):
@@ -185,17 +184,23 @@ class EquivariantMap:
         return "EquivariantMap(%s -> %s)" % (self.source.name, self.target.name)
 
 
+def _inclusion(X, points, name):
+    """The inclusion into X of the sub-G-set on ``points``, a sorted list
+    closed under the action, named ``name``."""
+    back = {v: i for i, v in enumerate(points)}
+    sub = FinGSet(X.group, [X.carrier[v] for v in points],
+                  [[back[X.act(v, g)] for g in range(X.group.size)]
+                   for v in points], name=name)
+    return EquivariantMap(sub, X, points)
+
+
 def epi_mono_factorize_gset(f):
     """Surjection onto the image sub-G-set followed by its inclusion."""
-    image = sorted(set(f.mapping))
-    back = {v: i for i, v in enumerate(image)}
-    mid = FinGSet(f.target.group,
-                  [f.target.carrier[v] for v in image],
-                  [[back[f.target.act(v, g)]
-                    for g in range(f.target.group.size)] for v in image],
-                  name="im(%s)" % (f.name or "f"))
+    mono = _inclusion(f.target, sorted(set(f.mapping)),
+                      "im(%s)" % (f.name or "f"))
+    mid = mono.source
+    back = {v: i for i, v in enumerate(mono.mapping)}
     epi = EquivariantMap(f.source, mid, [back[v] for v in f.mapping])
-    mono = EquivariantMap(mid, f.target, image)
     if not (epi.is_surjective() and mono.is_injective()):
         raise FactorizerContractViolation(
             "image factorisation of %r: legs outside their classes" % f)
@@ -242,15 +247,8 @@ def atoms_and_orbits(X):
 
 def orbit_inclusions(X):
     """The finest point cover: one inclusion per orbit."""
-    fams = []
-    for orb in orbit_partition(X):
-        back = {v: i for i, v in enumerate(orb)}
-        sub = FinGSet(X.group, [X.carrier[v] for v in orb],
-                      [[back[X.act(v, g)] for g in range(X.group.size)]
-                       for v in orb],
-                      name="orbit-%s" % X.carrier[orb[0]])
-        fams.append(EquivariantMap(sub, X, list(orb)))
-    return fams
+    return [_inclusion(X, orb, "orbit-%s" % X.carrier[orb[0]])
+            for orb in orbit_partition(X)]
 
 
 def gset_point_cover_check(X, family):

@@ -225,6 +225,20 @@ def test_lattice_outside_zar_and_dom_is_refused(topology, where, capsys):
     assert err == "error: --lattice only applies to zar and dom\n"
 
 
+@pytest.mark.parametrize("command, topology, given, needed", [
+    ("cover", "zar", "--family", "--base"),
+    ("cover", "raw", "--family", "--object"),
+    ("spectrum", "delta-nis", "--base", "--object"),
+    ("spectrum", "lines", "--object", "--space")])
+def test_a_topology_without_its_input_is_refused(command, topology, given,
+                                                 needed, capsys):
+    # refused before the file given is read, so a missing file never shows
+    code, out, err = run(capsys, command, "--topology", topology,
+                         given, "nowhere.json")
+    assert (code, out) == (2, "")
+    assert err == "error: %s over %s needs %s\n" % (command, topology, needed)
+
+
 def test_format_dot_is_refused_before_the_command_runs(capsys):
     code, out, err = run(capsys, "classify", "--ring", "nowhere.json",
                          "--format", "dot")
