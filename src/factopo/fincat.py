@@ -256,6 +256,11 @@ def validate_fincat(raw, budget=None):
 
 
 class Functor:
+    """A functor, validated on build unless ``check=False``: the search
+    results of all_functors, opposites and identities are correct by
+    construction, and validating them took cat-orbit ``wall_s`` (seed 900,
+    2-CPU shared host) from 0.50/0.55 s to 0.63/0.59 s in two pairs."""
+
     def __init__(self, source, target, obj_map, mor_map, name="", check=True):
         self.source = source
         self.target = target
@@ -481,31 +486,16 @@ def pushout(C, f, g, budget):
 # ---------------------------------------------------------------------------
 # factorisation-system verification
 
-PASS = "pass"
-FAIL = "fail"
-
-
-class AxiomResult(NamedTuple):
-    status: str
-    counterexample: object = None
-
-
 class SystemReport(NamedTuple):
-    """Axiom-by-axiom verdicts for a candidate factorisation system."""
+    """Each axiom of a candidate factorisation system, mapped to its first
+    counterexample, or to None where it holds."""
     axioms: dict
 
     def ok(self):
-        return all(r.status != FAIL for r in self.axioms.values())
+        return all(x is None for x in self.axioms.values())
 
     def failures(self):
-        return {k: r for k, r in self.axioms.items() if r.status == FAIL}
-
-
-def _verdict(counterexamples):
-    """An axiom's verdict: fail with its first counterexample, if any."""
-    for x in counterexamples:
-        return AxiomResult(FAIL, x)
-    return AxiomResult(PASS)
+        return {k: x for k, x in self.axioms.items() if x is not None}
 
 
 def verify_system(fac, in_left, in_right, universe, budget=None):
@@ -614,17 +604,18 @@ def verify_system(fac, in_left, in_right, universe, budget=None):
             if len(fixing) != 1:
                 yield m, len(fixing)
 
-    return SystemReport({
-        "class-membership": _verdict(
+    streams = {
+        "class-membership": (
             (m, a, b) for m, (a, _mid, b) in factored.items()
             if not (left_class[a] and right_class[b])),
-        "composition-closure-left": _verdict(unclosed(left_class)),
-        "composition-closure-right": _verdict(unclosed(right_class)),
-        "intersection-isomorphisms": _verdict(non_isos()),
-        "left-cancellation": _verdict(uncancelled()),
-        "codiagonal-stability": _verdict(unstable_codiagonals()),
-        "middle-uniqueness": _verdict(unfixed_middles()),
-    })
+        "composition-closure-left": unclosed(left_class),
+        "composition-closure-right": unclosed(right_class),
+        "intersection-isomorphisms": non_isos(),
+        "left-cancellation": uncancelled(),
+        "codiagonal-stability": unstable_codiagonals(),
+        "middle-uniqueness": unfixed_middles(),
+    }
+    return SystemReport({k: next(s, None) for k, s in streams.items()})
 
 
 # ---------------------------------------------------------------------------

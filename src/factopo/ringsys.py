@@ -22,7 +22,6 @@ from .finring import (Ideal, RingHom, all_ideals, annihilator_kernel,
                       quotient_ring)
 from .posets import CoverResult, Factorization
 
-SYSTEMS = ("loc-cons", "surj-mono", "int-intclo")
 TOPOLOGIES = ("zar", "dom", "fin", "nfin")
 
 
@@ -69,13 +68,6 @@ def is_integrally_closed_map(u):
     return u.is_bijective()
 
 
-CLASS_TESTS = {
-    "loc-cons": (is_localization_map, is_conservative),
-    "surj-mono": (RingHom.is_surjective, RingHom.is_injective),
-    "int-intclo": (is_integral_map, is_integrally_closed_map),
-}
-
-
 # ---------------------------------------------------------------------------
 # factorizations
 
@@ -93,7 +85,7 @@ def verify_factorization(system, u, f, budget):
     if f.left.then(f.right).mapping != u.mapping:
         raise FactorizerContractViolation(
             what + ": legs do not compose to the input")
-    left_test, right_test = CLASS_TESTS[system]
+    _fac, left_test, right_test = _SYSTEMS[system]
     if not left_test(f.left):
         raise FactorizerContractViolation(what + ": left leg outside its class")
     if not right_test(f.right):
@@ -125,18 +117,24 @@ def int_intclo_factorize(u):
     return Factorization(u, u.target, identity_hom(u.target))
 
 
-FACTORIZERS = {"loc-cons": loc_cons_factorize,
-               "surj-mono": surj_mono_factorize,
-               "int-intclo": int_intclo_factorize}
+# each system: its factoriser, then its left and right class tests
+_SYSTEMS = {
+    "loc-cons": (loc_cons_factorize, is_localization_map, is_conservative),
+    "surj-mono": (surj_mono_factorize, RingHom.is_surjective,
+                  RingHom.is_injective),
+    "int-intclo": (int_intclo_factorize, is_integral_map,
+                   is_integrally_closed_map),
+}
+SYSTEMS = tuple(_SYSTEMS)
 
 
 def factorize(u, system, budget=None):
     """The factorisation of u in ``system``, checked once by
     verify_factorization: its legs compose to u and lie in their classes."""
     budget = ensure_budget(budget)
-    if system not in FACTORIZERS:
+    if system not in _SYSTEMS:
         raise InvalidSpec("unknown system %r" % (system,))
-    return verify_factorization(system, u, FACTORIZERS[system](u), budget)
+    return verify_factorization(system, u, _SYSTEMS[system][0](u), budget)
 
 
 def triple_factorize(u, budget=None):
@@ -379,11 +377,12 @@ def system_factorizer(system, universe, budget):
     rings = list(universe.rings.values())
     index = {(m[0], m[1], h.mapping): m
              for m, h in universe.payload.items()}
+    factorizer = _SYSTEMS[system][0]
     isos = {}
 
     def fac(mor_id):
         u = universe.payload[mor_id]
-        F = FACTORIZERS[system](u)
+        F = factorizer(u)
         M = F.middle
         key = (M.add, M.mul, M.zero, M.one, M.generators)
         if key not in isos:
@@ -401,7 +400,7 @@ def system_factorizer(system, universe, budget):
 
 
 def class_predicates(system, universe):
-    left_test, right_test = CLASS_TESTS[system]
+    _fac, left_test, right_test = _SYSTEMS[system]
 
     def in_left(m):
         return left_test(universe.payload[m])

@@ -28,8 +28,7 @@ def suite_axioms(seed, budget):
     for system in SYSTEMS:
         report = verify_ring_system(system, rings, budget=budget)
         _check(checks, "axioms:%s" % system, () if report.ok() else (
-            "%s: %s" % (axiom, r.counterexample)
-            for axiom, r in report.failures().items()))
+            "%s: %s" % failure for failure in report.failures().items()))
     return checks
 
 
@@ -174,24 +173,26 @@ def suite_catfib(seed, budget):
     rng = random.Random(seed)
     rng.shuffle(pool)
     sample = pool[:30]
+    names = ["functor %d: %s -> %s" % (i, F.source.name, F.target.name)
+             for i, F in enumerate(sample)]
 
     def comprehensive_failures():
-        for i, F in enumerate(sample):
+        for F, name in zip(sample, names):
             first, _elem, proj = comprehensive_factorize(F, "right", budget)
             if not is_final(first) or not is_discrete_right_fibration(proj):
-                yield "functor %d: %s -> %s" % (i, F.source.name, F.target.name)
+                yield name
 
     _check(checks, "comprehensive-on-%d-functors" % len(sample),
            comprehensive_failures())
 
     def op_failures():
-        for F in sample[:10]:
+        for F, name in zip(sample[:10], names):
             op = F.op()
             if is_final(F) != is_initial(op):
-                yield "finality duality at %r" % F
+                yield "finality duality at " + name
             if is_discrete_right_fibration(F) != \
                     is_discrete_left_fibration(op):
-                yield "fibration duality at %r" % F
+                yield "fibration duality at " + name
 
     _check(checks, "op-duality-laws", op_failures())
     _check(checks, "all-slices-cover", (

@@ -10,8 +10,8 @@ import itertools
 from typing import NamedTuple
 
 from .budget import ensure_budget
-from .errors import (FactorizerContractViolation, InvalidSpec, NotEquivariant,
-                     NotLinear)
+from .errors import (FactorizerContractViolation, InvalidFamily, InvalidSpec,
+                     NotEquivariant, NotLinear)
 from .finring import gf, prime_power
 from .posets import CoverResult, Factorization, Poset, Spectrum
 from .reader import GSET, VSPACE, read
@@ -255,7 +255,7 @@ def gset_point_cover_check(X, family):
     """Joint surjectivity of equivariant maps into X."""
     for f in family:
         if f.target is not X:
-            raise InvalidSpec("family member does not land in %s" % X.name)
+            raise InvalidFamily("family member does not land in %s" % X.name)
     covered = set()
     for f in family:
         covered.update(f.mapping)

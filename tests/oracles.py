@@ -12,8 +12,7 @@ from factopo.budget import Budget, ensure_budget
 from factopo.catfib import CommaCategory, _over
 from factopo.errors import (FactorizerContractViolation, InvalidFamily,
                             InvalidSpec, NotACategory, NotARing)
-from factopo.fincat import (FAIL, PASS, AxiomResult, FinCat, Functor, _key,
-                            all_functors, verify_system)
+from factopo.fincat import FinCat, Functor, _key, all_functors, verify_system
 from factopo.finring import (Ideal, all_ideals, annihilator_kernel,
                              enumerate_homs, field_catalogue, ideal_generated,
                              inverse_hom, least_irreducible, localize,
@@ -147,29 +146,30 @@ def validate_by_triples(C, order=None):
 
 def closure_and_cancellation_by_pairs(C, left_class, right_class):
     """The composition-closure and left-cancellation verdicts of
-    verify_system for the given class memberships, looking up every
-    composable pair in the compose table one at a time."""
+    verify_system for the given class memberships, each the first
+    counterexample or None, looking up every composable pair in the
+    compose table one at a time."""
     comp, out = C.compose_table, {}
     for key, cls in (("composition-closure-left", left_class),
                      ("composition-closure-right", right_class)):
-        res = AxiomResult(PASS)
+        res = None
         for f in C.morphism_ids():
             if not cls[f]:
                 continue
             for g in C.hom_from(C.tgt(f)):
                 if cls[g] and not cls[comp[(g, f)]]:
-                    res = AxiomResult(FAIL, (g, f))
+                    res = (g, f)
                     break
-            if res.status == FAIL:
+            if res is not None:
                 break
         out[key] = res
-    cancel = AxiomResult(PASS)
+    cancel = None
     for u in C.morphism_ids():
         for v in C.hom_from(C.tgt(u)):
             if right_class[v] and right_class[comp[(v, u)]] and not right_class[u]:
-                cancel = AxiomResult(FAIL, (v, u))
+                cancel = (v, u)
                 break
-        if cancel.status == FAIL:
+        if cancel is not None:
             break
     out["left-cancellation"] = cancel
     return out
@@ -184,7 +184,7 @@ def verify_system_two_runs(fac, fac_alt, in_left, in_right, universe,
     The other axioms are verify_system's."""
     report = verify_system(fac, in_left, in_right, universe, budget=budget)
     C, comp = universe, universe.compose_table
-    uniqueness = AxiomResult(PASS)
+    uniqueness = None
     for m in C.morphism_ids():
         a, mid, b = fac(m)
         a2, mid2, b2 = fac_alt(m)
@@ -196,7 +196,7 @@ def verify_system_two_runs(fac, fac_alt, in_left, in_right, universe,
                        if C.is_iso(phi) and comp[(phi, a)] == a2
                        and C.compose(b2, phi) == b]
         if len(comparisons) != 1:
-            uniqueness = AxiomResult(FAIL, (m, len(comparisons)))
+            uniqueness = (m, len(comparisons))
             break
     report.axioms["middle-uniqueness"] = uniqueness
     return report

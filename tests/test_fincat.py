@@ -342,7 +342,7 @@ def test_closure_and_cancellation_read_off_rows_match_the_pair_loop(cats):
         old = closure_and_cancellation_by_pairs(C, left, right)
         # the other axioms do not read rows
         assert report.axioms == {**report.axioms, **old}
-        seen.update((C.name, key, res.status) for key, res in old.items())
+        seen.update((C.name, key, bad is None) for key, bad in old.items())
     assert len(seen) == 12, sorted(seen)
 
 

@@ -453,6 +453,40 @@ def test_rows_additive_along_the_tree_only_are_refused():
     assert light_verdict(names, add, mul, 0, 2).startswith("distributivity")
 
 
+def test_a_ring_that_fails_only_commutativity_is_refused():
+    # the upper-triangular 2x2 matrices over F_2, (a, b, d) for
+    # [[a, b], [0, d]] named by its digits: a ring in every other axiom, so
+    # only the commutation scan can refuse it
+    elems = list(itertools.product((0, 1), repeat=3))
+    names = ["%d%d%d" % e for e in elems]
+
+    def times(x, y):
+        (a, b, d), (a2, b2, d2) = x, y
+        return a * a2 % 2, (a * b2 + b * d2) % 2, d * d2 % 2
+
+    add = [[elems.index(tuple((u + v) % 2 for u, v in zip(x, y)))
+            for y in elems] for x in elems]
+    mul = [[elems.index(times(x, y)) for y in elems] for x in elems]
+    zero, one = elems.index((0, 0, 0)), elems.index((1, 0, 1))
+    n = len(elems)
+    assert n == 8
+    assert all(add[x][zero] == x and mul[x][one] == mul[one][x] == x
+               and zero in add[x] for x in range(n))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        assert add[x][y] == add[y][x]
+        assert add[add[x][y]][z] == add[x][add[y][z]]
+        assert mul[mul[x][y]][z] == mul[x][mul[y][z]]
+        assert mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+        assert mul[add[x][y]][z] == add[mul[x][z]][mul[y][z]]
+    message = "multiplication not commutative at (001, 010)"
+    with pytest.raises(NotARing) as err:
+        FinRing(names, add, mul, zero, one)
+    assert str(err.value) == message
+    assert witness_breaks(message, add, mul, names)
+    assert light_verdict(names, add, mul, zero, one) == message
+    assert maps_verdict(names, add, mul, zero, one) == message
+
+
 def test_gf_tables_match_polynomial_arithmetic():
     for q in range(2, 65):
         pk = prime_power(q, Budget())

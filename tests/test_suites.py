@@ -9,9 +9,10 @@ them, and must name the first.
 
 import pytest
 
-from factopo import catfib, sset, toposx
+from factopo import catfib, ringsys, sset, toposx
 from factopo.budget import Budget
-from factopo.posets import CoverResult
+from factopo.finring import identity_hom
+from factopo.posets import CoverResult, Factorization
 from factopo.suites import SUITES, _check, run_suite
 
 
@@ -55,6 +56,21 @@ def test_a_row_draws_its_first_counterexample_and_no_more():
     assert checks == [{"name": "fails", "ok": False, "counterexample": "0"},
                       {"name": "passes", "ok": True}]
     assert drawn == [0]
+
+
+# -- axioms ------------------------------------------------------------------
+
+def test_axioms_row_reports_the_first_failing_axiom_of_a_broken_system(
+        monkeypatch):
+    # surj-mono factors u as the identity, then u: every u that is not
+    # injective puts its right leg outside the class
+    monkeypatch.setitem(ringsys._SYSTEMS, "surj-mono", (
+        lambda u: Factorization(identity_hom(u.source), u.source, u),
+        *ringsys._SYSTEMS["surj-mono"][1:]))
+    assert failed_rows("axioms") == ([{
+        "name": "axioms:surj-mono", "ok": False,
+        "counterexample": "class-membership: (('F_4', 'Z/1', 0), "
+                          "('F_4', 'F_4', 0), ('F_4', 'Z/1', 0))"}], 3034)
 
 
 # -- ez ----------------------------------------------------------------------
@@ -113,7 +129,7 @@ def test_op_duality_row_reports_the_first_functor_that_fails(check, law,
                         lambda F: F.name.endswith("^op") != real(F))
     assert failed_rows("catfib") == ([{
         "name": "op-duality-laws", "ok": False,
-        "counterexample": "%s duality at Functor(?: [0] -> [1])" % law,
+        "counterexample": "%s duality at functor 0: [0] -> [1]" % law,
     }], 4444)
 
 

@@ -1,8 +1,13 @@
+import re
+
 import pytest
 
 from factopo.budget import Budget
-from factopo.errors import (FactorizerContractViolation, InvalidSpec,
-                            NotEquivariant, NotLinear)
+from factopo.catfib import right_cover_check
+from factopo.errors import (FactorizerContractViolation, InvalidFamily,
+                            InvalidSpec, NotEquivariant, NotLinear)
+from factopo.fincat import chain_category, identity_functor
+from factopo.sset import delta, identity_smap, sset_cover_check
 from factopo.suites import run_suite
 from factopo.toposx import (EquivariantMap, FinGroup, FinGSet, FqVecSpace,
                             LinearMap, atoms_and_orbits, build_gset, build_vspace,
@@ -119,6 +124,22 @@ def test_gset_point_cover():
     for i in range(len(fam)):
         rest = fam[:i] + fam[i + 1:]
         assert not gset_point_cover_check(X, rest).covers
+
+
+def test_every_cover_check_refuses_a_member_that_lands_elsewhere():
+    # each family holds the identity of a twin of X, which is not X
+    G = cyclic_group(2)
+    for check, X, member in [
+            (gset_point_cover_check, regular_gset(G),
+             orbit_inclusions(regular_gset(G))[0]),
+            (lambda X, fam: sset_cover_check(X, fam, "raw"), delta(1),
+             identity_smap(delta(1))),
+            (right_cover_check, chain_category(1, Budget()),
+             identity_functor(chain_category(1, Budget())))]:
+        with pytest.raises(InvalidFamily,
+                           match=r"^family member does not land in %s$"
+                           % re.escape(X.name)):
+            check(X, [member])
 
 
 def test_build_gset_file_shape():
